@@ -45,7 +45,7 @@
 //! others block on the in-flight acquisition and then serve themselves
 //! from the judgment cache at zero crowd cost (see [`crate::inflight`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,9 +53,7 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use storage::{TableImage, WalRecord};
 
-use crowdsim::{
-    em_aggregate, majority_vote, EmConfig, ItemPosterior, WorkerAccuracyStore, WorkerId,
-};
+use crowdsim::WorkerAccuracyStore;
 use datagen::SyntheticDomain;
 use perceptual::{EuclideanEmbeddingConfig, EuclideanEmbeddingModel, ItemId, PerceptualSpace};
 use relational::{
@@ -67,11 +65,11 @@ use telemetry::{MetricsSnapshot, StateMonitor};
 
 use crate::admission::{demote, DegradeDirective, Limiter};
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
-use crate::crowd_source::{AttributeRequest, CrowdSource, OutstandingEstimate};
+use crate::crowd_source::CrowdSource;
 use crate::error::CrowdDbError;
 use crate::expansion::{ExpansionReport, ExpansionStage, ExpansionStrategy};
 use crate::extraction::extract_binary_attribute;
-use crate::inflight::{Claim, InflightRegistry, InflightStats};
+use crate::inflight::{InflightRegistry, InflightStats};
 use crate::materialize::materialize_column;
 use crate::metrics::EngineMetrics;
 use crate::persist::{self, Durability, RecoveredState};
@@ -83,58 +81,13 @@ use crate::session::{QueryBuilder, QueryOutcome, RowSet, Session, StatementResul
 use crate::stream::{EventSink, QueryEvent};
 use crate::Result;
 
-use crate::sync::{mlock, rlock, try_mlock, wlock};
+use crate::sync::{mlock, rlock, wlock};
 
-/// Items dispatched per budgeted round when the crowd source cannot price
-/// its work up front ([`CrowdSource::estimate_cost`] returns `None`): the
-/// acquirer checks the real charge after each round, so a small round bounds
-/// the possible budget overshoot.
-const FALLBACK_BUDGET_CHUNK: usize = 10;
-
-/// Assignments per item bought in each adaptive acquisition round.  The
-/// cumulative sum equals the paper's flat 10 assignments per item, so an
-/// item the posterior never settles on costs exactly what the flat path
-/// would have paid — adaptive stopping can only save, never overspend.
-const ADAPTIVE_ROUND_SCHEDULE: &[usize] = &[3, 2, 2, 3];
-
-/// The posterior an item must clear to stop buying before the schedule is
-/// exhausted.  Deliberately above the default quality floor: a short vote
-/// streak (3–5 judgments) reaches ~0.93 posterior even for items the model
-/// suspects are ambiguous, and stopping there trades real accuracy for
-/// pennies.  The effective stop bar is the *larger* of this and the query's
-/// floor, so a stricter floor tightens stopping too.
-const ADAPTIVE_STOP_CONFIDENCE: f64 = 0.97;
-
-/// Early stopping also demands this many decisive (non-abstaining) votes.
-/// Without it a 3-vote streak from workers the EM model has learned to
-/// trust clears the confidence bar, and among 3-0 streaks the share of
-/// genuinely ambiguous items (whose next votes are coin flips) is several
-/// times higher than among longer streaks.  Kept below the second round's
-/// cumulative assignment count because abstentions ("don't know") are
-/// common and do not count as decisive.
-const ADAPTIVE_STOP_MIN_DECISIVE: usize = 4;
-
-/// Decisive votes a finalized item needs before its verdict is
-/// materialized at all.  A couple of unopposed votes from trusted workers
-/// (or a 2-1 split whose dissenter the model has learned to discount)
-/// already clear a 0.9 posterior floor, but a label resting on so few
-/// opinions is exactly the thin evidence the adaptive layer exists to
-/// avoid.
-const ADAPTIVE_VERDICT_MIN_DECISIVE: usize = 4;
-
-/// Routing floors: a worker is offered still-uncertain items only once the
-/// EM model credits them with this much accuracy, backed by at least this
-/// much evidence weight (prior pseudo-counts included).
-const ADAPTIVE_ROUTING_MIN_ACCURACY: f64 = 0.8;
-const ADAPTIVE_ROUTING_MIN_WEIGHT: f64 = 6.0;
-
-/// Routing needs enough reliable workers to serve whole HITs; below this
-/// pool size the adaptive rounds stay unrouted rather than starve.  The
-/// bar is well above one item's total assignment count on purpose: each
-/// round draws independently from the preferred pool, a worker's repeat
-/// answer deduplicates to nothing, so a pool close to the per-item
-/// assignment count would pay for judgments that carry no new evidence.
-const ADAPTIVE_ROUTING_MIN_POOL: usize = 24;
+// The acquire stage has its own file, declared as a child module so its
+// `impl DbInner` block reaches the engine's private state.
+#[path = "acquire.rs"]
+mod acquire;
+use acquire::Acquisition;
 
 /// Configuration of a [`CrowdDb`].
 pub struct CrowdDbConfig {
@@ -166,6 +119,52 @@ pub struct ExpansionEvent {
     pub triggering_query: String,
     /// The expansion report.
     pub report: ExpansionReport,
+}
+
+/// Expansion events kept in memory; older ones are dropped (and counted
+/// by `crowddb_events_dropped_total`) so a long-running server's event
+/// history stays bounded.
+const EVENT_RING_CAPACITY: usize = 4096;
+
+/// The newest [`EVENT_RING_CAPACITY`] expansion events, addressed by
+/// global sequence numbers that keep counting as old events drop off.
+struct EventRing<T> {
+    events: VecDeque<T>,
+    /// Events ever recorded: the sequence number of the next one.
+    recorded: u64,
+}
+
+impl<T: Clone> EventRing<T> {
+    fn new() -> Self {
+        EventRing {
+            events: VecDeque::new(),
+            recorded: 0,
+        }
+    }
+
+    fn record(&mut self, event: T) {
+        if self.events.len() == EVENT_RING_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
+        self.recorded += 1;
+    }
+
+    /// Events dropped off the front so far.
+    fn dropped(&self) -> u64 {
+        self.recorded - self.events.len() as u64
+    }
+
+    /// The retained events from sequence number `seq` on — a cursor older
+    /// than the ring resumes at the oldest retained event — plus the cursor
+    /// of the next event.
+    fn since(&self, seq: u64) -> (Vec<T>, u64) {
+        let skip = seq.saturating_sub(self.dropped()) as usize;
+        (
+            self.events.iter().skip(skip).cloned().collect(),
+            self.recorded,
+        )
+    }
 }
 
 /// How a table is laid out and linked to the engine, built fluently and
@@ -462,122 +461,6 @@ struct TableBinding {
     strategy_overrides: RwLock<HashMap<String, ExpansionStrategy>>,
 }
 
-/// The acquisition state of one planned attribute while a plan runs.
-struct Acquisition {
-    /// Judgments answered by the cache.
-    cached: HashMap<ItemId, CachedJudgment>,
-    /// Items that had to go to the crowd (directly or via a coalesced
-    /// in-flight round).
-    uncached: Vec<ItemId>,
-    /// Index into the plan's concept needs (`None` = fully cached).
-    question: Option<usize>,
-    /// Whether this attribute created the concept need (and therefore
-    /// carries the full cost/judgment accounting) or merged into a sibling
-    /// column's question about the same concept.
-    owns_question: bool,
-    /// Dollars saved by the cache hits.
-    cost_saved: f64,
-    /// Merged verdicts (cache + fresh round + coalesced round).
-    verdicts: HashMap<ItemId, bool>,
-    /// Per-item inter-worker agreement (cached entries carry their stored
-    /// confidence, fresh rounds compute it from the tallies).
-    confidence: HashMap<ItemId, f64>,
-    /// Items this query's own rounds judged, with each item's cost share.
-    fresh_cost_share: HashMap<ItemId, f64>,
-    /// Items served by a concurrent query's round (paid by that query).
-    coalesced_items: HashSet<ItemId>,
-    /// Items the policy left unacquired, with the reason their cells stay
-    /// `NULL` (budget, cache-only, or quality floor).
-    dropped: Vec<(ItemId, MissingReason)>,
-    /// Distinct items this attribute's report charges to the crowd: the
-    /// owner carries the whole question (including sibling-merged items),
-    /// siblings and fully-cached attributes charge none.
-    items_charged: usize,
-    /// Fresh judgments collected for this attribute.
-    judgments_collected: usize,
-    /// Cost share of this attribute in the round.
-    crowd_cost: f64,
-    /// Wall-clock minutes of the round (0 when fully cached).
-    crowd_minutes: f64,
-    /// Items served by a concurrent query's in-flight crowd round.
-    items_coalesced: usize,
-    /// Whether this acquisition's concept saw a round dispatched by *this*
-    /// query (drives the `CrowdSourcingStarted` stage).
-    fresh_round: bool,
-}
-
-/// The union of crowd work one domain concept needs across the plan's
-/// attributes (sibling columns registered to the same concept merge here).
-struct ConceptNeed {
-    /// The domain concept, in registration casing.
-    concept: String,
-    /// Distinct uncached items, in first-demand order.
-    items: Vec<ItemId>,
-    item_set: HashSet<ItemId>,
-    /// Items the cache had already answered when the need was formed — the
-    /// baseline the streaming `Progress` events count resolved items from.
-    already_resolved: usize,
-}
-
-/// What the coalescing resolution loop produced for one concept need.
-#[derive(Default)]
-struct ConceptResolution {
-    /// Majority verdicts for every decidable item of the need.
-    verdicts: HashMap<ItemId, bool>,
-    /// Per-item inter-worker agreement for every judged item (fresh or
-    /// read back from the cache).
-    confidence: HashMap<ItemId, f64>,
-    /// Items judged by rounds this query dispatched, with cost shares.
-    fresh_cost_share: HashMap<ItemId, f64>,
-    /// Items served by another query's round (this query paid nothing).
-    coalesced_set: HashSet<ItemId>,
-    /// Items dropped because the budget could not pay for another round.
-    budget_denied: Vec<ItemId>,
-    /// Fresh judgments collected by rounds *this* query dispatched.
-    judgments: usize,
-    /// Dollars paid by rounds this query dispatched.
-    cost: f64,
-    /// Wall-clock minutes of the slowest round involved.
-    minutes: f64,
-    /// Items this query paid for.
-    items_charged: usize,
-    /// Items served by another query's in-flight round.
-    items_coalesced: usize,
-}
-
-/// One decisive fresh verdict of a crowd round, with the facts a streaming
-/// [`QueryEvent::Delta`] row carries.
-struct RoundVerdict {
-    item: ItemId,
-    verdict: bool,
-    confidence: f64,
-    cost_share: f64,
-}
-
-/// The running spend of one budgeted query, shared across every concept
-/// and round of its plan so the budget is enforced *mid-plan*.
-struct BudgetLedger {
-    /// The budget, `None` when the policy sets no cap.
-    limit: Option<f64>,
-    /// Dollars charged to this query so far.
-    spent: f64,
-}
-
-impl BudgetLedger {
-    fn new(limit: Option<f64>) -> Self {
-        BudgetLedger { limit, spent: 0.0 }
-    }
-
-    /// Dollars still spendable (`None` = unbounded).
-    fn remaining(&self) -> Option<f64> {
-        self.limit.map(|limit| (limit - self.spent).max(0.0))
-    }
-
-    fn charge(&mut self, dollars: f64) {
-        self.spent += dollars;
-    }
-}
-
 /// A relational database extended with crowd-driven, query-driven schema
 /// expansion.
 ///
@@ -727,7 +610,7 @@ pub(crate) struct DbInner {
     /// only; all table data sits behind each shard's own lock.
     shards: RwLock<BTreeMap<String, Arc<Shard>>>,
     bindings: RwLock<HashMap<String, Arc<TableBinding>>>,
-    events: Mutex<Vec<ExpansionEvent>>,
+    events: Mutex<EventRing<ExpansionEvent>>,
     cache: JudgmentCache,
     inflight: InflightRegistry,
     /// Number of crowd rounds dispatched so far; mixed into every round's
@@ -1110,7 +993,7 @@ impl CrowdDb {
                 config,
                 shards: RwLock::new(shards),
                 bindings: RwLock::new(HashMap::new()),
-                events: Mutex::new(Vec::new()),
+                events: Mutex::new(EventRing::new()),
                 cache: state.cache,
                 inflight: InflightRegistry::new(),
                 crowd_rounds: AtomicU64::new(state.crowd_rounds),
@@ -1210,12 +1093,14 @@ impl CrowdDb {
         &self.inner.config
     }
 
-    /// All expansions performed so far, in completion order.
+    /// The expansions performed so far, in completion order — the newest
+    /// 4096; older events are dropped to bound memory.
     ///
-    /// Clones the full history on every call; pollers that only want what
-    /// is new should use [`events_since`](CrowdDb::events_since) instead.
+    /// Clones the retained history on every call; pollers that only want
+    /// what is new should use [`events_since`](CrowdDb::events_since)
+    /// instead.
     pub fn expansion_events(&self) -> Vec<ExpansionEvent> {
-        mlock(&self.inner.events).clone()
+        mlock(&self.inner.events).since(0).0
     }
 
     /// The expansion events recorded at or after cursor `seq`, plus the
@@ -1224,7 +1109,9 @@ impl CrowdDb {
     /// `seq` is an opaque position: start at 0, then always hand back the
     /// returned cursor — each event is cloned to each poller exactly once,
     /// instead of the whole history being re-copied per poll the way
-    /// [`expansion_events`](CrowdDb::expansion_events) does.
+    /// [`expansion_events`](CrowdDb::expansion_events) does.  Cursors
+    /// count every event ever recorded; one older than the retained
+    /// history resumes at the oldest event still held.
     ///
     /// ```
     /// # use crowddb_core::{CrowdDb, CrowdDbConfig};
@@ -1235,15 +1122,13 @@ impl CrowdDb {
     /// assert!(newer.is_empty(), "nothing happened since the last poll");
     /// ```
     pub fn events_since(&self, seq: u64) -> (Vec<ExpansionEvent>, u64) {
-        let events = mlock(&self.inner.events);
-        let cursor = events.len() as u64;
+        let (events, cursor) = mlock(&self.inner.events).since(seq);
         // How far the furthest-ahead poller has read — a stuck consumer
         // shows up in the scrape as this value lagging the event count.
         self.inner
             .events_high_water
             .fetch_max(cursor, Ordering::SeqCst);
-        let start = seq.min(cursor) as usize;
-        (events[start..].to_vec(), cursor)
+        (events, cursor)
     }
 
     /// Read access to the judgment cache.
@@ -1286,8 +1171,8 @@ impl CrowdDb {
     /// (`crowddb_wal_bytes_total`, per-table `crowddb_wal_bytes{table}`,
     /// and per-partition
     /// `crowddb_partition_wal_bytes{table,partition}`),
-    /// the event-stream high-water (`crowddb_event_count`,
-    /// `crowddb_events_high_water`), and — when a [`Limiter`] is attached —
+    /// the event stream (`crowddb_event_count`,
+    /// `crowddb_events_high_water`, `crowddb_events_dropped_total`), and — when a [`Limiter`] is attached —
     /// admission outcomes (`crowddb_admission_admitted_total`,
     /// `crowddb_admission_degraded_total`, `crowddb_admission_shed_total`,
     /// `crowddb_admission_dollars_charged_total`).
@@ -1381,10 +1266,19 @@ impl CrowdDb {
                 );
             }
         }
+        let (recorded, dropped) = {
+            let events = mlock(&self.inner.events);
+            (events.recorded, events.dropped())
+        };
         snap.push_gauge(
             "crowddb_event_count",
             "Expansion events recorded so far",
-            mlock(&self.inner.events).len() as f64,
+            recorded as f64,
+        );
+        snap.push_counter(
+            "crowddb_events_dropped_total",
+            "Expansion events dropped from the bounded in-memory history",
+            dropped as f64,
         );
         snap.push_gauge(
             "crowddb_events_high_water",
@@ -2131,7 +2025,7 @@ impl DbInner {
                 }
                 let mut events = mlock(&self.events);
                 for report in &reports {
-                    events.push(ExpansionEvent {
+                    events.record(ExpansionEvent {
                         triggering_query: sql_text.to_string(),
                         report: report.clone(),
                     });
@@ -2592,8 +2486,7 @@ impl DbInner {
         }
         let binding = self.binding(&table_name.to_lowercase())?;
         let plan = self.build_plan(&binding, table_name, columns)?;
-        let mut ledger = BudgetLedger::new(policy.budget);
-        let acquisitions = self.acquire(&plan, &binding, policy, &mut ledger, sink)?;
+        let acquisitions = self.acquire(&plan, &binding, policy, sink)?;
         self.materialize(&plan, &binding, acquisitions, policy)
     }
 
@@ -2621,981 +2514,6 @@ impl DbInner {
             space_len: binding.space.len(),
             seed: self.config.seed,
         })
-    }
-
-    /// The **acquire** stage: cache first, then the in-flight registry
-    /// (coalescing with concurrent queries), then one batched crowd round
-    /// for everything still unanswered, then write fresh verdicts back.
-    ///
-    /// Columns registered to the same domain concept share one crowd
-    /// question — asking the crowd twice about `Comedy` for two columns
-    /// would pay double for identical judgments.  The same rule extends
-    /// across queries: a concept another query is currently acquiring is
-    /// *waited for*, not re-dispatched.
-    fn acquire(
-        &self,
-        plan: &ExpansionPlan,
-        binding: &TableBinding,
-        policy: &ExpansionPolicy,
-        ledger: &mut BudgetLedger,
-        sink: &EventSink,
-    ) -> Result<Vec<Acquisition>> {
-        // Consult the cache per attribute; deduplicate crowd questions by
-        // attribute concept.  The first column asking about a concept owns
-        // the question; sibling columns merge their items into it and
-        // report zero collection (summing reports then matches what the
-        // round really collected and cost).
-        let mut acquisitions: Vec<Acquisition> = Vec::with_capacity(plan.attributes.len());
-        let mut needs: Vec<ConceptNeed> = Vec::new();
-        let mut need_of: HashMap<String, usize> = HashMap::new();
-        let mut seen_concepts: HashSet<String> = HashSet::new();
-        // Per-concept (resolved, outstanding) at plan time, for the initial
-        // streaming Progress events.
-        let mut initial_progress: Vec<(String, usize, usize)> = Vec::new();
-        for (index, attribute) in plan.attributes.iter().enumerate() {
-            let targets = plan.crowd_items_for(index);
-            // The first column of a concept moves the cache counters and
-            // carries cost_saved; siblings peek so the concept's reuse is
-            // counted once per plan.
-            let first_for_concept = seen_concepts.insert(attribute.attribute.to_lowercase());
-            let (cached, uncached) = if first_for_concept {
-                self.cache
-                    .partition(&plan.table, &attribute.attribute, targets)
-            } else {
-                self.cache
-                    .partition_peek(&plan.table, &attribute.attribute, targets)
-            };
-            let cost_saved: f64 = if first_for_concept {
-                cached.values().map(|j| j.cost).sum()
-            } else {
-                0.0
-            };
-            if first_for_concept && sink.is_live() {
-                initial_progress.push((attribute.attribute.clone(), cached.len(), uncached.len()));
-            }
-            let mut owns_question = false;
-            let question = if uncached.is_empty() {
-                None
-            } else {
-                let concept = attribute.attribute.to_lowercase();
-                let q = match need_of.get(&concept) {
-                    Some(&q) => {
-                        // Merge this column's items into the shared need.
-                        for &item in &uncached {
-                            if needs[q].item_set.insert(item) {
-                                needs[q].items.push(item);
-                            }
-                        }
-                        q
-                    }
-                    None => {
-                        owns_question = true;
-                        needs.push(ConceptNeed {
-                            concept: attribute.attribute.clone(),
-                            items: uncached.clone(),
-                            item_set: uncached.iter().copied().collect(),
-                            already_resolved: cached.len(),
-                        });
-                        need_of.insert(concept, needs.len() - 1);
-                        needs.len() - 1
-                    }
-                };
-                Some(q)
-            };
-            let verdicts = cached
-                .iter()
-                .filter_map(|(&item, judgment)| judgment.verdict.map(|v| (item, v)))
-                .collect();
-            let confidence = cached
-                .iter()
-                .map(|(&item, judgment)| (item, judgment.confidence))
-                .collect();
-            acquisitions.push(Acquisition {
-                cached,
-                uncached,
-                question,
-                owns_question,
-                cost_saved,
-                verdicts,
-                confidence,
-                fresh_cost_share: HashMap::new(),
-                coalesced_items: HashSet::new(),
-                dropped: Vec::new(),
-                items_charged: 0,
-                judgments_collected: 0,
-                crowd_cost: 0.0,
-                crowd_minutes: 0.0,
-                items_coalesced: 0,
-                fresh_round: false,
-            });
-        }
-
-        // Initial Progress per concept: what the cache resolved, what is
-        // outstanding, and the crowd source's own completeness / cost
-        // estimate for the remainder.  For cache-only queries this is also
-        // the *final* word — the outstanding items are the remainder the
-        // policy will not acquire, reported rather than silently dropped.
-        if sink.is_live() {
-            for (concept, resolved, outstanding) in &initial_progress {
-                // A need holds the merged item union when sibling columns
-                // share the concept — report that, not one column's slice.
-                let (outstanding, estimate) = match need_of.get(&concept.to_lowercase()) {
-                    Some(&q) => (
-                        needs[q].items.len(),
-                        self.outstanding_estimate(binding, concept, &needs[q].items),
-                    ),
-                    None => (*outstanding, None),
-                };
-                sink.emit(progress_event(concept, *resolved, outstanding, estimate));
-            }
-        }
-
-        if policy.mode == ExpansionMode::CacheOnly {
-            // Cache-only queries never dispatch crowd work and never wait
-            // on other queries' rounds: every uncached item stays NULL.
-            for acquisition in acquisitions.iter_mut() {
-                let uncached = std::mem::take(&mut acquisition.uncached);
-                acquisition.dropped.extend(
-                    uncached
-                        .into_iter()
-                        .map(|item| (item, MissingReason::NoCachedJudgment)),
-                );
-                acquisition.question = None;
-            }
-            return Ok(acquisitions);
-        }
-
-        if needs.is_empty() {
-            return Ok(acquisitions);
-        }
-        // Live visibility: each in-flight concept hangs a node off
-        // `crowddb/expansions` for the duration of its crowd rounds (the
-        // slow part of any query).  The nodes detach when this guard drops.
-        let inflight_nodes: Vec<StateMonitor> = needs
-            .iter()
-            .map(|need| {
-                let node = self
-                    .expansions_monitor
-                    .make_child(format!("{}/{}", plan.table, need.concept));
-                node.insert("items_outstanding", need.items.len());
-                node.insert("already_resolved", need.already_resolved);
-                node.insert("cost_so_far", format!("{:.2}", ledger.spent));
-                node
-            })
-            .collect();
-        let resolutions = self.resolve_needs(plan, binding, &needs, policy, ledger, sink)?;
-        drop(inflight_nodes);
-
-        // Route the resolved verdicts and accounting back to the plan's
-        // attributes.  Every sharer (owner included) reads its own items'
-        // verdicts; the owner carries the full cost accounting.
-        for acquisition in acquisitions.iter_mut() {
-            let question = match acquisition.question {
-                Some(q) => q,
-                None => continue,
-            };
-            let resolution = &resolutions[question];
-            acquisition.crowd_minutes = resolution.minutes;
-            acquisition.fresh_round = resolution.judgments > 0;
-            if acquisition.owns_question {
-                // The question's owner carries the full accounting; sibling
-                // columns that merged into it report zero collection.
-                acquisition.judgments_collected = resolution.judgments;
-                acquisition.crowd_cost = resolution.cost;
-                acquisition.items_charged = resolution.items_charged;
-                acquisition.items_coalesced = resolution.items_coalesced;
-            }
-            let denied: HashSet<ItemId> = resolution.budget_denied.iter().copied().collect();
-            for &item in &acquisition.uncached {
-                if let Some(&label) = resolution.verdicts.get(&item) {
-                    acquisition.verdicts.insert(item, label);
-                }
-                if let Some(&confidence) = resolution.confidence.get(&item) {
-                    acquisition.confidence.insert(item, confidence);
-                }
-                if let Some(&share) = resolution.fresh_cost_share.get(&item) {
-                    acquisition.fresh_cost_share.insert(item, share);
-                } else if resolution.coalesced_set.contains(&item) {
-                    acquisition.coalesced_items.insert(item);
-                }
-                if denied.contains(&item) {
-                    acquisition
-                        .dropped
-                        .push((item, MissingReason::BudgetExhausted));
-                }
-            }
-        }
-        Ok(acquisitions)
-    }
-
-    /// Resolves every concept need of a plan: claim each concept in the
-    /// in-flight registry, dispatch **one** batched crowd round for the
-    /// concepts this query owns, and wait for (then reuse) the rounds other
-    /// queries have in flight.
-    ///
-    /// Deadlock freedom: all claims of an iteration are taken before any
-    /// wait, and every owned claim is completed by the dispatch step of the
-    /// same iteration — no thread holds an uncompleted claim while
-    /// blocking on another thread's claim.
-    fn resolve_needs(
-        &self,
-        plan: &ExpansionPlan,
-        binding: &TableBinding,
-        needs: &[ConceptNeed],
-        policy: &ExpansionPolicy,
-        ledger: &mut BudgetLedger,
-        sink: &EventSink,
-    ) -> Result<Vec<ConceptResolution>> {
-        let mut resolutions: Vec<ConceptResolution> =
-            needs.iter().map(|_| ConceptResolution::default()).collect();
-        let mut pending: Vec<Vec<ItemId>> = needs.iter().map(|n| n.items.clone()).collect();
-        // 0-based index of the next crowd round *this query* dispatches —
-        // the `round` field of its streaming Delta events.
-        let mut round_index = 0usize;
-        // Items resolved for concept `q` so far, from this query's view:
-        // cache baseline + fresh judgments + coalesced foreign rounds.
-        let resolved_so_far =
-            |needs: &[ConceptNeed], resolutions: &[ConceptResolution], q: usize| {
-                needs[q].already_resolved
-                    + resolutions[q].fresh_cost_share.len()
-                    + resolutions[q].coalesced_set.len()
-            };
-        // In the common case this loop runs once (everything owned) or
-        // twice (wait, then serve from cache).  More iterations only happen
-        // when an in-flight owner aborts or acquired a different item set;
-        // the bound turns a pathological livelock into a hard error.
-        for _ in 0..64 {
-            if pending.iter().all(Vec::is_empty) {
-                return Ok(resolutions);
-            }
-
-            // Claim phase: every unresolved concept, before any waiting.
-            let mut owned: Vec<(usize, crate::inflight::OwnerToken)> = Vec::new();
-            let mut waiting: Vec<(usize, crate::inflight::WaitHandle)> = Vec::new();
-            for (index, need) in needs.iter().enumerate() {
-                if pending[index].is_empty() {
-                    continue;
-                }
-                match self.inflight.claim(&plan.table, &need.concept) {
-                    Claim::Owner(token) => owned.push((index, token)),
-                    Claim::Waiter(handle) => waiting.push((index, handle)),
-                }
-            }
-
-            // Ownership makes the cache state stable for a concept: no
-            // other query can start a round for it while we hold the
-            // claim.  Re-check it before paying — a round that completed
-            // between our first cache look and our claim (read skew) has
-            // already published exactly the verdicts we were about to buy
-            // again.
-            let mut dispatch: Vec<(usize, crate::inflight::OwnerToken)> = Vec::new();
-            for (index, token) in owned {
-                let (cached, uncached) =
-                    self.cache
-                        .partition_peek(&plan.table, &needs[index].concept, &pending[index]);
-                if !cached.is_empty() {
-                    absorb_published(&mut resolutions[index], cached);
-                    pending[index] = uncached;
-                }
-                if pending[index].is_empty() {
-                    token.complete();
-                } else {
-                    dispatch.push((index, token));
-                }
-            }
-
-            // Dispatch phase.  An error drops the tokens, which aborts the
-            // claims and wakes any waiters into a retry.
-            if policy.adaptive {
-                // Adaptive acquisition: per concept, buy judgments in small
-                // rounds and stop per item as soon as its EM posterior
-                // clears the target (works budgeted and unbudgeted alike).
-                for (index, token) in dispatch {
-                    let items = std::mem::take(&mut pending[index]);
-                    self.resolve_concept_adaptive(
-                        plan,
-                        binding,
-                        &needs[index],
-                        items,
-                        &mut resolutions[index],
-                        ledger,
-                        sink,
-                        policy.adaptive_target(),
-                        &mut round_index,
-                    )?;
-                    token.complete();
-                }
-            } else if ledger.limit.is_none() {
-                // Unbudgeted: one batched round covering every owned
-                // concept — the cheapest dispatch shape.
-                if !dispatch.is_empty() {
-                    let requests: Vec<AttributeRequest> = dispatch
-                        .iter()
-                        .map(|&(index, _)| AttributeRequest {
-                            attribute: needs[index].concept.clone(),
-                            items: pending[index].clone(),
-                        })
-                        .collect();
-                    let batch =
-                        mlock(&binding.crowd).collect_batch(&requests, self.next_round_seed())?;
-                    ledger.charge(batch.total_cost);
-                    let mut wal_pending: Vec<WalRecord> = Vec::new();
-                    for (question, (index, token)) in dispatch.into_iter().enumerate() {
-                        let judgments = &batch.question_judgments[question];
-                        let items = &requests[question].items;
-                        let resolution = &mut resolutions[index];
-                        resolution.judgments += judgments.len();
-                        resolution.cost += batch.question_cost(question);
-                        resolution.minutes = resolution.minutes.max(batch.total_minutes);
-                        resolution.items_charged += items.len();
-                        let fresh = self.ingest_question(
-                            &plan.table,
-                            &needs[index].concept,
-                            items,
-                            judgments,
-                            batch.question_cost(question),
-                            resolution,
-                            &mut wal_pending,
-                        );
-                        pending[index].clear();
-                        token.complete();
-                        if sink.is_live() {
-                            sink.emit(delta_event(
-                                &self.config.id_column,
-                                &needs[index].concept,
-                                round_index,
-                                ledger.spent,
-                                &fresh,
-                            ));
-                            sink.emit(progress_event(
-                                &needs[index].concept,
-                                resolved_so_far(needs, &resolutions, index),
-                                0,
-                                None,
-                            ));
-                        }
-                    }
-                    // The round's cache write-back — one CachePut per
-                    // concept — commits as one fsynced group on the
-                    // table's segment.
-                    self.log(&plan.table, &wal_pending)?;
-                    // One batched dispatch covering every owned concept is
-                    // one crowd round.
-                    round_index += 1;
-                }
-            } else {
-                // Budgeted (best-effort): one round at a time per concept,
-                // each sized to what the remaining budget can pay, charging
-                // the crowd's *real* cost after every round and stopping
-                // the moment another round no longer fits.  Items the
-                // budget cannot reach are recorded as denied, not retried.
-                for (index, token) in dispatch {
-                    let mut items = std::mem::take(&mut pending[index]);
-                    while !items.is_empty() {
-                        let affordable = self.affordable_round(binding, ledger, items.len());
-                        if affordable == 0 {
-                            // Mid-stream budget exhaustion is *reported*,
-                            // never silent: one last Progress carries the
-                            // BudgetExhausted remainder and what acquiring
-                            // it would have cost.
-                            if sink.is_live() {
-                                let estimate = self.outstanding_estimate(
-                                    binding,
-                                    &needs[index].concept,
-                                    &items,
-                                );
-                                sink.emit(progress_event(
-                                    &needs[index].concept,
-                                    resolved_so_far(needs, &resolutions, index),
-                                    items.len(),
-                                    estimate,
-                                ));
-                            }
-                            resolutions[index].budget_denied.append(&mut items);
-                            break;
-                        }
-                        let chunk: Vec<ItemId> = items.drain(..affordable).collect();
-                        let request = AttributeRequest {
-                            attribute: needs[index].concept.clone(),
-                            items: chunk.clone(),
-                        };
-                        let batch = mlock(&binding.crowd).collect_batch(
-                            std::slice::from_ref(&request),
-                            self.next_round_seed(),
-                        )?;
-                        ledger.charge(batch.total_cost);
-                        let resolution = &mut resolutions[index];
-                        resolution.judgments += batch.question_judgments[0].len();
-                        resolution.cost += batch.total_cost;
-                        // Sequential rounds: their wall-clock adds up.
-                        resolution.minutes += batch.total_minutes;
-                        resolution.items_charged += chunk.len();
-                        let mut wal_pending: Vec<WalRecord> = Vec::new();
-                        let fresh = self.ingest_question(
-                            &plan.table,
-                            &needs[index].concept,
-                            &chunk,
-                            &batch.question_judgments[0],
-                            batch.total_cost,
-                            resolution,
-                            &mut wal_pending,
-                        );
-                        self.log(&plan.table, &wal_pending)?;
-                        if sink.is_live() {
-                            sink.emit(delta_event(
-                                &self.config.id_column,
-                                &needs[index].concept,
-                                round_index,
-                                ledger.spent,
-                                &fresh,
-                            ));
-                            // With items left, the next iteration speaks —
-                            // another round's Delta or the BudgetExhausted
-                            // Progress — so only a finished concept gets
-                            // its closing Progress here.
-                            if items.is_empty() {
-                                sink.emit(progress_event(
-                                    &needs[index].concept,
-                                    resolved_so_far(needs, &resolutions, index),
-                                    0,
-                                    None,
-                                ));
-                            }
-                        }
-                        round_index += 1;
-                    }
-                    // The claim is complete either way: what the budget
-                    // refused is final for this query, and a waiter is free
-                    // to claim the concept and pay for the remainder itself.
-                    token.complete();
-                }
-            }
-
-            // Wait phase: block on foreign in-flight rounds, then serve
-            // this concept from the verdicts their owners published to the
-            // cache.  Whatever the round did not cover (abort, diverging
-            // item sets) stays pending and is re-claimed next iteration.
-            for (index, handle) in waiting {
-                let _ = handle.wait();
-                let (cached, uncached) =
-                    self.cache
-                        .partition_peek(&plan.table, &needs[index].concept, &pending[index]);
-                let absorbed = cached.len();
-                absorb_published(&mut resolutions[index], cached);
-                pending[index] = uncached;
-                // A foreign round resolved items for free: report the jump
-                // (there is no Delta — it was not this query's round).
-                if absorbed > 0 && sink.is_live() {
-                    let estimate = if pending[index].is_empty() {
-                        None
-                    } else {
-                        self.outstanding_estimate(binding, &needs[index].concept, &pending[index])
-                    };
-                    sink.emit(progress_event(
-                        &needs[index].concept,
-                        resolved_so_far(needs, &resolutions, index),
-                        pending[index].len(),
-                        estimate,
-                    ));
-                }
-            }
-        }
-        Err(CrowdDbError::Contention(format!(
-            "acquisition of table {} did not converge: concurrent crowd rounds \
-             kept aborting or resolving disjoint item sets",
-            plan.table
-        )))
-    }
-
-    /// A fresh seed for one crowd round (see the `crowd_rounds` field).
-    fn next_round_seed(&self) -> u64 {
-        self.config
-            .seed
-            .wrapping_add(self.crowd_rounds.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Aggregates one question's fresh judgments: majority vote, per-item
-    /// confidence from the tallies, cache write-back (ties included — asking
-    /// again would cost the same and likely tie again), and resolution
-    /// bookkeeping for verdict routing and provenance.
-    ///
-    /// Returns the round's *decisive* fresh verdicts — the payload of the
-    /// streaming [`QueryEvent::Delta`] this round produces.
-    ///
-    /// On a persistent database the question's cache write-back is pushed
-    /// onto `wal_pending`; the dispatching round logs the whole batch as
-    /// **one** fsynced group right after ingesting its questions, so the
-    /// judgments just paid for survive a crash even if the query never
-    /// reaches materialization — at one disk flush per crowd round, not
-    /// one per concept.
-    #[allow(clippy::too_many_arguments)] // internal: the round's full context
-    fn ingest_question(
-        &self,
-        table: &str,
-        concept: &str,
-        items: &[ItemId],
-        judgments: &[crowdsim::Judgment],
-        question_cost: f64,
-        resolution: &mut ConceptResolution,
-        wal_pending: &mut Vec<WalRecord>,
-    ) -> Vec<RoundVerdict> {
-        let per_item_cost = if items.is_empty() {
-            0.0
-        } else {
-            question_cost / items.len() as f64
-        };
-        let mut judgment_counts: HashMap<ItemId, usize> = HashMap::new();
-        for judgment in judgments {
-            *judgment_counts.entry(judgment.item).or_insert(0) += 1;
-        }
-        let verdicts = majority_vote(judgments, items);
-        let mut fresh = Vec::new();
-        let mut written: Vec<(ItemId, CachedJudgment)> = Vec::with_capacity(verdicts.len());
-        for verdict in &verdicts {
-            let confidence = verdict.tally.agreement();
-            let judgment = CachedJudgment {
-                verdict: verdict.verdict,
-                judgments: judgment_counts.get(&verdict.item).copied().unwrap_or(0),
-                cost: per_item_cost,
-                confidence,
-            };
-            self.cache.insert(table, concept, verdict.item, judgment);
-            written.push((verdict.item, judgment));
-            resolution.confidence.insert(verdict.item, confidence);
-            resolution
-                .fresh_cost_share
-                .insert(verdict.item, per_item_cost);
-            if let Some(label) = verdict.verdict {
-                resolution.verdicts.insert(verdict.item, label);
-                fresh.push(RoundVerdict {
-                    item: verdict.item,
-                    verdict: label,
-                    confidence,
-                    cost_share: per_item_cost,
-                });
-            }
-        }
-        if self.durability.is_some() && !written.is_empty() {
-            let rounds = self.crowd_rounds.load(Ordering::Relaxed);
-            wal_pending.push(persist::cache_put_record(table, concept, written, rounds));
-        }
-        fresh
-    }
-
-    /// Resolves one concept **adaptively**: judgments are bought in the
-    /// small rounds of [`ADAPTIVE_ROUND_SCHEDULE`], each round's merged
-    /// stream is aggregated with the EM worker-accuracy model
-    /// ([`crowdsim::em_aggregate`]), and an item leaves the active set the
-    /// moment its calibrated posterior reaches `target` — easy items cost
-    /// 2–3 assignments instead of the flat per-item count.  Rounds after
-    /// the first are routed to workers the shared
-    /// [`WorkerAccuracyStore`] considers reliable.
-    ///
-    /// Budgets are enforced per round: when the remaining budget cannot
-    /// cover all active items, items the plan already bought judgments for
-    /// are *finalized* at their current posterior (the money is spent and
-    /// the cache keeps what it paid for) while untouched items are denied,
-    /// exactly like the flat budgeted path.
-    ///
-    /// Items reach the judgment cache only when finalized; a crash between
-    /// rounds loses at most the in-progress rounds' judgments, never a
-    /// finalized (and therefore WAL-logged) verdict, so recovery re-buys
-    /// only what was never finished.
-    #[allow(clippy::too_many_arguments)] // internal: the concept's full context
-    fn resolve_concept_adaptive(
-        &self,
-        plan: &ExpansionPlan,
-        binding: &TableBinding,
-        need: &ConceptNeed,
-        mut active: Vec<ItemId>,
-        resolution: &mut ConceptResolution,
-        ledger: &mut BudgetLedger,
-        sink: &EventSink,
-        target: f64,
-        round_index: &mut usize,
-    ) -> Result<()> {
-        let all_items = active.clone();
-        let em_config = EmConfig::default();
-        // Every judgment bought for this concept so far; the EM pass always
-        // aggregates the full merged stream, not just the latest round.
-        let mut collected: Vec<crowdsim::Judgment> = Vec::new();
-        let mut judgment_counts: HashMap<ItemId, usize> = HashMap::new();
-        let mut cost_share: HashMap<ItemId, f64> = HashMap::new();
-        // Items cut off by the budget *after* some judgments were bought:
-        // finalized post-loop at their latest posterior.
-        let mut cut_off: Vec<ItemId> = Vec::new();
-        // Items the budget never touched: denied like the flat path.
-        let mut denied: Vec<ItemId> = Vec::new();
-        let mut latest: Option<crowdsim::EmOutcome> = None;
-
-        let resolved_now = |need: &ConceptNeed, resolution: &ConceptResolution| {
-            need.already_resolved
-                + resolution.fresh_cost_share.len()
-                + resolution.coalesced_set.len()
-        };
-
-        for (round, &round_size) in ADAPTIVE_ROUND_SCHEDULE.iter().enumerate() {
-            if active.is_empty() {
-                break;
-            }
-            let affordable = self.adaptive_affordable(binding, ledger, active.len(), round_size);
-            if affordable < active.len() {
-                for item in active.split_off(affordable) {
-                    if cost_share.contains_key(&item) {
-                        cut_off.push(item);
-                    } else {
-                        denied.push(item);
-                    }
-                }
-            }
-            if active.is_empty() {
-                break;
-            }
-
-            let request = AttributeRequest {
-                attribute: need.concept.clone(),
-                items: active.clone(),
-            };
-            // The first round has no evidence to route on; later rounds
-            // (the uncertain tail) go to proven workers when enough exist.
-            let preferred = if round == 0 {
-                None
-            } else {
-                self.preferred_workers()
-            };
-            let batch = mlock(&binding.crowd).collect_adaptive(
-                std::slice::from_ref(&request),
-                self.next_round_seed(),
-                round_size,
-                preferred.as_ref(),
-            )?;
-            ledger.charge(batch.total_cost);
-            resolution.judgments += batch.question_judgments[0].len();
-            resolution.cost += batch.total_cost;
-            // Sequential rounds: their wall-clock adds up.
-            resolution.minutes += batch.total_minutes;
-            resolution.items_charged += active
-                .iter()
-                .filter(|item| !cost_share.contains_key(item))
-                .count();
-            let share = batch.total_cost / active.len() as f64;
-            for &item in &active {
-                *cost_share.entry(item).or_insert(0.0) += share;
-            }
-            for judgment in &batch.question_judgments[0] {
-                *judgment_counts.entry(judgment.item).or_insert(0) += 1;
-            }
-            collected.extend_from_slice(&batch.question_judgments[0]);
-
-            // EM over the full stream; fold the refreshed worker profiles
-            // back into the shared store so later rounds (and later
-            // queries) route on them.
-            let outcome = {
-                let mut store = mlock(&self.accuracy);
-                let outcome = em_aggregate(&collected, &all_items, &store, &em_config);
-                store.absorb(&outcome);
-                outcome
-            };
-
-            // Stopping rule: an item is done when its posterior clears the
-            // target — or when the schedule (the flat assignment count) is
-            // exhausted, at whatever posterior it earned.  Items whose
-            // judgments are still *all* abstentions after two rounds are
-            // abandoned unclassified: the crowd does not know them, and the
-            // flat path would burn its whole assignment count learning the
-            // same thing.
-            let last_round = round + 1 == ADAPTIVE_ROUND_SCHEDULE.len();
-            let mut finalized: Vec<&ItemPosterior> = Vec::new();
-            let mut still_active: Vec<ItemId> = Vec::new();
-            for &item in &active {
-                let posterior = outcome
-                    .posterior_of(item)
-                    .expect("EM aggregates every item of the concept");
-                let decisive = posterior.tally.positive + posterior.tally.negative;
-                let unknowable = round >= 1 && decisive == 0;
-                let stop_bar = target.max(ADAPTIVE_STOP_CONFIDENCE);
-                let settled =
-                    decisive >= ADAPTIVE_STOP_MIN_DECISIVE && posterior.posterior >= stop_bar;
-                if last_round || unknowable || settled {
-                    finalized.push(posterior);
-                } else {
-                    still_active.push(item);
-                }
-            }
-            let mut wal_pending: Vec<WalRecord> = Vec::new();
-            let fresh = self.finalize_adaptive_items(
-                &plan.table,
-                &need.concept,
-                &finalized,
-                &judgment_counts,
-                &cost_share,
-                target,
-                resolution,
-                &mut wal_pending,
-            );
-            self.log(&plan.table, &wal_pending)?;
-            active = still_active;
-            latest = Some(outcome);
-            if sink.is_live() {
-                sink.emit(delta_event(
-                    &self.config.id_column,
-                    &need.concept,
-                    *round_index,
-                    ledger.spent,
-                    &fresh,
-                ));
-                sink.emit(progress_event(
-                    &need.concept,
-                    resolved_now(need, resolution),
-                    active.len() + cut_off.len() + denied.len(),
-                    None,
-                ));
-            }
-            *round_index += 1;
-        }
-
-        // Budget-cut items with bought judgments are finalized at their
-        // latest posterior instead of being thrown away half-paid.
-        if !cut_off.is_empty() {
-            let outcome = latest.as_ref().expect("cut-off items imply a prior round");
-            let finalized: Vec<&ItemPosterior> = cut_off
-                .iter()
-                .filter_map(|&item| outcome.posterior_of(item))
-                .collect();
-            let mut wal_pending: Vec<WalRecord> = Vec::new();
-            self.finalize_adaptive_items(
-                &plan.table,
-                &need.concept,
-                &finalized,
-                &judgment_counts,
-                &cost_share,
-                target,
-                resolution,
-                &mut wal_pending,
-            );
-            self.log(&plan.table, &wal_pending)?;
-        }
-
-        if !denied.is_empty() {
-            // Mid-stream budget exhaustion is *reported*, never silent —
-            // same contract as the flat budgeted path.
-            if sink.is_live() {
-                let estimate = self.outstanding_estimate(binding, &need.concept, &denied);
-                sink.emit(progress_event(
-                    &need.concept,
-                    resolved_now(need, resolution),
-                    denied.len(),
-                    estimate,
-                ));
-            }
-            resolution.budget_denied.extend(denied);
-        } else if sink.is_live() {
-            sink.emit(progress_event(
-                &need.concept,
-                resolved_now(need, resolution),
-                0,
-                None,
-            ));
-        }
-        Ok(())
-    }
-
-    /// Writes finalized adaptive items to the judgment cache (verdict from
-    /// the EM model, confidence = calibrated posterior, cost = the item's
-    /// accumulated round shares) and records them on the resolution.
-    /// Returns the decisive fresh verdicts — the payload of the round's
-    /// streaming Delta.
-    #[allow(clippy::too_many_arguments)] // internal: the round's full context
-    fn finalize_adaptive_items(
-        &self,
-        table: &str,
-        concept: &str,
-        finalized: &[&ItemPosterior],
-        judgment_counts: &HashMap<ItemId, usize>,
-        cost_share: &HashMap<ItemId, f64>,
-        target: f64,
-        resolution: &mut ConceptResolution,
-        wal_pending: &mut Vec<WalRecord>,
-    ) -> Vec<RoundVerdict> {
-        let mut fresh = Vec::new();
-        let mut written: Vec<(ItemId, CachedJudgment)> = Vec::with_capacity(finalized.len());
-        for posterior in finalized {
-            let item = posterior.item;
-            let share = cost_share.get(&item).copied().unwrap_or(0.0);
-            // An item whose posterior never cleared the floor — or whose
-            // evidence is thinner than the decisive-vote minimum — stays
-            // unclassified (the flat path's tie behaviour): caching such a
-            // verdict would hand later queries a label the model itself
-            // does not trust.
-            let decisive = posterior.tally.positive + posterior.tally.negative;
-            let verdict = posterior
-                .verdict
-                .filter(|_| posterior.posterior >= target)
-                .filter(|_| decisive >= ADAPTIVE_VERDICT_MIN_DECISIVE);
-            let judgment = CachedJudgment {
-                verdict,
-                judgments: judgment_counts.get(&item).copied().unwrap_or(0),
-                cost: share,
-                confidence: posterior.posterior,
-            };
-            self.cache.insert(table, concept, item, judgment);
-            written.push((item, judgment));
-            resolution.confidence.insert(item, posterior.posterior);
-            resolution.fresh_cost_share.insert(item, share);
-            if let Some(label) = verdict {
-                resolution.verdicts.insert(item, label);
-                fresh.push(RoundVerdict {
-                    item,
-                    verdict: label,
-                    confidence: posterior.posterior,
-                    cost_share: share,
-                });
-            }
-        }
-        if self.durability.is_some() && !written.is_empty() {
-            let rounds = self.crowd_rounds.load(Ordering::Relaxed);
-            wal_pending.push(persist::cache_put_record(table, concept, written, rounds));
-        }
-        fresh
-    }
-
-    /// The workers adaptive rounds may be routed to: those whose stored
-    /// accuracy estimate clears the routing floors.  `None` (route nothing)
-    /// until enough reliable workers are known to serve whole HITs.
-    fn preferred_workers(&self) -> Option<HashSet<WorkerId>> {
-        let store = mlock(&self.accuracy);
-        let reliable =
-            store.reliable_workers(ADAPTIVE_ROUTING_MIN_ACCURACY, ADAPTIVE_ROUTING_MIN_WEIGHT);
-        if reliable.len() >= ADAPTIVE_ROUTING_MIN_POOL {
-            Some(reliable.into_iter().collect())
-        } else {
-            None
-        }
-    }
-
-    /// [`affordable_round`](Self::affordable_round) for adaptive rounds of
-    /// `round_size` assignments per item.  Sources without adaptive pricing
-    /// fall back to the flat estimate — conservative, since their
-    /// [`CrowdSource::collect_adaptive`] default dispatches flat rounds.
-    fn adaptive_affordable(
-        &self,
-        binding: &TableBinding,
-        ledger: &BudgetLedger,
-        available: usize,
-        round_size: usize,
-    ) -> usize {
-        let remaining = match ledger.remaining() {
-            Some(remaining) => remaining,
-            None => return available,
-        };
-        if remaining <= 1e-12 {
-            return 0;
-        }
-        let crowd = mlock(&binding.crowd);
-        match crowd.adaptive_round_cost(1, round_size) {
-            None => {
-                drop(crowd);
-                self.affordable_round(binding, ledger, available)
-            }
-            Some(single) if single > remaining + 1e-9 => 0,
-            Some(_) => {
-                let fits = |n: usize| match crowd.adaptive_round_cost(n, round_size) {
-                    Some(cost) => cost <= remaining + 1e-9,
-                    None => false,
-                };
-                let (mut lo, mut hi) = (1usize, available);
-                while lo < hi {
-                    let mid = (lo + hi).div_ceil(2);
-                    if fits(mid) {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                lo
-            }
-        }
-    }
-
-    /// The crowd source's estimate of the outstanding work for one concept,
-    /// falling back from the full [`CrowdSource::estimate_outstanding`]
-    /// hook to plain [`CrowdSource::estimate_cost`] pricing (with every
-    /// item assumed resolvable), to `None` for sources that offer neither.
-    ///
-    /// Never blocks on the binding's crowd mutex: while another query's
-    /// crowd round is in flight the source is locked for the whole round,
-    /// and an estimate that parked behind it would stall the *caller* —
-    /// in particular an event-streaming query computing its initial
-    /// progress estimate before it has even registered with the inflight
-    /// table, which must stay free to coalesce onto that very round.  The
-    /// estimate only feeds advisory [`QueryEvent::Progress`] numbers, so
-    /// under contention we simply report `None`.
-    fn outstanding_estimate(
-        &self,
-        binding: &TableBinding,
-        concept: &str,
-        items: &[ItemId],
-    ) -> Option<OutstandingEstimate> {
-        let crowd = try_mlock(&binding.crowd)?;
-        crowd.estimate_outstanding(concept, items).or_else(|| {
-            crowd
-                .estimate_cost(items.len())
-                .map(|estimated_cost| OutstandingEstimate {
-                    expected_resolvable: items.len() as f64,
-                    estimated_cost,
-                })
-        })
-    }
-
-    /// How many of `available` items the next budgeted round may judge.
-    ///
-    /// With a pricing source ([`CrowdSource::estimate_cost`]) this is the
-    /// largest count whose estimated round cost fits the remaining budget
-    /// (found by bisection — the estimate is monotonic in the item count);
-    /// the spend then never crosses the budget.  Without an estimate a
-    /// small fixed round is dispatched and the real charge is checked
-    /// afterwards, bounding any overshoot to one such round.
-    ///
-    /// The bisection is the source-generic counterpart of
-    /// `crowdsim::HitConfig::max_items_within_budget`: for a source whose
-    /// estimate is `HitConfig::total_cost` (like [`SimulatedCrowd`]) the
-    /// two agree exactly, which `tests/policy_expansion.rs` pins down.
-    ///
-    /// [`SimulatedCrowd`]: crate::SimulatedCrowd
-    fn affordable_round(
-        &self,
-        binding: &TableBinding,
-        ledger: &BudgetLedger,
-        available: usize,
-    ) -> usize {
-        let remaining = match ledger.remaining() {
-            Some(remaining) => remaining,
-            None => return available,
-        };
-        if remaining <= 1e-12 {
-            return 0;
-        }
-        let crowd = mlock(&binding.crowd);
-        match crowd.estimate_cost(1) {
-            None => available.min(FALLBACK_BUDGET_CHUNK),
-            Some(single) if single > remaining + 1e-9 => 0,
-            Some(_) => {
-                let fits = |n: usize| match crowd.estimate_cost(n) {
-                    Some(cost) => cost <= remaining + 1e-9,
-                    None => false,
-                };
-                let (mut lo, mut hi) = (1usize, available);
-                while lo < hi {
-                    let mid = (lo + hi).div_ceil(2);
-                    if fits(mid) {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                lo
-            }
-        }
     }
 
     /// The **materialize** stage: train extractors where needed (without
@@ -3647,7 +2565,7 @@ impl DbInner {
                 acquisition
                     .verdicts
                     .iter()
-                    .map(|(&item, &label)| (item, Value::Boolean(label)))
+                    .map(|(&item, &(label, _))| (item, Value::Boolean(label)))
                     .collect()
             };
             let (values, training_set_size, items_unmapped, extracted) = match &attribute.strategy {
@@ -3656,7 +2574,7 @@ impl DbInner {
                     let mut training: Vec<(ItemId, bool)> = acquisition
                         .verdicts
                         .iter()
-                        .map(|(&item, &label)| (item, label))
+                        .map(|(&item, &(label, _))| (item, label))
                         .collect();
                     // Deterministic SVM input regardless of hash order.
                     training.sort_unstable_by_key(|(item, _)| *item);
@@ -3748,30 +2666,13 @@ impl DbInner {
             let acquisition = &item.acquisition;
             let dropped_reason: HashMap<ItemId, MissingReason> =
                 acquisition.dropped.iter().copied().collect();
-            let judged = |item_id: ItemId| -> CellProvenance {
-                let confidence = acquisition.confidence.get(&item_id).copied().unwrap_or(0.0);
-                if acquisition.cached.contains_key(&item_id) {
-                    CellProvenance::CacheHit { confidence }
-                } else if let Some(&cost_share) = acquisition.fresh_cost_share.get(&item_id) {
-                    CellProvenance::CrowdDerived {
-                        confidence,
-                        cost_share,
-                    }
-                } else {
-                    // Judged by a concurrent query's round this acquisition
-                    // coalesced onto — served through the cache at zero
-                    // cost.  Every judged-but-not-cached-not-fresh item got
-                    // here via the coalescing route.
-                    debug_assert!(acquisition.coalesced_items.contains(&item_id));
-                    CellProvenance::CacheHit { confidence }
-                }
-            };
             let cell_provenance: HashMap<ItemId, CellProvenance> = plan
                 .items
                 .iter()
                 .map(|&item_id| {
-                    let provenance = if acquisition.verdicts.contains_key(&item_id) {
-                        judged(item_id)
+                    let provenance = if let Some(&(_, judged)) = acquisition.verdicts.get(&item_id)
+                    {
+                        judged
                     } else if item.values.contains_key(&item_id) {
                         CellProvenance::Extracted
                     } else if let Some(&reason) = dropped_reason.get(&item_id) {
@@ -3916,10 +2817,7 @@ impl DbInner {
             (labels, eligible)
         };
 
-        let round_seed = self
-            .config
-            .seed
-            .wrapping_add(self.crowd_rounds.fetch_add(1, Ordering::Relaxed));
+        let round_seed = self.next_round_seed();
         let outcome = {
             let mut crowd = mlock(&binding.crowd);
             crate::repair::repair_labels_among(
@@ -3939,29 +2837,24 @@ impl DbInner {
         } else {
             outcome.repair_cost / outcome.flagged.len() as f64
         };
-        let mut refreshed: Vec<(ItemId, CachedJudgment)> =
-            Vec::with_capacity(outcome.flagged.len());
-        for &item in &outcome.flagged {
-            let judgment = CachedJudgment {
-                verdict: Some(outcome.labels[item as usize]),
-                judgments: 0,
-                cost: per_item_cost,
-                // Repaired labels went through the audit → re-source →
-                // merge loop; treat them as fully trusted.
-                confidence: 1.0,
-            };
-            self.cache.insert(&key, &attribute, item, judgment);
-            refreshed.push((item, judgment));
-        }
-        if self.durability.is_some() && !refreshed.is_empty() {
-            let rounds = self.crowd_rounds.load(Ordering::Relaxed);
-            self.log(
-                &key,
-                &[persist::cache_put_record(
-                    &key, &attribute, refreshed, rounds,
-                )],
-            )?;
-        }
+        let refreshed: Vec<(ItemId, CachedJudgment)> = outcome
+            .flagged
+            .iter()
+            .map(|&item| {
+                let judgment = CachedJudgment {
+                    verdict: Some(outcome.labels[item as usize]),
+                    judgments: 0,
+                    cost: per_item_cost,
+                    // Repaired labels went through the audit → re-source →
+                    // merge loop; treat them as fully trusted.
+                    confidence: 1.0,
+                };
+                (item, judgment)
+            })
+            .collect();
+        let mut wal_pending: Vec<WalRecord> = Vec::new();
+        self.publish_verdicts(&key, &attribute, &refreshed, &mut wal_pending);
+        self.log(&key, &wal_pending)?;
         let flagged: HashSet<ItemId> = outcome.flagged.iter().copied().collect();
         let mut guards = shard.write_all();
         // Re-derive the id → row mappings under the exclusive locks: the
@@ -4185,93 +3078,6 @@ impl CrowdDb {
     }
 }
 
-/// Builds one streaming [`QueryEvent::Progress`] for a concept.
-///
-/// The completeness estimate divides what is resolved by what is resolved
-/// plus what the crowd source *expects to be resolvable* of the
-/// outstanding items — items nobody in the worker population knows do not
-/// count against completeness (Trushkowsky et al.'s "get it all" is about
-/// the reachable all).  Without an estimate every outstanding item is
-/// assumed resolvable and the remaining cost reads 0 (unknown).
-fn progress_event(
-    concept: &str,
-    items_resolved: usize,
-    items_outstanding: usize,
-    estimate: Option<OutstandingEstimate>,
-) -> QueryEvent {
-    let (expected_resolvable, estimated_remaining_cost) = match estimate {
-        Some(estimate) => (
-            estimate
-                .expected_resolvable
-                .clamp(0.0, items_outstanding as f64),
-            estimate.estimated_cost.max(0.0),
-        ),
-        None => (items_outstanding as f64, 0.0),
-    };
-    let denominator = items_resolved as f64 + expected_resolvable;
-    let estimated_completeness = if denominator <= 0.0 {
-        1.0
-    } else {
-        (items_resolved as f64 / denominator).clamp(0.0, 1.0)
-    };
-    QueryEvent::Progress {
-        concept: concept.to_string(),
-        items_resolved,
-        items_outstanding,
-        estimated_completeness,
-        estimated_remaining_cost,
-    }
-}
-
-/// Builds one streaming [`QueryEvent::Delta`]: the round's decisive fresh
-/// verdicts as `(id column, concept)` rows with `CrowdDerived` provenance.
-fn delta_event(
-    id_column: &str,
-    concept: &str,
-    round: usize,
-    cost_so_far: f64,
-    fresh: &[RoundVerdict],
-) -> QueryEvent {
-    QueryEvent::Delta {
-        rows: RowSet {
-            columns: vec![id_column.to_string(), concept.to_lowercase()],
-            rows: fresh
-                .iter()
-                .map(|v| vec![Value::Integer(v.item as i64), Value::Boolean(v.verdict)])
-                .collect(),
-            provenance: fresh
-                .iter()
-                .map(|v| {
-                    vec![
-                        CellProvenance::Stored,
-                        CellProvenance::CrowdDerived {
-                            confidence: v.confidence,
-                            cost_share: v.cost_share,
-                        },
-                    ]
-                })
-                .collect(),
-        },
-        concept: concept.to_string(),
-        round,
-        cost_so_far,
-    }
-}
-
-/// Folds verdicts another query published to the cache into a resolution:
-/// coalesced items are free for this query (cross-query owner-pays) but
-/// still carry their confidence for quality floors and provenance.
-fn absorb_published(resolution: &mut ConceptResolution, cached: HashMap<ItemId, CachedJudgment>) {
-    resolution.items_coalesced += cached.len();
-    for (item, judgment) in cached {
-        resolution.coalesced_set.insert(item);
-        resolution.confidence.insert(item, judgment.confidence);
-        if let Some(label) = judgment.verdict {
-            resolution.verdicts.insert(item, label);
-        }
-    }
-}
-
 /// The per-query quality floor, applied to this query's *view* of the
 /// result: cells whose verdict carries a known inter-worker agreement below
 /// `floor` are masked to `NULL` with `BelowQualityFloor` provenance.  The
@@ -4322,7 +3128,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    use crate::crowd_source::SimulatedCrowd;
+    use crate::crowd_source::{AttributeRequest, SimulatedCrowd};
     use crowdsim::{BatchCrowdRun, CrowdRun, ExperimentRegime};
     use datagen::DomainConfig;
     use mlkit::BinaryConfusion;
@@ -4375,6 +3181,25 @@ mod tests {
         fn describe(&self) -> String {
             self.inner.describe()
         }
+    }
+
+    #[test]
+    fn the_event_ring_keeps_the_newest_events_under_global_cursors() {
+        let mut ring = EventRing::new();
+        let total = EVENT_RING_CAPACITY as u64 + 10;
+        for seq in 0..total {
+            ring.record(seq);
+        }
+        assert_eq!(ring.dropped(), 10);
+        // A cursor older than the ring resumes at the oldest retained event.
+        let (events, cursor) = ring.since(0);
+        assert_eq!(cursor, total);
+        assert_eq!(events.len(), EVENT_RING_CAPACITY);
+        assert_eq!(events.first(), Some(&10));
+        assert_eq!(events.last(), Some(&(total - 1)));
+        // Cursors are global sequence numbers.
+        assert_eq!(ring.since(total - 2), (vec![total - 2, total - 1], total));
+        assert_eq!(ring.since(total), (Vec::new(), total));
     }
 
     #[test]

@@ -577,6 +577,25 @@ mod tests {
     }
 
     #[test]
+    fn integers_written_to_float_columns_are_stored_as_floats() {
+        let mut catalog = Catalog::new();
+        for sql in [
+            "CREATE TABLE items (id INTEGER NOT NULL, weight FLOAT)",
+            "INSERT INTO items (id, weight) VALUES (1, 3)",
+        ] {
+            execute(&parse(sql).unwrap(), &mut catalog).unwrap();
+        }
+        let weight = |catalog: &Catalog| catalog.table("items").unwrap().rows()[0][1].clone();
+        assert_eq!(weight(&catalog), Value::Float(3.0));
+        execute(
+            &parse("UPDATE items SET weight = 4 WHERE id = 1").unwrap(),
+            &mut catalog,
+        )
+        .unwrap();
+        assert_eq!(weight(&catalog), Value::Float(4.0));
+    }
+
+    #[test]
     fn alter_table_add_column_then_query() {
         let mut catalog = setup();
         execute(

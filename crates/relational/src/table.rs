@@ -4,8 +4,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
 use crate::schema::{Column, Schema};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::Result;
+
+/// Integers bound for a `FLOAT` column are stored as floats, so a column
+/// never mixes the two representations.
+fn widen(value: Value, data_type: DataType) -> Value {
+    match (value, data_type) {
+        (Value::Integer(i), DataType::Float) => Value::Float(i as f64),
+        (value, _) => value,
+    }
+}
 
 /// A named table: a schema plus a row store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,6 +87,11 @@ impl Table {
                 )));
             }
         }
+        let row = row
+            .into_iter()
+            .zip(self.schema.columns())
+            .map(|(value, column)| widen(value, column.data_type))
+            .collect();
         self.rows.push(row);
         Ok(())
     }
@@ -111,7 +125,7 @@ impl Table {
                 )));
             }
         }
-        let fill = default.unwrap_or(Value::Null);
+        let fill = widen(default.unwrap_or(Value::Null), column.data_type);
         if fill.is_null() && !column.nullable {
             return Err(RelationalError::TypeMismatch(format!(
                 "cannot add NOT NULL column {} without a default",
@@ -141,6 +155,7 @@ impl Table {
                 col.name, col.data_type
             )));
         }
+        let value = widen(value, col.data_type);
         let row = self.rows.get_mut(row_index).ok_or_else(|| {
             RelationalError::InvalidStatement(format!("row {row_index} does not exist"))
         })?;
@@ -204,7 +219,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::DataType;
 
     fn movies() -> Table {
         let schema = Schema::new(vec![
