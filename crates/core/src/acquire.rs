@@ -288,7 +288,7 @@ impl Concept {
 }
 
 /// How crowd rounds are shaped, chosen once per plan from the policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 enum RoundPlan {
     /// One round batching every owned concept at the source's flat
     /// assignment count; majority vote finalizes every item sent.
@@ -453,13 +453,12 @@ impl DbInner {
             // Cache-only queries never dispatch crowd work and never wait
             // on other queries' rounds: every uncached item stays NULL.
             for acquisition in acquisitions.iter_mut() {
-                let uncached = std::mem::take(&mut acquisition.uncached);
-                acquisition.dropped.extend(
-                    uncached
-                        .into_iter()
-                        .map(|item| (item, MissingReason::NoCachedJudgment)),
-                );
                 acquisition.question = None;
+                for item in std::mem::take(&mut acquisition.uncached) {
+                    acquisition
+                        .dropped
+                        .push((item, MissingReason::NoCachedJudgment));
+                }
             }
             return Ok(acquisitions);
         }

@@ -1172,8 +1172,9 @@ impl CrowdDb {
     /// and per-partition
     /// `crowddb_partition_wal_bytes{table,partition}`),
     /// the event stream (`crowddb_event_count`,
-    /// `crowddb_events_high_water`, `crowddb_events_dropped_total`), and — when a [`Limiter`] is attached —
-    /// admission outcomes (`crowddb_admission_admitted_total`,
+    /// `crowddb_events_high_water`, `crowddb_events_dropped_total`), and —
+    /// when a [`Limiter`] is attached — admission outcomes
+    /// (`crowddb_admission_admitted_total`,
     /// `crowddb_admission_degraded_total`, `crowddb_admission_shed_total`,
     /// `crowddb_admission_dollars_charged_total`).
     ///

@@ -9,10 +9,9 @@ use crate::Result;
 
 /// Integers bound for a `FLOAT` column are stored as floats, so a column
 /// never mixes the two representations.
-fn widen(value: Value, data_type: DataType) -> Value {
-    match (value, data_type) {
-        (Value::Integer(i), DataType::Float) => Value::Float(i as f64),
-        (value, _) => value,
+fn widen(value: &mut Value, data_type: DataType) {
+    if let (Value::Integer(i), DataType::Float) = (&*value, data_type) {
+        *value = Value::Float(*i as f64);
     }
 }
 
@@ -65,7 +64,7 @@ impl Table {
     }
 
     /// Inserts a full row (one value per column, in schema order).
-    pub fn insert_row(&mut self, row: Vec<Value>) -> Result<()> {
+    pub fn insert_row(&mut self, mut row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(RelationalError::InvalidStatement(format!(
                 "expected {} values but got {}",
@@ -73,7 +72,7 @@ impl Table {
                 row.len()
             )));
         }
-        for (value, column) in row.iter().zip(self.schema.columns()) {
+        for (value, column) in row.iter_mut().zip(self.schema.columns()) {
             if value.is_null() && !column.nullable {
                 return Err(RelationalError::TypeMismatch(format!(
                     "column {} is NOT NULL",
@@ -86,12 +85,8 @@ impl Table {
                     column.name, column.data_type
                 )));
             }
+            widen(value, column.data_type);
         }
-        let row = row
-            .into_iter()
-            .zip(self.schema.columns())
-            .map(|(value, column)| widen(value, column.data_type))
-            .collect();
         self.rows.push(row);
         Ok(())
     }
@@ -125,7 +120,8 @@ impl Table {
                 )));
             }
         }
-        let fill = widen(default.unwrap_or(Value::Null), column.data_type);
+        let mut fill = default.unwrap_or(Value::Null);
+        widen(&mut fill, column.data_type);
         if fill.is_null() && !column.nullable {
             return Err(RelationalError::TypeMismatch(format!(
                 "cannot add NOT NULL column {} without a default",
@@ -140,7 +136,7 @@ impl Table {
     }
 
     /// Overwrites the value of `column` in row `row_index`.
-    pub fn set_value(&mut self, row_index: usize, column: &str, value: Value) -> Result<()> {
+    pub fn set_value(&mut self, row_index: usize, column: &str, mut value: Value) -> Result<()> {
         let col_idx =
             self.schema
                 .index_of(column)
@@ -155,7 +151,7 @@ impl Table {
                 col.name, col.data_type
             )));
         }
-        let value = widen(value, col.data_type);
+        widen(&mut value, col.data_type);
         let row = self.rows.get_mut(row_index).ok_or_else(|| {
             RelationalError::InvalidStatement(format!("row {row_index} does not exist"))
         })?;
