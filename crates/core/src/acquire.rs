@@ -238,7 +238,7 @@ impl Concept {
 
     /// The cache entry finalizing `item`: its verdict and confidence, the
     /// judgments this query bought for it, and its accumulated cost share.
-    fn finalized(
+    fn cache_entry(
         &self,
         item: ItemId,
         verdict: Option<bool>,
@@ -255,11 +255,7 @@ impl Concept {
 
     /// An adaptively finalized item: verdict from the EM model, confidence
     /// = calibrated posterior.
-    fn finalized_posterior(
-        &self,
-        posterior: &ItemPosterior,
-        target: f64,
-    ) -> (ItemId, CachedJudgment) {
+    fn posterior_entry(&self, posterior: &ItemPosterior, target: f64) -> (ItemId, CachedJudgment) {
         // An item whose posterior never cleared the floor — or whose
         // evidence is thinner than the decisive-vote minimum — stays
         // unclassified (the flat path's tie behaviour): caching such a
@@ -269,7 +265,7 @@ impl Concept {
         let verdict = posterior
             .verdict
             .filter(|_| posterior.posterior >= target && decisive >= ADAPTIVE_VERDICT_MIN_DECISIVE);
-        self.finalized(posterior.item, verdict, posterior.posterior)
+        self.cache_entry(posterior.item, verdict, posterior.posterior)
     }
 
     /// Records finalized verdicts of this query's own rounds; they leave
@@ -760,7 +756,7 @@ impl DbInner {
         let RoundPlan::Adaptive { target } = round_plan else {
             return majority_vote(judgments, &request.items)
                 .iter()
-                .map(|v| concept.finalized(v.item, v.verdict, v.tally.agreement()))
+                .map(|v| concept.cache_entry(v.item, v.verdict, v.tally.agreement()))
                 .collect();
         };
         concept.stream.extend_from_slice(judgments);
@@ -796,7 +792,7 @@ impl DbInner {
                     decisive >= ADAPTIVE_STOP_MIN_DECISIVE && posterior.posterior >= stop_bar;
                 last_round || unknowable || settled
             })
-            .map(|posterior| concept.finalized_posterior(posterior, target))
+            .map(|posterior| concept.posterior_entry(posterior, target))
             .collect();
         concept.latest = Some(outcome);
         verdicts
@@ -821,7 +817,7 @@ impl DbInner {
                 .cut_off
                 .iter()
                 .filter_map(|&item| outcome.posterior_of(item))
-                .map(|posterior| concept.finalized_posterior(posterior, target))
+                .map(|posterior| concept.posterior_entry(posterior, target))
                 .collect();
             self.publish_verdicts(&rounds.plan.table, &concept.name, &verdicts, wal_pending);
             concept.record_fresh(&verdicts);
