@@ -93,12 +93,17 @@ const ADAPTIVE_ROUTING_MIN_POOL: usize = 24;
 #[derive(Default)]
 pub(super) struct Acquisition {
     /// Judgments answered by the cache.
-    pub(super) cached: HashMap<ItemId, CachedJudgment>,
+    pub(super) cache_hits: usize,
     /// Items that had to go to the crowd (directly or via a coalesced
     /// in-flight round).
     pub(super) uncached: Vec<ItemId>,
-    /// Index into the plan's concepts (`None` = fully cached).
-    pub(super) question: Option<usize>,
+    /// Index into the plan's concepts (`None` while no column about this
+    /// attribute's concept has uncached items).
+    concept: Option<usize>,
+    /// Whether this is the first column asking about its concept: it moves
+    /// the cache counters, carries `cost_saved`, and reports the concept's
+    /// initial `Progress` and `EXPLAIN` row.
+    first_for_concept: bool,
     /// Whether this attribute created the concept's question (and therefore
     /// carries the full cost/judgment accounting) or merged into a sibling
     /// column's question about the same concept.
@@ -140,7 +145,6 @@ struct Concept {
     /// Distinct unresolved items, in first-demand order; while this query's
     /// rounds run, the items they have not finalized yet.
     pending: Vec<ItemId>,
-    item_set: HashSet<ItemId>,
     /// Items the cache had already answered when the need was formed — the
     /// baseline the streaming `Progress` events count resolved items from.
     already_resolved: usize,
@@ -160,18 +164,17 @@ struct Concept {
     /// The items this query's rounds started from — the EM item universe.
     universe: Vec<ItemId>,
     /// Rounds this query dispatched for the concept, the judgments they
-    /// bought, their dollars, their summed wall-clock minutes, and the
-    /// distinct items they paid for.
+    /// bought, their dollars, and their summed wall-clock minutes.
     rounds: usize,
     judgments: usize,
     cost: f64,
     minutes: f64,
-    items_charged: usize,
     /// Every judgment bought so far, kept by adaptive plans: EM aggregates
     /// the full stream, not just the latest round.
     stream: Vec<Judgment>,
     judgment_counts: HashMap<ItemId, usize>,
-    /// Each bought item's accumulated share of its rounds' cost.
+    /// Each bought item's accumulated share of its rounds' cost — one
+    /// entry per distinct item paid for.
     cost_share: HashMap<ItemId, f64>,
     /// The latest EM aggregation (adaptive plans only).
     latest: Option<EmOutcome>,
@@ -208,10 +211,6 @@ impl Concept {
         self.cost += cost;
         // Sequential rounds: their wall-clock adds up.
         self.minutes += minutes;
-        self.items_charged += items
-            .iter()
-            .filter(|item| !self.cost_share.contains_key(item))
-            .count();
         let share = cost / items.len() as f64;
         for &item in items {
             *self.cost_share.entry(item).or_insert(0.0) += share;
@@ -357,77 +356,7 @@ impl DbInner {
         policy: &ExpansionPolicy,
         sink: &EventSink,
     ) -> Result<Vec<Acquisition>> {
-        // Consult the cache per attribute; deduplicate crowd questions by
-        // attribute concept.  The first column asking about a concept owns
-        // the question; sibling columns merge their items into it and
-        // report zero collection (summing reports then matches what the
-        // round really collected and cost).
-        let mut acquisitions: Vec<Acquisition> = Vec::with_capacity(plan.attributes.len());
-        let mut concepts: Vec<Concept> = Vec::new();
-        let mut concept_of: HashMap<String, usize> = HashMap::new();
-        let mut seen_concepts: HashSet<String> = HashSet::new();
-        // Per-concept (name, resolved) at plan time, for the initial
-        // streaming Progress events.
-        let mut initial_progress: Vec<(String, usize)> = Vec::new();
-        for (index, attribute) in plan.attributes.iter().enumerate() {
-            let targets = plan.crowd_items_for(index);
-            let key = attribute.attribute.to_lowercase();
-            // The first column of a concept moves the cache counters and
-            // carries cost_saved; siblings peek so the concept's reuse is
-            // counted once per plan.
-            let first_for_concept = seen_concepts.insert(key.clone());
-            let (cached, uncached) = if first_for_concept {
-                self.cache
-                    .partition(&plan.table, &attribute.attribute, targets)
-            } else {
-                self.cache
-                    .partition_peek(&plan.table, &attribute.attribute, targets)
-            };
-            let cost_saved: f64 = if first_for_concept {
-                cached.values().map(|j| j.cost).sum()
-            } else {
-                0.0
-            };
-            if first_for_concept && sink.is_live() {
-                initial_progress.push((attribute.attribute.clone(), cached.len()));
-            }
-            let mut owns_question = false;
-            let question = (!uncached.is_empty()).then(|| {
-                let q = *concept_of.entry(key).or_insert_with(|| {
-                    owns_question = true;
-                    concepts.push(Concept {
-                        name: attribute.attribute.clone(),
-                        already_resolved: cached.len(),
-                        ..Concept::default()
-                    });
-                    concepts.len() - 1
-                });
-                // Merge this column's items into the shared need.
-                let concept = &mut concepts[q];
-                for &item in &uncached {
-                    if concept.item_set.insert(item) {
-                        concept.pending.push(item);
-                    }
-                }
-                q
-            });
-            let mut acquisition = Acquisition {
-                cached,
-                uncached,
-                question,
-                owns_question,
-                cost_saved,
-                ..Acquisition::default()
-            };
-            for (&item, judgment) in &acquisition.cached {
-                if let Some(label) = judgment.verdict {
-                    let confidence = judgment.confidence;
-                    let provenance = CellProvenance::CacheHit { confidence };
-                    acquisition.verdicts.insert(item, (label, provenance));
-                }
-            }
-            acquisitions.push(acquisition);
-        }
+        let (mut acquisitions, concepts) = self.form_concepts(plan, true);
 
         // Initial Progress per concept: what the cache resolved, what is
         // outstanding, and the crowd source's own completeness / cost
@@ -435,13 +364,17 @@ impl DbInner {
         // the *final* word — the outstanding items are the remainder the
         // policy will not acquire, reported rather than silently dropped.
         if sink.is_live() {
-            for (concept, resolved) in &initial_progress {
-                // A need holds the merged item union when sibling columns
-                // share the concept — report that, not one column's slice.
-                let outstanding = concept_of
-                    .get(&concept.to_lowercase())
-                    .map_or(&[][..], |&q| &concepts[q].pending);
-                sink.emit(self.progress(binding, concept, *resolved, outstanding));
+            for (attribute, acquisition) in plan.attributes.iter().zip(&acquisitions) {
+                if acquisition.first_for_concept {
+                    // A need holds the merged item union when sibling
+                    // columns share the concept — report that, not one
+                    // column's slice.
+                    let outstanding = acquisition
+                        .concept
+                        .map_or(&[][..], |q| &concepts[q].pending);
+                    let resolved = acquisition.cache_hits;
+                    sink.emit(self.progress(binding, &attribute.attribute, resolved, outstanding));
+                }
             }
         }
 
@@ -449,7 +382,6 @@ impl DbInner {
             // Cache-only queries never dispatch crowd work and never wait
             // on other queries' rounds: every uncached item stays NULL.
             for acquisition in acquisitions.iter_mut() {
-                acquisition.question = None;
                 for item in std::mem::take(&mut acquisition.uncached) {
                     acquisition
                         .dropped
@@ -494,9 +426,9 @@ impl DbInner {
         // attributes.  Every sharer (owner included) reads its own items'
         // verdicts; the owner carries the full cost accounting.
         for acquisition in acquisitions.iter_mut() {
-            let concept = match acquisition.question {
-                Some(q) => &rounds.concepts[q],
-                None => continue,
+            let concept = match acquisition.concept {
+                Some(q) if !acquisition.uncached.is_empty() => &rounds.concepts[q],
+                _ => continue,
             };
             acquisition.crowd_minutes = concept.minutes;
             acquisition.fresh_round = concept.judgments > 0;
@@ -505,7 +437,7 @@ impl DbInner {
                 // columns that merged into it report zero collection.
                 acquisition.judgments_collected = concept.judgments;
                 acquisition.crowd_cost = concept.cost;
-                acquisition.items_charged = concept.items_charged;
+                acquisition.items_charged = concept.cost_share.len();
                 acquisition.items_coalesced = concept.items_coalesced;
             }
             let denied: HashSet<ItemId> = concept.denied.iter().copied().collect();
@@ -521,6 +453,108 @@ impl DbInner {
             }
         }
         Ok(acquisitions)
+    }
+
+    /// Consults the cache per attribute and deduplicates crowd questions by
+    /// attribute concept.  The first column with uncached items about a
+    /// concept owns its question; sibling columns merge their items into it
+    /// and report zero collection (summing reports then matches what the
+    /// round really collected and cost).  `count` moves the cache counters,
+    /// once per concept; `EXPLAIN EXPANSION` only peeks.
+    fn form_concepts(&self, plan: &ExpansionPlan, count: bool) -> (Vec<Acquisition>, Vec<Concept>) {
+        let mut acquisitions: Vec<Acquisition> = Vec::with_capacity(plan.attributes.len());
+        let mut concepts: Vec<Concept> = Vec::new();
+        // Every concept seen so far, with its question once it has one.
+        let mut concept_of: HashMap<String, Option<usize>> = HashMap::new();
+        for (index, attribute) in plan.attributes.iter().enumerate() {
+            let targets = plan.crowd_items_for(index);
+            let key = attribute.attribute.to_lowercase();
+            let first_for_concept = !concept_of.contains_key(&key);
+            let question = concept_of.entry(key).or_default();
+            let (cached, uncached) = if first_for_concept && count {
+                self.cache
+                    .partition(&plan.table, &attribute.attribute, targets)
+            } else {
+                self.cache
+                    .partition_peek(&plan.table, &attribute.attribute, targets)
+            };
+            let owns_question = question.is_none() && !uncached.is_empty();
+            if owns_question {
+                concepts.push(Concept {
+                    name: attribute.attribute.clone(),
+                    already_resolved: cached.len(),
+                    ..Concept::default()
+                });
+                *question = Some(concepts.len() - 1);
+            }
+            // Merge this column's items into the shared need.
+            if let Some(q) = *question {
+                concepts[q].pending.extend_from_slice(&uncached);
+            }
+            let verdicts = cached
+                .iter()
+                .filter_map(|(&item, judgment)| {
+                    let provenance = CellProvenance::CacheHit {
+                        confidence: judgment.confidence,
+                    };
+                    Some((item, (judgment.verdict?, provenance)))
+                })
+                .collect();
+            acquisitions.push(Acquisition {
+                cache_hits: cached.len(),
+                cost_saved: match first_for_concept {
+                    true => cached.values().map(|j| j.cost).sum(),
+                    false => 0.0,
+                },
+                uncached,
+                first_for_concept,
+                owns_question,
+                verdicts,
+                ..Acquisition::default()
+            });
+        }
+        for concept in &mut concepts {
+            let mut seen = HashSet::new();
+            concept.pending.retain(|&item| seen.insert(item));
+        }
+        for (acquisition, attribute) in acquisitions.iter_mut().zip(&plan.attributes) {
+            acquisition.concept = concept_of[&attribute.attribute.to_lowercase()];
+        }
+        (acquisitions, concepts)
+    }
+
+    /// The rows of `EXPLAIN EXPANSION` for a plan, one per planned column:
+    /// concept, column, strategy, items, cache hits, items to crowd and the
+    /// estimated cost.  Only the concept's first column carries its merged
+    /// question's size and price (owner-pays), so summing the cost column
+    /// previews what the live plan would charge.
+    pub(super) fn explain_rows(
+        &self,
+        plan: &ExpansionPlan,
+        binding: &TableBinding,
+    ) -> Vec<Vec<Value>> {
+        let (acquisitions, concepts) = self.form_concepts(plan, false);
+        let rows = plan.attributes.iter().enumerate().zip(&acquisitions);
+        rows.map(|((index, attribute), acquisition)| {
+            let to_crowd = match acquisition.concept {
+                Some(q) if acquisition.first_for_concept => concepts[q].pending.len(),
+                _ => 0,
+            };
+            let estimated_cost = match to_crowd {
+                0 => Some(0.0),
+                n => mlock(&binding.crowd).estimate_cost(n),
+            };
+            vec![
+                Value::Text(attribute.attribute.clone()),
+                Value::Text(attribute.column.clone()),
+                Value::Text(attribute.strategy.name().to_string()),
+                Value::Integer(plan.crowd_items_for(index).len() as i64),
+                Value::Integer(acquisition.cache_hits as i64),
+                Value::Integer(to_crowd as i64),
+                estimated_cost.map_or(Value::Null, Value::Float),
+            ]
+        })
+        .collect()
     }
 
     /// Resolves every concept of a plan: claim each concept in the
@@ -616,19 +650,14 @@ impl DbInner {
     /// The round loop: drives the owned concepts `runs` — concepts that
     /// share their rounds — until each has finished.  Every round is sized
     /// to the budget, dispatched as one crowd call, charged, aggregated and
-    /// published per concept, reported as one `Delta` per concept, and
-    /// logged as one fsynced WAL group.
+    /// published per concept, logged as one fsynced WAL group, and only
+    /// then reported as one `Delta` per concept.
     fn run_rounds(
         &self,
         rounds: &mut Rounds<'_>,
         mut runs: Vec<(usize, OwnerToken)>,
     ) -> Result<()> {
         while !runs.is_empty() {
-            // The round's cache write-back — one CachePut per concept, plus
-            // those of concepts finishing with it — commits as one fsynced
-            // group on the table's segment.
-            let mut wal_pending: Vec<WalRecord> = Vec::new();
-
             // Size the round; a concept left with nothing to send is done.
             // Adaptive rounds re-ask every pending item, so one the budget
             // cannot cover now is out for good; flat rounds ask each item
@@ -649,89 +678,94 @@ impl DbInner {
                     concept.cut(send);
                 }
                 if concept.pending.is_empty() {
-                    self.finish_rounds(rounds, q, token, &mut wal_pending);
+                    self.finish_rounds(rounds, q, token)?;
                 } else {
                     round.push((q, token, send));
                 }
             }
+            let Some(&(first, _, _)) = round.first() else {
+                continue;
+            };
 
-            if let Some(&(first, _, _)) = round.first() {
-                let concept_round = rounds.concepts[first].rounds;
-                let assignments = rounds.round_plan.assignments(concept_round);
-                let requests: Vec<AttributeRequest> = round
-                    .iter()
-                    .map(|&(q, _, send)| AttributeRequest {
-                        attribute: rounds.concepts[q].name.clone(),
-                        items: rounds.concepts[q].pending[..send].to_vec(),
-                    })
-                    .collect();
-                // The first adaptive round has no evidence to route on;
-                // later rounds (the uncertain tail) go to proven workers
-                // when enough exist.
-                let preferred = match assignments {
-                    Some(_) if concept_round > 0 => self.preferred_workers(),
-                    _ => None,
-                };
-                let batch = {
-                    let mut crowd = mlock(&rounds.binding.crowd);
-                    let seed = self.next_round_seed();
-                    match assignments {
-                        None => crowd.collect_batch(&requests, seed)?,
-                        Some(k) => {
-                            crowd.collect_adaptive(&requests, seed, k, preferred.as_ref())?
-                        }
-                    }
-                };
-                rounds.spent += batch.total_cost;
-
-                for (question, (request, (q, token, _))) in requests.iter().zip(round).enumerate() {
-                    let judgments = &batch.question_judgments[question];
-                    // A flat round may batch several concepts; it splits
-                    // its cost by their share of the judgments.
-                    let cost = if rounds.round_plan == RoundPlan::Flat {
-                        batch.question_cost(question)
-                    } else {
-                        batch.total_cost
-                    };
-                    let concept = &mut rounds.concepts[q];
-                    concept.charge(&request.items, judgments, cost, batch.total_minutes);
-                    let verdicts = self.finalize(rounds.round_plan, concept, request, judgments);
-                    concept.rounds += 1;
-                    self.publish_verdicts(
-                        &rounds.plan.table,
-                        &concept.name,
-                        &verdicts,
-                        &mut wal_pending,
-                    );
-                    concept.record_fresh(&verdicts);
-                    if rounds.sink.is_live() {
-                        rounds.sink.emit(delta_event(
-                            &self.config.id_column,
-                            &concept.name,
-                            rounds.round_index,
-                            rounds.spent,
-                            &verdicts,
-                        ));
-                        if assignments.is_some() {
-                            rounds.sink.emit(progress_event(
-                                &concept.name,
-                                concept.resolved(),
-                                concept.pending.len()
-                                    + concept.cut_off.len()
-                                    + concept.denied.len(),
-                                None,
-                            ));
-                        }
-                    }
-                    if concept.pending.is_empty() {
-                        self.finish_rounds(rounds, q, token, &mut wal_pending);
-                    } else {
-                        runs.push((q, token));
-                    }
+            let concept_round = rounds.concepts[first].rounds;
+            let assignments = rounds.round_plan.assignments(concept_round);
+            let requests: Vec<AttributeRequest> = round
+                .iter()
+                .map(|&(q, _, send)| AttributeRequest {
+                    attribute: rounds.concepts[q].name.clone(),
+                    items: rounds.concepts[q].pending[..send].to_vec(),
+                })
+                .collect();
+            // The first adaptive round has no evidence to route on; later
+            // rounds (the uncertain tail) go to proven workers when enough
+            // exist.
+            let preferred = match assignments {
+                Some(_) if concept_round > 0 => self.preferred_workers(),
+                _ => None,
+            };
+            let batch = {
+                let mut crowd = mlock(&rounds.binding.crowd);
+                let seed = self.next_round_seed();
+                match assignments {
+                    None => crowd.collect_batch(&requests, seed)?,
+                    Some(k) => crowd.collect_adaptive(&requests, seed, k, preferred.as_ref())?,
                 }
-                rounds.round_index += 1;
+            };
+            rounds.spent += batch.total_cost;
+
+            // The round's cache write-back — one CachePut per concept —
+            // commits as one fsynced group on the table's segment before
+            // anything reports it.
+            let mut wal_pending: Vec<WalRecord> = Vec::new();
+            let mut published = Vec::with_capacity(round.len());
+            for (question, (request, (q, token, _))) in requests.iter().zip(round).enumerate() {
+                let judgments = &batch.question_judgments[question];
+                // A flat round may batch several concepts; it splits its
+                // cost by their share of the judgments.
+                let cost = if rounds.round_plan == RoundPlan::Flat {
+                    batch.question_cost(question)
+                } else {
+                    batch.total_cost
+                };
+                let concept = &mut rounds.concepts[q];
+                concept.charge(&request.items, judgments, cost, batch.total_minutes);
+                let verdicts = self.finalize(rounds.round_plan, concept, request, judgments);
+                concept.rounds += 1;
+                wal_pending.extend(self.publish_verdicts(
+                    &rounds.plan.table,
+                    &concept.name,
+                    &verdicts,
+                ));
+                concept.record_fresh(&verdicts);
+                published.push((q, token, verdicts));
             }
             self.log(&rounds.plan.table, &wal_pending)?;
+
+            for (q, token, verdicts) in published {
+                let concept = &rounds.concepts[q];
+                if rounds.sink.is_live() {
+                    rounds.sink.emit(delta_event(
+                        &self.config.id_column,
+                        &concept.name,
+                        rounds.round_index,
+                        rounds.spent,
+                        &verdicts,
+                    ));
+                    if assignments.is_some() {
+                        let outstanding =
+                            concept.pending.len() + concept.cut_off.len() + concept.denied.len();
+                        let resolved = concept.resolved();
+                        let progress = progress_event(&concept.name, resolved, outstanding, None);
+                        rounds.sink.emit(progress);
+                    }
+                }
+                if concept.pending.is_empty() {
+                    self.finish_rounds(rounds, q, token)?;
+                } else {
+                    runs.push((q, token));
+                }
+            }
+            rounds.round_index += 1;
         }
         Ok(())
     }
@@ -799,16 +833,9 @@ impl DbInner {
     }
 
     /// Finishes the rounds of a concept with nothing left pending:
-    /// publishes its budget-cut items at their latest posterior into
-    /// `wal_pending`, reports the closing `Progress`, and completes the
-    /// claim.
-    fn finish_rounds(
-        &self,
-        rounds: &mut Rounds<'_>,
-        q: usize,
-        token: OwnerToken,
-        wal_pending: &mut Vec<WalRecord>,
-    ) {
+    /// publishes (and logs) its budget-cut items at their latest posterior,
+    /// reports the closing `Progress`, and completes the claim.
+    fn finish_rounds(&self, rounds: &mut Rounds<'_>, q: usize, token: OwnerToken) -> Result<()> {
         let concept = &mut rounds.concepts[q];
         if let (RoundPlan::Adaptive { target }, Some(outcome)) =
             (rounds.round_plan, &concept.latest)
@@ -819,7 +846,8 @@ impl DbInner {
                 .filter_map(|&item| outcome.posterior_of(item))
                 .map(|posterior| concept.posterior_entry(posterior, target))
                 .collect();
-            self.publish_verdicts(&rounds.plan.table, &concept.name, &verdicts, wal_pending);
+            let record = self.publish_verdicts(&rounds.plan.table, &concept.name, &verdicts);
+            self.log(&rounds.plan.table, record.as_slice())?;
             concept.record_fresh(&verdicts);
         }
         // Mid-stream budget exhaustion is *reported*, never silent: the
@@ -837,28 +865,27 @@ impl DbInner {
         // final for this query, and a waiter is free to claim the concept
         // and pay for the remainder itself.
         token.complete();
+        Ok(())
     }
 
     /// Publishes verdicts: each goes into the judgment cache, and on a
-    /// persistent database one `CachePut` record for the batch is pushed
-    /// onto `wal_pending` for the caller to log — for crowd rounds as one
-    /// fsynced group per round, so judgments just paid for survive a crash
-    /// even if the query never reaches materialization.
+    /// persistent database the batch's `CachePut` record is returned for
+    /// the caller to log — for crowd rounds as one fsynced group per round,
+    /// so judgments just paid for survive a crash even if the query never
+    /// reaches materialization.
     pub(super) fn publish_verdicts(
         &self,
         table: &str,
         concept: &str,
         verdicts: &[(ItemId, CachedJudgment)],
-        wal_pending: &mut Vec<WalRecord>,
-    ) {
+    ) -> Option<WalRecord> {
         for &(item, judgment) in verdicts {
             self.cache.insert(table, concept, item, judgment);
         }
-        if self.durability.is_some() && !verdicts.is_empty() {
+        (self.durability.is_some() && !verdicts.is_empty()).then(|| {
             let rounds = self.crowd_rounds.load(Ordering::Relaxed);
-            let entries = verdicts.iter().copied();
-            wal_pending.push(persist::cache_put_record(table, concept, entries, rounds));
-        }
+            persist::cache_put_record(table, concept, verdicts.iter().copied(), rounds)
+        })
     }
 
     /// A fresh seed for one crowd round (see the `crowd_rounds` field).
@@ -1030,29 +1057,25 @@ fn delta_event(
     cost_so_far: f64,
     verdicts: &[(ItemId, CachedJudgment)],
 ) -> QueryEvent {
-    let decisive: Vec<(ItemId, bool, CachedJudgment)> = verdicts
+    let (rows, provenance) = verdicts
         .iter()
-        .filter_map(|&(item, judgment)| judgment.verdict.map(|label| (item, label, judgment)))
-        .collect();
+        .filter_map(|&(item, judgment)| {
+            let row = vec![
+                Value::Integer(item as i64),
+                Value::Boolean(judgment.verdict?),
+            ];
+            let provenance = CellProvenance::CrowdDerived {
+                confidence: judgment.confidence,
+                cost_share: judgment.cost,
+            };
+            Some((row, vec![CellProvenance::Stored, provenance]))
+        })
+        .unzip();
     QueryEvent::Delta {
         rows: RowSet {
             columns: vec![id_column.to_string(), concept.to_lowercase()],
-            rows: decisive
-                .iter()
-                .map(|&(item, label, _)| vec![Value::Integer(item as i64), Value::Boolean(label)])
-                .collect(),
-            provenance: decisive
-                .iter()
-                .map(|&(_, _, judgment)| {
-                    vec![
-                        CellProvenance::Stored,
-                        CellProvenance::CrowdDerived {
-                            confidence: judgment.confidence,
-                            cost_share: judgment.cost,
-                        },
-                    ]
-                })
-                .collect(),
+            rows,
+            provenance,
         },
         concept: concept.to_string(),
         round,

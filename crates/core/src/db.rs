@@ -2276,54 +2276,7 @@ impl DbInner {
             if !candidates.is_empty() {
                 let binding = self.binding(&table.to_lowercase())?;
                 let plan = self.build_plan(&binding, &table, &candidates)?;
-                // First pass: the per-concept union of uncached items, the
-                // way the live acquire stage merges sibling columns into
-                // one question.
-                let mut concept_need: HashMap<String, HashSet<ItemId>> = HashMap::new();
-                for (index, attribute) in plan.attributes.iter().enumerate() {
-                    let (_, uncached) = self.cache.partition_peek(
-                        &plan.table,
-                        &attribute.attribute,
-                        plan.crowd_items_for(index),
-                    );
-                    concept_need
-                        .entry(attribute.attribute.to_lowercase())
-                        .or_default()
-                        .extend(uncached);
-                }
-                // Second pass: one row per planned column; the concept's
-                // owner carries the merged question's size and price.
-                let mut seen: HashSet<String> = HashSet::new();
-                for (index, attribute) in plan.attributes.iter().enumerate() {
-                    let targets = plan.crowd_items_for(index);
-                    let (cached, _) =
-                        self.cache
-                            .partition_peek(&plan.table, &attribute.attribute, targets);
-                    let concept = attribute.attribute.to_lowercase();
-                    let owns = seen.insert(concept.clone());
-                    let to_crowd = if owns {
-                        concept_need.get(&concept).map_or(0, HashSet::len)
-                    } else {
-                        0
-                    };
-                    let estimated_cost = if to_crowd == 0 {
-                        Value::Float(0.0)
-                    } else {
-                        match mlock(&binding.crowd).estimate_cost(to_crowd) {
-                            Some(dollars) => Value::Float(dollars),
-                            None => Value::Null,
-                        }
-                    };
-                    rows.push(vec![
-                        Value::Text(attribute.attribute.clone()),
-                        Value::Text(attribute.column.clone()),
-                        Value::Text(attribute.strategy.name().to_string()),
-                        Value::Integer(targets.len() as i64),
-                        Value::Integer(cached.len() as i64),
-                        Value::Integer(to_crowd as i64),
-                        estimated_cost,
-                    ]);
-                }
+                rows = self.explain_rows(&plan, &binding);
             }
         }
         let provenance = rows
@@ -2544,13 +2497,13 @@ impl DbInner {
                 ExpansionStage::MissingAttributeDetected,
                 ExpansionStage::ExpansionPlanned,
             ];
-            if !acquisition.cached.is_empty() {
+            if acquisition.cache_hits > 0 {
                 stages.push(ExpansionStage::JudgmentsReused);
             }
             if acquisition.items_coalesced > 0 {
                 stages.push(ExpansionStage::JoinedInflightRound);
             }
-            if acquisition.question.is_some() && acquisition.fresh_round {
+            if acquisition.fresh_round {
                 stages.push(ExpansionStage::CrowdSourcingStarted);
                 stages.push(ExpansionStage::JudgmentsAggregated);
             }
@@ -2753,7 +2706,7 @@ impl DbInner {
                 crowd_cost: item.acquisition.crowd_cost,
                 crowd_minutes: item.acquisition.crowd_minutes,
                 training_set_size: item.training_set_size,
-                cache_hits: item.acquisition.cached.len(),
+                cache_hits: item.acquisition.cache_hits,
                 cache_misses: item.acquisition.uncached.len(),
                 cost_saved: item.acquisition.cost_saved,
                 items_unmapped: item.items_unmapped,
@@ -2853,9 +2806,8 @@ impl DbInner {
                 (item, judgment)
             })
             .collect();
-        let mut wal_pending: Vec<WalRecord> = Vec::new();
-        self.publish_verdicts(&key, &attribute, &refreshed, &mut wal_pending);
-        self.log(&key, &wal_pending)?;
+        let record = self.publish_verdicts(&key, &attribute, &refreshed);
+        self.log(&key, record.as_slice())?;
         let flagged: HashSet<ItemId> = outcome.flagged.iter().copied().collect();
         let mut guards = shard.write_all();
         // Re-derive the id → row mappings under the exclusive locks: the
