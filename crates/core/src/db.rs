@@ -380,9 +380,10 @@ impl StorageStats {
 /// A read view of the sharded catalog, returned by [`CrowdDb::catalog`].
 ///
 /// Holds shard *handles*, not locks: each [`table`](CatalogRead::table)
-/// call takes only that table's shared lock, for exactly as long as the
-/// returned [`TableRef`] lives.  Tables created after this view was taken
-/// are not visible through it — take a fresh view to see them.
+/// call takes only that table's shared locks, as described on
+/// [`TableRef`].  Tables created after this view was taken are not visible
+/// through it — take a fresh view to see them.  This is an inspection
+/// view: queries never go through it, they run in place on the partitions.
 pub struct CatalogRead {
     /// `(table name, shard)` pairs, sorted by name.
     shards: Vec<(String, Arc<Shard>)>,
@@ -400,10 +401,12 @@ impl CatalogRead {
             .find(|(shard_name, _)| *shard_name == key)
             .map(|(_, shard)| shard)
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))?;
-        Ok(TableRef {
-            view: shard.read()?,
-            name: key,
-        })
+        let view = if shard.parts.len() == 1 {
+            TableView::Locked(shard.read_one(0))
+        } else {
+            TableView::Merged(shard.merged(&key)?)
+        };
+        Ok(TableRef { view, name: key })
     }
 
     /// The table names of this view, sorted.
@@ -422,26 +425,36 @@ impl CatalogRead {
     }
 }
 
-/// A borrowed table view, dereferencing to [`Table`].
+/// A borrowed whole-table view, dereferencing to [`Table`].
 ///
-/// For a single-partition table this holds the shard's shared lock —
+/// For a single-partition table this holds the partition's shared lock —
 /// writers to the table block while it is alive; drop it before
 /// triggering expansions or mutations.  For a partitioned table it holds
-/// an owned merged copy assembled under briefly-held shared partition
-/// locks, so it blocks nothing — but also does not see writes that commit
-/// after it was taken.
+/// an owned copy merged from every partition under briefly-held shared
+/// partition locks, so it blocks nothing — but also does not see writes
+/// that commit after it was taken.
 pub struct TableRef<'a> {
-    view: ShardRead<'a>,
+    view: TableView<'a>,
     name: String,
+}
+
+enum TableView<'a> {
+    /// The single partition's shared lock, held while the view lives.
+    Locked(RwLockReadGuard<'a, Catalog>),
+    /// A merged copy of every partition; no lock held.
+    Merged(Table),
 }
 
 impl std::ops::Deref for TableRef<'_> {
     type Target = Table;
 
     fn deref(&self) -> &Table {
-        self.view
-            .table(&self.name)
-            .expect("a shard always holds its own table")
+        match &self.view {
+            TableView::Locked(catalog) => catalog
+                .table(&self.name)
+                .expect("a shard always holds its own table"),
+            TableView::Merged(table) => table,
+        }
     }
 }
 
@@ -487,15 +500,14 @@ pub struct CrowdDb {
 /// One table's unit of catalog locking: one single-table [`Catalog`] *per
 /// partition*, each behind its own [`RwLock`].
 ///
-/// The executor's analysis and execution functions take a `&Catalog`; a
-/// shard satisfies them with a catalog that happens to hold exactly one
-/// table (for partitioned tables: one *slice* of it, or a merged owned
-/// copy for reads), so every statement runs against only the partition
-/// locks it needs and tables never contend with each other.  The shard map
-/// itself (`DbInner::shards`) is guarded by a separate lightweight lock
-/// used only for table creation and handle cloning — the lock order is
-/// table map → shard → partition → WAL segment → manifest (see
-/// `docs/architecture.md`).
+/// Every partition's catalog holds one *slice* of the table under the
+/// table's full schema.  Statements run in place on the slices under only
+/// the partition locks they need, so tables never contend with each other
+/// and a read pinned to one id never waits on the other partitions.  The
+/// shard map itself (`DbInner::shards`) is guarded by a separate
+/// lightweight lock used only for table creation and handle cloning — the
+/// lock order is table map → shard → partition → WAL segment → manifest
+/// (see `docs/architecture.md`).
 struct Shard {
     /// How rows route to partitions ([`PartitionSpec::Single`] for every
     /// table not created through [`TableOptions::partitions`]).
@@ -503,19 +515,28 @@ struct Shard {
     /// One single-table catalog per partition, in `k` order.  Always at
     /// least one entry; `parts.len() == spec.partition_count()`.
     parts: Vec<RwLock<Catalog>>,
+    /// The id column, when the table is partitioned and the column is
+    /// declared `INTEGER`: only then does an integer literal name the one
+    /// partition its rows live in.  Fixed for the table's lifetime —
+    /// columns are never renamed or retyped.
+    routing_column: Option<Column>,
 }
 
 impl Shard {
     /// Wraps a fully built table in a single-partition shard.
     fn of_table(table: Table) -> Arc<Shard> {
-        Shard::partitioned(PartitionSpec::Single, vec![table])
+        Shard::partitioned(PartitionSpec::Single, vec![table], None)
     }
 
     /// Builds a shard from per-partition table slices (one per partition
     /// of `spec`, in `k` order — see
-    /// [`persist::split_table_by_partition`]).
-    fn partitioned(spec: PartitionSpec, slices: Vec<Table>) -> Arc<Shard> {
+    /// [`persist::split_table_by_partition`]) routed by `id_column`.
+    fn partitioned(spec: PartitionSpec, slices: Vec<Table>, id_column: Option<&str>) -> Arc<Shard> {
         debug_assert_eq!(spec.partition_count(), slices.len());
+        let routing_column = id_column
+            .and_then(|name| slices[0].schema().column(name))
+            .filter(|column| !spec.is_single() && column.data_type == DataType::Integer)
+            .cloned();
         let parts = slices
             .into_iter()
             .map(|slice| {
@@ -526,46 +547,56 @@ impl Shard {
                 RwLock::new(catalog)
             })
             .collect();
-        Arc::new(Shard { spec, parts })
+        Arc::new(Shard {
+            spec,
+            parts,
+            routing_column,
+        })
     }
 
-    /// A read view of the table.  Single-partition: the partition's shared
-    /// lock, held for the view's lifetime.  Partitioned: all partition
-    /// locks are taken shared in `k` order, the slices are merged into an
-    /// owned whole-table catalog (so `ORDER BY` / `LIMIT` see every row),
-    /// and the locks are released before returning — the view is a
-    /// consistent point-in-time copy.
-    fn read(&self) -> Result<ShardRead<'_>> {
-        if self.parts.len() == 1 {
-            return Ok(ShardRead::Guard(rlock(&self.parts[0])));
+    /// The one partition a `SELECT` can match rows in, when its `WHERE`
+    /// pins the id column to an integer (see [`Expr::pinned_integer`]);
+    /// `None` when every partition must be scanned.
+    ///
+    /// [`Expr::pinned_integer`]: relational::Expr::pinned_integer
+    fn route(&self, select: &sql::SelectStatement) -> Option<usize> {
+        let column = self.routing_column.as_ref()?;
+        let id = select.filter.as_ref()?.pinned_integer(column)?;
+        Some(self.spec.route_id(id))
+    }
+
+    /// Shared locks on the partitions a read runs on, taken in ascending
+    /// `k`: partition `k` only when routed, otherwise every partition.
+    /// The read holds them for its scan.
+    fn read(&self, route: Option<usize>) -> Vec<RwLockReadGuard<'_, Catalog>> {
+        match route {
+            Some(k) => vec![rlock(&self.parts[k])],
+            None => self.parts.iter().map(rlock).collect(),
         }
-        let guards: Vec<RwLockReadGuard<'_, Catalog>> = self.parts.iter().map(rlock).collect();
-        let name = guards[0]
-            .table_names()
-            .pop()
-            .expect("partition catalogs hold exactly one table");
+    }
+
+    /// A read view of one partition only — schema-complete (every
+    /// partition slice carries the table's full schema), row-incomplete.
+    /// Enough for any pass that needs only the schema, without touching —
+    /// or blocking on — the other partitions.
+    fn read_one(&self, k: usize) -> RwLockReadGuard<'_, Catalog> {
+        rlock(&self.parts[k])
+    }
+
+    /// An owned copy of the whole table `name`: every partition's slice,
+    /// concatenated in `k` order under briefly-held shared locks.  Only
+    /// the [`CatalogRead`] inspection view uses it.
+    fn merged(&self, name: &str) -> Result<Table> {
+        let guards = self.read(None);
         let mut merged: Option<Table> = None;
         for guard in &guards {
-            let slice = guard.table(&name).expect("every partition holds the table");
+            let slice = guard.table(name)?;
             merged = Some(match merged.take() {
                 None => slice.clone(),
                 Some(acc) => persist::merge_partition_tables(acc, slice)?,
             });
         }
-        drop(guards);
-        let mut catalog = Catalog::new();
-        catalog
-            .create_table(merged.expect("at least one partition"))
-            .expect("a fresh single-table catalog cannot collide");
-        Ok(ShardRead::Merged(Box::new(catalog)))
-    }
-
-    /// A read view of one partition only — schema-complete (every
-    /// partition slice carries the table's full schema), row-incomplete.
-    /// Lets a routed mutation run its static analysis pass without
-    /// touching — or blocking on — partitions it does not write.
-    fn read_one(&self, k: usize) -> ShardRead<'_> {
-        ShardRead::Guard(rlock(&self.parts[k]))
+        Ok(merged.expect("at least one partition"))
     }
 
     /// Exclusive access to one partition's catalog.
@@ -580,26 +611,14 @@ impl Shard {
     }
 }
 
-/// A read view over a shard's table — either a held shared lock
-/// (single-partition) or an owned merged copy (partitioned).  Dereferences
-/// to [`Catalog`] so the executor's `&Catalog` entry points take it
-/// directly.
-enum ShardRead<'a> {
-    /// The single partition's shared lock, held while the view lives.
-    Guard(RwLockReadGuard<'a, Catalog>),
-    /// An owned whole-table merge of every partition slice; no lock held.
-    Merged(Box<Catalog>),
-}
-
-impl std::ops::Deref for ShardRead<'_> {
-    type Target = Catalog;
-
-    fn deref(&self) -> &Catalog {
-        match self {
-            ShardRead::Guard(guard) => guard,
-            ShardRead::Merged(catalog) => catalog,
-        }
-    }
+/// The slices of table `name` behind a read's partition locks, in the
+/// locks' (`k`) order — what [`executor::execute_select_partitions`] runs
+/// on.
+fn slices<'a>(guards: &'a [RwLockReadGuard<'_, Catalog>], name: &str) -> Result<Vec<&'a Table>> {
+    guards
+        .iter()
+        .map(|guard| guard.table(name).map_err(CrowdDbError::from))
+        .collect()
 }
 
 /// The shared state behind a [`CrowdDb`]: everything scheduler jobs need,
@@ -979,6 +998,7 @@ impl CrowdDb {
                     spec.clone(),
                     persist::split_table_by_partition(&table, &config.id_column, spec)
                         .expect("re-splitting a recovered table cannot fail"),
+                    Some(&config.id_column),
                 ),
                 None => Shard::of_table(table),
             };
@@ -1157,7 +1177,8 @@ impl CrowdDb {
     /// `crowddb_queries_completed_total{mode}`,
     /// `crowddb_queries_failed_total`, `crowddb_queries_degraded_total`,
     /// `crowddb_queries_shed_total`, `crowddb_crowd_cost_dollars_total`,
-    /// and the `crowddb_query_cost_dollars` spend histogram).
+    /// the `crowddb_query_cost_dollars` spend histogram, and the read
+    /// path's `crowddb_rows_scanned_total` / `crowddb_rows_copied_total`).
     /// **Collect-time series** are read from the engine's own counters at
     /// snapshot time: judgment-cache effectiveness
     /// (`crowddb_cache_hits_total`, `crowddb_cache_misses_total`,
@@ -1414,7 +1435,7 @@ impl CrowdDb {
     ) -> Result<()> {
         {
             let shard = self.inner.shard(table_name)?;
-            let catalog = shard.read()?;
+            let catalog = shard.read_one(0);
             let table = catalog.table(table_name)?;
             if !table.schema().contains(&self.inner.config.id_column) {
                 return Err(CrowdDbError::Configuration(format!(
@@ -1630,11 +1651,11 @@ fn select_of(statement: &sql::Statement) -> Option<&sql::SelectStatement> {
 }
 
 /// For an `INSERT` into a partitioned table: one partition the statement's
-/// rows route to (the first row's), so the static analysis pass can read a
-/// partition the insert actually writes instead of the merged all-partition
-/// view — the disjoint-partition-writer guarantee depends on it.  `None`
-/// for every other statement shape (and for single-partition tables, where
-/// the merged view *is* the one partition).
+/// rows route to (the first row's), so the static analysis pass reads a
+/// partition the insert actually writes rather than partition 0 — the
+/// disjoint-partition-writer guarantee depends on it.  `None` for every
+/// other statement shape and for single-partition tables, which analyze
+/// against partition 0.
 fn insert_analysis_partition(
     shard: &Shard,
     statement: &sql::Statement,
@@ -1850,7 +1871,10 @@ impl DbInner {
                 &[WalRecord::CreateTable(TableImage::of(&slices[0]))],
             )?;
         }
-        shards.insert(name, Shard::partitioned(spec, slices));
+        shards.insert(
+            name,
+            Shard::partitioned(spec, slices, Some(&self.config.id_column)),
+        );
         Ok(())
     }
 
@@ -1971,16 +1995,16 @@ impl DbInner {
         let shard = self.shard(statement.target_table().unwrap_or_default())?;
         let analysis = {
             // Analysis is a static pass needing only the schema, and every
-            // partition slice carries the table's full schema — so an
-            // INSERT analyzes against one partition it actually writes,
-            // never waiting on a writer to an unrelated partition.
-            let catalog = match insert_analysis_partition(&shard, &statement, &self.config) {
-                Some(k) => shard.read_one(k),
-                None => shard.read()?,
-            };
-            executor::analyze(&statement, &catalog)?
+            // partition slice carries the table's full schema — so it reads
+            // one partition: for an INSERT, one it actually writes, never
+            // waiting on a writer to an unrelated partition.
+            let k = insert_analysis_partition(&shard, &statement, &self.config).unwrap_or(0);
+            executor::analyze(&statement, &shard.read_one(k))?
         };
         let mut reports = Vec::new();
+        // A streamed SELECT with nothing to expand: its anytime snapshot
+        // already is the answer, so the SELECT runs once.
+        let mut answered: Option<RowSet> = None;
         if let Some(table) = analysis.table.clone() {
             let candidates = self.expansion_candidates(&statement, &analysis, &policy, &table)?;
             if policy.mode == ExpansionMode::Deny && !analysis.missing_columns.is_empty() {
@@ -1994,22 +2018,9 @@ impl DbInner {
             // a streaming consumer has rows while acquisition runs.
             if sink.is_live() {
                 if let sql::Statement::Select(select) = &statement {
-                    let mut snapshot = {
-                        let catalog = shard.read()?;
-                        let snapshot = executor::execute_select_snapshot(select, &catalog)?;
-                        let provenance = self.snapshot_provenance(
-                            &catalog,
-                            statement.target_table(),
-                            &snapshot,
-                        )?;
-                        RowSet {
-                            columns: snapshot.result.columns,
-                            rows: snapshot.result.rows,
-                            provenance,
-                        }
-                    };
-                    if let Some(floor) = policy.quality_floor {
-                        mask_below_quality_floor(&mut snapshot, floor);
+                    let snapshot = self.select_rows(&shard, select, true, policy.quality_floor)?;
+                    if candidates.is_empty() {
+                        answered = Some(snapshot.clone());
                     }
                     sink.emit(QueryEvent::Snapshot(snapshot));
                 }
@@ -2037,31 +2048,21 @@ impl DbInner {
         // fold, not sum: an empty `f64` sum is `-0.0`, which would print as
         // a spurious "-0.00" spend on queries that expanded nothing.
         let crowd_cost = reports.iter().fold(0.0, |total, r| total + r.crowd_cost);
-        let result = if statement.is_read_only() {
-            let catalog = shard.read()?;
-            let (result, row_indices) = executor::execute_read_indexed(&statement, &catalog)?;
-            let provenance =
-                self.row_provenance(&catalog, statement.target_table(), &result, &row_indices)?;
-            let mut rows = RowSet {
-                columns: result.columns,
-                rows: result.rows,
-                provenance,
-            };
-            // The quality floor is a per-query *view* filter: it masks
-            // low-agreement verdicts in this query's result, never in the
-            // shared table — a strict caller must not be able to NULL out
-            // data other queries paid for, and the floor must hold even
-            // when the column was materialized long ago.
-            if let Some(floor) = policy.quality_floor {
-                mask_below_quality_floor(&mut rows, floor);
+        let result = match (&statement, answered) {
+            (_, Some(rows)) => StatementResult::Rows(rows),
+            (sql::Statement::Select(select), None) => StatementResult::Rows(self.select_rows(
+                &shard,
+                select,
+                false,
+                policy.quality_floor,
+            )?),
+            _ => {
+                let table_key = statement
+                    .target_table()
+                    .expect("non-DDL statements name a table")
+                    .to_lowercase();
+                self.execute_mutation(&shard, &table_key, &statement, sql_text)?
             }
-            StatementResult::Rows(rows)
-        } else {
-            let table_key = statement
-                .target_table()
-                .expect("non-DDL statements name a table")
-                .to_lowercase();
-            self.execute_mutation(&shard, &table_key, &statement, sql_text)?
         };
         Ok(QueryOutcome {
             policy,
@@ -2069,6 +2070,44 @@ impl DbInner {
             reports,
             crowd_cost,
         })
+    }
+
+    /// Runs `select` in place on `shard`'s partitions — only the one its
+    /// `WHERE` pins the id to (see [`Shard::route`]), otherwise every one
+    /// in `k` order — holding their shared locks for the scan, and
+    /// attaches per-cell provenance.  `snapshot` selects the executor's
+    /// snapshot semantics (columns not in the schema yet read as `NULL`).
+    ///
+    /// The quality floor is a per-query *view* filter: it masks
+    /// low-agreement verdicts in this query's result, never in the shared
+    /// table — a strict caller must not be able to NULL out data other
+    /// queries paid for, and the floor must hold even when the column was
+    /// materialized long ago.
+    fn select_rows(
+        &self,
+        shard: &Shard,
+        select: &sql::SelectStatement,
+        snapshot: bool,
+        quality_floor: Option<f64>,
+    ) -> Result<RowSet> {
+        let (selected, provenance) = {
+            let guards = shard.read(shard.route(select));
+            let parts = slices(&guards, &select.table)?;
+            let selected = executor::execute_select_partitions(select, &parts, snapshot)?;
+            let provenance = self.row_provenance(&parts, &select.table, &selected)?;
+            (selected, provenance)
+        };
+        self.metrics
+            .rows_read(selected.rows_scanned, selected.result.rows.len());
+        let mut rows = RowSet {
+            columns: selected.result.columns,
+            rows: selected.result.rows,
+            provenance,
+        };
+        if let Some(floor) = quality_floor {
+            mask_below_quality_floor(&mut rows, floor);
+        }
+        Ok(rows)
     }
 
     /// Executes a mutation against `shard`, routing it to the partitions
@@ -2253,11 +2292,8 @@ impl DbInner {
         statement: &sql::Statement,
         policy: ExpansionPolicy,
     ) -> Result<QueryOutcome> {
-        let analysis = {
-            let shard = self.shard(statement.target_table().unwrap_or_default())?;
-            let catalog = shard.read()?;
-            executor::analyze(statement, &catalog)?
-        };
+        let shard = self.shard(statement.target_table().unwrap_or_default())?;
+        let analysis = executor::analyze(statement, &shard.read_one(0))?;
         let columns: Vec<String> = [
             "concept",
             "column",
@@ -2295,81 +2331,54 @@ impl DbInner {
         })
     }
 
-    /// Per-cell provenance of an anytime snapshot: the ledger-backed
-    /// [`row_provenance`](DbInner::row_provenance), with the cells of
-    /// columns that are not in the schema yet marked `NotExpanded` rather
-    /// than `Stored` — a snapshot `NULL` for a missing attribute is a hole
-    /// acquisition may still fill, not a stored fact.
-    fn snapshot_provenance(
-        &self,
-        catalog: &Catalog,
-        table: Option<&str>,
-        snapshot: &executor::SnapshotResult,
-    ) -> Result<Vec<Vec<CellProvenance>>> {
-        let mut provenance =
-            self.row_provenance(catalog, table, &snapshot.result, &snapshot.row_indices)?;
-        if !snapshot.missing_columns.is_empty() {
-            let missing: Vec<usize> = snapshot
-                .result
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(_, column)| {
-                    snapshot
-                        .missing_columns
-                        .iter()
-                        .any(|m| m.eq_ignore_ascii_case(column))
-                })
-                .map(|(index, _)| index)
-                .collect();
-            for row in &mut provenance {
-                for &column in &missing {
-                    row[column] = CellProvenance::Missing {
-                        reason: MissingReason::NotExpanded,
-                    };
-                }
-            }
-        }
-        Ok(provenance)
-    }
-
-    /// Builds the per-cell provenance of a result set: `Stored` for factual
-    /// columns, the provenance ledger's record for expanded columns, and
-    /// `Missing` markers for rows no expansion could ever reach.
+    /// Builds the per-cell provenance of a `SELECT` result over `parts`:
+    /// `Stored` for factual columns, the provenance ledger's record for
+    /// expanded columns, `Missing` markers for rows no expansion could
+    /// ever reach, and — under snapshot semantics — `NotExpanded` for the
+    /// cells of columns not in the schema yet: a snapshot `NULL` for a
+    /// missing attribute is a hole acquisition may still fill, not a
+    /// stored fact.
     fn row_provenance(
         &self,
-        catalog: &Catalog,
-        table: Option<&str>,
-        result: &QueryResult,
-        row_indices: &[usize],
+        parts: &[&Table],
+        table_name: &str,
+        selected: &executor::SelectResult,
     ) -> Result<Vec<Vec<CellProvenance>>> {
-        let all_stored = |result: &QueryResult| {
-            result
-                .rows
-                .iter()
-                .map(|row| vec![CellProvenance::Stored; row.len()])
-                .collect()
-        };
-        let table_name = match table {
-            Some(name) => name,
-            None => return Ok(all_stored(result)),
-        };
+        let result = &selected.result;
         let key = table_name.to_lowercase();
+        let not_expanded = CellProvenance::Missing {
+            reason: MissingReason::NotExpanded,
+        };
         let ledger = rlock(&self.provenance);
         let tracked: Vec<Option<&HashMap<ItemId, CellProvenance>>> = result
             .columns
             .iter()
             .map(|column| ledger.get(&(key.clone(), column.clone())))
             .collect();
+        let missing: Vec<bool> = result
+            .columns
+            .iter()
+            .map(|column| selected.missing_columns.contains(column))
+            .collect();
         if tracked.iter().all(Option::is_none) {
-            return Ok(all_stored(result));
+            let row: Vec<CellProvenance> = missing
+                .iter()
+                .map(|&missing| {
+                    if missing {
+                        not_expanded
+                    } else {
+                        CellProvenance::Stored
+                    }
+                })
+                .collect();
+            return Ok(vec![row; result.rows.len()]);
         }
         // Expanded columns exist, so the table necessarily carries the id
-        // column.  Read the id cell of the *result* rows only — a full
-        // table id → row mapping per read would put O(table) work on the
-        // hot concurrent-read path for a LIMIT-bounded query.
-        let table = catalog.table(table_name)?;
-        let id_idx = table
+        // column.  Read the id cell of the *result* rows only, each in the
+        // partition it came from — a full id → row mapping per read would
+        // put O(table) work on the hot concurrent-read path for a
+        // LIMIT-bounded query.
+        let id_idx = parts[0]
             .schema()
             .index_of(&self.config.id_column)
             .ok_or_else(|| {
@@ -2378,32 +2387,28 @@ impl DbInner {
                     self.config.id_column
                 ))
             })?;
-        let item_of_row = |row: usize| -> Option<ItemId> {
-            match table.rows().get(row)?.get(id_idx)? {
+        let item_of_row = |(k, row): (usize, usize)| -> Option<ItemId> {
+            match parts[k].rows().get(row)?.get(id_idx)? {
                 Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => Some(*id as ItemId),
                 _ => None,
             }
         };
-        Ok(row_indices
+        Ok(selected
+            .lineage
             .iter()
-            .map(|&row| {
-                let item = item_of_row(row);
+            .map(|&at| {
+                let item = item_of_row(at);
                 tracked
                     .iter()
-                    .map(|column| match column {
+                    .zip(&missing)
+                    .map(|(column, &missing)| match column {
+                        _ if missing => not_expanded,
                         None => CellProvenance::Stored,
                         Some(items) => match item {
                             None => CellProvenance::Missing {
                                 reason: MissingReason::NoItemId,
                             },
-                            Some(item) => {
-                                items
-                                    .get(&item)
-                                    .copied()
-                                    .unwrap_or(CellProvenance::Missing {
-                                        reason: MissingReason::NotExpanded,
-                                    })
-                            }
+                            Some(item) => items.get(&item).copied().unwrap_or(not_expanded),
                         },
                     })
                     .collect()
@@ -2453,12 +2458,12 @@ impl DbInner {
     ) -> Result<ExpansionPlan> {
         let key = table_name.to_lowercase();
         let shard = self.shard(table_name)?;
-        let catalog = shard.read()?;
-        let table = catalog.table(table_name)?;
+        let guards = shard.read(None);
+        let parts = slices(&guards, table_name)?;
         let attributes = rlock(&binding.attributes);
         let overrides = rlock(&binding.strategy_overrides);
         planner::build_plan(PlanInputs {
-            table,
+            parts: &parts,
             table_name: &key,
             id_column: &self.config.id_column,
             columns,
@@ -2586,7 +2591,7 @@ impl DbInner {
         let mut skipped_rows = 0;
         for guard in guards.iter() {
             let (rows, _, skipped) = planner::row_mapping(
-                guard.table(&plan.table)?,
+                &[guard.table(&plan.table)?],
                 &self.config.id_column,
                 &plan.table,
             )?;
@@ -2746,19 +2751,25 @@ impl DbInner {
         // the shard lock before any crowd work.
         let shard = self.shard(table_name)?;
         let (labels, eligible) = {
-            let catalog = shard.read()?;
-            let table = catalog.table(table_name)?;
-            let col_idx = table.schema().index_of(&column).ok_or_else(|| {
+            let guards = shard.read(None);
+            let parts = slices(&guards, table_name)?;
+            let col_idx = parts[0].schema().index_of(&column).ok_or_else(|| {
                 CrowdDbError::Configuration(format!(
                     "column {column} of table {table_name} is not materialized — expand it first"
                 ))
             })?;
             let (rows, items, _skipped) =
-                planner::row_mapping(table, &self.config.id_column, &key)?;
+                planner::row_mapping(&parts, &self.config.id_column, &key)?;
+            // Row numbers count the partitions' rows in `k` order.
+            let all_rows: Vec<&[Value]> = parts
+                .iter()
+                .flat_map(|part| part.rows())
+                .map(Vec::as_slice)
+                .collect();
             let mut labels = vec![false; space_len];
             for (row, item) in &rows {
                 if (*item as usize) < space_len {
-                    if let Value::Boolean(b) = &table.rows()[*row][col_idx] {
+                    if let Value::Boolean(b) = &all_rows[*row][col_idx] {
                         labels[*item as usize] = *b;
                     }
                 }
@@ -2818,7 +2829,7 @@ impl DbInner {
         let mut repaired: HashSet<ItemId> = HashSet::new();
         for guard in guards.iter_mut() {
             let (rows, _, _) =
-                planner::row_mapping(guard.table(table_name)?, &self.config.id_column, &key)?;
+                planner::row_mapping(&[guard.table(table_name)?], &self.config.id_column, &key)?;
             let table = guard.table_mut(table_name)?;
             for (row, item) in &rows {
                 if flagged.contains(item) {
@@ -2885,7 +2896,7 @@ impl DbInner {
         let mut skipped_rows = 0;
         for guard in guards.iter() {
             let (rows, part_items, skipped) =
-                planner::row_mapping(guard.table(table_name)?, &self.config.id_column, &key)?;
+                planner::row_mapping(&[guard.table(table_name)?], &self.config.id_column, &key)?;
             mappings.push(rows);
             items.extend(part_items);
             skipped_rows += skipped;
@@ -3961,8 +3972,8 @@ mod tests {
     #[test]
     fn partitioned_table_answers_queries_like_a_single_partition_one() {
         let db = partitioned_things(30, 4);
-        // The merged read view spans every partition, ordered and limited
-        // exactly like an unpartitioned table.
+        // The read spans every partition, ordered and limited exactly like
+        // an unpartitioned table.
         let result = db
             .execute("SELECT item_id FROM things ORDER BY item_id LIMIT 7")
             .unwrap();

@@ -53,6 +53,8 @@ pub struct EngineMetrics {
     queries_shed: Counter,
     crowd_cost_dollars: FloatCounter,
     query_cost_dollars: Histogram,
+    rows_scanned: Counter,
+    rows_copied: Counter,
 }
 
 impl EngineMetrics {
@@ -92,6 +94,14 @@ impl EngineMetrics {
                 "Per-query crowd spend distribution in dollars",
                 COST_BUCKETS,
             ),
+            rows_scanned: registry.counter(
+                "crowddb_rows_scanned_total",
+                "Table rows the executor evaluated a SELECT's WHERE predicate on",
+            ),
+            rows_copied: registry.counter(
+                "crowddb_rows_copied_total",
+                "Result rows the executor copied out of the table for SELECTs",
+            ),
             registry,
         }
     }
@@ -127,6 +137,13 @@ impl EngineMetrics {
     pub fn query_shed(&self) {
         self.queries_shed.inc();
     }
+
+    /// A `SELECT` scanned `scanned` table rows and copied `copied` of them
+    /// into its result.
+    pub fn rows_read(&self, scanned: usize, copied: usize) {
+        self.rows_scanned.add(scanned as u64);
+        self.rows_copied.add(copied as u64);
+    }
 }
 
 impl Default for EngineMetrics {
@@ -149,6 +166,7 @@ mod tests {
         metrics.query_failed();
         metrics.query_degraded();
         metrics.query_shed();
+        metrics.rows_read(16, 1);
         let snap = metrics.registry().snapshot();
         assert_eq!(
             snap.value("crowddb_queries_started_total", &[("mode", "full")]),
@@ -165,6 +183,8 @@ mod tests {
         assert_eq!(snap.value("crowddb_queries_failed_total", &[]), Some(1.0));
         assert_eq!(snap.value("crowddb_queries_degraded_total", &[]), Some(1.0));
         assert_eq!(snap.value("crowddb_queries_shed_total", &[]), Some(1.0));
+        assert_eq!(snap.value("crowddb_rows_scanned_total", &[]), Some(16.0));
+        assert_eq!(snap.value("crowddb_rows_copied_total", &[]), Some(1.0));
         let total = snap.value("crowddb_crowd_cost_dollars_total", &[]).unwrap();
         assert!((total - 3.25).abs() < 1e-9);
         // Deterministic order: every scrape of idle instruments matches.

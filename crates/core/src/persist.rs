@@ -1183,7 +1183,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
         } => {
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
             let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(table_ref, ctx.id_column, &table)?;
+            let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
             let table_mut = state.catalog.table_mut(&table)?;
             materialize_column(table_mut, &column, data_type, &values, &rows)?;
             let key = (table.clone(), column.clone());
@@ -1210,7 +1210,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
         } => {
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
             let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(table_ref, ctx.id_column, &table)?;
+            let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
             let table_mut = state.catalog.table_mut(&table)?;
             for (row, item) in rows {
                 if let Some(value) = values.get(&item) {

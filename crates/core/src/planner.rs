@@ -63,10 +63,10 @@ pub struct ExpansionPlan {
     /// The attributes to acquire, deduplicated, in query order.
     pub attributes: Vec<PlannedAttribute>,
     /// Explicit `(row index, item id)` mapping, one entry per table row
-    /// that carries an item id.  The materialize stage routes every
-    /// acquired value through this list; nothing assumes ids are dense,
-    /// contiguous, or unique — rows sharing an item id all receive its
-    /// value.
+    /// that carries an item id, with rows numbered as in the table's
+    /// partitions concatenated in `k` order.  Nothing assumes ids are
+    /// dense, contiguous, or unique — rows sharing an item id all receive
+    /// its value.
     pub rows: Vec<(usize, ItemId)>,
     /// The distinct mapped item ids, in first-appearance (table-row) order.
     pub items: Vec<ItemId>,
@@ -101,8 +101,8 @@ impl ExpansionPlan {
 
 /// Everything the planner needs to know about the table being expanded.
 pub(crate) struct PlanInputs<'a> {
-    /// The table (for rows and schema).
-    pub table: &'a Table,
+    /// The table's partitions in `k` order (for rows and schema).
+    pub parts: &'a [&'a Table],
     /// Lower-cased table name (the plan's key).
     pub table_name: &'a str,
     /// Name of the id column linking rows to perceptual-space items.
@@ -152,7 +152,7 @@ pub(crate) fn build_plan(inputs: PlanInputs<'_>) -> Result<ExpansionPlan> {
 
     // Build the explicit id → row mapping.
     let (rows, items, skipped_rows) =
-        row_mapping(inputs.table, inputs.id_column, inputs.table_name)?;
+        row_mapping(inputs.parts, inputs.id_column, inputs.table_name)?;
 
     // One shared gold sample for all perceptual-strategy attributes.
     let demand = attributes
@@ -191,7 +191,10 @@ pub(crate) fn build_plan(inputs: PlanInputs<'_>) -> Result<ExpansionPlan> {
 /// without a usable item id.
 pub(crate) type RowMapping = (Vec<(usize, ItemId)>, Vec<ItemId>, usize);
 
-/// Builds the explicit `(row, item id)` mapping of a table.
+/// Builds the explicit `(row, item id)` mapping of a table, given as its
+/// partitions in `k` order (a table that is not partitioned is the
+/// one-slice case).  Rows are numbered as in the slices concatenated in
+/// that order, and each id is read from the slice its row lives in.
 ///
 /// Rows whose id column is `NULL`, non-integer, negative, or beyond `u32`
 /// carry no item id; they cannot be filled, and their count is returned so
@@ -199,25 +202,35 @@ pub(crate) type RowMapping = (Vec<(usize, ItemId)>, Vec<ItemId>, usize);
 /// ids keep every row (each receives the item's value) but appear once in
 /// the distinct-item list.  The mapping makes no density or contiguity
 /// assumption — ids like `{3, 900, 14}` are as valid as `{0, 1, 2}`.
-pub(crate) fn row_mapping(table: &Table, id_column: &str, table_name: &str) -> Result<RowMapping> {
-    let id_idx = table.schema().index_of(id_column).ok_or_else(|| {
-        CrowdDbError::Configuration(format!("table {table_name} has no id column '{id_column}'"))
-    })?;
+pub(crate) fn row_mapping(
+    parts: &[&Table],
+    id_column: &str,
+    table_name: &str,
+) -> Result<RowMapping> {
     let mut rows: Vec<(usize, ItemId)> = Vec::new();
     let mut seen: HashSet<ItemId> = HashSet::new();
     let mut items: Vec<ItemId> = Vec::new();
     let mut skipped_rows = 0usize;
-    for (row, values) in table.rows().iter().enumerate() {
-        match &values[id_idx] {
-            Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => {
-                let item = *id as ItemId;
-                rows.push((row, item));
-                if seen.insert(item) {
-                    items.push(item);
+    let mut offset = 0;
+    for part in parts {
+        let id_idx = part.schema().index_of(id_column).ok_or_else(|| {
+            CrowdDbError::Configuration(format!(
+                "table {table_name} has no id column '{id_column}'"
+            ))
+        })?;
+        for (row, values) in part.rows().iter().enumerate() {
+            match &values[id_idx] {
+                Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => {
+                    let item = *id as ItemId;
+                    rows.push((offset + row, item));
+                    if seen.insert(item) {
+                        items.push(item);
+                    }
                 }
+                _ => skipped_rows += 1,
             }
-            _ => skipped_rows += 1,
         }
+        offset += part.len();
     }
     Ok((rows, items, skipped_rows))
 }
@@ -288,7 +301,7 @@ mod tests {
             "IS_COMEDY".to_string(), // duplicate, different case
         ];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            parts: &[&table],
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -324,7 +337,7 @@ mod tests {
         overrides.insert("b".to_string(), perceptual(30));
         let columns = vec!["a".to_string(), "b".to_string()];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            parts: &[&table],
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -350,7 +363,7 @@ mod tests {
             [("x".to_string(), "X".to_string())].into_iter().collect();
         let columns = vec!["x".to_string()];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            parts: &[&table],
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -388,7 +401,7 @@ mod tests {
         table
             .insert_row(vec![Value::Integer(5_000_000_000)])
             .unwrap();
-        let (rows, items, skipped) = row_mapping(&table, "item_id", "things").unwrap();
+        let (rows, items, skipped) = row_mapping(&[&table], "item_id", "things").unwrap();
         assert_eq!(rows, vec![(0, 4)]);
         assert_eq!(items, vec![4]);
         assert_eq!(
@@ -402,7 +415,7 @@ mod tests {
         let table = table_with_ids(&[0, 1]);
         let columns = vec!["mystery".to_string()];
         let err = build_plan(PlanInputs {
-            table: &table,
+            parts: &[&table],
             table_name: "things",
             id_column: "item_id",
             columns: &columns,

@@ -115,62 +115,82 @@ pub fn execute_read_indexed(
     }
 }
 
-/// The outcome of a *snapshot* read: the rows answerable from the catalog
-/// as it is right now, with columns the schema does not (yet) contain
-/// served as `NULL` instead of erroring.
+/// The outcome of a `SELECT` over a table's partitions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotResult {
-    /// The rows and columns, shaped exactly like the eventual full answer.
+pub struct SelectResult {
+    /// The rows and columns.  Under snapshot semantics they are shaped
+    /// exactly like the eventual full answer.
     pub result: QueryResult,
-    /// The table row index behind each result row (parallel to
-    /// `result.rows`), as in [`execute_read_indexed`].
-    pub row_indices: Vec<usize>,
-    /// Projected columns that are absent from the schema (lower-cased) —
-    /// their cells are all `NULL` and a caller attaching provenance should
-    /// mark them as not-yet-expanded rather than stored.
+    /// The `(partition, row)` behind each result row (parallel to
+    /// `result.rows`): the partition's position in the slice the statement
+    /// ran on, and the row's index within that partition.
+    pub lineage: Vec<(usize, usize)>,
+    /// Referenced columns that are absent from the schema (lower-cased),
+    /// always empty under strict semantics.  Their cells are all `NULL`,
+    /// and a caller attaching provenance should mark them as
+    /// not-yet-expanded rather than stored.
     pub missing_columns: Vec<String>,
+    /// Rows the scan evaluated: every row of every partition it ran on.
+    pub rows_scanned: usize,
 }
 
-/// Executes a `SELECT` under snapshot semantics: any referenced column the
-/// schema does not contain evaluates to `NULL` (projection cells, `WHERE`
-/// predicates via [`crate::Expr::matches_lenient`], and `ORDER BY` keys
-/// alike) instead of failing the statement.
-///
-/// This is what lets a crowd-enabled database answer *immediately* from
-/// stored data while schema expansion for the missing attributes is still
-/// in flight: the snapshot has the same shape as the eventual answer, just
-/// with the unacquired cells empty, and predicates over missing columns
-/// reject rows exactly as they would over an existing-but-unfilled column.
+/// Executes a `SELECT` under snapshot semantics against a single-table
+/// catalog: the one-partition case of [`execute_select_partitions`] with
+/// `snapshot = true`.
 pub fn execute_select_snapshot(
     select: &SelectStatement,
     catalog: &Catalog,
-) -> Result<SnapshotResult> {
-    execute_select_core(select, catalog, true)
+) -> Result<SelectResult> {
+    let table = catalog.table(&select.table)?;
+    execute_select_partitions(select, &[table], true)
 }
 
-/// The one `SELECT` implementation behind both the strict and the snapshot
-/// path: scan, filter, order, limit, project.  `lenient` decides what a
-/// reference to a column absent from the schema means — a hard
-/// [`RelationalError::UnknownColumn`] (strict), or an all-`NULL` column
-/// recorded in [`SnapshotResult::missing_columns`] (snapshot).  One shared
-/// body keeps the two paths' ordering/limit/projection semantics from ever
-/// drifting apart: the streamed snapshot must have exactly the shape of
-/// the answer the strict executor later produces.
-fn execute_select_core(
+/// The one `SELECT` implementation: bind, scan, filter, order, limit,
+/// project — run in place over a table's partitions.
+///
+/// `parts` are the slices of one table in partition (`k`) order, each
+/// carrying the table's full schema; a table that is not partitioned is
+/// the one-slice case.  The answer — rows, their order, the order of rows
+/// with equal sort keys, and `LIMIT` — is exactly that over the slices
+/// concatenated in `k` order: matches are collected in `k` order, stably
+/// sorted on the `ORDER BY` key, then truncated.
+///
+/// Column references are bound to row positions once per statement.
+/// `snapshot` decides what a reference to a column absent from the schema
+/// means: a hard [`RelationalError::UnknownColumn`] (strict), or — the
+/// *snapshot* semantics — a constant `NULL` recorded in
+/// [`SelectResult::missing_columns`], in projection cells, `WHERE`
+/// predicates and `ORDER BY` keys alike.  Snapshot semantics let a
+/// crowd-enabled database answer *immediately* from stored data while
+/// schema expansion for the missing attributes is still in flight: the
+/// snapshot has the same shape as the eventual answer, just with the
+/// unacquired cells empty, and predicates over missing columns reject rows
+/// exactly as they would over an existing-but-unfilled column.  One shared
+/// body keeps the two semantics' ordering/limit/projection from ever
+/// drifting apart.
+pub fn execute_select_partitions(
     select: &SelectStatement,
-    catalog: &Catalog,
-    lenient: bool,
-) -> Result<SnapshotResult> {
-    let table = catalog.table(&select.table)?;
-    let schema = table.schema();
+    parts: &[&Table],
+    snapshot: bool,
+) -> Result<SelectResult> {
+    let first = parts.first().ok_or_else(|| {
+        RelationalError::InvalidStatement(format!("table {} has no partitions", select.table))
+    })?;
+    let schema = first.schema();
+    if parts.iter().any(|part| part.schema() != schema) {
+        return Err(RelationalError::InvalidStatement(format!(
+            "the partitions of table {} disagree on its schema",
+            first.name()
+        )));
+    }
 
-    // Resolve every referenced column up front (so unknown columns error —
+    // Bind every referenced column up front (so unknown columns error —
     // or register as missing — even for empty tables, deterministically).
     let mut missing_columns: Vec<String> = Vec::new();
     let mut resolve = |name: &str| -> Result<Option<usize>> {
         match schema.index_of(name) {
             Some(index) => Ok(Some(index)),
-            None if lenient => {
+            None if snapshot => {
                 let lower = name.to_lowercase();
                 if !missing_columns.contains(&lower) {
                     missing_columns.push(lower);
@@ -178,7 +198,7 @@ fn execute_select_core(
                 Ok(None)
             }
             None => Err(RelationalError::UnknownColumn {
-                table: table.name().to_string(),
+                table: first.name().to_string(),
                 column: name.to_lowercase(),
             }),
         }
@@ -195,38 +215,42 @@ fn execute_select_core(
             .map(|n| Ok((n.to_lowercase(), resolve(n)?)))
             .collect::<Result<Vec<_>>>()?,
     };
-    if let Some(filter) = &select.filter {
-        for column in filter.referenced_columns() {
-            resolve(&column)?;
-        }
-    }
+    let filter = select
+        .filter
+        .as_ref()
+        .map(|filter| filter.bind(&mut resolve))
+        .transpose()?;
     let order_index = match &select.order_by {
         Some(OrderBy { column, .. }) => resolve(column)?,
         None => None,
     };
 
-    // Scan and filter.  Under snapshot semantics a predicate over a
-    // missing column evaluates to NULL and rejects the row, as it would
-    // over an existing-but-unfilled column.
-    let mut matching: Vec<usize> = Vec::new();
-    for (i, row) in table.rows().iter().enumerate() {
-        let keep = match &select.filter {
-            Some(filter) if lenient => filter.matches_lenient(schema, row, table.name())?,
-            Some(filter) => filter.matches(schema, row, table.name())?,
-            None => true,
-        };
-        if keep {
-            matching.push(i);
+    // Scan and filter in `k` order.  Under snapshot semantics a predicate
+    // over a missing column is constant NULL and rejects every row, as it
+    // would over an existing-but-unfilled column.
+    let mut matching: Vec<(usize, usize)> = Vec::new();
+    let mut rows_scanned = 0;
+    for (k, part) in parts.iter().enumerate() {
+        rows_scanned += part.len();
+        for (i, row) in part.rows().iter().enumerate() {
+            let keep = match &filter {
+                Some(filter) => filter.matches(row)?,
+                None => true,
+            };
+            if keep {
+                matching.push((k, i));
+            }
         }
     }
+    let row_of = |(k, i): (usize, usize)| -> &[Value] { &parts[k].rows()[i] };
 
-    // Order.  A missing (snapshot-only) sort key is all-NULL, so the order
-    // is a no-op: the scan order is kept, which is also what
-    // NULLs-sort-equal would yield.
+    // Order (stable, so equal keys keep `k`-then-row order).  A missing
+    // (snapshot-only) sort key is all-NULL, so the order is a no-op: the
+    // scan order is kept, which is also what NULLs-sort-equal would yield.
     if let (Some(OrderBy { ascending, .. }), Some(col_idx)) = (&select.order_by, order_index) {
         matching.sort_by(|&a, &b| {
-            let va = &table.rows()[a][col_idx];
-            let vb = &table.rows()[b][col_idx];
+            let va = &row_of(a)[col_idx];
+            let vb = &row_of(b)[col_idx];
             // NULLs sort last regardless of direction.
             let ord = match (va.is_null(), vb.is_null()) {
                 (true, true) => std::cmp::Ordering::Equal,
@@ -251,25 +275,27 @@ fn execute_select_core(
     let columns: Vec<String> = projected.iter().map(|(n, _)| n.clone()).collect();
     let rows: Vec<Vec<Value>> = matching
         .iter()
-        .map(|&i| {
+        .map(|&at| {
+            let row = row_of(at);
             projected
                 .iter()
                 .map(|(_, index)| match index {
-                    Some(index) => table.rows()[i][*index].clone(),
+                    Some(index) => row[*index].clone(),
                     None => Value::Null,
                 })
                 .collect()
         })
         .collect();
 
-    Ok(SnapshotResult {
+    Ok(SelectResult {
         result: QueryResult {
             columns,
             rows,
             rows_affected: 0,
         },
-        row_indices: matching,
+        lineage: matching,
         missing_columns,
+        rows_scanned,
     })
 }
 
@@ -307,21 +333,14 @@ pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResu
 }
 
 fn matching_rows(table: &Table, filter: Option<&crate::expr::Expr>) -> Result<Vec<usize>> {
-    // Validate column references up front for a deterministic error.
-    if let Some(filter) = filter {
-        for column in filter.referenced_columns() {
-            if !table.schema().contains(&column) {
-                return Err(RelationalError::UnknownColumn {
-                    table: table.name().to_string(),
-                    column,
-                });
-            }
-        }
-    }
+    // Bind up front for a deterministic error, even on an empty table.
+    let filter = filter
+        .map(|filter| filter.bind_to(table.schema(), table.name(), false))
+        .transpose()?;
     let mut matching = Vec::new();
     for (i, row) in table.rows().iter().enumerate() {
-        let keep = match filter {
-            Some(f) => f.matches(table.schema(), row, table.name())?,
+        let keep = match &filter {
+            Some(f) => f.matches(row)?,
             None => true,
         };
         if keep {
@@ -348,18 +367,27 @@ fn execute_update(
         }
     }
     let matching = matching_rows(table, filter)?;
+    // The assigned expressions are bound only once some row needs them,
+    // so an UPDATE matching nothing never fails on them.
+    let bound = if matching.is_empty() {
+        Vec::new()
+    } else {
+        assignments
+            .iter()
+            .map(|(column, expr)| Ok((column, expr.bind_to(table.schema(), table.name(), false)?)))
+            .collect::<Result<Vec<_>>>()?
+    };
     let mut updated = 0;
     for &row_index in &matching {
         // Evaluate all assignment expressions against the *current* row
         // before applying any of them, so `SET a = b, b = a` behaves sanely.
-        let row = table.row(row_index).expect("row index from scan").to_vec();
-        let mut new_values = Vec::with_capacity(assignments.len());
-        for (column, expr) in assignments {
-            let value = expr.evaluate(table.schema(), &row, table.name())?;
-            new_values.push((column.clone(), value));
+        let row = table.row(row_index).expect("row index from scan");
+        let mut new_values = Vec::with_capacity(bound.len());
+        for (column, expr) in &bound {
+            new_values.push((*column, expr.evaluate(row)?.into_owned()));
         }
         for (column, value) in new_values {
-            table.set_value(row_index, &column, value)?;
+            table.set_value(row_index, column, value)?;
         }
         updated += 1;
     }
@@ -396,12 +424,10 @@ pub fn execute_select_indexed(
     select: &SelectStatement,
     catalog: &Catalog,
 ) -> Result<(QueryResult, Vec<usize>)> {
-    let snapshot = execute_select_core(select, catalog, false)?;
-    debug_assert!(
-        snapshot.missing_columns.is_empty(),
-        "the strict path errors on unknown columns instead of recording them"
-    );
-    Ok((snapshot.result, snapshot.row_indices))
+    let table = catalog.table(&select.table)?;
+    let selected = execute_select_partitions(select, &[table], false)?;
+    let rows = selected.lineage.into_iter().map(|(_, row)| row).collect();
+    Ok((selected.result, rows))
 }
 
 fn execute_insert(
@@ -829,7 +855,7 @@ mod tests {
         assert_eq!(snapshot.missing_columns, vec!["is_comedy"]);
         assert_eq!(snapshot.result.rows.len(), 3);
         assert!(snapshot.result.rows.iter().all(|row| row[1] == Value::Null));
-        assert_eq!(snapshot.result.rows.len(), snapshot.row_indices.len());
+        assert_eq!(snapshot.result.rows.len(), snapshot.lineage.len());
 
         // A predicate over the missing column rejects all rows…
         let select = match parse("SELECT name FROM movies WHERE is_comedy = true").unwrap() {
@@ -865,7 +891,8 @@ mod tests {
         assert!(snapshot.missing_columns.is_empty());
         let (strict, indices) = execute_select_indexed(&select, &catalog).unwrap();
         assert_eq!(snapshot.result, strict);
-        assert_eq!(snapshot.row_indices, indices);
+        let rows: Vec<usize> = snapshot.lineage.iter().map(|&(_, row)| row).collect();
+        assert_eq!(rows, indices);
     }
 
     #[test]
@@ -885,6 +912,78 @@ mod tests {
         let analysis = analyze(&stmt, &catalog).unwrap();
         assert_eq!(analysis.table.as_deref(), Some("movies"));
         assert_eq!(analysis.missing_columns, vec!["is_comedy"]);
+    }
+
+    #[test]
+    fn integer_overflow_in_a_predicate_is_an_error() {
+        let mut catalog = setup();
+        let err = execute(
+            &parse("SELECT id FROM movies WHERE id * 9223372036854775807 > 0").unwrap(),
+            &mut catalog,
+        )
+        .unwrap_err();
+        assert_eq!(err, RelationalError::Evaluation("integer overflow".into()));
+    }
+
+    #[test]
+    fn partitions_answer_like_their_concatenation() {
+        let catalog = setup();
+        let whole = catalog.table("movies").unwrap();
+        // Split the rows round-robin into three slices, each with the full
+        // schema, and add tied sort keys so stability shows.
+        let mut parts: Vec<Table> = (0..3)
+            .map(|_| Table::new("movies", whole.schema().clone()))
+            .collect();
+        let mut merged = Table::new("movies", whole.schema().clone());
+        let mut rows: Vec<Vec<Value>> = whole.rows().to_vec();
+        for id in 5..12 {
+            rows.push(vec![
+                Value::Integer(id),
+                Value::from(format!("tie {id}")),
+                Value::Integer(1990),
+                Value::Float(7.5),
+            ]);
+        }
+        for (i, row) in rows.iter().enumerate() {
+            parts[i % 3].insert_row(row.clone()).unwrap();
+        }
+        for part in &parts {
+            for row in part.rows() {
+                merged.insert_row(row.clone()).unwrap();
+            }
+        }
+        let refs: Vec<&Table> = parts.iter().collect();
+        for sql in [
+            "SELECT * FROM movies",
+            "SELECT name FROM movies ORDER BY rating DESC LIMIT 6",
+            "SELECT name, year FROM movies WHERE year >= 1976 ORDER BY year",
+            "SELECT id FROM movies LIMIT 4",
+            "SELECT name, humor FROM movies WHERE humor = 1 OR id > 6 ORDER BY humor",
+        ] {
+            let Statement::Select(select) = parse(sql).unwrap() else {
+                panic!("{sql} is a SELECT");
+            };
+            let split = execute_select_partitions(&select, &refs, true).unwrap();
+            let single = execute_select_partitions(&select, &[&merged], true).unwrap();
+            assert_eq!(split.result, single.result, "{sql}");
+            assert_eq!(split.missing_columns, single.missing_columns, "{sql}");
+            assert_eq!(split.rows_scanned, rows.len(), "{sql}");
+            // Lineage points at the row each result row was projected from.
+            for (&(k, i), &(_, j)) in split.lineage.iter().zip(&single.lineage) {
+                assert_eq!(parts[k].rows()[i], merged.rows()[j], "{sql}");
+            }
+        }
+        // No partitions, or partitions that disagree on the schema, are
+        // refused rather than answered.
+        let Statement::Select(select) = parse("SELECT * FROM movies").unwrap() else {
+            unreachable!()
+        };
+        assert!(execute_select_partitions(&select, &[], false).is_err());
+        let other = Table::new(
+            "movies",
+            Schema::new(vec![Column::new("id", DataType::Integer)]).unwrap(),
+        );
+        assert!(execute_select_partitions(&select, &[&parts[0], &other], false).is_err());
     }
 
     #[test]

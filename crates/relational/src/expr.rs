@@ -5,12 +5,13 @@
 //! the Kleene truth tables, and a `WHERE` predicate only accepts rows whose
 //! predicate evaluates to *true* (not to `NULL`).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
-use crate::schema::Schema;
+use crate::schema::{Column, Schema};
 use crate::value::Value;
 use crate::Result;
 
@@ -128,9 +129,88 @@ impl Expr {
         }
     }
 
+    /// The integer `v` when this predicate can only hold for rows whose
+    /// `column` equals `v`: some top-level `AND` term is `c = v` or
+    /// `v = c`, with `c` naming the column and `v` an integer literal.  Any
+    /// other literal type or predicate shape yields `None`.
+    pub fn pinned_integer(&self, column: &Column) -> Option<i64> {
+        match self {
+            Expr::BinaryOp {
+                left,
+                op: BinaryOperator::And,
+                right,
+            } => left
+                .pinned_integer(column)
+                .or_else(|| right.pinned_integer(column)),
+            Expr::BinaryOp {
+                left,
+                op: BinaryOperator::Eq,
+                right,
+            } => match (left.as_ref(), right.as_ref()) {
+                (Expr::Column(name), Expr::Literal(Value::Integer(v)))
+                | (Expr::Literal(Value::Integer(v)), Expr::Column(name))
+                    if column.is_named(name) =>
+                {
+                    Some(*v)
+                }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Resolves every column reference to its position in a row, so the
+    /// result evaluates without name lookups.  `resolve` maps a column
+    /// name to `Some(index)`, to `None` for a column that reads as `NULL`
+    /// (snapshot semantics), or to an error; references resolve in
+    /// first-appearance order, left operand first.
+    pub(crate) fn bind<F>(&self, resolve: &mut F) -> Result<BoundExpr>
+    where
+        F: FnMut(&str) -> Result<Option<usize>>,
+    {
+        Ok(match self {
+            Expr::Column(name) => match resolve(name)? {
+                Some(index) => BoundExpr::Column(index),
+                None => BoundExpr::Literal(Value::Null),
+            },
+            Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+            Expr::BinaryOp { left, op, right } => BoundExpr::BinaryOp {
+                left: Box::new(left.bind(resolve)?),
+                op: *op,
+                right: Box::new(right.bind(resolve)?),
+            },
+            Expr::UnaryOp { op, expr } => BoundExpr::UnaryOp {
+                op: *op,
+                expr: Box::new(expr.bind(resolve)?),
+            },
+            Expr::IsNull(expr) => BoundExpr::IsNull(Box::new(expr.bind(resolve)?)),
+            Expr::IsNotNull(expr) => BoundExpr::IsNotNull(Box::new(expr.bind(resolve)?)),
+        })
+    }
+
+    /// [`bind`](Expr::bind) against a schema: an unknown column is a
+    /// [`RelationalError::UnknownColumn`] of `table_name`, or — when
+    /// `lenient` — a constant `NULL`.
+    pub(crate) fn bind_to(
+        &self,
+        schema: &Schema,
+        table_name: &str,
+        lenient: bool,
+    ) -> Result<BoundExpr> {
+        self.bind(&mut |name: &str| match schema.index_of(name) {
+            Some(index) => Ok(Some(index)),
+            None if lenient => Ok(None),
+            None => Err(RelationalError::UnknownColumn {
+                table: table_name.to_string(),
+                column: name.to_lowercase(),
+            }),
+        })
+    }
+
     /// Evaluates the expression against one row.
     pub fn evaluate(&self, schema: &Schema, row: &[Value], table_name: &str) -> Result<Value> {
-        self.evaluate_inner(schema, row, table_name, false)
+        let bound = self.bind_to(schema, table_name, false)?;
+        Ok(bound.evaluate(row)?.into_owned())
     }
 
     /// Like [`evaluate`](Expr::evaluate), but references to columns absent
@@ -147,75 +227,15 @@ impl Expr {
         row: &[Value],
         table_name: &str,
     ) -> Result<Value> {
-        self.evaluate_inner(schema, row, table_name, true)
-    }
-
-    fn evaluate_inner(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        table_name: &str,
-        lenient: bool,
-    ) -> Result<Value> {
-        match self {
-            Expr::Column(name) => match schema.index_of(name) {
-                Some(idx) => Ok(row[idx].clone()),
-                None if lenient => Ok(Value::Null),
-                None => Err(RelationalError::UnknownColumn {
-                    table: table_name.to_string(),
-                    column: name.to_lowercase(),
-                }),
-            },
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::BinaryOp { left, op, right } => {
-                let l = left.evaluate_inner(schema, row, table_name, lenient)?;
-                let r = right.evaluate_inner(schema, row, table_name, lenient)?;
-                evaluate_binary(&l, *op, &r)
-            }
-            Expr::UnaryOp { op, expr } => {
-                let v = expr.evaluate_inner(schema, row, table_name, lenient)?;
-                match op {
-                    UnaryOperator::Not => Ok(match v {
-                        Value::Null => Value::Null,
-                        Value::Boolean(b) => Value::Boolean(!b),
-                        other => {
-                            return Err(RelationalError::Evaluation(format!(
-                                "NOT applied to non-boolean value {other}"
-                            )))
-                        }
-                    }),
-                    UnaryOperator::Negate => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Integer(i) => Ok(Value::Integer(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(RelationalError::Evaluation(format!(
-                            "cannot negate non-numeric value {other}"
-                        ))),
-                    },
-                }
-            }
-            Expr::IsNull(expr) => {
-                let v = expr.evaluate_inner(schema, row, table_name, lenient)?;
-                Ok(Value::Boolean(v.is_null()))
-            }
-            Expr::IsNotNull(expr) => {
-                let v = expr.evaluate_inner(schema, row, table_name, lenient)?;
-                Ok(Value::Boolean(!v.is_null()))
-            }
-        }
+        let bound = self.bind_to(schema, table_name, true)?;
+        Ok(bound.evaluate(row)?.into_owned())
     }
 
     /// Evaluates the expression as a predicate: `true` only when the result
     /// is the boolean `true` (SQL `WHERE` semantics — `NULL` rejects the
     /// row).
     pub fn matches(&self, schema: &Schema, row: &[Value], table_name: &str) -> Result<bool> {
-        match self.evaluate(schema, row, table_name)? {
-            Value::Boolean(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(RelationalError::Evaluation(format!(
-                "WHERE predicate evaluated to non-boolean value {other}"
-            ))),
-        }
+        self.bind_to(schema, table_name, false)?.matches(row)
     }
 
     /// [`matches`](Expr::matches) under [`evaluate_lenient`]'s
@@ -230,117 +250,250 @@ impl Expr {
         row: &[Value],
         table_name: &str,
     ) -> Result<bool> {
-        match self.evaluate_lenient(schema, row, table_name)? {
-            Value::Boolean(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(RelationalError::Evaluation(format!(
+        self.bind_to(schema, table_name, true)?.matches(row)
+    }
+}
+
+/// An [`Expr`] whose column references are row positions (see
+/// [`Expr::bind`]): the form the executor evaluates, once per row.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum BoundExpr {
+    /// The value at this position of the row.
+    Column(usize),
+    /// A constant (a column bound under snapshot semantics to `NULL`, too).
+    Literal(Value),
+    /// A binary operation.
+    BinaryOp {
+        /// Left operand.
+        left: Box<BoundExpr>,
+        /// Operator.
+        op: BinaryOperator,
+        /// Right operand.
+        right: Box<BoundExpr>,
+    },
+    /// A unary operation.
+    UnaryOp {
+        /// Operator.
+        op: UnaryOperator,
+        /// Operand.
+        expr: Box<BoundExpr>,
+    },
+    /// `expr IS NULL`
+    IsNull(Box<BoundExpr>),
+    /// `expr IS NOT NULL`
+    IsNotNull(Box<BoundExpr>),
+}
+
+impl BoundExpr {
+    /// Evaluates the expression against one row.  Column and literal
+    /// operands are borrowed, not cloned.
+    #[inline]
+    pub(crate) fn evaluate<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Column(index) => Ok(Cow::Borrowed(&row[*index])),
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            operator => operator.evaluate_operator(row),
+        }
+    }
+
+    /// [`evaluate`](BoundExpr::evaluate) for the operator nodes, kept out
+    /// of line so column and literal operands inline into their callers.
+    fn evaluate_operator<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Column(_) | BoundExpr::Literal(_) => self.evaluate(row),
+            BoundExpr::BinaryOp { left, op, right } if op.is_arithmetic() => {
+                let l = left.evaluate(row)?;
+                let r = right.evaluate(row)?;
+                arithmetic(&l, *op, &r).map(Cow::Owned)
+            }
+            BoundExpr::UnaryOp {
+                op: UnaryOperator::Negate,
+                expr,
+            } => {
+                let v = expr.evaluate(row)?;
+                negate(&v).map(Cow::Owned)
+            }
+            predicate => {
+                let truth = predicate.truth(row, logical_non_boolean)?;
+                Ok(Cow::Owned(truth.map_or(Value::Null, Value::Boolean)))
+            }
+        }
+    }
+
+    /// Evaluates the expression as a `WHERE` predicate: `true` only when
+    /// the result is the boolean `true` (`NULL` rejects the row).
+    pub(crate) fn matches(&self, row: &[Value]) -> Result<bool> {
+        Ok(self.truth(row, |other| {
+            RelationalError::Evaluation(format!(
                 "WHERE predicate evaluated to non-boolean value {other}"
-            ))),
+            ))
+        })? == Some(true))
+    }
+
+    /// The three-valued truth of the expression on one row: `Some(b)` for
+    /// a boolean, `None` for `NULL`.  Comparisons and the logical
+    /// operators decide it without building intermediate values; any
+    /// other expression is evaluated, and a non-boolean result is the
+    /// error `non_boolean` builds.
+    fn truth(
+        &self,
+        row: &[Value],
+        non_boolean: fn(&Value) -> RelationalError,
+    ) -> Result<Option<bool>> {
+        match self {
+            BoundExpr::BinaryOp {
+                left,
+                op: op @ (BinaryOperator::And | BinaryOperator::Or),
+                right,
+            } => {
+                let l = left.truth(row, logical_non_boolean)?;
+                let r = right.truth(row, logical_non_boolean)?;
+                Ok(if *op == BinaryOperator::And {
+                    kleene_and(l, r)
+                } else {
+                    kleene_or(l, r)
+                })
+            }
+            BoundExpr::BinaryOp { left, op, right } if !op.is_arithmetic() => {
+                let l = left.evaluate(row)?;
+                let r = right.evaluate(row)?;
+                compare(&l, *op, &r)
+            }
+            BoundExpr::UnaryOp {
+                op: UnaryOperator::Not,
+                expr,
+            } => Ok(expr
+                .truth(row, |other| {
+                    RelationalError::Evaluation(format!("NOT applied to non-boolean value {other}"))
+                })?
+                .map(|b| !b)),
+            BoundExpr::IsNull(expr) => Ok(Some(expr.evaluate(row)?.is_null())),
+            BoundExpr::IsNotNull(expr) => Ok(Some(!expr.evaluate(row)?.is_null())),
+            value => match value.evaluate(row)?.as_ref() {
+                Value::Null => Ok(None),
+                Value::Boolean(b) => Ok(Some(*b)),
+                other => Err(non_boolean(other)),
+            },
         }
     }
 }
 
-fn evaluate_binary(left: &Value, op: BinaryOperator, right: &Value) -> Result<Value> {
+impl BinaryOperator {
+    /// True for `+`, `-`, `*` and `/`; the other operators yield booleans.
+    fn is_arithmetic(self) -> bool {
+        matches!(
+            self,
+            BinaryOperator::Plus
+                | BinaryOperator::Minus
+                | BinaryOperator::Multiply
+                | BinaryOperator::Divide
+        )
+    }
+}
+
+fn kleene_and(left: Option<bool>, right: Option<bool>) -> Option<bool> {
+    match (left, right) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+fn kleene_or(left: Option<bool>, right: Option<bool>) -> Option<bool> {
+    match (left, right) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
+    }
+}
+
+fn logical_non_boolean(other: &Value) -> RelationalError {
+    RelationalError::Evaluation(format!(
+        "logical operator applied to non-boolean value {other}"
+    ))
+}
+
+/// A comparison's three-valued truth: `NULL` on either side yields `None`.
+fn compare(left: &Value, op: BinaryOperator, right: &Value) -> Result<Option<bool>> {
     use BinaryOperator::*;
-    match op {
-        And => Ok(kleene_and(left, right)?),
-        Or => Ok(kleene_or(left, right)?),
-        Eq | NotEq => {
-            let eq = left.sql_eq(right);
-            Ok(match eq {
-                None => Value::Null,
-                Some(v) => Value::Boolean(if op == Eq { v } else { !v }),
-            })
-        }
-        Lt | LtEq | Gt | GtEq => {
-            if left.is_null() || right.is_null() {
-                return Ok(Value::Null);
-            }
-            let ord = left.compare(right).ok_or_else(|| {
-                RelationalError::Evaluation(format!("cannot compare {left} with {right}"))
-            })?;
-            let result = match op {
-                Lt => ord == Ordering::Less,
-                LtEq => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                GtEq => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Boolean(result))
-        }
-        Plus | Minus | Multiply | Divide => {
-            if left.is_null() || right.is_null() {
-                return Ok(Value::Null);
-            }
-            // Integer arithmetic stays integral except for division.
-            if let (Value::Integer(a), Value::Integer(b)) = (left, right) {
-                return Ok(match op {
-                    Plus => Value::Integer(a + b),
-                    Minus => Value::Integer(a - b),
-                    Multiply => Value::Integer(a * b),
-                    Divide => {
-                        if *b == 0 {
-                            return Err(RelationalError::Evaluation("division by zero".into()));
-                        }
-                        Value::Float(*a as f64 / *b as f64)
-                    }
-                    _ => unreachable!(),
-                });
-            }
-            let a = left.as_f64().ok_or_else(|| {
-                RelationalError::Evaluation(format!("arithmetic on non-numeric value {left}"))
-            })?;
-            let b = right.as_f64().ok_or_else(|| {
-                RelationalError::Evaluation(format!("arithmetic on non-numeric value {right}"))
-            })?;
-            Ok(match op {
-                Plus => Value::Float(a + b),
-                Minus => Value::Float(a - b),
-                Multiply => Value::Float(a * b),
-                Divide => {
-                    if b == 0.0 {
-                        return Err(RelationalError::Evaluation("division by zero".into()));
-                    }
-                    Value::Float(a / b)
-                }
-                _ => unreachable!(),
-            })
-        }
+    if let Eq | NotEq = op {
+        return Ok(left.sql_eq(right).map(|eq| eq == (op == Eq)));
     }
+    if left.is_null() || right.is_null() {
+        return Ok(None);
+    }
+    let ord = left.compare(right).ok_or_else(|| {
+        RelationalError::Evaluation(format!("cannot compare {left} with {right}"))
+    })?;
+    Ok(Some(match op {
+        Lt => ord == Ordering::Less,
+        LtEq => ord != Ordering::Greater,
+        Gt => ord == Ordering::Greater,
+        GtEq => ord != Ordering::Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }))
 }
 
-fn as_kleene(v: &Value) -> Result<Option<bool>> {
+fn negate(v: &Value) -> Result<Value> {
     match v {
-        Value::Null => Ok(None),
-        Value::Boolean(b) => Ok(Some(*b)),
+        Value::Null => Ok(Value::Null),
+        Value::Integer(i) => i.checked_neg().map(Value::Integer).ok_or_else(overflow),
+        Value::Float(f) => Ok(Value::Float(-f)),
         other => Err(RelationalError::Evaluation(format!(
-            "logical operator applied to non-boolean value {other}"
+            "cannot negate non-numeric value {other}"
         ))),
     }
 }
 
-fn kleene_and(left: &Value, right: &Value) -> Result<Value> {
-    let (l, r) = (as_kleene(left)?, as_kleene(right)?);
-    Ok(match (l, r) {
-        (Some(false), _) | (_, Some(false)) => Value::Boolean(false),
-        (Some(true), Some(true)) => Value::Boolean(true),
-        _ => Value::Null,
-    })
+fn overflow() -> RelationalError {
+    RelationalError::Evaluation("integer overflow".into())
 }
 
-fn kleene_or(left: &Value, right: &Value) -> Result<Value> {
-    let (l, r) = (as_kleene(left)?, as_kleene(right)?);
-    Ok(match (l, r) {
-        (Some(true), _) | (_, Some(true)) => Value::Boolean(true),
-        (Some(false), Some(false)) => Value::Boolean(false),
-        _ => Value::Null,
+/// `+`, `-`, `*` and `/`.  Integer arithmetic stays integral, and
+/// overflowing it is an error, except for division, which yields a float.
+fn arithmetic(left: &Value, op: BinaryOperator, right: &Value) -> Result<Value> {
+    use BinaryOperator::*;
+    if left.is_null() || right.is_null() {
+        return Ok(Value::Null);
+    }
+    if let (Value::Integer(a), Value::Integer(b)) = (left, right) {
+        let checked = match op {
+            Plus => a.checked_add(*b),
+            Minus => a.checked_sub(*b),
+            Multiply => a.checked_mul(*b),
+            Divide => {
+                if *b == 0 {
+                    return Err(RelationalError::Evaluation("division by zero".into()));
+                }
+                return Ok(Value::Float(*a as f64 / *b as f64));
+            }
+            _ => unreachable!("{op:?} is not arithmetic"),
+        };
+        return checked.map(Value::Integer).ok_or_else(overflow);
+    }
+    let a = left.as_f64().ok_or_else(|| {
+        RelationalError::Evaluation(format!("arithmetic on non-numeric value {left}"))
+    })?;
+    let b = right.as_f64().ok_or_else(|| {
+        RelationalError::Evaluation(format!("arithmetic on non-numeric value {right}"))
+    })?;
+    Ok(match op {
+        Plus => Value::Float(a + b),
+        Minus => Value::Float(a - b),
+        Multiply => Value::Float(a * b),
+        Divide => {
+            if b == 0.0 {
+                return Err(RelationalError::Evaluation("division by zero".into()));
+            }
+            Value::Float(a / b)
+        }
+        _ => unreachable!("{op:?} is not arithmetic"),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
     use crate::value::DataType;
 
     fn schema() -> Schema {
@@ -518,6 +671,99 @@ mod tests {
             expr: Box::new(Expr::column("name")),
         };
         assert!(neg_bad.evaluate(&s, &r, "t").is_err());
+    }
+
+    fn assert_overflows(expr: Expr) {
+        let err = expr.evaluate(&schema(), &row(), "t").unwrap_err();
+        assert_eq!(err, RelationalError::Evaluation("integer overflow".into()));
+    }
+
+    #[test]
+    fn integer_addition_overflow_is_an_error() {
+        assert_overflows(Expr::binary(
+            Expr::literal(i64::MAX),
+            BinaryOperator::Plus,
+            Expr::column("id"),
+        ));
+    }
+
+    #[test]
+    fn integer_subtraction_overflow_is_an_error() {
+        assert_overflows(Expr::binary(
+            Expr::literal(i64::MIN),
+            BinaryOperator::Minus,
+            Expr::column("id"),
+        ));
+    }
+
+    #[test]
+    fn integer_multiplication_overflow_is_an_error() {
+        assert_overflows(Expr::binary(
+            Expr::binary(
+                Expr::column("id"),
+                BinaryOperator::Plus,
+                Expr::literal(1i64),
+            ),
+            BinaryOperator::Multiply,
+            Expr::literal(i64::MAX),
+        ));
+    }
+
+    #[test]
+    fn integer_negation_overflow_is_an_error() {
+        assert_overflows(Expr::UnaryOp {
+            op: UnaryOperator::Negate,
+            expr: Box::new(Expr::literal(i64::MIN)),
+        });
+    }
+
+    #[test]
+    fn pinned_integer_finds_top_level_id_equalities() {
+        let id = Column::new("id", DataType::Integer);
+        let eq = |left: Expr, right: Expr| Expr::binary(left, BinaryOperator::Eq, right);
+        let pinned = |e: &Expr| e.pinned_integer(&id);
+        assert_eq!(
+            pinned(&eq(Expr::column("ID"), Expr::literal(5i64))),
+            Some(5)
+        );
+        assert_eq!(
+            pinned(&eq(Expr::literal(5i64), Expr::column("id"))),
+            Some(5)
+        );
+        let and = Expr::binary(
+            Expr::binary(
+                Expr::column("humor"),
+                BinaryOperator::Gt,
+                Expr::literal(1i64),
+            ),
+            BinaryOperator::And,
+            eq(Expr::column("id"), Expr::literal(7i64)),
+        );
+        assert_eq!(pinned(&and), Some(7));
+        // Other literal types, other columns, OR, NOT and comparisons do
+        // not pin the id.
+        for e in [
+            eq(Expr::column("id"), Expr::literal(5.0)),
+            eq(Expr::column("id"), Expr::literal("5")),
+            eq(Expr::column("id"), Expr::Literal(Value::Null)),
+            eq(Expr::column("humor"), Expr::literal(5i64)),
+            Expr::binary(
+                eq(Expr::column("id"), Expr::literal(5i64)),
+                BinaryOperator::Or,
+                eq(Expr::column("id"), Expr::literal(9i64)),
+            ),
+            Expr::UnaryOp {
+                op: UnaryOperator::Not,
+                expr: Box::new(eq(Expr::column("id"), Expr::literal(5i64))),
+            },
+            Expr::binary(
+                Expr::column("id"),
+                BinaryOperator::GtEq,
+                Expr::literal(5i64),
+            ),
+        ] {
+            assert_eq!(pinned(&e), None, "{e:?}");
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ impl Column {
             ..Column::new(name, data_type)
         }
     }
+
+    /// True when `name` refers to this column, that is when
+    /// `name.to_lowercase()` equals the stored name — decided without
+    /// allocating.
+    pub(crate) fn is_named(&self, name: &str) -> bool {
+        lowercases_to(name, &self.name)
+    }
 }
 
 /// An ordered list of columns.
@@ -78,10 +85,10 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Index of a column by (case-insensitive) name.
+    /// Index of a column by (case-insensitive) name: the column whose
+    /// stored name equals `name.to_lowercase()`, found without allocating.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        let lower = name.to_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns.iter().position(|c| c.is_named(name))
     }
 
     /// Column by (case-insensitive) name.
@@ -109,9 +116,59 @@ impl Schema {
     }
 }
 
+/// True when `name.to_lowercase() == lower`.  ASCII names compare byte by
+/// byte and other names char by char through `char::to_lowercase`; only a
+/// capital sigma, whose lower case depends on its position in the word,
+/// takes `str::to_lowercase`'s allocating path.
+fn lowercases_to(name: &str, lower: &str) -> bool {
+    if name.is_ascii() {
+        return name.len() == lower.len()
+            && name
+                .bytes()
+                .zip(lower.bytes())
+                .all(|(n, l)| n.to_ascii_lowercase() == l);
+    }
+    if name.contains('Σ') {
+        return name.to_lowercase() == lower;
+    }
+    name.chars().flat_map(char::to_lowercase).eq(lower.chars())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_of_matches_unicode_lowercasing() {
+        let schema = Schema::new(vec![
+            Column::new("Is_Comedy", DataType::Boolean),
+            Column::new("Größe", DataType::Float),
+            Column::new("ΟΔΟΣ", DataType::Text),
+            Column::new("İd", DataType::Integer),
+        ])
+        .unwrap();
+        assert_eq!(schema.index_of("is_comedy"), Some(0));
+        assert_eq!(schema.index_of("IS_COMEDY"), Some(0));
+        assert_eq!(schema.index_of("is_comedy_"), None);
+        assert_eq!(schema.index_of("GRÖßE"), Some(1));
+        assert_eq!(schema.index_of("größe"), Some(1));
+        // `ß` upper-cases to "SS", but "SS" lower-cases to "ss", not `ß`.
+        assert_eq!(schema.index_of("GRÖSSE"), None);
+        // A word-final capital sigma lower-cases to the final form `ς`.
+        assert_eq!(schema.index_of("ΟΔΟΣ"), Some(2));
+        assert_eq!(schema.index_of("οδος"), Some(2));
+        assert_eq!(schema.index_of("οδοσ"), None);
+        // `İ` lower-cases to two chars ("i" plus a combining dot).
+        assert_eq!(schema.index_of("İD"), Some(3));
+        assert_eq!(schema.index_of("id"), None);
+        for name in ["Is_Comedy", "GRÖßE", "ΟΔΟΣ", "İD", "ΣΟΦΙΑ", "x", ""] {
+            let expected = schema
+                .columns()
+                .iter()
+                .position(|c| c.name == name.to_lowercase());
+            assert_eq!(schema.index_of(name), expected, "{name}");
+        }
+    }
 
     #[test]
     fn column_constructors_normalize_names() {

@@ -109,6 +109,7 @@ impl Value {
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Integer(a), Value::Integer(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Boolean(a), Value::Boolean(b)) => Some(a.cmp(b)),
             _ => {
