@@ -35,8 +35,9 @@
 //! root.  The regression-guarded fields are the deterministic ones — rows
 //! written, archive sizes, seeded crowd dollars of a four-table concurrent
 //! expansion, its missing-cell count, and the `*_partition` counts of the
-//! giant-table scenario; the wall-clock fields (`*_ms`, the speedups) are
-//! recorded for the acceptance trail but deliberately not guarded.
+//! giant-table scenario (including the rows one routed point read scans);
+//! the wall-clock fields (`*_ms`, the speedups) are recorded for the
+//! acceptance trail but deliberately not guarded.
 //!
 //! Run with `cargo bench -p bench --bench shard_throughput`; pass
 //! `-- --test` for the CI smoke mode (same JSON, criterion timing loop
@@ -317,6 +318,32 @@ fn timed_giant_workload(partitions: usize, tag: &str) -> Duration {
     elapsed
 }
 
+/// The `crowddb_rows_scanned_total` delta of one routed point read on the
+/// giant partitioned table: the routed partition's key index hands the
+/// filter only the rows holding the id, so one row, not a partition.
+fn point_read_rows_scanned() -> u64 {
+    let dir = scratch_dir("point-read");
+    let db = open_giant(&dir, PARTITIONS, false);
+    let scanned = || {
+        db.metrics_snapshot()
+            .value("crowddb_rows_scanned_total", &[])
+            .expect("the engine registers its scan counter")
+    };
+    let before = scanned();
+    let rows = db
+        .execute(&format!(
+            "SELECT item_id, body FROM giant WHERE item_id = {}",
+            GIANT_ROWS / 2
+        ))
+        .unwrap()
+        .rows;
+    assert_eq!(rows.len(), 1);
+    let delta = scanned() - before;
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    delta as u64
+}
+
 /// Reopen wall-clock of the giant partitioned table with its full
 /// creation still in the WAL: recovery fans out across the partitions of
 /// this *one* table (serial = 1 worker).
@@ -447,7 +474,7 @@ struct Timings {
     partition_recovery_parallel: Duration,
 }
 
-fn write_report(costs: &ExpansionCosts, timings: &Timings) {
+fn write_report(costs: &ExpansionCosts, point_read_rows_scanned: u64, timings: &Timings) {
     // CARGO_MANIFEST_DIR is crates/bench; the report belongs at the
     // workspace root regardless of where cargo runs the bench binary.
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -467,6 +494,7 @@ fn write_report(costs: &ExpansionCosts, timings: &Timings) {
          \"count_partition\": {},\n  \
          \"giant_rows_partition\": {},\n  \
          \"rows_written_partition\": {},\n  \
+         \"point_read_rows_scanned_partition\": {},\n  \
          \"sharded_ms\": {:.2},\n  \"pre_shard_ms\": {:.2},\n  \
          \"speedup_sharded_over_pre_shard\": {:.2},\n  \
          \"recovery_serial_ms\": {:.2},\n  \"recovery_parallel_ms\": {:.2},\n  \
@@ -485,6 +513,7 @@ fn write_report(costs: &ExpansionCosts, timings: &Timings) {
         PARTITIONS,
         GIANT_ROWS,
         PARTITION_ROWS_WRITTEN,
+        point_read_rows_scanned,
         timings.sharded.as_secs_f64() * 1e3,
         timings.pre_shard.as_secs_f64() * 1e3,
         speedup,
@@ -537,6 +566,7 @@ fn main() {
         measure_partition_recovery(repetitions);
     write_report(
         &costs,
+        point_read_rows_scanned(),
         &Timings {
             sharded,
             pre_shard,

@@ -75,6 +75,7 @@ const SHARD_FIELDS: &[&str] = &[
     "count_partition",
     "giant_rows_partition",
     "rows_written_partition",
+    "point_read_rows_scanned_partition",
 ];
 
 /// Numeric comparisons use an epsilon: the reports print floats with fixed

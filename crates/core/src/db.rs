@@ -515,29 +515,38 @@ struct Shard {
     /// One single-table catalog per partition, in `k` order.  Always at
     /// least one entry; `parts.len() == spec.partition_count()`.
     parts: Vec<RwLock<Catalog>>,
-    /// The id column, when the table is partitioned and the column is
-    /// declared `INTEGER`: only then does an integer literal name the one
-    /// partition its rows live in.  Fixed for the table's lifetime —
+    /// The table's id column as its schema declared it at creation
+    /// (`None` when the table has none).  Fixed for the table's lifetime —
     /// columns are never renamed or retyped.
-    routing_column: Option<Column>,
+    id_column: Option<Column>,
 }
 
 impl Shard {
     /// Wraps a fully built table in a single-partition shard.
-    fn of_table(table: Table) -> Arc<Shard> {
-        Shard::partitioned(PartitionSpec::Single, vec![table], None)
+    fn of_table(table: Table, id_column: &str) -> Arc<Shard> {
+        Shard::partitioned(PartitionSpec::Single, vec![table], id_column)
     }
 
     /// Builds a shard from per-partition table slices (one per partition
     /// of `spec`, in `k` order — see
-    /// [`persist::split_table_by_partition`]) routed by `id_column`.
-    fn partitioned(spec: PartitionSpec, slices: Vec<Table>, id_column: Option<&str>) -> Arc<Shard> {
+    /// [`persist::split_table_by_partition`]) keyed and routed by
+    /// `id_column`: every slice indexes its [`key_column`](Shard::key_column).
+    fn partitioned(spec: PartitionSpec, mut slices: Vec<Table>, id_column: &str) -> Arc<Shard> {
         debug_assert_eq!(spec.partition_count(), slices.len());
-        let routing_column = id_column
-            .and_then(|name| slices[0].schema().column(name))
-            .filter(|column| !spec.is_single() && column.data_type == DataType::Integer)
-            .cloned();
-        let parts = slices
+        let id_column = slices[0].schema().column(id_column).cloned();
+        let mut shard = Shard {
+            spec,
+            parts: Vec::new(),
+            id_column,
+        };
+        if let Some(key) = shard.key_column() {
+            for slice in &mut slices {
+                slice
+                    .index_key(&key.name)
+                    .expect("the key column is an INTEGER column of every slice");
+            }
+        }
+        shard.parts = slices
             .into_iter()
             .map(|slice| {
                 let mut catalog = Catalog::new();
@@ -547,22 +556,39 @@ impl Shard {
                 RwLock::new(catalog)
             })
             .collect();
-        Arc::new(Shard {
-            spec,
-            parts,
-            routing_column,
-        })
+        Arc::new(shard)
     }
 
-    /// The one partition a `SELECT` can match rows in, when its `WHERE`
-    /// pins the id column to an integer (see [`Expr::pinned_integer`]);
-    /// `None` when every partition must be scanned.
+    /// The id column when it is declared `INTEGER`: only then does an
+    /// integer literal name the rows — and on a partitioned table the one
+    /// partition — holding that id.  Every slice indexes it, and reads
+    /// route on it, so the two can never disagree.
+    fn key_column(&self) -> Option<&Column> {
+        self.id_column
+            .as_ref()
+            .filter(|column| column.data_type == DataType::Integer)
+    }
+
+    /// The one partition a `SELECT` can match rows in, when the table is
+    /// partitioned and its `WHERE` pins the key column to an integer (see
+    /// [`Expr::pinned_integer`]); `None` when every partition must be
+    /// scanned.
     ///
     /// [`Expr::pinned_integer`]: relational::Expr::pinned_integer
     fn route(&self, select: &sql::SelectStatement) -> Option<usize> {
-        let column = self.routing_column.as_ref()?;
-        let id = select.filter.as_ref()?.pinned_integer(column)?;
+        if self.spec.is_single() {
+            return None;
+        }
+        let id = select.filter.as_ref()?.pinned_integer(self.key_column()?)?;
         Some(self.spec.route_id(id))
+    }
+
+    /// True when `name` refers to the id column, matched the way the
+    /// schema matches names.
+    fn is_id_column(&self, name: &str) -> bool {
+        self.id_column
+            .as_ref()
+            .is_some_and(|column| column.is_named(name))
     }
 
     /// Shared locks on the partitions a read runs on, taken in ascending
@@ -998,9 +1024,9 @@ impl CrowdDb {
                     spec.clone(),
                     persist::split_table_by_partition(&table, &config.id_column, spec)
                         .expect("re-splitting a recovered table cannot fail"),
-                    Some(&config.id_column),
+                    &config.id_column,
                 ),
-                None => Shard::of_table(table),
+                None => Shard::of_table(table, &config.id_column),
             };
             shards.insert(name, shard);
         }
@@ -1656,20 +1682,14 @@ fn select_of(statement: &sql::Statement) -> Option<&sql::SelectStatement> {
 /// disjoint-partition-writer guarantee depends on it.  `None` for every
 /// other statement shape and for single-partition tables, which analyze
 /// against partition 0.
-fn insert_analysis_partition(
-    shard: &Shard,
-    statement: &sql::Statement,
-    config: &CrowdDbConfig,
-) -> Option<usize> {
+fn insert_analysis_partition(shard: &Shard, statement: &sql::Statement) -> Option<usize> {
     if shard.spec.is_single() {
         return None;
     }
     let sql::Statement::Insert { columns, rows, .. } = statement else {
         return None;
     };
-    let id_index = columns
-        .iter()
-        .position(|c| c.eq_ignore_ascii_case(&config.id_column));
+    let id_index = columns.iter().position(|c| shard.is_id_column(c));
     let row = rows.first()?;
     let id = id_index
         .and_then(|index| row.get(index))
@@ -1849,7 +1869,7 @@ impl DbInner {
                 .durability
                 .is_some()
                 .then(|| WalRecord::CreateTable(TableImage::of(&table)));
-            let shard = Shard::of_table(table);
+            let shard = Shard::of_table(table, &self.config.id_column);
             if let Some(record) = record {
                 if let Some(durability) = &self.durability {
                     durability.ensure_store(&name, &PartitionSpec::Single)?;
@@ -1873,7 +1893,7 @@ impl DbInner {
         }
         shards.insert(
             name,
-            Shard::partitioned(spec, slices, Some(&self.config.id_column)),
+            Shard::partitioned(spec, slices, &self.config.id_column),
         );
         Ok(())
     }
@@ -1998,7 +2018,7 @@ impl DbInner {
             // partition slice carries the table's full schema — so it reads
             // one partition: for an INSERT, one it actually writes, never
             // waiting on a writer to an unrelated partition.
-            let k = insert_analysis_partition(&shard, &statement, &self.config).unwrap_or(0);
+            let k = insert_analysis_partition(&shard, &statement).unwrap_or(0);
             executor::analyze(&statement, &shard.read_one(k))?
         };
         let mut reports = Vec::new();
@@ -2159,9 +2179,7 @@ impl DbInner {
             rows,
         } = statement
         {
-            let id_index = columns
-                .iter()
-                .position(|c| c.eq_ignore_ascii_case(&self.config.id_column));
+            let id_index = columns.iter().position(|c| shard.is_id_column(c));
             let n = spec.partition_count();
             let mut per: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
             for row in rows {
@@ -2195,7 +2213,7 @@ impl DbInner {
         if let sql::Statement::Update { assignments, .. } = statement {
             if assignments
                 .iter()
-                .any(|(column, _)| column.eq_ignore_ascii_case(&self.config.id_column))
+                .any(|(column, _)| shard.is_id_column(column))
             {
                 return Err(CrowdDbError::Configuration(format!(
                     "cannot UPDATE the partitioning id column '{}' of partitioned table \

@@ -1148,9 +1148,10 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
                 ) if !spec.is_single() => {
                     // The statement was logged to every partition it
                     // routed rows into; keep only this partition's rows.
+                    let id = state.catalog.table(table)?.schema().column(ctx.id_column);
                     let id_index = columns
                         .iter()
-                        .position(|c| c.eq_ignore_ascii_case(ctx.id_column));
+                        .position(|c| id.is_some_and(|id| id.is_named(c)));
                     let kept: Vec<Vec<Value>> = rows
                         .iter()
                         .filter(|row| {

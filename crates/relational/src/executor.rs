@@ -2,6 +2,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
+use crate::expr::{BoundExpr, Expr};
 use crate::schema::{Column, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
 use crate::table::Table;
@@ -130,7 +131,9 @@ pub struct SelectResult {
     /// and a caller attaching provenance should mark them as
     /// not-yet-expanded rather than stored.
     pub missing_columns: Vec<String>,
-    /// Rows the scan evaluated: every row of every partition it ran on.
+    /// Rows the filter evaluated: on each partition, the rows holding the
+    /// pinned id when the `WHERE` pins the partition's key column (see
+    /// [`Table::key_column`]), otherwise every row.
     pub rows_scanned: usize,
 }
 
@@ -215,7 +218,7 @@ pub fn execute_select_partitions(
             .map(|n| Ok((n.to_lowercase(), resolve(n)?)))
             .collect::<Result<Vec<_>>>()?,
     };
-    let filter = select
+    let bound = select
         .filter
         .as_ref()
         .map(|filter| filter.bind(&mut resolve))
@@ -228,19 +231,11 @@ pub fn execute_select_partitions(
     // Scan and filter in `k` order.  Under snapshot semantics a predicate
     // over a missing column is constant NULL and rejects every row, as it
     // would over an existing-but-unfilled column.
+    let filter = select.filter.as_ref().zip(bound.as_ref());
     let mut matching: Vec<(usize, usize)> = Vec::new();
     let mut rows_scanned = 0;
     for (k, part) in parts.iter().enumerate() {
-        rows_scanned += part.len();
-        for (i, row) in part.rows().iter().enumerate() {
-            let keep = match &filter {
-                Some(filter) => filter.matches(row)?,
-                None => true,
-            };
-            if keep {
-                matching.push((k, i));
-            }
-        }
+        rows_scanned += filter_rows(part, filter, |i| matching.push((k, i)))?;
     }
     let row_of = |(k, i): (usize, usize)| -> &[Value] { &parts[k].rows()[i] };
 
@@ -332,28 +327,61 @@ pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResu
     }
 }
 
-fn matching_rows(table: &Table, filter: Option<&crate::expr::Expr>) -> Result<Vec<usize>> {
+/// Calls `keep` with the index of every row of `table` that `filter`
+/// matches, in ascending row order, and returns how many rows the filter
+/// evaluated.
+///
+/// This is the one lookup primitive of `SELECT`, `UPDATE` and `DELETE`.
+/// When the filter pins the table's key column to an id
+/// ([`Expr::pinned_integer`] on [`Table::key_column`]), only the rows the
+/// key index holds for that id are candidates; every other row fails the
+/// pinned equality, so the bound filter — still evaluated in full on each
+/// candidate — is never run on it, and an evaluation error it would raise
+/// there is not raised.  Otherwise every row is a candidate.
+fn filter_rows(
+    table: &Table,
+    filter: Option<(&Expr, &BoundExpr)>,
+    mut keep: impl FnMut(usize),
+) -> Result<usize> {
+    let rows = table.rows();
+    let Some((expr, bound)) = filter else {
+        (0..rows.len()).for_each(keep);
+        return Ok(rows.len());
+    };
+    let pinned = table
+        .key_column()
+        .and_then(|key| expr.pinned_integer(key))
+        .and_then(|id| table.rows_with_key(id));
+    if let Some(candidates) = pinned {
+        for &i in &candidates {
+            if bound.matches(&rows[i])? {
+                keep(i);
+            }
+        }
+        return Ok(candidates.len());
+    }
+    for (i, row) in rows.iter().enumerate() {
+        if bound.matches(row)? {
+            keep(i);
+        }
+    }
+    Ok(rows.len())
+}
+
+fn matching_rows(table: &Table, filter: Option<&Expr>) -> Result<Vec<usize>> {
     // Bind up front for a deterministic error, even on an empty table.
-    let filter = filter
+    let bound = filter
         .map(|filter| filter.bind_to(table.schema(), table.name(), false))
         .transpose()?;
     let mut matching = Vec::new();
-    for (i, row) in table.rows().iter().enumerate() {
-        let keep = match &filter {
-            Some(f) => f.matches(row)?,
-            None => true,
-        };
-        if keep {
-            matching.push(i);
-        }
-    }
+    filter_rows(table, filter.zip(bound.as_ref()), |i| matching.push(i))?;
     Ok(matching)
 }
 
 fn execute_update(
     table_name: &str,
-    assignments: &[(String, crate::expr::Expr)],
-    filter: Option<&crate::expr::Expr>,
+    assignments: &[(String, Expr)],
+    filter: Option<&Expr>,
     catalog: &mut Catalog,
 ) -> Result<QueryResult> {
     let table = catalog.table_mut(table_name)?;
@@ -400,7 +428,7 @@ fn execute_update(
 
 fn execute_delete(
     table_name: &str,
-    filter: Option<&crate::expr::Expr>,
+    filter: Option<&Expr>,
     catalog: &mut Catalog,
 ) -> Result<QueryResult> {
     let table = catalog.table_mut(table_name)?;

@@ -131,8 +131,9 @@ impl Expr {
 
     /// The integer `v` when this predicate can only hold for rows whose
     /// `column` equals `v`: some top-level `AND` term is `c = v` or
-    /// `v = c`, with `c` naming the column and `v` an integer literal.  Any
-    /// other literal type or predicate shape yields `None`.
+    /// `v = c`, with `c` naming the column and `v` an integer literal,
+    /// negated or not (the parser reads `-3` in an expression as `-(3)`).
+    /// Any other literal type or predicate shape yields `None`.
     pub fn pinned_integer(&self, column: &Column) -> Option<i64> {
         match self {
             Expr::BinaryOp {
@@ -147,12 +148,26 @@ impl Expr {
                 op: BinaryOperator::Eq,
                 right,
             } => match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(name), Expr::Literal(Value::Integer(v)))
-                | (Expr::Literal(Value::Integer(v)), Expr::Column(name))
+                (Expr::Column(name), value) | (value, Expr::Column(name))
                     if column.is_named(name) =>
                 {
-                    Some(*v)
+                    value.integer_literal()
                 }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The value of an integer literal or of a negated one.
+    fn integer_literal(&self) -> Option<i64> {
+        match self {
+            Expr::Literal(Value::Integer(v)) => Some(*v),
+            Expr::UnaryOp {
+                op: UnaryOperator::Negate,
+                expr,
+            } => match expr.as_ref() {
+                Expr::Literal(Value::Integer(v)) => v.checked_neg(),
                 _ => None,
             },
             _ => None,
@@ -740,6 +755,11 @@ mod tests {
             eq(Expr::column("id"), Expr::literal(7i64)),
         );
         assert_eq!(pinned(&and), Some(7));
+        let negated = Expr::UnaryOp {
+            op: UnaryOperator::Negate,
+            expr: Box::new(Expr::literal(3i64)),
+        };
+        assert_eq!(pinned(&eq(Expr::column("id"), negated)), Some(-3));
         // Other literal types, other columns, OR, NOT and comparisons do
         // not pin the id.
         for e in [

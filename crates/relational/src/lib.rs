@@ -38,6 +38,7 @@ pub mod catalog;
 pub mod error;
 pub mod executor;
 pub mod expr;
+mod key_index;
 pub mod partition;
 pub mod schema;
 pub mod sql;

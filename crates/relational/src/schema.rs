@@ -40,7 +40,7 @@ impl Column {
     /// True when `name` refers to this column, that is when
     /// `name.to_lowercase()` equals the stored name — decided without
     /// allocating.
-    pub(crate) fn is_named(&self, name: &str) -> bool {
+    pub fn is_named(&self, name: &str) -> bool {
         lowercases_to(name, &self.name)
     }
 }

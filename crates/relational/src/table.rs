@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
+use crate::key_index::KeyIndex;
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -15,12 +16,36 @@ fn widen(value: &mut Value, data_type: DataType) {
     }
 }
 
-/// A named table: a schema plus a row store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A named table: a schema plus a row store, optionally with a key index
+/// on one `INTEGER` column ([`Table::index_key`]).
+///
+/// The key index is derived state: two tables with the same name, schema
+/// and rows are equal whether or not either one indexes a key, and a
+/// clone indexes none.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Vec<Value>>,
+    #[serde(skip)]
+    key: Option<KeyIndex>,
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            key: None,
+        }
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.name == other.name && self.schema == other.schema && self.rows == other.rows
+    }
 }
 
 impl Table {
@@ -30,6 +55,7 @@ impl Table {
             name: name.into().to_lowercase(),
             schema,
             rows: Vec::new(),
+            key: None,
         }
     }
 
@@ -87,8 +113,47 @@ impl Table {
             }
             widen(value, column.data_type);
         }
+        if let Some(key) = &mut self.key {
+            key.insert(&self.rows, &row[key.column()], self.rows.len());
+        }
         self.rows.push(row);
         Ok(())
+    }
+
+    /// Declares `column` — an `INTEGER` column — the table's key and
+    /// indexes it: from then on [`Table::rows_with_key`] finds the rows
+    /// holding an id without a scan, and every row mutator keeps the index
+    /// current.  Ids may repeat; `NULL` cells are not indexed.  Declaring
+    /// a key again rebuilds the index on the new column.
+    pub fn index_key(&mut self, column: &str) -> Result<()> {
+        let index = self
+            .schema
+            .index_of(column)
+            .ok_or_else(|| RelationalError::UnknownColumn {
+                table: self.name.clone(),
+                column: column.to_lowercase(),
+            })?;
+        let data_type = self.schema.columns()[index].data_type;
+        if data_type != DataType::Integer {
+            return Err(RelationalError::TypeMismatch(format!(
+                "key column {column} must be INTEGER, not {data_type}"
+            )));
+        }
+        self.key = Some(KeyIndex::build(index, &self.rows));
+        Ok(())
+    }
+
+    /// The key column, when the table indexes one ([`Table::index_key`]).
+    pub fn key_column(&self) -> Option<&Column> {
+        self.key
+            .as_ref()
+            .map(|key| &self.schema.columns()[key.column()])
+    }
+
+    /// The rows whose key column holds `id`, in ascending row order —
+    /// `None` when the table indexes no key.
+    pub fn rows_with_key(&self, id: i64) -> Option<Vec<usize>> {
+        self.key.as_ref().map(|key| key.rows(&self.rows, id))
     }
 
     /// Inserts a row given as `(column, value)` pairs; unspecified columns
@@ -152,10 +217,16 @@ impl Table {
             )));
         }
         widen(&mut value, col.data_type);
-        let row = self.rows.get_mut(row_index).ok_or_else(|| {
-            RelationalError::InvalidStatement(format!("row {row_index} does not exist"))
-        })?;
-        row[col_idx] = value;
+        if row_index >= self.rows.len() {
+            return Err(RelationalError::InvalidStatement(format!(
+                "row {row_index} does not exist"
+            )));
+        }
+        if let Some(key) = self.key.as_mut().filter(|key| key.column() == col_idx) {
+            key.remove(&self.rows, &self.rows[row_index][col_idx], row_index);
+            key.insert(&self.rows, &value, row_index);
+        }
+        self.rows[row_index][col_idx] = value;
         Ok(())
     }
 
@@ -179,23 +250,39 @@ impl Table {
     /// Removes the rows at the given indices (indices refer to the current
     /// row order; duplicates and out-of-range indices are ignored).  Returns
     /// the number of rows removed.
+    ///
+    /// One pass compacts the surviving rows towards the front, in order,
+    /// and moves their key-index entries with them.
     pub fn delete_rows(&mut self, indices: &[usize]) -> usize {
-        if indices.is_empty() {
-            return 0;
-        }
-        let to_delete: std::collections::HashSet<usize> = indices
+        let mut doomed: Vec<usize> = indices
             .iter()
             .copied()
             .filter(|&i| i < self.rows.len())
             .collect();
-        let before = self.rows.len();
-        let mut keep_index = 0usize;
-        self.rows.retain(|_| {
-            let keep = !to_delete.contains(&keep_index);
-            keep_index += 1;
-            keep
-        });
-        before - self.rows.len()
+        doomed.sort_unstable();
+        doomed.dedup();
+        let Some(&first) = doomed.first() else {
+            return 0;
+        };
+        let mut doomed_rest = doomed.iter().peekable();
+        let mut kept = first;
+        for row in first..self.rows.len() {
+            let deleted = doomed_rest.next_if_eq(&&row).is_some();
+            if let Some(key) = &mut self.key {
+                let value = &self.rows[row][key.column()];
+                if deleted {
+                    key.remove(&self.rows, value, row);
+                } else {
+                    key.renumber(value, row, kept);
+                }
+            }
+            if !deleted {
+                self.rows.swap(kept, row);
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept);
+        doomed.len()
     }
 
     /// Number of `NULL`s in a column — the amount of data a crowd-enabled
