@@ -944,6 +944,74 @@ mod tests {
         assert_eq!(SnapshotImage::decode(&bytes).unwrap(), image);
     }
 
+    /// One mark of every provenance variant, every missing cause included.
+    fn every_mark() -> Vec<(ItemId, CellMark)> {
+        let causes = [
+            MissingCause::BudgetExhausted,
+            MissingCause::NoCachedJudgment,
+            MissingCause::BelowQualityFloor,
+            MissingCause::NoMajority,
+            MissingCause::OutOfSpace,
+            MissingCause::NotExpanded,
+            MissingCause::NoItemId,
+        ];
+        let mut marks = vec![
+            (0, CellMark::Stored),
+            (
+                1,
+                CellMark::CrowdDerived {
+                    confidence: 0.75,
+                    cost_share: 0.5,
+                },
+            ),
+            (2, CellMark::CacheHit { confidence: 0.25 }),
+            (3, CellMark::Extracted),
+        ];
+        for (item, cause) in (4..).zip(causes) {
+            marks.push((item, CellMark::Missing { cause }));
+        }
+        marks
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The on-disk bytes of provenance marks are a contract with every
+    /// database directory already written: these images must encode to
+    /// exactly these bytes, and decode back from them.
+    #[test]
+    fn provenance_marks_encode_to_golden_bytes() {
+        let record = WalRecord::MaterializeColumn {
+            table: "m".into(),
+            column: "c".into(),
+            data_type: DataType::Boolean,
+            values: vec![(1, Value::Boolean(true))],
+            ledger: Some(every_mark()),
+            incomplete: true,
+        };
+        const RECORD: &str = "0201000000000000006d010000000000000063030100000000000000010000000401010b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a000000040601";
+        assert_eq!(hex(&record.encode()), RECORD);
+        assert_eq!(WalRecord::decode(&record.encode()).unwrap(), record);
+
+        let image = SnapshotImage {
+            ledgers: vec![LedgerImage {
+                table: "m".into(),
+                column: "c".into(),
+                marks: every_mark(),
+            }],
+            incomplete: vec![ColumnImage {
+                table: "m".into(),
+                column: "c".into(),
+            }],
+            id_column: "id".into(),
+            ..SnapshotImage::default()
+        };
+        const IMAGE: &str = "0000000000000000010000000000000001000000000000006d0100000000000000630b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a0000000406010000000000000001000000000000006d010000000000000063000000000000000000000000000000000000000000000000000000000000000000000000000000000200000000000000696400000000000000000000000000000000";
+        assert_eq!(hex(&image.encode()), IMAGE);
+        assert_eq!(SnapshotImage::decode(&image.encode()).unwrap(), image);
+    }
+
     #[test]
     fn decode_rejects_bad_tags_and_trailing_bytes() {
         assert!(matches!(
