@@ -47,7 +47,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -70,7 +70,7 @@ use crate::error::CrowdDbError;
 use crate::expansion::{ExpansionReport, ExpansionStage, ExpansionStrategy};
 use crate::extraction::extract_binary_attribute;
 use crate::inflight::{InflightRegistry, InflightStats};
-use crate::materialize::materialize_column;
+use crate::materialize::{materialize_column, repair_cells, Marks, REPAIRED};
 use crate::metrics::EngineMetrics;
 use crate::persist::{self, Durability, RecoveredState};
 use crate::planner::{self, ExpansionPlan, PlanInputs};
@@ -519,6 +519,12 @@ struct Shard {
     /// (`None` when the table has none).  Fixed for the table's lifetime —
     /// columns are never renamed or retyped.
     id_column: Option<Column>,
+    /// False while no partition can hold a recoverable hole: set when a
+    /// materialization tags one (under every partition's exclusive lock)
+    /// or a recovered slice holds one, and never cleared.  Reads of a
+    /// table without holes decide that no column is incomplete without
+    /// touching the partition locks.
+    may_have_holes: AtomicBool,
 }
 
 impl Shard {
@@ -534,10 +540,14 @@ impl Shard {
     fn partitioned(spec: PartitionSpec, mut slices: Vec<Table>, id_column: &str) -> Arc<Shard> {
         debug_assert_eq!(spec.partition_count(), slices.len());
         let id_column = slices[0].schema().column(id_column).cloned();
+        let holes = slices.iter().any(|slice| {
+            (0..slice.schema().len()).any(|column| slice.recoverable_holes(column) > 0)
+        });
         let mut shard = Shard {
             spec,
             parts: Vec::new(),
             id_column,
+            may_have_holes: AtomicBool::new(holes),
         };
         if let Some(key) = shard.key_column() {
             for slice in &mut slices {
@@ -599,6 +609,21 @@ impl Shard {
             Some(k) => vec![rlock(&self.parts[k])],
             None => self.parts.iter().map(rlock).collect(),
         }
+    }
+
+    /// True when column `column` of table `name` is *incomplete*: some
+    /// partition holds a recoverable hole in it.  Reads each partition's
+    /// hole count under its shared lock — no row is scanned.
+    fn is_incomplete(&self, name: &str, column: &str) -> bool {
+        self.parts.iter().any(|part| {
+            let catalog = rlock(part);
+            catalog.table(name).is_ok_and(|table| {
+                table
+                    .schema()
+                    .index_of(column)
+                    .is_some_and(|index| table.recoverable_holes(index) > 0)
+            })
+        })
     }
 
     /// A read view of one partition only — schema-complete (every
@@ -663,16 +688,6 @@ pub(crate) struct DbInner {
     /// draws genuinely fresh judgments instead of deterministically
     /// reproducing the ones it was meant to replace.
     crowd_rounds: AtomicU64,
-    /// Per-`(table, column)` record of where every item's materialized
-    /// value came from — the ledger behind the per-cell [`CellProvenance`]
-    /// of [`QueryOutcome`] row sets.
-    provenance: RwLock<HashMap<(String, String), HashMap<ItemId, CellProvenance>>>,
-    /// Materialized columns with *recoverable* holes (budget-denied or
-    /// cache-only-missed items).  Policy queries referencing such a column
-    /// re-run its expansion — paying only for what is still missing,
-    /// thanks to the judgment cache — instead of treating the partial
-    /// column as complete forever.
-    incomplete: RwLock<HashSet<(String, String)>>,
     /// The durability engine of a persistent database (`None` for the
     /// in-memory default).  Mutators append WAL records to their table's
     /// segment through [`DbInner::log`]; catalog-shaped records are logged
@@ -935,8 +950,6 @@ impl CrowdDb {
                             persist::TableSnapshotParts {
                                 table,
                                 cache: &inner.cache,
-                                provenance: &rlock(&inner.provenance),
-                                incomplete: &rlock(&inner.incomplete),
                                 crowd_rounds: inner.crowd_rounds.load(Ordering::SeqCst),
                                 id_column: &inner.config.id_column,
                                 partition,
@@ -1043,8 +1056,6 @@ impl CrowdDb {
                 cache: state.cache,
                 inflight: InflightRegistry::new(),
                 crowd_rounds: AtomicU64::new(state.crowd_rounds),
-                provenance: RwLock::new(state.provenance),
-                incomplete: RwLock::new(state.incomplete),
                 durability,
                 accuracy: Mutex::new(WorkerAccuracyStore::new()),
                 metrics: EngineMetrics::new(),
@@ -1078,8 +1089,8 @@ impl CrowdDb {
     /// brand-new table has no binding, cache entries, or provenance to
     /// invalidate, which is exactly why no raw write guard to the catalog
     /// is offered: mutating *bound* tables behind the planner would break
-    /// the id-column ↔ perceptual-item link the judgment cache and
-    /// provenance ledger are keyed by.  For data changes go through SQL
+    /// the id-column ↔ perceptual-item link the judgment cache is keyed
+    /// by.  For data changes go through SQL
     /// via [`CrowdDb::execute`] / [`CrowdDb::query`] (the pipeline
     /// re-derives its row mappings around those).
     ///
@@ -1608,19 +1619,6 @@ impl CrowdDb {
         self.scheduler.spawn(job);
     }
 
-    /// The provenance ledger of one expanded column: per item, where its
-    /// materialized value came from.  `None` when the column was never
-    /// expanded.
-    pub fn column_provenance(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<HashMap<ItemId, CellProvenance>> {
-        rlock(&self.inner.provenance)
-            .get(&(table.to_lowercase(), column.to_lowercase()))
-            .cloned()
-    }
-
     /// Runs the plan → acquire → materialize pipeline for a set of missing
     /// columns on one table, with **one** batched crowd round serving every
     /// attribute that neither the cache nor a concurrent query's in-flight
@@ -1756,7 +1754,7 @@ impl DbInner {
     /// Logs **catalog-shaped, item-keyed** records
     /// ([`MaterializeColumn`](WalRecord::MaterializeColumn) /
     /// [`SetCells`](WalRecord::SetCells)) to a possibly partitioned table:
-    /// each record's item-keyed values (and ledger marks) are sliced down
+    /// each record's item-keyed values (and provenance marks) are sliced down
     /// to the partition they route to, and every partition receives its
     /// slice — including an empty one for `MaterializeColumn`, which
     /// still carries the schema change every partition must replay.
@@ -2026,7 +2024,8 @@ impl DbInner {
         // already is the answer, so the SELECT runs once.
         let mut answered: Option<RowSet> = None;
         if let Some(table) = analysis.table.clone() {
-            let candidates = self.expansion_candidates(&statement, &analysis, &policy, &table)?;
+            let candidates =
+                self.expansion_candidates(&shard, &statement, &analysis, &policy, &table)?;
             if policy.mode == ExpansionMode::Deny && !analysis.missing_columns.is_empty() {
                 return Err(CrowdDbError::ExpansionDenied {
                     table,
@@ -2114,7 +2113,7 @@ impl DbInner {
             let guards = shard.read(shard.route(select));
             let parts = slices(&guards, &select.table)?;
             let selected = executor::execute_select_partitions(select, &parts, snapshot)?;
-            let provenance = self.row_provenance(&parts, &select.table, &selected)?;
+            let provenance = row_provenance(&parts, &selected);
             (selected, provenance)
         };
         self.metrics
@@ -2250,6 +2249,7 @@ impl DbInner {
     /// there is nothing to expand them *from*.
     fn expansion_candidates(
         &self,
+        shard: &Shard,
         statement: &sql::Statement,
         analysis: &executor::StatementAnalysis,
         policy: &ExpansionPolicy,
@@ -2265,27 +2265,19 @@ impl DbInner {
             }
         }
         let mut candidates = analysis.missing_columns.clone();
-        if statement.is_read_only() && policy.mode != ExpansionMode::Deny {
-            let incomplete = rlock(&self.incomplete);
-            if !incomplete.is_empty() {
-                let references_all = matches!(
-                    select_of(statement),
-                    Some(select) if matches!(select.projection, sql::Projection::All)
-                );
-                if references_all {
-                    for (incomplete_table, column) in incomplete.iter() {
-                        if *incomplete_table == key && !candidates.contains(column) {
-                            candidates.push(column.clone());
-                        }
-                    }
-                } else {
-                    for column in statement.referenced_columns() {
-                        if !candidates.contains(&column)
-                            && incomplete.contains(&(key.clone(), column.clone()))
-                        {
-                            candidates.push(column);
-                        }
-                    }
+        if statement.is_read_only()
+            && policy.mode != ExpansionMode::Deny
+            && shard.may_have_holes.load(Ordering::Acquire)
+        {
+            let referenced = match select_of(statement) {
+                Some(select) if matches!(select.projection, sql::Projection::All) => {
+                    shard.read_one(0).table(&key)?.schema().column_names()
+                }
+                _ => statement.referenced_columns(),
+            };
+            for column in referenced {
+                if !candidates.contains(&column) && shard.is_incomplete(&key, &column) {
+                    candidates.push(column);
                 }
             }
         }
@@ -2326,7 +2318,8 @@ impl DbInner {
         .collect();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         if let Some(table) = analysis.table.clone() {
-            let candidates = self.expansion_candidates(statement, &analysis, &policy, &table)?;
+            let candidates =
+                self.expansion_candidates(&shard, statement, &analysis, &policy, &table)?;
             if !candidates.is_empty() {
                 let binding = self.binding(&table.to_lowercase())?;
                 let plan = self.build_plan(&binding, &table, &candidates)?;
@@ -2347,91 +2340,6 @@ impl DbInner {
             reports: Vec::new(),
             crowd_cost: 0.0,
         })
-    }
-
-    /// Builds the per-cell provenance of a `SELECT` result over `parts`:
-    /// `Stored` for factual columns, the provenance ledger's record for
-    /// expanded columns, `Missing` markers for rows no expansion could
-    /// ever reach, and — under snapshot semantics — `NotExpanded` for the
-    /// cells of columns not in the schema yet: a snapshot `NULL` for a
-    /// missing attribute is a hole acquisition may still fill, not a
-    /// stored fact.
-    fn row_provenance(
-        &self,
-        parts: &[&Table],
-        table_name: &str,
-        selected: &executor::SelectResult,
-    ) -> Result<Vec<Vec<CellProvenance>>> {
-        let result = &selected.result;
-        let key = table_name.to_lowercase();
-        let not_expanded = CellProvenance::Missing {
-            reason: MissingReason::NotExpanded,
-        };
-        let ledger = rlock(&self.provenance);
-        let tracked: Vec<Option<&HashMap<ItemId, CellProvenance>>> = result
-            .columns
-            .iter()
-            .map(|column| ledger.get(&(key.clone(), column.clone())))
-            .collect();
-        let missing: Vec<bool> = result
-            .columns
-            .iter()
-            .map(|column| selected.missing_columns.contains(column))
-            .collect();
-        if tracked.iter().all(Option::is_none) {
-            let row: Vec<CellProvenance> = missing
-                .iter()
-                .map(|&missing| {
-                    if missing {
-                        not_expanded
-                    } else {
-                        CellProvenance::Stored
-                    }
-                })
-                .collect();
-            return Ok(vec![row; result.rows.len()]);
-        }
-        // Expanded columns exist, so the table necessarily carries the id
-        // column.  Read the id cell of the *result* rows only, each in the
-        // partition it came from — a full id → row mapping per read would
-        // put O(table) work on the hot concurrent-read path for a
-        // LIMIT-bounded query.
-        let id_idx = parts[0]
-            .schema()
-            .index_of(&self.config.id_column)
-            .ok_or_else(|| {
-                CrowdDbError::Configuration(format!(
-                    "table {table_name} has no id column '{}'",
-                    self.config.id_column
-                ))
-            })?;
-        let item_of_row = |(k, row): (usize, usize)| -> Option<ItemId> {
-            match parts[k].rows().get(row)?.get(id_idx)? {
-                Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => Some(*id as ItemId),
-                _ => None,
-            }
-        };
-        Ok(selected
-            .lineage
-            .iter()
-            .map(|&at| {
-                let item = item_of_row(at);
-                tracked
-                    .iter()
-                    .zip(&missing)
-                    .map(|(column, &missing)| match column {
-                        _ if missing => not_expanded,
-                        None => CellProvenance::Stored,
-                        Some(items) => match item {
-                            None => CellProvenance::Missing {
-                                reason: MissingReason::NoItemId,
-                            },
-                            Some(item) => items.get(&item).copied().unwrap_or(not_expanded),
-                        },
-                    })
-                    .collect()
-            })
-            .collect())
     }
 
     fn is_expandable(&self, table: &str, column: &str) -> bool {
@@ -2617,33 +2525,12 @@ impl DbInner {
             skipped_rows += skipped;
         }
         for (attribute, mut item) in plan.attributes.iter().zip(prepared) {
-            let mut outcome = crate::materialize::MaterializeOutcome {
-                rows_filled: 0,
-                rows_unfilled: 0,
-            };
-            for (guard, rows) in guards.iter_mut().zip(&mappings) {
-                let table = guard.table_mut(&plan.table)?;
-                let part = materialize_column(
-                    table,
-                    &attribute.column,
-                    DataType::Boolean,
-                    &item.values,
-                    rows,
-                )?;
-                outcome.rows_filled += part.rows_filled;
-                outcome.rows_unfilled += part.rows_unfilled;
-            }
-            item.stages.push(ExpansionStage::ColumnAdded);
-            item.stages.push(ExpansionStage::ColumnMaterialized);
-            item.stages.push(ExpansionStage::QueryReExecuted);
-
-            // Record, per item, where its cell value came from (or why it
-            // is absent) — the ledger the session layer attaches to result
-            // rows as per-cell provenance.
+            // Where every item's cell value came from, or why it is absent:
+            // the tag each of its rows receives with the value.
             let acquisition = &item.acquisition;
             let dropped_reason: HashMap<ItemId, MissingReason> =
                 acquisition.dropped.iter().copied().collect();
-            let cell_provenance: HashMap<ItemId, CellProvenance> = plan
+            let marks: Marks = plan
                 .items
                 .iter()
                 .map(|&item_id| {
@@ -2666,25 +2553,46 @@ impl DbInner {
                     (item_id, provenance)
                 })
                 .collect();
+            let mut outcome = crate::materialize::MaterializeOutcome {
+                rows_filled: 0,
+                rows_unfilled: 0,
+            };
+            let mut holes = 0;
+            for (guard, rows) in guards.iter_mut().zip(&mappings) {
+                let table = guard.table_mut(&plan.table)?;
+                let part = materialize_column(
+                    table,
+                    &attribute.column,
+                    DataType::Boolean,
+                    &item.values,
+                    Some(&marks),
+                    rows,
+                )?;
+                outcome.rows_filled += part.rows_filled;
+                outcome.rows_unfilled += part.rows_unfilled;
+                holes += table
+                    .schema()
+                    .index_of(&attribute.column)
+                    .map_or(0, |index| table.recoverable_holes(index));
+            }
+            item.stages.push(ExpansionStage::ColumnAdded);
+            item.stages.push(ExpansionStage::ColumnMaterialized);
+            item.stages.push(ExpansionStage::QueryReExecuted);
+
             // A column whose holes a later query could still fill is
             // *incomplete*: policy queries referencing it re-expand it
             // instead of trusting the partial materialization forever.
             // (Quality floors never appear here: they are a per-query view
             // filter applied at read time, not a materialization decision.)
-            let recoverable = cell_provenance.values().any(|p| {
-                matches!(
-                    p,
-                    CellProvenance::Missing {
-                        reason: MissingReason::BudgetExhausted | MissingReason::NoCachedJudgment,
-                    }
-                )
-            });
-            // Persist the materialization before publishing it: values,
-            // the full provenance ledger (confidence and cost share
-            // included), and the incomplete flag, so a reopened database
-            // reports bit-identical cells and provenance without asking
-            // the crowd again.  Built here, appended below while the
-            // exclusive catalog lock is still held.
+            if holes > 0 {
+                shard.may_have_holes.store(true, Ordering::Release);
+            }
+            // Persist the materialization before publishing it: values and
+            // the per-item marks its tags were written from (confidence and
+            // cost share included), so a reopened database reports
+            // bit-identical cells and provenance without asking the crowd
+            // again.  Built here, appended below while the exclusive
+            // catalog lock is still held.
             if self.durability.is_some() {
                 let mut values: Vec<(ItemId, Value)> = item
                     .values
@@ -2692,10 +2600,7 @@ impl DbInner {
                     .map(|(&item_id, value)| (item_id, value.clone()))
                     .collect();
                 values.sort_unstable_by_key(|(item_id, _)| *item_id);
-                let mut marks: Vec<(ItemId, storage::CellMark)> = cell_provenance
-                    .iter()
-                    .map(|(&item_id, &p)| (item_id, persist::mark_of_provenance(p)))
-                    .collect();
+                let mut marks: Vec<(ItemId, CellProvenance)> = marks.into_iter().collect();
                 marks.sort_unstable_by_key(|(item_id, _)| *item_id);
                 wal_records.push(WalRecord::MaterializeColumn {
                     table: plan.table.clone(),
@@ -2703,15 +2608,8 @@ impl DbInner {
                     data_type: DataType::Boolean,
                     values,
                     ledger: Some(marks),
-                    incomplete: recoverable,
+                    incomplete: holes > 0,
                 });
-            }
-            let ledger_key = (plan.table.clone(), attribute.column.clone());
-            wlock(&self.provenance).insert(ledger_key.clone(), cell_provenance);
-            if recoverable {
-                wlock(&self.incomplete).insert(ledger_key);
-            } else {
-                wlock(&self.incomplete).remove(&ledger_key);
             }
 
             reports.push(ExpansionReport {
@@ -2828,16 +2726,18 @@ impl DbInner {
                     verdict: Some(outcome.labels[item as usize]),
                     judgments: 0,
                     cost: per_item_cost,
-                    // Repaired labels went through the audit → re-source →
-                    // merge loop; treat them as fully trusted.
-                    confidence: 1.0,
+                    confidence: REPAIRED.confidence().expect("a repaired cell is a verdict"),
                 };
                 (item, judgment)
             })
             .collect();
         let record = self.publish_verdicts(&key, &attribute, &refreshed);
         self.log(&key, record.as_slice())?;
-        let flagged: HashSet<ItemId> = outcome.flagged.iter().copied().collect();
+        let labels: HashMap<ItemId, Value> = outcome
+            .flagged
+            .iter()
+            .map(|&item| (item, Value::Boolean(outcome.labels[item as usize])))
+            .collect();
         let mut guards = shard.write_all();
         // Re-derive the id → row mappings under the exclusive locks: the
         // repair round takes simulated minutes, and rows deleted or
@@ -2849,24 +2749,16 @@ impl DbInner {
             let (rows, _, _) =
                 planner::row_mapping(&[guard.table(table_name)?], &self.config.id_column, &key)?;
             let table = guard.table_mut(table_name)?;
-            for (row, item) in &rows {
-                if flagged.contains(item) {
-                    table.set_value(
-                        *row,
-                        &column,
-                        Value::Boolean(outcome.labels[*item as usize]),
-                    )?;
-                    repaired.insert(*item);
-                }
-            }
+            repaired.extend(repair_cells(table, &column, &labels, &rows)?);
         }
         // Durably record the cell overwrites (item-keyed — replay routes
-        // them through the then-current id → row mapping), sliced per
-        // partition, still under the exclusive partition locks.
+        // them through the then-current id → row mapping and tags them
+        // with the same writer), sliced per partition, still under the
+        // exclusive partition locks.
         if self.durability.is_some() && !repaired.is_empty() {
             let mut values: Vec<(ItemId, Value)> = repaired
                 .iter()
-                .map(|&item| (item, Value::Boolean(outcome.labels[item as usize])))
+                .map(|item| (*item, labels[item].clone()))
                 .collect();
             values.sort_unstable_by_key(|(item, _)| *item);
             self.log_sliced(
@@ -2924,26 +2816,45 @@ impl DbInner {
             .into_iter()
             .map(|(item, value)| (item, Value::Float(value)))
             .collect();
+        // An item the regression predicts for is extracted; one it cannot
+        // reach lies outside the space.
+        let out_of_space = CellProvenance::Missing {
+            reason: MissingReason::OutOfSpace,
+        };
+        let marks: Marks = items
+            .iter()
+            .map(|item| {
+                let extracted = values.contains_key(item);
+                let tag = if extracted {
+                    CellProvenance::Extracted
+                } else {
+                    out_of_space
+                };
+                (*item, tag)
+            })
+            .collect();
         let mut outcome = crate::materialize::MaterializeOutcome {
             rows_filled: 0,
             rows_unfilled: 0,
         };
         for (guard, rows) in guards.iter_mut().zip(&mappings) {
             let table = guard.table_mut(table_name)?;
-            let part = materialize_column(table, &column, DataType::Float, &values, rows)?;
+            let part =
+                materialize_column(table, &column, DataType::Float, &values, Some(&marks), rows)?;
             outcome.rows_filled += part.rows_filled;
             outcome.rows_unfilled += part.rows_unfilled;
         }
-        // Numeric expansion keeps no provenance ledger (`ledger: None`
-        // mirrors that on replay), but the extrapolated column itself is
-        // durable like any other materialization — sliced per partition,
-        // logged under the still-held exclusive locks.
+        // The extrapolated column is durable like any other
+        // materialization — values and marks sliced per partition, logged
+        // under the still-held exclusive locks.
         if self.durability.is_some() {
             let mut logged: Vec<(ItemId, Value)> = values
                 .iter()
                 .map(|(&item, value)| (item, value.clone()))
                 .collect();
             logged.sort_unstable_by_key(|(item, _)| *item);
+            let mut marks: Vec<(ItemId, CellProvenance)> = marks.into_iter().collect();
+            marks.sort_unstable_by_key(|(item, _)| *item);
             self.log_sliced(
                 &key,
                 &shard.spec,
@@ -2952,7 +2863,7 @@ impl DbInner {
                     column: column.clone(),
                     data_type: DataType::Float,
                     values: logged,
-                    ledger: None,
+                    ledger: Some(marks),
                     incomplete: false,
                 }],
             )?;
@@ -3060,10 +2971,61 @@ impl CrowdDb {
     }
 }
 
+/// The per-cell provenance of a `SELECT` result over `parts`: each result
+/// cell's tag, read beside its value through the result row's lineage
+/// (`Stored` for columns that track no provenance), and — under snapshot
+/// semantics — `NotExpanded` for the cells of columns not in the schema
+/// yet: a snapshot `NULL` for a missing attribute is a hole acquisition
+/// may still fill, not a stored fact.
+fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Vec<Vec<CellProvenance>> {
+    let result = &selected.result;
+    let schema = parts[0].schema();
+    let columns: Vec<Option<usize>> = result
+        .columns
+        .iter()
+        .map(|column| schema.index_of(column))
+        .collect();
+    let not_expanded = CellProvenance::Missing {
+        reason: MissingReason::NotExpanded,
+    };
+    // Per partition and result column: the tags the cells are read from.
+    let tags: Vec<Vec<Option<&[CellProvenance]>>> = parts
+        .iter()
+        .map(|part| {
+            columns
+                .iter()
+                .map(|column| column.and_then(|index| part.tags(index)))
+                .collect()
+        })
+        .collect();
+    if tags.iter().flatten().all(Option::is_none) {
+        let row: Vec<CellProvenance> = columns
+            .iter()
+            .map(|column| column.map_or(not_expanded, |_| CellProvenance::Stored))
+            .collect();
+        return vec![row; result.rows.len()];
+    }
+    selected
+        .lineage
+        .iter()
+        .map(|&(k, row)| {
+            columns
+                .iter()
+                .zip(&tags[k])
+                .map(|(column, tags)| match tags {
+                    Some(tags) => tags[row],
+                    None if column.is_none() => not_expanded,
+                    None => CellProvenance::Stored,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The per-query quality floor, applied to this query's *view* of the
 /// result: cells whose verdict carries a known inter-worker agreement below
 /// `floor` are masked to `NULL` with `BelowQualityFloor` provenance.  The
-/// shared table, cache, and provenance ledger are untouched — a strict
+/// shared table — values and tags — and the cache are untouched: a strict
 /// caller must never destroy data other (or future, less strict) queries
 /// paid for, and the floor holds whether the column was materialized by
 /// this query or long ago.
@@ -3205,8 +3167,23 @@ mod tests {
         }
         assert!(outcome.reports.is_empty());
         assert_eq!(outcome.crowd_cost, 0.0);
-        // No expansion ever ran, so no column has a provenance ledger.
-        assert!(db.column_provenance("movies", "is_comedy").is_none());
+        // No expansion ever ran, so no column carries provenance tags:
+        // every cell of the table reads `Stored`, and `is_comedy` has not
+        // been materialized at all.
+        let all = db.query("SELECT * FROM movies").run().unwrap();
+        assert!(all.reports.is_empty());
+        let all = all.rows().unwrap();
+        assert_eq!(all.rows.len(), d.items().len());
+        assert!(all
+            .provenance
+            .iter()
+            .flatten()
+            .all(|p| *p == CellProvenance::Stored));
+        let denied = db
+            .query("SELECT item_id, is_comedy FROM movies WITH EXPANSION (mode = deny)")
+            .run()
+            .unwrap_err();
+        assert!(matches!(denied, CrowdDbError::ExpansionDenied { .. }));
     }
 
     #[test]
@@ -3228,16 +3205,34 @@ mod tests {
         let db = db_with_domain(&d, ExpansionStrategy::DirectCrowd);
         db.execute("SELECT item_id FROM movies WHERE is_comedy = true")
             .unwrap();
-        let ledger = db.column_provenance("movies", "is_comedy").unwrap();
-        assert_eq!(ledger.len(), d.items().len());
-        assert!(ledger.values().any(|p| matches!(
+        // The `is_comedy` tag of every row (one row per item).
+        let tags = |db: &CrowdDb| -> Vec<CellProvenance> {
+            let outcome = db
+                .query("SELECT item_id, is_comedy FROM movies")
+                .run()
+                .unwrap();
+            assert!(
+                outcome.reports.is_empty(),
+                "a complete column is not re-expanded"
+            );
+            outcome
+                .rows()
+                .unwrap()
+                .provenance
+                .iter()
+                .map(|row| row[1])
+                .collect()
+        };
+        let expanded = tags(&db);
+        assert_eq!(expanded.len(), d.items().len());
+        assert!(expanded.iter().all(|p| *p != CellProvenance::Stored));
+        assert!(expanded.iter().any(|p| matches!(
             p,
             CellProvenance::CrowdDerived { cost_share, .. } if *cost_share > 0.0
         )));
-        // A re-expansion is served by the cache and the ledger says so.
+        // A re-expansion is served by the cache and the tags say so.
         db.expand_attribute("movies", "is_comedy").unwrap();
-        let ledger = db.column_provenance("movies", "is_comedy").unwrap();
-        assert!(ledger.values().all(|p| matches!(
+        assert!(tags(&db).iter().all(|p| matches!(
             p,
             CellProvenance::CacheHit { .. } | CellProvenance::Missing { .. }
         )));

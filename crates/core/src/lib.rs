@@ -131,7 +131,6 @@ pub mod metrics;
 mod persist;
 pub mod planner;
 pub mod policy;
-pub mod provenance;
 pub mod repair;
 pub mod scheduler;
 pub mod session;
@@ -157,7 +156,7 @@ pub use extraction::{extract_binary_attribute, extract_numeric_attribute, Extrac
 pub use inflight::{InflightRegistry, InflightStats};
 pub use planner::{ExpansionPlan, PlannedAttribute};
 pub use policy::{ExpansionMode, ExpansionPolicy};
-pub use provenance::{CellProvenance, MissingReason};
+pub use relational::provenance::{self, CellProvenance, MissingReason};
 pub use relational::PartitionSpec;
 pub use repair::{repair_labels, repair_labels_among, RepairOutcome};
 pub use scheduler::{Scheduler, SchedulerStats};

@@ -1,12 +1,27 @@
-//! The materialize stage: writing acquired attribute values into relational
-//! columns through the planner's explicit id → row mapping.
+//! The materialize stage: writing acquired attribute values, and their
+//! provenance with them, into relational columns through the planner's
+//! explicit id → row mapping.  Live expansion, repair, and WAL and
+//! snapshot recovery all write cells through these functions, so a
+//! recovered cell carries exactly the tag the live write gave it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use perceptual::ItemId;
-use relational::{Column, DataType, Table, Value};
+use relational::{CellProvenance, Column, DataType, MissingReason, Table, Value};
 
 use crate::Result;
+
+/// Per-item provenance marks: the tag every row of an item receives.
+pub(crate) type Marks = HashMap<ItemId, CellProvenance>;
+
+/// The tag of a repaired cell.  Repaired labels went through the audit →
+/// re-source → merge loop and are treated as fully trusted; the repair
+/// round's dollars are reported once, in
+/// [`RepairOutcome::repair_cost`](crate::RepairOutcome::repair_cost).
+pub(crate) const REPAIRED: CellProvenance = CellProvenance::CrowdDerived {
+    confidence: 1.0,
+    cost_share: 0.0,
+};
 
 /// The outcome of materializing one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,38 +34,126 @@ pub(crate) struct MaterializeOutcome {
 
 /// Adds `column` to `table` (if not already present — a forced re-expansion
 /// overwrites in place) and fills it with `values` routed through the
-/// explicit `(row, item)` mapping.
+/// explicit `(row, item)` mapping, tagging the cells with `marks` (see
+/// [`write_column`]; `None` writes stored values, as numeric expansions
+/// logged before per-cell tags replay).
 ///
 /// Rows sharing an item id all receive its value; rows whose item has no
-/// value stay `NULL` and are counted, never silently skipped.
+/// value become `NULL` and are counted, never silently skipped.
 pub(crate) fn materialize_column(
     table: &mut Table,
     column: &str,
     data_type: DataType,
     values: &HashMap<ItemId, Value>,
+    marks: Option<&Marks>,
     rows: &[(usize, ItemId)],
 ) -> Result<MaterializeOutcome> {
-    let existed = table.schema().contains(column);
-    if !existed {
+    if !table.schema().contains(column) {
         table.add_column(Column::new(column, data_type), None)?;
     }
-    let mut rows_filled = 0;
-    for (row, item) in rows {
-        match values.get(item) {
-            Some(value) => {
-                table.set_value(*row, column, value.clone())?;
-                rows_filled += 1;
-            }
-            // A re-materialization must not leave a stale value from the
-            // previous round in a row this round could not decide.
-            None if existed => table.set_value(*row, column, Value::Null)?,
-            None => {}
-        }
-    }
+    write_column(table, column, rows, marks, |_, _, item| {
+        values.get(&item).cloned().unwrap_or(Value::Null)
+    })?;
+    let rows_filled = rows
+        .iter()
+        .filter(|(_, item)| values.contains_key(item))
+        .count();
     Ok(MaterializeOutcome {
         rows_filled,
         rows_unfilled: rows.len() - rows_filled,
     })
+}
+
+/// Re-tags the cells of `column` from a snapshot's per-item `marks`,
+/// keeping their values — the snapshot stored those with the table.
+pub(crate) fn restore_provenance(
+    table: &mut Table,
+    column: &str,
+    marks: &Marks,
+    rows: &[(usize, ItemId)],
+) -> Result<()> {
+    let index = table.track_provenance(column)?;
+    write_column(table, column, rows, Some(marks), |table, row, _| {
+        table.rows()[row][index].clone()
+    })
+}
+
+/// Overwrites `column` in every row whose item has a value in `values`,
+/// tagged [`REPAIRED`], and returns the items written.
+pub(crate) fn repair_cells(
+    table: &mut Table,
+    column: &str,
+    values: &HashMap<ItemId, Value>,
+    rows: &[(usize, ItemId)],
+) -> Result<Vec<ItemId>> {
+    let mut written = Vec::new();
+    for &(row, item) in rows {
+        if let Some(value) = values.get(&item) {
+            table.set_cell(row, column, value.clone(), REPAIRED)?;
+            written.push(item);
+        }
+    }
+    Ok(written)
+}
+
+/// The marks a snapshot stores for a provenance-tracked column: one per
+/// item, sorted by item — the tag of the first row holding the item, in
+/// row order.  Rows of one item whose tags diverge therefore collapse to
+/// that first row's tag, and rows without a usable item id have no mark
+/// ([`write_column`] re-derives theirs).
+pub(crate) fn marks_of(
+    tags: &[CellProvenance],
+    rows: &[(usize, ItemId)],
+) -> Vec<(ItemId, CellProvenance)> {
+    let mut marks = BTreeMap::new();
+    for &(row, item) in rows {
+        marks.entry(item).or_insert(tags[row]);
+    }
+    marks.into_iter().collect()
+}
+
+/// Writes `column` of every row of `table` in one pass.  Each mapped row
+/// gets `value_of(table, row, item)`, tagged with its item's mark —
+/// `NotExpanded` when `marks` has none for it.  A row without a usable
+/// item id keeps its value and, when that is `NULL`, reads `NoItemId`: no
+/// crowd value can ever be routed to it.  Without `marks` the values are
+/// written as stored.
+fn write_column(
+    table: &mut Table,
+    column: &str,
+    rows: &[(usize, ItemId)],
+    marks: Option<&Marks>,
+    value_of: impl Fn(&Table, usize, ItemId) -> Value,
+) -> Result<()> {
+    let Some(marks) = marks else {
+        for &(row, item) in rows {
+            let value = value_of(table, row, item);
+            table.set_value(row, column, value)?;
+        }
+        return Ok(());
+    };
+    let index = table.track_provenance(column)?;
+    let mut unmapped = vec![true; table.len()];
+    for &(row, item) in rows {
+        unmapped[row] = false;
+        let tag = marks
+            .get(&item)
+            .copied()
+            .unwrap_or(CellProvenance::Missing {
+                reason: MissingReason::NotExpanded,
+            });
+        let value = value_of(table, row, item);
+        table.set_cell(row, column, value, tag)?;
+    }
+    let no_item = CellProvenance::Missing {
+        reason: MissingReason::NoItemId,
+    };
+    for (row, unmapped) in unmapped.into_iter().enumerate() {
+        if unmapped && table.rows()[row][index].is_null() {
+            table.set_cell(row, column, Value::Null, no_item)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -76,7 +179,8 @@ mod tests {
                 .into_iter()
                 .collect();
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &values, &rows).unwrap();
+            materialize_column(&mut table, "flag", DataType::Boolean, &values, None, &rows)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -91,7 +195,8 @@ mod tests {
         let rows: Vec<(usize, ItemId)> = vec![(0, 7), (1, 7), (2, 8)];
         let values: HashMap<ItemId, Value> = [(7, Value::Boolean(true))].into_iter().collect();
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &values, &rows).unwrap();
+            materialize_column(&mut table, "flag", DataType::Boolean, &values, None, &rows)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2, "both rows with item 7 are filled");
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -105,13 +210,14 @@ mod tests {
         let mut table = table_with_ids(&[1, 2]);
         let rows: Vec<(usize, ItemId)> = vec![(0, 1), (1, 2)];
         let first: HashMap<ItemId, Value> = [(1, Value::Boolean(true))].into_iter().collect();
-        materialize_column(&mut table, "flag", DataType::Boolean, &first, &rows).unwrap();
+        materialize_column(&mut table, "flag", DataType::Boolean, &first, None, &rows).unwrap();
         let second: HashMap<ItemId, Value> =
             [(1, Value::Boolean(false)), (2, Value::Boolean(true))]
                 .into_iter()
                 .collect();
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &second, &rows).unwrap();
+            materialize_column(&mut table, "flag", DataType::Boolean, &second, None, &rows)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         // Still exactly one `flag` column.
         assert_eq!(
@@ -130,7 +236,7 @@ mod tests {
         // of leaving the previous round's answer in place.
         let third: HashMap<ItemId, Value> = [(2, Value::Boolean(false))].into_iter().collect();
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &third, &rows).unwrap();
+            materialize_column(&mut table, "flag", DataType::Boolean, &third, None, &rows).unwrap();
         assert_eq!(outcome.rows_filled, 1);
         assert_eq!(outcome.rows_unfilled, 1);
         assert_eq!(table.rows()[0][idx], Value::Null, "stale value cleared");

@@ -4,10 +4,10 @@
 //! # What is durable
 //!
 //! Everything real money or real work produced: catalog DDL and rows,
-//! SQL mutations, materialized crowd columns (values *and* the per-cell
-//! provenance ledger, confidence and cost share included), the
-//! incomplete-column set, judgment-cache entries and invalidations, and
-//! the crowd-round counter.  Runtime bindings — perceptual spaces, crowd
+//! SQL mutations, materialized crowd columns (values *and* their per-cell
+//! provenance, confidence and cost share included — logged and
+//! snapshotted as one mark per item), judgment-cache entries and
+//! invalidations, and the crowd-round counter.  Runtime bindings — perceptual spaces, crowd
 //! sources, column → concept registrations — are *not* persisted: they are
 //! live objects the application re-binds after
 //! [`CrowdDb::open`](crate::CrowdDb::open) (see
@@ -98,22 +98,18 @@ use storage::manifest::{snap_dir, wal_dir};
 use storage::{
     partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot,
     read_snapshot_file, scan_segments, segment_file_name, snapshot_file_name, write_manifest,
-    write_snapshot_file, CacheImage, CellMark, ColumnImage, JudgmentEntry, LedgerImage, Manifest,
-    ManifestEntry, MissingCause, SnapshotImage, StorageError, TableImage, Wal, WalRecord,
-    SNAPSHOT_FILE, WAL_FILE,
+    write_snapshot_file, CacheImage, ColumnImage, JudgmentEntry, LedgerImage, Manifest,
+    ManifestEntry, SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE,
+    WAL_FILE,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
 use crate::error::CrowdDbError;
-use crate::materialize::materialize_column;
+use crate::materialize::{marks_of, materialize_column, repair_cells, restore_provenance, Marks};
 use crate::planner;
-use crate::provenance::{CellProvenance, MissingReason};
 use crate::scheduler::Scheduler;
 use crate::sync::{mlock, rlock, wlock};
 use crate::Result;
-
-/// The per-column provenance ledger type shared with `db.rs`.
-pub(crate) type ProvenanceLedger = HashMap<(String, String), HashMap<ItemId, CellProvenance>>;
 
 /// One partition's WAL segment: the open log plus the dirty flag partial
 /// checkpoints consult.  The segment mutex is the per-partition *WAL lock*
@@ -528,8 +524,6 @@ impl Durability {
 pub(crate) struct RecoveredState {
     pub(crate) catalog: Catalog,
     pub(crate) cache: JudgmentCache,
-    pub(crate) provenance: ProvenanceLedger,
-    pub(crate) incomplete: HashSet<(String, String)>,
     pub(crate) crowd_rounds: u64,
     /// Partitioning specs of the recovered tables that are *not*
     /// single-partition — `assemble` re-splits their merged rows into
@@ -542,8 +536,6 @@ impl Default for RecoveredState {
         RecoveredState {
             catalog: Catalog::new(),
             cache: JudgmentCache::new(),
-            provenance: HashMap::new(),
-            incomplete: HashSet::new(),
             crowd_rounds: 0,
             specs: HashMap::new(),
         }
@@ -691,10 +683,6 @@ fn recover_segmented(
                 .expect("listed table exists");
             state.catalog.create_table(recovered.clone())?;
         }
-        for (key, marks) in table_state.provenance {
-            state.provenance.entry(key).or_default().extend(marks);
-        }
-        state.incomplete.extend(table_state.incomplete);
         let (groups, _) = table_state.cache.export();
         state.cache.absorb(groups);
         crowd_rounds = crowd_rounds.max(table_state.crowd_rounds);
@@ -810,10 +798,6 @@ fn merge_table_parts(
                 Some(acc) => merge_partition_tables(acc, slice)?,
             });
         }
-        for (key, marks) in part.state.provenance {
-            merged.provenance.entry(key).or_default().extend(marks);
-        }
-        merged.incomplete.extend(part.state.incomplete);
         let (groups, _) = part.state.cache.export();
         merged.cache.absorb(groups);
         merged.crowd_rounds = merged.crowd_rounds.max(part.state.crowd_rounds);
@@ -836,9 +820,10 @@ fn merge_table_parts(
 }
 
 /// Appends `part`'s rows and columns onto `acc`: rows concatenate in
-/// partition order; columns `acc` has never seen (possible only when a
-/// crash tore a schema-changing record's fan-out mid-way) are appended in
-/// `part`'s order and `NULL`-filled for the rows that predate them.
+/// partition order, provenance tags included; columns `acc` has never
+/// seen (possible only when a crash tore a schema-changing record's
+/// fan-out mid-way) are appended in `part`'s order and `NULL`-filled for
+/// the rows that predate them.
 pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Table> {
     for column in part.schema().columns() {
         if acc.schema().index_of(&column.name).is_none() {
@@ -849,23 +834,15 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
             acc.add_column(column, None)?;
         }
     }
-    let width = acc.schema().len();
-    for row in part.rows() {
-        let mut aligned = vec![Value::Null; width];
-        for (value, column) in row.iter().zip(part.schema().columns()) {
-            let index = acc
-                .schema()
-                .index_of(&column.name)
-                .expect("column was unioned above");
-            aligned[index] = value.clone();
-        }
-        acc.insert_row(aligned)?;
+    for row in 0..part.len() {
+        acc.insert_row_from(part, row)?;
     }
     Ok(acc)
 }
 
 /// Splits `table`'s rows into `spec.partition_count()` per-partition
-/// tables (same name, same schema) by routing each row's id-column value.
+/// tables (same name, same schema, same provenance-tracked columns) by
+/// routing each row's id-column value; rows keep their tags.
 /// Rows without an id column land in partition 0, matching
 /// [`PartitionSpec::route_value`]'s `NULL` fallback.  The inverse of the
 /// recovery-time merge — the write path, the checkpoint slicer, and
@@ -877,17 +854,13 @@ pub(crate) fn split_table_by_partition(
     spec: &PartitionSpec,
 ) -> Result<Vec<Table>> {
     let n = spec.partition_count();
-    let mut parts: Vec<Table> = (0..n)
-        .map(|_| Table::new(table.name(), table.schema().clone()))
-        .collect();
+    let mut parts: Vec<Table> = (0..n).map(|_| table.empty_like()).collect();
     let id_index = table.schema().index_of(id_column);
-    for row in table.rows() {
+    for (index, row) in table.rows().iter().enumerate() {
         let k = id_index
             .map(|i| spec.route_value(&row[i]))
             .unwrap_or_default();
-        parts[k]
-            .insert_row(row.clone())
-            .map_err(CrowdDbError::from)?;
+        parts[k].insert_row_from(table, index)?;
     }
     Ok(parts)
 }
@@ -955,7 +928,7 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
                 )));
             }
             let stamp = (image.wal_generation, image.wal_records_applied);
-            (state_of_snapshot(image)?, Some(stamp))
+            (state_of_snapshot(image, id_column)?, Some(stamp))
         }
         None => (RecoveredState::default(), None),
     };
@@ -1027,7 +1000,7 @@ fn migrate_legacy(dir: &Path, id_column: &str) -> Result<(RecoveredState, Durabi
                 )));
             }
             let stamp = (image.wal_generation, image.wal_records_applied);
-            (state_of_snapshot(image)?, Some(stamp))
+            (state_of_snapshot(image, id_column)?, Some(stamp))
         }
         None => (RecoveredState::default(), None),
     };
@@ -1068,8 +1041,6 @@ fn migrate_legacy(dir: &Path, id_column: &str) -> Result<(RecoveredState, Durabi
             TableSnapshotParts {
                 table,
                 cache: &state.cache,
-                provenance: &state.provenance,
-                incomplete: &state.incomplete,
                 crowd_rounds: state.crowd_rounds,
                 id_column,
                 partition: None,
@@ -1180,29 +1151,22 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             data_type,
             values,
             ledger,
-            incomplete,
+            // Derived again from the tags the marks write.
+            incomplete: _,
         } => {
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
+            let marks: Option<Marks> = ledger.map(|marks| marks.into_iter().collect());
             let table_ref = state.catalog.table(&table)?;
             let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
             let table_mut = state.catalog.table_mut(&table)?;
-            materialize_column(table_mut, &column, data_type, &values, &rows)?;
-            let key = (table.clone(), column.clone());
-            if let Some(marks) = ledger {
-                // Entry-wise extend, not insert: sibling partitions of the
-                // same table contribute disjoint item slices to the same
-                // (table, column) ledger during the recovery merge.
-                state.provenance.entry(key.clone()).or_default().extend(
-                    marks
-                        .into_iter()
-                        .map(|(item, mark)| (item, provenance_of_mark(mark))),
-                );
-            }
-            if incomplete {
-                state.incomplete.insert(key);
-            } else {
-                state.incomplete.remove(&key);
-            }
+            materialize_column(
+                table_mut,
+                &column,
+                data_type,
+                &values,
+                marks.as_ref(),
+                &rows,
+            )?;
         }
         WalRecord::SetCells {
             table,
@@ -1212,12 +1176,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
             let table_ref = state.catalog.table(&table)?;
             let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
-            let table_mut = state.catalog.table_mut(&table)?;
-            for (row, item) in rows {
-                if let Some(value) = values.get(&item) {
-                    table_mut.set_value(row, &column, value.clone())?;
-                }
-            }
+            repair_cells(state.catalog.table_mut(&table)?, &column, &values, &rows)?;
         }
         WalRecord::CachePut {
             table,
@@ -1252,30 +1211,21 @@ fn check_id_column(recorded: &str, ctx: &ReplayCtx<'_>) -> Result<()> {
     Ok(())
 }
 
-fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
+/// Rebuilds the state a snapshot image captured.  Each column's marks
+/// re-tag its cells through the materialize writer; the image's
+/// incomplete-column list is not read, since the tags imply it.
+fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredState> {
     let mut catalog = Catalog::new();
     for table in image.tables {
         catalog.create_table(table.into_table()?)?;
     }
-    let provenance = image
-        .ledgers
-        .into_iter()
-        .map(|ledger| {
-            (
-                (ledger.table, ledger.column),
-                ledger
-                    .marks
-                    .into_iter()
-                    .map(|(item, mark)| (item, provenance_of_mark(mark)))
-                    .collect(),
-            )
-        })
-        .collect();
-    let incomplete = image
-        .incomplete
-        .into_iter()
-        .map(|c| (c.table, c.column))
-        .collect();
+    for ledger in image.ledgers {
+        let (rows, _, _) =
+            planner::row_mapping(&[catalog.table(&ledger.table)?], id_column, &ledger.table)?;
+        let marks: Marks = ledger.marks.into_iter().collect();
+        let table = catalog.table_mut(&ledger.table)?;
+        restore_provenance(table, &ledger.column, &marks, &rows)?;
+    }
     let cache = JudgmentCache::restore(
         image
             .cache
@@ -1302,37 +1252,35 @@ fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
     Ok(RecoveredState {
         catalog,
         cache,
-        provenance,
-        incomplete,
         crowd_rounds: image.crowd_rounds,
         specs: HashMap::new(),
     })
 }
 
 /// Borrowed views of the live state a per-partition checkpoint captures
-/// (the caller holds the partition's shared lock; the other structures
-/// are read through their own synchronization and filtered down to the
+/// (the caller holds the partition's shared lock; the judgment cache is
+/// read through its own synchronization and filtered down to the
 /// partition's slice).
 pub(crate) struct TableSnapshotParts<'a> {
     /// The partition's catalog slice (the whole table when
     /// single-partition).
     pub(crate) table: &'a relational::Table,
     pub(crate) cache: &'a JudgmentCache,
-    pub(crate) provenance: &'a ProvenanceLedger,
-    pub(crate) incomplete: &'a HashSet<(String, String)>,
     pub(crate) crowd_rounds: u64,
     pub(crate) id_column: &'a str,
     /// `Some((spec, k))` when snapshotting partition `k` of a partitioned
-    /// table: item-keyed structures (ledger marks, cache entries) are
-    /// filtered to the items that route to `k`, matching the rows the
-    /// `table` slice holds.  `None` captures the whole table.
+    /// table: cache entries are filtered to the items that route to `k`,
+    /// matching the rows the `table` slice holds.  `None` captures the
+    /// whole table.
     pub(crate) partition: Option<(&'a PartitionSpec, usize)>,
 }
 
 /// Captures one partition's state as a snapshot image, stamped with the
 /// segment position it supersedes (see
-/// [`Durability::checkpoint_partition`]).  The image's cache counters are
-/// zero: the global effectiveness counters are manifest state, not
+/// [`Durability::checkpoint_partition`]).  Every provenance-tracked
+/// column is stored as one mark per item ([`marks_of`]) and, when it holds
+/// recoverable holes, listed as incomplete.  The image's cache counters
+/// are zero: the global effectiveness counters are manifest state, not
 /// per-table state.
 pub(crate) fn table_snapshot_image(
     parts: TableSnapshotParts<'_>,
@@ -1342,8 +1290,6 @@ pub(crate) fn table_snapshot_image(
     let TableSnapshotParts {
         table,
         cache,
-        provenance,
-        incomplete,
         crowd_rounds,
         id_column,
         partition,
@@ -1353,33 +1299,30 @@ pub(crate) fn table_snapshot_image(
         None => true,
     };
     let name = table.name().to_string();
-    let mut ledgers: Vec<LedgerImage> = provenance
-        .iter()
-        .filter(|((t, _), _)| *t == name)
-        .map(|((table, column), marks)| {
-            let mut marks: Vec<(ItemId, CellMark)> = marks
-                .iter()
-                .filter(|(&item, _)| in_slice(item))
-                .map(|(&item, provenance)| (item, mark_of_provenance(*provenance)))
-                .collect();
-            marks.sort_unstable_by_key(|(item, _)| *item);
-            LedgerImage {
-                table: table.clone(),
+    let rows = planner::row_mapping(&[table], id_column, &name)
+        .map(|(rows, _, _)| rows)
+        .unwrap_or_default();
+    let mut ledgers = Vec::new();
+    let mut incomplete = Vec::new();
+    for (index, column) in table.schema().columns().iter().enumerate() {
+        let Some(tags) = table.tags(index) else {
+            continue;
+        };
+        let column = column.name.to_lowercase();
+        if table.recoverable_holes(index) > 0 {
+            incomplete.push(ColumnImage {
+                table: name.clone(),
                 column: column.clone(),
-                marks,
-            }
-        })
-        .collect();
-    ledgers.sort_unstable_by(|a, b| (&a.table, &a.column).cmp(&(&b.table, &b.column)));
-    let mut incomplete: Vec<ColumnImage> = incomplete
-        .iter()
-        .filter(|(t, _)| *t == name)
-        .map(|(table, column)| ColumnImage {
-            table: table.clone(),
-            column: column.clone(),
-        })
-        .collect();
-    incomplete.sort_unstable_by(|a, b| (&a.table, &a.column).cmp(&(&b.table, &b.column)));
+            });
+        }
+        ledgers.push(LedgerImage {
+            table: name.clone(),
+            column,
+            marks: marks_of(tags, &rows),
+        });
+    }
+    ledgers.sort_unstable_by(|a, b| a.column.cmp(&b.column));
+    incomplete.sort_unstable_by(|a, b| a.column.cmp(&b.column));
     SnapshotImage {
         tables: vec![TableImage::of(table)],
         ledgers,
@@ -1447,65 +1390,5 @@ pub(crate) fn judgment_of_entry(entry: JudgmentEntry) -> CachedJudgment {
         judgments: entry.judgments as usize,
         cost: entry.cost,
         confidence: entry.confidence,
-    }
-}
-
-pub(crate) fn mark_of_provenance(provenance: CellProvenance) -> CellMark {
-    match provenance {
-        CellProvenance::Stored => CellMark::Stored,
-        CellProvenance::CrowdDerived {
-            confidence,
-            cost_share,
-        } => CellMark::CrowdDerived {
-            confidence,
-            cost_share,
-        },
-        CellProvenance::CacheHit { confidence } => CellMark::CacheHit { confidence },
-        CellProvenance::Extracted => CellMark::Extracted,
-        CellProvenance::Missing { reason } => CellMark::Missing {
-            cause: cause_of_reason(reason),
-        },
-    }
-}
-
-pub(crate) fn provenance_of_mark(mark: CellMark) -> CellProvenance {
-    match mark {
-        CellMark::Stored => CellProvenance::Stored,
-        CellMark::CrowdDerived {
-            confidence,
-            cost_share,
-        } => CellProvenance::CrowdDerived {
-            confidence,
-            cost_share,
-        },
-        CellMark::CacheHit { confidence } => CellProvenance::CacheHit { confidence },
-        CellMark::Extracted => CellProvenance::Extracted,
-        CellMark::Missing { cause } => CellProvenance::Missing {
-            reason: reason_of_cause(cause),
-        },
-    }
-}
-
-fn cause_of_reason(reason: MissingReason) -> MissingCause {
-    match reason {
-        MissingReason::BudgetExhausted => MissingCause::BudgetExhausted,
-        MissingReason::NoCachedJudgment => MissingCause::NoCachedJudgment,
-        MissingReason::BelowQualityFloor => MissingCause::BelowQualityFloor,
-        MissingReason::NoMajority => MissingCause::NoMajority,
-        MissingReason::OutOfSpace => MissingCause::OutOfSpace,
-        MissingReason::NotExpanded => MissingCause::NotExpanded,
-        MissingReason::NoItemId => MissingCause::NoItemId,
-    }
-}
-
-fn reason_of_cause(cause: MissingCause) -> MissingReason {
-    match cause {
-        MissingCause::BudgetExhausted => MissingReason::BudgetExhausted,
-        MissingCause::NoCachedJudgment => MissingReason::NoCachedJudgment,
-        MissingCause::BelowQualityFloor => MissingReason::BelowQualityFloor,
-        MissingCause::NoMajority => MissingReason::NoMajority,
-        MissingCause::OutOfSpace => MissingReason::OutOfSpace,
-        MissingCause::NotExpanded => MissingReason::NotExpanded,
-        MissingCause::NoItemId => MissingReason::NoItemId,
     }
 }

@@ -131,8 +131,8 @@ pub struct ExpansionPolicy {
     /// Minimum inter-worker agreement a crowd verdict needs to appear in
     /// *this query's* results; lower-agreement cells are masked to `NULL`
     /// with `Missing { reason: BelowQualityFloor }` provenance.  A view
-    /// filter only: the shared table, cache, and provenance ledger keep
-    /// the verdicts for less strict queries.
+    /// filter only: the shared table (values and their provenance tags)
+    /// and the cache keep the verdicts for less strict queries.
     pub quality_floor: Option<f64>,
     /// Acquire judgments adaptively: collect them round-at-a-time per item,
     /// aggregate with the EM worker-accuracy model, and stop buying for an

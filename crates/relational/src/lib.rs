@@ -6,7 +6,8 @@
 //! database of crate `crowddb-core` builds on:
 //!
 //! * typed [`Value`]s with SQL-style `NULL` and three-valued logic,
-//! * [`Schema`]s and row-oriented [`Table`]s held in a [`Catalog`],
+//! * [`Schema`]s and row-oriented [`Table`]s held in a [`Catalog`], each
+//!   cell optionally tagged with its [`CellProvenance`],
 //! * an expression AST ([`Expr`]) with an evaluator,
 //! * a SQL-subset parser ([`sql::parse`]) covering `SELECT` (with `WHERE`,
 //!   `ORDER BY`, `LIMIT`), `INSERT`, `UPDATE`, `DELETE`, `CREATE TABLE`, and
@@ -40,6 +41,7 @@ pub mod executor;
 pub mod expr;
 mod key_index;
 pub mod partition;
+pub mod provenance;
 pub mod schema;
 pub mod sql;
 pub mod table;
@@ -53,6 +55,7 @@ pub use executor::{
 };
 pub use expr::{BinaryOperator, Expr, UnaryOperator};
 pub use partition::PartitionSpec;
+pub use provenance::{CellProvenance, MissingReason};
 pub use schema::{Column, Schema};
 pub use sql::{parse, ExpansionClause, ExpansionClauseMode, Statement};
 pub use table::Table;

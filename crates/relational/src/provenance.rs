@@ -6,19 +6,21 @@
 //! left open.  Untyped rows erase that distinction; crowd schema-matching
 //! work (Zhang et al., *Reducing Uncertainty of Schema Matching via
 //! Crowdsourcing with Accuracy Rates*) shows why per-answer confidence must
-//! survive to the consumer.  [`CellProvenance`] is that record, carried on
-//! every cell of a [`crate::RowSet`].
+//! survive to the consumer.  [`CellProvenance`] is that record: a
+//! [`Table`](crate::Table) keeps one beside every cell of the columns it
+//! tracks provenance for, written together with the cell's value, and
+//! query results carry it on every returned cell.
 
 /// Why a cell of an expanded column has no value.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissingReason {
-    /// The query's crowd budget ran out before the item was acquired
-    /// ([`crate::ExpansionMode::BestEffort`]); a later query with budget
-    /// left can fill the hole.
+    /// The query's crowd budget ran out before the item was acquired (a
+    /// best-effort query); a later query with budget left can fill the
+    /// hole.
     BudgetExhausted,
-    /// The policy was [`crate::ExpansionMode::CacheOnly`] and no earlier
-    /// query had purchased a judgment for the item.
+    /// The query was cache-only and no earlier query had purchased a
+    /// judgment for the item.
     NoCachedJudgment,
     /// A verdict exists but its inter-worker agreement lies below the
     /// query's quality floor.
@@ -28,8 +30,9 @@ pub enum MissingReason {
     /// The item has no coordinates in the bound perceptual space, so the
     /// extractor cannot extrapolate a value for it.
     OutOfSpace,
-    /// The row's item was never part of an expansion of this column (e.g.
-    /// the row was inserted after the column was materialized).
+    /// The row's item was never part of an expansion of this column: an
+    /// `INSERT` left the cell `NULL`, or the item was not planned when the
+    /// column was materialized.
     NotExpanded,
     /// The row's id column holds no usable item id (`NULL`, non-integer,
     /// negative, or beyond `u32`), so no crowd value can ever be routed to
@@ -38,6 +41,16 @@ pub enum MissingReason {
 }
 
 impl MissingReason {
+    /// True for holes a later query can still fill by paying the crowd
+    /// (budget-denied and cache-only-missed items): a column holding one
+    /// is *incomplete*, and queries reading it re-run its expansion.
+    pub fn is_recoverable(&self) -> bool {
+        matches!(
+            self,
+            MissingReason::BudgetExhausted | MissingReason::NoCachedJudgment
+        )
+    }
+
     /// A short human-readable description.
     pub fn describe(&self) -> &'static str {
         match self {
@@ -56,7 +69,8 @@ impl MissingReason {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellProvenance {
-    /// A stored (factual) value that predates any expansion.
+    /// A stored value: factual data, or a value SQL wrote (`INSERT`,
+    /// `UPDATE`).
     Stored,
     /// The value is a crowd majority verdict this query dispatched and
     /// paid for.
@@ -68,8 +82,8 @@ pub enum CellProvenance {
         /// item, under the owner-pays accounting of batched rounds.
         cost_share: f64,
     },
-    /// The value was served by the [`crate::JudgmentCache`] — paid for by
-    /// an earlier query, or by a concurrent query whose in-flight round
+    /// The value was served by the judgment cache — paid for by an earlier
+    /// query, or by a concurrent query whose in-flight round
     /// this query coalesced onto.  Zero cost for this query either way.
     CacheHit {
         /// Inter-worker agreement behind the reused verdict, as stored
@@ -89,6 +103,11 @@ pub enum CellProvenance {
 }
 
 impl CellProvenance {
+    /// True for a [`MissingReason::is_recoverable`] hole.
+    pub fn is_recoverable(&self) -> bool {
+        matches!(self, CellProvenance::Missing { reason } if reason.is_recoverable())
+    }
+
     /// True when the cell has no value.
     pub fn is_missing(&self) -> bool {
         matches!(self, CellProvenance::Missing { .. })
@@ -141,6 +160,12 @@ mod tests {
         };
         assert!(missing.is_missing());
         assert!(!missing.is_crowd_backed());
+        assert!(missing.is_recoverable());
+        assert!(!CellProvenance::Extracted.is_recoverable());
+        assert!(!CellProvenance::Missing {
+            reason: MissingReason::NoMajority
+        }
+        .is_recoverable());
         assert!(MissingReason::BudgetExhausted.describe().contains("budget"));
         assert!(MissingReason::NoItemId.describe().contains("item id"));
     }

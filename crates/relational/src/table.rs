@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
 use crate::key_index::KeyIndex;
+use crate::provenance::{CellProvenance, MissingReason};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -16,17 +17,33 @@ fn widen(value: &mut Value, data_type: DataType) {
     }
 }
 
+/// The provenance of one column's cells, one tag per row, plus how many
+/// of them are recoverable holes — counted as tags are written, so asking
+/// whether a column is incomplete costs no scan.
+#[derive(Debug, Clone, PartialEq)]
+struct ColumnTags {
+    cells: Vec<CellProvenance>,
+    holes: usize,
+}
+
 /// A named table: a schema plus a row store, optionally with a key index
-/// on one `INTEGER` column ([`Table::index_key`]).
+/// on one `INTEGER` column ([`Table::index_key`]) and with per-cell
+/// [`CellProvenance`] on the columns that track it
+/// ([`Table::track_provenance`]).
 ///
-/// The key index is derived state: two tables with the same name, schema
-/// and rows are equal whether or not either one indexes a key, and a
-/// clone indexes none.
+/// Provenance tags are table state: every cell writer sets a cell's value
+/// and tag together ([`Table::set_cell`]), and tags take part in equality
+/// and cloning.  The key index is derived state: two tables with the same
+/// name, schema, rows and tags are equal whether or not either one
+/// indexes a key, and a clone indexes none.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Vec<Value>>,
+    /// Per column: its cells' tags, or `None` when every cell is
+    /// [`CellProvenance::Stored`].
+    tags: Vec<Option<ColumnTags>>,
     #[serde(skip)]
     key: Option<KeyIndex>,
 }
@@ -37,6 +54,7 @@ impl Clone for Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             rows: self.rows.clone(),
+            tags: self.tags.clone(),
             key: None,
         }
     }
@@ -44,7 +62,10 @@ impl Clone for Table {
 
 impl PartialEq for Table {
     fn eq(&self, other: &Table) -> bool {
-        self.name == other.name && self.schema == other.schema && self.rows == other.rows
+        self.name == other.name
+            && self.schema == other.schema
+            && self.rows == other.rows
+            && self.tags == other.tags
     }
 }
 
@@ -53,10 +74,26 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into().to_lowercase(),
+            tags: vec![None; schema.len()],
             schema,
             rows: Vec::new(),
             key: None,
         }
+    }
+
+    /// An empty table with this one's name, schema and provenance-tracked
+    /// columns.
+    pub fn empty_like(&self) -> Table {
+        let mut table = Table::new(&self.name, self.schema.clone());
+        for (slot, tags) in table.tags.iter_mut().zip(&self.tags) {
+            if tags.is_some() {
+                *slot = Some(ColumnTags {
+                    cells: Vec::new(),
+                    holes: 0,
+                });
+            }
+        }
+        table
     }
 
     /// The table name (lower-cased).
@@ -89,8 +126,61 @@ impl Table {
         self.rows.get(index).map(|r| r.as_slice())
     }
 
-    /// Inserts a full row (one value per column, in schema order).
-    pub fn insert_row(&mut self, mut row: Vec<Value>) -> Result<()> {
+    /// Inserts a full row (one value per column, in schema order).  In a
+    /// provenance-tracked column the new cell reads
+    /// [`CellProvenance::Stored`] when it holds a value and
+    /// [`MissingReason::NotExpanded`] when it is `NULL`.
+    pub fn insert_row(&mut self, row: Vec<Value>) -> Result<()> {
+        self.insert_tagged(row, |_, value| {
+            if value.is_null() {
+                CellProvenance::Missing {
+                    reason: MissingReason::NotExpanded,
+                }
+            } else {
+                CellProvenance::Stored
+            }
+        })
+    }
+
+    /// Appends row `row_index` of `source`, matching its cells to this
+    /// table's columns by name, tags included: a column `source` tracks
+    /// provenance for starts tracking it here too, and a column `source`
+    /// lacks gets `NULL` (tagged as [`Table::insert_row`] tags it).
+    pub fn insert_row_from(&mut self, source: &Table, row_index: usize) -> Result<()> {
+        let from: Vec<Option<usize>> = self
+            .schema
+            .columns()
+            .iter()
+            .map(|column| source.schema.index_of(&column.name))
+            .collect();
+        for (column, &from) in from.iter().enumerate() {
+            if from.is_some_and(|from| source.tags[from].is_some()) {
+                self.start_tracking(column);
+            }
+        }
+        let row = &source.rows[row_index];
+        let values = from
+            .iter()
+            .map(|from| from.map_or(Value::Null, |from| row[from].clone()))
+            .collect();
+        self.insert_tagged(values, |column, value| match from[column] {
+            Some(from) => source.tags[from]
+                .as_ref()
+                .map_or(CellProvenance::Stored, |tags| tags.cells[row_index]),
+            None if value.is_null() => CellProvenance::Missing {
+                reason: MissingReason::NotExpanded,
+            },
+            None => CellProvenance::Stored,
+        })
+    }
+
+    /// Inserts a full row, tagging the cells of provenance-tracked columns
+    /// with `tag(column, value)`.
+    fn insert_tagged(
+        &mut self,
+        mut row: Vec<Value>,
+        tag: impl Fn(usize, &Value) -> CellProvenance,
+    ) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(RelationalError::InvalidStatement(format!(
                 "expected {} values but got {}",
@@ -116,8 +206,55 @@ impl Table {
         if let Some(key) = &mut self.key {
             key.insert(&self.rows, &row[key.column()], self.rows.len());
         }
+        for (column, slot) in self.tags.iter_mut().enumerate() {
+            if let Some(tags) = slot {
+                let provenance = tag(column, &row[column]);
+                tags.holes += usize::from(provenance.is_recoverable());
+                tags.cells.push(provenance);
+            }
+        }
         self.rows.push(row);
         Ok(())
+    }
+
+    /// Starts tracking provenance for `column`: its cells read
+    /// [`CellProvenance::Stored`] until they are written.  Does nothing
+    /// when the column already tracks it.  Returns the column's position.
+    pub fn track_provenance(&mut self, column: &str) -> Result<usize> {
+        let index = self.column_index(column)?;
+        self.start_tracking(index);
+        Ok(index)
+    }
+
+    fn start_tracking(&mut self, column: usize) {
+        let rows = self.rows.len();
+        self.tags[column].get_or_insert_with(|| ColumnTags {
+            cells: vec![CellProvenance::Stored; rows],
+            holes: 0,
+        });
+    }
+
+    /// The provenance of every cell of the column at position `column`, in
+    /// row order — `None` when the column does not track provenance (every
+    /// cell is [`CellProvenance::Stored`]).
+    pub fn tags(&self, column: usize) -> Option<&[CellProvenance]> {
+        self.tags[column].as_ref().map(|tags| tags.cells.as_slice())
+    }
+
+    /// How many cells of the column at position `column` hold a
+    /// recoverable hole ([`CellProvenance::is_recoverable`]).  Kept by the
+    /// cell writers, so it costs no scan.
+    pub fn recoverable_holes(&self, column: usize) -> usize {
+        self.tags[column].as_ref().map_or(0, |tags| tags.holes)
+    }
+
+    fn column_index(&self, column: &str) -> Result<usize> {
+        self.schema
+            .index_of(column)
+            .ok_or_else(|| RelationalError::UnknownColumn {
+                table: self.name.clone(),
+                column: column.to_string(),
+            })
     }
 
     /// Declares `column` — an `INTEGER` column — the table's key and
@@ -175,7 +312,7 @@ impl Table {
 
     /// Adds a new column; existing rows get `NULL` (or the provided default)
     /// in the new position.  This is the storage-level half of query-driven
-    /// schema expansion.
+    /// schema expansion.  The column does not track provenance.
     pub fn add_column(&mut self, column: Column, default: Option<Value>) -> Result<()> {
         if let Some(ref d) = default {
             if !d.is_compatible_with(column.data_type) {
@@ -197,18 +334,28 @@ impl Table {
         for row in &mut self.rows {
             row.push(fill.clone());
         }
+        self.tags.push(None);
         Ok(())
     }
 
-    /// Overwrites the value of `column` in row `row_index`.
-    pub fn set_value(&mut self, row_index: usize, column: &str, mut value: Value) -> Result<()> {
-        let col_idx =
-            self.schema
-                .index_of(column)
-                .ok_or_else(|| RelationalError::UnknownColumn {
-                    table: self.name.clone(),
-                    column: column.to_string(),
-                })?;
+    /// Overwrites the value of `column` in row `row_index` with a stored
+    /// value: [`Table::set_cell`] with [`CellProvenance::Stored`].
+    pub fn set_value(&mut self, row_index: usize, column: &str, value: Value) -> Result<()> {
+        self.set_cell(row_index, column, value, CellProvenance::Stored)
+    }
+
+    /// Overwrites the value of `column` in row `row_index` and its
+    /// provenance together — the one writer of existing cells.  A column
+    /// that does not track provenance starts to when it receives a tag
+    /// other than [`CellProvenance::Stored`].
+    pub fn set_cell(
+        &mut self,
+        row_index: usize,
+        column: &str,
+        mut value: Value,
+        provenance: CellProvenance,
+    ) -> Result<()> {
+        let col_idx = self.column_index(column)?;
         let col = &self.schema.columns()[col_idx];
         if !value.is_compatible_with(col.data_type) {
             return Err(RelationalError::TypeMismatch(format!(
@@ -227,18 +374,20 @@ impl Table {
             key.insert(&self.rows, &value, row_index);
         }
         self.rows[row_index][col_idx] = value;
+        if provenance != CellProvenance::Stored {
+            self.start_tracking(col_idx);
+        }
+        if let Some(tags) = &mut self.tags[col_idx] {
+            let old = std::mem::replace(&mut tags.cells[row_index], provenance);
+            tags.holes = tags.holes + usize::from(provenance.is_recoverable())
+                - usize::from(old.is_recoverable());
+        }
         Ok(())
     }
 
     /// Reads the value of `column` in row `row_index`.
     pub fn value(&self, row_index: usize, column: &str) -> Result<&Value> {
-        let col_idx =
-            self.schema
-                .index_of(column)
-                .ok_or_else(|| RelationalError::UnknownColumn {
-                    table: self.name.clone(),
-                    column: column.to_string(),
-                })?;
+        let col_idx = self.column_index(column)?;
         self.rows
             .get(row_index)
             .map(|r| &r[col_idx])
@@ -252,7 +401,7 @@ impl Table {
     /// the number of rows removed.
     ///
     /// One pass compacts the surviving rows towards the front, in order,
-    /// and moves their key-index entries with them.
+    /// and moves their key-index entries and provenance tags with them.
     pub fn delete_rows(&mut self, indices: &[usize]) -> usize {
         let mut doomed: Vec<usize> = indices
             .iter()
@@ -276,25 +425,29 @@ impl Table {
                     key.renumber(value, row, kept);
                 }
             }
+            for tags in self.tags.iter_mut().flatten() {
+                if deleted {
+                    tags.holes -= usize::from(tags.cells[row].is_recoverable());
+                } else {
+                    tags.cells.swap(kept, row);
+                }
+            }
             if !deleted {
                 self.rows.swap(kept, row);
                 kept += 1;
             }
         }
         self.rows.truncate(kept);
+        for tags in self.tags.iter_mut().flatten() {
+            tags.cells.truncate(kept);
+        }
         doomed.len()
     }
 
     /// Number of `NULL`s in a column — the amount of data a crowd-enabled
     /// database would have to complete at query time.
     pub fn null_count(&self, column: &str) -> Result<usize> {
-        let col_idx =
-            self.schema
-                .index_of(column)
-                .ok_or_else(|| RelationalError::UnknownColumn {
-                    table: self.name.clone(),
-                    column: column.to_string(),
-                })?;
+        let col_idx = self.column_index(column)?;
         Ok(self.rows.iter().filter(|r| r[col_idx].is_null()).count())
     }
 }

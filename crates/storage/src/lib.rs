@@ -46,8 +46,8 @@ pub use manifest::{
     SNAP_DIR, WAL_DIR,
 };
 pub use records::{
-    decode_partition_spec, encode_partition_spec, CacheImage, CellMark, ColumnImage, JudgmentEntry,
-    LedgerImage, MissingCause, SnapshotImage, TableImage, WalRecord,
+    decode_partition_spec, encode_partition_spec, CacheImage, ColumnImage, JudgmentEntry,
+    LedgerImage, SnapshotImage, TableImage, WalRecord,
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, SNAPSHOT_FILE,

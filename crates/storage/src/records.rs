@@ -3,26 +3,28 @@
 //! Two kinds of payloads travel through the storage engine:
 //!
 //! * [`WalRecord`] — one committed change: catalog DDL, a row mutation,
-//!   a materialized crowd column (per-item values plus per-item
-//!   [`CellMark`] provenance with confidence and cost share), judgment
-//!   cache writes, and cache invalidation.
-//! * [`SnapshotImage`] — the whole-database image a checkpoint writes:
-//!   every table, every provenance ledger, the incomplete-column set, the
-//!   judgment cache (entries *and* effectiveness counters), and the crowd
-//!   round counter (so reopened databases keep drawing fresh round seeds
-//!   instead of replaying old ones).
+//!   a materialized crowd column (per-item values plus one
+//!   [`CellProvenance`] mark per item, confidence and cost share
+//!   included), judgment cache writes, and cache invalidation.
+//! * [`SnapshotImage`] — the image a checkpoint writes: the table, one
+//!   provenance mark per item of every column that tracks provenance, the
+//!   columns holding recoverable holes, the judgment cache (entries *and*
+//!   effectiveness counters), and the crowd round counter (so reopened
+//!   databases keep drawing fresh round seeds instead of replaying old
+//!   ones).
 //!
 //! Every type encodes itself explicitly through [`Encoder`] / [`Decoder`]
 //! (see [`crate::codec`] for why), with one tag byte per enum variant.
 //! Tags are append-only: new variants take new numbers, existing numbers
 //! are never reused, so old files stay readable.
 //!
-//! Crowd-layer concepts (judgments, provenance) appear here as plain data
-//! mirrors — [`JudgmentEntry`], [`CellMark`], [`MissingCause`] — so this
-//! crate does not depend on `crowddb_core`; the core converts to and from
-//! its richer types when logging and replaying.
+//! Judgments appear here as a plain data mirror, [`JudgmentEntry`], so
+//! this crate does not depend on `crowddb_core`; provenance is the
+//! relational crate's own [`CellProvenance`], encoded directly.
 
-use relational::{Column, DataType, PartitionSpec, Schema, Table, Value};
+use relational::{
+    CellProvenance, Column, DataType, MissingReason, PartitionSpec, Schema, Table, Value,
+};
 
 use crate::codec::{Decoder, Encoder};
 use crate::{Result, StorageError};
@@ -258,123 +260,75 @@ impl JudgmentEntry {
     }
 }
 
-/// Why a materialized cell has no value (mirrors
-/// `crowddb_core::MissingReason`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissingCause {
-    /// The query's crowd budget ran out before the item was acquired.
-    BudgetExhausted,
-    /// A cache-only query found no purchased judgment for the item.
-    NoCachedJudgment,
-    /// The verdict's agreement lies below the query's quality floor.
-    BelowQualityFloor,
-    /// The crowd tied on the item.
-    NoMajority,
-    /// The item has no coordinates in the perceptual space.
-    OutOfSpace,
-    /// The row was never covered by an expansion of this column.
-    NotExpanded,
-    /// The row's id column holds no usable item id.
-    NoItemId,
+fn encode_missing_reason(e: &mut Encoder, reason: MissingReason) {
+    e.u8(match reason {
+        MissingReason::BudgetExhausted => 0,
+        MissingReason::NoCachedJudgment => 1,
+        MissingReason::BelowQualityFloor => 2,
+        MissingReason::NoMajority => 3,
+        MissingReason::OutOfSpace => 4,
+        MissingReason::NotExpanded => 5,
+        MissingReason::NoItemId => 6,
+        _ => unreachable!("every missing reason has a storage tag"),
+    });
 }
 
-impl MissingCause {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            MissingCause::BudgetExhausted => 0,
-            MissingCause::NoCachedJudgment => 1,
-            MissingCause::BelowQualityFloor => 2,
-            MissingCause::NoMajority => 3,
-            MissingCause::OutOfSpace => 4,
-            MissingCause::NotExpanded => 5,
-            MissingCause::NoItemId => 6,
-        });
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => MissingCause::BudgetExhausted,
-            1 => MissingCause::NoCachedJudgment,
-            2 => MissingCause::BelowQualityFloor,
-            3 => MissingCause::NoMajority,
-            4 => MissingCause::OutOfSpace,
-            5 => MissingCause::NotExpanded,
-            6 => MissingCause::NoItemId,
-            tag => return Err(corrupt("missing cause", tag)),
-        })
-    }
+fn decode_missing_reason(d: &mut Decoder<'_>) -> Result<MissingReason> {
+    Ok(match d.u8()? {
+        0 => MissingReason::BudgetExhausted,
+        1 => MissingReason::NoCachedJudgment,
+        2 => MissingReason::BelowQualityFloor,
+        3 => MissingReason::NoMajority,
+        4 => MissingReason::OutOfSpace,
+        5 => MissingReason::NotExpanded,
+        6 => MissingReason::NoItemId,
+        tag => return Err(corrupt("missing reason", tag)),
+    })
 }
 
-/// The pedigree of one materialized cell (mirrors
-/// `crowddb_core::CellProvenance`), persisted so a reopened database
-/// reports *identical* per-cell provenance — confidence and cost share
-/// included — for answers bought before the restart.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellMark {
-    /// A stored (factual) value.
-    Stored,
-    /// A crowd majority verdict the recording query paid for.
-    CrowdDerived {
-        /// Inter-worker agreement behind the verdict.
-        confidence: f64,
-        /// Dollars of the query's crowd spend attributed to the item.
-        cost_share: f64,
-    },
-    /// A judgment-cache hit (paid for by an earlier or concurrent query).
-    CacheHit {
-        /// Inter-worker agreement behind the reused verdict.
-        confidence: f64,
-    },
-    /// An extractor (SVM) extrapolation over the perceptual space.
-    Extracted,
-    /// The cell is `NULL` for the recorded reason.
-    Missing {
-        /// Why the value is absent.
-        cause: MissingCause,
-    },
-}
-
-impl CellMark {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            CellMark::Stored => e.u8(0),
-            CellMark::CrowdDerived {
-                confidence,
-                cost_share,
-            } => {
-                e.u8(1);
-                e.f64(*confidence);
-                e.f64(*cost_share);
-            }
-            CellMark::CacheHit { confidence } => {
-                e.u8(2);
-                e.f64(*confidence);
-            }
-            CellMark::Extracted => e.u8(3),
-            CellMark::Missing { cause } => {
-                e.u8(4);
-                cause.encode(e);
-            }
+/// Encodes one cell's provenance mark — confidence and cost share
+/// included, so a reopened database reports identical provenance for
+/// answers bought before the restart.
+fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
+    match provenance {
+        CellProvenance::Stored => e.u8(0),
+        CellProvenance::CrowdDerived {
+            confidence,
+            cost_share,
+        } => {
+            e.u8(1);
+            e.f64(*confidence);
+            e.f64(*cost_share);
         }
+        CellProvenance::CacheHit { confidence } => {
+            e.u8(2);
+            e.f64(*confidence);
+        }
+        CellProvenance::Extracted => e.u8(3),
+        CellProvenance::Missing { reason } => {
+            e.u8(4);
+            encode_missing_reason(e, *reason);
+        }
+        _ => unreachable!("every provenance variant has a storage tag"),
     }
+}
 
-    fn decode(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => CellMark::Stored,
-            1 => CellMark::CrowdDerived {
-                confidence: d.f64()?,
-                cost_share: d.f64()?,
-            },
-            2 => CellMark::CacheHit {
-                confidence: d.f64()?,
-            },
-            3 => CellMark::Extracted,
-            4 => CellMark::Missing {
-                cause: MissingCause::decode(d)?,
-            },
-            tag => return Err(corrupt("cell mark", tag)),
-        })
-    }
+fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
+    Ok(match d.u8()? {
+        0 => CellProvenance::Stored,
+        1 => CellProvenance::CrowdDerived {
+            confidence: d.f64()?,
+            cost_share: d.f64()?,
+        },
+        2 => CellProvenance::CacheHit {
+            confidence: d.f64()?,
+        },
+        3 => CellProvenance::Extracted,
+        4 => CellProvenance::Missing {
+            reason: decode_missing_reason(d)?,
+        },
+        tag => return Err(corrupt("cell mark", tag)),
+    })
 }
 
 fn encode_items<T>(e: &mut Encoder, items: &[(ItemId, T)], encode: impl Fn(&mut Encoder, &T)) {
@@ -427,7 +381,7 @@ pub enum WalRecord {
         /// The provenance ledger of the column, sorted by item id;
         /// `None` for materializations that keep no ledger (numeric
         /// gold-sample expansion).
-        ledger: Option<Vec<(ItemId, CellMark)>>,
+        ledger: Option<Vec<(ItemId, CellProvenance)>>,
         /// True when the column has budget- or cache-shaped holes.
         incomplete: bool,
     },
@@ -517,7 +471,7 @@ impl WalRecord {
                     None => e.bool(false),
                     Some(marks) => {
                         e.bool(true);
-                        encode_items(&mut e, marks, |e, m| m.encode(e));
+                        encode_items(&mut e, marks, encode_provenance);
                     }
                 }
                 e.bool(*incomplete);
@@ -580,7 +534,7 @@ impl WalRecord {
                 let data_type = decode_data_type(&mut d)?;
                 let values = decode_items(&mut d, decode_value)?;
                 let ledger = if d.bool()? {
-                    Some(decode_items(&mut d, CellMark::decode)?)
+                    Some(decode_items(&mut d, decode_provenance)?)
                 } else {
                     None
                 };
@@ -655,7 +609,7 @@ pub struct LedgerImage {
     /// The column key (lower-cased).
     pub column: String,
     /// Per-item provenance marks, sorted by item id.
-    pub marks: Vec<(ItemId, CellMark)>,
+    pub marks: Vec<(ItemId, CellProvenance)>,
 }
 
 /// A `(table, column)` pair flagged as carrying recoverable holes.
@@ -705,7 +659,7 @@ impl SnapshotImage {
         for ledger in &self.ledgers {
             e.str(&ledger.table);
             e.str(&ledger.column);
-            encode_items(&mut e, &ledger.marks, |e, m| m.encode(e));
+            encode_items(&mut e, &ledger.marks, encode_provenance);
         }
         e.seq_len(self.incomplete.len());
         for column in &self.incomplete {
@@ -742,7 +696,7 @@ impl SnapshotImage {
             ledgers.push(LedgerImage {
                 table: d.str()?,
                 column: d.str()?,
-                marks: decode_items(&mut d, CellMark::decode)?,
+                marks: decode_items(&mut d, decode_provenance)?,
             });
         }
         let n_incomplete = d.seq_len()?;
@@ -836,16 +790,16 @@ mod tests {
                 ledger: Some(vec![
                     (
                         1,
-                        CellMark::CrowdDerived {
+                        CellProvenance::CrowdDerived {
                             confidence: 0.9,
                             cost_share: 0.02,
                         },
                     ),
-                    (2, CellMark::CacheHit { confidence: 0.8 }),
+                    (2, CellProvenance::CacheHit { confidence: 0.8 }),
                     (
                         3,
-                        CellMark::Missing {
-                            cause: MissingCause::BudgetExhausted,
+                        CellProvenance::Missing {
+                            reason: MissingReason::BudgetExhausted,
                         },
                     ),
                 ]),
@@ -911,7 +865,7 @@ mod tests {
             ledgers: vec![LedgerImage {
                 table: "movies".into(),
                 column: "is_comedy".into(),
-                marks: vec![(1, CellMark::Extracted), (2, CellMark::Stored)],
+                marks: vec![(1, CellProvenance::Extracted), (2, CellProvenance::Stored)],
             }],
             incomplete: vec![ColumnImage {
                 table: "movies".into(),
@@ -944,31 +898,31 @@ mod tests {
         assert_eq!(SnapshotImage::decode(&bytes).unwrap(), image);
     }
 
-    /// One mark of every provenance variant, every missing cause included.
-    fn every_mark() -> Vec<(ItemId, CellMark)> {
-        let causes = [
-            MissingCause::BudgetExhausted,
-            MissingCause::NoCachedJudgment,
-            MissingCause::BelowQualityFloor,
-            MissingCause::NoMajority,
-            MissingCause::OutOfSpace,
-            MissingCause::NotExpanded,
-            MissingCause::NoItemId,
+    /// One mark of every provenance variant, every missing reason included.
+    fn every_mark() -> Vec<(ItemId, CellProvenance)> {
+        let reasons = [
+            MissingReason::BudgetExhausted,
+            MissingReason::NoCachedJudgment,
+            MissingReason::BelowQualityFloor,
+            MissingReason::NoMajority,
+            MissingReason::OutOfSpace,
+            MissingReason::NotExpanded,
+            MissingReason::NoItemId,
         ];
         let mut marks = vec![
-            (0, CellMark::Stored),
+            (0, CellProvenance::Stored),
             (
                 1,
-                CellMark::CrowdDerived {
+                CellProvenance::CrowdDerived {
                     confidence: 0.75,
                     cost_share: 0.5,
                 },
             ),
-            (2, CellMark::CacheHit { confidence: 0.25 }),
-            (3, CellMark::Extracted),
+            (2, CellProvenance::CacheHit { confidence: 0.25 }),
+            (3, CellProvenance::Extracted),
         ];
-        for (item, cause) in (4..).zip(causes) {
-            marks.push((item, CellMark::Missing { cause }));
+        for (item, reason) in (4..).zip(reasons) {
+            marks.push((item, CellProvenance::Missing { reason }));
         }
         marks
     }

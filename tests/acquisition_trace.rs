@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crowddb::prelude::*;
-use crowddb::storage::Wal;
+use crowddb::storage::{Wal, WalRecord};
 use crowdsim::{BatchCrowdRun, WorkerId};
 
 /// A [`SimulatedCrowd`] that appends one line per dispatch to a shared log
@@ -214,14 +214,17 @@ fn outcome_lines(outcome: &QueryOutcome) -> Vec<String> {
 }
 
 /// The movies table's WAL segment, decoded: record count plus a digest of
-/// every record in log order.  (The raw file is not digested: its header
-/// carries a clock-derived generation id.)
+/// every record's encoded bytes in log order.  (The raw file is not
+/// digested: its header carries a clock-derived generation id.)
 fn wal_digest(dir: &Path) -> String {
     let (_, records) = Wal::open(dir.join("wal").join("movies.log")).unwrap();
     format!(
         "wal records={} digest={:016x}",
         records.len(),
-        fnv(format!("{records:?}").as_bytes())
+        fnv(&records
+            .iter()
+            .flat_map(WalRecord::encode)
+            .collect::<Vec<u8>>())
     )
 }
 
@@ -288,7 +291,7 @@ fn unbudgeted_flat_batches_both_concepts_in_one_round() {
             "report is_horror attribute=Horror sourced=200 judgments=2000 filled=171 unfilled=29 cost=3.9999999999999734 minutes=32.896709830088135 hits=0 misses=200 coalesced=0 dropped=0",
             "digest=d5c784572ff412e0",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=4f0a7b29bb12b313",
+            "wal records=6 digest=6b0109500480eeb3",
         ],
     );
 }
@@ -316,7 +319,7 @@ fn budget_runs_out_inside_the_second_concept() {
             "report is_horror attribute=Horror sourced=50 judgments=500 filled=48 unfilled=152 cost=1.0000000000000004 minutes=12.890732051220025 hits=0 misses=200 coalesced=0 dropped=150",
             "digest=a672e2c4495e4985",
             "cache entries=150 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=727bdb25f62d85fd",
+            "wal records=6 digest=18edc7098f498067",
         ],
     );
 }
@@ -364,7 +367,7 @@ fn adaptive_on_the_lookup_crowd() {
             "report is_horror attribute=Horror sourced=200 judgments=1109 filled=197 unfilled=3 cost=3.720000000000003 minutes=159.34080049222484 hits=0 misses=200 coalesced=0 dropped=0",
             "digest=9b5d886669784b7e",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=10 digest=e4e83deaa7e2370a",
+            "wal records=10 digest=cfd04405904440c3",
         ],
     );
 }
@@ -401,7 +404,7 @@ fn adaptive_budget_cuts_off_paid_items_and_denies_untouched_ones() {
             "report is_horror attribute=Horror sourced=0 judgments=0 filled=0 unfilled=200 cost=0.0 minutes=0.0 hits=0 misses=200 coalesced=0 dropped=200",
             "digest=fc582e85b0c1932a",
             "cache entries=100 hits=0 misses=300 saved=0.0",
-            "wal records=7 digest=6ffabeb577b6c1b3",
+            "wal records=7 digest=396c2d25d686e41b",
         ],
     );
 }
@@ -432,7 +435,7 @@ fn repair_re_sources_flagged_items_once() {
             "collect seed=220 [Comedy:39]",
             "repair flagged=39 changed=20 cost=0.8000000000000004 minutes=9.497996938063608 digest=2155e3a04c2a2ff1",
             "cache entries=314 hits=0 misses=300 saved=0.0",
-            "wal records=8 digest=cdb33a11df13bec3",
+            "wal records=8 digest=dde9b0f1f9325fe9",
         ],
     );
 }
