@@ -2818,19 +2818,11 @@ impl DbInner {
             .collect();
         // An item the regression predicts for is extracted; one it cannot
         // reach lies outside the space.
-        let out_of_space = CellProvenance::Missing {
-            reason: MissingReason::OutOfSpace,
-        };
         let marks: Marks = items
             .iter()
-            .map(|item| {
-                let extracted = values.contains_key(item);
-                let tag = if extracted {
-                    CellProvenance::Extracted
-                } else {
-                    out_of_space
-                };
-                (*item, tag)
+            .map(|&item| match values.get(&item) {
+                Some(_) => (item, CellProvenance::Extracted),
+                None => (item, MissingReason::OutOfSpace.into()),
             })
             .collect();
         let mut outcome = crate::materialize::MaterializeOutcome {
@@ -2978,47 +2970,18 @@ impl CrowdDb {
 /// yet: a snapshot `NULL` for a missing attribute is a hole acquisition
 /// may still fill, not a stored fact.
 fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Vec<Vec<CellProvenance>> {
-    let result = &selected.result;
     let schema = parts[0].schema();
-    let columns: Vec<Option<usize>> = result
-        .columns
-        .iter()
+    let columns: Vec<Option<usize>> = (selected.result.columns.iter())
         .map(|column| schema.index_of(column))
         .collect();
-    let not_expanded = CellProvenance::Missing {
-        reason: MissingReason::NotExpanded,
+    let cell = |k: usize, row: usize, column: Option<usize>| match column {
+        Some(index) => parts[k]
+            .tags(index)
+            .map_or(CellProvenance::Stored, |tags| tags[row]),
+        None => MissingReason::NotExpanded.into(),
     };
-    // Per partition and result column: the tags the cells are read from.
-    let tags: Vec<Vec<Option<&[CellProvenance]>>> = parts
-        .iter()
-        .map(|part| {
-            columns
-                .iter()
-                .map(|column| column.and_then(|index| part.tags(index)))
-                .collect()
-        })
-        .collect();
-    if tags.iter().flatten().all(Option::is_none) {
-        let row: Vec<CellProvenance> = columns
-            .iter()
-            .map(|column| column.map_or(not_expanded, |_| CellProvenance::Stored))
-            .collect();
-        return vec![row; result.rows.len()];
-    }
-    selected
-        .lineage
-        .iter()
-        .map(|&(k, row)| {
-            columns
-                .iter()
-                .zip(&tags[k])
-                .map(|(column, tags)| match tags {
-                    Some(tags) => tags[row],
-                    None if column.is_none() => not_expanded,
-                    None => CellProvenance::Stored,
-                })
-                .collect()
-        })
+    (selected.lineage.iter())
+        .map(|&(k, row)| columns.iter().map(|&column| cell(k, row, column)).collect())
         .collect()
 }
 

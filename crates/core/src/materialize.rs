@@ -4,7 +4,7 @@
 //! snapshot recovery all write cells through these functions, so a
 //! recovered cell carries exactly the tag the live write gave it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use perceptual::ItemId;
 use relational::{CellProvenance, Column, DataType, MissingReason, Table, Value};
@@ -96,22 +96,6 @@ pub(crate) fn repair_cells(
     Ok(written)
 }
 
-/// The marks a snapshot stores for a provenance-tracked column: one per
-/// item, sorted by item — the tag of the first row holding the item, in
-/// row order.  Rows of one item whose tags diverge therefore collapse to
-/// that first row's tag, and rows without a usable item id have no mark
-/// ([`write_column`] re-derives theirs).
-pub(crate) fn marks_of(
-    tags: &[CellProvenance],
-    rows: &[(usize, ItemId)],
-) -> Vec<(ItemId, CellProvenance)> {
-    let mut marks = BTreeMap::new();
-    for &(row, item) in rows {
-        marks.entry(item).or_insert(tags[row]);
-    }
-    marks.into_iter().collect()
-}
-
 /// Writes `column` of every row of `table` in one pass.  Each mapped row
 /// gets `value_of(table, row, item)`, tagged with its item's mark —
 /// `NotExpanded` when `marks` has none for it.  A row without a usable
@@ -136,21 +120,13 @@ fn write_column(
     let mut unmapped = vec![true; table.len()];
     for &(row, item) in rows {
         unmapped[row] = false;
-        let tag = marks
-            .get(&item)
-            .copied()
-            .unwrap_or(CellProvenance::Missing {
-                reason: MissingReason::NotExpanded,
-            });
+        let tag = (marks.get(&item).copied()).unwrap_or(MissingReason::NotExpanded.into());
         let value = value_of(table, row, item);
         table.set_cell(row, column, value, tag)?;
     }
-    let no_item = CellProvenance::Missing {
-        reason: MissingReason::NoItemId,
-    };
     for (row, unmapped) in unmapped.into_iter().enumerate() {
         if unmapped && table.rows()[row][index].is_null() {
-            table.set_cell(row, column, Value::Null, no_item)?;
+            table.set_cell(row, column, Value::Null, MissingReason::NoItemId.into())?;
         }
     }
     Ok(())

@@ -105,7 +105,7 @@ use storage::{
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
 use crate::error::CrowdDbError;
-use crate::materialize::{marks_of, materialize_column, repair_cells, restore_provenance, Marks};
+use crate::materialize::{materialize_column, repair_cells, restore_provenance, Marks};
 use crate::planner;
 use crate::scheduler::Scheduler;
 use crate::sync::{mlock, rlock, wlock};
@@ -521,6 +521,7 @@ impl Durability {
 
 /// The in-memory state recovered from a database directory, ready to be
 /// moved into a `DbInner`.
+#[derive(Default)]
 pub(crate) struct RecoveredState {
     pub(crate) catalog: Catalog,
     pub(crate) cache: JudgmentCache,
@@ -529,17 +530,6 @@ pub(crate) struct RecoveredState {
     /// single-partition — `assemble` re-splits their merged rows into
     /// per-partition catalog slices with the same routing arithmetic.
     pub(crate) specs: HashMap<String, PartitionSpec>,
-}
-
-impl Default for RecoveredState {
-    fn default() -> Self {
-        RecoveredState {
-            catalog: Catalog::new(),
-            cache: JudgmentCache::new(),
-            crowd_rounds: 0,
-            specs: HashMap::new(),
-        }
-    }
 }
 
 /// Opens (creating if needed) the database directory and returns the
@@ -854,7 +844,16 @@ pub(crate) fn split_table_by_partition(
     spec: &PartitionSpec,
 ) -> Result<Vec<Table>> {
     let n = spec.partition_count();
-    let mut parts: Vec<Table> = (0..n).map(|_| table.empty_like()).collect();
+    let mut parts: Vec<Table> = (0..n)
+        .map(|_| Table::new(table.name(), table.schema().clone()))
+        .collect();
+    for (index, column) in table.schema().columns().iter().enumerate() {
+        if table.tags(index).is_some() {
+            for part in &mut parts {
+                part.track_provenance(&column.name)?;
+            }
+        }
+    }
     let id_index = table.schema().index_of(id_column);
     for (index, row) in table.rows().iter().enumerate() {
         let k = id_index
@@ -1278,8 +1277,11 @@ pub(crate) struct TableSnapshotParts<'a> {
 /// Captures one partition's state as a snapshot image, stamped with the
 /// segment position it supersedes (see
 /// [`Durability::checkpoint_partition`]).  Every provenance-tracked
-/// column is stored as one mark per item ([`marks_of`]) and, when it holds
-/// recoverable holes, listed as incomplete.  The image's cache counters
+/// column is stored as one mark per item — the tag of the first row
+/// holding the item, in row order, so rows of one item whose tags diverge
+/// collapse to that row's tag, and rows without a usable item id have no
+/// mark (recovery re-derives theirs) — and, when it holds recoverable
+/// holes, listed as incomplete.  The image's cache counters
 /// are zero: the global effectiveness counters are manifest state, not
 /// per-table state.
 pub(crate) fn table_snapshot_image(
@@ -1315,10 +1317,15 @@ pub(crate) fn table_snapshot_image(
                 column: column.clone(),
             });
         }
+        // One mark per item: the tag of the first row holding it.
+        let mut marks = BTreeMap::new();
+        for &(row, item) in &rows {
+            marks.entry(item).or_insert(tags[row]);
+        }
         ledgers.push(LedgerImage {
             table: name.clone(),
             column,
-            marks: marks_of(tags, &rows),
+            marks: marks.into_iter().collect(),
         });
     }
     ledgers.sort_unstable_by(|a, b| a.column.cmp(&b.column));

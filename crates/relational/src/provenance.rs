@@ -102,6 +102,12 @@ pub enum CellProvenance {
     },
 }
 
+impl From<MissingReason> for CellProvenance {
+    fn from(reason: MissingReason) -> Self {
+        CellProvenance::Missing { reason }
+    }
+}
+
 impl CellProvenance {
     /// True for a [`MissingReason::is_recoverable`] hole.
     pub fn is_recoverable(&self) -> bool {

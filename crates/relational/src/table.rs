@@ -9,6 +9,14 @@ use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
 
+/// The tag an `INSERT` gives a cell of a provenance-tracked column.
+fn inserted(value: &Value) -> CellProvenance {
+    match value {
+        Value::Null => MissingReason::NotExpanded.into(),
+        _ => CellProvenance::Stored,
+    }
+}
+
 /// Integers bound for a `FLOAT` column are stored as floats, so a column
 /// never mixes the two representations.
 fn widen(value: &mut Value, data_type: DataType) {
@@ -81,21 +89,6 @@ impl Table {
         }
     }
 
-    /// An empty table with this one's name, schema and provenance-tracked
-    /// columns.
-    pub fn empty_like(&self) -> Table {
-        let mut table = Table::new(&self.name, self.schema.clone());
-        for (slot, tags) in table.tags.iter_mut().zip(&self.tags) {
-            if tags.is_some() {
-                *slot = Some(ColumnTags {
-                    cells: Vec::new(),
-                    holes: 0,
-                });
-            }
-        }
-        table
-    }
-
     /// The table name (lower-cased).
     pub fn name(&self) -> &str {
         &self.name
@@ -131,15 +124,7 @@ impl Table {
     /// [`CellProvenance::Stored`] when it holds a value and
     /// [`MissingReason::NotExpanded`] when it is `NULL`.
     pub fn insert_row(&mut self, row: Vec<Value>) -> Result<()> {
-        self.insert_tagged(row, |_, value| {
-            if value.is_null() {
-                CellProvenance::Missing {
-                    reason: MissingReason::NotExpanded,
-                }
-            } else {
-                CellProvenance::Stored
-            }
-        })
+        self.insert_tagged(row, |_, value| inserted(value))
     }
 
     /// Appends row `row_index` of `source`, matching its cells to this
@@ -147,30 +132,23 @@ impl Table {
     /// provenance for starts tracking it here too, and a column `source`
     /// lacks gets `NULL` (tagged as [`Table::insert_row`] tags it).
     pub fn insert_row_from(&mut self, source: &Table, row_index: usize) -> Result<()> {
-        let from: Vec<Option<usize>> = self
-            .schema
-            .columns()
-            .iter()
+        let from: Vec<Option<usize>> = (self.schema.columns().iter())
             .map(|column| source.schema.index_of(&column.name))
             .collect();
-        for (column, &from) in from.iter().enumerate() {
+        for (column, from) in from.iter().enumerate() {
             if from.is_some_and(|from| source.tags[from].is_some()) {
                 self.start_tracking(column);
             }
         }
         let row = &source.rows[row_index];
-        let values = from
-            .iter()
+        let values = (from.iter())
             .map(|from| from.map_or(Value::Null, |from| row[from].clone()))
             .collect();
         self.insert_tagged(values, |column, value| match from[column] {
-            Some(from) => source.tags[from]
-                .as_ref()
-                .map_or(CellProvenance::Stored, |tags| tags.cells[row_index]),
-            None if value.is_null() => CellProvenance::Missing {
-                reason: MissingReason::NotExpanded,
-            },
-            None => CellProvenance::Stored,
+            Some(from) => source
+                .tags(from)
+                .map_or(CellProvenance::Stored, |t| t[row_index]),
+            None => inserted(value),
         })
     }
 
@@ -263,13 +241,7 @@ impl Table {
     /// current.  Ids may repeat; `NULL` cells are not indexed.  Declaring
     /// a key again rebuilds the index on the new column.
     pub fn index_key(&mut self, column: &str) -> Result<()> {
-        let index = self
-            .schema
-            .index_of(column)
-            .ok_or_else(|| RelationalError::UnknownColumn {
-                table: self.name.clone(),
-                column: column.to_lowercase(),
-            })?;
+        let index = self.column_index(column)?;
         let data_type = self.schema.columns()[index].data_type;
         if data_type != DataType::Integer {
             return Err(RelationalError::TypeMismatch(format!(
@@ -298,14 +270,7 @@ impl Table {
     pub fn insert_named(&mut self, values: &[(&str, Value)]) -> Result<()> {
         let mut row = vec![Value::Null; self.schema.len()];
         for (name, value) in values {
-            let idx = self
-                .schema
-                .index_of(name)
-                .ok_or_else(|| RelationalError::UnknownColumn {
-                    table: self.name.clone(),
-                    column: name.to_string(),
-                })?;
-            row[idx] = value.clone();
+            row[self.column_index(name)?] = value.clone();
         }
         self.insert_row(row)
     }
@@ -566,6 +531,106 @@ mod tests {
             .collect();
         assert_eq!(remaining, vec![0, 2, 4]);
         assert_eq!(t.delete_rows(&[]), 0);
+    }
+
+    #[test]
+    fn cell_writers_keep_tags_and_hole_counts() {
+        let budget: CellProvenance = MissingReason::BudgetExhausted.into();
+        let judged = CellProvenance::CrowdDerived {
+            confidence: 0.8,
+            cost_share: 0.01,
+        };
+        let mut t = movies();
+        for i in 0..4 {
+            t.insert_row(vec![Value::Integer(i), Value::from("m"), Value::Null])
+                .unwrap();
+        }
+        assert_eq!(t.tags(2), None, "columns start untracked");
+        // A stored write leaves an untracked column untracked.
+        t.set_value(0, "year", Value::Integer(1999)).unwrap();
+        assert_eq!(t.tags(2), None);
+
+        t.set_cell(1, "year", Value::Null, budget).unwrap();
+        t.set_cell(2, "year", Value::Null, budget).unwrap();
+        t.set_cell(3, "year", Value::Integer(1980), judged).unwrap();
+        let stored = CellProvenance::Stored;
+        assert_eq!(t.tags(2).unwrap(), [stored, budget, budget, judged]);
+        assert_eq!(t.recoverable_holes(2), 2);
+        assert_eq!(t.recoverable_holes(1), 0);
+
+        // A stored overwrite (SQL UPDATE) retags its own cell only.
+        t.set_value(1, "year", Value::Integer(2001)).unwrap();
+        assert_eq!(t.tags(2).unwrap(), [stored, stored, budget, judged]);
+        assert_eq!(t.recoverable_holes(2), 1);
+
+        // INSERT tags a value stored and a NULL not expanded.
+        let not_expanded: CellProvenance = MissingReason::NotExpanded.into();
+        t.insert_row(vec![Value::Integer(8), Value::from("m"), Value::Null])
+            .unwrap();
+        t.insert_row(vec![Value::Integer(9), Value::from("m"), Value::Integer(7)])
+            .unwrap();
+        assert_eq!(t.tags(2).unwrap()[4..], [not_expanded, stored]);
+
+        // DELETE compacts the tags with the rows and forgets their holes.
+        assert_eq!(t.delete_rows(&[0, 2]), 2);
+        assert_eq!(t.tags(2).unwrap(), [stored, judged, not_expanded, stored]);
+        assert_eq!(t.recoverable_holes(2), 0);
+        assert_eq!(t.value(1, "year").unwrap(), &Value::Integer(1980));
+
+        // Tags are table state: clones carry them and equality sees them.
+        let copy = t.clone();
+        assert_eq!(copy, t);
+        t.set_cell(0, "year", Value::Integer(2001), judged).unwrap();
+        assert_ne!(copy, t, "same values, different tag");
+
+        // A new column starts untracked; tracking it reads Stored.
+        t.add_column(Column::new("humor", DataType::Float), None)
+            .unwrap();
+        assert_eq!(t.tags(3), None);
+        assert_eq!(t.track_provenance("humor").unwrap(), 3);
+        assert!(t.tags(3).unwrap().iter().all(|p| *p == stored));
+        assert!(t.track_provenance("missing").is_err());
+    }
+
+    #[test]
+    fn rows_copied_between_tables_keep_their_tags() {
+        let judged = CellProvenance::Extracted;
+        let mut source = movies();
+        source
+            .insert_row(vec![Value::Integer(1), Value::from("a"), Value::Null])
+            .unwrap();
+        source
+            .insert_row(vec![Value::Integer(2), Value::from("b"), Value::Null])
+            .unwrap();
+        source
+            .set_cell(1, "year", Value::Integer(1990), judged)
+            .unwrap();
+        // The target orders its columns differently and has one more.
+        let schema = Schema::new(vec![
+            Column::new("year", DataType::Integer),
+            Column::new("id", DataType::Integer),
+            Column::new("extra", DataType::Boolean),
+            Column::new("name", DataType::Text),
+        ])
+        .unwrap();
+        let mut target = Table::new("movies", schema);
+        target.track_provenance("extra").unwrap();
+        for row in 0..source.len() {
+            target.insert_row_from(&source, row).unwrap();
+        }
+        assert_eq!(
+            target.rows()[1],
+            vec![
+                Value::Integer(1990),
+                Value::Integer(2),
+                Value::Null,
+                Value::from("b")
+            ]
+        );
+        let not_expanded: CellProvenance = MissingReason::NotExpanded.into();
+        assert_eq!(target.tags(0).unwrap(), [CellProvenance::Stored, judged]);
+        assert_eq!(target.tags(2).unwrap(), [not_expanded, not_expanded]);
+        assert_eq!(target.tags(1), None);
     }
 
     #[test]

@@ -378,9 +378,9 @@ pub enum WalRecord {
         data_type: DataType,
         /// Per-item values, sorted by item id.
         values: Vec<(ItemId, Value)>,
-        /// The provenance ledger of the column, sorted by item id;
-        /// `None` for materializations that keep no ledger (numeric
-        /// gold-sample expansion).
+        /// One provenance mark per item — the tag its rows receive —
+        /// sorted by item id; `None` in numeric expansions logged before
+        /// their cells were tagged, which replay as stored values.
         ledger: Option<Vec<(ItemId, CellProvenance)>>,
         /// True when the column has budget- or cache-shaped holes.
         incomplete: bool,
@@ -601,14 +601,15 @@ pub struct CacheImage {
     pub cost_saved: f64,
 }
 
-/// One column's provenance ledger inside a snapshot.
+/// One provenance-tracked column's marks inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerImage {
     /// The table key (lower-cased).
     pub table: String,
     /// The column key (lower-cased).
     pub column: String,
-    /// Per-item provenance marks, sorted by item id.
+    /// One mark per item — the tag of the first row holding it — sorted
+    /// by item id.
     pub marks: Vec<(ItemId, CellProvenance)>,
 }
 
@@ -626,9 +627,10 @@ pub struct ColumnImage {
 pub struct SnapshotImage {
     /// Every catalog table, sorted by name.
     pub tables: Vec<TableImage>,
-    /// Every provenance ledger, sorted by `(table, column)`.
+    /// The marks of every provenance-tracked column, sorted by
+    /// `(table, column)`.
     pub ledgers: Vec<LedgerImage>,
-    /// The incomplete-column set, sorted.
+    /// The columns holding recoverable holes, sorted.
     pub incomplete: Vec<ColumnImage>,
     /// The judgment cache.
     pub cache: CacheImage,
