@@ -64,20 +64,6 @@ pub(crate) fn materialize_column(
     })
 }
 
-/// Re-tags the cells of `column` from a snapshot's per-item `marks`,
-/// keeping their values — the snapshot stored those with the table.
-pub(crate) fn restore_provenance(
-    table: &mut Table,
-    column: &str,
-    marks: &Marks,
-    rows: &[(usize, ItemId)],
-) -> Result<()> {
-    let index = table.track_provenance(column)?;
-    write_column(table, column, rows, Some(marks), |table, row, _| {
-        table.rows()[row][index].clone()
-    })
-}
-
 /// Overwrites `column` in every row whose item has a value in `values`,
 /// tagged [`REPAIRED`], and returns the items written.
 pub(crate) fn repair_cells(
@@ -101,8 +87,9 @@ pub(crate) fn repair_cells(
 /// `NotExpanded` when `marks` has none for it.  A row without a usable
 /// item id keeps its value and, when that is `NULL`, reads `NoItemId`: no
 /// crowd value can ever be routed to it.  Without `marks` the values are
-/// written as stored.
-fn write_column(
+/// written as stored.  Snapshot recovery re-tags a column by writing each
+/// cell's own value back with its mark.
+pub(crate) fn write_column(
     table: &mut Table,
     column: &str,
     rows: &[(usize, ItemId)],

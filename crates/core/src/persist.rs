@@ -105,7 +105,7 @@ use storage::{
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
 use crate::error::CrowdDbError;
-use crate::materialize::{materialize_column, repair_cells, restore_provenance, Marks};
+use crate::materialize::{materialize_column, repair_cells, write_column, Marks};
 use crate::planner;
 use crate::scheduler::Scheduler;
 use crate::sync::{mlock, rlock, wlock};
@@ -824,9 +824,7 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
             acc.add_column(column, None)?;
         }
     }
-    for row in 0..part.len() {
-        acc.insert_row_from(part, row)?;
-    }
+    acc.append_rows_from(part, 0..part.len())?;
     Ok(acc)
 }
 
@@ -844,24 +842,22 @@ pub(crate) fn split_table_by_partition(
     spec: &PartitionSpec,
 ) -> Result<Vec<Table>> {
     let n = spec.partition_count();
-    let mut parts: Vec<Table> = (0..n)
-        .map(|_| Table::new(table.name(), table.schema().clone()))
-        .collect();
-    for (index, column) in table.schema().columns().iter().enumerate() {
-        if table.tags(index).is_some() {
-            for part in &mut parts {
-                part.track_provenance(&column.name)?;
-            }
-        }
-    }
     let id_index = table.schema().index_of(id_column);
+    let mut routed: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (index, row) in table.rows().iter().enumerate() {
         let k = id_index
             .map(|i| spec.route_value(&row[i]))
             .unwrap_or_default();
-        parts[k].insert_row_from(table, index)?;
+        routed[k].push(index);
     }
-    Ok(parts)
+    routed
+        .into_iter()
+        .map(|rows| {
+            let mut part = Table::new(table.name(), table.schema().clone());
+            part.append_rows_from(table, rows)?;
+            Ok(part)
+        })
+        .collect()
 }
 
 /// Replays `jobs` — inline when `parallelism <= 1`, otherwise on a worker
@@ -1223,7 +1219,14 @@ fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredS
             planner::row_mapping(&[catalog.table(&ledger.table)?], id_column, &ledger.table)?;
         let marks: Marks = ledger.marks.into_iter().collect();
         let table = catalog.table_mut(&ledger.table)?;
-        restore_provenance(table, &ledger.column, &marks, &rows)?;
+        let index = table.track_provenance(&ledger.column)?;
+        write_column(
+            table,
+            &ledger.column,
+            &rows,
+            Some(&marks),
+            |table, row, _| table.rows()[row][index].clone(),
+        )?;
     }
     let cache = JudgmentCache::restore(
         image

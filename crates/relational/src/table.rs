@@ -127,11 +127,16 @@ impl Table {
         self.insert_tagged(row, |_, value| inserted(value))
     }
 
-    /// Appends row `row_index` of `source`, matching its cells to this
-    /// table's columns by name, tags included: a column `source` tracks
-    /// provenance for starts tracking it here too, and a column `source`
-    /// lacks gets `NULL` (tagged as [`Table::insert_row`] tags it).
-    pub fn insert_row_from(&mut self, source: &Table, row_index: usize) -> Result<()> {
+    /// Appends rows `rows` of `source`, matching their cells to this
+    /// table's columns by name, tags included: every column `source`
+    /// tracks provenance for tracks it here too (rows or not), and a
+    /// column `source` lacks gets `NULL`, tagged as [`Table::insert_row`]
+    /// tags it.
+    pub fn append_rows_from(
+        &mut self,
+        source: &Table,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Result<()> {
         let from: Vec<Option<usize>> = (self.schema.columns().iter())
             .map(|column| source.schema.index_of(&column.name))
             .collect();
@@ -140,16 +145,19 @@ impl Table {
                 self.start_tracking(column);
             }
         }
-        let row = &source.rows[row_index];
-        let values = (from.iter())
-            .map(|from| from.map_or(Value::Null, |from| row[from].clone()))
-            .collect();
-        self.insert_tagged(values, |column, value| match from[column] {
-            Some(from) => source
-                .tags(from)
-                .map_or(CellProvenance::Stored, |t| t[row_index]),
-            None => inserted(value),
-        })
+        for index in rows {
+            let row = &source.rows[index];
+            let values = (from.iter())
+                .map(|from| from.map_or(Value::Null, |from| row[from].clone()))
+                .collect();
+            self.insert_tagged(values, |column, value| match from[column] {
+                Some(from) => source
+                    .tags(from)
+                    .map_or(CellProvenance::Stored, |t| t[index]),
+                None => inserted(value),
+            })?;
+        }
+        Ok(())
     }
 
     /// Inserts a full row, tagging the cells of provenance-tracked columns
@@ -615,9 +623,7 @@ mod tests {
         .unwrap();
         let mut target = Table::new("movies", schema);
         target.track_provenance("extra").unwrap();
-        for row in 0..source.len() {
-            target.insert_row_from(&source, row).unwrap();
-        }
+        target.append_rows_from(&source, 0..source.len()).unwrap();
         assert_eq!(
             target.rows()[1],
             vec![
