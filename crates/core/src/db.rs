@@ -1029,14 +1029,11 @@ impl CrowdDb {
                 .clone();
             // Recovery merges every partition into one whole table and
             // reports the spec separately; re-split along the same routing
-            // arithmetic to rebuild the per-partition shards.  The split
-            // re-inserts rows under the merged (unified) schema, so it
-            // cannot fail.
+            // arithmetic to rebuild the per-partition shards.
             let shard = match state.specs.get(&name) {
                 Some(spec) => Shard::partitioned(
                     spec.clone(),
-                    persist::split_table_by_partition(&table, &config.id_column, spec)
-                        .expect("re-splitting a recovered table cannot fail"),
+                    persist::split_table_by_partition(&table, &config.id_column, spec),
                     &config.id_column,
                 ),
                 None => Shard::of_table(table, &config.id_column),
@@ -1877,7 +1874,7 @@ impl DbInner {
             shards.insert(name, shard);
             return Ok(());
         }
-        let slices = persist::split_table_by_partition(&table, &self.config.id_column, &spec)?;
+        let slices = persist::split_table_by_partition(&table, &self.config.id_column, &spec);
         if let Some(durability) = &self.durability {
             durability.ensure_store(&name, &spec)?;
             for (k, slice) in slices.iter().enumerate().skip(1) {
@@ -2557,7 +2554,6 @@ impl DbInner {
                 rows_filled: 0,
                 rows_unfilled: 0,
             };
-            let mut holes = 0;
             for (guard, rows) in guards.iter_mut().zip(&mappings) {
                 let table = guard.table_mut(&plan.table)?;
                 let part = materialize_column(
@@ -2570,10 +2566,6 @@ impl DbInner {
                 )?;
                 outcome.rows_filled += part.rows_filled;
                 outcome.rows_unfilled += part.rows_unfilled;
-                holes += table
-                    .schema()
-                    .index_of(&attribute.column)
-                    .map_or(0, |index| table.recoverable_holes(index));
             }
             item.stages.push(ExpansionStage::ColumnAdded);
             item.stages.push(ExpansionStage::ColumnMaterialized);
@@ -2584,7 +2576,8 @@ impl DbInner {
             // instead of trusting the partial materialization forever.
             // (Quality floors never appear here: they are a per-query view
             // filter applied at read time, not a materialization decision.)
-            if holes > 0 {
+            let incomplete = marks.values().any(CellProvenance::is_recoverable);
+            if incomplete {
                 shard.may_have_holes.store(true, Ordering::Release);
             }
             // Persist the materialization before publishing it: values and
@@ -2608,7 +2601,7 @@ impl DbInner {
                     data_type: DataType::Boolean,
                     values,
                     ledger: Some(marks),
-                    incomplete: holes > 0,
+                    incomplete,
                 });
             }
 

@@ -824,7 +824,7 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
             acc.add_column(column, None)?;
         }
     }
-    acc.append_rows_from(part, 0..part.len())?;
+    acc.append(part)?;
     Ok(acc)
 }
 
@@ -840,24 +840,13 @@ pub(crate) fn split_table_by_partition(
     table: &Table,
     id_column: &str,
     spec: &PartitionSpec,
-) -> Result<Vec<Table>> {
-    let n = spec.partition_count();
+) -> Vec<Table> {
     let id_index = table.schema().index_of(id_column);
-    let mut routed: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (index, row) in table.rows().iter().enumerate() {
-        let k = id_index
+    table.split(spec.partition_count(), |row| {
+        id_index
             .map(|i| spec.route_value(&row[i]))
-            .unwrap_or_default();
-        routed[k].push(index);
-    }
-    routed
-        .into_iter()
-        .map(|rows| {
-            let mut part = Table::new(table.name(), table.schema().clone());
-            part.append_rows_from(table, rows)?;
-            Ok(part)
-        })
-        .collect()
+            .unwrap_or_default()
+    })
 }
 
 /// Replays `jobs` — inline when `parallelism <= 1`, otherwise on a worker

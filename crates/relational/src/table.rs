@@ -28,7 +28,7 @@ fn widen(value: &mut Value, data_type: DataType) {
 /// The provenance of one column's cells, one tag per row, plus how many
 /// of them are recoverable holes — counted as tags are written, so asking
 /// whether a column is incomplete costs no scan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ColumnTags {
     cells: Vec<CellProvenance>,
     holes: usize,
@@ -127,16 +127,11 @@ impl Table {
         self.insert_tagged(row, |_, value| inserted(value))
     }
 
-    /// Appends rows `rows` of `source`, matching their cells to this
-    /// table's columns by name, tags included: every column `source`
-    /// tracks provenance for tracks it here too (rows or not), and a
-    /// column `source` lacks gets `NULL`, tagged as [`Table::insert_row`]
-    /// tags it.
-    pub fn append_rows_from(
-        &mut self,
-        source: &Table,
-        rows: impl IntoIterator<Item = usize>,
-    ) -> Result<()> {
+    /// Appends every row of `source`, matching its cells to this table's
+    /// columns by name, tags included: every column `source` tracks
+    /// provenance for tracks it here too (rows or not), and a column
+    /// `source` lacks gets `NULL`, tagged as [`Table::insert_row`] tags it.
+    pub fn append(&mut self, source: &Table) -> Result<()> {
         let from: Vec<Option<usize>> = (self.schema.columns().iter())
             .map(|column| source.schema.index_of(&column.name))
             .collect();
@@ -145,8 +140,7 @@ impl Table {
                 self.start_tracking(column);
             }
         }
-        for index in rows {
-            let row = &source.rows[index];
+        for (index, row) in source.rows.iter().enumerate() {
             let values = (from.iter())
                 .map(|from| from.map_or(Value::Null, |from| row[from].clone()))
                 .collect();
@@ -158,6 +152,31 @@ impl Table {
             })?;
         }
         Ok(())
+    }
+
+    /// Splits the rows into `n` tables with this one's name, schema and
+    /// provenance-tracked columns: each row, tags included, goes to table
+    /// `route(row)` (which must be below `n`), in row order.
+    pub fn split(&self, n: usize, route: impl Fn(&[Value]) -> usize) -> Vec<Table> {
+        let mut parts: Vec<Table> = (0..n)
+            .map(|_| Table {
+                tags: (self.tags.iter())
+                    .map(|tags| tags.as_ref().map(|_| ColumnTags::default()))
+                    .collect(),
+                ..Table::new(&self.name, self.schema.clone())
+            })
+            .collect();
+        for (index, row) in self.rows.iter().enumerate() {
+            let part = &mut parts[route(row)];
+            for (slot, tags) in part.tags.iter_mut().zip(&self.tags) {
+                if let (Some(slot), Some(tags)) = (slot, tags) {
+                    slot.holes += usize::from(tags.cells[index].is_recoverable());
+                    slot.cells.push(tags.cells[index]);
+                }
+            }
+            part.rows.push(row.clone());
+        }
+        parts
     }
 
     /// Inserts a full row, tagging the cells of provenance-tracked columns
@@ -623,7 +642,7 @@ mod tests {
         .unwrap();
         let mut target = Table::new("movies", schema);
         target.track_provenance("extra").unwrap();
-        target.append_rows_from(&source, 0..source.len()).unwrap();
+        target.append(&source).unwrap();
         assert_eq!(
             target.rows()[1],
             vec![
@@ -637,6 +656,15 @@ mod tests {
         assert_eq!(target.tags(0).unwrap(), [CellProvenance::Stored, judged]);
         assert_eq!(target.tags(2).unwrap(), [not_expanded, not_expanded]);
         assert_eq!(target.tags(1), None);
+
+        // A split routes rows with their tags; every part tracks what the
+        // whole tracks, rows or not.
+        let parts = source.split(3, |row| usize::from(row[0] == Value::Integer(2)));
+        assert_eq!((parts[0].len(), parts[1].len(), parts[2].len()), (1, 1, 0));
+        assert_eq!(parts[1].tags(2).unwrap(), [judged]);
+        assert_eq!(parts[1].rows()[0], source.rows()[1]);
+        assert_eq!(parts[2].tags(2).unwrap(), []);
+        assert_eq!(parts[2].tags(1), None);
     }
 
     #[test]

@@ -260,32 +260,6 @@ impl JudgmentEntry {
     }
 }
 
-fn encode_missing_reason(e: &mut Encoder, reason: MissingReason) {
-    e.u8(match reason {
-        MissingReason::BudgetExhausted => 0,
-        MissingReason::NoCachedJudgment => 1,
-        MissingReason::BelowQualityFloor => 2,
-        MissingReason::NoMajority => 3,
-        MissingReason::OutOfSpace => 4,
-        MissingReason::NotExpanded => 5,
-        MissingReason::NoItemId => 6,
-        _ => unreachable!("every missing reason has a storage tag"),
-    });
-}
-
-fn decode_missing_reason(d: &mut Decoder<'_>) -> Result<MissingReason> {
-    Ok(match d.u8()? {
-        0 => MissingReason::BudgetExhausted,
-        1 => MissingReason::NoCachedJudgment,
-        2 => MissingReason::BelowQualityFloor,
-        3 => MissingReason::NoMajority,
-        4 => MissingReason::OutOfSpace,
-        5 => MissingReason::NotExpanded,
-        6 => MissingReason::NoItemId,
-        tag => return Err(corrupt("missing reason", tag)),
-    })
-}
-
 /// Encodes one cell's provenance mark — confidence and cost share
 /// included, so a reopened database reports identical provenance for
 /// answers bought before the restart.
@@ -307,7 +281,16 @@ fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
         CellProvenance::Extracted => e.u8(3),
         CellProvenance::Missing { reason } => {
             e.u8(4);
-            encode_missing_reason(e, *reason);
+            e.u8(match reason {
+                MissingReason::BudgetExhausted => 0,
+                MissingReason::NoCachedJudgment => 1,
+                MissingReason::BelowQualityFloor => 2,
+                MissingReason::NoMajority => 3,
+                MissingReason::OutOfSpace => 4,
+                MissingReason::NotExpanded => 5,
+                MissingReason::NoItemId => 6,
+                _ => unreachable!("every missing reason has a storage tag"),
+            });
         }
         _ => unreachable!("every provenance variant has a storage tag"),
     }
@@ -325,7 +308,16 @@ fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
         },
         3 => CellProvenance::Extracted,
         4 => CellProvenance::Missing {
-            reason: decode_missing_reason(d)?,
+            reason: match d.u8()? {
+                0 => MissingReason::BudgetExhausted,
+                1 => MissingReason::NoCachedJudgment,
+                2 => MissingReason::BelowQualityFloor,
+                3 => MissingReason::NoMajority,
+                4 => MissingReason::OutOfSpace,
+                5 => MissingReason::NotExpanded,
+                6 => MissingReason::NoItemId,
+                tag => return Err(corrupt("missing reason", tag)),
+            },
         },
         tag => return Err(corrupt("cell mark", tag)),
     })
