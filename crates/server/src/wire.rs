@@ -1559,6 +1559,56 @@ mod tests {
         }
     }
 
+    /// The wire bytes of a row set are a contract with every deployed
+    /// client: one cell of each value variant and of each provenance mark,
+    /// every missing reason included, must encode to exactly these bytes
+    /// and decode back from them.
+    #[test]
+    fn rowset_encodes_to_golden_bytes() {
+        let reasons = [
+            MissingReason::BudgetExhausted,
+            MissingReason::NoCachedJudgment,
+            MissingReason::BelowQualityFloor,
+            MissingReason::NoMajority,
+            MissingReason::OutOfSpace,
+            MissingReason::NotExpanded,
+            MissingReason::NoItemId,
+        ];
+        let mut rows = vec![
+            vec![Value::Text("a".into())],
+            vec![Value::Boolean(true)],
+            vec![Value::Integer(-2)],
+            vec![Value::Float(0.5)],
+        ];
+        let mut provenance = vec![
+            vec![CellProvenance::Stored],
+            vec![CellProvenance::CrowdDerived {
+                confidence: 0.75,
+                cost_share: 0.5,
+            }],
+            vec![CellProvenance::CacheHit { confidence: 0.25 }],
+            vec![CellProvenance::Extracted],
+        ];
+        for reason in reasons {
+            rows.push(vec![Value::Null]);
+            provenance.push(vec![CellProvenance::Missing { reason }]);
+        }
+        let rowset = RowSet {
+            columns: vec!["c".into()],
+            rows,
+            provenance,
+        };
+        let mut e = Encoder::new();
+        encode_rowset(&mut e, &rowset);
+        let bytes = e.into_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        const ROWSET: &str = "01000000000000000100000000000000630b0000000000000001000000000000000301000000000000006101000000000000000401010000000000000001feffffffffffffff010000000000000002000000000000e03f0100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000b00000000000000010000000000000000010000000000000001000000000000e83f000000000000e03f010000000000000002000000000000d03f01000000000000000301000000000000000400010000000000000004010100000000000000040201000000000000000403010000000000000004040100000000000000040501000000000000000406";
+        assert_eq!(hex, ROWSET);
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(decode_rowset(&mut d).unwrap(), rowset);
+        assert!(d.is_exhausted());
+    }
+
     fn sample_report() -> ExpansionReport {
         ExpansionReport {
             table: "movies".into(),
