@@ -41,23 +41,9 @@ use perceptual::ItemId;
 
 use crate::sync::{mlock, rlock, wlock};
 
-/// The aggregated crowd knowledge about one `(table, attribute, item)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedJudgment {
-    /// The majority verdict (`None` when the crowd produced no majority —
-    /// also worth caching: asking again would cost the same and likely tie
-    /// again).
-    pub verdict: Option<bool>,
-    /// Number of raw judgments aggregated into the verdict.
-    pub judgments: usize,
-    /// Dollars paid to obtain those judgments.
-    pub cost: f64,
-    /// Inter-worker agreement behind the verdict (fraction of decisive
-    /// judgments agreeing with the majority; 0 when no decisive judgment
-    /// was collected).  Stored so quality-floor policies and per-cell
-    /// provenance apply to reused judgments exactly as to fresh ones.
-    pub confidence: f64,
-}
+/// A cache entry is storage's judgment type, so the cache exports and
+/// restores exactly what snapshots and the log hold.
+pub use storage::{CacheGroup, CachedJudgment};
 
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -96,10 +82,6 @@ struct Counters {
     misses: u64,
     cost_saved: f64,
 }
-
-/// One exported cache group: the `(table, attribute)` key and its entries,
-/// sorted by item id (see [`JudgmentCache::export`]).
-pub type CacheGroup = (String, String, Vec<(ItemId, CachedJudgment)>);
 
 /// A concurrency-safe cache of aggregated crowd judgments keyed by
 /// `(table, attribute, item)`, partitioned by table.

@@ -176,11 +176,10 @@ impl<T: Clone> EventRing<T> {
 ///     .partitions(PartitionSpec::Hash { n: 4 });
 /// ```
 ///
-/// The default layout is a single partition — exactly what the deprecated
-/// [`CrowdDb::create_table`] shim produces.  A partitioned table keeps one
-/// WAL segment and one snapshot *per partition* on disk, and one catalog
-/// lock per partition in memory, so commits and checkpoints on disjoint
-/// partitions proceed in parallel.
+/// The default layout is a single partition.  A partitioned table keeps
+/// one WAL segment and one snapshot *per partition* on disk, and one
+/// catalog lock per partition in memory, so commits and checkpoints on
+/// disjoint partitions proceed in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableOptions {
     name: String,
@@ -1127,17 +1126,6 @@ impl CrowdDb {
             )));
         }
         self.inner.create_table_logged_with(table, spec)
-    }
-
-    /// Registers a fully built single-partition table — the pre-partition
-    /// compatibility shim around [`CrowdDb::create_table_with`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use create_table_with(TableOptions::new(name, id_column), table)"
-    )]
-    pub fn create_table(&self, table: Table) -> Result<()> {
-        let options = TableOptions::new(table.name(), &self.inner.config.id_column);
-        self.create_table_with(options, table)
     }
 
     /// The configuration the database was built with (notably
@@ -4047,7 +4035,7 @@ mod tests {
         let err = db
             .create_table_with(
                 TableOptions::new("things", "row_id"),
-                Table::new("things", schema.clone()),
+                Table::new("things", schema),
             )
             .unwrap_err();
         assert!(matches!(err, CrowdDbError::Configuration(_)), "{err}");
@@ -4060,10 +4048,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CrowdDbError::Configuration(_)), "{err}");
-        // The deprecated shim still registers a single-partition table.
-        #[allow(deprecated)]
-        db.create_table(Table::new("things", schema)).unwrap();
-        assert_eq!(db.catalog().table("things").unwrap().len(), 0);
     }
 
     #[test]

@@ -98,9 +98,8 @@ use storage::manifest::{snap_dir, wal_dir};
 use storage::{
     partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot,
     read_snapshot_file, scan_segments, segment_file_name, snapshot_file_name, write_manifest,
-    write_snapshot_file, CacheImage, ColumnImage, JudgmentEntry, LedgerImage, Manifest,
-    ManifestEntry, SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE,
-    WAL_FILE,
+    write_snapshot_file, CacheImage, ColumnImage, LedgerImage, Manifest, ManifestEntry,
+    SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE, WAL_FILE,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
@@ -342,7 +341,7 @@ impl Durability {
                     entries,
                     rounds,
                 } => {
-                    let mut split: Vec<Vec<(ItemId, JudgmentEntry)>> = vec![Vec::new(); n];
+                    let mut split: Vec<Vec<(ItemId, CachedJudgment)>> = vec![Vec::new(); n];
                     for (item, entry) in entries {
                         split[store.spec.route_item(*item)].push((*item, *entry));
                     }
@@ -1168,11 +1167,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             entries,
             rounds,
         } => {
-            for (item, entry) in entries {
-                state
-                    .cache
-                    .insert(&table, &attribute, item, judgment_of_entry(entry));
-            }
+            state.cache.absorb(vec![(table, attribute, entries)]);
             state.crowd_rounds = state.crowd_rounds.max(rounds);
         }
         WalRecord::CacheInvalidate { table, attribute } => {
@@ -1218,21 +1213,7 @@ fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredS
         )?;
     }
     let cache = JudgmentCache::restore(
-        image
-            .cache
-            .groups
-            .into_iter()
-            .map(|(table, attribute, entries)| {
-                (
-                    table,
-                    attribute,
-                    entries
-                        .into_iter()
-                        .map(|(item, entry)| (item, judgment_of_entry(entry)))
-                        .collect(),
-                )
-            })
-            .collect(),
+        image.cache.groups,
         CacheStats {
             hits: image.cache.hits,
             misses: image.cache.misses,
@@ -1337,7 +1318,6 @@ pub(crate) fn table_snapshot_image(
                         entries
                             .into_iter()
                             .filter(|(item, _)| in_slice(*item))
-                            .map(|(item, judgment)| (item, entry_of_judgment(&judgment)))
                             .collect(),
                     )
                 })
@@ -1361,33 +1341,12 @@ pub(crate) fn cache_put_record(
     entries: impl IntoIterator<Item = (ItemId, CachedJudgment)>,
     rounds: u64,
 ) -> WalRecord {
-    let mut entries: Vec<(ItemId, JudgmentEntry)> = entries
-        .into_iter()
-        .map(|(item, judgment)| (item, entry_of_judgment(&judgment)))
-        .collect();
+    let mut entries: Vec<(ItemId, CachedJudgment)> = entries.into_iter().collect();
     entries.sort_unstable_by_key(|(item, _)| *item);
     WalRecord::CachePut {
         table: table.to_lowercase(),
         attribute: attribute.to_lowercase(),
         entries,
         rounds,
-    }
-}
-
-pub(crate) fn entry_of_judgment(judgment: &CachedJudgment) -> JudgmentEntry {
-    JudgmentEntry {
-        verdict: judgment.verdict,
-        judgments: judgment.judgments as u64,
-        cost: judgment.cost,
-        confidence: judgment.confidence,
-    }
-}
-
-pub(crate) fn judgment_of_entry(entry: JudgmentEntry) -> CachedJudgment {
-    CachedJudgment {
-        verdict: entry.verdict,
-        judgments: entry.judgments as usize,
-        cost: entry.cost,
-        confidence: entry.confidence,
     }
 }

@@ -7,8 +7,13 @@
 //! little-endian primitives through [`Encoder`] / [`Decoder`], one tag byte
 //! per enum variant, length-prefixed strings and sequences, so the wire
 //! format is an auditable versioned contract rather than an accident of
-//! struct layout.  A frame that is truncated, oversize
-//! ([`MAX_FRAME_LEN`]), or fails its checksum is a
+//! struct layout.  The domain values storage also persists are encoded by
+//! storage's own codecs, not by copies here: [`encode_value`] for a cell,
+//! [`encode_provenance`] for its provenance mark, [`encode_partition_spec`]
+//! for a table's layout.  A cell therefore has the same bytes on the socket
+//! as in the log, and a storage decode failure is mapped to
+//! [`CrowdDbError::Protocol`] at this boundary.  A frame that is truncated,
+//! oversize ([`MAX_FRAME_LEN`]), or fails its checksum is a
 //! [`CrowdDbError::Protocol`] — the connection carrying it is torn down,
 //! the server stays up.
 //!
@@ -23,19 +28,23 @@
 //!
 //! The payload types of the query surface — [`QueryEvent`],
 //! [`QueryOutcome`], [`ExpansionPolicy`], [`ExpansionReport`], per-cell
-//! [`CellProvenance`], and the full [`CrowdDbError`] enum including every
-//! nested engine error — round-trip the codec exactly: a remote caller
-//! sees the same typed events and typed errors an in-process caller does.
+//! [`CellProvenance`](crowddb_core::CellProvenance), and the full
+//! [`CrowdDbError`] enum including every nested engine error — round-trip
+//! the codec exactly: a remote caller sees the same typed events and typed
+//! errors an in-process caller does.
 
 use crate::server::ServerStats;
 use crowddb_core::expansion::ExpansionStage;
 use crowddb_core::{
-    CellProvenance, CrowdDbError, DegradeReason, ExpansionMode, ExpansionPolicy, ExpansionReport,
-    MissingReason, QueryEvent, QueryOutcome, Result, RowSet, StatementResult,
+    CrowdDbError, DegradeReason, ExpansionMode, ExpansionPolicy, ExpansionReport, QueryEvent,
+    QueryOutcome, Result, RowSet, StatementResult,
 };
-use relational::{PartitionSpec, Value};
+use relational::PartitionSpec;
 use std::io::{Read, Write};
-use storage::{crc32, decode_partition_spec, encode_partition_spec, Decoder, Encoder};
+use storage::{
+    crc32, decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
+    encode_provenance, encode_value, Decoder, Encoder,
+};
 use telemetry::MonitorTree;
 
 /// Version of the wire protocol; bumped on any incompatible change.  The
@@ -72,8 +81,9 @@ fn io_err(context: &str, e: std::io::Error) -> CrowdDbError {
 }
 
 // Decoder failures (ran off the end of the payload, bad UTF-8, oversize
-// sequence) arrive as `CrowdDbError::Storage` via the blanket From impl;
-// on the wire they are protocol errors — the frame was malformed.
+// sequence, an unknown value or provenance tag) arrive as
+// `CrowdDbError::Storage` via the blanket From impl; on the wire they are
+// protocol errors — the frame was malformed.
 fn as_protocol(e: CrowdDbError) -> CrowdDbError {
     match e {
         CrowdDbError::Storage(m) => protocol_err(format!("malformed message: {m}")),
@@ -668,114 +678,6 @@ fn decode_policy_inner(d: &mut Decoder<'_>) -> Result<ExpansionPolicy> {
     Ok(policy)
 }
 
-fn encode_value(e: &mut Encoder, value: &Value) {
-    match value {
-        Value::Null => e.u8(0),
-        Value::Integer(v) => {
-            e.u8(1);
-            e.i64(*v);
-        }
-        Value::Float(v) => {
-            e.u8(2);
-            e.f64(*v);
-        }
-        Value::Text(v) => {
-            e.u8(3);
-            e.str(v);
-        }
-        Value::Boolean(v) => {
-            e.u8(4);
-            e.bool(*v);
-        }
-    }
-}
-
-fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
-    Ok(match d.u8()? {
-        0 => Value::Null,
-        1 => Value::Integer(d.i64()?),
-        2 => Value::Float(d.f64()?),
-        3 => Value::Text(d.str()?),
-        4 => Value::Boolean(d.bool()?),
-        tag => return Err(protocol_err(format!("unknown value tag {tag}"))),
-    })
-}
-
-fn encode_missing_reason(e: &mut Encoder, reason: MissingReason) {
-    e.u8(match reason {
-        MissingReason::BudgetExhausted => 0,
-        MissingReason::NoCachedJudgment => 1,
-        MissingReason::BelowQualityFloor => 2,
-        MissingReason::NoMajority => 3,
-        MissingReason::OutOfSpace => 4,
-        MissingReason::NotExpanded => 5,
-        MissingReason::NoItemId => 6,
-        // #[non_exhaustive]: a reason this protocol version cannot name
-        // degrades to the generic "not expanded".
-        _ => 5,
-    });
-}
-
-fn decode_missing_reason(d: &mut Decoder<'_>) -> Result<MissingReason> {
-    Ok(match d.u8()? {
-        0 => MissingReason::BudgetExhausted,
-        1 => MissingReason::NoCachedJudgment,
-        2 => MissingReason::BelowQualityFloor,
-        3 => MissingReason::NoMajority,
-        4 => MissingReason::OutOfSpace,
-        5 => MissingReason::NotExpanded,
-        6 => MissingReason::NoItemId,
-        tag => return Err(protocol_err(format!("unknown missing-reason tag {tag}"))),
-    })
-}
-
-fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
-    match provenance {
-        CellProvenance::Stored => e.u8(0),
-        CellProvenance::CrowdDerived {
-            confidence,
-            cost_share,
-        } => {
-            e.u8(1);
-            e.f64(*confidence);
-            e.f64(*cost_share);
-        }
-        CellProvenance::CacheHit { confidence } => {
-            e.u8(2);
-            e.f64(*confidence);
-        }
-        CellProvenance::Extracted => e.u8(3),
-        CellProvenance::Missing { reason } => {
-            e.u8(4);
-            encode_missing_reason(e, *reason);
-        }
-        // #[non_exhaustive]: a pedigree this protocol version cannot name
-        // degrades to the weakest claim, "not expanded".
-        _ => {
-            e.u8(4);
-            encode_missing_reason(e, MissingReason::NotExpanded);
-        }
-    }
-}
-
-fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
-    Ok(match d.u8()? {
-        0 => CellProvenance::Stored,
-        1 => CellProvenance::CrowdDerived {
-            confidence: d.f64()?,
-            cost_share: d.f64()?,
-        },
-        2 => CellProvenance::CacheHit {
-            confidence: d.f64()?,
-        },
-        3 => CellProvenance::Extracted,
-        4 => CellProvenance::Missing {
-            reason: decode_missing_reason(d)?,
-        },
-        tag => return Err(protocol_err(format!("unknown provenance tag {tag}"))),
-    })
-}
-
 fn encode_rowset(e: &mut Encoder, rows: &RowSet) {
     e.seq_len(rows.columns.len());
     for column in &rows.columns {
@@ -903,6 +805,10 @@ pub fn encode_server_stats(e: &mut Encoder, stats: &ServerStats) {
 
 /// Decodes a [`ServerStats`] counter snapshot.
 pub fn decode_server_stats(d: &mut Decoder<'_>) -> Result<ServerStats> {
+    decode_server_stats_inner(d).map_err(as_protocol)
+}
+
+fn decode_server_stats_inner(d: &mut Decoder<'_>) -> Result<ServerStats> {
     Ok(ServerStats {
         connections_accepted: d.u64()?,
         connections_active: d.u64()?,
@@ -1362,6 +1268,8 @@ fn decode_error_inner(d: &mut Decoder<'_>) -> Result<CrowdDbError> {
 mod tests {
     use super::*;
     use crowddb_core::expansion::ExpansionStage;
+    use crowddb_core::{CellProvenance, MissingReason};
+    use relational::Value;
 
     fn frame_round_trip(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1836,6 +1744,14 @@ mod tests {
         let mut d = Decoder::new(&[200]);
         assert!(matches!(
             decode_event(&mut d),
+            Err(CrowdDbError::Protocol { .. })
+        ));
+        // A stats payload cut short after two of its six counters.
+        let mut e = Encoder::new();
+        encode_server_stats(&mut e, &ServerStats::default());
+        let bytes = e.into_bytes();
+        assert!(matches!(
+            decode_server_stats(&mut Decoder::new(&bytes[..16])),
             Err(CrowdDbError::Protocol { .. })
         ));
     }

@@ -154,13 +154,15 @@ impl<'a> Decoder<'a> {
 
     /// Reads a sequence length prefix, bounds-checked against the bytes
     /// actually remaining so a corrupt length cannot trigger a huge
-    /// allocation.
+    /// allocation.  Sound because every encoded element, at every nesting
+    /// level, takes at least one byte.
     pub fn seq_len(&mut self) -> Result<usize> {
         let n = self.u64()?;
-        if n > self.buf.len() as u64 {
+        let remaining = self.buf.len() - self.pos;
+        if n > remaining as u64 {
             return Err(StorageError::Corrupt(format!(
-                "sequence length {n} exceeds the {} bytes of the record",
-                self.buf.len()
+                "sequence length {n} exceeds the {remaining} bytes remaining at offset {}",
+                self.pos
             )));
         }
         Ok(n as usize)
@@ -216,6 +218,13 @@ mod tests {
         // A length prefix claiming more bytes than the record holds.
         let mut e = Encoder::new();
         e.u64(1 << 40);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        assert!(matches!(d.seq_len(), Err(StorageError::Corrupt(_))));
+        // A length prefix that fits the record but not the bytes after it.
+        let mut e = Encoder::new();
+        e.seq_len(10);
+        e.u32(0);
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert!(matches!(d.seq_len(), Err(StorageError::Corrupt(_))));

@@ -2,7 +2,7 @@
 //!
 //! Crowd judgments are the single most expensive resource of a
 //! crowd-enabled database: every materialized cell and every
-//! [`judgment-cache`](crate::records::JudgmentEntry) entry represents real
+//! [`judgment-cache`](crate::records::CachedJudgment) entry represents real
 //! dollars paid to real workers.  A purely in-memory engine throws that
 //! investment away on every restart.  This crate is the storage engine that
 //! keeps it:
@@ -27,9 +27,13 @@
 //!
 //! The crate is deliberately independent of `crowddb_core`: it knows the
 //! relational vocabulary ([`relational::Value`], [`relational::Schema`])
-//! and the shape of crowd-derived facts, but not the engine that produces
-//! them.  `crowddb_core::CrowdDb::open` drives recovery and appends records
-//! as queries commit.
+//! and owns the one type of a bought judgment ([`CachedJudgment`], which
+//! the engine's cache re-exports), but not the engine that produces them.
+//! Its value and provenance codecs ([`encode_value`],
+//! [`encode_provenance`] and their decoders) are the only ones in the
+//! workspace: the network wire protocol encodes cells through them too.
+//! `crowddb_core::CrowdDb::open` drives recovery and appends records as
+//! queries commit.
 
 #![warn(missing_docs)]
 
@@ -46,7 +50,8 @@ pub use manifest::{
     SNAP_DIR, WAL_DIR,
 };
 pub use records::{
-    decode_partition_spec, encode_partition_spec, CacheImage, ColumnImage, JudgmentEntry,
+    decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
+    encode_provenance, encode_value, CacheGroup, CacheImage, CachedJudgment, ColumnImage,
     LedgerImage, SnapshotImage, TableImage, WalRecord,
 };
 pub use snapshot::{

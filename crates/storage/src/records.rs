@@ -18,9 +18,12 @@
 //! Tags are append-only: new variants take new numbers, existing numbers
 //! are never reused, so old files stay readable.
 //!
-//! Judgments appear here as a plain data mirror, [`JudgmentEntry`], so
-//! this crate does not depend on `crowddb_core`; provenance is the
-//! relational crate's own [`CellProvenance`], encoded directly.
+//! Each domain value has one type and one codec, owned here: a judgment
+//! is a [`CachedJudgment`] (the engine's cache re-exports this type),
+//! and [`encode_value`] / [`encode_provenance`] (with their decoders) are
+//! the only encodings of a [`Value`] and a [`CellProvenance`] — the
+//! network wire protocol calls them too, so a cell's bytes are the same
+//! on disk and on the socket.
 
 use relational::{
     CellProvenance, Column, DataType, MissingReason, PartitionSpec, Schema, Table, Value,
@@ -37,7 +40,9 @@ fn corrupt(what: &str, tag: u8) -> StorageError {
     StorageError::Corrupt(format!("unknown {what} tag {tag:#04x}"))
 }
 
-fn encode_value(e: &mut Encoder, value: &Value) {
+/// Encodes a [`Value`] with one tag byte per variant — shared by every
+/// storage record and by the network wire protocol.
+pub fn encode_value(e: &mut Encoder, value: &Value) {
     match value {
         Value::Null => e.u8(0),
         Value::Integer(i) => {
@@ -59,7 +64,8 @@ fn encode_value(e: &mut Encoder, value: &Value) {
     }
 }
 
-fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
+/// Decodes a [`Value`] written by [`encode_value`].
+pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
     Ok(match d.u8()? {
         0 => Value::Null,
         1 => Value::Integer(d.i64()?),
@@ -217,29 +223,33 @@ impl TableImage {
     }
 }
 
-/// One aggregated judgment-cache entry (mirrors
-/// `crowddb_core::CachedJudgment`).
+/// The aggregated crowd knowledge about one `(table, attribute, item)`:
+/// one judgment-cache entry, in memory and on disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JudgmentEntry {
-    /// The majority verdict; `None` records a tie (also worth keeping —
-    /// asking again would cost the same and likely tie again).
+pub struct CachedJudgment {
+    /// The majority verdict (`None` when the crowd produced no majority —
+    /// also worth caching: asking again would cost the same and likely tie
+    /// again).
     pub verdict: Option<bool>,
-    /// Raw judgments aggregated into the verdict.
-    pub judgments: u64,
-    /// Dollars paid for those judgments.
+    /// Number of raw judgments aggregated into the verdict.
+    pub judgments: usize,
+    /// Dollars paid to obtain those judgments.
     pub cost: f64,
-    /// Inter-worker agreement behind the verdict.
+    /// Inter-worker agreement behind the verdict (fraction of decisive
+    /// judgments agreeing with the majority; 0 when no decisive judgment
+    /// was collected).  Stored so quality-floor policies and per-cell
+    /// provenance apply to reused judgments exactly as to fresh ones.
     pub confidence: f64,
 }
 
-impl JudgmentEntry {
+impl CachedJudgment {
     fn encode(&self, e: &mut Encoder) {
         match self.verdict {
             None => e.u8(0),
             Some(false) => e.u8(1),
             Some(true) => e.u8(2),
         }
-        e.u64(self.judgments);
+        e.u64(self.judgments as u64);
         e.f64(self.cost);
         e.f64(self.confidence);
     }
@@ -251,9 +261,9 @@ impl JudgmentEntry {
             2 => Some(true),
             tag => return Err(corrupt("verdict", tag)),
         };
-        Ok(JudgmentEntry {
+        Ok(CachedJudgment {
             verdict,
-            judgments: d.u64()?,
+            judgments: d.u64()? as usize,
             cost: d.f64()?,
             confidence: d.f64()?,
         })
@@ -261,9 +271,9 @@ impl JudgmentEntry {
 }
 
 /// Encodes one cell's provenance mark — confidence and cost share
-/// included, so a reopened database reports identical provenance for
-/// answers bought before the restart.
-fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
+/// included, so a reopened database (or a remote client) reports
+/// identical provenance for answers bought before the restart.
+pub fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
     match provenance {
         CellProvenance::Stored => e.u8(0),
         CellProvenance::CrowdDerived {
@@ -296,7 +306,8 @@ fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
     }
 }
 
-fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
+/// Decodes a provenance mark written by [`encode_provenance`].
+pub fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
     Ok(match d.u8()? {
         0 => CellProvenance::Stored,
         1 => CellProvenance::CrowdDerived {
@@ -348,7 +359,7 @@ fn decode_items<T>(
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A table registered with the catalog (DDL), rows included — covers
-    /// both `CrowdDb::create_table` and domain loading.
+    /// both `CrowdDb::create_table_with` and domain loading.
     CreateTable(TableImage),
     /// A relational mutation (`INSERT` / `UPDATE` / `DELETE` / DDL issued
     /// as SQL), replayed by re-executing the statement text: mutations
@@ -395,7 +406,7 @@ pub enum WalRecord {
         /// The attribute concept key (lower-cased).
         attribute: String,
         /// The entries, sorted by item id.
-        entries: Vec<(ItemId, JudgmentEntry)>,
+        entries: Vec<(ItemId, CachedJudgment)>,
         /// The database's crowd-round counter after the write — replay
         /// takes the maximum, so a reopened database keeps drawing fresh
         /// round seeds instead of repeating pre-crash ones.
@@ -548,7 +559,7 @@ impl WalRecord {
             4 => WalRecord::CachePut {
                 table: d.str()?,
                 attribute: d.str()?,
-                entries: decode_items(&mut d, JudgmentEntry::decode)?,
+                entries: decode_items(&mut d, CachedJudgment::decode)?,
                 rounds: d.u64()?,
             },
             5 => WalRecord::CacheInvalidate {
@@ -574,9 +585,10 @@ impl WalRecord {
     }
 }
 
-/// One judgment-cache group inside a snapshot: the `(table, attribute)`
-/// key and its entries, sorted by item id.
-pub type CacheGroup = (String, String, Vec<(ItemId, JudgmentEntry)>);
+/// One judgment-cache group — the `(table, attribute)` key and its
+/// entries, sorted by item id — as a snapshot stores it and the engine's
+/// cache exports it.
+pub type CacheGroup = (String, String, Vec<(ItemId, CachedJudgment)>);
 
 /// The judgment cache as a snapshot stores it: entries grouped by
 /// `(table, attribute)` plus the effectiveness counters (the WAL only
@@ -709,7 +721,7 @@ impl SnapshotImage {
             groups.push((
                 table,
                 attribute,
-                decode_items(&mut d, JudgmentEntry::decode)?,
+                decode_items(&mut d, CachedJudgment::decode)?,
             ));
         }
         let cache = CacheImage {
@@ -817,7 +829,7 @@ mod tests {
                 attribute: "comedy".into(),
                 entries: vec![(
                     7,
-                    JudgmentEntry {
+                    CachedJudgment {
                         verdict: Some(true),
                         judgments: 10,
                         cost: 0.02,
@@ -871,7 +883,7 @@ mod tests {
                     "comedy".into(),
                     vec![(
                         1,
-                        JudgmentEntry {
+                        CachedJudgment {
                             verdict: None,
                             judgments: 8,
                             cost: 0.01,

@@ -118,7 +118,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{CacheImage, JudgmentEntry, SnapshotImage};
+    use crate::records::{CacheImage, CachedJudgment, SnapshotImage};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -137,7 +137,7 @@ mod tests {
                     "comedy".into(),
                     vec![(
                         3,
-                        JudgmentEntry {
+                        CachedJudgment {
                             verdict: Some(true),
                             judgments: 10,
                             cost: 0.02,
