@@ -6,7 +6,9 @@
 //! expansion buy **one** crowd round.  Besides the criterion timings, the
 //! run emits `BENCH_server.json` at the workspace root whose deterministic
 //! fields — client count, item count, metered crowd rounds, cold and warm
-//! dollars — are guarded by `check_bench_regression` against
+//! dollars, and the scheduler jobs one warm remote `run()` submits (1: the
+//! server's pump runs the query itself) — are guarded by
+//! `check_bench_regression` against
 //! `ci/BENCH_server.baseline.json`.  The wall-clock fields (`*_ms`,
 //! `*_per_s`) are narration only.
 //!
@@ -31,6 +33,8 @@ use datagen::{DomainConfig, SyntheticDomain};
 
 const QUERY: &str = "SELECT item_id, is_comedy FROM movies WHERE is_comedy = true";
 const CLIENTS: usize = 4;
+/// Warm remote `run()`s the scheduler-job count is averaged over.
+const WARM_RUNS: usize = 20;
 
 /// Wraps the simulated crowd, metering rounds and dollars the way the
 /// crowdsourcing platform's own invoice would.
@@ -67,6 +71,7 @@ impl CrowdSource for MeteredCrowd {
 }
 
 struct Served {
+    db: Arc<CrowdDb>,
     server: CrowdDbServer,
     items: usize,
     rounds: Arc<AtomicUsize>,
@@ -92,8 +97,10 @@ fn serve() -> Served {
         .unwrap();
     db.register_attribute("movies", "is_comedy", "Comedy")
         .unwrap();
-    let server = CrowdDbServer::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server =
+        CrowdDbServer::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
     Served {
+        db,
         server,
         items,
         rounds,
@@ -108,12 +115,14 @@ struct ServerRun {
     crowd_rounds: usize,
     warm_wall_ms: f64,
     warm_cost_dollars: f64,
+    jobs_per_warm_query: f64,
     ping_per_s: f64,
 }
 
 /// One full service-layer pass against a fresh server: N concurrent cold
-/// clients (one coalesced round), then a warm rerun (cache, free), then a
-/// burst of pings for the frame round-trip rate.
+/// clients (one coalesced round), then a warm rerun (cache, free), then
+/// more warm reruns on the same connection counting the scheduler jobs
+/// each submits, then a burst of pings for the frame round-trip rate.
 fn measure() -> ServerRun {
     let s = serve();
     let addr = s.server.local_addr();
@@ -145,6 +154,13 @@ fn measure() -> ServerRun {
     let warm = client.query(QUERY).run().unwrap();
     let warm_wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
+    let jobs_before = s.db.scheduler_stats().jobs_submitted;
+    for _ in 0..WARM_RUNS {
+        client.query(QUERY).run().unwrap();
+    }
+    let jobs = s.db.scheduler_stats().jobs_submitted - jobs_before;
+    let jobs_per_warm_query = jobs as f64 / WARM_RUNS as f64;
+
     const PINGS: usize = 200;
     let start = Instant::now();
     for _ in 0..PINGS {
@@ -160,6 +176,7 @@ fn measure() -> ServerRun {
         crowd_rounds,
         warm_wall_ms,
         warm_cost_dollars: warm.crowd_cost,
+        jobs_per_warm_query,
         ping_per_s,
     }
 }
@@ -177,11 +194,13 @@ fn write_report(run: &ServerRun) {
         "{{\n  \"bench\": \"server_throughput\",\n  \"clients\": {CLIENTS},\n  \
          \"items\": {},\n  \"server_crowd_rounds\": {},\n  \
          \"server_cold_cost_dollars\": {:.4},\n  \"server_warm_cost_dollars\": {:.4},\n  \
+         \"server_scheduler_jobs_per_warm_query\": {:.4},\n  \
          \"cold_wall_ms\": {:.3},\n  \"warm_wall_ms\": {:.3},\n  \"ping_per_s\": {:.1}\n}}\n",
         run.items,
         run.crowd_rounds,
         run.cold_cost_dollars,
         run.warm_cost_dollars,
+        run.jobs_per_warm_query,
         run.cold_wall_ms,
         run.warm_wall_ms,
         run.ping_per_s,

@@ -372,8 +372,9 @@ impl RemoteQueryBuilder<'_> {
     }
 
     /// Runs the query to completion and returns the final
-    /// [`QueryOutcome`] — a drain over [`stream`](Self::stream), exactly
-    /// like the in-process `run`.  Intermediate events stay server-side.
+    /// [`QueryOutcome`] — the same outcome [`stream`](Self::stream) ends
+    /// with.  The server runs the query as a blocking `run` and sends only
+    /// the terminal frame; no intermediate events are built.
     pub fn run(self) -> Result<QueryOutcome> {
         self.launch(false).wait()
     }

@@ -1,10 +1,11 @@
 //! Per-tenant admission control: concurrent-query caps, sliding-window
 //! dollar budgets, and graceful load shedding.
 //!
-//! The [`Limiter`] sits at the mouth of the scheduler: every policy query
-//! asks it for a ticket before a job is enqueued
+//! The [`Limiter`] sits at the mouth of the engine: every policy query
+//! asks it for a ticket before any work — before a streamed query's job is
+//! enqueued, before a blocking query starts on its caller's thread
 //! ([`QueryBuilder::tenant`](crate::QueryBuilder::tenant) names the
-//! tenant), and the network server consults it at handshake time (the
+//! tenant) — and the network server consults it at handshake time (the
 //! authentication token doubles as the tenant name).  Three pressures,
 //! three responses, in increasing severity:
 //!
@@ -120,7 +121,10 @@ pub struct LimiterConfig {
     pub tenants: BTreeMap<String, TenantLimits>,
     /// Scheduler queue depth at which *every throttled tenant's* queries
     /// degrade one step — global back-pressure, independent of any single
-    /// tenant's behavior.  Unthrottled tenants stay exempt.
+    /// tenant's behavior.  Unthrottled tenants stay exempt.  Blocking
+    /// queries run on their callers' threads and never queue, so the depth
+    /// counts streamed queries and the network server's jobs only; a
+    /// blocking query is still degraded by it when it is admitted.
     pub queue_pressure: Option<usize>,
 }
 

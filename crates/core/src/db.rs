@@ -481,12 +481,14 @@ struct TableBinding {
 /// locking and coalescing design.
 ///
 /// Internally the database is an [`Arc`]-shared state core plus a
-/// background [`Scheduler`]: every query — streaming
-/// ([`QueryBuilder::stream`](crate::QueryBuilder::stream)) or blocking
-/// ([`QueryBuilder::run`](crate::QueryBuilder::run), which is a drain over
-/// the same stream) — executes as one job on the scheduler's worker
-/// threads and reports back over a channel, so crowd work never runs on
-/// the caller's thread.
+/// background [`Scheduler`].  A blocking query
+/// ([`QueryBuilder::run`](crate::QueryBuilder::run), and so
+/// [`CrowdDb::execute`]) runs on the caller's thread, crowd rounds
+/// included; a streaming query
+/// ([`QueryBuilder::stream`](crate::QueryBuilder::stream)) executes as one
+/// job on the scheduler's worker threads and reports back over a channel,
+/// so its caller gets the stream before the work ends.  Both run the same
+/// engine path.
 pub struct CrowdDb {
     /// The shared state core.  Scheduler jobs hold their own [`Arc`]
     /// clones, so in-flight queries outlive any particular borrow of the
@@ -713,7 +715,7 @@ pub(crate) struct DbInner {
     /// it has counted so far.
     monitor: StateMonitor,
     /// The `crowddb/queries` monitor node: one child per query currently
-    /// on (or queued for) the scheduler.
+    /// running (or, streamed, queued for the scheduler).
     queries_monitor: StateMonitor,
     /// The `crowddb/expansions` monitor node: one child per concept whose
     /// crowd acquisition is in flight, carrying the concept, the items
@@ -735,7 +737,7 @@ pub(crate) struct DbInner {
 }
 
 /// Core worker threads per database.  The scheduler grows past this
-/// whenever more queries than workers are simultaneously in flight
+/// whenever more streamed queries than workers are simultaneously in flight
 /// (coalescing *requires* that) and shrinks back when the burst is over.
 const SCHEDULER_CORE_WORKERS: usize = 2;
 
@@ -1210,7 +1212,8 @@ impl CrowdDb {
     /// (`crowddb_crowd_rounds_total`), scheduler occupancy
     /// (`crowddb_scheduler_queue_depth`, `crowddb_scheduler_workers_live`,
     /// `crowddb_scheduler_workers_idle`,
-    /// `crowddb_scheduler_overflow_spawned_total`), durability
+    /// `crowddb_scheduler_overflow_spawned_total`,
+    /// `crowddb_scheduler_jobs_submitted_total`), durability
     /// (`crowddb_wal_bytes_total`, per-table `crowddb_wal_bytes{table}`,
     /// and per-partition
     /// `crowddb_partition_wal_bytes{table,partition}`),
@@ -1282,6 +1285,11 @@ impl CrowdDb {
             "crowddb_scheduler_overflow_spawned_total",
             "Overflow workers spawned past the core pool over the lifetime",
             sched.overflow_spawned as f64,
+        );
+        snap.push_counter(
+            "crowddb_scheduler_jobs_submitted_total",
+            "Jobs submitted to the scheduler over the lifetime (streamed queries, server tasks)",
+            sched.jobs_submitted as f64,
         );
         let storage = self.storage_stats();
         snap.push_gauge(
@@ -1364,7 +1372,7 @@ impl CrowdDb {
     }
 
     /// Occupancy of the background scheduler (live/idle workers, queue
-    /// depth, lifetime overflow spawns).
+    /// depth, lifetime overflow spawns and job submissions).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler.stats()
     }
@@ -1556,8 +1564,8 @@ impl CrowdDb {
     /// assert_eq!(db.expansion_events().len(), 1);
     /// ```
     pub fn execute(&self, sql_text: &str) -> Result<QueryResult> {
-        // The compat wrapper drains the same stream every query runs as —
-        // there is exactly one execution path through the engine.
+        // The compat wrapper is a blocking policy query: it runs on this
+        // thread through the one execution path every query takes.
         self.query(sql_text)
             .run()
             .map(QueryOutcome::into_query_result)
@@ -1590,12 +1598,12 @@ impl CrowdDb {
     }
 
     /// Submits one job to the database's background [`Scheduler`] — the
-    /// same elastic pool every query executes on.
+    /// same elastic pool streamed queries execute on.
     ///
     /// This is the serving entry point for layers built *around* the
     /// database, above all the network service layer: connection readers,
-    /// writers, and per-query event pumps run as scheduler jobs next to
-    /// the queries themselves, so the whole server shares one pool whose
+    /// writers, and per-query pumps run as scheduler jobs next to the
+    /// streamed queries, so the whole server shares one pool whose
     /// elasticity guarantees blocked jobs (a pump parked on a stream, an
     /// owner inside its crowd round) can never starve each other.  Jobs
     /// submitted while the database is shutting down are silently dropped,

@@ -57,8 +57,10 @@
 //! [`CrowdSource::estimate_outstanding`] hook, per-round verdict deltas,
 //! and finally the completed [`QueryOutcome`] — while the expansion work
 //! runs on the database's background [`scheduler`].  A blocking
-//! [`QueryBuilder::run`] is just a drained stream, so the two entry points
-//! cannot diverge, and `EXPLAIN EXPANSION <select>` prices the whole plan
+//! [`QueryBuilder::run`] runs the same engine path on the caller's thread
+//! with the events switched off, so the two entry points cannot diverge
+//! and a query that expands nothing pays no thread hop.
+//! `EXPLAIN EXPANSION <select>` prices the whole plan
 //! (concepts, cache hits, dollars) with zero crowd dispatch.
 //!
 //! The database can be **durable**: [`CrowdDb::open`] /

@@ -1,14 +1,17 @@
 //! The background expansion scheduler: a small worker-thread pool that
-//! takes crowd-expansion work off the caller's thread.
+//! takes streamed queries off the caller's thread.
 //!
 //! Anytime queries ([`crate::QueryBuilder::stream`]) promise an immediate
 //! snapshot while acquisition continues in the background — which requires
 //! somebody *else* to run the plan → acquire → materialize pipeline while
 //! the caller blocks on its event channel.  Each [`crate::CrowdDb`] owns
-//! one [`Scheduler`] for exactly that: every query (streaming or blocking —
-//! [`run`](crate::QueryBuilder::run) is a drain over the same stream) is
-//! submitted as one job, executed on a pool thread, and reports back over
-//! an [`std::sync::mpsc`] channel.
+//! one [`Scheduler`] for exactly that: every streamed query is submitted
+//! as one job, executed on a pool thread, and reports back over an
+//! [`std::sync::mpsc`] channel.  A blocking
+//! [`run`](crate::QueryBuilder::run) submits nothing: its caller waits for
+//! the answer anyway, so the query runs on the caller's thread.  The
+//! network server runs its connection readers, writers and per-query pumps
+//! here too ([`crate::CrowdDb::spawn_background`]).
 //!
 //! # Elasticity
 //!
@@ -55,6 +58,8 @@ struct State {
     /// each one is a burst the core pool could not absorb, which makes the
     /// counter the scheduler's cheapest overload signal.
     overflow_spawned: u64,
+    /// Lifetime count of [`Scheduler::spawn`] calls.
+    jobs_submitted: u64,
     shutdown: bool,
 }
 
@@ -69,6 +74,9 @@ pub struct SchedulerStats {
     pub queued: usize,
     /// Lifetime count of overflow workers spawned beyond the core pool.
     pub overflow_spawned: u64,
+    /// Lifetime count of jobs submitted ([`Scheduler::spawn`] calls): one
+    /// per streamed query, none for a blocking one.
+    pub jobs_submitted: u64,
 }
 
 struct Shared {
@@ -115,6 +123,7 @@ impl Scheduler {
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         let grow = {
             let mut state = mlock(&self.shared.state);
+            state.jobs_submitted += 1;
             if state.shutdown {
                 // A job submitted mid-teardown would never run; drop it so
                 // its channel disconnects and the caller sees the failure.
@@ -159,6 +168,7 @@ impl Scheduler {
             idle: state.idle,
             queued: state.queue.len(),
             overflow_spawned: state.overflow_spawned,
+            jobs_submitted: state.jobs_submitted,
         }
     }
 }
@@ -224,6 +234,7 @@ mod tests {
         let mut got: Vec<i32> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());
+        assert_eq!(scheduler.stats().jobs_submitted, 8);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! `SELECT … WITH EXPANSION (budget = 12.0, mode = best_effort,
 //! quality >= 0.8)` — and SQL settings override the builder's.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use relational::{QueryResult, Value};
@@ -38,7 +39,7 @@ use crate::db::CrowdDb;
 use crate::expansion::ExpansionReport;
 use crate::policy::{ExpansionMode, ExpansionPolicy};
 use crate::provenance::CellProvenance;
-use crate::stream::{EventSink, QueryStream};
+use crate::stream::{worker_died, EventSink, QueryStream};
 use crate::Result;
 
 /// A handle binding a set of default [`ExpansionPolicy`] settings to a
@@ -193,20 +194,24 @@ impl<'db> QueryBuilder<'db> {
     /// Parses, plans, expands (within policy), and executes the query,
     /// blocking until the full answer is in.
     ///
-    /// `run` is a thin drain over [`stream`](QueryBuilder::stream): the
-    /// query executes on the database's background scheduler either way and
-    /// there is exactly one execution path — this entry point simply waits
-    /// for the final [`QueryEvent::Completed`](crate::QueryEvent::Completed)
-    /// and unwraps its [`QueryOutcome`].
+    /// The query runs on the caller's thread, crowd rounds included — the
+    /// same admission and engine path as [`stream`](QueryBuilder::stream),
+    /// minus the scheduler hop and the events.  A panic inside the query
+    /// does not unwind into the caller: it becomes the
+    /// [`Contention`](crate::CrowdDbError::Contention) error a dead worker
+    /// gives [`QueryStream::wait`].
     pub fn run(self) -> Result<QueryOutcome> {
-        // Intermediate events are skipped (nobody would read them), which
-        // keeps the blocking path from paying for snapshots and estimates.
-        self.launch(false).wait()
+        let execute = self.admit()?;
+        // Unwind-safe as a panicking scheduler job is: the engine's locks
+        // forgive poisoning (`crate::sync`) and the step's guards release
+        // the slot and the in-flight claim while unwinding.
+        catch_unwind(AssertUnwindSafe(|| execute(&EventSink::null())))
+            .unwrap_or_else(|_| Err(worker_died()))
     }
 
     /// Starts the query as an **anytime** query: returns immediately with a
     /// blocking [`QueryStream`] of [`QueryEvent`](crate::QueryEvent)s while
-    /// the expansion work runs on the database's background scheduler.
+    /// the query runs as one job on the database's background scheduler.
     ///
     /// The stream yields an immediate `Snapshot` of the rows answerable
     /// from stored and cached cells, `Progress`/`Delta` events per concept
@@ -219,25 +224,31 @@ impl<'db> QueryBuilder<'db> {
     /// Dropping the stream does not cancel the expansion — dispatched
     /// crowd work completes and is paid for; only the notifications stop.
     pub fn stream(self) -> QueryStream {
-        self.launch(true)
+        let db = self.db;
+        let (sink, receiver) = EventSink::channel();
+        match self.admit() {
+            Ok(execute) => db.scheduler.spawn(move || match execute(&sink) {
+                Ok(outcome) => sink.complete(outcome),
+                Err(error) => sink.fail(error),
+            }),
+            Err(error) => sink.fail(error),
+        }
+        QueryStream::new(receiver)
     }
 
-    /// Submits the query to the scheduler, with or without intermediate
-    /// events, and hands back the consuming stream.
+    /// Admits the query and returns its execution step.
     ///
-    /// When a [`Limiter`](crate::Limiter) is attached this is the admission
-    /// point: a shed query fails here, *before* a scheduler job exists, so
-    /// an overloaded tenant cannot occupy a worker; a degraded query
+    /// With a [`Limiter`](crate::Limiter) attached, a shed query fails
+    /// here, before any work or scheduler job exists; a degraded one
     /// carries its [`DegradeDirective`](crate::DegradeDirective) into the
-    /// engine, and its concurrency slot (the ticket) is held from here
-    /// until the job finishes — queue time counts against the cap.
-    fn launch(self, events: bool) -> QueryStream {
-        let (sink, receiver) = EventSink::channel(events);
+    /// engine.  The ticket holds the tenant's slot from here on, so a
+    /// streamed query's time in the scheduler queue counts against the cap
+    /// (a blocking one never queues).  The execution step books the spend
+    /// and metrics, then releases the slot and the monitor node *before*
+    /// returning, so a caller that sees the outcome finds its slot free.
+    fn admit(self) -> Result<impl FnOnce(&EventSink) -> Result<QueryOutcome> + Send + 'static> {
         let inner = Arc::clone(&self.db.inner);
-        let sql = self.sql;
-        let policy = self.policy;
         let tenant = self.tenant.unwrap_or_else(|| "default".to_string());
-
         let (ticket, directive) = match inner.limiter_handle() {
             Some(limiter) => {
                 let queue_depth = self.db.scheduler_stats().queued;
@@ -251,24 +262,19 @@ impl<'db> QueryBuilder<'db> {
                     }
                     Err(error) => {
                         inner.engine_metrics().query_shed();
-                        sink.fail(error);
-                        return QueryStream::new(receiver);
+                        return Err(error);
                     }
                 }
             }
             None => (None, None),
         };
-
         let monitor = inner.queries_monitor().make_child("query");
-        monitor.insert("sql", &sql);
+        monitor.insert("sql", &self.sql);
         monitor.insert("tenant", &tenant);
-        self.db.scheduler.spawn(move || {
-            // Moved in so they live exactly as long as the job: the monitor
-            // node detaches and the ticket frees its concurrency slot when
-            // the query finishes, success or failure.
-            let _monitor = monitor;
-            let ticket = ticket;
-            match inner.run_policy_query(&sql, policy, directive.as_ref(), &sink) {
+        let (sql, policy) = (self.sql, self.policy);
+        Ok(move |sink: &EventSink| {
+            let result = inner.run_policy_query(&sql, policy, directive.as_ref(), sink);
+            match &result {
                 Ok(outcome) => {
                     if let Some(ticket) = &ticket {
                         // Post-paid dollar window: book the real spend.
@@ -277,15 +283,12 @@ impl<'db> QueryBuilder<'db> {
                     inner
                         .engine_metrics()
                         .query_completed(outcome.policy.mode, outcome.crowd_cost);
-                    sink.complete(outcome);
                 }
-                Err(error) => {
-                    inner.engine_metrics().query_failed();
-                    sink.fail(error);
-                }
+                Err(_) => inner.engine_metrics().query_failed(),
             }
-        });
-        QueryStream::new(receiver)
+            drop((ticket, monitor));
+            result
+        })
     }
 }
 

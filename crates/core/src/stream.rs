@@ -6,8 +6,8 @@
 //! instead surface partial answers plus a principled completeness estimate
 //! while acquisition continues.  [`QueryStream`] is that surface: a
 //! blocking [`Iterator`] of [`QueryEvent`]s fed over an
-//! [`std::sync::mpsc`] channel by the expansion work running on the
-//! database's [`scheduler`](crate::scheduler) threads.
+//! [`std::sync::mpsc`] channel by the expansion work running as one job
+//! on the database's [`scheduler`](crate::scheduler) threads.
 //!
 //! The event order for one query is:
 //!
@@ -19,8 +19,9 @@
 //!    this query's own crowd rounds resolve items;
 //! 3. exactly one final [`QueryEvent::Completed`] carrying the same
 //!    [`QueryOutcome`] a blocking [`run`](crate::QueryBuilder::run) would
-//!    have produced under the same seed and policy — `run` *is* a drain
-//!    over this stream, so there is exactly one execution path.
+//!    have produced under the same seed and policy — `run` executes the
+//!    same engine path on the caller's thread with the events switched
+//!    off, so there is exactly one execution path.
 //!
 //! Dropping a stream early does **not** cancel the query: the crowd work
 //! already dispatched completes, is paid for, and lands in the judgment
@@ -92,8 +93,8 @@ pub enum QueryEvent {
     },
     /// The query finished.  The payload is exactly what
     /// [`run`](crate::QueryBuilder::run) would have returned — same rows,
-    /// same per-cell provenance, same dollars — because `run` is itself a
-    /// drain over this stream.  Always the final event.
+    /// same per-cell provenance, same dollars — because both run the same
+    /// engine path; only where it runs differs.  Always the final event.
     Completed(QueryOutcome),
 }
 
@@ -139,60 +140,44 @@ pub(crate) enum StreamMessage {
 /// The worker-side half of a stream: emits events into the channel,
 /// silently dropping them once the consumer has gone away (an abandoned
 /// stream must not fail the expansion that other queries may be coalescing
-/// onto).  [`EventSink::null`] is the sink of non-query entry points like
+/// onto).  [`EventSink::null`] is the sink of a blocking
+/// [`run`](crate::QueryBuilder::run) and of non-query entry points like
 /// [`CrowdDb::expand_columns`](crate::CrowdDb::expand_columns) — same
 /// pipeline, nobody listening.
 pub(crate) struct EventSink {
     sender: Option<mpsc::Sender<StreamMessage>>,
-    /// Whether intermediate events (snapshot, progress, deltas) are wanted.
-    /// A blocking `run()` drains the same stream but only needs the
-    /// terminal message — building events nobody reads would make the
-    /// compat path pay for the streaming one.
-    events: bool,
 }
 
 impl EventSink {
     /// A connected sink plus the receiver its [`QueryStream`] reads.
-    /// `events = false` delivers only the terminal completion/failure.
-    pub(crate) fn channel(events: bool) -> (EventSink, mpsc::Receiver<StreamMessage>) {
+    pub(crate) fn channel() -> (EventSink, mpsc::Receiver<StreamMessage>) {
         let (sender, receiver) = mpsc::channel();
         (
             EventSink {
                 sender: Some(sender),
-                events,
             },
             receiver,
         )
     }
 
-    /// A sink that discards everything (non-streaming entry points).
+    /// A sink that discards everything.
     pub(crate) fn null() -> EventSink {
-        EventSink {
-            sender: None,
-            events: false,
-        }
+        EventSink { sender: None }
     }
 
-    /// True when somebody may be listening for intermediate events — lets
-    /// the pipeline skip building events (snapshots, estimates) nobody
-    /// would see.
+    /// True when somebody may be listening — lets the pipeline skip
+    /// building events (snapshots, estimates) nobody would see.
     pub(crate) fn is_live(&self) -> bool {
-        self.sender.is_some() && self.events
+        self.sender.is_some()
     }
 
     pub(crate) fn emit(&self, event: QueryEvent) {
-        if !self.is_live() {
-            // Terminal messages go through `complete`/`fail`, which send
-            // regardless of the events flag.
-            return;
-        }
         if let Some(sender) = &self.sender {
             let _ = sender.send(StreamMessage::Event(event));
         }
     }
 
-    /// Terminal success: emits the final [`QueryEvent::Completed`]
-    /// (delivered even on an events-off sink — it carries the outcome).
+    /// Terminal success: emits the final [`QueryEvent::Completed`].
     pub(crate) fn complete(&self, outcome: QueryOutcome) {
         if let Some(sender) = &self.sender {
             let _ = sender.send(StreamMessage::Event(QueryEvent::Completed(outcome)));
@@ -208,14 +193,24 @@ impl EventSink {
     }
 }
 
+/// The error of a query whose execution died (panicked) before it
+/// reached a terminal outcome — on a scheduler worker for a stream, on the
+/// caller's thread for a blocking [`run`](crate::QueryBuilder::run).
+pub(crate) fn worker_died() -> CrowdDbError {
+    CrowdDbError::Contention(
+        "the query's execution ended without an outcome (it panicked, or the database shut down)"
+            .into(),
+    )
+}
+
 /// A blocking stream of [`QueryEvent`]s from one anytime query.
 ///
 /// Obtained from [`QueryBuilder::stream`](crate::QueryBuilder::stream).
 /// Iterate to consume events as the background expansion produces them;
 /// iteration ends after [`QueryEvent::Completed`] (or on failure).  Call
 /// [`wait`](QueryStream::wait) to drain the remainder and get the final
-/// [`QueryOutcome`] — which is exactly what
-/// [`run`](crate::QueryBuilder::run) does.
+/// [`QueryOutcome`] — the same outcome a blocking
+/// [`run`](crate::QueryBuilder::run) returns.
 ///
 /// ```no_run
 /// # use crowddb_core::{CrowdDb, CrowdDbConfig, QueryEvent};
@@ -261,16 +256,14 @@ impl QueryStream {
     }
 
     /// Drains the remaining events and returns the final outcome — the
-    /// blocking view of the stream ([`QueryBuilder::run`] is exactly this).
+    /// blocking view of the stream.  It equals what
+    /// [`QueryBuilder::run`] returns, but costs a scheduler job and the
+    /// events; a caller that wants only the outcome should call `run`.
     ///
     /// [`QueryBuilder::run`]: crate::QueryBuilder::run
     pub fn wait(mut self) -> Result<QueryOutcome> {
         while self.next().is_some() {}
-        self.outcome.unwrap_or_else(|| {
-            Err(CrowdDbError::Contention(
-                "the query's worker thread terminated without completing its stream".into(),
-            ))
-        })
+        self.outcome.unwrap_or_else(|| Err(worker_died()))
     }
 
     /// The final outcome, once the stream has ended (`None` while events
@@ -304,9 +297,7 @@ impl Iterator for QueryStream {
             Err(mpsc::RecvError) => {
                 self.done = true;
                 if self.outcome.is_none() {
-                    self.outcome = Some(Err(CrowdDbError::Contention(
-                        "the query's worker thread terminated without completing its stream".into(),
-                    )));
+                    self.outcome = Some(Err(worker_died()));
                 }
                 None
             }
@@ -331,7 +322,7 @@ mod tests {
 
     #[test]
     fn stream_yields_events_then_completes() {
-        let (sink, receiver) = EventSink::channel(true);
+        let (sink, receiver) = EventSink::channel();
         assert!(sink.is_live());
         sink.emit(QueryEvent::Progress {
             concept: "Comedy".into(),
@@ -357,7 +348,7 @@ mod tests {
 
     #[test]
     fn failure_ends_the_stream_with_the_error() {
-        let (sink, receiver) = EventSink::channel(true);
+        let (sink, receiver) = EventSink::channel();
         sink.fail(CrowdDbError::Configuration("boom".into()));
         let mut stream = QueryStream::new(receiver);
         assert!(stream.next().is_none());
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn a_dead_worker_surfaces_as_an_error_not_a_hang() {
-        let (sink, receiver) = EventSink::channel(true);
+        let (sink, receiver) = EventSink::channel();
         drop(sink); // the worker vanished without a terminal message
         let stream = QueryStream::new(receiver);
         assert!(matches!(stream.wait(), Err(CrowdDbError::Contention(_))));

@@ -4,10 +4,11 @@
 //! serves the wire protocol of [`crate::wire`].  One dedicated thread
 //! accepts connections; everything else — per-connection reader loops, the
 //! single writer serializing each connection's outbound frames, and one
-//! pump per in-flight query forwarding its [`QueryEvent`]s — runs as jobs
-//! on the database's own elastic scheduler pool, so a pile-up of slow
-//! clients grows overflow workers instead of starving the expansion
-//! pipeline.
+//! pump per in-flight query — runs as jobs on the database's own elastic
+//! scheduler pool, so a pile-up of slow clients grows overflow workers
+//! instead of starving the expansion pipeline.  A pump runs a blocking
+//! query itself, on its own job; for a streamed query it forwards the
+//! [`QueryEvent`]s of the engine's scheduler job as they arrive.
 //!
 //! Because every connection talks to the *same* [`CrowdDb`], the engine's
 //! cross-query machinery works across clients for free: two clients asking
@@ -504,8 +505,11 @@ fn send_response(tx: &mpsc::Sender<Vec<u8>>, response: &Response) -> bool {
     }
 }
 
-/// One in-flight query: runs it on the shared database and forwards its
-/// stream to the connection's writer, tagged with the request id.
+/// One in-flight query, tagged with its request id.  A client's blocking
+/// `run()` (`events == false`) executes right here on the pump's own job
+/// and sends only the terminal frame; a `stream()` runs as the engine's
+/// scheduler job and the pump forwards its events to the connection's
+/// writer as they arrive.
 #[allow(clippy::too_many_arguments)]
 fn pump_query(
     db: Arc<CrowdDb>,
@@ -523,23 +527,26 @@ fn pump_query(
     if let Some(policy) = effective {
         builder = builder.policy(policy);
     }
-    let mut stream = builder.stream();
-    let mut client_gone = false;
-    for event in &mut stream {
-        let terminal = matches!(event, QueryEvent::Completed(_));
-        if (events || terminal) && !send_response(&tx, &Response::Event { id, event }) {
-            // Client disconnected mid-stream.  Drop the stream and
-            // exit; the dispatched expansion still completes on the
-            // scheduler, so its in-flight claim is released and its
-            // judgments are cached for whoever asks next.
-            client_gone = true;
-            break;
+    if events {
+        let mut stream = builder.stream();
+        // A failed send means the client disconnected mid-stream: drop the
+        // stream and exit.  The dispatched expansion still completes on
+        // the scheduler, so its in-flight claim is released and its
+        // judgments are cached for whoever asks next.
+        if stream.all(|event| send_response(&tx, &Response::Event { id, event })) {
+            if let Err(error) = stream.wait() {
+                send_response(&tx, &Response::QueryFailed { id, error });
+            }
         }
-    }
-    if !client_gone {
-        if let Err(error) = stream.wait() {
-            send_response(&tx, &Response::QueryFailed { id, error });
-        }
+    } else {
+        let response = match builder.run() {
+            Ok(outcome) => Response::Event {
+                id,
+                event: QueryEvent::Completed(outcome),
+            },
+            Err(error) => Response::QueryFailed { id, error },
+        };
+        send_response(&tx, &response);
     }
     shared
         .counters

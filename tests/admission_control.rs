@@ -245,20 +245,41 @@ fn hard_cap_sheds_with_typed_overloaded_error() {
     gate.open();
     let outcome = pinned.wait().unwrap();
     assert!(outcome.crowd_cost > 0.0);
-    // The ticket drops server-side a beat after the final event reaches
-    // the client; wait for the slot before re-admission.
+    // The ticket is released before the final event is sent.
     let limiter = s.db.limiter().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while limiter.concurrent("flood") > 0 {
-        assert!(Instant::now() < deadline, "slot never released");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    assert_eq!(limiter.concurrent("flood"), 0);
     let follow_up = flood.query(HORROR).run().unwrap();
     assert_eq!(follow_up.policy.mode, ExpansionMode::Full);
 
     let stats = s.db.limiter().unwrap().stats();
     assert_eq!(stats.shed, 1);
     flood.close().unwrap();
+}
+
+/// A query's slot is free by the time its caller sees the outcome, on
+/// both entry points: a tenant at a hard cap of one that issues each query
+/// the moment the previous one answered is never shed.
+#[test]
+fn back_to_back_queries_at_cap_one_are_never_shed() {
+    let s = serve(None);
+    const PAIRS: usize = 2000;
+    const READ: &str = "SELECT name FROM movies WHERE item_id = 1";
+    let shed = |result: Result<QueryOutcome, CrowdDbError>| match result {
+        Ok(_) => 0,
+        Err(CrowdDbError::Overloaded { .. }) => 1,
+        Err(other) => panic!("unexpected error {other:?}"),
+    };
+    let (mut shed_run, mut shed_stream) = (0, 0);
+    for _ in 0..PAIRS {
+        shed_run += shed(s.db.query(READ).tenant("flood").run());
+        shed_stream += shed(s.db.query(READ).tenant("flood").stream().wait());
+    }
+    assert_eq!(
+        (shed_run, shed_stream),
+        (0, 0),
+        "queries shed (run, stream) out of {PAIRS} pairs"
+    );
+    assert_eq!(s.db.limiter().unwrap().stats().shed, 0);
 }
 
 /// Connection caps enforce at the handshake: the `solo` tenant's second
