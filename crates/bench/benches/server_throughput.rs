@@ -6,8 +6,9 @@
 //! expansion buy **one** crowd round.  Besides the criterion timings, the
 //! run emits `BENCH_server.json` at the workspace root whose deterministic
 //! fields — client count, item count, metered crowd rounds, cold and warm
-//! dollars, and the scheduler jobs one warm remote `run()` submits (1: the
-//! server's pump runs the query itself) — are guarded by
+//! dollars, the scheduler jobs one warm remote `run()` submits (1: the
+//! server's pump runs the query itself), and the frame bytes the server
+//! writes for one (its single `Completed` frame) — are guarded by
 //! `check_bench_regression` against
 //! `ci/BENCH_server.baseline.json`.  The wall-clock fields (`*_ms`,
 //! `*_per_s`) are narration only.
@@ -33,7 +34,8 @@ use datagen::{DomainConfig, SyntheticDomain};
 
 const QUERY: &str = "SELECT item_id, is_comedy FROM movies WHERE is_comedy = true";
 const CLIENTS: usize = 4;
-/// Warm remote `run()`s the scheduler-job count is averaged over.
+/// Warm remote `run()`s the scheduler-job and frame-byte counts are
+/// averaged over.
 const WARM_RUNS: usize = 20;
 
 /// Wraps the simulated crowd, metering rounds and dollars the way the
@@ -181,7 +183,25 @@ fn measure() -> ServerRun {
     }
 }
 
-fn write_report(run: &ServerRun) {
+/// The frame bytes the server writes per warm remote `run()` of `QUERY`,
+/// on a fresh server whose column one blocking query filled.  Not measured
+/// after `measure`'s concurrent cold clients: which of the coalesced
+/// queries' tags the column keeps there depends on thread scheduling
+/// (`CrowdDerived` or `CacheHit`, 8 bytes a cell apart on the wire).
+fn frame_bytes_per_warm_query() -> f64 {
+    let s = serve();
+    let client = RemoteCrowdDb::connect(s.server.local_addr()).unwrap();
+    client.query(QUERY).run().unwrap();
+    let before = s.server.frame_bytes_written();
+    for _ in 0..WARM_RUNS {
+        client.query(QUERY).run().unwrap();
+    }
+    let bytes = s.server.frame_bytes_written() - before;
+    client.close().unwrap();
+    bytes as f64 / WARM_RUNS as f64
+}
+
+fn write_report(run: &ServerRun, frame_bytes_per_warm_query: f64) {
     // CARGO_MANIFEST_DIR is crates/bench; the report belongs at the
     // workspace root regardless of where cargo runs the bench binary.
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -195,12 +215,14 @@ fn write_report(run: &ServerRun) {
          \"items\": {},\n  \"server_crowd_rounds\": {},\n  \
          \"server_cold_cost_dollars\": {:.4},\n  \"server_warm_cost_dollars\": {:.4},\n  \
          \"server_scheduler_jobs_per_warm_query\": {:.4},\n  \
+         \"server_frame_bytes_per_warm_query\": {:.1},\n  \
          \"cold_wall_ms\": {:.3},\n  \"warm_wall_ms\": {:.3},\n  \"ping_per_s\": {:.1}\n}}\n",
         run.items,
         run.crowd_rounds,
         run.cold_cost_dollars,
         run.warm_cost_dollars,
         run.jobs_per_warm_query,
+        frame_bytes_per_warm_query,
         run.cold_wall_ms,
         run.warm_wall_ms,
         run.ping_per_s,
@@ -217,7 +239,7 @@ fn main() {
     // crowd round, and the warm rerun answered from cache for free.
     assert_eq!(run.crowd_rounds, 1, "cold clients did not coalesce");
     assert_eq!(run.warm_cost_dollars, 0.0, "warm rerun was not free");
-    write_report(&run);
+    write_report(&run, frame_bytes_per_warm_query());
 
     let mut criterion = Criterion::default();
     let mut group = criterion.benchmark_group(if smoke {

@@ -55,6 +55,7 @@ const SERVER_FIELDS: &[&str] = &[
     "server_cold_cost_dollars",
     "server_warm_cost_dollars",
     "server_scheduler_jobs_per_warm_query",
+    "server_frame_bytes_per_warm_query",
 ];
 const OVERLOAD_FIELDS: &[&str] = &[
     "items",

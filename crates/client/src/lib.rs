@@ -439,20 +439,39 @@ impl std::fmt::Debug for RemoteQueryStream {
 }
 
 impl RemoteQueryStream {
-    /// Drains the remaining events and returns the final outcome.
+    /// Drains the remaining events and returns the final outcome.  The
+    /// `Completed` outcome is moved out of its event, not cloned.
     pub fn wait(mut self) -> Result<QueryOutcome> {
-        while self.next().is_some() {}
-        self.outcome.take().unwrap_or_else(|| {
-            Err(CrowdDbError::protocol(
-                "connection lost before the query completed",
-            ))
-        })
+        if let Some(outcome) = self.outcome.take() {
+            return outcome;
+        }
+        loop {
+            if let QueryEvent::Completed(outcome) = self.recv_event()? {
+                return Ok(outcome);
+            }
+        }
     }
 
     /// The final outcome, once the stream has ended (`None` while events
     /// are still pending).
     pub fn outcome(&self) -> Option<&Result<QueryOutcome>> {
         self.outcome.as_ref()
+    }
+
+    /// Blocks for this query's next message: an event, or the error that
+    /// ends the query — its typed failure, a reply of the wrong kind, or
+    /// the connection lost before the terminal message.
+    fn recv_event(&self) -> Result<QueryEvent> {
+        match self.rx.recv() {
+            Ok(Incoming::Event(event)) => Ok(event),
+            Ok(Incoming::Failed(error)) => Err(error),
+            Ok(_) => Err(CrowdDbError::protocol(
+                "server answered a query with a non-query reply",
+            )),
+            Err(mpsc::RecvError) => Err(CrowdDbError::protocol(
+                "connection lost before the query completed",
+            )),
+        }
     }
 }
 
@@ -468,30 +487,16 @@ impl Iterator for RemoteQueryStream {
             self.done = true;
             return None;
         }
-        match self.rx.recv() {
-            Ok(Incoming::Event(event)) => {
+        match self.recv_event() {
+            Ok(event) => {
                 if let QueryEvent::Completed(outcome) = &event {
                     self.outcome = Some(Ok(outcome.clone()));
                     self.done = true;
                 }
                 Some(event)
             }
-            Ok(Incoming::Failed(error)) => {
+            Err(error) => {
                 self.outcome = Some(Err(error));
-                self.done = true;
-                None
-            }
-            Ok(_) => {
-                self.outcome = Some(Err(CrowdDbError::protocol(
-                    "server answered a query with a non-query reply",
-                )));
-                self.done = true;
-                None
-            }
-            Err(mpsc::RecvError) => {
-                self.outcome = Some(Err(CrowdDbError::protocol(
-                    "connection lost before the query completed",
-                )));
                 self.done = true;
                 None
             }

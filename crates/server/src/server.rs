@@ -26,7 +26,8 @@
 //! [`QueryStream`]: crowddb_core::QueryStream
 
 use crate::wire::{
-    read_frame, write_frame, ClientHello, HandshakeReply, Request, Response, PROTOCOL_VERSION,
+    read_frame, write_frame, ClientHello, HandshakeReply, Request, Response, FRAME_HEADER_LEN,
+    PROTOCOL_VERSION,
 };
 use crowddb_core::{CrowdDb, CrowdDbError, ExpansionPolicy, QueryEvent, Result, TableOptions};
 use relational::PartitionSpec;
@@ -85,6 +86,9 @@ struct Counters {
     protocol_errors: AtomicU64,
     queries_started: AtomicU64,
     queries_completed: AtomicU64,
+    // Exported in the metrics scrape only: a `ServerStats` field would
+    // change the stats frame.
+    frame_bytes_written: AtomicU64,
 }
 
 struct Shared {
@@ -99,6 +103,18 @@ struct Shared {
     // The server's branch of the database's state-monitor tree; each live
     // connection hangs a child under it for the lifetime of its session.
     monitor: StateMonitor,
+}
+
+impl Shared {
+    /// Writes one frame to a client.  Its bytes, header included, are
+    /// counted before the write begins, so a client that has read a frame
+    /// also finds it counted.
+    fn write_frame(&self, sock: &mut TcpStream, payload: &[u8]) -> Result<()> {
+        self.counters
+            .frame_bytes_written
+            .fetch_add((FRAME_HEADER_LEN + payload.len()) as u64, Ordering::SeqCst);
+        write_frame(sock, payload)
+    }
 }
 
 /// A running CrowdDb network server.  Dropping it shuts it down: the
@@ -158,6 +174,16 @@ impl CrowdDbServer {
     /// Snapshots the server's counters.
     pub fn stats(&self) -> ServerStats {
         snapshot_counters(&self.shared.counters)
+    }
+
+    /// Bytes of frames (header and payload) written to clients over the
+    /// server's lifetime, handshake replies included; exported as
+    /// `crowddb_server_frame_bytes_written_total`.
+    pub fn frame_bytes_written(&self) -> u64 {
+        self.shared
+            .counters
+            .frame_bytes_written
+            .load(Ordering::SeqCst)
     }
 
     /// Stops accepting, severs every live connection, and joins the accept
@@ -247,6 +273,11 @@ fn metrics_text(shared: &Shared) -> String {
         "Remote queries that ran to a terminal event",
         stats.queries_completed as f64,
     );
+    snap.push_counter(
+        "crowddb_server_frame_bytes_written_total",
+        "Bytes of frames (header and payload) written to clients",
+        shared.counters.frame_bytes_written.load(Ordering::SeqCst) as f64,
+    );
     snap.sorted().render()
 }
 
@@ -319,7 +350,7 @@ fn handshake(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64) -> Res
         let reply = HandshakeReply::Rejected {
             reason: reason.clone(),
         };
-        let _ = write_frame(sock, &reply.to_payload());
+        let _ = shared.write_frame(sock, &reply.to_payload());
         Err(CrowdDbError::protocol(reason))
     };
     let hello = match hello {
@@ -362,7 +393,7 @@ fn handshake(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64) -> Res
         protocol_version: PROTOCOL_VERSION,
         session_id,
     };
-    write_frame(sock, &reply.to_payload())?;
+    shared.write_frame(sock, &reply.to_payload())?;
     Ok(tenant)
 }
 
@@ -378,9 +409,10 @@ fn serve_requests(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64, t
         Err(_) => return,
     };
     let _ = writer_sock.set_write_timeout(shared.config.write_timeout);
+    let writer_shared = Arc::clone(shared);
     shared
         .db
-        .spawn_background(move || writer_loop(rx, writer_sock));
+        .spawn_background(move || writer_loop(&writer_shared, rx, writer_sock));
 
     // The connection's node in the state-monitor tree, live until this
     // function returns.
@@ -489,9 +521,9 @@ fn serve_requests(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64, t
     drop(tx);
 }
 
-fn writer_loop(rx: mpsc::Receiver<Vec<u8>>, mut sock: TcpStream) {
+fn writer_loop(shared: &Shared, rx: mpsc::Receiver<Vec<u8>>, mut sock: TcpStream) {
     while let Ok(payload) = rx.recv() {
-        if write_frame(&mut sock, &payload).is_err() {
+        if shared.write_frame(&mut sock, &payload).is_err() {
             break;
         }
     }

@@ -72,6 +72,9 @@ pub const MAGIC: [u8; 4] = *b"CRWD";
 /// allocation happens.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// Bytes of a frame's header: the payload length and its CRC-32.
+pub const FRAME_HEADER_LEN: usize = 8;
+
 fn protocol_err(message: impl Into<String>) -> CrowdDbError {
     CrowdDbError::protocol(message)
 }
@@ -103,7 +106,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
             payload.len()
         )));
     }
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     w.write_all(&header).map_err(|e| io_err("frame write", e))?;
@@ -118,7 +121,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// an oversize length prefix, and a checksum mismatch are all
 /// [`CrowdDbError::Protocol`] errors.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     let mut read = 0;
     while read < header.len() {
         match r.read(&mut header[read..]) {

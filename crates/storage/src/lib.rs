@@ -23,7 +23,8 @@
 //!   materialized crowd cells (with confidence and cost share), judgment
 //!   cache entries, and the snapshot image tying them together.
 //! * [`codec`] — the little-endian binary encoding the records are framed
-//!   in, including the CRC32 the WAL and snapshot integrity checks use.
+//!   in, including the table-driven [`crc32`] every checksummed frame uses:
+//!   WAL, snapshot, manifest, and the network wire.
 //!
 //! The crate is deliberately independent of `crowddb_core`: it knows the
 //! relational vocabulary ([`relational::Value`], [`relational::Schema`])

@@ -495,6 +495,98 @@ fn malformed_frames_drop_the_connection_but_not_the_server() {
     bystander.close().unwrap();
 }
 
+/// The server counts every frame byte it writes: a ping costs exactly its
+/// `Ack` frame, a query exactly its `Completed` frame, and the metrics
+/// scrape exports the count as rendered just before its own reply.
+#[test]
+fn server_counts_frame_bytes_written() {
+    let s = serve(None, ServerConfig::default());
+    let client = RemoteCrowdDb::connect(s.addr()).unwrap();
+    let frame_len = |response: wire::Response| {
+        (wire::FRAME_HEADER_LEN + response.to_payload().unwrap().len()) as u64
+    };
+    // The handshake reply is counted too.
+    assert!(s.server.frame_bytes_written() > 0);
+
+    let before = s.server.frame_bytes_written();
+    client.ping().unwrap();
+    let after = s.server.frame_bytes_written();
+    assert_eq!(after - before, frame_len(wire::Response::Ack { id: 0 }));
+
+    let before = after;
+    let outcome = client.query(QUERY).run().unwrap();
+    let after = s.server.frame_bytes_written();
+    // A request id is a fixed-width u64, so any id encodes to this length.
+    let completed = wire::Response::Event {
+        id: 0,
+        event: QueryEvent::Completed(outcome),
+    };
+    assert_eq!(after - before, frame_len(completed));
+
+    let scraped = parse_text(&client.metrics().unwrap()).unwrap();
+    assert_eq!(
+        scraped.value("crowddb_server_frame_bytes_written_total", &[]),
+        Some(after as f64)
+    );
+    client.close().unwrap();
+}
+
+/// A remote `run()` ends on exactly one terminal message.  Completion and
+/// typed failures are covered above against a real server; the other two
+/// ends need a misbehaving one, so a scripted peer speaks the wire here:
+/// it answers one query with a control reply, and drops the connection
+/// after one progress event of the next.  Both surface as typed protocol
+/// errors, not a hang and not a panic.
+#[test]
+fn remote_run_ends_on_wrong_reply_kind_and_on_lost_connection() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let hello = wire::read_frame(&mut sock).unwrap().unwrap();
+        wire::ClientHello::from_payload(&hello).unwrap();
+        let accepted = wire::HandshakeReply::Accepted {
+            protocol_version: wire::PROTOCOL_VERSION,
+            session_id: 1,
+        };
+        wire::write_frame(&mut sock, &accepted.to_payload()).unwrap();
+        let next_query_id = |sock: &mut std::net::TcpStream| {
+            let payload = wire::read_frame(sock).unwrap().unwrap();
+            match wire::Request::from_payload(&payload).unwrap() {
+                wire::Request::Query { id, events, .. } => {
+                    assert!(!events, "run() must not ask for events");
+                    id
+                }
+                other => panic!("expected a query, got {other:?}"),
+            }
+        };
+        let reply = |sock: &mut std::net::TcpStream, response: wire::Response| {
+            wire::write_frame(sock, &response.to_payload().unwrap()).unwrap();
+        };
+
+        let id = next_query_id(&mut sock);
+        reply(&mut sock, wire::Response::Ack { id });
+
+        let id = next_query_id(&mut sock);
+        let event = QueryEvent::progress("Comedy", 1, 2, 0.5, 0.25);
+        reply(&mut sock, wire::Response::Event { id, event });
+        sock.shutdown(std::net::Shutdown::Both).unwrap();
+    });
+
+    let client = RemoteCrowdDb::connect(addr).unwrap();
+    let err = client.query(QUERY).run().unwrap_err();
+    assert!(
+        matches!(err, CrowdDbError::Protocol { ref message, .. } if message.contains("non-query reply")),
+        "wrong error: {err:?}"
+    );
+    let err = client.query(QUERY).run().unwrap_err();
+    assert!(
+        matches!(err, CrowdDbError::Protocol { ref message, .. } if message.contains("connection lost")),
+        "wrong error: {err:?}"
+    );
+    peer.join().unwrap();
+}
+
 /// Clean shutdown: dropping the server severs live connections without
 /// hanging, and clients see a typed connection-lost error, not a wedge.
 #[test]
