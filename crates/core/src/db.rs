@@ -1022,19 +1022,16 @@ impl CrowdDb {
         durability: Option<Durability>,
     ) -> Self {
         let mut shards = BTreeMap::new();
-        for name in state.catalog.table_names() {
-            let table = state
-                .catalog
-                .table(&name)
-                .expect("listed table exists")
-                .clone();
+        let mut catalog = state.catalog;
+        for name in catalog.table_names() {
+            let table = catalog.drop_table(&name).expect("listed table exists");
             // Recovery merges every partition into one whole table and
             // reports the spec separately; re-split along the same routing
             // arithmetic to rebuild the per-partition shards.
             let shard = match state.specs.get(&name) {
                 Some(spec) => Shard::partitioned(
                     spec.clone(),
-                    persist::split_table_by_partition(&table, &config.id_column, spec),
+                    persist::split_table_by_partition(table, &config.id_column, spec),
                     &config.id_column,
                 ),
                 None => Shard::of_table(table, &config.id_column),
@@ -1870,7 +1867,7 @@ impl DbInner {
             shards.insert(name, shard);
             return Ok(());
         }
-        let slices = persist::split_table_by_partition(&table, &self.config.id_column, &spec);
+        let slices = persist::split_table_by_partition(table, &self.config.id_column, &spec);
         if let Some(durability) = &self.durability {
             durability.ensure_store(&name, &spec)?;
             for (k, slice) in slices.iter().enumerate().skip(1) {

@@ -827,7 +827,7 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
     Ok(acc)
 }
 
-/// Splits `table`'s rows into `spec.partition_count()` per-partition
+/// Splits `table` into `spec.partition_count()` per-partition
 /// tables (same name, same schema, same provenance-tracked columns) by
 /// routing each row's id-column value; rows keep their tags.
 /// Rows without an id column land in partition 0, matching
@@ -836,7 +836,7 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
 /// recovery all route through the same arithmetic, so the three can never
 /// disagree about a row's home partition.
 pub(crate) fn split_table_by_partition(
-    table: &Table,
+    table: Table,
     id_column: &str,
     spec: &PartitionSpec,
 ) -> Vec<Table> {

@@ -43,6 +43,7 @@ pub mod cross_validation;
 pub mod error;
 pub mod euclidean;
 pub mod ratings;
+mod sgd;
 pub mod space;
 pub mod svd;
 

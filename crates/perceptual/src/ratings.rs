@@ -92,6 +92,15 @@ impl RatingDataset {
                 "the rating collection is empty".into(),
             ));
         }
+        // The per-entity indexes and the training order hold rating
+        // indices as `u32`.
+        if ratings.len() > u32::MAX as usize {
+            return Err(PerceptualError::InvalidRatings(format!(
+                "{} ratings exceed the limit of {}",
+                ratings.len(),
+                u32::MAX
+            )));
+        }
         if n_items == 0 || n_users == 0 {
             return Err(PerceptualError::InvalidRatings(
                 "the dataset must declare at least one item and one user".into(),

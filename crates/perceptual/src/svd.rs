@@ -8,11 +8,11 @@
 //! design-choice ablation benches.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::error::PerceptualError;
 use crate::ratings::RatingDataset;
+use crate::sgd;
 use crate::space::PerceptualSpace;
 use crate::{ItemId, Result, UserId};
 
@@ -78,8 +78,10 @@ impl SvdConfig {
 pub struct SvdModel {
     dimensions: usize,
     global_mean: f64,
-    item_factors: Vec<Vec<f64>>,
-    user_factors: Vec<Vec<f64>>,
+    /// `n_items × dimensions`, row-major.
+    item_factors: Vec<f64>,
+    /// `n_users × dimensions`, row-major.
+    user_factors: Vec<f64>,
     train_rmse: Vec<f64>,
 }
 
@@ -92,56 +94,30 @@ impl SvdModel {
         let mu = dataset.global_mean();
         let mut rng = StdRng::seed_from_u64(config.seed);
 
-        let mut item_factors: Vec<Vec<f64>> = (0..dataset.n_items())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
-        let mut user_factors: Vec<Vec<f64>> = (0..dataset.n_users())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
+        let mut item_factors =
+            sgd::init_coordinates(&mut rng, dataset.n_items(), d, config.init_scale);
+        let mut user_factors =
+            sgd::init_coordinates(&mut rng, dataset.n_users(), d, config.init_scale);
 
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut lr = config.learning_rate;
-        let ratings = dataset.ratings();
-        let mut train_rmse = Vec::with_capacity(config.epochs);
-
-        for _ in 0..config.epochs {
-            order.shuffle(&mut rng);
-            let mut sse = 0.0;
-            for &idx in &order {
-                let r = &ratings[idx];
+        let train_rmse = sgd::shuffled_epochs(
+            dataset,
+            &mut rng,
+            config.epochs,
+            config.learning_rate,
+            config.learning_rate_decay,
+            |r, lr| {
                 let (m, u) = (r.item as usize, r.user as usize);
-                let pred = mu
-                    + item_factors[m]
-                        .iter()
-                        .zip(user_factors[u].iter())
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>();
-                let err = r.score - pred;
-                sse += err * err;
-                for k in 0..d {
-                    let a = item_factors[m][k];
-                    let b = user_factors[u][k];
-                    item_factors[m][k] += lr * (err * b - config.lambda * a);
-                    user_factors[u][k] += lr * (err * a - config.lambda * b);
+                let a = &mut item_factors[m * d..(m + 1) * d];
+                let b = &mut user_factors[u * d..(u + 1) * d];
+                let err = r.score - (mu + a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>());
+                for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                    let (ak, bk) = (*x, *y);
+                    *x += lr * (err * bk - config.lambda * ak);
+                    *y += lr * (err * ak - config.lambda * bk);
                 }
-            }
-            let rmse = (sse / ratings.len() as f64).sqrt();
-            if !rmse.is_finite() {
-                return Err(PerceptualError::Numerical(
-                    "SGD diverged: non-finite training error".into(),
-                ));
-            }
-            train_rmse.push(rmse);
-            lr *= config.learning_rate_decay;
-        }
+                err
+            },
+        )?;
 
         Ok(SvdModel {
             dimensions: d,
@@ -159,22 +135,15 @@ impl SvdModel {
 
     /// Predicted rating of `item` by `user`.
     pub fn predict(&self, item: ItemId, user: UserId) -> Result<f64> {
-        let a = self
-            .item_factors
-            .get(item as usize)
-            .ok_or_else(|| PerceptualError::UnknownId(format!("item {item}")))?;
-        let b = self
-            .user_factors
-            .get(user as usize)
+        let a = self.item_vector(item)?;
+        let b = sgd::row(&self.user_factors, self.dimensions, user)
             .ok_or_else(|| PerceptualError::UnknownId(format!("user {user}")))?;
         Ok(self.global_mean + a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>())
     }
 
     /// Latent factors of an item.
     pub fn item_vector(&self, item: ItemId) -> Result<&[f64]> {
-        self.item_factors
-            .get(item as usize)
-            .map(|v| v.as_slice())
+        sgd::row(&self.item_factors, self.dimensions, item)
             .ok_or_else(|| PerceptualError::UnknownId(format!("item {item}")))
     }
 
@@ -196,7 +165,7 @@ impl SvdModel {
     /// Item factors exported as a [`PerceptualSpace`] (used by the ablation
     /// bench comparing SVD and Euclidean embeddings for classification).
     pub fn to_space(&self) -> PerceptualSpace {
-        PerceptualSpace::new(self.item_factors.clone())
+        PerceptualSpace::new(sgd::rows(&self.item_factors, self.dimensions))
             .expect("item factors of a trained model are always consistent")
     }
 }
@@ -205,6 +174,7 @@ impl SvdModel {
 mod tests {
     use super::*;
     use crate::ratings::Rating;
+    use rand::Rng;
 
     fn preference_dataset(seed: u64) -> RatingDataset {
         let mut rng = StdRng::seed_from_u64(seed);

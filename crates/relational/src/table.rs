@@ -154,10 +154,10 @@ impl Table {
         Ok(())
     }
 
-    /// Splits the rows into `n` tables with this one's name, schema and
-    /// provenance-tracked columns: each row, tags included, goes to table
+    /// Splits the table into `n` tables with its name, schema and
+    /// provenance-tracked columns: each row, tags included, moves to table
     /// `route(row)` (which must be below `n`), in row order.
-    pub fn split(&self, n: usize, route: impl Fn(&[Value]) -> usize) -> Vec<Table> {
+    pub fn split(self, n: usize, route: impl Fn(&[Value]) -> usize) -> Vec<Table> {
         let mut parts: Vec<Table> = (0..n)
             .map(|_| Table {
                 tags: (self.tags.iter())
@@ -166,15 +166,15 @@ impl Table {
                 ..Table::new(&self.name, self.schema.clone())
             })
             .collect();
-        for (index, row) in self.rows.iter().enumerate() {
-            let part = &mut parts[route(row)];
+        for (index, row) in self.rows.into_iter().enumerate() {
+            let part = &mut parts[route(&row)];
             for (slot, tags) in part.tags.iter_mut().zip(&self.tags) {
                 if let (Some(slot), Some(tags)) = (slot, tags) {
                     slot.holes += usize::from(tags.cells[index].is_recoverable());
                     slot.cells.push(tags.cells[index]);
                 }
             }
-            part.rows.push(row.clone());
+            part.rows.push(row);
         }
         parts
     }
@@ -659,7 +659,9 @@ mod tests {
 
         // A split routes rows with their tags; every part tracks what the
         // whole tracks, rows or not.
-        let parts = source.split(3, |row| usize::from(row[0] == Value::Integer(2)));
+        let parts = source
+            .clone()
+            .split(3, |row| usize::from(row[0] == Value::Integer(2)));
         assert_eq!((parts[0].len(), parts[1].len(), parts[2].len()), (1, 1, 0));
         assert_eq!(parts[1].tags(2).unwrap(), [judged]);
         assert_eq!(parts[1].rows()[0], source.rows()[1]);
