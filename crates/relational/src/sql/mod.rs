@@ -12,6 +12,8 @@
 
 mod lexer;
 mod parser;
+#[cfg(test)]
+mod reference_tests;
 
 pub use lexer::{tokenize, Token};
 pub use parser::parse;

@@ -1,0 +1,244 @@
+//! Golden pin of what the SQL parser produces.
+//!
+//! [`CORPUS`] is every SQL string literal of the workspace's integration
+//! tests, verbatim — `format!` placeholders included, which pin the
+//! lexer's error path.  [`EDGES`] adds the lexical corners: Unicode case
+//! folding, `''` escapes, every operator, numbers at the `i64` edges.
+//! The digest covers the `Debug` form of each `parse()` result, `Ok` tree
+//! and `Err` message alike, so any change to a parsed statement or to an
+//! error message fails the test.
+
+use relational::parse;
+
+const CORPUS: &[&str] = &[
+    "CREATE TABLE t (v INTEGER)",
+    "INSERT INTO t (v) VALUES ({value})",
+    "SELECT v FROM t",
+    "CREATE TABLE t (v TEXT)",
+    "INSERT INTO t (v) VALUES ('{text}')",
+    "CREATE TABLE {table} ({column} INTEGER)",
+    "SELECT {column} FROM {table} WHERE {column} > 0",
+    "INSERT INTO t (v) VALUES ({v})",
+    "SELECT v FROM t WHERE v >= {threshold}",
+    "SELECT v FROM t ORDER BY v ASC",
+    "ALTER TABLE t ADD COLUMN {new_column} BOOLEAN",
+    "SELECT * FROM t",
+    "SELECT item_id, is_comedy, is_horror FROM movies",
+    "SELECT item_id, is_comedy FROM movies",
+    "SELECT item_id, is_comedy FROM movies WHERE is_comedy = true",
+    "SELECT item_id, is_horror FROM movies WHERE is_horror = true",
+    "SELECT name FROM movies LIMIT 3",
+    "SELECT name FROM movies WHERE item_id = 1",
+    "SELECT item_id FROM movies WHERE is_comedy = true",
+    "SELECT item_id FROM movies WHERE is_other = true",
+    "SELECT name FROM movies WHERE is_comedy = true AND is_other = false",
+    "SELECT name FROM movies WHERE is_comedy = true AND is_other = true",
+    "DELETE FROM movies WHERE item_id < 60",
+    "UPDATE movies SET popularity = 0.5 WHERE year < {year}",
+    "SELECT * FROM movies WHERE is_comedy = true",
+    "SELECT name FROM movies WHERE is_comedy = true AND is_horror = false",
+    "SELECT name FROM movies WHERE is_horror = true",
+    "SELECT item_id, name, year FROM movies",
+    "SELECT name FROM movies ORDER BY year DESC LIMIT 7",
+    "CREATE TABLE genres (id INTEGER, label TEXT)",
+    "INSERT INTO genres (id, label) VALUES (1, 'comedy'), (2, 'drama')",
+    "SELECT label FROM genres ORDER BY id",
+    "SELECT item_id FROM items",
+    "SELECT * FROM items WHERE {unpinned}",
+    "SELECT * FROM items WHERE {}",
+    "SELECT label, item_id FROM items WHERE {}",
+    "SELECT item_id, score FROM items WHERE {} AND score > 1 ORDER BY score DESC",
+    "SELECT label FROM items WHERE score >= 0 AND {} ORDER BY score LIMIT 1",
+    "SELECT label FROM items WHERE item_id >= {k} AND item_id <= {k}",
+    "UPDATE items SET score = 4 WHERE item_id = 7",
+    "DELETE FROM items WHERE item_id = -3",
+    "UPDATE items SET item_id = 700 WHERE item_id = 7",
+    "UPDATE items SET item_id = item_id + 1 WHERE item_id >= 30 AND item_id < 35",
+    "DELETE FROM items WHERE item_id = 12",
+    "INSERT INTO items (item_id, label, score) VALUES (12, 'again', 2)",
+    "DELETE FROM items WHERE score = 3",
+    "ALTER TABLE items ADD COLUMN extra INTEGER",
+    "UPDATE items SET extra = 1 WHERE item_id = 5",
+    "SELECT item_id, is_comedy FROM items WHERE item_id = 4",
+    "INSERT INTO items (item_id, label, score) VALUES (2000, 'tail', 1), (5, 'tail', 1)",
+    "SELECT item_id, name, is_comedy FROM movies",
+    "SELECT item_id, body FROM events",
+    "INSERT INTO events (item_id, body) VALUES \
+             (12, 'twelve'), (13, 'thirteen'), (14, 'fourteen'), (15, 'fifteen')",
+    "INSERT INTO events (item_id, body) VALUES ({id}, 'one by one {id}')",
+    "UPDATE events SET body = 'rewritten' WHERE item_id < 4",
+    "DELETE FROM events WHERE item_id = 17",
+    "INSERT INTO events (item_id, body) VALUES ({id}, 'tail p{k}')",
+    "INSERT INTO things (item_id, body) VALUES ({id}, 'seed {id}')",
+    "INSERT INTO things (item_id, body) VALUES ({id}, 'hot')",
+    "SELECT body FROM things",
+    "INSERT INTO things (item_id, body) VALUES ({id}, 'after')",
+    "CREATE TABLE notes (item_id INTEGER, body TEXT)",
+    "INSERT INTO notes (item_id, body) VALUES (1, 'legacy one')",
+    "INSERT INTO notes (item_id, body) VALUES (2, 'legacy two')",
+    "SELECT body FROM notes",
+    "INSERT INTO metrics (item_id, body) VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+    "INSERT INTO notes (item_id, body) VALUES (3, 'post-migration')",
+    "SELECT body FROM metrics",
+    "INSERT INTO stream (item_id, body) VALUES ({id}, 'row {id}')",
+    "SELECT item_id FROM stream",
+    "SELECT item_id, name, score FROM movies WHERE item_id = 5",
+    "SELECT item_id, name FROM movies WHERE item_id = 500",
+    "SELECT item_id, name FROM movies WHERE item_id = -3",
+    "SELECT item_id, name FROM movies WHERE 5 = item_id",
+    "SELECT item_id, name FROM movies WHERE item_id = 5.0",
+    "SELECT item_id, name FROM movies WHERE item_id = '5'",
+    "SELECT item_id, score FROM movies WHERE item_id = 5 AND score > 1",
+    "SELECT item_id, score FROM movies WHERE item_id = 5 AND score > 0",
+    "SELECT item_id, name FROM movies WHERE item_id = 5 OR item_id = 9",
+    "SELECT item_id, name FROM movies WHERE item_id = NULL",
+    "SELECT item_id, score FROM movies ORDER BY score LIMIT 17",
+    "SELECT item_id, score FROM movies WHERE weight < 4.5 ORDER BY score DESC LIMIT 9",
+    "SELECT item_id FROM movies LIMIT 7",
+    "SELECT * FROM movies",
+    "SELECT item_id, name FROM movies WHERE is_comedy = true AND score < 3",
+    "SELECT item_id, is_comedy FROM movies WHERE item_id = 9",
+    "SELECT * FROM movies WHERE is_comedy = false ORDER BY score LIMIT 11",
+    "SELECT label FROM gauges WHERE item_id = 13",
+    "SELECT item_id, score FROM items WHERE item_id = 1234",
+    "SELECT item_id FROM items ORDER BY score DESC LIMIT 10",
+    "SELECT item_id, is_comedy FROM movies WHERE score < 4",
+    "INSERT INTO t (éid, label) VALUES ({id}, 'l{id}')",
+    "SELECT label FROM t WHERE {column} = {id}",
+    "INSERT INTO t (éid, label) VALUES (1, 'one')",
+    "UPDATE t SET éid = 2 WHERE éid = 1",
+    "UPDATE t SET ÉID = 2 WHERE label = 'one'",
+    "SELECT label FROM t WHERE éid = 1",
+    "INSERT INTO notes (item_id, body) VALUES (1, 'first')",
+    "INSERT INTO notes (item_id, body) VALUES (2, 'second')",
+    "UPDATE notes SET body = 'second, edited' WHERE item_id = 2",
+    "INSERT INTO notes (item_id, body) VALUES (1, 'kept')",
+    "INSERT INTO notes (item_id, body) VALUES (2, 'torn')",
+    "INSERT INTO notes (item_id, body) VALUES (2, 'retried')",
+    "INSERT INTO notes (item_id, body) VALUES (1, 'x')",
+    "SELECT item_id, body FROM notes",
+    "INSERT INTO notes (item_id, body) VALUES (7, 'post-checkpoint')",
+    "INSERT INTO notes (item_id, body) VALUES ({i}, 'n{i}')",
+    "INSERT INTO notes (item_id, body) VALUES (9, 'after')",
+    "INSERT INTO notes (item_id, body) VALUES ({i}, 'note {i}')",
+    "SELECT name FROM movies WHERE is_comedy = true",
+    "SELECT name FROM movies WHERE is_other = false",
+    "SELECT item_id, is_comedy FROM movies \
+             WITH EXPANSION (budget = {budget}, mode = best_effort)",
+    "SELECT item_id, is_comedy FROM movies WITH EXPANSION (mode = cache_only)",
+    "SELECT name FROM movies WHERE is_comedy = true WITH EXPANSION (mode = deny)",
+    "SELECT name FROM movies WHERE year > 2000 WITH EXPANSION (mode = deny)",
+    "UPDATE movies SET is_comedy = false WHERE year < 1950",
+    "SELECT item_id, is_comedy FROM movies \
+             WITH EXPANSION (mode = full, quality >= 0.95)",
+    "SELECT item_id, is_comedy FROM movies WITH EXPANSION (budget = 0.4)",
+    "SELECT item_id FROM movies",
+    "UPDATE movies SET popularity = 0.5 WHERE year < 1960",
+    "SELECT * FROM items WITH EXPANSION (mode = deny)",
+    "SELECT item_id, {column} FROM items WHERE item_id = {id} \
+             WITH EXPANSION (mode = deny)",
+    "SELECT item_id, is_comedy FROM items",
+    "UPDATE items SET is_comedy = false WHERE item_id = 5",
+    "UPDATE items SET is_comedy = NULL WHERE item_id = 6",
+    "SELECT item_id, is_comedy FROM items WHERE item_id = 5 \
+                 WITH EXPANSION (quality >= 0.95)",
+    "SELECT item_id, is_comedy FROM items WHERE item_id = 4 \
+                 WITH EXPANSION (quality >= 0.95)",
+    "DELETE FROM items WHERE item_id = 5",
+    "INSERT INTO items (item_id, label, is_comedy) VALUES (5, 'again', false)",
+    "INSERT INTO items (item_id, label) VALUES (100, 'new')",
+    "INSERT INTO items (item_id, label, is_comedy) VALUES (101, 'set', true)",
+    "EXPLAIN EXPANSION SELECT item_id, is_comedy FROM items",
+    "UPDATE items SET is_comedy = true WHERE is_comedy IS NULL",
+    "UPDATE movies SET name = 'renamed' WHERE item_id = 1",
+    "SELECT * FROM nonexistent",
+    "SELECT item_id FROM alpha WHERE is_comedy = true",
+    "SELECT item_id FROM beta WHERE is_comedy = true",
+    "CREATE TABLE {table} (item_id INTEGER, body TEXT)",
+    "INSERT INTO {table} (item_id, body) VALUES ({i}, 'seed {i}')",
+    "INSERT INTO {table} (item_id, body) VALUES ({i}, 'post {i}')",
+    "SELECT body FROM {table}",
+    "INSERT INTO beta (item_id, body) VALUES (9, 'after')",
+    "SELECT body FROM beta",
+    "SELECT item_id, body FROM {table}",
+    "INSERT INTO {table} (item_id, body) VALUES ({i}, '{table} {i}')",
+    "INSERT INTO {table} (item_id, body) VALUES (9, '{table} tail')",
+    "INSERT INTO notes (item_id, body) VALUES (2, 'from wal')",
+    "INSERT INTO archived (item_id, body) VALUES (3, 'also from wal')",
+    "SELECT body FROM archived",
+    "INSERT INTO notes (item_id, body) VALUES (4, 'post-migration')",
+    "EXPLAIN EXPANSION SELECT item_id, is_comedy FROM movies",
+    "SELECT item_id, comedy_too FROM movies",
+];
+
+const EDGES: &[&str] = &[
+    // Keywords fold through `to_uppercase`: the long s, the dotless i
+    // and the `ﬂ` ligature spell keywords; `ß` upper-cases to "SS".
+    "ſelect * FROM t",
+    "SELECT * FROM t WHERE a ıs NULL",
+    "CREATE TABLE t (a ﬂoat, b ınt)",
+    "select Größe FROM Straße WHERE ß = 'ß'",
+    // Identifiers fold through `to_lowercase`: the Kelvin sign becomes
+    // `k`, a word-final capital sigma `ς`.
+    "SELECT \u{212A}elvin, ΟΔΟΣ FROM t",
+    "SELECT İd FROM t",
+    "SELECT _a1, b_2_ FROM t_",
+    // String literals: escapes, and no folding inside them.
+    "INSERT INTO t (a, b) VALUES ('it''s', '''')",
+    "INSERT INTO t (a) VALUES ('SELECT ſ \u{212A}')",
+    "INSERT INTO t (a) VALUES ('unterminated",
+    // Every operator.
+    "SELECT * FROM t WHERE a <> 1 OR a != 2 OR a <= 3 OR a >= 4 OR a < 5 OR a > 6",
+    "UPDATE t SET a = (a + 1) * 2 - -3 / 4 WHERE NOT a = 0;",
+    "SELECT * FROM t WHERE a = 1;;",
+    "SELECT * FROM t WHERE a ! 1",
+    "SELECT # FROM t",
+    // Numbers.
+    "INSERT INTO t (a, b, c) VALUES (9223372036854775807, 3.25, 1.)",
+    "INSERT INTO t (a) VALUES (9223372036854775808)",
+    "SELECT * FROM t WHERE a = 1.2.3",
+    "SELECT * FROM t LIMIT -1",
+    "SELECT * FROM t LIMIT 1.5",
+    // Statements cut short, and trailing input.
+    "",
+    "   ",
+    "SELECT",
+    "SELECT * FROM t WHERE (a = 1",
+    "INSERT INTO t (a) VALUES (1) (2)",
+    // A lexical error anywhere outranks an earlier grammar error.
+    "SELECT FROM WHERE #",
+    "SELECT , FROM t WHERE a = 'open",
+    "EXPLAIN EXPANSION SELECT a FROM t WITH EXPANSION (budget = 1, mode = FULL)",
+    "SELECT * FROM t WITH EXPANSION (Mode = Deny, QUALITY >= 1)",
+];
+
+/// FNV-1a over the `Debug` form of every statement's parse.
+fn digest(statements: &[&str]) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for sql in statements {
+        let line = format!("{sql:?} => {:?}\n", parse(sql));
+        for byte in line.bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{hash:016x}")
+}
+
+/// How many statements parse.
+fn parsed(statements: &[&str]) -> usize {
+    statements.iter().filter(|sql| parse(sql).is_ok()).count()
+}
+
+#[test]
+fn the_test_corpus_parses_as_pinned() {
+    assert_eq!(CORPUS.len(), 152);
+    assert_eq!(parsed(CORPUS), 120);
+    assert_eq!(digest(CORPUS), "427c9b36664e1628");
+}
+
+#[test]
+fn lexical_edge_cases_parse_as_pinned() {
+    assert_eq!(parsed(EDGES), 14);
+    assert_eq!(digest(EDGES), "6ad8b4b47b98000a");
+}
