@@ -1,11 +1,70 @@
 //! Criterion bench: end-to-end query execution in the crowd-enabled
-//! database — factual queries (no expansion) and the full query-driven
-//! schema expansion pipeline.
+//! database — factual queries (no expansion), the full query-driven
+//! schema expansion pipeline, and the point read's fixed cost: parsing
+//! the point `SELECT` alone, and a point `run()` on a `Hash{4}` table.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use crowddb_core::{CrowdDb, CrowdDbConfig, ExpansionStrategy, ExtractionConfig, SimulatedCrowd};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use crowddb_core::{
+    CrowdDb, CrowdDbConfig, ExpansionStrategy, ExtractionConfig, PartitionSpec, SimulatedCrowd,
+    TableOptions,
+};
 use crowdsim::ExperimentRegime;
 use datagen::{DomainConfig, SyntheticDomain};
+use relational::{Column, DataType, Schema, Table, Value};
+
+/// Rows of the point-read table.
+const ITEMS: i64 = 4_096;
+
+/// The point SELECT of the repository benchmark's `read_mix` workload.
+fn point_select(id: i64) -> String {
+    format!("SELECT item_id, label, score, weight FROM items WHERE item_id = {id}")
+}
+
+/// `read_mix`'s item table, `ITEMS` rows in `Hash{4}` partitions.
+fn items_db() -> CrowdDb {
+    let schema = Schema::new(vec![
+        Column::not_null("item_id", DataType::Integer),
+        Column::new("label", DataType::Text),
+        Column::new("score", DataType::Integer),
+        Column::new("weight", DataType::Float),
+    ])
+    .unwrap();
+    let mut table = Table::new("items", schema);
+    for id in 0..ITEMS {
+        table
+            .insert_row(vec![
+                Value::Integer(id),
+                Value::Text(format!("item-{id:08x}")),
+                Value::Integer(ITEMS - id),
+                Value::Float(id as f64 / ITEMS as f64),
+            ])
+            .unwrap();
+    }
+    let db = CrowdDb::new(CrowdDbConfig::default());
+    db.create_table_with(
+        TableOptions::new("items", "item_id").partitions(PartitionSpec::Hash { n: 4 }),
+        table,
+    )
+    .unwrap();
+    db
+}
+
+fn bench_point_read(c: &mut Criterion) {
+    let sql = point_select(1_234);
+    c.bench_function("parse_point_select", |b| {
+        b.iter(|| relational::parse(black_box(&sql)).unwrap())
+    });
+
+    let db = items_db();
+    let queries: Vec<String> = (0..64).map(|i| point_select(i * 61 % ITEMS)).collect();
+    let mut next = 0;
+    c.bench_function("point_read_hash4", |b| {
+        b.iter(|| {
+            next = (next + 1) % queries.len();
+            db.query(queries[next].as_str()).run().unwrap()
+        })
+    });
+}
 
 fn make_db(domain: &SyntheticDomain, space: perceptual::PerceptualSpace) -> CrowdDb {
     let crowd = SimulatedCrowd::new(domain, ExperimentRegime::TrustedWorkers, 9);
@@ -47,5 +106,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline);
+criterion_group!(benches, bench_point_read, bench_pipeline);
 criterion_main!(benches);

@@ -45,6 +45,7 @@
 //! others block on the in-flight acquisition and then serve themselves
 //! from the judgment cache at zero crowd cost (see [`crate::inflight`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,8 +58,8 @@ use crowdsim::WorkerAccuracyStore;
 use datagen::SyntheticDomain;
 use perceptual::{EuclideanEmbeddingConfig, EuclideanEmbeddingModel, ItemId, PerceptualSpace};
 use relational::{
-    executor, sql, Catalog, Column, DataType, PartitionSpec, QueryResult, RelationalError, Schema,
-    Table, Value,
+    executor, fold_name, sql, Catalog, Column, DataType, PartitionSpec, QueryResult,
+    RelationalError, Schema, Table, Value,
 };
 
 use telemetry::{MetricsSnapshot, StateMonitor};
@@ -1689,9 +1690,8 @@ impl DbInner {
     /// The shard of one table (any casing).  Fails with
     /// [`RelationalError::UnknownTable`] for tables that do not exist.
     fn shard(&self, table: &str) -> Result<Arc<Shard>> {
-        let key = table.to_lowercase();
         rlock(&self.shards)
-            .get(&key)
+            .get(fold_name(table).as_ref())
             .cloned()
             .ok_or_else(|| RelationalError::UnknownTable(table.to_string()).into())
     }
@@ -2013,12 +2013,12 @@ impl DbInner {
         // A streamed SELECT with nothing to expand: its anytime snapshot
         // already is the answer, so the SELECT runs once.
         let mut answered: Option<RowSet> = None;
-        if let Some(table) = analysis.table.clone() {
+        if let Some(table) = &analysis.table {
             let candidates =
-                self.expansion_candidates(&shard, &statement, &analysis, &policy, &table)?;
+                self.expansion_candidates(&shard, &statement, &analysis, &policy, table)?;
             if policy.mode == ExpansionMode::Deny && !analysis.missing_columns.is_empty() {
                 return Err(CrowdDbError::ExpansionDenied {
-                    table,
+                    table: table.clone(),
                     columns: analysis.missing_columns.clone(),
                 });
             }
@@ -2035,7 +2035,7 @@ impl DbInner {
                 }
             }
             if !candidates.is_empty() {
-                reports = self.expand_columns_with_policy(&table, &candidates, &policy, sink)?;
+                reports = self.expand_columns_with_policy(table, &candidates, &policy, sink)?;
                 // Load shedding with provenance: every report of a degraded
                 // query leads with the typed record of what the admission
                 // controller took away and why.
@@ -2245,7 +2245,7 @@ impl DbInner {
         policy: &ExpansionPolicy,
         table: &str,
     ) -> Result<Vec<String>> {
-        let key = table.to_lowercase();
+        let key = fold_name(table);
         for column in &analysis.missing_columns {
             if !self.is_expandable(table, column) {
                 return Err(CrowdDbError::UnknownAttribute {
@@ -2263,7 +2263,9 @@ impl DbInner {
                 Some(select) if matches!(select.projection, sql::Projection::All) => {
                     shard.read_one(0).table(&key)?.schema().column_names()
                 }
-                _ => statement.referenced_columns(),
+                _ => (statement.referenced_columns().into_iter())
+                    .map(Cow::into_owned)
+                    .collect(),
             };
             for column in referenced {
                 if !candidates.contains(&column) && shard.is_incomplete(&key, &column) {

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
+use crate::schema::fold_name;
 use crate::table::Table;
 use crate::Result;
 
@@ -33,21 +34,21 @@ impl Catalog {
     /// Looks a table up by (case-insensitive) name.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
-            .get(&name.to_lowercase())
+            .get(fold_name(name).as_ref())
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
     }
 
     /// Mutable table lookup.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
-            .get_mut(&name.to_lowercase())
+            .get_mut(fold_name(name).as_ref())
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
     }
 
     /// Removes a table.
     pub fn drop_table(&mut self, name: &str) -> Result<Table> {
         self.tables
-            .remove(&name.to_lowercase())
+            .remove(fold_name(name).as_ref())
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
     }
 

@@ -1,9 +1,11 @@
 //! Statement execution.
 
+use std::borrow::Cow;
+
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
 use crate::expr::{BoundExpr, Expr};
-use crate::schema::{Column, Schema};
+use crate::schema::{fold_name, Column, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
 use crate::table::Table;
 use crate::value::Value;
@@ -72,6 +74,7 @@ pub fn analyze(statement: &Statement, catalog: &Catalog) -> Result<StatementAnal
         .referenced_columns()
         .into_iter()
         .filter(|column| !schema.contains(column))
+        .map(Cow::into_owned)
         .collect();
     Ok(StatementAnalysis {
         table: Some(table.name().to_string()),
@@ -194,29 +197,29 @@ pub fn execute_select_partitions(
         match schema.index_of(name) {
             Some(index) => Ok(Some(index)),
             None if snapshot => {
-                let lower = name.to_lowercase();
-                if !missing_columns.contains(&lower) {
-                    missing_columns.push(lower);
+                let lower = fold_name(name);
+                if !missing_columns.iter().any(|missing| *missing == lower) {
+                    missing_columns.push(lower.into_owned());
                 }
                 Ok(None)
             }
             None => Err(RelationalError::UnknownColumn {
                 table: first.name().to_string(),
-                column: name.to_lowercase(),
+                column: fold_name(name).into_owned(),
             }),
         }
     };
-    let projected: Vec<(String, Option<usize>)> = match &select.projection {
-        Projection::All => schema
-            .column_names()
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| (n, Some(i)))
-            .collect(),
-        Projection::Columns(names) => names
-            .iter()
-            .map(|n| Ok((n.to_lowercase(), resolve(n)?)))
-            .collect::<Result<Vec<_>>>()?,
+    // The result's column names, and the row position each projects.
+    let (columns, projected): (Vec<String>, Vec<Option<usize>>) = match &select.projection {
+        Projection::All => (schema.column_names(), (0..schema.len()).map(Some).collect()),
+        Projection::Columns(names) => {
+            let mut projected = Vec::with_capacity(names.len());
+            for name in names {
+                projected.push(resolve(name)?);
+            }
+            let columns = names.iter().map(|n| fold_name(n).into_owned()).collect();
+            (columns, projected)
+        }
     };
     let bound = select
         .filter
@@ -267,14 +270,13 @@ pub fn execute_select_partitions(
     }
 
     // Project; a missing column is a constant-NULL column.
-    let columns: Vec<String> = projected.iter().map(|(n, _)| n.clone()).collect();
     let rows: Vec<Vec<Value>> = matching
         .iter()
         .map(|&at| {
             let row = row_of(at);
             projected
                 .iter()
-                .map(|(_, index)| match index {
+                .map(|index| match index {
                     Some(index) => row[*index].clone(),
                     None => Value::Null,
                 })
@@ -353,12 +355,13 @@ fn filter_rows(
         .and_then(|key| expr.pinned_integer(key))
         .and_then(|id| table.rows_with_key(id));
     if let Some(candidates) = pinned {
-        for &i in &candidates {
+        let scanned = candidates.len();
+        for i in candidates {
             if bound.matches(&rows[i])? {
                 keep(i);
             }
         }
-        return Ok(candidates.len());
+        return Ok(scanned);
     }
     for (i, row) in rows.iter().enumerate() {
         if bound.matches(row)? {

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
-use crate::schema::{Column, Schema};
+use crate::schema::{fold_name, Column, Schema};
 use crate::value::Value;
 use crate::Result;
 
@@ -102,23 +102,21 @@ impl Expr {
         }
     }
 
-    /// All column names referenced by the expression (in first-appearance
-    /// order, without duplicates).  The crowd layer uses this to detect
-    /// predicates over attributes that are not part of the schema yet.
-    pub fn referenced_columns(&self) -> Vec<String> {
+    /// All column names referenced by the expression (lower-cased, in
+    /// first-appearance order, without duplicates).  The crowd layer uses
+    /// this to detect predicates over attributes that are not part of the
+    /// schema yet.  Names already lower-case, as the parser leaves them,
+    /// are borrowed.
+    pub fn referenced_columns(&self) -> Vec<Cow<'_, str>> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
         out
     }
 
-    fn collect_columns(&self, out: &mut Vec<String>) {
+    /// Appends the referenced columns not in `out` yet to it.
+    pub(crate) fn collect_columns<'e>(&'e self, out: &mut Vec<Cow<'e, str>>) {
         match self {
-            Expr::Column(name) => {
-                let lower = name.to_lowercase();
-                if !out.contains(&lower) {
-                    out.push(lower);
-                }
-            }
+            Expr::Column(name) => push_folded(out, name),
             Expr::Literal(_) => {}
             Expr::BinaryOp { left, right, .. } => {
                 left.collect_columns(out);
@@ -403,6 +401,14 @@ impl BinaryOperator {
                 | BinaryOperator::Multiply
                 | BinaryOperator::Divide
         )
+    }
+}
+
+/// Appends `name`, folded, to `out` unless `out` holds it already.
+pub(crate) fn push_folded<'n>(out: &mut Vec<Cow<'n, str>>, name: &'n str) {
+    let name = fold_name(name);
+    if !out.contains(&name) {
+        out.push(name);
     }
 }
 

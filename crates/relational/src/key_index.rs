@@ -48,15 +48,25 @@ impl KeyIndex {
         self.column
     }
 
-    /// The rows holding `id`, ascending (empty when none does).
-    pub(crate) fn rows(&self, rows: &[Vec<Value>], id: i64) -> Vec<usize> {
-        let mut found: Vec<usize> = self
+    /// The rows holding `id`, ascending (none when no row does).
+    pub(crate) fn rows(&self, rows: &[Vec<Value>], id: i64) -> KeyRows {
+        let mut found = self
             .probe(id)
             .filter(|&at| self.id_at(rows, at) == id)
-            .map(|at| self.slots[at])
-            .collect();
-        found.sort_unstable();
-        found
+            .map(|at| self.slots[at]);
+        let first = found.next();
+        let Some(second) = found.next() else {
+            return KeyRows {
+                first,
+                rest: Vec::new().into_iter(),
+            };
+        };
+        let mut all: Vec<usize> = first.into_iter().chain([second]).chain(found).collect();
+        all.sort_unstable();
+        KeyRows {
+            first: None,
+            rest: all.into_iter(),
+        }
     }
 
     /// Records that `row` holds `value`.  `rows` need not contain `row`
@@ -154,6 +164,33 @@ impl KeyIndex {
     }
 }
 
+/// The rows holding one id, in ascending order
+/// ([`Table::rows_with_key`](crate::Table::rows_with_key)).  Ids are
+/// keys, so one row is the common case, and it needs no allocation;
+/// several rows are sorted in a vector.
+#[derive(Debug)]
+pub struct KeyRows {
+    /// The only row, when exactly one holds the id.
+    first: Option<usize>,
+    /// Every row, when several do.
+    rest: std::vec::IntoIter<usize>,
+}
+
+impl Iterator for KeyRows {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.first.take().or_else(|| self.rest.next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = usize::from(self.first.is_some()) + self.rest.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for KeyRows {}
+
 /// The id in an indexed cell.
 fn id_of(cell: &Value) -> i64 {
     match *cell {
@@ -166,6 +203,14 @@ fn id_of(cell: &Value) -> i64 {
 mod tests {
     use super::*;
 
+    fn found(index: &KeyIndex, rows: &[Vec<Value>], id: i64) -> Vec<usize> {
+        let found = index.rows(rows, id);
+        let len = found.len();
+        let found: Vec<usize> = found.collect();
+        assert_eq!(found.len(), len);
+        found
+    }
+
     fn cells(ids: &[Option<i64>]) -> Vec<Vec<Value>> {
         ids.iter()
             .map(|id| vec![id.map_or(Value::Null, Value::Integer)])
@@ -176,22 +221,26 @@ mod tests {
     fn ids_map_to_their_rows_in_ascending_order() {
         let mut rows = cells(&[Some(7), None, Some(-3), Some(7), Some(1 << 40)]);
         let mut index = KeyIndex::build(0, &rows);
-        assert_eq!(index.rows(&rows, 7), [0, 3]);
-        assert_eq!(index.rows(&rows, -3), [2]);
-        assert_eq!(index.rows(&rows, 1 << 40), [4]);
-        assert!(index.rows(&rows, 0).is_empty());
+        assert_eq!(found(&index, &rows, 7), [0, 3]);
+        assert_eq!(found(&index, &rows, -3), [2]);
+        assert_eq!(found(&index, &rows, 1 << 40), [4]);
+        assert!(found(&index, &rows, 0).is_empty());
+        assert!(matches!(
+            index.rows(&rows, -3),
+            KeyRows { first: Some(2), .. }
+        ));
 
         // Row 2 moves from id -3 onto id 7.
         index.remove(&rows, &Value::Integer(-3), 2);
         index.insert(&rows, &Value::Integer(7), 2);
         rows[2][0] = Value::Integer(7);
-        assert_eq!(index.rows(&rows, 7), [0, 2, 3]);
-        assert!(index.rows(&rows, -3).is_empty());
+        assert_eq!(found(&index, &rows, 7), [0, 2, 3]);
+        assert!(found(&index, &rows, -3).is_empty());
 
         // NULL cells and rows not indexed under the id are ignored.
         index.insert(&rows, &Value::Null, 1);
         index.remove(&rows, &Value::Integer(7), 1);
-        assert_eq!(index.rows(&rows, 7), [0, 2, 3]);
+        assert_eq!(found(&index, &rows, 7), [0, 2, 3]);
     }
 
     #[test]
@@ -222,7 +271,7 @@ mod tests {
                 .copied()
                 .filter(|&row| rows[row][0] == Value::Integer(id))
                 .collect();
-            assert_eq!(index.rows(&rows, id), want, "id {id}");
+            assert_eq!(found(&index, &rows, id), want, "id {id}");
         }
     }
 }

@@ -54,9 +54,10 @@ pub use executor::{
     execute_select_snapshot, QueryResult, SelectResult, StatementAnalysis,
 };
 pub use expr::{BinaryOperator, Expr, UnaryOperator};
+pub use key_index::KeyRows;
 pub use partition::PartitionSpec;
 pub use provenance::{CellProvenance, MissingReason};
-pub use schema::{Column, Schema};
+pub use schema::{fold_name, Column, Schema};
 pub use sql::{parse, ExpansionClause, ExpansionClauseMode, Statement};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -1,5 +1,7 @@
 //! Table schemas.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
@@ -116,6 +118,30 @@ impl Schema {
     }
 }
 
+/// The case-folded form of a name, `name.to_lowercase()` — borrowed,
+/// without allocating, when `name` already is lower-case.
+///
+/// Catalog and column names are stored folded, so every lookup by a name
+/// as written goes through here; names in parsed statements arrive
+/// folded already and cost nothing.
+pub fn fold_name(name: &str) -> Cow<'_, str> {
+    let folded = if name.is_ascii() {
+        !name.bytes().any(|b| b.is_ascii_uppercase())
+    } else {
+        // `str::to_lowercase` maps every char through `char::to_lowercase`
+        // except a capital sigma, which no lower-case name contains.
+        name.chars().all(|c| {
+            let mut lower = c.to_lowercase();
+            lower.next() == Some(c) && lower.next().is_none()
+        })
+    };
+    if folded {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(name.to_lowercase())
+    }
+}
+
 /// True when `name.to_lowercase() == lower`.  ASCII names compare byte by
 /// byte and other names char by char through `char::to_lowercase`; only a
 /// capital sigma, whose lower case depends on its position in the word,
@@ -167,6 +193,38 @@ mod tests {
                 .iter()
                 .position(|c| c.name == name.to_lowercase());
             assert_eq!(schema.index_of(name), expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn fold_name_borrows_exactly_the_folded_names() {
+        for name in [
+            "",
+            "x",
+            "is_comedy",
+            "X",
+            "Is_Comedy",
+            "größe",
+            "GRÖßE",
+            "οδος",
+            "ΟΔΟΣ",
+            "οδοσ",
+            "ΣΟΦΙΑ",
+            "İd",
+            "i\u{307}d",
+            "\u{212A}",
+            "ſ",
+            "ß",
+            "ﬂoat",
+            "_9",
+        ] {
+            let folded = fold_name(name);
+            assert_eq!(folded, name.to_lowercase(), "{name}");
+            assert_eq!(
+                matches!(folded, Cow::Borrowed(_)),
+                name.to_lowercase() == name,
+                "{name}"
+            );
         }
     }
 

@@ -1,19 +1,117 @@
 //! SQL tokenizer.
+//!
+//! The lexer borrows from the input: identifiers and numbers are slices
+//! of it, and a string literal is one too unless a `''` escape has to be
+//! undone.  Keywords are a closed [`Keyword`] enum, recognized without
+//! allocating.  Tokens are produced one at a time, on demand, so lexing a
+//! statement allocates nothing at all in the common case.
+//!
+//! Case folding follows Unicode, exactly: a word is a keyword when its
+//! `to_uppercase` spells one (so `ſelect` is `SELECT`), and an identifier
+//! folds through `to_lowercase` (see [`fold_name`]).  ASCII words — all
+//! real queries — take an allocation-free path; other words take the
+//! standard library's.
+
+use std::borrow::Cow;
+use std::fmt;
 
 use crate::error::RelationalError;
+use crate::schema::fold_name;
 use crate::Result;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// A keyword (upper-cased): `SELECT`, `FROM`, `WHERE`, …
-    Keyword(String),
-    /// An identifier (lower-cased): table and column names.
-    Identifier(String),
+macro_rules! keywords {
+    ($($keyword:ident $spelling:literal),* $(,)?) => {
+        /// A reserved word.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        pub(super) enum Keyword {
+            $(#[doc = $spelling] $keyword),*
+        }
+
+        impl Keyword {
+            /// Every keyword.
+            #[cfg(test)]
+            pub(super) const ALL: &'static [Keyword] = &[$(Keyword::$keyword),*];
+
+            /// The keyword in upper case, as SQL spells it.
+            pub(super) fn as_str(self) -> &'static str {
+                match self {
+                    $(Keyword::$keyword => $spelling),*
+                }
+            }
+
+            /// The keyword an upper-cased word spells.
+            fn from_upper(word: &str) -> Option<Keyword> {
+                match word {
+                    $($spelling => Some(Keyword::$keyword),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+// `EXPANSION` is deliberately NOT a keyword: it only has meaning directly
+// after `WITH` and the parser matches it contextually, so pre-existing
+// schemas with a column or table named `expansion` keep working.  `WITH`
+// itself is reserved, as in standard SQL.
+keywords! {
+    Select "SELECT", From "FROM", Where "WHERE", Order "ORDER", By "BY", Asc "ASC",
+    Desc "DESC", Limit "LIMIT", Insert "INSERT", Into "INTO", Values "VALUES",
+    Create "CREATE", Table "TABLE", Alter "ALTER", Add "ADD", Column "COLUMN", Not "NOT",
+    Null "NULL", And "AND", Or "OR", True "TRUE", False "FALSE", Is "IS", Integer "INTEGER",
+    Int "INT", Float "FLOAT", Real "REAL", Double "DOUBLE", Text "TEXT", Varchar "VARCHAR",
+    String "STRING", Boolean "BOOLEAN", Bool "BOOL", Update "UPDATE", Set "SET",
+    Delete "DELETE", With "WITH", Explain "EXPLAIN",
+}
+
+/// Longer ASCII words are never keywords.
+const LONGEST_KEYWORD: usize = 7;
+
+impl Keyword {
+    /// The keyword `word` spells in any case: `word.to_uppercase()` is
+    /// its spelling.
+    fn of_word(word: &str) -> Option<Keyword> {
+        if !word.is_ascii() {
+            return Keyword::from_upper(&word.to_uppercase());
+        }
+        if word.len() > LONGEST_KEYWORD {
+            return None;
+        }
+        let mut upper = [0u8; LONGEST_KEYWORD];
+        let upper = &mut upper[..word.len()];
+        upper.copy_from_slice(word.as_bytes());
+        upper.make_ascii_uppercase();
+        Keyword::from_upper(std::str::from_utf8(upper).ok()?)
+    }
+}
+
+impl fmt::Display for Keyword {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Keyword {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// A lexical token, borrowing from the SQL text.
+///
+/// `Debug` prints an identifier folded, as the parser reads it, so parse
+/// errors quote `Identifier("name")` whatever the word's case.
+#[derive(Clone, PartialEq)]
+pub(super) enum Token<'a> {
+    /// A keyword: `SELECT`, `FROM`, `WHERE`, …
+    Keyword(Keyword),
+    /// An identifier as written: a table or column name, case-insensitive
+    /// (the parser folds it with [`fold_name`]).
+    Identifier(&'a str),
     /// A numeric literal (integer or float).
-    Number(String),
+    Number(&'a str),
     /// A single-quoted string literal (quotes stripped, `''` unescaped).
-    StringLiteral(String),
+    StringLiteral(Cow<'a, str>),
     /// `,`
     Comma,
     /// `(`
@@ -44,162 +142,182 @@ pub enum Token {
     Semicolon,
 }
 
-const KEYWORDS: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT", "INSERT", "INTO", "VALUES",
-    "CREATE", "TABLE", "ALTER", "ADD", "COLUMN", "NOT", "NULL", "AND", "OR", "TRUE", "FALSE", "IS",
-    "INTEGER", "INT", "FLOAT", "REAL", "DOUBLE", "TEXT", "VARCHAR", "STRING", "BOOLEAN", "BOOL",
-    "UPDATE", "SET", "DELETE", "WITH", "EXPLAIN",
-];
-// `EXPANSION` is deliberately NOT in the list: it only has meaning directly
-// after `WITH` and the parser matches it contextually, so pre-existing
-// schemas with a column or table named `expansion` keep working.  `WITH`
-// itself is reserved, as in standard SQL.
+impl fmt::Debug for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
+            Token::Keyword(keyword) => return f.debug_tuple("Keyword").field(keyword).finish(),
+            Token::Identifier(name) => {
+                return f.debug_tuple("Identifier").field(&fold_name(name)).finish()
+            }
+            Token::Number(text) => return f.debug_tuple("Number").field(text).finish(),
+            Token::StringLiteral(text) => {
+                return f.debug_tuple("StringLiteral").field(text).finish()
+            }
+            Token::Comma => "Comma",
+            Token::LeftParen => "LeftParen",
+            Token::RightParen => "RightParen",
+            Token::Star => "Star",
+            Token::Eq => "Eq",
+            Token::NotEq => "NotEq",
+            Token::Lt => "Lt",
+            Token::LtEq => "LtEq",
+            Token::Gt => "Gt",
+            Token::GtEq => "GtEq",
+            Token::Plus => "Plus",
+            Token::Minus => "Minus",
+            Token::Slash => "Slash",
+            Token::Semicolon => "Semicolon",
+        };
+        f.write_str(name)
+    }
+}
 
-/// Splits a SQL string into tokens.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LeftParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RightParen);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token::Minus);
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            '<' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::LtEq);
-                    i += 2;
-                } else if i + 1 < chars.len() && chars[i + 1] == '>' {
-                    tokens.push(Token::NotEq);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::GtEq);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::NotEq);
-                    i += 2;
-                } else {
-                    return Err(RelationalError::Parse("unexpected character '!'".into()));
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    if i >= chars.len() {
-                        return Err(RelationalError::Parse("unterminated string literal".into()));
-                    }
-                    if chars[i] == '\'' {
-                        // Escaped quote: '' inside a string.
-                        if i + 1 < chars.len() && chars[i + 1] == '\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        break;
-                    }
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                tokens.push(Token::StringLiteral(s));
-            }
+/// Splits SQL text into tokens, one per [`Lexer::next_token`] call.
+pub(super) struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread char.
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(super) fn new(input: &'a str) -> Lexer<'a> {
+        Lexer { input, pos: 0 }
+    }
+
+    /// The next token, or `None` at the end of the input.  After an error
+    /// the lexer stays at the end.
+    pub(super) fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        let token = self.scan();
+        if token.is_err() {
+            self.pos = self.input.len();
+        }
+        token
+    }
+
+    fn scan(&mut self) -> Result<Option<Token<'a>>> {
+        let rest = &self.input[self.pos..];
+        let Some(start) = rest.find(|c: char| !c.is_whitespace()) else {
+            self.pos = self.input.len();
+            return Ok(None);
+        };
+        self.pos += start;
+        let rest = &rest[start..];
+        let c = rest
+            .chars()
+            .next()
+            .expect("a non-whitespace char was found");
+        let next = rest[c.len_utf8()..].chars().next();
+        let (token, len) = match c {
+            ',' => (Token::Comma, 1),
+            '(' => (Token::LeftParen, 1),
+            ')' => (Token::RightParen, 1),
+            '*' => (Token::Star, 1),
+            '=' => (Token::Eq, 1),
+            ';' => (Token::Semicolon, 1),
+            '+' => (Token::Plus, 1),
+            '-' => (Token::Minus, 1),
+            '/' => (Token::Slash, 1),
+            '<' => match next {
+                Some('=') => (Token::LtEq, 2),
+                Some('>') => (Token::NotEq, 2),
+                _ => (Token::Lt, 1),
+            },
+            '>' => match next {
+                Some('=') => (Token::GtEq, 2),
+                _ => (Token::Gt, 1),
+            },
+            '!' => match next {
+                Some('=') => (Token::NotEq, 2),
+                _ => return Err(RelationalError::Parse("unexpected character '!'".into())),
+            },
+            '\'' => return self.string_literal().map(Some),
             c if c.is_ascii_digit() => {
-                let mut s = String::new();
                 let mut seen_dot = false;
-                while i < chars.len()
-                    && (chars[i].is_ascii_digit() || (chars[i] == '.' && !seen_dot))
-                {
-                    if chars[i] == '.' {
-                        seen_dot = true;
-                    }
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                tokens.push(Token::Number(s));
+                let len = rest
+                    .find(|c: char| {
+                        let dot = c == '.' && !seen_dot;
+                        seen_dot |= dot;
+                        !(c.is_ascii_digit() || dot)
+                    })
+                    .unwrap_or(rest.len());
+                (Token::Number(&rest[..len]), len)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                let upper = s.to_uppercase();
-                if KEYWORDS.contains(&upper.as_str()) {
-                    tokens.push(Token::Keyword(upper));
-                } else {
-                    tokens.push(Token::Identifier(s.to_lowercase()));
-                }
+                let len = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                let word = &rest[..len];
+                let token = match Keyword::of_word(word) {
+                    Some(keyword) => Token::Keyword(keyword),
+                    None => Token::Identifier(word),
+                };
+                (token, len)
             }
             other => {
                 return Err(RelationalError::Parse(format!(
                     "unexpected character '{other}'"
-                )));
+                )))
             }
+        };
+        self.pos += len;
+        Ok(Some(token))
+    }
+
+    /// The string literal opening at `pos`: borrowed from the input
+    /// unless it holds a `''` escape.
+    fn string_literal(&mut self) -> Result<Token<'a>> {
+        let body = self.pos + 1;
+        let mut unescaped: Option<String> = None;
+        let mut from = body;
+        loop {
+            let Some(quote) = self.input[from..].find('\'').map(|at| from + at) else {
+                return Err(RelationalError::Parse("unterminated string literal".into()));
+            };
+            if self.input[quote + 1..].starts_with('\'') {
+                // `''` inside a string is one quote: keep the text up to and
+                // including the first.
+                unescaped
+                    .get_or_insert_with(String::new)
+                    .push_str(&self.input[from..=quote]);
+                from = quote + 2;
+                continue;
+            }
+            self.pos = quote + 1;
+            let text = match unescaped {
+                None => Cow::Borrowed(&self.input[body..quote]),
+                Some(mut text) => {
+                    text.push_str(&self.input[from..quote]);
+                    Cow::Owned(text)
+                }
+            };
+            return Ok(Token::StringLiteral(text));
         }
     }
-    Ok(tokens)
+}
+
+/// Splits a SQL string into tokens.
+#[cfg(test)]
+pub(super) fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+    let mut lexer = Lexer::new(input);
+    std::iter::from_fn(|| lexer.next_token().transpose()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn keyword(word: &str) -> Token<'_> {
+        Token::Keyword(Keyword::of_word(word).unwrap())
+    }
+
     #[test]
     fn tokenizes_a_full_select() {
         let toks =
             tokenize("SELECT name FROM movies WHERE humor >= 8.5 AND year <> 1999;").unwrap();
-        assert_eq!(toks[0], Token::Keyword("SELECT".into()));
-        assert_eq!(toks[1], Token::Identifier("name".into()));
+        assert_eq!(toks[0], Token::Keyword(Keyword::Select));
+        assert_eq!(toks[1], Token::Identifier("name"));
         assert!(toks.contains(&Token::GtEq));
-        assert!(toks.contains(&Token::Number("8.5".into())));
+        assert!(toks.contains(&Token::Number("8.5")));
         assert!(toks.contains(&Token::NotEq));
         assert_eq!(*toks.last().unwrap(), Token::Semicolon);
     }
@@ -207,9 +325,39 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive_identifiers_lowercased() {
         let toks = tokenize("select NaMe from Movies").unwrap();
-        assert_eq!(toks[0], Token::Keyword("SELECT".into()));
-        assert_eq!(toks[1], Token::Identifier("name".into()));
-        assert_eq!(toks[3], Token::Identifier("movies".into()));
+        assert_eq!(toks[0], Token::Keyword(Keyword::Select));
+        assert_eq!(toks[1], Token::Identifier("NaMe"));
+        assert_eq!(fold_name("NaMe"), "name");
+        assert_eq!(format!("{:?}", toks[3]), r#"Identifier("movies")"#);
+        // Unicode folding: the long s upper-cases to `S`, the dotless i
+        // to `I`, the `ﬂ` ligature to "FL"; `ß` upper-cases to "SS" and
+        // spells no keyword.
+        assert_eq!(tokenize("ſelect").unwrap(), [keyword("SELECT")]);
+        assert_eq!(
+            tokenize("ınt ﬂoat").unwrap(),
+            [keyword("INT"), keyword("FLOAT")]
+        );
+        assert_eq!(tokenize("ß").unwrap(), [Token::Identifier("ß")]);
+        assert_eq!(
+            format!("{:?}", tokenize("\u{212A}ey").unwrap()),
+            r#"[Identifier("key")]"#
+        );
+    }
+
+    #[test]
+    fn every_keyword_is_recognized_in_any_case() {
+        for &keyword in Keyword::ALL {
+            let word = keyword.as_str();
+            assert!(word.len() <= LONGEST_KEYWORD, "{word}");
+            assert_eq!(Keyword::of_word(word), Some(keyword));
+            assert_eq!(Keyword::of_word(&word.to_lowercase()), Some(keyword));
+            assert_eq!(
+                format!("{:?}", Token::Keyword(keyword)),
+                format!("Keyword({word:?})")
+            );
+        }
+        assert_eq!(Keyword::of_word("EXPANSION"), None);
+        assert_eq!(Keyword::of_word("SELECTED"), None);
     }
 
     #[test]
@@ -217,6 +365,15 @@ mod tests {
         let toks = tokenize("'it''s good'").unwrap();
         assert_eq!(toks, vec![Token::StringLiteral("it's good".into())]);
         assert!(tokenize("'unterminated").is_err());
+        assert!(tokenize("'it''").is_err());
+        // Only an escape costs an allocation.
+        match &tokenize("'plain' '''' ''").unwrap()[..] {
+            [Token::StringLiteral(Cow::Borrowed("plain")), Token::StringLiteral(Cow::Owned(quote)), Token::StringLiteral(Cow::Borrowed(""))] =>
+            {
+                assert_eq!(quote, "'")
+            }
+            other => panic!("unexpected tokens {other:?}"),
+        }
     }
 
     #[test]
@@ -251,9 +408,6 @@ mod tests {
     #[test]
     fn numbers_parse_with_single_dot() {
         let toks = tokenize("3.14 42").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Number("3.14".into()), Token::Number("42".into())]
-        );
+        assert_eq!(toks, vec![Token::Number("3.14"), Token::Number("42")]);
     }
 }

@@ -15,14 +15,16 @@ mod parser;
 #[cfg(test)]
 mod reference_tests;
 
-pub use lexer::{tokenize, Token};
+#[cfg(test)]
+use lexer::tokenize;
 pub use parser::parse;
 
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::expr::Expr;
+use crate::expr::{push_folded, Expr};
 use crate::schema::Column;
 use crate::value::Value;
 
@@ -233,51 +235,48 @@ pub enum Statement {
 
 impl Statement {
     /// All column names the statement references (lower-cased, in
-    /// first-appearance order, without duplicates).  This is the AST-level
+    /// first-appearance order, without duplicates; borrowed when already
+    /// lower-case, as the parser leaves them).  This is the AST-level
     /// half of the static analysis pass: [`crate::executor::analyze`]
     /// intersects this set with the catalog to report *every* unknown
     /// column of a statement in one shot, so the crowd layer can plan a
     /// single expansion round instead of discovering missing attributes one
     /// failed execution at a time.
-    pub fn referenced_columns(&self) -> Vec<String> {
+    pub fn referenced_columns(&self) -> Vec<Cow<'_, str>> {
         let mut out = Vec::new();
-        let mut push = |name: &str| {
-            let lower = name.to_lowercase();
-            if !out.contains(&lower) {
-                out.push(lower);
-            }
-        };
         match self {
             // An EXPLAIN references exactly what its wrapped SELECT would:
             // the crowd layer analyzes both through the same pass.
             Statement::Select(select) | Statement::ExplainExpansion(select) => {
                 if let Projection::Columns(names) = &select.projection {
-                    names.iter().for_each(|n| push(n));
+                    names.iter().for_each(|n| push_folded(&mut out, n));
                 }
                 if let Some(filter) = &select.filter {
-                    filter.referenced_columns().iter().for_each(|n| push(n));
+                    filter.collect_columns(&mut out);
                 }
                 if let Some(OrderBy { column, .. }) = &select.order_by {
-                    push(column);
+                    push_folded(&mut out, column);
                 }
             }
-            Statement::Insert { columns, .. } => columns.iter().for_each(|n| push(n)),
+            Statement::Insert { columns, .. } => {
+                columns.iter().for_each(|n| push_folded(&mut out, n))
+            }
             Statement::Update {
                 assignments,
                 filter,
                 ..
             } => {
                 for (column, expr) in assignments {
-                    push(column);
-                    expr.referenced_columns().iter().for_each(|n| push(n));
+                    push_folded(&mut out, column);
+                    expr.collect_columns(&mut out);
                 }
                 if let Some(filter) = filter {
-                    filter.referenced_columns().iter().for_each(|n| push(n));
+                    filter.collect_columns(&mut out);
                 }
             }
             Statement::Delete { filter, .. } => {
                 if let Some(filter) = filter {
-                    filter.referenced_columns().iter().for_each(|n| push(n));
+                    filter.collect_columns(&mut out);
                 }
             }
             Statement::CreateTable { .. } | Statement::AlterTableAddColumn { .. } => {}

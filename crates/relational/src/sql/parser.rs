@@ -1,63 +1,101 @@
 //! Recursive-descent parser for the SQL subset.
+//!
+//! The parser pulls tokens from the [`Lexer`] one at a time, with one
+//! token of lookahead, and takes each by value: it allocates only the
+//! strings and nodes the [`Statement`] keeps.
 
-use super::lexer::{tokenize, Token};
+use super::lexer::{Keyword, Lexer, Token};
 use super::{
     ExpansionClause, ExpansionClauseMode, OrderBy, Projection, SelectStatement, Statement,
 };
 use crate::error::RelationalError;
 use crate::expr::{BinaryOperator, Expr, UnaryOperator};
-use crate::schema::Column;
+use crate::schema::{fold_name, Column};
 use crate::value::{DataType, Value};
 use crate::Result;
 
+/// How deeply expressions may nest — parentheses, `NOT`s and unary
+/// minuses together.  The parser recurses once per level, and SQL from
+/// remote clients must not be able to exhaust its stack.
+const MAX_NESTING: usize = 128;
+
 /// Parses one SQL statement.
 pub fn parse(input: &str) -> Result<Statement> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let stmt = parser.statement()?;
-    // A trailing semicolon is allowed; anything else is an error.
-    parser.consume_if(&Token::Semicolon);
-    if !parser.at_end() {
-        return Err(RelationalError::Parse(format!(
-            "unexpected trailing input near {:?}",
-            parser.peek()
-        )));
-    }
-    Ok(stmt)
+    let mut parser = Parser {
+        lexer: Lexer::new(input),
+        peeked: None,
+        lex_error: None,
+        nesting: 0,
+    };
+    let parsed = parser.statement_to_end();
+    // A lexical error anywhere in the input outranks a grammar error
+    // before it: the input is a token stream only if all of it lexes.
+    parser.finish_lexing()?;
+    parsed
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead token, once read.
+    peeked: Option<Token<'a>>,
+    /// The lexer's error, once it failed; the token stream ends there.
+    lex_error: Option<RelationalError>,
+    /// Expression nesting depth at the current position.
+    nesting: usize,
 }
 
-impl Parser {
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'a> Parser<'a> {
+    /// One statement, an optional `;`, and nothing else.
+    fn statement_to_end(&mut self) -> Result<Statement> {
+        let stmt = self.statement()?;
+        self.consume_if(&Token::Semicolon);
+        if !self.at_end() {
+            return Err(RelationalError::Parse(format!(
+                "unexpected trailing input near {:?}",
+                self.peek()
+            )));
         }
-        t
+        Ok(stmt)
     }
 
-    fn consume_if(&mut self, token: &Token) -> bool {
+    /// The lexer's first error, reading past wherever parsing stopped.
+    fn finish_lexing(&mut self) -> Result<()> {
+        if let Some(error) = self.lex_error.take() {
+            return Err(error);
+        }
+        while self.lexer.next_token()?.is_some() {}
+        Ok(())
+    }
+
+    fn at_end(&mut self) -> bool {
+        self.peek().is_none()
+    }
+
+    fn peek(&mut self) -> Option<&Token<'a>> {
+        if self.peeked.is_none() && self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(token) => self.peeked = token,
+                Err(error) => self.lex_error = Some(error),
+            }
+        }
+        self.peeked.as_ref()
+    }
+
+    fn advance(&mut self) -> Option<Token<'a>> {
+        self.peek();
+        self.peeked.take()
+    }
+
+    fn consume_if(&mut self, token: &Token<'_>) -> bool {
         if self.peek() == Some(token) {
-            self.pos += 1;
+            self.peeked = None;
             true
         } else {
             false
         }
     }
 
-    fn expect(&mut self, token: &Token) -> Result<()> {
+    fn expect(&mut self, token: &Token<'_>) -> Result<()> {
         if self.consume_if(token) {
             Ok(())
         } else {
@@ -68,7 +106,7 @@ impl Parser {
         }
     }
 
-    fn keyword(&mut self, kw: &str) -> Result<()> {
+    fn keyword(&mut self, kw: Keyword) -> Result<()> {
         match self.advance() {
             Some(Token::Keyword(k)) if k == kw => Ok(()),
             other => Err(RelationalError::Parse(format!(
@@ -77,33 +115,52 @@ impl Parser {
         }
     }
 
-    fn consume_keyword_if(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Keyword(k)) if k == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn consume_keyword_if(&mut self, kw: Keyword) -> bool {
+        self.consume_if(&Token::Keyword(kw))
     }
 
     fn identifier(&mut self) -> Result<String> {
         match self.advance() {
-            Some(Token::Identifier(name)) => Ok(name),
+            Some(Token::Identifier(name)) => Ok(fold_name(name).into_owned()),
             other => Err(RelationalError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
         }
     }
 
+    /// The contextual keyword `EXPANSION` after `before`: it lexes as a
+    /// plain identifier, so schemas may still use it as a name.
+    fn contextual_expansion(&mut self, before: Keyword) -> Result<()> {
+        match self.advance() {
+            Some(Token::Identifier(word)) if fold_name(word) == "expansion" => Ok(()),
+            other => Err(RelationalError::Parse(format!(
+                "expected EXPANSION after {before}, found {other:?}"
+            ))),
+        }
+    }
+
+    /// Runs `f` one expression level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.nesting == MAX_NESTING {
+            return Err(RelationalError::Parse(format!(
+                "expression nested more than {MAX_NESTING} levels deep"
+            )));
+        }
+        self.nesting += 1;
+        let result = f(self);
+        self.nesting -= 1;
+        result
+    }
+
     fn statement(&mut self) -> Result<Statement> {
         match self.peek() {
-            Some(Token::Keyword(k)) if k == "SELECT" => self.select(),
-            Some(Token::Keyword(k)) if k == "EXPLAIN" => self.explain_expansion(),
-            Some(Token::Keyword(k)) if k == "INSERT" => self.insert(),
-            Some(Token::Keyword(k)) if k == "CREATE" => self.create_table(),
-            Some(Token::Keyword(k)) if k == "ALTER" => self.alter_table(),
-            Some(Token::Keyword(k)) if k == "UPDATE" => self.update(),
-            Some(Token::Keyword(k)) if k == "DELETE" => self.delete(),
+            Some(Token::Keyword(Keyword::Select)) => self.select(),
+            Some(Token::Keyword(Keyword::Explain)) => self.explain_expansion(),
+            Some(Token::Keyword(Keyword::Insert)) => self.insert(),
+            Some(Token::Keyword(Keyword::Create)) => self.create_table(),
+            Some(Token::Keyword(Keyword::Alter)) => self.alter_table(),
+            Some(Token::Keyword(Keyword::Update)) => self.update(),
+            Some(Token::Keyword(Keyword::Delete)) => self.delete(),
             other => Err(RelationalError::Parse(format!(
                 "expected SELECT, EXPLAIN, INSERT, UPDATE, DELETE, CREATE, or ALTER, found {other:?}"
             ))),
@@ -113,15 +170,8 @@ impl Parser {
     /// `EXPLAIN EXPANSION <select>` — like `WITH`, `EXPANSION` stays a
     /// contextual identifier so schemas using the name keep working.
     fn explain_expansion(&mut self) -> Result<Statement> {
-        self.keyword("EXPLAIN")?;
-        match self.advance() {
-            Some(Token::Identifier(word)) if word == "expansion" => {}
-            other => {
-                return Err(RelationalError::Parse(format!(
-                    "expected EXPANSION after EXPLAIN, found {other:?}"
-                )))
-            }
-        }
+        self.keyword(Keyword::Explain)?;
+        self.contextual_expansion(Keyword::Explain)?;
         match self.select()? {
             Statement::Select(select) => Ok(Statement::ExplainExpansion(select)),
             other => unreachable!("select() only returns SELECT, got {other:?}"),
@@ -129,9 +179,9 @@ impl Parser {
     }
 
     fn update(&mut self) -> Result<Statement> {
-        self.keyword("UPDATE")?;
+        self.keyword(Keyword::Update)?;
         let table = self.identifier()?;
-        self.keyword("SET")?;
+        self.keyword(Keyword::Set)?;
         let mut assignments = Vec::new();
         loop {
             let column = self.identifier()?;
@@ -142,11 +192,7 @@ impl Parser {
                 break;
             }
         }
-        let filter = if self.consume_keyword_if("WHERE") {
-            Some(self.expression()?)
-        } else {
-            None
-        };
+        let filter = self.where_clause()?;
         Ok(Statement::Update {
             table,
             assignments,
@@ -155,49 +201,46 @@ impl Parser {
     }
 
     fn delete(&mut self) -> Result<Statement> {
-        self.keyword("DELETE")?;
-        self.keyword("FROM")?;
+        self.keyword(Keyword::Delete)?;
+        self.keyword(Keyword::From)?;
         let table = self.identifier()?;
-        let filter = if self.consume_keyword_if("WHERE") {
-            Some(self.expression()?)
-        } else {
-            None
-        };
+        let filter = self.where_clause()?;
         Ok(Statement::Delete { table, filter })
     }
 
+    /// An optional `WHERE <expression>`.
+    fn where_clause(&mut self) -> Result<Option<Expr>> {
+        if self.consume_keyword_if(Keyword::Where) {
+            Ok(Some(self.expression()?))
+        } else {
+            Ok(None)
+        }
+    }
+
     fn select(&mut self) -> Result<Statement> {
-        self.keyword("SELECT")?;
+        self.keyword(Keyword::Select)?;
         let projection = if self.consume_if(&Token::Star) {
             Projection::All
         } else {
-            let mut columns = vec![self.identifier()?];
-            while self.consume_if(&Token::Comma) {
-                columns.push(self.identifier()?);
-            }
-            Projection::Columns(columns)
+            Projection::Columns(self.identifier_list()?)
         };
-        self.keyword("FROM")?;
+        self.keyword(Keyword::From)?;
         let table = self.identifier()?;
-        let filter = if self.consume_keyword_if("WHERE") {
-            Some(self.expression()?)
-        } else {
-            None
-        };
-        let order_by = if self.consume_keyword_if("ORDER") {
-            self.keyword("BY")?;
+        let filter = self.where_clause()?;
+        let order_by = if self.consume_keyword_if(Keyword::Order) {
+            self.keyword(Keyword::By)?;
             let column = self.identifier()?;
-            let ascending = if self.consume_keyword_if("DESC") {
+            let ascending = if self.consume_keyword_if(Keyword::Desc) {
                 false
             } else {
-                self.consume_keyword_if("ASC");
+                self.consume_keyword_if(Keyword::Asc);
                 true
             };
             Some(OrderBy { column, ascending })
         } else {
             None
         };
-        let limit = if self.consume_keyword_if("LIMIT") {
+        let limit = if self.consume_keyword_if(Keyword::Limit) {
             match self.advance() {
                 Some(Token::Number(n)) => Some(
                     n.parse::<usize>()
@@ -212,17 +255,8 @@ impl Parser {
         } else {
             None
         };
-        let expansion = if self.consume_keyword_if("WITH") {
-            // `expansion` is a contextual keyword: it lexes as a plain
-            // identifier so schemas may still use it as a name.
-            match self.advance() {
-                Some(Token::Identifier(word)) if word == "expansion" => {}
-                other => {
-                    return Err(RelationalError::Parse(format!(
-                        "expected EXPANSION after WITH, found {other:?}"
-                    )))
-                }
-            }
+        let expansion = if self.consume_keyword_if(Keyword::With) {
+            self.contextual_expansion(Keyword::With)?;
             Some(self.expansion_clause()?)
         } else {
             None
@@ -237,6 +271,15 @@ impl Parser {
         }))
     }
 
+    /// One or more comma-separated identifiers.
+    fn identifier_list(&mut self) -> Result<Vec<String>> {
+        let mut names = vec![self.identifier()?];
+        while self.consume_if(&Token::Comma) {
+            names.push(self.identifier()?);
+        }
+        Ok(names)
+    }
+
     /// The parenthesized setting list of a `WITH EXPANSION (…)` clause.
     fn expansion_clause(&mut self) -> Result<ExpansionClause> {
         self.expect(&Token::LeftParen)?;
@@ -249,14 +292,14 @@ impl Parser {
         }
         loop {
             let key = match self.advance() {
-                Some(Token::Identifier(key)) => key,
+                Some(Token::Identifier(key)) => fold_name(key),
                 other => {
                     return Err(RelationalError::Parse(format!(
                         "expected a WITH EXPANSION key (budget, mode, or quality), found {other:?}"
                     )))
                 }
             };
-            match key.as_str() {
+            match key.as_ref() {
                 "budget" => {
                     if clause.budget.is_some() {
                         return Err(RelationalError::Parse(
@@ -269,7 +312,7 @@ impl Parser {
                 "mode" => {
                     self.expect(&Token::Eq)?;
                     let name = match self.advance() {
-                        Some(Token::Identifier(name)) => name,
+                        Some(Token::Identifier(name)) => fold_name(name),
                         other => {
                             return Err(RelationalError::Parse(format!(
                                 "expected an expansion mode after 'mode =', found {other:?}"
@@ -350,16 +393,13 @@ impl Parser {
     }
 
     fn insert(&mut self) -> Result<Statement> {
-        self.keyword("INSERT")?;
-        self.keyword("INTO")?;
+        self.keyword(Keyword::Insert)?;
+        self.keyword(Keyword::Into)?;
         let table = self.identifier()?;
         self.expect(&Token::LeftParen)?;
-        let mut columns = vec![self.identifier()?];
-        while self.consume_if(&Token::Comma) {
-            columns.push(self.identifier()?);
-        }
+        let columns = self.identifier_list()?;
         self.expect(&Token::RightParen)?;
-        self.keyword("VALUES")?;
+        self.keyword(Keyword::Values)?;
         let mut rows = Vec::new();
         loop {
             self.expect(&Token::LeftParen)?;
@@ -388,8 +428,8 @@ impl Parser {
     }
 
     fn create_table(&mut self) -> Result<Statement> {
-        self.keyword("CREATE")?;
-        self.keyword("TABLE")?;
+        self.keyword(Keyword::Create)?;
+        self.keyword(Keyword::Table)?;
         let table = self.identifier()?;
         self.expect(&Token::LeftParen)?;
         let mut columns = vec![self.column_definition()?];
@@ -401,11 +441,11 @@ impl Parser {
     }
 
     fn alter_table(&mut self) -> Result<Statement> {
-        self.keyword("ALTER")?;
-        self.keyword("TABLE")?;
+        self.keyword(Keyword::Alter)?;
+        self.keyword(Keyword::Table)?;
         let table = self.identifier()?;
-        self.keyword("ADD")?;
-        self.keyword("COLUMN")?;
+        self.keyword(Keyword::Add)?;
+        self.keyword(Keyword::Column)?;
         let column = self.column_definition()?;
         Ok(Statement::AlterTableAddColumn { table, column })
     }
@@ -413,11 +453,11 @@ impl Parser {
     fn column_definition(&mut self) -> Result<Column> {
         let name = self.identifier()?;
         let data_type = match self.advance() {
-            Some(Token::Keyword(k)) => match k.as_str() {
-                "INTEGER" | "INT" => DataType::Integer,
-                "FLOAT" | "REAL" | "DOUBLE" => DataType::Float,
-                "TEXT" | "VARCHAR" | "STRING" => DataType::Text,
-                "BOOLEAN" | "BOOL" => DataType::Boolean,
+            Some(Token::Keyword(k)) => match k {
+                Keyword::Integer | Keyword::Int => DataType::Integer,
+                Keyword::Float | Keyword::Real | Keyword::Double => DataType::Float,
+                Keyword::Text | Keyword::Varchar | Keyword::String => DataType::Text,
+                Keyword::Boolean | Keyword::Bool => DataType::Boolean,
                 other => return Err(RelationalError::Parse(format!("unknown data type {other}"))),
             },
             other => {
@@ -426,11 +466,11 @@ impl Parser {
                 )))
             }
         };
-        let nullable = if self.consume_keyword_if("NOT") {
-            self.keyword("NULL")?;
+        let nullable = if self.consume_keyword_if(Keyword::Not) {
+            self.keyword(Keyword::Null)?;
             false
         } else {
-            self.consume_keyword_if("NULL");
+            self.consume_keyword_if(Keyword::Null);
             true
         };
         Ok(Column {
@@ -442,13 +482,13 @@ impl Parser {
 
     fn literal_value(&mut self) -> Result<Value> {
         match self.advance() {
-            Some(Token::Number(n)) => parse_number(&n),
-            Some(Token::StringLiteral(s)) => Ok(Value::Text(s)),
-            Some(Token::Keyword(k)) if k == "TRUE" => Ok(Value::Boolean(true)),
-            Some(Token::Keyword(k)) if k == "FALSE" => Ok(Value::Boolean(false)),
-            Some(Token::Keyword(k)) if k == "NULL" => Ok(Value::Null),
+            Some(Token::Number(n)) => parse_number(n),
+            Some(Token::StringLiteral(s)) => Ok(Value::Text(s.into_owned())),
+            Some(Token::Keyword(Keyword::True)) => Ok(Value::Boolean(true)),
+            Some(Token::Keyword(Keyword::False)) => Ok(Value::Boolean(false)),
+            Some(Token::Keyword(Keyword::Null)) => Ok(Value::Null),
             Some(Token::Minus) => match self.advance() {
-                Some(Token::Number(n)) => match parse_number(&n)? {
+                Some(Token::Number(n)) => match parse_number(n)? {
                     Value::Integer(i) => Ok(Value::Integer(-i)),
                     Value::Float(f) => Ok(Value::Float(-f)),
                     _ => unreachable!("parse_number only returns numeric values"),
@@ -470,7 +510,7 @@ impl Parser {
 
     fn or_expression(&mut self) -> Result<Expr> {
         let mut left = self.and_expression()?;
-        while self.consume_keyword_if("OR") {
+        while self.consume_keyword_if(Keyword::Or) {
             let right = self.and_expression()?;
             left = Expr::binary(left, BinaryOperator::Or, right);
         }
@@ -479,7 +519,7 @@ impl Parser {
 
     fn and_expression(&mut self) -> Result<Expr> {
         let mut left = self.not_expression()?;
-        while self.consume_keyword_if("AND") {
+        while self.consume_keyword_if(Keyword::And) {
             let right = self.not_expression()?;
             left = Expr::binary(left, BinaryOperator::And, right);
         }
@@ -487,8 +527,8 @@ impl Parser {
     }
 
     fn not_expression(&mut self) -> Result<Expr> {
-        if self.consume_keyword_if("NOT") {
-            let inner = self.not_expression()?;
+        if self.consume_keyword_if(Keyword::Not) {
+            let inner = self.nested(Self::not_expression)?;
             return Ok(Expr::UnaryOp {
                 op: UnaryOperator::Not,
                 expr: Box::new(inner),
@@ -500,9 +540,9 @@ impl Parser {
     fn comparison(&mut self) -> Result<Expr> {
         let left = self.additive()?;
         // IS [NOT] NULL
-        if self.consume_keyword_if("IS") {
-            let negated = self.consume_keyword_if("NOT");
-            self.keyword("NULL")?;
+        if self.consume_keyword_if(Keyword::Is) {
+            let negated = self.consume_keyword_if(Keyword::Not);
+            self.keyword(Keyword::Null)?;
             return Ok(if negated {
                 Expr::IsNotNull(Box::new(left))
             } else {
@@ -519,7 +559,7 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
-            self.pos += 1;
+            self.peeked = None;
             let right = self.additive()?;
             return Ok(Expr::binary(left, op, right));
         }
@@ -534,7 +574,7 @@ impl Parser {
                 Some(Token::Minus) => BinaryOperator::Minus,
                 _ => break,
             };
-            self.pos += 1;
+            self.peeked = None;
             let right = self.multiplicative()?;
             left = Expr::binary(left, op, right);
         }
@@ -549,7 +589,7 @@ impl Parser {
                 Some(Token::Slash) => BinaryOperator::Divide,
                 _ => break,
             };
-            self.pos += 1;
+            self.peeked = None;
             let right = self.factor()?;
             left = Expr::binary(left, op, right);
         }
@@ -558,21 +598,21 @@ impl Parser {
 
     fn factor(&mut self) -> Result<Expr> {
         match self.advance() {
-            Some(Token::Number(n)) => Ok(Expr::Literal(parse_number(&n)?)),
-            Some(Token::StringLiteral(s)) => Ok(Expr::Literal(Value::Text(s))),
-            Some(Token::Keyword(k)) if k == "TRUE" => Ok(Expr::Literal(Value::Boolean(true))),
-            Some(Token::Keyword(k)) if k == "FALSE" => Ok(Expr::Literal(Value::Boolean(false))),
-            Some(Token::Keyword(k)) if k == "NULL" => Ok(Expr::Literal(Value::Null)),
-            Some(Token::Identifier(name)) => Ok(Expr::Column(name)),
+            Some(Token::Number(n)) => Ok(Expr::Literal(parse_number(n)?)),
+            Some(Token::StringLiteral(s)) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
+            Some(Token::Keyword(Keyword::True)) => Ok(Expr::Literal(Value::Boolean(true))),
+            Some(Token::Keyword(Keyword::False)) => Ok(Expr::Literal(Value::Boolean(false))),
+            Some(Token::Keyword(Keyword::Null)) => Ok(Expr::Literal(Value::Null)),
+            Some(Token::Identifier(name)) => Ok(Expr::Column(fold_name(name).into_owned())),
             Some(Token::Minus) => {
-                let inner = self.factor()?;
+                let inner = self.nested(Self::factor)?;
                 Ok(Expr::UnaryOp {
                     op: UnaryOperator::Negate,
                     expr: Box::new(inner),
                 })
             }
             Some(Token::LeftParen) => {
-                let inner = self.expression()?;
+                let inner = self.nested(Self::expression)?;
                 self.expect(&Token::RightParen)?;
                 Ok(inner)
             }
@@ -708,6 +748,30 @@ mod tests {
     fn trailing_semicolon_is_accepted() {
         assert!(parse("SELECT * FROM t;").is_ok());
         assert!(parse("SELECT * FROM t; SELECT * FROM u").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!(
+                "SELECT * FROM t WHERE {}a = 1{}",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        };
+        for (open, close) in [("(", ")"), ("NOT ", ""), ("NOT (", ")")] {
+            let depth = MAX_NESTING / open.matches(['(', 'N']).count();
+            assert!(parse(&nested(open, close, depth)).is_ok(), "{open}");
+            let msg = parse_error(&nested(open, close, depth + 1));
+            assert!(msg.contains("nested more than 128 levels"), "{msg}");
+            let msg = parse_error(&nested(open, close, 100_000));
+            assert!(msg.contains("nested more than 128 levels"), "{msg}");
+        }
+        let minuses = format!("SELECT * FROM t WHERE a = {}1", "- ".repeat(100_000));
+        assert!(parse_error(&minuses).contains("nested more than 128 levels"));
+        // A lexical error still outranks the nesting error before it.
+        let msg = parse_error(&(nested("(", ")", 1_000) + " #"));
+        assert_eq!(msg, "unexpected character '#'");
     }
 
     fn select_expansion(sql: &str) -> ExpansionClause {

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
-use crate::key_index::KeyIndex;
+use crate::key_index::{KeyIndex, KeyRows};
 use crate::provenance::{CellProvenance, MissingReason};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
@@ -288,7 +288,7 @@ impl Table {
 
     /// The rows whose key column holds `id`, in ascending row order —
     /// `None` when the table indexes no key.
-    pub fn rows_with_key(&self, id: i64) -> Option<Vec<usize>> {
+    pub fn rows_with_key(&self, id: i64) -> Option<KeyRows> {
         self.key.as_ref().map(|key| key.rows(&self.rows, id))
     }
 
