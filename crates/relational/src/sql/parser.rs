@@ -488,6 +488,7 @@ impl<'a> Parser<'a> {
             Some(Token::Keyword(Keyword::False)) => Ok(Value::Boolean(false)),
             Some(Token::Keyword(Keyword::Null)) => Ok(Value::Null),
             Some(Token::Minus) => match self.advance() {
+                Some(Token::Number(n)) if is_i64_min_magnitude(n) => Ok(Value::Integer(i64::MIN)),
                 Some(Token::Number(n)) => match parse_number(n)? {
                     Value::Integer(i) => Ok(Value::Integer(-i)),
                     Value::Float(f) => Ok(Value::Float(-f)),
@@ -604,6 +605,13 @@ impl<'a> Parser<'a> {
             Some(Token::Keyword(Keyword::False)) => Ok(Expr::Literal(Value::Boolean(false))),
             Some(Token::Keyword(Keyword::Null)) => Ok(Expr::Literal(Value::Null)),
             Some(Token::Identifier(name)) => Ok(Expr::Column(fold_name(name).into_owned())),
+            // `-9223372036854775808` is the one integer whose magnitude
+            // no `i64` holds: it reads as the literal, not as a negation.
+            Some(Token::Minus) if matches!(self.peek(), Some(Token::Number(n)) if is_i64_min_magnitude(n)) =>
+            {
+                self.peeked = None;
+                Ok(Expr::Literal(Value::Integer(i64::MIN)))
+            }
             Some(Token::Minus) => {
                 let inner = self.nested(Self::factor)?;
                 Ok(Expr::UnaryOp {
@@ -621,6 +629,12 @@ impl<'a> Parser<'a> {
             ))),
         }
     }
+}
+
+/// True when `text` is an integer literal spelling `i64::MIN`'s magnitude,
+/// 2^63, which only a preceding minus makes an `i64`.
+fn is_i64_min_magnitude(text: &str) -> bool {
+    !text.contains('.') && text.parse::<u64>() == Ok(i64::MIN.unsigned_abs())
 }
 
 fn parse_number(text: &str) -> Result<Value> {
@@ -737,6 +751,59 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn i64_min_is_a_literal() {
+        let min = "-9223372036854775808";
+        match parse(&format!(
+            "INSERT INTO t (a, b) VALUES ({min}, -0009223372036854775808)"
+        ))
+        .unwrap()
+        {
+            Statement::Insert { rows, .. } => {
+                assert_eq!(
+                    rows[0],
+                    [Value::Integer(i64::MIN), Value::Integer(i64::MIN)]
+                )
+            }
+            other => panic!("expected INSERT, got {other:?}"),
+        }
+        match select_filter(&format!("SELECT * FROM t WHERE a = {min}")) {
+            Expr::BinaryOp { right, .. } => {
+                assert_eq!(*right, Expr::Literal(Value::Integer(i64::MIN)))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Only that literal: other negative numbers stay negations, and a
+        // magnitude beyond 2^63 is still no number.
+        match select_filter("SELECT * FROM t WHERE a = -9223372036854775807 - -5") {
+            Expr::BinaryOp { right, .. } => match *right {
+                Expr::BinaryOp { left, right, .. } => {
+                    for operand in [left, right] {
+                        assert!(matches!(
+                            *operand,
+                            Expr::UnaryOp {
+                                op: UnaryOperator::Negate,
+                                ..
+                            }
+                        ));
+                    }
+                }
+                other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+        for sql in [
+            "INSERT INTO t (a) VALUES (9223372036854775808)",
+            "INSERT INTO t (a) VALUES (-9223372036854775809)",
+            "SELECT * FROM t WHERE a = 9223372036854775808",
+        ] {
+            assert!(parse_error(sql).starts_with("invalid number"), "{sql}");
+        }
+        // `- -9223372036854775808` negates the literal, which overflows
+        // when evaluated, not when parsed.
+        assert!(parse("SELECT * FROM t WHERE a = - -9223372036854775808").is_ok());
     }
 
     #[test]

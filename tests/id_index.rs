@@ -300,3 +300,40 @@ fn pinned_reads_answer_like_scans_persistent() {
         exercise(spec, Some(scratch(&format!("layout-{n}"))), &space);
     }
 }
+
+/// `i64::MIN` is writable in SQL: it round-trips through an `INSERT`, and
+/// a `WHERE` pinning it routes to its partition and scans only its row,
+/// in memory and across a reopen.
+#[test]
+fn i64_min_round_trips_and_pins() {
+    const MIN: &str = "-9223372036854775808";
+    let dir = scratch("i64-min");
+    let db = open(Some(&dir));
+    db.create_table_with(
+        TableOptions::new("items", "item_id").partitions(PartitionSpec::Hash { n: 4 }),
+        items_table(),
+    )
+    .unwrap();
+    db.execute(&format!(
+        "INSERT INTO items (item_id, label, score) VALUES ({MIN}, 'min', 1)"
+    ))
+    .unwrap();
+    let check = |db: &CrowdDb| {
+        let before = scanned(db);
+        let outcome = db
+            .query(format!(
+                "SELECT item_id, label FROM items WHERE item_id = {MIN}"
+            ))
+            .run()
+            .unwrap();
+        assert_eq!(
+            outcome.rows().unwrap().rows,
+            [[Value::Integer(i64::MIN), Value::Text("min".into())]]
+        );
+        assert_eq!(scanned(db) - before, 1.0);
+    };
+    check(&db);
+    drop(db);
+    check(&open(Some(&dir)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
