@@ -2461,8 +2461,12 @@ impl DbInner {
                             stages.push(ExpansionStage::ExtractorTrained);
                             let (mapped, unmapped) =
                                 planner::predictions_by_item(&plan.items, &predicted);
+                            // A gold item's cell is tagged with its crowd
+                            // verdict, so it holds that verdict, not the
+                            // extractor's prediction for it.
                             let values: HashMap<ItemId, Value> = mapped
                                 .into_iter()
+                                .chain(training)
                                 .map(|(item, label)| (item, Value::Boolean(label)))
                                 .collect();
                             (values, training_set_size, unmapped.len(), true)

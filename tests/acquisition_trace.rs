@@ -289,9 +289,9 @@ fn unbudgeted_flat_batches_both_concepts_in_one_round() {
             "crowd_cost=5.99999999999996",
             "report is_comedy attribute=Comedy sourced=100 judgments=1000 filled=200 unfilled=0 cost=1.9999999999999867 minutes=32.896709830088135 hits=0 misses=100 coalesced=0 dropped=0",
             "report is_horror attribute=Horror sourced=200 judgments=2000 filled=171 unfilled=29 cost=3.9999999999999734 minutes=32.896709830088135 hits=0 misses=200 coalesced=0 dropped=0",
-            "digest=d5c784572ff412e0",
+            "digest=804beaf353ae9fbb",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=6b0109500480eeb3",
+            "wal records=6 digest=6606438964c6e218",
         ],
     );
 }
@@ -317,9 +317,9 @@ fn budget_runs_out_inside_the_second_concept() {
             "crowd_cost=3.0000000000000018",
             "report is_comedy attribute=Comedy sourced=100 judgments=1000 filled=200 unfilled=0 cost=2.0000000000000013 minutes=13.925133429654583 hits=0 misses=100 coalesced=0 dropped=0",
             "report is_horror attribute=Horror sourced=50 judgments=500 filled=48 unfilled=152 cost=1.0000000000000004 minutes=12.890732051220025 hits=0 misses=200 coalesced=0 dropped=150",
-            "digest=a672e2c4495e4985",
+            "digest=6a9c3b55984a064b",
             "cache entries=150 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=18edc7098f498067",
+            "wal records=6 digest=b9a22dcbba5ced5f",
         ],
     );
 }
@@ -365,9 +365,9 @@ fn adaptive_on_the_lookup_crowd() {
             "crowd_cost=5.640000000000004",
             "report is_comedy attribute=Comedy sourced=100 judgments=567 filled=200 unfilled=0 cost=1.920000000000001 minutes=151.53095843117597 hits=0 misses=100 coalesced=0 dropped=0",
             "report is_horror attribute=Horror sourced=200 judgments=1109 filled=197 unfilled=3 cost=3.720000000000003 minutes=159.34080049222484 hits=0 misses=200 coalesced=0 dropped=0",
-            "digest=9b5d886669784b7e",
+            "digest=b074ab3ae3466a73",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=10 digest=cfd04405904440c3",
+            "wal records=10 digest=807513fb0b8ec728",
         ],
     );
 }
@@ -402,9 +402,9 @@ fn adaptive_budget_cuts_off_paid_items_and_denies_untouched_ones() {
             "crowd_cost=1.710000000000001",
             "report is_comedy attribute=Comedy sourced=100 judgments=518 filled=200 unfilled=0 cost=1.710000000000001 minutes=115.10884995173075 hits=0 misses=100 coalesced=0 dropped=0",
             "report is_horror attribute=Horror sourced=0 judgments=0 filled=0 unfilled=200 cost=0.0 minutes=0.0 hits=0 misses=200 coalesced=0 dropped=200",
-            "digest=fc582e85b0c1932a",
+            "digest=a43761ba248ce95d",
             "cache entries=100 hits=0 misses=300 saved=0.0",
-            "wal records=7 digest=396c2d25d686e41b",
+            "wal records=7 digest=ae0140007e8037fa",
         ],
     );
 }
@@ -432,10 +432,10 @@ fn repair_re_sources_flagged_items_once() {
         "repair",
         &trace,
         &[
-            "collect seed=220 [Comedy:39]",
-            "repair flagged=39 changed=20 cost=0.8000000000000004 minutes=9.497996938063608 digest=2155e3a04c2a2ff1",
-            "cache entries=314 hits=0 misses=300 saved=0.0",
-            "wal records=8 digest=dde9b0f1f9325fe9",
+            "collect seed=220 [Comedy:47]",
+            "repair flagged=47 changed=21 cost=1.0000000000000004 minutes=10.986684715279077 digest=b3768a8fb6511706",
+            "cache entries=315 hits=0 misses=300 saved=0.0",
+            "wal records=8 digest=2799511ef0294d6a",
         ],
     );
 }

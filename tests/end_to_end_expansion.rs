@@ -247,3 +247,52 @@ fn hit_audit_pipeline_flags_planted_corruption() {
     // Flag count is far below the corpus size (cheap re-crowd-sourcing).
     assert!(outcome.flagged.len() < truth.len() / 2);
 }
+
+#[test]
+fn gold_cells_hold_their_cached_verdicts() {
+    // A gold item's cell carries the crowd's tag (`CrowdDerived`, or
+    // `CacheHit` when reused), so it must hold the crowd's verdict — not
+    // the extractor's prediction, which disagrees on some gold items.
+    let domain = SyntheticDomain::generate(&DomainConfig::movies().scaled(0.5), 1).unwrap();
+    let space = build_space_for_domain(&domain, 8, 10).unwrap();
+    let crowd = SimulatedCrowd::new(&domain, ExperimentRegime::TrustedWorkers, 1_001);
+    let db = CrowdDb::new(CrowdDbConfig {
+        strategy: ExpansionStrategy::perceptual_default(),
+        seed: 1,
+        ..Default::default()
+    });
+    db.load_domain("movies", &domain, space, Box::new(crowd))
+        .unwrap();
+    let mut checked = 0;
+    for concept in domain.category_names() {
+        let column = format!("is_{}", concept.to_lowercase());
+        db.register_attribute("movies", &column, &concept).unwrap();
+        // Twice: the second query serves the same cells as cache hits.
+        for _ in 0..2 {
+            let outcome = db
+                .query(format!("SELECT item_id, {column} FROM movies"))
+                .run()
+                .unwrap();
+            let rows = outcome.rows().unwrap();
+            for (row, tags) in rows.rows.iter().zip(&rows.provenance) {
+                if !matches!(
+                    tags[1],
+                    CellProvenance::CrowdDerived { .. } | CellProvenance::CacheHit { .. }
+                ) {
+                    continue;
+                }
+                let Value::Integer(item) = row[0] else {
+                    panic!("item ids are integers, got {:?}", row[0])
+                };
+                let cached = db
+                    .judgment_cache()
+                    .peek("movies", &concept, item as u32)
+                    .expect("a crowd-tagged cell has a cached judgment");
+                let verdict = cached.verdict.map_or(Value::Null, Value::Boolean);
+                assert_eq!(row[1], verdict, "{column} of item {item}: {:?}", tags[1]);
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 200, "only {checked} crowd-tagged cells checked");
+}
