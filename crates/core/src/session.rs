@@ -248,11 +248,11 @@ impl<'db> QueryBuilder<'db> {
     /// returning, so a caller that sees the outcome finds its slot free.
     fn admit(self) -> Result<impl FnOnce(&EventSink) -> Result<QueryOutcome> + Send + 'static> {
         let inner = Arc::clone(&self.db.inner);
-        let tenant = self.tenant.unwrap_or_else(|| "default".to_string());
+        let tenant = self.tenant.as_deref().unwrap_or("default");
         let (ticket, directive) = match inner.limiter_handle() {
             Some(limiter) => {
                 let queue_depth = self.db.scheduler_stats().queued;
-                match limiter.admit(&tenant, queue_depth) {
+                match limiter.admit(tenant, queue_depth) {
                     Ok(admission) => {
                         let (ticket, directive) = admission.into_parts();
                         if directive.is_some() {
@@ -270,7 +270,7 @@ impl<'db> QueryBuilder<'db> {
         };
         let monitor = inner.queries_monitor().make_child("query");
         monitor.insert("sql", &self.sql);
-        monitor.insert("tenant", &tenant);
+        monitor.insert("tenant", tenant);
         let (sql, policy) = (self.sql, self.policy);
         Ok(move |sink: &EventSink| {
             let result = inner.run_policy_query(&sql, policy, directive.as_ref(), sink);

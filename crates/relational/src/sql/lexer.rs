@@ -29,21 +29,12 @@ macro_rules! keywords {
 
         impl Keyword {
             /// Every keyword.
-            #[cfg(test)]
             pub(super) const ALL: &'static [Keyword] = &[$(Keyword::$keyword),*];
 
             /// The keyword in upper case, as SQL spells it.
-            pub(super) fn as_str(self) -> &'static str {
+            pub(super) const fn as_str(self) -> &'static str {
                 match self {
                     $(Keyword::$keyword => $spelling),*
-                }
-            }
-
-            /// The keyword an upper-cased word spells.
-            fn from_upper(word: &str) -> Option<Keyword> {
-                match word {
-                    $($spelling => Some(Keyword::$keyword),)*
-                    _ => None,
                 }
             }
         }
@@ -64,24 +55,64 @@ keywords! {
     Delete "DELETE", With "WITH", Explain "EXPLAIN",
 }
 
-/// Longer ASCII words are never keywords.
-const LONGEST_KEYWORD: usize = 7;
+/// The longest keyword's length: longer words are never keywords.
+const LONGEST_KEYWORD: usize = {
+    let mut longest = 0;
+    let mut i = 0;
+    while i < Keyword::ALL.len() {
+        let len = Keyword::ALL[i].as_str().len();
+        if len > longest {
+            longest = len;
+        }
+        i += 1;
+    }
+    longest
+};
+
+// A key packs every byte of a word into one `u64`.
+const _: () = assert!(LONGEST_KEYWORD < 8);
+
+/// A word of at most [`LONGEST_KEYWORD`] bytes, its ASCII letters
+/// upper-cased, as one integer: words with equal keys are equal.
+const fn key(word: &[u8]) -> u64 {
+    let mut key = 0;
+    let mut i = 0;
+    while i < word.len() {
+        key = key << 8 | word[i].to_ascii_uppercase() as u64;
+        i += 1;
+    }
+    key
+}
+
+/// The key of every keyword, in [`Keyword::ALL`] order.
+const KEYS: [u64; Keyword::ALL.len()] = {
+    let mut keys = [0; Keyword::ALL.len()];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = key(Keyword::ALL[i].as_str().as_bytes());
+        i += 1;
+    }
+    keys
+};
 
 impl Keyword {
-    /// The keyword `word` spells in any case: `word.to_uppercase()` is
-    /// its spelling.
+    /// The keyword `word` spells in any case, that is the one spelled
+    /// `word.to_uppercase()`.  An ASCII word is looked up by its key,
+    /// without allocating.
     fn of_word(word: &str) -> Option<Keyword> {
-        if !word.is_ascii() {
-            return Keyword::from_upper(&word.to_uppercase());
-        }
+        let upper;
+        let word = if word.is_ascii() {
+            word
+        } else {
+            upper = word.to_uppercase();
+            &upper
+        };
         if word.len() > LONGEST_KEYWORD {
             return None;
         }
-        let mut upper = [0u8; LONGEST_KEYWORD];
-        let upper = &mut upper[..word.len()];
-        upper.copy_from_slice(word.as_bytes());
-        upper.make_ascii_uppercase();
-        Keyword::from_upper(std::str::from_utf8(upper).ok()?)
+        let key = key(word.as_bytes());
+        let at = KEYS.iter().position(|&k| k == key)?;
+        Some(Keyword::ALL[at])
     }
 }
 
@@ -195,18 +226,24 @@ impl<'a> Lexer<'a> {
     }
 
     fn scan(&mut self) -> Result<Option<Token<'a>>> {
-        let rest = &self.input[self.pos..];
-        let Some(start) = rest.find(|c: char| !c.is_whitespace()) else {
-            self.pos = self.input.len();
-            return Ok(None);
+        let bytes = self.input.as_bytes();
+        // Whitespace: ASCII byte by byte, anything else char by char.
+        let c = loop {
+            match bytes.get(self.pos) {
+                None => return Ok(None),
+                Some(b' ' | b'\t'..=b'\r') => self.pos += 1,
+                Some(&b) if b.is_ascii() => break char::from(b),
+                Some(_) => {
+                    let c = self.char_at(self.pos);
+                    if !c.is_whitespace() {
+                        break c;
+                    }
+                    self.pos += c.len_utf8();
+                }
+            }
         };
-        self.pos += start;
-        let rest = &rest[start..];
-        let c = rest
-            .chars()
-            .next()
-            .expect("a non-whitespace char was found");
-        let next = rest[c.len_utf8()..].chars().next();
+        let start = self.pos;
+        let next = bytes.get(start + 1).copied();
         let (token, len) = match c {
             ',' => (Token::Comma, 1),
             '(' => (Token::LeftParen, 1),
@@ -218,40 +255,53 @@ impl<'a> Lexer<'a> {
             '-' => (Token::Minus, 1),
             '/' => (Token::Slash, 1),
             '<' => match next {
-                Some('=') => (Token::LtEq, 2),
-                Some('>') => (Token::NotEq, 2),
+                Some(b'=') => (Token::LtEq, 2),
+                Some(b'>') => (Token::NotEq, 2),
                 _ => (Token::Lt, 1),
             },
             '>' => match next {
-                Some('=') => (Token::GtEq, 2),
+                Some(b'=') => (Token::GtEq, 2),
                 _ => (Token::Gt, 1),
             },
             '!' => match next {
-                Some('=') => (Token::NotEq, 2),
+                Some(b'=') => (Token::NotEq, 2),
                 _ => return Err(RelationalError::Parse("unexpected character '!'".into())),
             },
             '\'' => return self.string_literal().map(Some),
             c if c.is_ascii_digit() => {
+                let mut end = start + 1;
                 let mut seen_dot = false;
-                let len = rest
-                    .find(|c: char| {
-                        let dot = c == '.' && !seen_dot;
-                        seen_dot |= dot;
-                        !(c.is_ascii_digit() || dot)
-                    })
-                    .unwrap_or(rest.len());
-                (Token::Number(&rest[..len]), len)
+                while let Some(&b) = bytes.get(end) {
+                    if b == b'.' && !seen_dot {
+                        seen_dot = true;
+                    } else if !b.is_ascii_digit() {
+                        break;
+                    }
+                    end += 1;
+                }
+                (Token::Number(&self.input[start..end]), end - start)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let len = rest
-                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                    .unwrap_or(rest.len());
-                let word = &rest[..len];
+                let mut end = start;
+                while let Some(&b) = bytes.get(end) {
+                    if b.is_ascii_alphanumeric() || b == b'_' {
+                        end += 1;
+                    } else if b.is_ascii() {
+                        break;
+                    } else {
+                        let c = self.char_at(end);
+                        if !c.is_alphanumeric() {
+                            break;
+                        }
+                        end += c.len_utf8();
+                    }
+                }
+                let word = &self.input[start..end];
                 let token = match Keyword::of_word(word) {
                     Some(keyword) => Token::Keyword(keyword),
                     None => Token::Identifier(word),
                 };
-                (token, len)
+                (token, end - start)
             }
             other => {
                 return Err(RelationalError::Parse(format!(
@@ -261,6 +311,14 @@ impl<'a> Lexer<'a> {
         };
         self.pos += len;
         Ok(Some(token))
+    }
+
+    /// The char starting at byte `at`.
+    fn char_at(&self, at: usize) -> char {
+        self.input[at..]
+            .chars()
+            .next()
+            .expect("the lexer stops only at char boundaries")
     }
 
     /// The string literal opening at `pos`: borrowed from the input
@@ -348,7 +406,6 @@ mod tests {
     fn every_keyword_is_recognized_in_any_case() {
         for &keyword in Keyword::ALL {
             let word = keyword.as_str();
-            assert!(word.len() <= LONGEST_KEYWORD, "{word}");
             assert_eq!(Keyword::of_word(word), Some(keyword));
             assert_eq!(Keyword::of_word(&word.to_lowercase()), Some(keyword));
             assert_eq!(
@@ -356,6 +413,7 @@ mod tests {
                 format!("Keyword({word:?})")
             );
         }
+        assert_eq!(LONGEST_KEYWORD, 7);
         assert_eq!(Keyword::of_word("EXPANSION"), None);
         assert_eq!(Keyword::of_word("SELECTED"), None);
     }

@@ -12,11 +12,7 @@
 
 mod lexer;
 mod parser;
-#[cfg(test)]
-mod reference_tests;
 
-#[cfg(test)]
-use lexer::tokenize;
 pub use parser::parse;
 
 use std::borrow::Cow;
@@ -306,6 +302,12 @@ impl Statement {
         }
     }
 }
+
+#[cfg(test)]
+use lexer::tokenize;
+
+#[cfg(test)]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {
