@@ -29,10 +29,10 @@ macro_rules! keywords {
 
         impl Keyword {
             /// Every keyword.
-            pub(super) const ALL: &'static [Keyword] = &[$(Keyword::$keyword),*];
+            const ALL: &'static [Keyword] = &[$(Keyword::$keyword),*];
 
             /// The keyword in upper case, as SQL spells it.
-            pub(super) const fn as_str(self) -> &'static str {
+            const fn as_str(self) -> &'static str {
                 match self {
                     $(Keyword::$keyword => $spelling),*
                 }
