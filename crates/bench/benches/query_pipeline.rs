@@ -1,13 +1,17 @@
 //! Criterion bench: end-to-end query execution in the crowd-enabled
 //! database — factual queries (no expansion), the full query-driven
-//! schema expansion pipeline, and the point read's fixed cost: parsing
-//! the point `SELECT` alone, and a point `run()` on a `Hash{4}` table.
+//! schema expansion pipeline, the point read's fixed cost (parsing the
+//! point `SELECT` alone, and a point `run()` on a `Hash{4}` table), and
+//! the range read of the repository benchmark's `remote_read` workload:
+//! 800 rows of crowd-filled columns with their provenance, read in
+//! process and pushed through the wire codec.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crowddb_core::{
-    CrowdDb, CrowdDbConfig, ExpansionStrategy, ExtractionConfig, PartitionSpec, SimulatedCrowd,
-    TableOptions,
+    CrowdDb, CrowdDbConfig, ExpansionStrategy, ExtractionConfig, PartitionSpec, QueryEvent,
+    SimulatedCrowd, TableOptions,
 };
+use crowddb_server::wire::Response;
 use crowdsim::ExperimentRegime;
 use datagen::{DomainConfig, SyntheticDomain};
 use relational::{Column, DataType, Schema, Table, Value};
@@ -66,6 +70,57 @@ fn bench_point_read(c: &mut Criterion) {
     });
 }
 
+/// The movie domain with three crowd-filled columns — one crowd-sourced
+/// directly, two extracted from the perceptual space — as `remote_read`
+/// serves it.
+fn filled_movies_db() -> CrowdDb {
+    let domain = SyntheticDomain::generate(&DomainConfig::movies(), 1).unwrap();
+    let space = crowddb_core::build_space_for_domain(&domain, 8, 10).unwrap();
+    let crowd = SimulatedCrowd::new(&domain, ExperimentRegime::TrustedWorkers, 1 ^ 0x5eed);
+    let db = CrowdDb::new(CrowdDbConfig {
+        seed: 1,
+        ..Default::default()
+    });
+    db.load_domain("movies", &domain, space, Box::new(crowd))
+        .unwrap();
+    let concepts = domain.category_names();
+    for (column, concept, strategy) in [
+        ("is_direct", 0, ExpansionStrategy::DirectCrowd),
+        ("is_extracted_a", 2, ExpansionStrategy::perceptual_default()),
+        ("is_extracted_b", 4, ExpansionStrategy::perceptual_default()),
+    ] {
+        db.register_attribute_with_strategy("movies", column, &concepts[concept], strategy)
+            .unwrap();
+    }
+    db.query(RANGE_SELECT).run().unwrap();
+    db
+}
+
+/// `remote_read`'s query shape: 800 rows, the id and three crowd-filled
+/// columns.
+const RANGE_SELECT: &str = "SELECT item_id, is_direct, is_extracted_a, is_extracted_b \
+    FROM movies WHERE item_id >= 600 AND item_id < 1400";
+
+fn bench_range_read(c: &mut Criterion) {
+    let db = filled_movies_db();
+    c.bench_function("range_read_800", |b| {
+        b.iter(|| db.query(RANGE_SELECT).run().unwrap())
+    });
+
+    let outcome = db.query(RANGE_SELECT).run().unwrap();
+    assert_eq!(outcome.rows().map(|rows| rows.rows.len()), Some(800));
+    let response = Response::Event {
+        id: 1,
+        event: QueryEvent::Completed(outcome),
+    };
+    c.bench_function("rowset_codec_800", |b| {
+        b.iter(|| {
+            let payload = response.to_payload().unwrap();
+            Response::from_payload(black_box(&payload)).unwrap()
+        })
+    });
+}
+
 fn make_db(domain: &SyntheticDomain, space: perceptual::PerceptualSpace) -> CrowdDb {
     let crowd = SimulatedCrowd::new(domain, ExperimentRegime::TrustedWorkers, 9);
     let db = CrowdDb::new(CrowdDbConfig {
@@ -106,5 +161,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_point_read, bench_pipeline);
+criterion_group!(benches, bench_point_read, bench_range_read, bench_pipeline);
 criterion_main!(benches);

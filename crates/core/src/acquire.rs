@@ -18,7 +18,7 @@ use crowdsim::{
     em_aggregate, majority_vote, EmConfig, EmOutcome, ItemPosterior, Judgment, WorkerId,
 };
 use perceptual::ItemId;
-use relational::Value;
+use relational::{Grid, Value};
 use storage::WalRecord;
 use telemetry::StateMonitor;
 
@@ -528,14 +528,11 @@ impl DbInner {
     /// estimated cost.  Only the concept's first column carries its merged
     /// question's size and price (owner-pays), so summing the cost column
     /// previews what the live plan would charge.
-    pub(super) fn explain_rows(
-        &self,
-        plan: &ExpansionPlan,
-        binding: &TableBinding,
-    ) -> Vec<Vec<Value>> {
+    pub(super) fn explain_rows(&self, plan: &ExpansionPlan, binding: &TableBinding) -> Grid<Value> {
         let (acquisitions, concepts) = self.form_concepts(plan, false);
-        let rows = plan.attributes.iter().enumerate().zip(&acquisitions);
-        rows.map(|((index, attribute), acquisition)| {
+        let mut rows = Grid::with_capacity(7, plan.attributes.len());
+        let planned = plan.attributes.iter().enumerate().zip(&acquisitions);
+        for ((index, attribute), acquisition) in planned {
             let to_crowd = match acquisition.concept {
                 Some(q) if acquisition.first_for_concept => concepts[q].pending.len(),
                 _ => 0,
@@ -544,7 +541,7 @@ impl DbInner {
                 0 => Some(0.0),
                 n => mlock(&binding.crowd).estimate_cost(n),
             };
-            vec![
+            rows.push_row([
                 Value::Text(attribute.attribute.clone()),
                 Value::Text(attribute.column.clone()),
                 Value::Text(attribute.strategy.name().to_string()),
@@ -552,9 +549,9 @@ impl DbInner {
                 Value::Integer(acquisition.cache_hits as i64),
                 Value::Integer(to_crowd as i64),
                 estimated_cost.map_or(Value::Null, Value::Float),
-            ]
-        })
-        .collect()
+            ]);
+        }
+        rows
     }
 
     /// Resolves every concept of a plan: claim each concept in the
@@ -1057,20 +1054,21 @@ fn delta_event(
     cost_so_far: f64,
     verdicts: &[(ItemId, CachedJudgment)],
 ) -> QueryEvent {
-    let (rows, provenance) = verdicts
-        .iter()
-        .filter_map(|&(item, judgment)| {
-            let row = vec![
-                Value::Integer(item as i64),
-                Value::Boolean(judgment.verdict?),
-            ];
-            let provenance = CellProvenance::CrowdDerived {
+    let mut rows = Grid::with_capacity(2, verdicts.len());
+    let mut provenance = Grid::with_capacity(2, verdicts.len());
+    for &(item, judgment) in verdicts {
+        let Some(verdict) = judgment.verdict else {
+            continue;
+        };
+        rows.push_row([Value::Integer(item as i64), Value::Boolean(verdict)]);
+        provenance.push_row([
+            CellProvenance::Stored,
+            CellProvenance::CrowdDerived {
                 confidence: judgment.confidence,
                 cost_share: judgment.cost,
-            };
-            Some((row, vec![CellProvenance::Stored, provenance]))
-        })
-        .unzip();
+            },
+        ]);
+    }
     QueryEvent::Delta {
         rows: RowSet {
             columns: vec![id_column.to_string(), concept.to_lowercase()],

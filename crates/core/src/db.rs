@@ -58,7 +58,7 @@ use crowdsim::WorkerAccuracyStore;
 use datagen::SyntheticDomain;
 use perceptual::{EuclideanEmbeddingConfig, EuclideanEmbeddingModel, ItemId, PerceptualSpace};
 use relational::{
-    executor, fold_name, sql, Catalog, Column, DataType, PartitionSpec, QueryResult,
+    executor, fold_name, sql, Catalog, Column, DataType, Grid, PartitionSpec, QueryResult,
     RelationalError, Schema, Table, Value,
 };
 
@@ -2308,7 +2308,7 @@ impl DbInner {
         .into_iter()
         .map(String::from)
         .collect();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut rows = Grid::new(columns.len());
         if let Some(table) = analysis.table.clone() {
             let candidates =
                 self.expansion_candidates(&shard, statement, &analysis, &policy, &table)?;
@@ -2318,10 +2318,10 @@ impl DbInner {
                 rows = self.explain_rows(&plan, &binding);
             }
         }
-        let provenance = rows
-            .iter()
-            .map(|row| vec![CellProvenance::Stored; row.len()])
-            .collect();
+        let mut provenance = Grid::with_capacity(columns.len(), rows.len());
+        for _ in 0..rows.len() {
+            provenance.push_row(columns.iter().map(|_| CellProvenance::Stored));
+        }
         Ok(QueryOutcome {
             policy,
             result: StatementResult::Rows(RowSet {
@@ -2961,7 +2961,7 @@ impl CrowdDb {
 /// semantics — `NotExpanded` for the cells of columns not in the schema
 /// yet: a snapshot `NULL` for a missing attribute is a hole acquisition
 /// may still fill, not a stored fact.
-fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Vec<Vec<CellProvenance>> {
+fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Grid<CellProvenance> {
     let schema = parts[0].schema();
     let columns: Vec<Option<usize>> = (selected.result.columns.iter())
         .map(|column| schema.index_of(column))
@@ -2972,9 +2972,11 @@ fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Vec<Ve
             .map_or(CellProvenance::Stored, |tags| tags[row]),
         None => MissingReason::NotExpanded.into(),
     };
-    (selected.lineage.iter())
-        .map(|&(k, row)| columns.iter().map(|&column| cell(k, row, column)).collect())
-        .collect()
+    let mut provenance = Grid::with_capacity(columns.len(), selected.lineage.len());
+    for &(k, row) in &selected.lineage {
+        provenance.push_row(columns.iter().map(|&column| cell(k, row, column)));
+    }
+    provenance
 }
 
 /// The per-query quality floor, applied to this query's *view* of the

@@ -159,7 +159,7 @@ pub use inflight::{InflightRegistry, InflightStats};
 pub use planner::{ExpansionPlan, PlannedAttribute};
 pub use policy::{ExpansionMode, ExpansionPolicy};
 pub use relational::provenance::{self, CellProvenance, MissingReason};
-pub use relational::PartitionSpec;
+pub use relational::{Grid, PartitionSpec};
 pub use repair::{repair_labels, repair_labels_among, RepairOutcome};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use session::{QueryBuilder, QueryOutcome, RowSet, Session, StatementResult};

@@ -33,7 +33,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use relational::{QueryResult, Value};
+use relational::{Grid, QueryResult, Value};
 
 use crate::db::CrowdDb;
 use crate::expansion::ExpansionReport;
@@ -297,10 +297,10 @@ impl<'db> QueryBuilder<'db> {
 pub struct RowSet {
     /// Names of the returned columns.
     pub columns: Vec<String>,
-    /// The returned rows.
-    pub rows: Vec<Vec<Value>>,
+    /// The returned rows, one cell per column.
+    pub rows: Grid<Value>,
     /// Per-cell provenance, parallel to `rows` (same shape).
-    pub provenance: Vec<Vec<CellProvenance>>,
+    pub provenance: Grid<CellProvenance>,
 }
 
 impl RowSet {
@@ -317,8 +317,8 @@ impl RowSet {
     /// ([`CellProvenance::is_missing`]).
     pub fn missing_cells(&self) -> usize {
         self.provenance
+            .cells()
             .iter()
-            .flatten()
             .filter(|p| p.is_missing())
             .count()
     }
@@ -402,7 +402,7 @@ impl QueryOutcome {
             },
             StatementResult::Mutation { rows_affected } => QueryResult {
                 columns: Vec::new(),
-                rows: Vec::new(),
+                rows: Grid::default(),
                 rows_affected,
             },
         }
@@ -418,11 +418,11 @@ mod tests {
     fn rowset_lookup_and_missing_count() {
         let rows = RowSet {
             columns: vec!["name".into(), "is_comedy".into()],
-            rows: vec![
+            rows: Grid::from(vec![
                 vec![Value::from("Rocky"), Value::Boolean(false)],
                 vec![Value::from("Grease"), Value::Null],
-            ],
-            provenance: vec![
+            ]),
+            provenance: Grid::from(vec![
                 vec![
                     CellProvenance::Stored,
                     CellProvenance::CacheHit { confidence: 0.9 },
@@ -433,7 +433,7 @@ mod tests {
                         reason: MissingReason::BudgetExhausted,
                     },
                 ],
-            ],
+            ]),
         };
         assert_eq!(
             rows.provenance_of(0, "IS_COMEDY"),
@@ -451,8 +451,8 @@ mod tests {
             policy: ExpansionPolicy::full(),
             result: StatementResult::Rows(RowSet {
                 columns: vec!["a".into()],
-                rows: vec![vec![Value::Integer(1)]],
-                provenance: vec![vec![CellProvenance::Stored]],
+                rows: Grid::from(vec![vec![Value::Integer(1)]]),
+                provenance: Grid::from(vec![vec![CellProvenance::Stored]]),
             }),
             reports: Vec::new(),
             crowd_cost: 0.0,

@@ -310,6 +310,7 @@ mod tests {
     use super::*;
     use crate::policy::ExpansionPolicy;
     use crate::session::StatementResult;
+    use relational::Grid;
 
     fn outcome() -> QueryOutcome {
         QueryOutcome {
@@ -372,8 +373,8 @@ mod tests {
         assert!(!sink.is_live());
         sink.emit(QueryEvent::Snapshot(RowSet {
             columns: vec![],
-            rows: vec![],
-            provenance: vec![],
+            rows: Grid::default(),
+            provenance: Grid::default(),
         }));
         sink.complete(outcome());
         sink.fail(CrowdDbError::Configuration("nobody hears this".into()));

@@ -5,6 +5,7 @@ use std::borrow::Cow;
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
 use crate::expr::{BoundExpr, Expr};
+use crate::grid::Grid;
 use crate::schema::{fold_name, Column, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
 use crate::table::Table;
@@ -16,8 +17,8 @@ use crate::Result;
 pub struct QueryResult {
     /// Names of the returned columns (empty for DDL/DML statements).
     pub columns: Vec<String>,
-    /// Returned rows (empty for DDL/DML statements).
-    pub rows: Vec<Vec<Value>>,
+    /// Returned rows, one cell per column (empty for DDL/DML statements).
+    pub rows: Grid<Value>,
     /// Number of rows affected by an `INSERT`.
     pub rows_affected: usize,
 }
@@ -26,7 +27,7 @@ impl QueryResult {
     fn empty() -> Self {
         QueryResult {
             columns: Vec::new(),
-            rows: Vec::new(),
+            rows: Grid::default(),
             rows_affected: 0,
         }
     }
@@ -269,20 +270,15 @@ pub fn execute_select_partitions(
         matching.truncate(limit);
     }
 
-    // Project; a missing column is a constant-NULL column.
-    let rows: Vec<Vec<Value>> = matching
-        .iter()
-        .map(|&at| {
-            let row = row_of(at);
-            projected
-                .iter()
-                .map(|index| match index {
-                    Some(index) => row[*index].clone(),
-                    None => Value::Null,
-                })
-                .collect()
-        })
-        .collect();
+    // Project into one buffer; a missing column is a constant-NULL column.
+    let mut rows = Grid::with_capacity(projected.len(), matching.len());
+    for &at in &matching {
+        let row = row_of(at);
+        rows.push_row(projected.iter().map(|index| match index {
+            Some(index) => row[*index].clone(),
+            None => Value::Null,
+        }));
+    }
 
     Ok(SelectResult {
         result: QueryResult {
@@ -424,7 +420,7 @@ fn execute_update(
     }
     Ok(QueryResult {
         columns: Vec::new(),
-        rows: Vec::new(),
+        rows: Grid::default(),
         rows_affected: updated,
     })
 }
@@ -439,7 +435,7 @@ fn execute_delete(
     let removed = table.delete_rows(&matching);
     Ok(QueryResult {
         columns: Vec::new(),
-        rows: Vec::new(),
+        rows: Grid::default(),
         rows_affected: removed,
     })
 }
@@ -493,7 +489,7 @@ fn execute_insert(
     }
     Ok(QueryResult {
         columns: Vec::new(),
-        rows: Vec::new(),
+        rows: Grid::default(),
         rows_affected: inserted,
     })
 }

@@ -13,7 +13,8 @@
 //!   `ORDER BY`, `LIMIT`), `INSERT`, `UPDATE`, `DELETE`, `CREATE TABLE`, and
 //!   — crucially for query-driven schema expansion —
 //!   `ALTER TABLE … ADD COLUMN`,
-//! * a straightforward [`executor`].
+//! * a straightforward [`executor`], whose results keep their rows in one
+//!   fixed-width [`Grid`] buffer.
 //!
 //! The engine deliberately keeps the feature set small: the paper's queries
 //! are single-table selections with perceptual predicates (e.g.
@@ -39,6 +40,7 @@ pub mod catalog;
 pub mod error;
 pub mod executor;
 pub mod expr;
+pub mod grid;
 mod key_index;
 pub mod partition;
 pub mod provenance;
@@ -54,6 +56,7 @@ pub use executor::{
     execute_select_snapshot, QueryResult, SelectResult, StatementAnalysis,
 };
 pub use expr::{BinaryOperator, Expr, UnaryOperator};
+pub use grid::Grid;
 pub use key_index::KeyRows;
 pub use partition::PartitionSpec;
 pub use provenance::{CellProvenance, MissingReason};

@@ -559,13 +559,32 @@ fn pump_query(
     if let Some(policy) = effective {
         builder = builder.policy(policy);
     }
+    // A query is counted before its terminal frame is sent, so a client
+    // that has seen its query finish also sees it in `server_stats()`.
+    let count = || {
+        shared
+            .counters
+            .queries_completed
+            .fetch_add(1, Ordering::SeqCst);
+    };
     if events {
         let mut stream = builder.stream();
+        let mut counted = false;
         // A failed send means the client disconnected mid-stream: drop the
         // stream and exit.  The dispatched expansion still completes on
         // the scheduler, so its in-flight claim is released and its
         // judgments are cached for whoever asks next.
-        if stream.all(|event| send_response(&tx, &Response::Event { id, event })) {
+        let delivered = stream.all(|event| {
+            if matches!(event, QueryEvent::Completed(_)) {
+                count();
+                counted = true;
+            }
+            send_response(&tx, &Response::Event { id, event })
+        });
+        if !counted {
+            count();
+        }
+        if delivered {
             if let Err(error) = stream.wait() {
                 send_response(&tx, &Response::QueryFailed { id, error });
             }
@@ -578,12 +597,9 @@ fn pump_query(
             },
             Err(error) => Response::QueryFailed { id, error },
         };
+        count();
         send_response(&tx, &response);
     }
-    shared
-        .counters
-        .queries_completed
-        .fetch_add(1, Ordering::SeqCst);
 }
 
 /// Executes a remote `CREATE TABLE` DDL against a scratch catalog and

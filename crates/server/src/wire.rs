@@ -39,7 +39,7 @@ use crowddb_core::{
     CrowdDbError, DegradeReason, ExpansionMode, ExpansionPolicy, ExpansionReport, QueryEvent,
     QueryOutcome, Result, RowSet, StatementResult,
 };
-use relational::PartitionSpec;
+use relational::{Grid, PartitionSpec};
 use std::io::{Read, Write};
 use storage::{
     crc32, decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
@@ -708,31 +708,45 @@ fn decode_rowset(d: &mut Decoder<'_>) -> Result<RowSet> {
     for _ in 0..n_columns {
         columns.push(d.str()?);
     }
-    let n_rows = d.seq_len()?;
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let n_cells = d.seq_len()?;
-        let mut row = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            row.push(decode_value(d)?);
-        }
-        rows.push(row);
-    }
-    let n_provenance = d.seq_len()?;
-    let mut provenance = Vec::with_capacity(n_provenance);
-    for _ in 0..n_provenance {
-        let n_cells = d.seq_len()?;
-        let mut row = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            row.push(decode_provenance(d)?);
-        }
-        provenance.push(row);
+    let rows = decode_grid(d, n_columns, "value", decode_value)?;
+    let provenance = decode_grid(d, n_columns, "provenance", decode_provenance)?;
+    if provenance.len() != rows.len() {
+        return Err(protocol_err(format!(
+            "a row set of {} rows carries {} provenance rows",
+            rows.len(),
+            provenance.len()
+        )));
     }
     Ok(RowSet {
         columns,
         rows,
         provenance,
     })
+}
+
+/// Decodes a length-prefixed sequence of length-prefixed rows straight
+/// into one grid of `width` cells per row; a row of any other length is a
+/// protocol error.
+fn decode_grid<T>(
+    d: &mut Decoder<'_>,
+    width: usize,
+    what: &str,
+    cell: impl Fn(&mut Decoder<'_>) -> storage::Result<T>,
+) -> Result<Grid<T>> {
+    let n_rows = d.seq_len()?;
+    // A row takes its 8-byte length and at least a byte per cell, so the
+    // payload bounds how many rows are worth reserving room for.
+    let mut grid = Grid::with_capacity(width, n_rows.min(d.remaining() / (8 + width)));
+    for _ in 0..n_rows {
+        let n_cells = d.seq_len()?;
+        if n_cells != width {
+            return Err(protocol_err(format!(
+                "a {what} row of {n_cells} cells in a row set of {width} columns"
+            )));
+        }
+        grid.try_push_row(|| cell(d))?;
+    }
+    Ok(grid)
 }
 
 fn encode_degrade_reason(e: &mut Encoder, reason: DegradeReason) {
@@ -1443,12 +1457,12 @@ mod tests {
     fn sample_rowset() -> RowSet {
         RowSet {
             columns: vec!["name".into(), "is_comedy".into()],
-            rows: vec![
+            rows: Grid::from(vec![
                 vec![Value::Text("Rocky".into()), Value::Boolean(false)],
                 vec![Value::Text("Grease".into()), Value::Null],
                 vec![Value::Integer(3), Value::Float(0.25)],
-            ],
-            provenance: vec![
+            ]),
+            provenance: Grid::from(vec![
                 vec![
                     CellProvenance::Stored,
                     CellProvenance::CrowdDerived {
@@ -1466,7 +1480,7 @@ mod tests {
                     CellProvenance::CacheHit { confidence: 0.75 },
                     CellProvenance::Extracted,
                 ],
-            ],
+            ]),
         }
     }
 
@@ -1506,8 +1520,8 @@ mod tests {
         }
         let rowset = RowSet {
             columns: vec!["c".into()],
-            rows,
-            provenance,
+            rows: Grid::from(rows),
+            provenance: Grid::from(provenance),
         };
         let mut e = Encoder::new();
         encode_rowset(&mut e, &rowset);
@@ -1518,6 +1532,49 @@ mod tests {
         let mut d = Decoder::new(&bytes);
         assert_eq!(decode_rowset(&mut d).unwrap(), rowset);
         assert!(d.is_exhausted());
+    }
+
+    /// A row set's value and provenance rows are each exactly as wide as
+    /// its column list, and it has one provenance row per value row.  A
+    /// payload breaking either is malformed, decoded to a protocol error
+    /// rather than to a ragged result.
+    #[test]
+    fn ragged_rowsets_are_protocol_errors() {
+        // Two columns; `rows` and `provenance` give each row's cell count.
+        let payload = |rows: &[usize], provenance: &[usize]| {
+            let mut e = Encoder::new();
+            e.u8(0); // a Snapshot event
+            e.seq_len(2);
+            e.str("item_id");
+            e.str("is_comedy");
+            e.seq_len(rows.len());
+            for &cells in rows {
+                e.seq_len(cells);
+                (0..cells).for_each(|_| encode_value(&mut e, &Value::Integer(1)));
+            }
+            e.seq_len(provenance.len());
+            for &cells in provenance {
+                e.seq_len(cells);
+                (0..cells).for_each(|_| encode_provenance(&mut e, &CellProvenance::Stored));
+            }
+            e.into_bytes()
+        };
+        let decode = |bytes: &[u8]| decode_event(&mut Decoder::new(bytes));
+        assert!(decode(&payload(&[2, 2], &[2, 2])).is_ok());
+        let malformed = [
+            ("a short value row", payload(&[2, 1], &[2, 2])),
+            ("a long value row", payload(&[3, 2], &[2, 2])),
+            ("a short provenance row", payload(&[2, 2], &[2, 1])),
+            ("a long provenance row", payload(&[2, 2], &[2, 3])),
+            ("too few provenance rows", payload(&[2, 2], &[2])),
+            ("too many provenance rows", payload(&[2], &[2, 2])),
+        ];
+        for (what, bytes) in malformed {
+            match decode(&bytes) {
+                Err(CrowdDbError::Protocol { .. }) => {}
+                other => panic!("{what} decoded to {other:?}"),
+            }
+        }
     }
 
     fn sample_report() -> ExpansionReport {

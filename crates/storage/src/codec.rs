@@ -92,6 +92,11 @@ impl<'a> Decoder<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not consumed yet.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
         match end {
@@ -158,7 +163,7 @@ impl<'a> Decoder<'a> {
     /// level, takes at least one byte.
     pub fn seq_len(&mut self) -> Result<usize> {
         let n = self.u64()?;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if n > remaining as u64 {
             return Err(StorageError::Corrupt(format!(
                 "sequence length {n} exceeds the {remaining} bytes remaining at offset {}",

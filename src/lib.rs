@@ -58,7 +58,7 @@ pub mod prelude {
         CellProvenance, CheckpointOptions, CheckpointReport, CheckpointScope, CrowdDb,
         CrowdDbBuilder, CrowdDbConfig, CrowdDbError, CrowdSource, DegradeDirective, DegradeReason,
         ExpansionMode, ExpansionPlan, ExpansionPolicy, ExpansionReport, ExpansionStrategy,
-        ExtractionConfig, JudgmentCache, Limiter, LimiterConfig, LimiterStats, MissingReason,
+        ExtractionConfig, Grid, JudgmentCache, Limiter, LimiterConfig, LimiterStats, MissingReason,
         OutstandingEstimate, PartitionSpec, PartitionStorage, QueryBuilder, QueryEvent,
         QueryOutcome, QueryStream, RepairOutcome, RowSet, SchedulerStats, Session, SimulatedCrowd,
         StatementResult, StorageStats, TableOptions, TableRef, TableStorage, TenantLimits,

@@ -82,9 +82,9 @@ type PartitionFacts = Vec<(usize, u64, u64, bool)>;
 /// way for the serial and the parallel opening.
 #[derive(Debug, PartialEq)]
 struct RecoveredView {
-    movie_rows: Vec<Vec<Value>>,
-    movie_provenance: Vec<Vec<CellProvenance>>,
-    event_rows: Vec<Vec<Value>>,
+    movie_rows: Grid<Value>,
+    movie_provenance: Grid<CellProvenance>,
+    event_rows: Grid<Value>,
     cache_entries: usize,
     storage: Vec<(String, PartitionSpec, PartitionFacts)>,
     crowd_rounds_dispatched: usize,

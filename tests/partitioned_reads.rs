@@ -223,7 +223,7 @@ fn a_float_id_column_is_never_routed() {
         Column::new("label", DataType::Text),
     ])
     .unwrap();
-    let answers: Vec<Vec<Vec<Value>>> = layouts()
+    let answers: Vec<Grid<Value>> = layouts()
         .iter()
         .map(|spec| {
             let mut table = Table::new("gauges", schema.clone());

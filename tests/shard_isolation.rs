@@ -259,9 +259,9 @@ const MOVIE_QUERY: &str = "SELECT item_id, name, is_comedy FROM movies";
 /// way for the serial and the parallel opening.
 #[derive(Debug, PartialEq)]
 struct RecoveredView {
-    movie_rows: Vec<Vec<crowddb::relational::Value>>,
-    movie_provenance: Vec<Vec<CellProvenance>>,
-    note_rows: Vec<(String, Vec<Vec<crowddb::relational::Value>>)>,
+    movie_rows: Grid<crowddb::relational::Value>,
+    movie_provenance: Grid<CellProvenance>,
+    note_rows: Vec<(String, Grid<crowddb::relational::Value>)>,
     cache_entries: usize,
     wal_bytes_by_table: Vec<(String, u64)>,
     crowd_rounds_dispatched: usize,
