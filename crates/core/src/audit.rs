@@ -61,12 +61,12 @@ pub fn audit_binary_labels(
             space.len()
         )));
     }
-    let features: Vec<Vec<f64>> = space.all_coordinates().to_vec();
+    let features = space.all_coordinates();
     // Auditing needs a *smoother* model than extraction: the model must not
     // be able to memorize isolated wrong labels, otherwise nothing is ever
     // flagged.  The cost is therefore scaled down and the kernel widened
     // relative to the extraction defaults.
-    let kernel = match config.resolve_kernel(&features) {
+    let kernel = match config.resolve_kernel(features) {
         mlkit::Kernel::Rbf { gamma } => mlkit::Kernel::Rbf { gamma: gamma * 0.5 },
         other => other,
     };
@@ -77,8 +77,8 @@ pub fn audit_binary_labels(
         seed: config.seed,
         ..Default::default()
     };
-    let model = SvmClassifier::train(&features, labels, &params)?;
-    let predicted: Vec<bool> = features.iter().map(|x| model.predict(x)).collect();
+    let model = SvmClassifier::train(features, labels, &params)?;
+    let predicted = model.predict_batch(features);
     let flagged: Vec<ItemId> = predicted
         .iter()
         .zip(labels.iter())

@@ -104,11 +104,7 @@ pub fn extract_binary_attribute(
         ..Default::default()
     };
     let model = SvmClassifier::train(&features, &labels, &params)?;
-    Ok(space
-        .all_coordinates()
-        .iter()
-        .map(|coords| model.predict(coords))
-        .collect())
+    Ok(model.predict_batch(space.all_coordinates()))
 }
 
 /// Trains a numeric extractor (support-vector regression) on `labeled` =
@@ -136,11 +132,7 @@ pub fn extract_numeric_attribute(
         ..Default::default()
     };
     let model = SvrRegressor::train(&features, &targets, &params)?;
-    Ok(space
-        .all_coordinates()
-        .iter()
-        .map(|coords| model.predict(coords))
-        .collect())
+    Ok(model.predict_batch(space.all_coordinates()))
 }
 
 #[cfg(test)]

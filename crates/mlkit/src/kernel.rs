@@ -43,14 +43,32 @@ impl Kernel {
     #[inline]
     pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), y.len());
+        if self.is_distance_based() {
+            self.finish(squared_distance(x, y))
+        } else {
+            self.finish(dot(x, y))
+        }
+    }
+
+    /// True when the kernel is a function of the squared distance
+    /// `‖x − y‖²`; otherwise it is a function of the dot product `⟨x, y⟩`.
+    #[inline]
+    pub(crate) fn is_distance_based(&self) -> bool {
+        matches!(self, Kernel::Rbf { .. })
+    }
+
+    /// The kernel value given the squared distance (distance-based kernels)
+    /// or the dot product (the others) of the two vectors.
+    #[inline]
+    pub(crate) fn finish(&self, sum: f64) -> f64 {
         match *self {
-            Kernel::Linear => dot(x, y),
-            Kernel::Rbf { gamma } => (-gamma * squared_distance(x, y)).exp(),
+            Kernel::Linear => sum,
+            Kernel::Rbf { gamma } => (-gamma * sum).exp(),
             Kernel::Polynomial {
                 gamma,
                 coef0,
                 degree,
-            } => (gamma * dot(x, y) + coef0).powi(degree as i32),
+            } => (gamma * sum + coef0).powi(degree as i32),
         }
     }
 

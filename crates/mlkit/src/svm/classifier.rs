@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{ClassWeight, GramMatrix};
+use super::{ClassWeight, GramMatrix, SupportVectors};
 use crate::error::MlError;
 use crate::kernel::Kernel;
 use crate::Result;
@@ -42,13 +42,10 @@ impl Default for SvmParams {
 /// A trained binary SVM.
 ///
 /// Only examples with non-zero dual coefficient (the support vectors) are
-/// retained for prediction.
+/// retained for prediction, each with `alpha_i * y_i` as its coefficient.
 #[derive(Debug, Clone)]
 pub struct SvmClassifier {
-    kernel: Kernel,
-    support_vectors: Vec<Vec<f64>>,
-    /// `alpha_i * y_i` for each retained support vector.
-    coefficients: Vec<f64>,
+    support: SupportVectors,
     epochs_run: usize,
     converged: bool,
 }
@@ -137,24 +134,18 @@ impl SvmClassifier {
         }
 
         // Retain support vectors only.
-        let mut support_vectors = Vec::new();
-        let mut coefficients = Vec::new();
-        for i in 0..n {
-            if alpha[i] > 1e-12 {
-                support_vectors.push(xs[i].clone());
-                coefficients.push(alpha[i] * y[i]);
-            }
-        }
-        if support_vectors.is_empty() {
+        let support: Vec<(&[f64], f64)> = (0..n)
+            .filter(|&i| alpha[i] > 1e-12)
+            .map(|i| (xs[i].as_slice(), alpha[i] * y[i]))
+            .collect();
+        if support.is_empty() {
             return Err(MlError::Numerical(
                 "training produced no support vectors".into(),
             ));
         }
 
         Ok(SvmClassifier {
-            kernel: params.kernel,
-            support_vectors,
-            coefficients,
+            support: SupportVectors::new(params.kernel, &support),
             epochs_run,
             converged,
         })
@@ -162,11 +153,9 @@ impl SvmClassifier {
 
     /// Signed decision value for `x`; positive means the positive class.
     pub fn decision_value(&self, x: &[f64]) -> f64 {
-        self.support_vectors
-            .iter()
-            .zip(self.coefficients.iter())
-            .map(|(sv, &c)| c * (self.kernel.eval(sv, x) + 1.0))
-            .sum()
+        let mut value = 0.0;
+        self.support.decision_values(&[x], |v| value = v);
+        value
     }
 
     /// Predicted label for `x`.
@@ -176,12 +165,14 @@ impl SvmClassifier {
 
     /// Predicts labels for a batch of feature vectors.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<bool> {
-        xs.iter().map(|x| self.predict(x)).collect()
+        let mut labels = Vec::with_capacity(xs.len());
+        self.support.decision_values(xs, |v| labels.push(v >= 0.0));
+        labels
     }
 
     /// Number of retained support vectors.
     pub fn n_support_vectors(&self) -> usize {
-        self.support_vectors.len()
+        self.support.len()
     }
 
     /// Number of coordinate-descent epochs that were run.

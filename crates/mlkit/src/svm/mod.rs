@@ -60,6 +60,88 @@ impl GramMatrix {
     }
 }
 
+/// Support vectors processed per pass of the prediction kernel: one pass
+/// accumulates this many kernel sums in a stack buffer.
+const SV_CHUNK: usize = 64;
+
+/// The support vectors of a trained model and their coefficients, laid out
+/// for batch prediction.
+///
+/// Coordinates are stored dimension-major in one `dim × len` buffer
+/// (coordinate `k` of vector `j` at `k * len + j`), so a point's squared
+/// distances or dot products to every vector accumulate one dimension at a
+/// time across contiguous runs of vectors.  Each accumulation runs in
+/// dimension order from `-0.0`, exactly as `Iterator::sum` runs the
+/// per-pair [`Kernel::eval`], and the decision sum then runs in
+/// support-vector order: a point's decision value is bit-identical to the
+/// one-vector-at-a-time formula `Σ_j c_j (K(sv_j, x) + 1)`.
+#[derive(Debug, Clone)]
+pub(crate) struct SupportVectors {
+    kernel: Kernel,
+    dim: usize,
+    coords: Vec<f64>,
+    coefficients: Vec<f64>,
+}
+
+impl SupportVectors {
+    /// Stores `vectors`, each a support vector and its coefficient.  All
+    /// vectors must share one dimensionality.
+    pub(crate) fn new(kernel: Kernel, vectors: &[(&[f64], f64)]) -> SupportVectors {
+        let len = vectors.len();
+        let dim = vectors.first().map_or(0, |(v, _)| v.len());
+        let mut coords = vec![0.0; dim * len];
+        for (j, (vector, _)) in vectors.iter().enumerate() {
+            for (k, &value) in vector.iter().enumerate() {
+                coords[k * len + j] = value;
+            }
+        }
+        SupportVectors {
+            kernel,
+            dim,
+            coords,
+            coefficients: vectors.iter().map(|&(_, c)| c).collect(),
+        }
+    }
+
+    /// Number of support vectors.
+    pub(crate) fn len(&self) -> usize {
+        self.coefficients.len()
+    }
+
+    /// Hands `emit` the decision value of every point, in order.
+    pub(crate) fn decision_values<P: AsRef<[f64]>>(&self, points: &[P], mut emit: impl FnMut(f64)) {
+        let len = self.len();
+        let distance = self.kernel.is_distance_based();
+        let mut sums = [0.0f64; SV_CHUNK];
+        for point in points {
+            let point = point.as_ref();
+            let mut total = -0.0;
+            for start in (0..len).step_by(SV_CHUNK) {
+                let end = (start + SV_CHUNK).min(len);
+                let sums = &mut sums[..end - start];
+                sums.fill(-0.0);
+                for (k, &x) in point.iter().take(self.dim).enumerate() {
+                    let row = &self.coords[k * len + start..k * len + end];
+                    if distance {
+                        for (sum, &v) in sums.iter_mut().zip(row) {
+                            let d = v - x;
+                            *sum += d * d;
+                        }
+                    } else {
+                        for (sum, &v) in sums.iter_mut().zip(row) {
+                            *sum += v * x;
+                        }
+                    }
+                }
+                for (&sum, &c) in sums.iter().zip(&self.coefficients[start..end]) {
+                    total += c * (self.kernel.finish(sum) + 1.0);
+                }
+            }
+            emit(total);
+        }
+    }
+}
+
 /// Class weighting strategies for imbalanced training sets.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ClassWeight {

@@ -11,7 +11,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use super::classifier::validate_inputs_regression;
-use super::GramMatrix;
+use super::{GramMatrix, SupportVectors};
 use crate::error::MlError;
 use crate::kernel::Kernel;
 use crate::Result;
@@ -50,9 +50,7 @@ impl Default for SvrParams {
 /// A trained ε-SVR model.
 #[derive(Debug, Clone)]
 pub struct SvrRegressor {
-    kernel: Kernel,
-    support_vectors: Vec<Vec<f64>>,
-    coefficients: Vec<f64>,
+    support: SupportVectors,
     epochs_run: usize,
     converged: bool,
 }
@@ -124,25 +122,18 @@ impl SvrRegressor {
             }
         }
 
-        let mut support_vectors = Vec::new();
-        let mut coefficients = Vec::new();
-        for i in 0..n {
-            if beta[i].abs() > 1e-12 {
-                support_vectors.push(xs[i].clone());
-                coefficients.push(beta[i]);
-            }
-        }
-        if support_vectors.is_empty() {
+        let mut support: Vec<(&[f64], f64)> = (0..n)
+            .filter(|&i| beta[i].abs() > 1e-12)
+            .map(|i| (xs[i].as_slice(), beta[i]))
+            .collect();
+        if support.is_empty() {
             // All targets fit inside the ε-tube around zero — a constant-zero
             // model.  Keep a single zero coefficient so prediction works.
-            support_vectors.push(xs[0].clone());
-            coefficients.push(0.0);
+            support.push((&xs[0], 0.0));
         }
 
         Ok(SvrRegressor {
-            kernel: params.kernel,
-            support_vectors,
-            coefficients,
+            support: SupportVectors::new(params.kernel, &support),
             epochs_run,
             converged,
         })
@@ -150,21 +141,21 @@ impl SvrRegressor {
 
     /// Predicted value for `x`.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.support_vectors
-            .iter()
-            .zip(self.coefficients.iter())
-            .map(|(sv, &c)| c * (self.kernel.eval(sv, x) + 1.0))
-            .sum()
+        let mut value = 0.0;
+        self.support.decision_values(&[x], |v| value = v);
+        value
     }
 
     /// Predicts values for a batch of feature vectors.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
+        let mut values = Vec::with_capacity(xs.len());
+        self.support.decision_values(xs, |v| values.push(v));
+        values
     }
 
     /// Number of support vectors retained.
     pub fn n_support_vectors(&self) -> usize {
-        self.support_vectors.len()
+        self.support.len()
     }
 
     /// Number of epochs run during training.
