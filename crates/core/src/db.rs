@@ -46,7 +46,7 @@
 //! from the judgment cache at zero crowd cost (see [`crate::inflight`]).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,7 +71,7 @@ use crate::error::CrowdDbError;
 use crate::expansion::{ExpansionReport, ExpansionStage, ExpansionStrategy};
 use crate::extraction::extract_binary_attribute;
 use crate::inflight::{InflightRegistry, InflightStats};
-use crate::materialize::{materialize_column, repair_cells, Marks, REPAIRED};
+use crate::materialize::{materialize_column, repair_cells, MaterializeOutcome, REPAIRED};
 use crate::metrics::EngineMetrics;
 use crate::persist::{self, Durability, RecoveredState};
 use crate::planner::{self, ExpansionPlan, PlanInputs};
@@ -2404,13 +2404,16 @@ impl DbInner {
         acquisitions: Vec<Acquisition>,
         policy: &ExpansionPolicy,
     ) -> Result<Vec<ExpansionReport>> {
-        // Phase 1 (lock-free): aggregate verdicts into per-attribute value
-        // maps, training extractors where the strategy demands it.
+        // One item → position index per plan: every per-item vector below
+        // is aligned with `plan.items`.
+        let mut index = planner::ItemIndex::new(plan.items.iter().copied());
+        // Phase 1 (lock-free): aggregate verdicts into per-attribute values
+        // and tags, training extractors where the strategy demands it.
         struct Prepared {
-            values: HashMap<ItemId, Value>,
+            values: Vec<Value>,
+            marks: Vec<CellProvenance>,
             training_set_size: usize,
             items_unmapped: usize,
-            extracted: bool,
             stages: Vec<ExpansionStage>,
             acquisition: Acquisition,
         }
@@ -2438,15 +2441,10 @@ impl DbInner {
                 stages.push(ExpansionStage::BudgetExhausted);
             }
 
-            let direct_values = |acquisition: &Acquisition| -> HashMap<ItemId, Value> {
-                acquisition
-                    .verdicts
-                    .iter()
-                    .map(|(&item, &(label, _))| (item, Value::Boolean(label)))
-                    .collect()
-            };
+            let verdicts = (acquisition.verdicts.iter())
+                .map(|(&item, &(label, _))| (item, Value::Boolean(label)));
             let (values, training_set_size, items_unmapped, extracted) = match &attribute.strategy {
-                ExpansionStrategy::DirectCrowd => (direct_values(&acquisition), 0, 0, false),
+                ExpansionStrategy::DirectCrowd => (index.align(verdicts, Value::Null), 0, 0, false),
                 ExpansionStrategy::PerceptualSpace { extraction, .. } => {
                     let mut training: Vec<(ItemId, bool)> = acquisition
                         .verdicts
@@ -2459,17 +2457,24 @@ impl DbInner {
                     match extract_binary_attribute(&binding.space, &training, extraction) {
                         Ok(predicted) => {
                             stages.push(ExpansionStage::ExtractorTrained);
-                            let (mapped, unmapped) =
-                                planner::predictions_by_item(&plan.items, &predicted);
+                            // Predictions index by space position: an item
+                            // outside the space has none.
+                            let mut values: Vec<Value> = (plan.items.iter())
+                                .map(|&item| match predicted.get(item as usize) {
+                                    Some(&label) => Value::Boolean(label),
+                                    None => Value::Null,
+                                })
+                                .collect();
+                            let unmapped = values.iter().filter(|v| v.is_null()).count();
                             // A gold item's cell is tagged with its crowd
                             // verdict, so it holds that verdict, not the
                             // extractor's prediction for it.
-                            let values: HashMap<ItemId, Value> = mapped
-                                .into_iter()
-                                .chain(training)
-                                .map(|(item, label)| (item, Value::Boolean(label)))
-                                .collect();
-                            (values, training_set_size, unmapped.len(), true)
+                            for (item, label) in training {
+                                if let Some(at) = index.position(item) {
+                                    values[at] = Value::Boolean(label);
+                                }
+                            }
+                            (values, training_set_size, unmapped, true)
                         }
                         // A policy that tolerates partial columns also
                         // tolerates a gold sample too small or too
@@ -2478,18 +2483,47 @@ impl DbInner {
                         // degrade to materializing the acquired
                         // verdicts directly instead of failing the
                         // whole query.
-                        Err(_) if policy.tolerates_partial_columns() => {
-                            (direct_values(&acquisition), training_set_size, 0, false)
-                        }
+                        Err(_) if policy.tolerates_partial_columns() => (
+                            index.align(verdicts, Value::Null),
+                            training_set_size,
+                            0,
+                            false,
+                        ),
                         Err(error) => return Err(error),
                     }
                 }
             };
+            // Where every item's cell value came from, or why it is absent:
+            // the tag each of its rows receives with the value.  A crowd
+            // verdict outranks a value, a value outranks the reason the
+            // item was dropped, and an item with neither lies outside the
+            // space (extraction) or found no majority.
+            let absent: CellProvenance = if extracted {
+                MissingReason::OutOfSpace.into()
+            } else {
+                MissingReason::NoMajority.into()
+            };
+            let mut marks: Vec<CellProvenance> = (values.iter())
+                .map(|value| match value {
+                    Value::Null => absent,
+                    _ => CellProvenance::Extracted,
+                })
+                .collect();
+            for &(item, reason) in &acquisition.dropped {
+                if let Some(at) = index.position(item).filter(|&at| values[at].is_null()) {
+                    marks[at] = reason.into();
+                }
+            }
+            for (&item, &(_, judged)) in &acquisition.verdicts {
+                if let Some(at) = index.position(item) {
+                    marks[at] = judged;
+                }
+            }
             prepared.push(Prepared {
                 values,
+                marks,
                 training_set_size,
                 items_unmapped,
-                extracted,
                 stages,
                 acquisition,
             });
@@ -2498,73 +2532,40 @@ impl DbInner {
         // Phase 2: exclusive partition locks (all of them, ascending k —
         // a new column must appear in every partition's schema) fill
         // every column — writers and readers of *other* tables are
-        // untouched.  The id → row mappings are re-derived under these
+        // untouched.  Each row's item position is re-derived under these
         // locks: `plan.rows` was captured under an earlier read lock, and
         // a DELETE/INSERT that committed while the crowd worked would
         // shift row indices — replaying the stale mapping would write
-        // verdicts to the wrong rows.  Values are keyed by item id, so
-        // the fresh mappings route every verdict to whichever rows carry
-        // that item *now*, in whichever partition.
+        // verdicts to the wrong rows.  Values are aligned with the plan's
+        // items, so the fresh routes send every verdict to whichever rows
+        // carry that item *now*, in whichever partition; an item inserted
+        // meanwhile lies past the plan's items and reads `NotExpanded`.
         let mut reports = Vec::with_capacity(plan.attributes.len());
         let mut wal_records: Vec<WalRecord> = Vec::new();
         let shard = self.shard(&plan.table)?;
         let mut guards = shard.write_all();
-        let mut mappings: Vec<Vec<(usize, ItemId)>> = Vec::with_capacity(guards.len());
+        let mut routes = Vec::with_capacity(guards.len());
         let mut skipped_rows = 0;
         for guard in guards.iter() {
-            let (rows, _, skipped) = planner::row_mapping(
-                &[guard.table(&plan.table)?],
+            let part = index.route(
+                guard.table(&plan.table)?,
                 &self.config.id_column,
                 &plan.table,
             )?;
-            mappings.push(rows);
-            skipped_rows += skipped;
+            skipped_rows += part.skipped;
+            routes.push(part);
         }
         for (attribute, mut item) in plan.attributes.iter().zip(prepared) {
-            // Where every item's cell value came from, or why it is absent:
-            // the tag each of its rows receives with the value.
-            let acquisition = &item.acquisition;
-            let dropped_reason: HashMap<ItemId, MissingReason> =
-                acquisition.dropped.iter().copied().collect();
-            let marks: Marks = plan
-                .items
-                .iter()
-                .map(|&item_id| {
-                    let provenance = if let Some(&(_, judged)) = acquisition.verdicts.get(&item_id)
-                    {
-                        judged
-                    } else if item.values.contains_key(&item_id) {
-                        CellProvenance::Extracted
-                    } else if let Some(&reason) = dropped_reason.get(&item_id) {
-                        CellProvenance::Missing { reason }
-                    } else if item.extracted {
-                        CellProvenance::Missing {
-                            reason: MissingReason::OutOfSpace,
-                        }
-                    } else {
-                        CellProvenance::Missing {
-                            reason: MissingReason::NoMajority,
-                        }
-                    };
-                    (item_id, provenance)
-                })
-                .collect();
-            let mut outcome = crate::materialize::MaterializeOutcome {
-                rows_filled: 0,
-                rows_unfilled: 0,
-            };
-            for (guard, rows) in guards.iter_mut().zip(&mappings) {
-                let table = guard.table_mut(&plan.table)?;
-                let part = materialize_column(
-                    table,
+            let mut outcome = MaterializeOutcome::default();
+            for (guard, routes) in guards.iter_mut().zip(&routes) {
+                outcome += materialize_column(
+                    guard.table_mut(&plan.table)?,
                     &attribute.column,
                     DataType::Boolean,
                     &item.values,
-                    Some(&marks),
-                    rows,
+                    Some(&item.marks),
+                    routes,
                 )?;
-                outcome.rows_filled += part.rows_filled;
-                outcome.rows_unfilled += part.rows_unfilled;
             }
             item.stages.push(ExpansionStage::ColumnAdded);
             item.stages.push(ExpansionStage::ColumnMaterialized);
@@ -2575,7 +2576,7 @@ impl DbInner {
             // instead of trusting the partial materialization forever.
             // (Quality floors never appear here: they are a per-query view
             // filter applied at read time, not a materialization decision.)
-            let incomplete = marks.values().any(CellProvenance::is_recoverable);
+            let incomplete = item.marks.iter().any(CellProvenance::is_recoverable);
             if incomplete {
                 shard.may_have_holes.store(true, Ordering::Release);
             }
@@ -2586,20 +2587,12 @@ impl DbInner {
             // again.  Built here, appended below while the exclusive
             // catalog lock is still held.
             if self.durability.is_some() {
-                let mut values: Vec<(ItemId, Value)> = item
-                    .values
-                    .iter()
-                    .map(|(&item_id, value)| (item_id, value.clone()))
-                    .collect();
-                values.sort_unstable_by_key(|(item_id, _)| *item_id);
-                let mut marks: Vec<(ItemId, CellProvenance)> = marks.into_iter().collect();
-                marks.sort_unstable_by_key(|(item_id, _)| *item_id);
                 wal_records.push(WalRecord::MaterializeColumn {
                     table: plan.table.clone(),
                     column: attribute.column.clone(),
                     data_type: DataType::Boolean,
-                    values,
-                    ledger: Some(marks),
+                    values: index.sorted_pairs(&item.values, |_, value| !value.is_null()),
+                    ledger: Some(index.sorted_pairs(&item.marks, |_, _| true)),
                     incomplete,
                 });
             }
@@ -2725,10 +2718,9 @@ impl DbInner {
             .collect();
         let record = self.publish_verdicts(&key, &attribute, &refreshed);
         self.log(&key, record.as_slice())?;
-        let labels: HashMap<ItemId, Value> = outcome
-            .flagged
-            .iter()
-            .map(|&item| (item, Value::Boolean(outcome.labels[item as usize])))
+        let mut index = planner::ItemIndex::new(outcome.flagged.iter().copied());
+        let labels: Vec<Value> = (index.items().iter())
+            .map(|&item| Value::Boolean(outcome.labels[item as usize]))
             .collect();
         let mut guards = shard.write_all();
         // Re-derive the id → row mappings under the exclusive locks: the
@@ -2736,23 +2728,18 @@ impl DbInner {
         // inserted meanwhile would shift the indices captured earlier —
         // writing repaired labels through a stale mapping would flip the
         // wrong movies.
-        let mut repaired: HashSet<ItemId> = HashSet::new();
+        let mut repaired = vec![false; labels.len()];
         for guard in guards.iter_mut() {
-            let (rows, _, _) =
-                planner::row_mapping(&[guard.table(table_name)?], &self.config.id_column, &key)?;
+            let routes = index.route(guard.table(table_name)?, &self.config.id_column, &key)?;
             let table = guard.table_mut(table_name)?;
-            repaired.extend(repair_cells(table, &column, &labels, &rows)?);
+            repair_cells(table, &column, &labels, &routes, &mut repaired)?;
         }
         // Durably record the cell overwrites (item-keyed — replay routes
         // them through the then-current id → row mapping and tags them
         // with the same writer), sliced per partition, still under the
         // exclusive partition locks.
-        if self.durability.is_some() && !repaired.is_empty() {
-            let mut values: Vec<(ItemId, Value)> = repaired
-                .iter()
-                .map(|item| (*item, labels[item].clone()))
-                .collect();
-            values.sort_unstable_by_key(|(item, _)| *item);
+        if self.durability.is_some() && repaired.contains(&true) {
+            let values = index.sorted_pairs(&labels, |at, _| repaired[at]);
             self.log_sliced(
                 &key,
                 &shard.spec,
@@ -2793,52 +2780,45 @@ impl DbInner {
         // misroute the values.
         let shard = self.shard(table_name)?;
         let mut guards = shard.write_all();
-        let mut mappings: Vec<Vec<(usize, ItemId)>> = Vec::with_capacity(guards.len());
-        let mut items: Vec<ItemId> = Vec::new();
+        let mut index = planner::ItemIndex::default();
+        let mut routes = Vec::with_capacity(guards.len());
         let mut skipped_rows = 0;
         for guard in guards.iter() {
-            let (rows, part_items, skipped) =
-                planner::row_mapping(&[guard.table(table_name)?], &self.config.id_column, &key)?;
-            mappings.push(rows);
-            items.extend(part_items);
-            skipped_rows += skipped;
+            let part = index.route(guard.table(table_name)?, &self.config.id_column, &key)?;
+            skipped_rows += part.skipped;
+            routes.push(part);
         }
-        let (mapped, unmapped) = planner::predictions_by_item(&items, &predicted);
-        let values: HashMap<ItemId, Value> = mapped
-            .into_iter()
-            .map(|(item, value)| (item, Value::Float(value)))
-            .collect();
         // An item the regression predicts for is extracted; one it cannot
         // reach lies outside the space.
-        let marks: Marks = items
-            .iter()
-            .map(|&item| match values.get(&item) {
-                Some(_) => (item, CellProvenance::Extracted),
-                None => (item, MissingReason::OutOfSpace.into()),
+        let values: Vec<Value> = (index.items().iter())
+            .map(|&item| match predicted.get(item as usize) {
+                Some(&value) => Value::Float(value),
+                None => Value::Null,
             })
             .collect();
-        let mut outcome = crate::materialize::MaterializeOutcome {
-            rows_filled: 0,
-            rows_unfilled: 0,
-        };
-        for (guard, rows) in guards.iter_mut().zip(&mappings) {
+        let marks: Vec<CellProvenance> = (values.iter())
+            .map(|value| match value {
+                Value::Null => MissingReason::OutOfSpace.into(),
+                _ => CellProvenance::Extracted,
+            })
+            .collect();
+        let items_unmapped = values.iter().filter(|v| v.is_null()).count();
+        let mut outcome = MaterializeOutcome::default();
+        for (guard, routes) in guards.iter_mut().zip(&routes) {
             let table = guard.table_mut(table_name)?;
-            let part =
-                materialize_column(table, &column, DataType::Float, &values, Some(&marks), rows)?;
-            outcome.rows_filled += part.rows_filled;
-            outcome.rows_unfilled += part.rows_unfilled;
+            outcome += materialize_column(
+                table,
+                &column,
+                DataType::Float,
+                &values,
+                Some(&marks),
+                routes,
+            )?;
         }
         // The extrapolated column is durable like any other
         // materialization — values and marks sliced per partition, logged
         // under the still-held exclusive locks.
         if self.durability.is_some() {
-            let mut logged: Vec<(ItemId, Value)> = values
-                .iter()
-                .map(|(&item, value)| (item, value.clone()))
-                .collect();
-            logged.sort_unstable_by_key(|(item, _)| *item);
-            let mut marks: Vec<(ItemId, CellProvenance)> = marks.into_iter().collect();
-            marks.sort_unstable_by_key(|(item, _)| *item);
             self.log_sliced(
                 &key,
                 &shard.spec,
@@ -2846,8 +2826,8 @@ impl DbInner {
                     table: key.clone(),
                     column: column.clone(),
                     data_type: DataType::Float,
-                    values: logged,
-                    ledger: Some(marks),
+                    values: index.sorted_pairs(&values, |_, value| !value.is_null()),
+                    ledger: Some(index.sorted_pairs(&marks, |_, _| true)),
                     incomplete: false,
                 }],
             )?;
@@ -2876,7 +2856,7 @@ impl DbInner {
             cache_hits: 0,
             cache_misses: 0,
             cost_saved: 0.0,
-            items_unmapped: unmapped.len(),
+            items_unmapped,
             items_coalesced: 0,
             items_dropped: 0,
         })

@@ -1,18 +1,19 @@
 //! The materialize stage: writing acquired attribute values, and their
-//! provenance with them, into relational columns through the planner's
-//! explicit id → row mapping.  Live expansion, repair, and WAL and
-//! snapshot recovery all write cells through these functions, so a
-//! recovered cell carries exactly the tag the live write gave it.
+//! provenance with them, into relational columns through an explicit
+//! row → item routing.  Live expansion, repair, and WAL and snapshot
+//! recovery all write cells through [`write_column`], so a recovered cell
+//! carries exactly the tag the live write gave it.
+//!
+//! A write's per-item state lives in vectors aligned with the items of a
+//! [`planner::ItemIndex`](crate::planner::ItemIndex): the item at
+//! position `p` receives `values[p]`, tagged `marks[p]`, in every row
+//! that holds it, and each row reaches its item through the index's
+//! [`Routes`].
 
-use std::collections::HashMap;
-
-use perceptual::ItemId;
 use relational::{CellProvenance, Column, DataType, MissingReason, Table, Value};
 
+use crate::planner::Routes;
 use crate::Result;
-
-/// Per-item provenance marks: the tag every row of an item receives.
-pub(crate) type Marks = HashMap<ItemId, CellProvenance>;
 
 /// The tag of a repaired cell.  Repaired labels went through the audit →
 /// re-source → merge loop and are treated as fully trusted; the repair
@@ -24,7 +25,7 @@ pub(crate) const REPAIRED: CellProvenance = CellProvenance::CrowdDerived {
 };
 
 /// The outcome of materializing one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct MaterializeOutcome {
     /// Rows that received a value.
     pub rows_filled: usize,
@@ -32,96 +33,109 @@ pub(crate) struct MaterializeOutcome {
     pub rows_unfilled: usize,
 }
 
+impl std::ops::AddAssign for MaterializeOutcome {
+    fn add_assign(&mut self, other: MaterializeOutcome) {
+        self.rows_filled += other.rows_filled;
+        self.rows_unfilled += other.rows_unfilled;
+    }
+}
+
 /// Adds `column` to `table` (if not already present — a forced re-expansion
-/// overwrites in place) and fills it with `values` routed through the
-/// explicit `(row, item)` mapping, tagging the cells with `marks` (see
-/// [`write_column`]; `None` writes stored values, as numeric expansions
-/// logged before per-cell tags replay).
+/// overwrites in place) and fills it with the per-item `values`, routed
+/// through `routes` and tagged with `marks` (see [`write_column`]; `None`
+/// writes stored values, as numeric expansions logged before per-cell tags
+/// replay).
 ///
-/// Rows sharing an item id all receive its value; rows whose item has no
+/// Rows sharing an item all receive its value; rows whose item has no
 /// value become `NULL` and are counted, never silently skipped.
 pub(crate) fn materialize_column(
     table: &mut Table,
     column: &str,
     data_type: DataType,
-    values: &HashMap<ItemId, Value>,
-    marks: Option<&Marks>,
-    rows: &[(usize, ItemId)],
+    values: &[Value],
+    marks: Option<&[CellProvenance]>,
+    routes: &Routes,
 ) -> Result<MaterializeOutcome> {
     if !table.schema().contains(column) {
         table.add_column(Column::new(column, data_type), None)?;
     }
-    write_column(table, column, rows, marks, |_, _, item| {
-        values.get(&item).cloned().unwrap_or(Value::Null)
-    })?;
-    let rows_filled = rows
-        .iter()
-        .filter(|(_, item)| values.contains_key(item))
-        .count();
+    let rows_filled = write_column(table, column, routes, Some(values), marks)?;
     Ok(MaterializeOutcome {
         rows_filled,
-        rows_unfilled: rows.len() - rows_filled,
+        rows_unfilled: routes.rows.len() - rows_filled,
     })
 }
 
 /// Overwrites `column` in every row whose item has a value in `values`,
-/// tagged [`REPAIRED`], and returns the items written.
+/// tagged [`REPAIRED`], and flags, per position, the items written.
 pub(crate) fn repair_cells(
     table: &mut Table,
     column: &str,
-    values: &HashMap<ItemId, Value>,
-    rows: &[(usize, ItemId)],
-) -> Result<Vec<ItemId>> {
-    let mut written = Vec::new();
-    for &(row, item) in rows {
-        if let Some(value) = values.get(&item) {
-            table.set_cell(row, column, value.clone(), REPAIRED)?;
-            written.push(item);
-        }
-    }
-    Ok(written)
-}
-
-/// Writes `column` of every row of `table` in one pass.  Each mapped row
-/// gets `value_of(table, row, item)`, tagged with its item's mark —
-/// `NotExpanded` when `marks` has none for it.  A row without a usable
-/// item id keeps its value and, when that is `NULL`, reads `NoItemId`: no
-/// crowd value can ever be routed to it.  Without `marks` the values are
-/// written as stored.  Snapshot recovery re-tags a column by writing each
-/// cell's own value back with its mark.
-pub(crate) fn write_column(
-    table: &mut Table,
-    column: &str,
-    rows: &[(usize, ItemId)],
-    marks: Option<&Marks>,
-    value_of: impl Fn(&Table, usize, ItemId) -> Value,
+    values: &[Value],
+    routes: &Routes,
+    written: &mut [bool],
 ) -> Result<()> {
-    let Some(marks) = marks else {
-        for &(row, item) in rows {
-            let value = value_of(table, row, item);
-            table.set_value(row, column, value)?;
-        }
-        return Ok(());
-    };
-    let index = table.track_provenance(column)?;
-    let mut unmapped = vec![true; table.len()];
-    for &(row, item) in rows {
-        unmapped[row] = false;
-        let tag = (marks.get(&item).copied()).unwrap_or(MissingReason::NotExpanded.into());
-        let value = value_of(table, row, item);
-        table.set_cell(row, column, value, tag)?;
-    }
-    for (row, unmapped) in unmapped.into_iter().enumerate() {
-        if unmapped && table.rows()[row][index].is_null() {
-            table.set_cell(row, column, Value::Null, MissingReason::NoItemId.into())?;
+    let mut writer = table.column_writer(column)?;
+    for &(row, at) in &routes.rows {
+        if let Some(value) = values.get(at) {
+            writer.set(row, value.clone(), REPAIRED)?;
+            written[at] = true;
         }
     }
     Ok(())
 }
 
+/// Writes `column` of every row of `table` in one pass, and returns how
+/// many rows received a value.  Each routed row gets its item's value from
+/// `values` (`NULL` past its end; `None` keeps the cell's own value),
+/// tagged with its item's mark — `NotExpanded` past the end of `marks`.  A
+/// row without a usable item id keeps its value and, when that is `NULL`,
+/// reads `NoItemId`: no crowd value can ever be routed to it.  Without
+/// `marks` the values are written as stored.  Snapshot recovery re-tags a
+/// column by keeping every cell's own value and writing its mark.
+pub(crate) fn write_column(
+    table: &mut Table,
+    column: &str,
+    routes: &Routes,
+    values: Option<&[Value]>,
+    marks: Option<&[CellProvenance]>,
+) -> Result<usize> {
+    let rows = table.len();
+    if marks.is_some() {
+        table.track_provenance(column)?;
+    }
+    let mut writer = table.column_writer(column)?;
+    let mut filled = 0;
+    for &(row, at) in &routes.rows {
+        let value = match values {
+            Some(values) => values.get(at).cloned().unwrap_or(Value::Null),
+            None => writer.value(row)?.clone(),
+        };
+        filled += usize::from(!value.is_null());
+        let tag = match marks {
+            Some(marks) => (marks.get(at).copied()).unwrap_or(MissingReason::NotExpanded.into()),
+            None => CellProvenance::Stored,
+        };
+        writer.set(row, value, tag)?;
+    }
+    if marks.is_some() && routes.skipped > 0 {
+        let mut unmapped = vec![true; rows];
+        for &(row, _) in &routes.rows {
+            unmapped[row] = false;
+        }
+        for (row, unmapped) in unmapped.into_iter().enumerate() {
+            if unmapped && writer.value(row)?.is_null() {
+                writer.set(row, Value::Null, MissingReason::NoItemId.into())?;
+            }
+        }
+    }
+    Ok(filled)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::ItemIndex;
     use relational::Schema;
 
     fn table_with_ids(ids: &[i64]) -> Table {
@@ -133,17 +147,26 @@ mod tests {
         table
     }
 
+    /// The routes of `table`'s rows to the positions of `items`.
+    fn routes(table: &Table, items: &[u32]) -> Routes {
+        let mut index = ItemIndex::new(items.iter().copied());
+        index.route(table, "item_id", "t").unwrap()
+    }
+
     #[test]
     fn fills_through_the_mapping_and_counts_gaps() {
         let mut table = table_with_ids(&[5, 17, 99]);
-        let rows: Vec<(usize, ItemId)> = vec![(0, 5), (1, 17), (2, 99)];
-        let values: HashMap<ItemId, Value> =
-            [(5, Value::Boolean(true)), (99, Value::Boolean(false))]
-                .into_iter()
-                .collect();
-        let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &values, None, &rows)
-                .unwrap();
+        let routes = routes(&table, &[5, 17, 99]);
+        let values = [Value::Boolean(true), Value::Null, Value::Boolean(false)];
+        let outcome = materialize_column(
+            &mut table,
+            "flag",
+            DataType::Boolean,
+            &values,
+            None,
+            &routes,
+        )
+        .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -155,11 +178,18 @@ mod tests {
     #[test]
     fn duplicated_item_ids_fill_every_row() {
         let mut table = table_with_ids(&[7, 7, 8]);
-        let rows: Vec<(usize, ItemId)> = vec![(0, 7), (1, 7), (2, 8)];
-        let values: HashMap<ItemId, Value> = [(7, Value::Boolean(true))].into_iter().collect();
-        let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &values, None, &rows)
-                .unwrap();
+        // Item 8 lies past the end of the values: its row stays NULL.
+        let routes = routes(&table, &[7]);
+        let values = [Value::Boolean(true)];
+        let outcome = materialize_column(
+            &mut table,
+            "flag",
+            DataType::Boolean,
+            &values,
+            None,
+            &routes,
+        )
+        .unwrap();
         assert_eq!(outcome.rows_filled, 2, "both rows with item 7 are filled");
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -171,16 +201,19 @@ mod tests {
     #[test]
     fn re_materializing_overwrites_in_place() {
         let mut table = table_with_ids(&[1, 2]);
-        let rows: Vec<(usize, ItemId)> = vec![(0, 1), (1, 2)];
-        let first: HashMap<ItemId, Value> = [(1, Value::Boolean(true))].into_iter().collect();
-        materialize_column(&mut table, "flag", DataType::Boolean, &first, None, &rows).unwrap();
-        let second: HashMap<ItemId, Value> =
-            [(1, Value::Boolean(false)), (2, Value::Boolean(true))]
-                .into_iter()
-                .collect();
-        let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &second, None, &rows)
-                .unwrap();
+        let routes = routes(&table, &[1, 2]);
+        let first = [Value::Boolean(true), Value::Null];
+        materialize_column(&mut table, "flag", DataType::Boolean, &first, None, &routes).unwrap();
+        let second = [Value::Boolean(false), Value::Boolean(true)];
+        let outcome = materialize_column(
+            &mut table,
+            "flag",
+            DataType::Boolean,
+            &second,
+            None,
+            &routes,
+        )
+        .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         // Still exactly one `flag` column.
         assert_eq!(
@@ -197,12 +230,54 @@ mod tests {
 
         // A round that cannot decide item 1 clears its stale value instead
         // of leaving the previous round's answer in place.
-        let third: HashMap<ItemId, Value> = [(2, Value::Boolean(false))].into_iter().collect();
+        let third = [Value::Null, Value::Boolean(false)];
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &third, None, &rows).unwrap();
+            materialize_column(&mut table, "flag", DataType::Boolean, &third, None, &routes)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 1);
         assert_eq!(outcome.rows_unfilled, 1);
         assert_eq!(table.rows()[0][idx], Value::Null, "stale value cleared");
         assert_eq!(table.rows()[1][idx], Value::Boolean(false));
+    }
+
+    #[test]
+    fn marks_tag_every_row_and_rows_without_an_item_read_no_item_id() {
+        let schema = Schema::new(vec![Column::new("item_id", DataType::Integer)]).unwrap();
+        let mut table = Table::new("t", schema);
+        for id in [
+            Value::Integer(4),
+            Value::Null,
+            Value::Integer(9),
+            Value::Integer(4),
+        ] {
+            table.insert_row(vec![id]).unwrap();
+        }
+        let routes = routes(&table, &[4]);
+        let values = [Value::Float(2.5)];
+        let marks = [CellProvenance::Extracted];
+        let outcome = materialize_column(
+            &mut table,
+            "score",
+            DataType::Float,
+            &values,
+            Some(&marks),
+            &routes,
+        )
+        .unwrap();
+        assert_eq!((outcome.rows_filled, outcome.rows_unfilled), (2, 1));
+        let idx = table.schema().index_of("score").unwrap();
+        let cells: Vec<(Value, CellProvenance)> = (table.rows().iter())
+            .zip(table.tags(idx).unwrap())
+            .map(|(row, tag)| (row[idx].clone(), *tag))
+            .collect();
+        assert_eq!(
+            cells,
+            vec![
+                (Value::Float(2.5), CellProvenance::Extracted),
+                (Value::Null, MissingReason::NoItemId.into()),
+                (Value::Null, MissingReason::NotExpanded.into()),
+                (Value::Float(2.5), CellProvenance::Extracted),
+            ]
+        );
     }
 }

@@ -93,7 +93,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 use perceptual::ItemId;
-use relational::{executor, sql, Catalog, PartitionSpec, Table, Value};
+use relational::{executor, sql, Catalog, MissingReason, PartitionSpec, Table, Value};
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
     partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot,
@@ -104,8 +104,8 @@ use storage::{
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
 use crate::error::CrowdDbError;
-use crate::materialize::{materialize_column, repair_cells, write_column, Marks};
-use crate::planner;
+use crate::materialize::{materialize_column, repair_cells, write_column};
+use crate::planner::{self, ItemIndex};
 use crate::scheduler::Scheduler;
 use crate::sync::{mlock, rlock, wlock};
 use crate::Result;
@@ -1137,18 +1137,18 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             // Derived again from the tags the marks write.
             incomplete: _,
         } => {
-            let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
-            let marks: Option<Marks> = ledger.map(|marks| marks.into_iter().collect());
-            let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
-            let table_mut = state.catalog.table_mut(&table)?;
+            let marked = ledger.iter().flatten().map(|&(item, _)| item);
+            let mut index = ItemIndex::new(marked.chain(values.iter().map(|&(item, _)| item)));
+            let values = index.align(values, Value::Null);
+            let marks = ledger.map(|marks| index.align(marks, MissingReason::NotExpanded.into()));
+            let routes = index.route(state.catalog.table(&table)?, ctx.id_column, &table)?;
             materialize_column(
-                table_mut,
+                state.catalog.table_mut(&table)?,
                 &column,
                 data_type,
                 &values,
-                marks.as_ref(),
-                &rows,
+                marks.as_deref(),
+                &routes,
             )?;
         }
         WalRecord::SetCells {
@@ -1156,10 +1156,17 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             column,
             values,
         } => {
-            let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
-            let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(&[table_ref], ctx.id_column, &table)?;
-            repair_cells(state.catalog.table_mut(&table)?, &column, &values, &rows)?;
+            let mut index = ItemIndex::new(values.iter().map(|&(item, _)| item));
+            let values = index.align(values, Value::Null);
+            let routes = index.route(state.catalog.table(&table)?, ctx.id_column, &table)?;
+            let mut written = vec![false; values.len()];
+            repair_cells(
+                state.catalog.table_mut(&table)?,
+                &column,
+                &values,
+                &routes,
+                &mut written,
+            )?;
         }
         WalRecord::CachePut {
             table,
@@ -1199,18 +1206,11 @@ fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredS
         catalog.create_table(table.into_table()?)?;
     }
     for ledger in image.ledgers {
-        let (rows, _, _) =
-            planner::row_mapping(&[catalog.table(&ledger.table)?], id_column, &ledger.table)?;
-        let marks: Marks = ledger.marks.into_iter().collect();
+        let mut index = ItemIndex::new(ledger.marks.iter().map(|&(item, _)| item));
+        let marks = index.align(ledger.marks, MissingReason::NotExpanded.into());
+        let routes = index.route(catalog.table(&ledger.table)?, id_column, &ledger.table)?;
         let table = catalog.table_mut(&ledger.table)?;
-        let index = table.track_provenance(&ledger.column)?;
-        write_column(
-            table,
-            &ledger.column,
-            &rows,
-            Some(&marks),
-            |table, row, _| table.rows()[row][index].clone(),
-        )?;
+        write_column(table, &ledger.column, &routes, None, Some(&marks))?;
     }
     let cache = JudgmentCache::restore(
         image.cache.groups,

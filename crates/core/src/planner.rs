@@ -17,7 +17,7 @@
 //!   perceptual-strategy attribute of the plan trains on the same
 //!   crowd-judged items and a single batched round can serve them all.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -207,56 +207,135 @@ pub(crate) fn row_mapping(
     id_column: &str,
     table_name: &str,
 ) -> Result<RowMapping> {
+    let mut index = ItemIndex::default();
     let mut rows: Vec<(usize, ItemId)> = Vec::new();
-    let mut seen: HashSet<ItemId> = HashSet::new();
-    let mut items: Vec<ItemId> = Vec::new();
     let mut skipped_rows = 0usize;
     let mut offset = 0;
     for part in parts {
-        let id_idx = part.schema().index_of(id_column).ok_or_else(|| {
+        let routes = index.route(part, id_column, table_name)?;
+        let items = index.items();
+        rows.extend(
+            routes
+                .rows
+                .iter()
+                .map(|&(row, at)| (offset + row, items[at])),
+        );
+        skipped_rows += routes.skipped;
+        offset += part.len();
+    }
+    Ok((rows, index.items, skipped_rows))
+}
+
+/// The distinct items of one write, each at a fixed position: a write's
+/// per-item state (values, tags) lives in vectors aligned with
+/// [`ItemIndex::items`], and rows reach it through [`ItemIndex::route`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ItemIndex {
+    items: Vec<ItemId>,
+    positions: HashMap<ItemId, usize>,
+}
+
+/// Where the rows of one table go: `(row, position)` for every row with a
+/// usable item id, and how many rows have none.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Routes {
+    pub rows: Vec<(usize, usize)>,
+    pub skipped: usize,
+}
+
+impl ItemIndex {
+    /// Indexes `items` in order; a repeated item keeps its first position.
+    pub(crate) fn new(items: impl IntoIterator<Item = ItemId>) -> ItemIndex {
+        let mut index = ItemIndex::default();
+        for item in items {
+            index.insert(item);
+        }
+        index
+    }
+
+    /// The indexed items, by position.
+    pub(crate) fn items(&self) -> &[ItemId] {
+        &self.items
+    }
+
+    /// The position of `item`, when it is indexed.
+    pub(crate) fn position(&self, item: ItemId) -> Option<usize> {
+        self.positions.get(&item).copied()
+    }
+
+    /// A vector aligned with the items: each pair's value at its item's
+    /// position (the last pair wins), `fill` where no pair names the item.
+    /// Pairs naming an item the index lacks are ignored.
+    pub(crate) fn align<T: Clone>(
+        &self,
+        pairs: impl IntoIterator<Item = (ItemId, T)>,
+        fill: T,
+    ) -> Vec<T> {
+        let mut aligned = vec![fill; self.items.len()];
+        for (item, value) in pairs {
+            if let Some(at) = self.position(item) {
+                aligned[at] = value;
+            }
+        }
+        aligned
+    }
+
+    /// The `(item, value)` pairs of `values` (aligned with the items) that
+    /// `keep(position, value)` accepts, in ascending item order — the
+    /// order the log records them in.
+    pub(crate) fn sorted_pairs<T: Clone>(
+        &self,
+        values: &[T],
+        keep: impl Fn(usize, &T) -> bool,
+    ) -> Vec<(ItemId, T)> {
+        let mut pairs: Vec<(ItemId, T)> = (self.items.iter().zip(values).enumerate())
+            .filter(|&(at, (_, value))| keep(at, value))
+            .map(|(_, (&item, value))| (item, value.clone()))
+            .collect();
+        pairs.sort_unstable_by_key(|&(item, _)| item);
+        pairs
+    }
+
+    /// The position of `item`, appending it when it is not indexed yet.
+    fn insert(&mut self, item: ItemId) -> usize {
+        let next = self.items.len();
+        let at = *self.positions.entry(item).or_insert(next);
+        if at == next {
+            self.items.push(item);
+        }
+        at
+    }
+
+    /// Routes every row of `table` holding a usable item id to its item's
+    /// position, appending the items not indexed yet after the known ones
+    /// — a write's per-item vectors end before them, so their rows count
+    /// as not covered by the write.  Rows whose id is `NULL`,
+    /// non-integer, negative, or beyond `u32` are counted as skipped.
+    pub(crate) fn route(
+        &mut self,
+        table: &Table,
+        id_column: &str,
+        table_name: &str,
+    ) -> Result<Routes> {
+        let id_idx = table.schema().index_of(id_column).ok_or_else(|| {
             CrowdDbError::Configuration(format!(
                 "table {table_name} has no id column '{id_column}'"
             ))
         })?;
-        for (row, values) in part.rows().iter().enumerate() {
-            match &values[id_idx] {
-                Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => {
-                    let item = *id as ItemId;
-                    rows.push((offset + row, item));
-                    if seen.insert(item) {
-                        items.push(item);
-                    }
+        let mut routes = Routes {
+            rows: Vec::with_capacity(table.len()),
+            skipped: 0,
+        };
+        for (row, values) in table.rows().iter().enumerate() {
+            match values[id_idx] {
+                Value::Integer(id) if (0..=u32::MAX as i64).contains(&id) => {
+                    routes.rows.push((row, self.insert(id as ItemId)));
                 }
-                _ => skipped_rows += 1,
+                _ => routes.skipped += 1,
             }
         }
-        offset += part.len();
+        Ok(routes)
     }
-    Ok((rows, items, skipped_rows))
-}
-
-/// Routes per-space-position predictions back to item ids through an
-/// explicit map.
-///
-/// `predicted` is indexed by perceptual-space position (item id, by the
-/// space convention); items whose id lies outside the space are returned in
-/// the second component instead of being silently dropped — the fix for the
-/// seed's dense-id assumption.
-pub(crate) fn predictions_by_item<T: Copy>(
-    items: &[ItemId],
-    predicted: &[T],
-) -> (HashMap<ItemId, T>, Vec<ItemId>) {
-    let mut mapped = HashMap::with_capacity(items.len());
-    let mut unmapped = Vec::new();
-    for &item in items {
-        match predicted.get(item as usize) {
-            Some(&value) => {
-                mapped.insert(item, value);
-            }
-            None => unmapped.push(item),
-        }
-    }
-    (mapped, unmapped)
 }
 
 #[cfg(test)]
@@ -382,14 +461,14 @@ mod tests {
         // which shares item 3 with row 0.
         assert_eq!(plan.rows, vec![(0, 3), (1, 900), (3, 14), (4, 3)]);
 
-        // Predictions index by space position; id 900 has no coordinates in
-        // a 20-item space and must surface as unmapped, not vanish.
-        let predicted: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
-        let (mapped, unmapped) = predictions_by_item(&plan.items, &predicted);
-        assert_eq!(mapped.len(), 2);
-        assert!(!mapped[&3]);
-        assert!(mapped[&14]);
-        assert_eq!(unmapped, vec![900]);
+        // Routing through the plan's item index reaches each item's
+        // position; an item the index lacks lands past the plan's items.
+        let mut index = ItemIndex::new(plan.items.iter().copied());
+        let table = table_with_ids(&[14, 3, 77, -5]);
+        let routes = index.route(&table, "item_id", "things").unwrap();
+        assert_eq!(routes.rows, vec![(0, 2), (1, 0), (2, 3)]);
+        assert_eq!(routes.skipped, 1);
+        assert_eq!(index.items(), &[3, 900, 14, 77]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use partition::PartitionSpec;
 pub use provenance::{CellProvenance, MissingReason};
 pub use schema::{fold_name, Column, Schema};
 pub use sql::{parse, ExpansionClause, ExpansionClauseMode, Statement};
-pub use table::Table;
+pub use table::{ColumnWriter, Table};
 pub use value::{DataType, Value};
 
 /// Result alias used across the crate.

@@ -337,44 +337,27 @@ impl Table {
     }
 
     /// Overwrites the value of `column` in row `row_index` and its
-    /// provenance together — the one writer of existing cells.  A column
-    /// that does not track provenance starts to when it receives a tag
-    /// other than [`CellProvenance::Stored`].
+    /// provenance together: [`ColumnWriter::set`] on a writer of that one
+    /// column.
     pub fn set_cell(
         &mut self,
         row_index: usize,
         column: &str,
-        mut value: Value,
+        value: Value,
         provenance: CellProvenance,
     ) -> Result<()> {
-        let col_idx = self.column_index(column)?;
-        let col = &self.schema.columns()[col_idx];
-        if !value.is_compatible_with(col.data_type) {
-            return Err(RelationalError::TypeMismatch(format!(
-                "value {value} is not valid for column {} of type {}",
-                col.name, col.data_type
-            )));
-        }
-        widen(&mut value, col.data_type);
-        if row_index >= self.rows.len() {
-            return Err(RelationalError::InvalidStatement(format!(
-                "row {row_index} does not exist"
-            )));
-        }
-        if let Some(key) = self.key.as_mut().filter(|key| key.column() == col_idx) {
-            key.remove(&self.rows, &self.rows[row_index][col_idx], row_index);
-            key.insert(&self.rows, &value, row_index);
-        }
-        self.rows[row_index][col_idx] = value;
-        if provenance != CellProvenance::Stored {
-            self.start_tracking(col_idx);
-        }
-        if let Some(tags) = &mut self.tags[col_idx] {
-            let old = std::mem::replace(&mut tags.cells[row_index], provenance);
-            tags.holes = tags.holes + usize::from(provenance.is_recoverable())
-                - usize::from(old.is_recoverable());
-        }
-        Ok(())
+        self.column_writer(column)?
+            .set(row_index, value, provenance)
+    }
+
+    /// The writer of `column`'s existing cells, with the column resolved
+    /// once for every cell it writes.
+    pub fn column_writer(&mut self, column: &str) -> Result<ColumnWriter<'_>> {
+        let column = self.column_index(column)?;
+        Ok(ColumnWriter {
+            table: self,
+            column,
+        })
     }
 
     /// Reads the value of `column` in row `row_index`.
@@ -441,6 +424,63 @@ impl Table {
     pub fn null_count(&self, column: &str) -> Result<usize> {
         let col_idx = self.column_index(column)?;
         Ok(self.rows.iter().filter(|r| r[col_idx].is_null()).count())
+    }
+}
+
+/// The one writer of existing cells: it sets a cell's value and its
+/// provenance together, for any run of rows of one column (see
+/// [`Table::column_writer`]).
+///
+/// Each write checks the value against the column's type (an integer
+/// bound for a `FLOAT` column is stored as a float), keeps the key index
+/// and the column's count of recoverable holes current, and starts
+/// tracking provenance for the column when it receives a tag other than
+/// [`CellProvenance::Stored`].
+pub struct ColumnWriter<'a> {
+    table: &'a mut Table,
+    column: usize,
+}
+
+impl ColumnWriter<'_> {
+    /// The current value of the column in row `row`.
+    pub fn value(&self, row: usize) -> Result<&Value> {
+        (self.table.rows.get(row))
+            .map(|values| &values[self.column])
+            .ok_or_else(|| RelationalError::InvalidStatement(format!("row {row} does not exist")))
+    }
+
+    /// Overwrites the column's cell in row `row` with `value`, tagged
+    /// `provenance`.
+    pub fn set(&mut self, row: usize, mut value: Value, provenance: CellProvenance) -> Result<()> {
+        let table = &mut *self.table;
+        let column = self.column;
+        let col = &table.schema.columns()[column];
+        if !value.is_compatible_with(col.data_type) {
+            return Err(RelationalError::TypeMismatch(format!(
+                "value {value} is not valid for column {} of type {}",
+                col.name, col.data_type
+            )));
+        }
+        widen(&mut value, col.data_type);
+        if row >= table.rows.len() {
+            return Err(RelationalError::InvalidStatement(format!(
+                "row {row} does not exist"
+            )));
+        }
+        if let Some(key) = table.key.as_mut().filter(|key| key.column() == column) {
+            key.remove(&table.rows, &table.rows[row][column], row);
+            key.insert(&table.rows, &value, row);
+        }
+        table.rows[row][column] = value;
+        if provenance != CellProvenance::Stored {
+            table.start_tracking(column);
+        }
+        if let Some(tags) = &mut table.tags[column] {
+            let old = std::mem::replace(&mut tags.cells[row], provenance);
+            tags.holes = tags.holes + usize::from(provenance.is_recoverable())
+                - usize::from(old.is_recoverable());
+        }
+        Ok(())
     }
 }
 
