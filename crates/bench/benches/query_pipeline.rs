@@ -111,7 +111,7 @@ fn bench_range_read(c: &mut Criterion) {
     assert_eq!(outcome.rows().map(|rows| rows.rows.len()), Some(800));
     let response = Response::Event {
         id: 1,
-        event: QueryEvent::Completed(outcome),
+        event: QueryEvent::Completed(outcome.into()),
     };
     c.bench_function("rowset_codec_800", |b| {
         b.iter(|| {

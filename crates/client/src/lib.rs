@@ -425,7 +425,7 @@ pub struct RemoteQueryStream {
     inner: Arc<ClientInner>,
     id: u64,
     rx: mpsc::Receiver<Incoming>,
-    outcome: Option<Result<QueryOutcome>>,
+    outcome: Option<Result<Arc<QueryOutcome>>>,
     done: bool,
 }
 
@@ -440,22 +440,24 @@ impl std::fmt::Debug for RemoteQueryStream {
 
 impl RemoteQueryStream {
     /// Drains the remaining events and returns the final outcome.  The
-    /// `Completed` outcome is moved out of its event, not cloned.
+    /// `Completed` outcome is moved out of its event, not cloned, unless
+    /// the caller still holds that event.
     pub fn wait(mut self) -> Result<QueryOutcome> {
         if let Some(outcome) = self.outcome.take() {
-            return outcome;
+            return outcome.map(Arc::unwrap_or_clone);
         }
         loop {
             if let QueryEvent::Completed(outcome) = self.recv_event()? {
-                return Ok(outcome);
+                return Ok(Arc::unwrap_or_clone(outcome));
             }
         }
     }
 
     /// The final outcome, once the stream has ended (`None` while events
     /// are still pending).
-    pub fn outcome(&self) -> Option<&Result<QueryOutcome>> {
-        self.outcome.as_ref()
+    pub fn outcome(&self) -> Option<std::result::Result<&QueryOutcome, &CrowdDbError>> {
+        let outcome = self.outcome.as_ref()?;
+        Some(outcome.as_ref().map(|outcome| &**outcome))
     }
 
     /// Blocks for this query's next message: an event, or the error that
@@ -490,7 +492,7 @@ impl Iterator for RemoteQueryStream {
         match self.recv_event() {
             Ok(event) => {
                 if let QueryEvent::Completed(outcome) = &event {
-                    self.outcome = Some(Ok(outcome.clone()));
+                    self.outcome = Some(Ok(Arc::clone(outcome)));
                     self.done = true;
                 }
                 Some(event)

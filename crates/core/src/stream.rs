@@ -27,7 +27,7 @@
 //! already dispatched completes, is paid for, and lands in the judgment
 //! cache and catalog as usual — only the notifications stop.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use crate::error::CrowdDbError;
 use crate::session::{QueryOutcome, RowSet};
@@ -95,7 +95,11 @@ pub enum QueryEvent {
     /// [`run`](crate::QueryBuilder::run) would have returned — same rows,
     /// same per-cell provenance, same dollars — because both run the same
     /// engine path; only where it runs differs.  Always the final event.
-    Completed(QueryOutcome),
+    ///
+    /// The outcome is shared with the stream that yielded the event, not
+    /// copied: once the event is dropped, [`QueryStream::wait`] hands the
+    /// outcome over without copying a cell.
+    Completed(Arc<QueryOutcome>),
 }
 
 impl QueryEvent {
@@ -180,7 +184,8 @@ impl EventSink {
     /// Terminal success: emits the final [`QueryEvent::Completed`].
     pub(crate) fn complete(&self, outcome: QueryOutcome) {
         if let Some(sender) = &self.sender {
-            let _ = sender.send(StreamMessage::Event(QueryEvent::Completed(outcome)));
+            let completed = QueryEvent::Completed(Arc::new(outcome));
+            let _ = sender.send(StreamMessage::Event(completed));
         }
     }
 
@@ -234,7 +239,7 @@ pub(crate) fn worker_died() -> CrowdDbError {
 #[must_use = "a query stream does nothing until iterated or waited on"]
 pub struct QueryStream {
     receiver: mpsc::Receiver<StreamMessage>,
-    outcome: Option<Result<QueryOutcome>>,
+    outcome: Option<Result<Arc<QueryOutcome>>>,
     done: bool,
 }
 
@@ -259,17 +264,21 @@ impl QueryStream {
     /// blocking view of the stream.  It equals what
     /// [`QueryBuilder::run`] returns, but costs a scheduler job and the
     /// events; a caller that wants only the outcome should call `run`.
+    /// The outcome is moved out of the stream, not copied, unless the
+    /// caller still holds the [`QueryEvent::Completed`] event sharing it.
     ///
     /// [`QueryBuilder::run`]: crate::QueryBuilder::run
     pub fn wait(mut self) -> Result<QueryOutcome> {
         while self.next().is_some() {}
-        self.outcome.unwrap_or_else(|| Err(worker_died()))
+        let outcome = self.outcome.unwrap_or_else(|| Err(worker_died()))?;
+        Ok(Arc::unwrap_or_clone(outcome))
     }
 
     /// The final outcome, once the stream has ended (`None` while events
     /// are still pending).
-    pub fn outcome(&self) -> Option<&Result<QueryOutcome>> {
-        self.outcome.as_ref()
+    pub fn outcome(&self) -> Option<std::result::Result<&QueryOutcome, &CrowdDbError>> {
+        let outcome = self.outcome.as_ref()?;
+        Some(outcome.as_ref().map(|outcome| &**outcome))
     }
 }
 
@@ -283,7 +292,7 @@ impl Iterator for QueryStream {
         match self.receiver.recv() {
             Ok(StreamMessage::Event(event)) => {
                 if let QueryEvent::Completed(outcome) = &event {
-                    self.outcome = Some(Ok(outcome.clone()));
+                    self.outcome = Some(Ok(Arc::clone(outcome)));
                     self.done = true;
                 }
                 Some(event)

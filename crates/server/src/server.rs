@@ -593,7 +593,7 @@ fn pump_query(
         let response = match builder.run() {
             Ok(outcome) => Response::Event {
                 id,
-                event: QueryEvent::Completed(outcome),
+                event: QueryEvent::Completed(Arc::new(outcome)),
             },
             Err(error) => Response::QueryFailed { id, error },
         };

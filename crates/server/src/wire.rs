@@ -41,6 +41,7 @@ use crowddb_core::{
 };
 use relational::{Grid, PartitionSpec};
 use std::io::{Read, Write};
+use std::sync::Arc;
 use storage::{
     crc32, decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
     encode_provenance, encode_value, Decoder, Encoder,
@@ -1066,7 +1067,7 @@ fn decode_event_inner(d: &mut Decoder<'_>) -> Result<QueryEvent> {
                 estimated_remaining_cost,
             )
         }
-        3 => QueryEvent::Completed(decode_outcome(d)?),
+        3 => QueryEvent::Completed(Arc::new(decode_outcome(d)?)),
         tag => return Err(protocol_err(format!("unknown query event tag {tag}"))),
     })
 }
@@ -1629,7 +1630,7 @@ mod tests {
             QueryEvent::Snapshot(sample_rowset()),
             QueryEvent::delta(sample_rowset(), "Comedy", 2, 0.75),
             QueryEvent::progress("Comedy", 30, 70, 0.3, 1.4),
-            QueryEvent::Completed(outcome.clone()),
+            QueryEvent::Completed(Arc::new(outcome.clone())),
         ];
         for event in &events {
             let mut e = Encoder::new();

@@ -16,7 +16,10 @@
 //! when every result row and provenance row was a vector of its own.
 //! A 2,048-row range `run()` makes 51, not 4,147: its rows and their
 //! provenance are two grids, one buffer each, so the count does not grow
-//! with the rows returned.  Lower a bound when the path gets cheaper;
+//! with the rows returned.  Draining a `stream()` of the same range with
+//! its text column, then `wait()`, makes 12 on the caller's thread, not
+//! 2,065: the stream hands the finished outcome over instead of copying
+//! it, string by string.  Lower a bound when the path gets cheaper;
 //! never raise it without saying why.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,6 +69,9 @@ const PARSE_BOUND: u64 = 10;
 const RUN_BOUND: u64 = 36;
 /// Most allocations a 2,048-row range `run()` may make.
 const RANGE_RUN_BOUND: u64 = 51;
+/// Most allocations draining a `stream()` of a 2,048-row range with a text
+/// column, then `wait()`, may make on the caller's thread.
+const RANGE_STREAM_BOUND: u64 = 12;
 
 /// Allocations (including reallocations) `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -81,6 +87,10 @@ const POINT_SELECT: &str = "SELECT item_id, label, score, weight FROM items WHER
 /// whatever holds the rows.
 const RANGE_SELECT: &str =
     "SELECT item_id, score, weight FROM items WHERE item_id >= 1024 AND item_id < 3072";
+/// The same half of the table with its text column: the result owns 2,048
+/// strings, so copying it would cost one allocation per row.
+const RANGE_TEXT_SELECT: &str =
+    "SELECT item_id, label FROM items WHERE item_id >= 1024 AND item_id < 3072";
 
 /// `read_mix`'s item table, 4,096 rows in `Hash{4}` partitions.
 fn items_db() -> CrowdDb {
@@ -153,5 +163,34 @@ fn a_range_run_allocates_per_result_not_per_row() {
     assert!(
         count <= RANGE_RUN_BOUND,
         "a 2,048-row range run() made {count} allocations (bound {RANGE_RUN_BOUND})"
+    );
+}
+
+#[test]
+fn a_drained_stream_hands_its_outcome_over_without_copying() {
+    let db = items_db();
+    let drain = || {
+        let mut stream = db.query(RANGE_TEXT_SELECT).stream();
+        for event in &mut stream {
+            drop(event);
+        }
+        stream.wait().unwrap()
+    };
+    for _ in 0..3 {
+        drain();
+    }
+    // A worker still winding down the last job would make the next
+    // submission spawn an overflow worker from this thread.
+    while db.scheduler_stats().idle == 0 {
+        std::thread::yield_now();
+    }
+    let (count, outcome) = allocations(drain);
+    let rows = outcome.rows().expect("a SELECT returns rows");
+    assert_eq!(rows.rows.len(), 2_048);
+    assert!(matches!(rows.rows[0][1], Value::Text(_)));
+    assert!(
+        count <= RANGE_STREAM_BOUND,
+        "draining a 2,048-row range stream() made {count} allocations \
+         (bound {RANGE_STREAM_BOUND})"
     );
 }

@@ -519,7 +519,7 @@ fn server_counts_frame_bytes_written() {
     // A request id is a fixed-width u64, so any id encodes to this length.
     let completed = wire::Response::Event {
         id: 0,
-        event: QueryEvent::Completed(outcome),
+        event: QueryEvent::Completed(outcome.into()),
     };
     assert_eq!(after - before, frame_len(completed));
 

@@ -148,7 +148,7 @@ fn drained_stream_is_bit_identical_to_blocking_run() {
         );
     }
     assert!(
-        matches!(events.last(), Some(QueryEvent::Completed(outcome)) if *outcome == run_outcome),
+        matches!(events.last(), Some(QueryEvent::Completed(outcome)) if **outcome == run_outcome),
         "the last event must be Completed with the run() outcome"
     );
 
