@@ -710,6 +710,49 @@ mod tests {
     }
 
     #[test]
+    fn a_column_writer_writes_a_run_of_cells() {
+        let budget: CellProvenance = MissingReason::BudgetExhausted.into();
+        let mut t = movies();
+        for i in 0..4 {
+            t.insert_row(vec![Value::Integer(i), Value::from("m"), Value::Null])
+                .unwrap();
+        }
+        t.add_column(Column::new("humor", DataType::Float), None)
+            .unwrap();
+        t.index_key("id").unwrap();
+
+        let mut humor = t.column_writer("humor").unwrap();
+        humor
+            .set(0, Value::Integer(3), CellProvenance::Extracted)
+            .unwrap();
+        humor.set(1, Value::Null, budget).unwrap();
+        humor.set(2, Value::Float(7.5), budget).unwrap();
+        humor
+            .set(2, Value::Float(8.5), CellProvenance::Stored)
+            .unwrap();
+        assert_eq!(humor.value(0).unwrap(), &Value::Float(3.0), "widened");
+        assert!(humor.set(3, Value::from("x"), budget).is_err());
+        assert!(humor.set(4, Value::Null, budget).is_err());
+        assert!(humor.value(4).is_err());
+        let tags = [
+            CellProvenance::Extracted,
+            budget,
+            CellProvenance::Stored,
+            CellProvenance::Stored,
+        ];
+        assert_eq!(t.tags(3).unwrap(), tags);
+        assert_eq!(t.recoverable_holes(3), 1);
+
+        // A writer of the key column keeps the key index current.
+        let mut id = t.column_writer("id").unwrap();
+        id.set(1, Value::Integer(40), CellProvenance::Stored)
+            .unwrap();
+        assert_eq!(t.rows_with_key(40).unwrap().collect::<Vec<_>>(), [1]);
+        assert_eq!(t.rows_with_key(1).unwrap().count(), 0);
+        assert!(t.column_writer("missing").is_err());
+    }
+
+    #[test]
     fn set_value_updates_cells() {
         let mut t = movies();
         t.insert_row(vec![
