@@ -75,12 +75,16 @@ pub(crate) fn repair_cells(
     routes: &Routes,
     written: &mut [bool],
 ) -> Result<()> {
+    let mut cells = (routes.rows.iter())
+        .filter_map(|&(row, at)| Some((row, at, values.get(at)?)))
+        .peekable();
+    if cells.peek().is_none() {
+        return Ok(());
+    }
     let mut writer = table.column_writer(column)?;
-    for &(row, at) in &routes.rows {
-        if let Some(value) = values.get(at) {
-            writer.set(row, value.clone(), REPAIRED)?;
-            written[at] = true;
-        }
+    for (row, at, value) in cells {
+        writer.set(row, value.clone(), REPAIRED)?;
+        written[at] = true;
     }
     Ok(())
 }

@@ -229,7 +229,7 @@ pub(crate) fn row_mapping(
 /// The distinct items of one write, each at a fixed position: a write's
 /// per-item state (values, tags) lives in vectors aligned with
 /// [`ItemIndex::items`], and rows reach it through [`ItemIndex::route`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ItemIndex {
     items: Vec<ItemId>,
     positions: HashMap<ItemId, usize>,
@@ -237,7 +237,7 @@ pub(crate) struct ItemIndex {
 
 /// Where the rows of one table go: `(row, position)` for every row with a
 /// usable item id, and how many rows have none.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct Routes {
     pub rows: Vec<(usize, usize)>,
     pub skipped: usize,
