@@ -2404,9 +2404,10 @@ impl DbInner {
         acquisitions: Vec<Acquisition>,
         policy: &ExpansionPolicy,
     ) -> Result<Vec<ExpansionReport>> {
-        // One item → position index per plan: every per-item vector below
-        // is aligned with `plan.items`.
-        let mut index = planner::ItemIndex::new(plan.items.iter().copied());
+        // Every per-item vector below is aligned with `plan.items` through
+        // the plan's index; routing rows under the write locks appends the
+        // items inserted since the plan to this copy of it.
+        let mut index = plan.index.clone();
         // Phase 1 (lock-free): aggregate verdicts into per-attribute values
         // and tags, training extractors where the strategy demands it.
         struct Prepared {
@@ -2659,7 +2660,7 @@ impl DbInner {
                     "column {column} of table {table_name} is not materialized — expand it first"
                 ))
             })?;
-            let (rows, items, _skipped) =
+            let (rows, index, _skipped) =
                 planner::row_mapping(&parts, &self.config.id_column, &key)?;
             // Row numbers count the partitions' rows in `k` order.
             let all_rows: Vec<&[Value]> = parts
@@ -2676,8 +2677,7 @@ impl DbInner {
                 }
             }
             // Only items that still have a row are worth re-crowd-sourcing.
-            let eligible: Vec<ItemId> = items
-                .into_iter()
+            let eligible: Vec<ItemId> = (index.items().iter().copied())
                 .filter(|&item| (item as usize) < space_len)
                 .collect();
             (labels, eligible)

@@ -70,6 +70,10 @@ pub struct ExpansionPlan {
     pub rows: Vec<(usize, ItemId)>,
     /// The distinct mapped item ids, in first-appearance (table-row) order.
     pub items: Vec<ItemId>,
+    /// The position of each of `items`, built once with the mapping: the
+    /// materialize stage keeps every per-item value and tag in vectors
+    /// aligned with `items` and routes rows to them through this index.
+    pub(crate) index: ItemIndex,
     /// Rows whose id column holds no usable item id (`NULL`, non-integer,
     /// negative, or beyond `u32`).  They can never be filled and are
     /// reported as unfilled rather than silently dropped.
@@ -151,8 +155,9 @@ pub(crate) fn build_plan(inputs: PlanInputs<'_>) -> Result<ExpansionPlan> {
     }
 
     // Build the explicit id → row mapping.
-    let (rows, items, skipped_rows) =
+    let (rows, index, skipped_rows) =
         row_mapping(inputs.parts, inputs.id_column, inputs.table_name)?;
+    let items = index.items().to_vec();
 
     // One shared gold sample for all perceptual-strategy attributes.
     let demand = attributes
@@ -182,14 +187,15 @@ pub(crate) fn build_plan(inputs: PlanInputs<'_>) -> Result<ExpansionPlan> {
         attributes,
         rows,
         items,
+        index,
         skipped_rows,
         gold_sample,
     })
 }
 
-/// The `(row index, item id)` pairs, distinct item ids, and count of rows
-/// without a usable item id.
-pub(crate) type RowMapping = (Vec<(usize, ItemId)>, Vec<ItemId>, usize);
+/// The `(row index, item id)` pairs, the distinct item ids (indexed by
+/// position), and the count of rows without a usable item id.
+pub(crate) type RowMapping = (Vec<(usize, ItemId)>, ItemIndex, usize);
 
 /// Builds the explicit `(row, item id)` mapping of a table, given as its
 /// partitions in `k` order (a table that is not partitioned is the
@@ -223,13 +229,13 @@ pub(crate) fn row_mapping(
         skipped_rows += routes.skipped;
         offset += part.len();
     }
-    Ok((rows, index.items, skipped_rows))
+    Ok((rows, index, skipped_rows))
 }
 
 /// The distinct items of one write, each at a fixed position: a write's
 /// per-item state (values, tags) lives in vectors aligned with
 /// [`ItemIndex::items`], and rows reach it through [`ItemIndex::route`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ItemIndex {
     items: Vec<ItemId>,
     positions: HashMap<ItemId, usize>,
@@ -480,9 +486,9 @@ mod tests {
         table
             .insert_row(vec![Value::Integer(5_000_000_000)])
             .unwrap();
-        let (rows, items, skipped) = row_mapping(&[&table], "item_id", "things").unwrap();
+        let (rows, index, skipped) = row_mapping(&[&table], "item_id", "things").unwrap();
         assert_eq!(rows, vec![(0, 4)]);
-        assert_eq!(items, vec![4]);
+        assert_eq!(index.items(), &[4]);
         assert_eq!(
             skipped, 2,
             "NULL and beyond-u32 ids are counted, not dropped"
