@@ -153,9 +153,7 @@ impl SvmClassifier {
 
     /// Signed decision value for `x`; positive means the positive class.
     pub fn decision_value(&self, x: &[f64]) -> f64 {
-        let mut value = 0.0;
-        self.support.decision_values(&[x], |v| value = v);
-        value
+        self.support.decision_value(x)
     }
 
     /// Predicted label for `x`.

@@ -108,6 +108,13 @@ impl SupportVectors {
         self.coefficients.len()
     }
 
+    /// The decision value of `x`: a batch of one.
+    pub(crate) fn decision_value(&self, x: &[f64]) -> f64 {
+        let mut value = 0.0;
+        self.decision_values(&[x], |v| value = v);
+        value
+    }
+
     /// Hands `emit` the decision value of every point, in order.
     pub(crate) fn decision_values<P: AsRef<[f64]>>(&self, points: &[P], mut emit: impl FnMut(f64)) {
         let len = self.len();

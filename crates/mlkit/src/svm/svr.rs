@@ -141,9 +141,7 @@ impl SvrRegressor {
 
     /// Predicted value for `x`.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        let mut value = 0.0;
-        self.support.decision_values(&[x], |v| value = v);
-        value
+        self.support.decision_value(x)
     }
 
     /// Predicts values for a batch of feature vectors.
