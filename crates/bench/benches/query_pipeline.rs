@@ -4,7 +4,8 @@
 //! point `SELECT` alone, and a point `run()` on a `Hash{4}` table), and
 //! the range read of the repository benchmark's `remote_read` workload:
 //! 800 rows of crowd-filled columns with their provenance, read in
-//! process and pushed through the wire codec.
+//! process and pushed through the wire codec, and the CRC-32 of a frame
+//! that size.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crowddb_core::{
@@ -121,6 +122,16 @@ fn bench_range_read(c: &mut Criterion) {
     });
 }
 
+/// The CRC-32 of a 37,843-byte buffer, the size of `remote_read`'s
+/// response frame under protocol version 3: each frame is checksummed
+/// once by its writer and once by its reader.
+fn bench_crc32(c: &mut Criterion) {
+    let buf: Vec<u8> = (0..37_843u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    c.bench_function("crc32_38k", |b| b.iter(|| storage::crc32(black_box(&buf))));
+}
+
 fn make_db(domain: &SyntheticDomain, space: perceptual::PerceptualSpace) -> CrowdDb {
     let crowd = SimulatedCrowd::new(domain, ExperimentRegime::TrustedWorkers, 9);
     let db = CrowdDb::new(CrowdDbConfig {
@@ -161,5 +172,11 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_point_read, bench_range_read, bench_pipeline);
+criterion_group!(
+    benches,
+    bench_point_read,
+    bench_range_read,
+    bench_crc32,
+    bench_pipeline
+);
 criterion_main!(benches);

@@ -55,7 +55,9 @@ enum Incoming {
 
 struct ClientInner {
     writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, mpsc::Sender<Incoming>>>,
+    /// Reply channels by request id; `None` once the demux thread has
+    /// exited and no reply can come.
+    pending: Mutex<Option<HashMap<u64, mpsc::Sender<Incoming>>>>,
     next_id: AtomicU64,
     session_id: u64,
 }
@@ -68,12 +70,18 @@ impl ClientInner {
 
     fn register(&self, id: u64) -> mpsc::Receiver<Incoming> {
         let (tx, rx) = mpsc::channel();
-        self.pending.lock().unwrap().insert(id, tx);
+        // On a dead connection the sender is dropped at once, so the
+        // receiver reports the lost connection instead of waiting forever.
+        if let Some(pending) = self.pending.lock().unwrap().as_mut() {
+            pending.insert(id, tx);
+        }
         rx
     }
 
     fn deregister(&self, id: u64) {
-        self.pending.lock().unwrap().remove(&id);
+        if let Some(pending) = self.pending.lock().unwrap().as_mut() {
+            pending.remove(&id);
+        }
     }
 }
 
@@ -130,7 +138,7 @@ impl RemoteCrowdDb {
             .map_err(|e| CrowdDbError::protocol(format!("socket clone failed: {e}")))?;
         let inner = Arc::new(ClientInner {
             writer: Mutex::new(sock),
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(Some(HashMap::new())),
             next_id: AtomicU64::new(1),
             session_id,
         });
@@ -281,8 +289,9 @@ impl Drop for RemoteCrowdDb {
 
 /// Reads every frame off the connection and routes responses to their
 /// queries by request id.  Exits (dropping all pending senders, which
-/// surfaces a connection-lost error on every waiting stream) when the
-/// server closes the connection or a frame fails to parse.
+/// surfaces a connection-lost error on every waiting stream, and refusing
+/// later requests the same way) when the server closes the connection or
+/// a frame fails to parse.
 fn demux_loop(mut sock: TcpStream, inner: Arc<ClientInner>) {
     while let Ok(Some(payload)) = read_frame(&mut sock) {
         let response = match Response::from_payload(&payload) {
@@ -298,11 +307,17 @@ fn demux_loop(mut sock: TcpStream, inner: Arc<ClientInner>) {
             Response::Monitor { id, tree } => (id, Incoming::Monitor(tree)),
         };
         // An unknown id is a dropped stream's late event: discard.
-        if let Some(tx) = inner.pending.lock().unwrap().get(&id) {
+        if let Some(tx) = inner
+            .pending
+            .lock()
+            .unwrap()
+            .as_ref()
+            .and_then(|p| p.get(&id))
+        {
             let _ = tx.send(incoming);
         }
     }
-    inner.pending.lock().unwrap().clear();
+    *inner.pending.lock().unwrap() = None;
 }
 
 /// A remote query under construction — the wire twin of the in-process

@@ -30,6 +30,7 @@
 //! `SELECT … WITH EXPANSION (budget = 12.0, mode = best_effort,
 //! quality >= 0.8)` — and SQL settings override the builder's.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -268,9 +269,11 @@ impl<'db> QueryBuilder<'db> {
             }
             None => (None, None),
         };
-        let monitor = inner.queries_monitor().make_child("query");
-        monitor.insert("sql", &self.sql);
-        monitor.insert("tenant", tenant);
+        let tenant = self.tenant.map_or(Cow::Borrowed("default"), Cow::Owned);
+        let monitor = inner.queries_monitor().make_child_with(
+            "query",
+            [("sql", Cow::Owned(self.sql.clone())), ("tenant", tenant)],
+        );
         let (sql, policy) = (self.sql, self.policy);
         Ok(move |sink: &EventSink| {
             let result = inner.run_policy_query(&sql, policy, directive.as_ref(), sink);

@@ -37,6 +37,35 @@ impl<T> Grid<T> {
         }
     }
 
+    /// A grid of `rows` rows of `width` cells, taking `cells` row after
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// If `cells` does not hold exactly `width × rows` cells.
+    pub fn from_cells(width: usize, rows: usize, cells: Vec<T>) -> Self {
+        assert_eq!(
+            Some(cells.len()),
+            width.checked_mul(rows),
+            "{} cells for {rows} rows of width {width}",
+            cells.len()
+        );
+        Grid { cells, width, rows }
+    }
+
+    /// A grid of `rows` rows of `width` copies of `cell`, for a writer
+    /// that fills it column by column ([`Grid::column_mut`]).
+    pub fn filled(width: usize, rows: usize, cell: T) -> Self
+    where
+        T: Clone,
+    {
+        Grid {
+            cells: vec![cell; width.checked_mul(rows).expect("grid size overflows")],
+            width,
+            rows,
+        }
+    }
+
     /// Cells per row.
     pub fn width(&self) -> usize {
         self.width
@@ -71,22 +100,6 @@ impl<T> Grid<T> {
             "a row of a width-{} grid has another length",
             self.width
         );
-    }
-
-    /// Appends one row whose cells `cell` produces in column order, or
-    /// stops at the first error and leaves the grid as it was.
-    pub fn try_push_row<E>(&mut self, mut cell: impl FnMut() -> Result<T, E>) -> Result<(), E> {
-        for _ in 0..self.width {
-            match cell() {
-                Ok(value) => self.cells.push(value),
-                Err(error) => {
-                    self.cells.truncate(self.rows * self.width);
-                    return Err(error);
-                }
-            }
-        }
-        self.rows += 1;
-        Ok(())
     }
 
     /// The first row.
@@ -125,6 +138,38 @@ impl<T> Grid<T> {
             width: self.width,
             remaining: self.rows,
         }
+    }
+
+    /// The cells of column `column`, top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is not below [`Grid::width`].
+    pub fn column(&self, column: usize) -> impl ExactSizeIterator<Item = &T> {
+        assert!(
+            column < self.width,
+            "column {column} of a width-{} grid",
+            self.width
+        );
+        self.cells
+            .chunks_exact(self.width)
+            .map(move |row| &row[column])
+    }
+
+    /// The cells of column `column`, top to bottom, mutably.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is not below [`Grid::width`].
+    pub fn column_mut(&mut self, column: usize) -> impl ExactSizeIterator<Item = &mut T> {
+        assert!(
+            column < self.width,
+            "column {column} of a width-{} grid",
+            self.width
+        );
+        self.cells
+            .chunks_exact_mut(self.width)
+            .map(move |row| &mut row[column])
     }
 
     /// Sorts the rows by `key`, stably (rows with equal keys keep their
@@ -321,6 +366,25 @@ mod tests {
     }
 
     #[test]
+    fn columns_read_and_write_top_to_bottom() {
+        let mut grid = Grid::filled(2, 4, 0);
+        assert_eq!(grid.column(1).len(), 4);
+        for (cell, value) in grid.column_mut(1).zip(10..) {
+            *cell = value;
+        }
+        for (cell, row) in grid.column_mut(0).zip(nested()) {
+            *cell = row[0];
+        }
+        assert_eq!(grid, [[3, 10], [1, 11], [2, 12], [1, 13]]);
+        assert_eq!(grid.column(0).copied().collect::<Vec<_>>(), [3, 1, 2, 1]);
+        assert_eq!(Grid::from_cells(2, 2, vec![1, 2, 3, 4]), [[1, 2], [3, 4]]);
+        assert_eq!(Grid::<i32>::from_cells(0, 3, vec![]).len(), 3);
+        let empty: Grid<i32> = Grid::filled(3, 0, 7);
+        assert_eq!(empty.column(2).len(), 0);
+        assert_eq!(Grid::filled(0, 5, 7).len(), 5);
+    }
+
+    #[test]
     fn reads_match_the_nested_vector() {
         let rows = nested();
         let grid = Grid::from(rows.clone());
@@ -397,21 +461,6 @@ mod tests {
         grid[0][0] = 9;
         assert_eq!(grid.first(), Some(&[9, 31][..]));
         assert_eq!(grid.cells(), &[9, 31, 1, 11, 2, 21, 1, 12]);
-    }
-
-    #[test]
-    fn a_failed_row_leaves_the_grid_as_it_was() {
-        let mut grid = Grid::new(3);
-        let mut next = 0;
-        grid.try_push_row(|| {
-            next += 1;
-            Ok::<_, ()>(next)
-        })
-        .unwrap();
-        let mut cells = [Ok(7), Err("bad"), Ok(8)].into_iter();
-        assert_eq!(grid.try_push_row(|| cells.next().unwrap()), Err("bad"));
-        assert_eq!(grid, [vec![1, 2, 3]]);
-        assert_eq!(grid.cells().len(), 3);
     }
 
     #[test]

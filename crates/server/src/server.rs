@@ -26,7 +26,7 @@
 //! [`QueryStream`]: crowddb_core::QueryStream
 
 use crate::wire::{
-    read_frame, write_frame, ClientHello, HandshakeReply, Request, Response, FRAME_HEADER_LEN,
+    frame, read_frame, write_whole_frame, ClientHello, HandshakeReply, Request, Response,
     PROTOCOL_VERSION,
 };
 use crowddb_core::{CrowdDb, CrowdDbError, ExpansionPolicy, QueryEvent, Result, TableOptions};
@@ -106,14 +106,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Writes one frame to a client.  Its bytes, header included, are
-    /// counted before the write begins, so a client that has read a frame
-    /// also finds it counted.
-    fn write_frame(&self, sock: &mut TcpStream, payload: &[u8]) -> Result<()> {
+    /// Writes one whole frame to a client.  Its bytes, header included,
+    /// are counted before the write begins, so a client that has read a
+    /// frame also finds it counted.
+    fn write_frame(&self, sock: &mut TcpStream, frame: &[u8]) -> Result<()> {
         self.counters
             .frame_bytes_written
-            .fetch_add((FRAME_HEADER_LEN + payload.len()) as u64, Ordering::SeqCst);
-        write_frame(sock, payload)
+            .fetch_add(frame.len() as u64, Ordering::SeqCst);
+        write_whole_frame(sock, frame)
     }
 }
 
@@ -350,7 +350,7 @@ fn handshake(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64) -> Res
         let reply = HandshakeReply::Rejected {
             reason: reason.clone(),
         };
-        let _ = shared.write_frame(sock, &reply.to_payload());
+        let _ = shared.write_frame(sock, &frame(&reply.to_payload()));
         Err(CrowdDbError::protocol(reason))
     };
     let hello = match hello {
@@ -393,7 +393,7 @@ fn handshake(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64) -> Res
         protocol_version: PROTOCOL_VERSION,
         session_id,
     };
-    shared.write_frame(sock, &reply.to_payload())?;
+    shared.write_frame(sock, &frame(&reply.to_payload()))?;
     Ok(tenant)
 }
 
@@ -522,8 +522,8 @@ fn serve_requests(shared: &Arc<Shared>, sock: &mut TcpStream, session_id: u64, t
 }
 
 fn writer_loop(shared: &Shared, rx: mpsc::Receiver<Vec<u8>>, mut sock: TcpStream) {
-    while let Ok(payload) = rx.recv() {
-        if shared.write_frame(&mut sock, &payload).is_err() {
+    while let Ok(frame) = rx.recv() {
+        if shared.write_frame(&mut sock, &frame).is_err() {
             break;
         }
     }
@@ -531,8 +531,8 @@ fn writer_loop(shared: &Shared, rx: mpsc::Receiver<Vec<u8>>, mut sock: TcpStream
 }
 
 fn send_response(tx: &mpsc::Sender<Vec<u8>>, response: &Response) -> bool {
-    match response.to_payload() {
-        Ok(payload) => tx.send(payload).is_ok(),
+    match response.to_frame() {
+        Ok(frame) => tx.send(frame).is_ok(),
         Err(_) => true, // inexpressible event: skip it, keep the connection
     }
 }

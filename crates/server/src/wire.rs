@@ -9,10 +9,13 @@
 //! format is an auditable versioned contract rather than an accident of
 //! struct layout.  The domain values storage also persists are encoded by
 //! storage's own codecs, not by copies here: [`encode_value`] for a cell,
-//! [`encode_provenance`] for its provenance mark, [`encode_partition_spec`]
-//! for a table's layout.  A cell therefore has the same bytes on the socket
-//! as in the log, and a storage decode failure is mapped to
-//! [`CrowdDbError::Protocol`] at this boundary.  A frame that is truncated,
+//! [`encode_tag_column`] for a column of provenance marks,
+//! [`encode_partition_spec`] for a table's layout.  A cell therefore has
+//! the same bytes on the socket as in the log, and a storage decode
+//! failure is mapped to [`CrowdDbError::Protocol`] at this boundary.  A
+//! row set travels column-major: one row count, each column's values in a
+//! run, then each column's provenance with repeated payload-free marks
+//! run-length encoded.  A frame that is truncated,
 //! oversize ([`MAX_FRAME_LEN`]), or fails its checksum is a
 //! [`CrowdDbError::Protocol`] — the connection carrying it is torn down,
 //! the server stays up.
@@ -28,8 +31,8 @@
 //!
 //! The payload types of the query surface — [`QueryEvent`],
 //! [`QueryOutcome`], [`ExpansionPolicy`], [`ExpansionReport`], per-cell
-//! [`CellProvenance`](crowddb_core::CellProvenance), and the full
-//! [`CrowdDbError`] enum including every nested engine error — round-trip
+//! [`CellProvenance`], and the full [`CrowdDbError`] enum including every
+//! nested engine error — round-trip
 //! the codec exactly: a remote caller sees the same typed events and typed
 //! errors an in-process caller does.
 
@@ -39,12 +42,12 @@ use crowddb_core::{
     CrowdDbError, DegradeReason, ExpansionMode, ExpansionPolicy, ExpansionReport, QueryEvent,
     QueryOutcome, Result, RowSet, StatementResult,
 };
-use relational::{Grid, PartitionSpec};
+use relational::{CellProvenance, Grid, PartitionSpec};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use storage::{
-    crc32, decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
-    encode_provenance, encode_value, Decoder, Encoder,
+    crc32, decode_partition_spec, decode_tag_column, decode_value, encode_partition_spec,
+    encode_tag_column, encode_value, skip_value, Decoder, Encoder,
 };
 use telemetry::MonitorTree;
 
@@ -55,8 +58,10 @@ use telemetry::MonitorTree;
 /// added intra-table partitioning: the [`Request::CreateTable`] message
 /// and its length-prefixed [`PartitionSpec`] payload field (a spec variant
 /// this build does not know decodes as single-partition instead of
-/// dropping the connection).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// dropping the connection).  Version 4 sends row sets column-major: one
+/// row count instead of a length per row, and provenance through
+/// storage's run-length tag-column codec.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Ceiling on [`MonitorTree`] nesting the codec will decode.  The live
 /// monitor hierarchy is a few levels deep; anything past this bound is a
@@ -99,20 +104,45 @@ fn as_protocol(e: CrowdDbError) -> CrowdDbError {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (header + payload) and flushes the writer.
+/// Writes one frame (header + payload) and flushes the writer.  The frame
+/// goes out in a single `write_all` — one segment on a `nodelay` socket,
+/// not a header segment and a payload segment.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME_LEN as usize {
+    write_whole_frame(w, &frame(payload))
+}
+
+/// A whole frame, header and then a copy of `payload`.
+/// [`Response::to_frame`] builds a response's frame without the copy.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    frame.extend_from_slice(payload);
+    seal_frame(frame)
+}
+
+/// Writes a whole frame ([`frame`], [`Response::to_frame`]) with a single
+/// `write_all`, then flushes the writer.  A payload past
+/// [`MAX_FRAME_LEN`] is refused before any byte is written.
+pub fn write_whole_frame(w: &mut impl Write, frame: &[u8]) -> Result<()> {
+    let len = frame.len().saturating_sub(FRAME_HEADER_LEN);
+    if len > MAX_FRAME_LEN as usize {
         return Err(protocol_err(format!(
-            "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
-            payload.len()
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header).map_err(|e| io_err("frame write", e))?;
-    w.write_all(payload).map_err(|e| io_err("frame write", e))?;
+    w.write_all(frame).map_err(|e| io_err("frame write", e))?;
     w.flush().map_err(|e| io_err("frame flush", e))
+}
+
+/// Fills in the header of `frame`, whose first [`FRAME_HEADER_LEN`] bytes
+/// were reserved for it: the payload's length and CRC-32.  (A payload
+/// too long for the length field is refused by [`write_whole_frame`].)
+fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let len = (frame.len() - FRAME_HEADER_LEN) as u32;
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 /// Reads one frame's payload, verifying length bound and checksum.
@@ -528,16 +558,32 @@ impl Response {
     /// [`QueryEvent`] variant this protocol version cannot express.
     pub fn to_payload(&self) -> Result<Vec<u8>> {
         let mut e = Encoder::new();
+        self.encode(&mut e)?;
+        Ok(e.into_bytes())
+    }
+
+    /// Encodes the response as a whole frame, header included, for
+    /// [`write_whole_frame`]: the header's room is reserved ahead of the
+    /// payload and filled in once the payload is encoded, so the payload
+    /// is never copied.  Fails as [`Response::to_payload`] does.
+    pub fn to_frame(&self) -> Result<Vec<u8>> {
+        let mut e = Encoder::new();
+        e.u64(0); // the header's room: FRAME_HEADER_LEN bytes
+        self.encode(&mut e)?;
+        Ok(seal_frame(e.into_bytes()))
+    }
+
+    fn encode(&self, e: &mut Encoder) -> Result<()> {
         match self {
             Response::Event { id, event } => {
                 e.u8(0);
                 e.u64(*id);
-                encode_event(&mut e, event)?;
+                encode_event(e, event)?;
             }
             Response::QueryFailed { id, error } => {
                 e.u8(1);
                 e.u64(*id);
-                encode_error(&mut e, error);
+                encode_error(e, error);
             }
             Response::Ack { id } => {
                 e.u8(2);
@@ -546,7 +592,7 @@ impl Response {
             Response::Stats { id, stats } => {
                 e.u8(3);
                 e.u64(*id);
-                encode_server_stats(&mut e, stats);
+                encode_server_stats(e, stats);
             }
             Response::Metrics { id, text } => {
                 e.u8(4);
@@ -556,10 +602,10 @@ impl Response {
             Response::Monitor { id, tree } => {
                 e.u8(5);
                 e.u64(*id);
-                encode_monitor_tree(&mut e, tree);
+                encode_monitor_tree(e, tree);
             }
         }
-        Ok(e.into_bytes())
+        Ok(())
     }
 
     /// Decodes a response.
@@ -682,72 +728,88 @@ fn decode_policy_inner(d: &mut Decoder<'_>) -> Result<ExpansionPolicy> {
     Ok(policy)
 }
 
+/// Encodes a row set column-major: the column names, one row count, each
+/// column's values in a run (each with its tag byte), then each column's
+/// provenance as a run-length tag column ([`encode_tag_column`]).
 fn encode_rowset(e: &mut Encoder, rows: &RowSet) {
+    debug_assert!(rows.rows.is_empty() || rows.rows.width() == rows.columns.len());
+    debug_assert_eq!(rows.provenance.len(), rows.rows.len());
     e.seq_len(rows.columns.len());
     for column in &rows.columns {
         e.str(column);
     }
-    e.seq_len(rows.rows.len());
-    for row in &rows.rows {
-        e.seq_len(row.len());
-        for value in row {
+    e.u64(rows.rows.len() as u64);
+    for column in 0..rows.rows.width() {
+        for value in rows.rows.column(column) {
             encode_value(e, value);
         }
     }
-    e.seq_len(rows.provenance.len());
-    for row in &rows.provenance {
-        e.seq_len(row.len());
-        for provenance in row {
-            encode_provenance(e, provenance);
-        }
+    for column in 0..rows.provenance.width() {
+        encode_tag_column(e, rows.provenance.column(column));
     }
 }
 
+/// Decodes a row set written by [`encode_rowset`] straight into its two
+/// grids: the values row by row, through one cursor per column, the
+/// provenance column by column.  Neither takes a per-column vector or a
+/// transpose pass.
 fn decode_rowset(d: &mut Decoder<'_>) -> Result<RowSet> {
     let n_columns = d.seq_len()?;
     let mut columns = Vec::with_capacity(n_columns);
     for _ in 0..n_columns {
         columns.push(d.str()?);
     }
-    let rows = decode_grid(d, n_columns, "value", decode_value)?;
-    let provenance = decode_grid(d, n_columns, "provenance", decode_provenance)?;
-    if provenance.len() != rows.len() {
-        return Err(protocol_err(format!(
-            "a row set of {} rows carries {} provenance rows",
-            rows.len(),
-            provenance.len()
-        )));
+    let n_rows = d.u64()?;
+    // Every value takes at least its tag byte, so the bytes left bound the
+    // cells before anything is reserved.  (Provenance cells need not: a
+    // run covers many.)
+    let cells = usize::try_from(n_rows)
+        .ok()
+        .and_then(|n_rows| n_rows.checked_mul(n_columns));
+    let (n_rows, n_cells) = match cells {
+        Some(cells) if cells <= d.remaining() => (n_rows as usize, cells),
+        _ => {
+            return Err(protocol_err(format!(
+                "a row set of {n_rows} rows of {n_columns} columns in {} bytes",
+                d.remaining()
+            )))
+        }
+    };
+    // One cursor per column: each column's values start where the
+    // previous column's end, so stepping over all but the last column
+    // finds every start.  The rows are then decoded in order, a value
+    // from each cursor, and the last cursor ends where provenance begins.
+    let mut cursors = Vec::with_capacity(n_columns);
+    let mut start = d.clone();
+    for column in 0..n_columns {
+        cursors.push(start.clone());
+        if column + 1 < n_columns {
+            for _ in 0..n_rows {
+                skip_value(&mut start)?;
+            }
+        }
+    }
+    // Counted in cells, not rows, so a row set of no columns costs
+    // nothing however many rows it claims.
+    let mut cells = Vec::with_capacity(n_cells);
+    while cells.len() < n_cells {
+        for cursor in &mut cursors {
+            cells.push(decode_value(cursor)?);
+        }
+    }
+    let rows = Grid::from_cells(n_columns, n_rows, cells);
+    if let Some(last) = cursors.pop() {
+        *d = last;
+    }
+    let mut provenance = Grid::filled(n_columns, n_rows, CellProvenance::Stored);
+    for column in 0..n_columns {
+        decode_tag_column(d, provenance.column_mut(column))?;
     }
     Ok(RowSet {
         columns,
         rows,
         provenance,
     })
-}
-
-/// Decodes a length-prefixed sequence of length-prefixed rows straight
-/// into one grid of `width` cells per row; a row of any other length is a
-/// protocol error.
-fn decode_grid<T>(
-    d: &mut Decoder<'_>,
-    width: usize,
-    what: &str,
-    cell: impl Fn(&mut Decoder<'_>) -> storage::Result<T>,
-) -> Result<Grid<T>> {
-    let n_rows = d.seq_len()?;
-    // A row takes its 8-byte length and at least a byte per cell, so the
-    // payload bounds how many rows are worth reserving room for.
-    let mut grid = Grid::with_capacity(width, n_rows.min(d.remaining() / (8 + width)));
-    for _ in 0..n_rows {
-        let n_cells = d.seq_len()?;
-        if n_cells != width {
-            return Err(protocol_err(format!(
-                "a {what} row of {n_cells} cells in a row set of {width} columns"
-            )));
-        }
-        grid.try_push_row(|| cell(d))?;
-    }
-    Ok(grid)
 }
 
 fn encode_degrade_reason(e: &mut Encoder, reason: DegradeReason) {
@@ -1286,7 +1348,8 @@ fn decode_error_inner(d: &mut Decoder<'_>) -> Result<CrowdDbError> {
 mod tests {
     use super::*;
     use crowddb_core::expansion::ExpansionStage;
-    use crowddb_core::{CellProvenance, MissingReason};
+    use crowddb_core::MissingReason;
+    use proptest::prelude::*;
     use relational::Value;
 
     fn frame_round_trip(payload: &[u8]) -> Vec<u8> {
@@ -1336,6 +1399,52 @@ mod tests {
         let mut cursor = &oversize[..];
         let err = read_frame(&mut cursor).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    /// A writer that records each `write` call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame goes to the writer in one `write` call — one segment on a
+    /// `nodelay` socket — with the header its reader expects, whichever
+    /// way it was built.
+    #[test]
+    fn a_frame_is_one_write() {
+        let response = Response::Event {
+            id: 3,
+            event: QueryEvent::Snapshot(sample_rowset()),
+        };
+        let payload = response.to_payload().unwrap();
+        let mut header = (payload.len() as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&crc32(&payload).to_le_bytes());
+
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes[..FRAME_HEADER_LEN], header[..]);
+        assert_eq!(w.bytes[FRAME_HEADER_LEN..], payload[..]);
+
+        let whole = response.to_frame().unwrap();
+        assert_eq!(whole, w.bytes);
+        let mut w = CountingWriter::default();
+        write_whole_frame(&mut w, &whole).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), payload);
     }
 
     #[test]
@@ -1488,7 +1597,9 @@ mod tests {
     /// The wire bytes of a row set are a contract with every deployed
     /// client: one cell of each value variant and of each provenance mark,
     /// every missing reason included, must encode to exactly these bytes
-    /// and decode back from them.
+    /// and decode back from them.  Protocol version 4: the column names,
+    /// the row count, the column's values, then its tag column (a run
+    /// length after each payload-free mark).
     #[test]
     fn rowset_encodes_to_golden_bytes() {
         let reasons = [
@@ -1528,50 +1639,76 @@ mod tests {
         encode_rowset(&mut e, &rowset);
         let bytes = e.into_bytes();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        const ROWSET: &str = "01000000000000000100000000000000630b0000000000000001000000000000000301000000000000006101000000000000000401010000000000000001feffffffffffffff010000000000000002000000000000e03f0100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000b00000000000000010000000000000000010000000000000001000000000000e83f000000000000e03f010000000000000002000000000000d03f01000000000000000301000000000000000400010000000000000004010100000000000000040201000000000000000403010000000000000004040100000000000000040501000000000000000406";
+        const ROWSET: &str = "01000000000000000100000000000000630b0000000000000003010000000000000061040101feffffffffffffff02000000000000e03f00000000000000000101000000000000e83f000000000000e03f02000000000000d03f0301040001040101040201040301040401040501040601";
         assert_eq!(hex, ROWSET);
         let mut d = Decoder::new(&bytes);
         assert_eq!(decode_rowset(&mut d).unwrap(), rowset);
         assert!(d.is_exhausted());
     }
 
-    /// A row set's value and provenance rows are each exactly as wide as
-    /// its column list, and it has one provenance row per value row.  A
-    /// payload breaking either is malformed, decoded to a protocol error
-    /// rather than to a ragged result.
+    /// A row set holds exactly its row count of cells in each column, as
+    /// values and as provenance, and a provenance column's runs cover its
+    /// cells exactly.  A payload breaking either is malformed, decoded to a
+    /// protocol error rather than to a ragged result.
     #[test]
     fn ragged_rowsets_are_protocol_errors() {
-        // Two columns; `rows` and `provenance` give each row's cell count.
-        let payload = |rows: &[usize], provenance: &[usize]| {
+        // Two columns of `rows` rows: `values` gives each column's value
+        // count, `runs` each column's runs of `Stored`.
+        let payload = |rows: u64, values: [usize; 2], runs: [&[u64]; 2]| {
             let mut e = Encoder::new();
+            e.u8(0); // an Event response
+            e.u64(7);
             e.u8(0); // a Snapshot event
             e.seq_len(2);
             e.str("item_id");
             e.str("is_comedy");
-            e.seq_len(rows.len());
-            for &cells in rows {
-                e.seq_len(cells);
-                (0..cells).for_each(|_| encode_value(&mut e, &Value::Integer(1)));
+            e.u64(rows);
+            for count in values {
+                (0..count).for_each(|_| encode_value(&mut e, &Value::Integer(1)));
             }
-            e.seq_len(provenance.len());
-            for &cells in provenance {
-                e.seq_len(cells);
-                (0..cells).for_each(|_| encode_provenance(&mut e, &CellProvenance::Stored));
+            for column in runs {
+                for &run in column {
+                    storage::encode_provenance(&mut e, &CellProvenance::Stored);
+                    e.varint(run);
+                }
             }
             e.into_bytes()
         };
-        let decode = |bytes: &[u8]| decode_event(&mut Decoder::new(bytes));
-        assert!(decode(&payload(&[2, 2], &[2, 2])).is_ok());
+        assert!(Response::from_payload(&payload(2, [2, 2], [&[2], &[1, 1]])).is_ok());
+        // Rows of no column take no byte; any count of them decodes at once.
+        let mut e = Encoder::new();
+        e.u8(0);
+        e.seq_len(0);
+        e.u64(u64::MAX);
+        match decode_event(&mut Decoder::new(&e.into_bytes())) {
+            Ok(QueryEvent::Snapshot(rows)) => assert_eq!(rows.rows.len() as u64, u64::MAX),
+            other => panic!("an empty row set decoded to {other:?}"),
+        }
         let malformed = [
-            ("a short value row", payload(&[2, 1], &[2, 2])),
-            ("a long value row", payload(&[3, 2], &[2, 2])),
-            ("a short provenance row", payload(&[2, 2], &[2, 1])),
-            ("a long provenance row", payload(&[2, 2], &[2, 3])),
-            ("too few provenance rows", payload(&[2, 2], &[2])),
-            ("too many provenance rows", payload(&[2], &[2, 2])),
+            ("a short value column", payload(2, [2, 1], [&[2], &[2]])),
+            ("a long value column", payload(2, [3, 2], [&[2], &[2]])),
+            (
+                "a short provenance column",
+                payload(2, [2, 2], [&[2], &[1]]),
+            ),
+            (
+                "a long provenance column",
+                payload(2, [2, 2], [&[2], &[2, 1]]),
+            ),
+            ("a zero-length run", payload(2, [2, 2], [&[0, 2], &[2]])),
+            ("a run past the row count", payload(2, [2, 2], [&[3], &[2]])),
+            ("runs that sum short", payload(2, [2, 2], [&[1], &[1]])),
+            (
+                "a row count past the value bytes",
+                payload(1 << 40, [2, 2], [&[2], &[2]]),
+            ),
+            (
+                "a row count overflowing the cell count",
+                payload(u64::MAX, [2, 2], [&[2], &[2]]),
+            ),
         ];
         for (what, bytes) in malformed {
-            match decode(&bytes) {
+            match Response::from_payload(&bytes) {
                 Err(CrowdDbError::Protocol { .. }) => {}
                 other => panic!("{what} decoded to {other:?}"),
             }
@@ -1792,6 +1929,136 @@ mod tests {
         let bytes = e.into_bytes();
         let err = decode_monitor_tree(&mut Decoder::new(&bytes)).unwrap_err();
         assert!(err.to_string().contains("nests deeper"), "{err}");
+    }
+
+    /// A value of every variant, chosen by `kind`, varied by `bits`.
+    fn any_value(kind: u8, bits: u64) -> Value {
+        match kind % 5 {
+            0 => Value::Null,
+            1 => Value::Integer(bits as i64),
+            2 => Value::Float((bits as i64) as f64 / 1024.0),
+            3 => Value::Text("é".repeat((bits % 4) as usize) + &format!("{:x}", bits >> 48)),
+            _ => Value::Boolean(bits & 1 == 1),
+        }
+    }
+
+    /// A mark of every variant and missing reason, chosen by `kind`.
+    fn any_mark(kind: u8, bits: u64) -> CellProvenance {
+        let fraction = (bits % 1000) as f64 / 1000.0;
+        match kind % 11 {
+            0 => CellProvenance::Stored,
+            1 => CellProvenance::CrowdDerived {
+                confidence: fraction,
+                cost_share: fraction / 8.0,
+            },
+            2 => CellProvenance::CacheHit {
+                confidence: fraction,
+            },
+            3 => CellProvenance::Extracted,
+            reason => CellProvenance::Missing {
+                reason: [
+                    MissingReason::BudgetExhausted,
+                    MissingReason::NoCachedJudgment,
+                    MissingReason::BelowQualityFloor,
+                    MissingReason::NoMajority,
+                    MissingReason::OutOfSpace,
+                    MissingReason::NotExpanded,
+                    MissingReason::NoItemId,
+                ][reason as usize - 4],
+            },
+        }
+    }
+
+    /// A `width × rows` row set: values from `values`, and each column's
+    /// provenance laid out as runs drawn from `runs` (a run repeats one
+    /// mark, so long runs of every kind occur).
+    fn shaped_rowset(
+        width: usize,
+        rows: usize,
+        values: &[(u8, u64)],
+        runs: &[(u8, usize, u64)],
+    ) -> RowSet {
+        let mut grid = Grid::with_capacity(width, rows);
+        let mut cells = values.iter().cycle();
+        for _ in 0..rows {
+            grid.push_row((0..width).map(|_| {
+                let &(kind, bits) = cells.next().unwrap();
+                any_value(kind, bits)
+            }));
+        }
+        let mut provenance = Grid::filled(width, rows, CellProvenance::Stored);
+        let mut runs = runs.iter().cycle();
+        for column in 0..width {
+            let mut cells = provenance.column_mut(column);
+            while cells.len() > 0 {
+                let &(kind, run, bits) = runs.next().unwrap();
+                let mark = any_mark(kind, bits);
+                cells.by_ref().take(run).for_each(|cell| *cell = mark);
+            }
+        }
+        RowSet {
+            columns: (0..width).map(|c| format!("c{c}")).collect(),
+            rows: grid,
+            provenance,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn random_rowsets_round_trip_exactly(
+            width in 0usize..=5,
+            rows in 0usize..=300,
+            values in prop::collection::vec((0u8..5, any::<u64>()), 1..64),
+            runs in prop::collection::vec((0u8..11, 1usize..=400, any::<u64>()), 1..32),
+        ) {
+            let rowset = shaped_rowset(width, rows, &values, &runs);
+            let response = Response::Event {
+                id: 1,
+                event: QueryEvent::Snapshot(rowset),
+            };
+            let payload = response.to_payload().unwrap();
+            prop_assert_eq!(Response::from_payload(&payload).unwrap(), response);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in prop::collection::vec(0u8..=255, 0..=256),
+        ) {
+            // Half the cases start as a `Completed` event response, so the
+            // row set decoder sees them.
+            let mut payload = vec![0, 1, 0, 0, 0, 0, 0, 0, 0, 3];
+            if bytes.first().is_some_and(|b| b & 1 == 0) {
+                payload.clear();
+            }
+            payload.extend_from_slice(&bytes);
+            let _ = Response::from_payload(&payload);
+        }
+
+        #[test]
+        fn mutated_completed_payloads_never_panic_the_decoder(
+            at in any::<u64>(),
+            byte in 0u8..=255,
+            values in prop::collection::vec((0u8..5, any::<u64>()), 1..16),
+            runs in prop::collection::vec((0u8..11, 1usize..=8, any::<u64>()), 1..16),
+        ) {
+            let rowset = shaped_rowset(3, 12, &values, &runs);
+            let outcome = QueryOutcome::new(
+                ExpansionPolicy::full(),
+                StatementResult::Rows(rowset),
+                vec![sample_report()],
+                0.5,
+            );
+            let response = Response::Event {
+                id: 2,
+                event: QueryEvent::Completed(outcome.into()),
+            };
+            let mut payload = response.to_payload().unwrap();
+            let at = (at % payload.len() as u64) as usize;
+            payload[at] = byte;
+            let _ = Response::from_payload(&payload);
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   materialized crowd cells (with confidence and cost share), judgment
 //!   cache entries, and the snapshot image tying them together.
 //! * [`codec`] — the little-endian binary encoding the records are framed
-//!   in, including the table-driven [`crc32`] every checksummed frame uses:
+//!   in, including the [`crc32`] every checksummed frame uses:
 //!   WAL, snapshot, manifest, and the network wire.
 //!
 //! The crate is deliberately independent of `crowddb_core`: it knows the
@@ -31,8 +31,9 @@
 //! and owns the one type of a bought judgment ([`CachedJudgment`], which
 //! the engine's cache re-exports), but not the engine that produces them.
 //! Its value and provenance codecs ([`encode_value`],
-//! [`encode_provenance`] and their decoders) are the only ones in the
-//! workspace: the network wire protocol encodes cells through them too.
+//! [`encode_provenance`], the run-length [`encode_tag_column`] and their
+//! decoders) are the only ones in the workspace: the network wire
+//! protocol encodes cells and provenance columns through them too.
 //! `crowddb_core::CrowdDb::open` drives recovery and appends records as
 //! queries commit.
 
@@ -51,9 +52,10 @@ pub use manifest::{
     SNAP_DIR, WAL_DIR,
 };
 pub use records::{
-    decode_partition_spec, decode_provenance, decode_value, encode_partition_spec,
-    encode_provenance, encode_value, CacheGroup, CacheImage, CachedJudgment, ColumnImage,
-    LedgerImage, SnapshotImage, TableImage, WalRecord,
+    decode_partition_spec, decode_provenance, decode_tag_column, decode_value,
+    encode_partition_spec, encode_provenance, encode_tag_column, encode_value, skip_value,
+    CacheGroup, CacheImage, CachedJudgment, ColumnImage, LedgerImage, SnapshotImage, TableImage,
+    WalRecord,
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, SNAPSHOT_FILE,

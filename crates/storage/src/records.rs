@@ -42,6 +42,7 @@ fn corrupt(what: &str, tag: u8) -> StorageError {
 
 /// Encodes a [`Value`] with one tag byte per variant — shared by every
 /// storage record and by the network wire protocol.
+#[inline]
 pub fn encode_value(e: &mut Encoder, value: &Value) {
     match value {
         Value::Null => e.u8(0),
@@ -65,6 +66,7 @@ pub fn encode_value(e: &mut Encoder, value: &Value) {
 }
 
 /// Decodes a [`Value`] written by [`encode_value`].
+#[inline]
 pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
     Ok(match d.u8()? {
         0 => Value::Null,
@@ -74,6 +76,21 @@ pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
         4 => Value::Boolean(d.bool()?),
         tag => return Err(corrupt("value", tag)),
     })
+}
+
+/// Steps over one value written by [`encode_value`] without building it,
+/// checking only its tag and length: how a reader of column-major values
+/// finds where the next column starts.
+#[inline]
+pub fn skip_value(d: &mut Decoder<'_>) -> Result<()> {
+    let len = match d.u8()? {
+        0 => 0,
+        1 | 2 => 8,
+        3 => d.seq_len()?,
+        4 => 1,
+        tag => return Err(corrupt("value", tag)),
+    };
+    d.skip(len)
 }
 
 /// Encodes a [`PartitionSpec`] with one tag byte per variant — shared by
@@ -273,6 +290,7 @@ impl CachedJudgment {
 /// Encodes one cell's provenance mark — confidence and cost share
 /// included, so a reopened database (or a remote client) reports
 /// identical provenance for answers bought before the restart.
+#[inline]
 pub fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
     match provenance {
         CellProvenance::Stored => e.u8(0),
@@ -307,6 +325,7 @@ pub fn encode_provenance(e: &mut Encoder, provenance: &CellProvenance) {
 }
 
 /// Decodes a provenance mark written by [`encode_provenance`].
+#[inline]
 pub fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
     Ok(match d.u8()? {
         0 => CellProvenance::Stored,
@@ -332,6 +351,68 @@ pub fn decode_provenance(d: &mut Decoder<'_>) -> Result<CellProvenance> {
         },
         tag => return Err(corrupt("cell mark", tag)),
     })
+}
+
+/// True for the marks that carry no payload — `Stored`, `Extracted` and
+/// `Missing` — the ones a tag column run-length encodes.
+fn is_payload_free(mark: &CellProvenance) -> bool {
+    matches!(
+        mark,
+        CellProvenance::Stored | CellProvenance::Extracted | CellProvenance::Missing { .. }
+    )
+}
+
+/// Encodes one column of provenance marks, top to bottom, in a column's
+/// worth of bytes rather than a byte per cell where the marks repeat.
+///
+/// Each mark is written by [`encode_provenance`].  A payload-free mark
+/// (`Stored`, `Extracted`, `Missing` with its reason) is followed by the
+/// length of its run — how many consecutive cells carry that same mark —
+/// as a varint of at least 1.  A mark with a payload (`CrowdDerived`,
+/// `CacheHit`) covers one cell.  The cell count is not written: the
+/// reader knows it from context, as a row set's row count.
+pub fn encode_tag_column<'a>(e: &mut Encoder, marks: impl IntoIterator<Item = &'a CellProvenance>) {
+    let mut marks = marks.into_iter().peekable();
+    while let Some(mark) = marks.next() {
+        encode_provenance(e, mark);
+        if is_payload_free(mark) {
+            let mut run = 1u64;
+            while marks.next_if(|next| *next == mark).is_some() {
+                run += 1;
+            }
+            e.varint(run);
+        }
+    }
+}
+
+/// Decodes a column written by [`encode_tag_column`] into `cells`, which
+/// yields exactly as many cells as the column holds.  A run of length 0,
+/// or one reaching past the last cell, is corruption; so is a column whose
+/// marks end early (the next mark read is then the wrong bytes or none).
+pub fn decode_tag_column<'a>(
+    d: &mut Decoder<'_>,
+    cells: impl ExactSizeIterator<Item = &'a mut CellProvenance>,
+) -> Result<()> {
+    let mut cells = cells;
+    let mut left = cells.len();
+    while left > 0 {
+        let mark = decode_provenance(d)?;
+        let run = if is_payload_free(&mark) {
+            d.varint()?
+        } else {
+            1
+        };
+        if run == 0 || run > left as u64 {
+            return Err(StorageError::Corrupt(format!(
+                "a provenance run of {run} cells where {left} are left"
+            )));
+        }
+        for cell in cells.by_ref().take(run as usize) {
+            *cell = mark;
+        }
+        left -= run as usize;
+    }
+    Ok(())
 }
 
 fn encode_items<T>(e: &mut Encoder, items: &[(ItemId, T)], encode: impl Fn(&mut Encoder, &T)) {
@@ -970,6 +1051,58 @@ mod tests {
         const IMAGE: &str = "0000000000000000010000000000000001000000000000006d0100000000000000630b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a0000000406010000000000000001000000000000006d010000000000000063000000000000000000000000000000000000000000000000000000000000000000000000000000000200000000000000696400000000000000000000000000000000";
         assert_eq!(hex(&image.encode()), IMAGE);
         assert_eq!(SnapshotImage::decode(&image.encode()).unwrap(), image);
+    }
+
+    /// A tag column's bytes: a run per repeated payload-free mark, a cell
+    /// per mark with a payload, every mark kind included.
+    #[test]
+    fn tag_columns_encode_to_golden_bytes_and_back() {
+        let crowd = CellProvenance::CrowdDerived {
+            confidence: 0.75,
+            cost_share: 0.5,
+        };
+        let missing = CellProvenance::Missing {
+            reason: MissingReason::NoMajority,
+        };
+        let mut column = vec![CellProvenance::Stored; 3];
+        column.extend([crowd, crowd, CellProvenance::CacheHit { confidence: 0.25 }]);
+        column.extend(vec![CellProvenance::Extracted; 200]);
+        column.extend([missing, CellProvenance::Stored]);
+        // One `Missing` cell of each reason.
+        column.extend(every_mark().into_iter().skip(4).map(|(_, mark)| mark));
+        let mut e = Encoder::new();
+        encode_tag_column(&mut e, &column);
+        let bytes = e.into_bytes();
+        const COLUMN: &str = "000301000000000000e83f000000000000e03f01000000000000e83f000000000000e03f02000000000000d03f03c8010403010001040001040101040201040301040401040501040601";
+        assert_eq!(hex(&bytes), COLUMN);
+        let mut decoded = vec![CellProvenance::Extracted; column.len()];
+        let mut d = Decoder::new(&bytes);
+        decode_tag_column(&mut d, decoded.iter_mut()).unwrap();
+        assert!(d.is_exhausted());
+        assert_eq!(decoded, column);
+    }
+
+    #[test]
+    fn tag_column_runs_must_fill_the_column_exactly() {
+        let decode = |bytes: &[u8], cells: usize| {
+            let mut column = vec![CellProvenance::Stored; cells];
+            decode_tag_column(&mut Decoder::new(bytes), column.iter_mut())
+        };
+        // Three `Extracted` cells: a run of 3.
+        assert!(decode(&[3, 3], 3).is_ok());
+        // An empty column reads no byte.
+        assert!(decode(&[], 0).is_ok());
+        for (what, bytes) in [
+            ("a zero-length run", &[3, 0, 3, 3][..]),
+            ("a run past the cell count", &[3, 4][..]),
+            ("runs that sum short", &[3, 2][..]),
+            ("a run cut short", &[3][..]),
+        ] {
+            assert!(
+                matches!(decode(bytes, 3), Err(StorageError::Corrupt(_))),
+                "{what} decoded"
+            );
+        }
     }
 
     #[test]

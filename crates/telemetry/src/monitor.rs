@@ -10,33 +10,46 @@
 //! is doing at that instant.
 //!
 //! Handles are cheap (`Arc` clones); values are plain strings set with
-//! [`StateMonitor::insert`].  Children with the same name are
+//! [`StateMonitor::insert`], or given with the node when it is made
+//! ([`StateMonitor::make_child_with`]).  Children with the same name are
 //! disambiguated by a process-global sequence number so two connections
 //! named `"connection"` coexist.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-/// Orders sibling nodes: by name, then by creation sequence.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct MonitorId {
-    name: String,
-    disambiguator: u64,
-}
-
+/// Orders sibling nodes created with the same name.
 static NEXT_DISAMBIGUATOR: AtomicU64 = AtomicU64::new(1);
 
 #[derive(Debug, Default)]
 struct NodeState {
-    values: BTreeMap<String, String>,
-    children: BTreeMap<MonitorId, Weak<Node>>,
+    /// Sorted by key.
+    values: Vec<(Cow<'static, str>, Cow<'static, str>)>,
+    /// Keyed by the children's disambiguators, which are unique;
+    /// [`StateMonitor::to_tree`] orders them by name, then disambiguator.
+    children: BTreeMap<u64, Weak<Node>>,
+}
+
+impl NodeState {
+    fn set(&mut self, key: Cow<'static, str>, value: Cow<'static, str>) {
+        match self.position(&key) {
+            Ok(at) => self.values[at].1 = value,
+            Err(at) => self.values.insert(at, (key, value)),
+        }
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.values.binary_search_by(|(k, _)| k.as_ref().cmp(key))
+    }
 }
 
 #[derive(Debug)]
 struct Node {
-    id: MonitorId,
+    name: Cow<'static, str>,
+    disambiguator: u64,
     parent: Option<Arc<Node>>,
     state: Mutex<NodeState>,
 }
@@ -47,7 +60,12 @@ impl Drop for Node {
         // this is bookkeeping, not a liveness requirement — `to_tree`
         // skips dead children anyway.
         if let Some(parent) = &self.parent {
-            parent.state.lock().unwrap().children.remove(&self.id);
+            parent
+                .state
+                .lock()
+                .unwrap()
+                .children
+                .remove(&self.disambiguator);
         }
     }
 }
@@ -55,7 +73,9 @@ impl Drop for Node {
 /// A handle to one node of the monitor tree.
 ///
 /// Cloning shares the node.  Dropping the last handle to a node detaches
-/// it (and its whole subtree) from the parent.
+/// it (and its whole subtree) from the parent.  Names, keys and values
+/// are `Cow<'static, str>`: a literal is kept by reference, with no
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct StateMonitor {
     node: Arc<Node>,
@@ -63,13 +83,11 @@ pub struct StateMonitor {
 
 impl StateMonitor {
     /// Creates a detached root node.
-    pub fn make_root(name: impl Into<String>) -> Self {
+    pub fn make_root(name: impl Into<Cow<'static, str>>) -> Self {
         StateMonitor {
             node: Arc::new(Node {
-                id: MonitorId {
-                    name: name.into(),
-                    disambiguator: 0,
-                },
+                name: name.into(),
+                disambiguator: 0,
                 parent: None,
                 state: Mutex::new(NodeState::default()),
             }),
@@ -78,43 +96,62 @@ impl StateMonitor {
 
     /// Creates (and attaches) a child node.  The child lives until the
     /// returned handle — and every clone of it — is dropped.
-    pub fn make_child(&self, name: impl Into<String>) -> StateMonitor {
-        let id = MonitorId {
-            name: name.into(),
-            disambiguator: NEXT_DISAMBIGUATOR.fetch_add(1, Ordering::Relaxed),
+    pub fn make_child(&self, name: impl Into<Cow<'static, str>>) -> StateMonitor {
+        self.make_child_with(name, [])
+    }
+
+    /// Creates (and attaches) a child node that already holds `values`,
+    /// as [`make_child`](Self::make_child) followed by one
+    /// [`insert`](Self::insert) per value would, but taking this node's
+    /// lock once and the child's not at all.
+    pub fn make_child_with<const N: usize>(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        values: [(&'static str, Cow<'static, str>); N],
+    ) -> StateMonitor {
+        let mut state = NodeState {
+            values: Vec::with_capacity(N),
+            children: BTreeMap::new(),
         };
+        for (key, value) in values {
+            state.set(Cow::Borrowed(key), value);
+        }
+        let disambiguator = NEXT_DISAMBIGUATOR.fetch_add(1, Ordering::Relaxed);
         let child = Arc::new(Node {
-            id: id.clone(),
+            name: name.into(),
+            disambiguator,
             parent: Some(Arc::clone(&self.node)),
-            state: Mutex::new(NodeState::default()),
+            state: Mutex::new(state),
         });
         self.node
             .state
             .lock()
             .unwrap()
             .children
-            .insert(id, Arc::downgrade(&child));
+            .insert(disambiguator, Arc::downgrade(&child));
         StateMonitor { node: child }
     }
 
     /// Sets (or replaces) one value on this node.
-    pub fn insert(&self, key: impl Into<String>, value: impl Display) {
+    pub fn insert(&self, key: impl Into<Cow<'static, str>>, value: impl Display) {
         self.node
             .state
             .lock()
             .unwrap()
-            .values
-            .insert(key.into(), value.to_string());
+            .set(key.into(), Cow::Owned(value.to_string()));
     }
 
     /// Removes one value.
     pub fn remove(&self, key: &str) {
-        self.node.state.lock().unwrap().values.remove(key);
+        let mut state = self.node.state.lock().unwrap();
+        if let Ok(at) = state.position(key) {
+            state.values.remove(at);
+        }
     }
 
     /// This node's name.
     pub fn name(&self) -> String {
-        self.node.id.name.clone()
+        self.node.name.to_string()
     }
 
     /// Number of currently live children.
@@ -137,7 +174,7 @@ impl StateMonitor {
     fn tree_of(node: &Arc<Node>) -> MonitorTree {
         // Collect child Arcs under the lock, recurse outside it, so a
         // deep tree never holds two locks at once.
-        let (values, children) = {
+        let (values, mut children) = {
             let state = node.state.lock().unwrap();
             let children: Vec<Arc<Node>> =
                 state.children.values().filter_map(Weak::upgrade).collect();
@@ -145,13 +182,14 @@ impl StateMonitor {
                 state
                     .values
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
                     .collect(),
                 children,
             )
         };
+        children.sort_by(|a, b| (&a.name, a.disambiguator).cmp(&(&b.name, b.disambiguator)));
         MonitorTree {
-            name: node.id.name.clone(),
+            name: node.name.to_string(),
             values,
             children: children.iter().map(Self::tree_of).collect(),
         }
@@ -258,6 +296,43 @@ mod tests {
         drop(leaf);
         assert!(root.to_tree().find("expansions").is_none());
         assert_eq!(root.child_count(), 0);
+    }
+
+    #[test]
+    fn a_child_made_with_values_equals_one_filled_after() {
+        let root = StateMonitor::make_root("root");
+        let later = root.make_child("query");
+        later.insert("tenant", "default");
+        later.insert("sql", "SELECT 1");
+        let at_once = root.make_child_with(
+            "query",
+            [
+                ("tenant", "default".into()),
+                ("sql", String::from("SELECT 1").into()),
+            ],
+        );
+        let tree = root.to_tree();
+        assert_eq!(tree.children.len(), 2);
+        assert_eq!(tree.children[0].values, tree.children[1].values);
+        assert_eq!(tree.children[0].values[0].0, "sql");
+        drop(later);
+        assert_eq!(root.child_count(), 1);
+        drop(at_once);
+        assert_eq!(root.child_count(), 0);
+    }
+
+    #[test]
+    fn siblings_list_by_name_then_creation() {
+        let root = StateMonitor::make_root("root");
+        let _b = root.make_child("b");
+        let _a1 = root.make_child(String::from("a"));
+        let _a2 = root.make_child("a");
+        let _a2_leaf = _a2.make_child("leaf");
+        let tree = root.to_tree();
+        let names: Vec<_> = tree.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["a", "a", "b"]);
+        assert!(tree.children[0].children.is_empty());
+        assert_eq!(tree.children[1].children.len(), 1);
     }
 
     #[test]
