@@ -736,7 +736,7 @@ impl DbInner {
                 concept.record_fresh(&verdicts);
                 published.push((q, token, verdicts));
             }
-            self.log(&rounds.plan.table, &wal_pending)?;
+            self.log(&rounds.plan.table, wal_pending)?;
 
             for (q, token, verdicts) in published {
                 let concept = &rounds.concepts[q];
@@ -844,7 +844,7 @@ impl DbInner {
                 .map(|posterior| concept.posterior_entry(posterior, target))
                 .collect();
             let record = self.publish_verdicts(&rounds.plan.table, &concept.name, &verdicts);
-            self.log(&rounds.plan.table, record.as_slice())?;
+            self.log(&rounds.plan.table, Vec::from_iter(record))?;
             concept.record_fresh(&verdicts);
         }
         // Mid-stream budget exhaustion is *reported*, never silent: the

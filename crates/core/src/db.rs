@@ -71,10 +71,12 @@ use crate::error::CrowdDbError;
 use crate::expansion::{ExpansionReport, ExpansionStage, ExpansionStrategy};
 use crate::extraction::extract_binary_attribute;
 use crate::inflight::{InflightRegistry, InflightStats};
-use crate::materialize::{materialize_column, repair_cells, MaterializeOutcome, REPAIRED};
+use crate::materialize::{
+    materialize_column, repair_cells, ColumnWrite, MaterializeOutcome, REPAIRED,
+};
 use crate::metrics::EngineMetrics;
 use crate::persist::{self, Durability, RecoveredState};
-use crate::planner::{self, ExpansionPlan, PlanInputs};
+use crate::planner::{self, ExpansionPlan, ItemIndex, PlanInputs};
 use crate::policy::{ExpansionMode, ExpansionPolicy};
 use crate::provenance::{CellProvenance, MissingReason};
 use crate::scheduler::{Scheduler, SchedulerStats};
@@ -1026,18 +1028,10 @@ impl CrowdDb {
         let mut catalog = state.catalog;
         for name in catalog.table_names() {
             let table = catalog.drop_table(&name).expect("listed table exists");
-            // Recovery merges every partition into one whole table and
-            // reports the spec separately; re-split along the same routing
-            // arithmetic to rebuild the per-partition shards.
-            let shard = match state.specs.get(&name) {
-                Some(spec) => Shard::partitioned(
-                    spec.clone(),
-                    persist::split_table_by_partition(table, &config.id_column, spec),
-                    &config.id_column,
-                ),
-                None => Shard::of_table(table, &config.id_column),
-            };
-            shards.insert(name, shard);
+            shards.insert(name, Shard::of_table(table, &config.id_column));
+        }
+        for (name, (spec, slices)) in state.partitioned {
+            shards.insert(name, Shard::partitioned(spec, slices, &config.id_column));
         }
         let monitor = StateMonitor::make_root("crowddb");
         let queries_monitor = monitor.make_child("queries");
@@ -1398,7 +1392,7 @@ impl CrowdDb {
         self.inner.cache.invalidate(table, attribute);
         self.inner.log(
             table,
-            &[WalRecord::CacheInvalidate {
+            vec![WalRecord::CacheInvalidate {
                 table: table.to_lowercase(),
                 attribute: attribute.to_lowercase(),
             }],
@@ -1439,7 +1433,8 @@ impl CrowdDb {
                 Value::Float(item.popularity),
             ])?;
         }
-        self.inner.create_table_logged(table)?;
+        self.inner
+            .create_table_logged_with(table, PartitionSpec::Single)?;
         wlock(&self.inner.bindings).insert(
             table_name.to_lowercase(),
             Arc::new(TableBinding {
@@ -1705,20 +1700,16 @@ impl DbInner {
             .collect()
     }
 
-    /// Appends **cache-shaped** records (`CachePut`, `CacheInvalidate`) to
-    /// `table`'s WAL store, each fsynced group per partition — routed by
-    /// item id on partitioned tables ([`CachePut`](WalRecord::CachePut)
-    /// entries are split to the partitions their items live in; other
-    /// records fan out to every partition).  A no-op on in-memory
-    /// databases.  Cache records replay idempotently, so they need no
-    /// catalog lock beyond each segment's own.
-    fn log(&self, table: &str, records: &[WalRecord]) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
+    /// Appends `records` to `table`'s WAL store: each partition's slice
+    /// of them ([`storage::slice_records`]) as one fsynced group.  A no-op
+    /// on in-memory databases.  Cache records (`CachePut`,
+    /// `CacheInvalidate`) replay idempotently, so they need no catalog
+    /// lock beyond each segment's own; column writes are logged by
+    /// [`DbInner::commit_columns`] under every partition's exclusive lock.
+    fn log(&self, table: &str, records: Vec<WalRecord>) -> Result<()> {
         match &self.durability {
-            Some(durability) => durability.log_routed(table, records),
-            None => Ok(()),
+            Some(durability) if !records.is_empty() => durability.log_all(table, records),
+            _ => Ok(()),
         }
     }
 
@@ -1741,100 +1732,6 @@ impl DbInner {
         }
     }
 
-    /// Logs **catalog-shaped, item-keyed** records
-    /// ([`MaterializeColumn`](WalRecord::MaterializeColumn) /
-    /// [`SetCells`](WalRecord::SetCells)) to a possibly partitioned table:
-    /// each record's item-keyed values (and provenance marks) are sliced down
-    /// to the partition they route to, and every partition receives its
-    /// slice — including an empty one for `MaterializeColumn`, which
-    /// still carries the schema change every partition must replay.
-    /// Empty `SetCells` slices are dropped (they change nothing).
-    ///
-    /// The caller must hold the **exclusive** locks of every partition
-    /// written (in practice: all of them, via [`Shard::write_all`]).
-    fn log_sliced(&self, table: &str, spec: &PartitionSpec, records: &[WalRecord]) -> Result<()> {
-        if records.is_empty() || self.durability.is_none() {
-            return Ok(());
-        }
-        if spec.is_single() {
-            return self.log_to(table, 0, records);
-        }
-        let n = spec.partition_count();
-        let mut per: Vec<Vec<WalRecord>> = vec![Vec::new(); n];
-        for record in records {
-            match record {
-                WalRecord::MaterializeColumn {
-                    table,
-                    column,
-                    data_type,
-                    values,
-                    ledger,
-                    incomplete,
-                } => {
-                    for (k, slot) in per.iter_mut().enumerate() {
-                        let sliced_values: Vec<(ItemId, Value)> = values
-                            .iter()
-                            .filter(|(item, _)| spec.route_item(*item) == k)
-                            .cloned()
-                            .collect();
-                        let sliced_ledger = ledger.as_ref().map(|marks| {
-                            marks
-                                .iter()
-                                .filter(|(item, _)| spec.route_item(*item) == k)
-                                .cloned()
-                                .collect()
-                        });
-                        slot.push(WalRecord::MaterializeColumn {
-                            table: table.clone(),
-                            column: column.clone(),
-                            data_type: *data_type,
-                            values: sliced_values,
-                            ledger: sliced_ledger,
-                            incomplete: *incomplete,
-                        });
-                    }
-                }
-                WalRecord::SetCells {
-                    table,
-                    column,
-                    values,
-                } => {
-                    for (k, slot) in per.iter_mut().enumerate() {
-                        let sliced: Vec<(ItemId, Value)> = values
-                            .iter()
-                            .filter(|(item, _)| spec.route_item(*item) == k)
-                            .cloned()
-                            .collect();
-                        if !sliced.is_empty() {
-                            slot.push(WalRecord::SetCells {
-                                table: table.clone(),
-                                column: column.clone(),
-                                values: sliced,
-                            });
-                        }
-                    }
-                }
-                other => {
-                    for slot in per.iter_mut() {
-                        slot.push(other.clone());
-                    }
-                }
-            }
-        }
-        for (k, records) in per.into_iter().enumerate() {
-            self.log_to(table, k, &records)?;
-        }
-        Ok(())
-    }
-
-    /// Registers a single-partition table as a new shard and logs it
-    /// durably — the compatibility path of
-    /// [`DbInner::create_table_logged_with`], shared by
-    /// [`CrowdDb::load_domain`] and SQL `CREATE TABLE`.
-    fn create_table_logged(&self, table: Table) -> Result<()> {
-        self.create_table_logged_with(table, PartitionSpec::Single)
-    }
-
     /// Registers a table as a new shard — one catalog lock and (when
     /// persistent) one WAL segment per partition — and logs its creation
     /// durably.  The shard becomes visible and durable under one table-map
@@ -1851,21 +1748,6 @@ impl DbInner {
         let mut shards = wlock(&self.shards);
         if shards.contains_key(&name) {
             return Err(RelationalError::TableExists(name).into());
-        }
-        if spec.is_single() {
-            let record = self
-                .durability
-                .is_some()
-                .then(|| WalRecord::CreateTable(TableImage::of(&table)));
-            let shard = Shard::of_table(table, &self.config.id_column);
-            if let Some(record) = record {
-                if let Some(durability) = &self.durability {
-                    durability.ensure_store(&name, &PartitionSpec::Single)?;
-                }
-                self.log_to(&name, 0, &[record])?;
-            }
-            shards.insert(name, shard);
-            return Ok(());
         }
         let slices = persist::split_table_by_partition(table, &self.config.id_column, &spec);
         if let Some(durability) = &self.durability {
@@ -1986,7 +1868,7 @@ impl DbInner {
                 .pop()
                 .expect("CREATE TABLE created a table");
             let table = scratch.table(&name).expect("listed table exists").clone();
-            self.create_table_logged(table)?;
+            self.create_table_logged_with(table, PartitionSpec::Single)?;
             return Ok(QueryOutcome {
                 policy,
                 result: StatementResult::Mutation {
@@ -2394,9 +2276,8 @@ impl DbInner {
     }
 
     /// The **materialize** stage: train extractors where needed (without
-    /// holding any lock), then fill the columns through the explicit
-    /// id → row mapping under one exclusive catalog lock, and assemble
-    /// reports.
+    /// holding any lock), then fill every column in one commit
+    /// ([`DbInner::commit_columns`]), and assemble reports.
     fn materialize(
         &self,
         plan: &ExpansionPlan,
@@ -2405,20 +2286,12 @@ impl DbInner {
         policy: &ExpansionPolicy,
     ) -> Result<Vec<ExpansionReport>> {
         // Every per-item vector below is aligned with `plan.items` through
-        // the plan's index; routing rows under the write locks appends the
-        // items inserted since the plan to this copy of it.
-        let mut index = plan.index.clone();
+        // the plan's index.
+        let index = &plan.index;
         // Phase 1 (lock-free): aggregate verdicts into per-attribute values
         // and tags, training extractors where the strategy demands it.
-        struct Prepared {
-            values: Vec<Value>,
-            marks: Vec<CellProvenance>,
-            training_set_size: usize,
-            items_unmapped: usize,
-            stages: Vec<ExpansionStage>,
-            acquisition: Acquisition,
-        }
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(plan.attributes.len());
+        let mut reports = Vec::with_capacity(plan.attributes.len());
+        let mut writes = Vec::with_capacity(plan.attributes.len());
         for (attribute, acquisition) in plan.attributes.iter().zip(acquisitions) {
             let mut stages = vec![
                 ExpansionStage::MissingAttributeDetected,
@@ -2520,114 +2393,149 @@ impl DbInner {
                     marks[at] = judged;
                 }
             }
-            prepared.push(Prepared {
+            writes.push(ColumnWrite::Materialize {
+                column: attribute.column.clone(),
+                data_type: DataType::Boolean,
                 values,
                 marks,
-                training_set_size,
-                items_unmapped,
-                stages,
-                acquisition,
             });
-        }
-
-        // Phase 2: exclusive partition locks (all of them, ascending k —
-        // a new column must appear in every partition's schema) fill
-        // every column — writers and readers of *other* tables are
-        // untouched.  Each row's item position is re-derived under these
-        // locks: `plan.rows` was captured under an earlier read lock, and
-        // a DELETE/INSERT that committed while the crowd worked would
-        // shift row indices — replaying the stale mapping would write
-        // verdicts to the wrong rows.  Values are aligned with the plan's
-        // items, so the fresh routes send every verdict to whichever rows
-        // carry that item *now*, in whichever partition; an item inserted
-        // meanwhile lies past the plan's items and reads `NotExpanded`.
-        let mut reports = Vec::with_capacity(plan.attributes.len());
-        let mut wal_records: Vec<WalRecord> = Vec::new();
-        let shard = self.shard(&plan.table)?;
-        let mut guards = shard.write_all();
-        let mut routes = Vec::with_capacity(guards.len());
-        let mut skipped_rows = 0;
-        for guard in guards.iter() {
-            let part = index.route(
-                guard.table(&plan.table)?,
-                &self.config.id_column,
-                &plan.table,
-            )?;
-            skipped_rows += part.skipped;
-            routes.push(part);
-        }
-        for (attribute, mut item) in plan.attributes.iter().zip(prepared) {
-            let mut outcome = MaterializeOutcome::default();
-            for (guard, routes) in guards.iter_mut().zip(&routes) {
-                outcome += materialize_column(
-                    guard.table_mut(&plan.table)?,
-                    &attribute.column,
-                    DataType::Boolean,
-                    &item.values,
-                    Some(&item.marks),
-                    routes,
-                )?;
-            }
-            item.stages.push(ExpansionStage::ColumnAdded);
-            item.stages.push(ExpansionStage::ColumnMaterialized);
-            item.stages.push(ExpansionStage::QueryReExecuted);
-
-            // A column whose holes a later query could still fill is
-            // *incomplete*: policy queries referencing it re-expand it
-            // instead of trusting the partial materialization forever.
-            // (Quality floors never appear here: they are a per-query view
-            // filter applied at read time, not a materialization decision.)
-            let incomplete = item.marks.iter().any(CellProvenance::is_recoverable);
-            if incomplete {
-                shard.may_have_holes.store(true, Ordering::Release);
-            }
-            // Persist the materialization before publishing it: values and
-            // the per-item marks its tags were written from (confidence and
-            // cost share included), so a reopened database reports
-            // bit-identical cells and provenance without asking the crowd
-            // again.  Built here, appended below while the exclusive
-            // catalog lock is still held.
-            if self.durability.is_some() {
-                wal_records.push(WalRecord::MaterializeColumn {
-                    table: plan.table.clone(),
-                    column: attribute.column.clone(),
-                    data_type: DataType::Boolean,
-                    values: index.sorted_pairs(&item.values, |_, value| !value.is_null()),
-                    ledger: Some(index.sorted_pairs(&item.marks, |_, _| true)),
-                    incomplete,
-                });
-            }
-
             reports.push(ExpansionReport {
                 table: plan.table.clone(),
                 column: attribute.column.clone(),
                 attribute: attribute.attribute.clone(),
                 strategy: attribute.strategy.name().to_string(),
-                stages: item.stages,
-                items_crowd_sourced: item.acquisition.items_charged,
-                judgments_collected: item.acquisition.judgments_collected,
-                rows_filled: outcome.rows_filled,
-                // Rows without a usable item id can never be filled; count
-                // them instead of dropping them from the accounting.
-                rows_unfilled: outcome.rows_unfilled + skipped_rows,
-                crowd_cost: item.acquisition.crowd_cost,
-                crowd_minutes: item.acquisition.crowd_minutes,
-                training_set_size: item.training_set_size,
-                cache_hits: item.acquisition.cache_hits,
-                cache_misses: item.acquisition.uncached.len(),
-                cost_saved: item.acquisition.cost_saved,
-                items_unmapped: item.items_unmapped,
-                items_coalesced: item.acquisition.items_coalesced,
-                items_dropped: item.acquisition.dropped.len(),
+                stages,
+                items_crowd_sourced: acquisition.items_charged,
+                judgments_collected: acquisition.judgments_collected,
+                // Counted by the commit below.
+                rows_filled: 0,
+                rows_unfilled: 0,
+                crowd_cost: acquisition.crowd_cost,
+                crowd_minutes: acquisition.crowd_minutes,
+                training_set_size,
+                cache_hits: acquisition.cache_hits,
+                cache_misses: acquisition.uncached.len(),
+                cost_saved: acquisition.cost_saved,
+                items_unmapped,
+                items_coalesced: acquisition.items_coalesced,
+                items_dropped: acquisition.dropped.len(),
             });
         }
-        // One fsynced group per partition for the whole plan — each
-        // record sliced down to the items that route there — while the
-        // exclusive partition locks are still held (the checkpoint
-        // invariant).
-        self.log_sliced(&plan.table, &shard.spec, &wal_records)?;
-        drop(guards);
+
+        // Phase 2: one commit fills every column.  The values are aligned
+        // with the plan's items, so routing under the write locks sends
+        // each verdict to whichever rows carry its item *now*; an item
+        // inserted since the plan lies past them and reads `NotExpanded`.
+        let outcomes = self.commit_columns(&plan.table, index.clone(), |_| writes)?;
+        for (report, outcome) in reports.iter_mut().zip(outcomes) {
+            report.stages.extend([
+                ExpansionStage::ColumnAdded,
+                ExpansionStage::ColumnMaterialized,
+                ExpansionStage::QueryReExecuted,
+            ]);
+            report.rows_filled = outcome.rows_filled;
+            report.rows_unfilled = outcome.rows_unfilled;
+        }
         Ok(reports)
+    }
+
+    /// The commit step of every column writer (expansion, numeric
+    /// expansion, repair).  Under the exclusive locks of every partition
+    /// (ascending `k` — a new column must appear in every partition's
+    /// schema) it routes `index` on each partition, applies the writes
+    /// `writes` builds from the routed index, flags the table's holes, and
+    /// logs one record per write, sliced per partition, while the locks
+    /// are still held (the checkpoint invariant).  Returns each write's
+    /// outcome; `rows_unfilled` includes the rows without a usable item id.
+    ///
+    /// Rows are routed here, not before: a DELETE or INSERT that committed
+    /// while the crowd worked would shift row indices, and a mapping taken
+    /// under an earlier lock would write values to the wrong rows.  Items
+    /// the routes append to `index` lie past the writes' vectors.
+    fn commit_columns(
+        &self,
+        table: &str,
+        mut index: ItemIndex,
+        writes: impl FnOnce(&ItemIndex) -> Vec<ColumnWrite>,
+    ) -> Result<Vec<MaterializeOutcome>> {
+        let shard = self.shard(table)?;
+        let mut guards = shard.write_all();
+        let mut routes = Vec::with_capacity(guards.len());
+        let mut skipped = 0;
+        for guard in guards.iter() {
+            let part = index.route(guard.table(table)?, &self.config.id_column, table)?;
+            skipped += part.skipped;
+            routes.push(part);
+        }
+        let writes = writes(&index);
+        let mut outcomes = Vec::with_capacity(writes.len());
+        let mut records = Vec::new();
+        for write in writes {
+            let mut outcome = MaterializeOutcome {
+                rows_filled: 0,
+                rows_unfilled: skipped,
+            };
+            match write {
+                ColumnWrite::Materialize {
+                    column,
+                    data_type,
+                    values,
+                    marks,
+                } => {
+                    for (guard, routes) in guards.iter_mut().zip(&routes) {
+                        outcome += materialize_column(
+                            guard.table_mut(table)?,
+                            &column,
+                            data_type,
+                            &values,
+                            Some(&marks),
+                            routes,
+                        )?;
+                    }
+                    // A column whose holes a later query could still fill
+                    // is *incomplete*: policy queries referencing it
+                    // re-expand it instead of trusting the partial
+                    // materialization forever.
+                    let incomplete = marks.iter().any(CellProvenance::is_recoverable);
+                    if incomplete {
+                        shard.may_have_holes.store(true, Ordering::Release);
+                    }
+                    if self.durability.is_some() {
+                        records.push(WalRecord::MaterializeColumn {
+                            table: table.to_string(),
+                            column,
+                            data_type,
+                            values: index.sorted_pairs(&values, |_, value| !value.is_null()),
+                            ledger: Some(index.sorted_pairs(&marks, |_, _| true)),
+                            incomplete,
+                        });
+                    }
+                }
+                ColumnWrite::Repair { column, values } => {
+                    let mut written = vec![false; values.len()];
+                    for (guard, routes) in guards.iter_mut().zip(&routes) {
+                        repair_cells(
+                            guard.table_mut(table)?,
+                            &column,
+                            &values,
+                            routes,
+                            &mut written,
+                        )?;
+                    }
+                    if self.durability.is_some() && written.contains(&true) {
+                        records.push(WalRecord::SetCells {
+                            table: table.to_string(),
+                            column,
+                            values: index.sorted_pairs(&values, |at, _| written[at]),
+                        });
+                    }
+                }
+            }
+            outcomes.push(outcome);
+        }
+        self.log(table, records)?;
+        drop(guards);
+        Ok(outcomes)
     }
 
     /// The engine behind [`CrowdDb::repair_attribute`] (see its docs).
@@ -2660,19 +2568,15 @@ impl DbInner {
                     "column {column} of table {table_name} is not materialized — expand it first"
                 ))
             })?;
-            let (rows, index, _skipped) =
-                planner::row_mapping(&parts, &self.config.id_column, &key)?;
-            // Row numbers count the partitions' rows in `k` order.
-            let all_rows: Vec<&[Value]> = parts
-                .iter()
-                .flat_map(|part| part.rows())
-                .map(Vec::as_slice)
-                .collect();
+            let mut index = ItemIndex::default();
             let mut labels = vec![false; space_len];
-            for (row, item) in &rows {
-                if (*item as usize) < space_len {
-                    if let Value::Boolean(b) = &all_rows[*row][col_idx] {
-                        labels[*item as usize] = *b;
+            for part in &parts {
+                for (row, at) in index.route(part, &self.config.id_column, &key)?.rows {
+                    let item = index.items()[at] as usize;
+                    if let (Some(label), Value::Boolean(b)) =
+                        (labels.get_mut(item), &part.rows()[row][col_idx])
+                    {
+                        *label = *b;
                     }
                 }
             }
@@ -2717,40 +2621,17 @@ impl DbInner {
             })
             .collect();
         let record = self.publish_verdicts(&key, &attribute, &refreshed);
-        self.log(&key, record.as_slice())?;
-        let mut index = planner::ItemIndex::new(outcome.flagged.iter().copied());
-        let labels: Vec<Value> = (index.items().iter())
+        self.log(&key, Vec::from_iter(record))?;
+        let index = ItemIndex::new(outcome.flagged.iter().copied());
+        let values: Vec<Value> = (index.items().iter())
             .map(|&item| Value::Boolean(outcome.labels[item as usize]))
             .collect();
-        let mut guards = shard.write_all();
-        // Re-derive the id → row mappings under the exclusive locks: the
-        // repair round takes simulated minutes, and rows deleted or
-        // inserted meanwhile would shift the indices captured earlier —
-        // writing repaired labels through a stale mapping would flip the
-        // wrong movies.
-        let mut repaired = vec![false; labels.len()];
-        for guard in guards.iter_mut() {
-            let routes = index.route(guard.table(table_name)?, &self.config.id_column, &key)?;
-            let table = guard.table_mut(table_name)?;
-            repair_cells(table, &column, &labels, &routes, &mut repaired)?;
-        }
-        // Durably record the cell overwrites (item-keyed — replay routes
-        // them through the then-current id → row mapping and tags them
-        // with the same writer), sliced per partition, still under the
-        // exclusive partition locks.
-        if self.durability.is_some() && repaired.contains(&true) {
-            let values = index.sorted_pairs(&labels, |at, _| repaired[at]);
-            self.log_sliced(
-                &key,
-                &shard.spec,
-                &[WalRecord::SetCells {
-                    table: key.clone(),
-                    column: column.clone(),
-                    values,
-                }],
-            )?;
-        }
-        drop(guards);
+        self.commit_columns(&key, index, |_| {
+            vec![ColumnWrite::Repair {
+                column: column.clone(),
+                values,
+            }]
+        })?;
         Ok(outcome)
     }
 
@@ -2772,67 +2653,31 @@ impl DbInner {
         let predicted =
             crate::extraction::extract_numeric_attribute(&binding.space, gold, extraction)?;
 
-        // Map and materialize under exclusive partition locks (all of
-        // them, ascending k — the new column must appear in every
-        // partition's schema): deriving the id → row mappings under a
-        // read lock and replaying them under a later write lock would let
-        // a concurrent DELETE shift the row indices in between and
-        // misroute the values.
-        let shard = self.shard(table_name)?;
-        let mut guards = shard.write_all();
-        let mut index = planner::ItemIndex::default();
-        let mut routes = Vec::with_capacity(guards.len());
-        let mut skipped_rows = 0;
-        for guard in guards.iter() {
-            let part = index.route(guard.table(table_name)?, &self.config.id_column, &key)?;
-            skipped_rows += part.skipped;
-            routes.push(part);
-        }
         // An item the regression predicts for is extracted; one it cannot
-        // reach lies outside the space.
-        let values: Vec<Value> = (index.items().iter())
-            .map(|&item| match predicted.get(item as usize) {
-                Some(&value) => Value::Float(value),
-                None => Value::Null,
-            })
-            .collect();
-        let marks: Vec<CellProvenance> = (values.iter())
-            .map(|value| match value {
-                Value::Null => MissingReason::OutOfSpace.into(),
-                _ => CellProvenance::Extracted,
-            })
-            .collect();
-        let items_unmapped = values.iter().filter(|v| v.is_null()).count();
-        let mut outcome = MaterializeOutcome::default();
-        for (guard, routes) in guards.iter_mut().zip(&routes) {
-            let table = guard.table_mut(table_name)?;
-            outcome += materialize_column(
-                table,
-                &column,
-                DataType::Float,
-                &values,
-                Some(&marks),
-                routes,
-            )?;
-        }
-        // The extrapolated column is durable like any other
-        // materialization — values and marks sliced per partition, logged
-        // under the still-held exclusive locks.
-        if self.durability.is_some() {
-            self.log_sliced(
-                &key,
-                &shard.spec,
-                &[WalRecord::MaterializeColumn {
-                    table: key.clone(),
-                    column: column.clone(),
-                    data_type: DataType::Float,
-                    values: index.sorted_pairs(&values, |_, value| !value.is_null()),
-                    ledger: Some(index.sorted_pairs(&marks, |_, _| true)),
-                    incomplete: false,
-                }],
-            )?;
-        }
-        drop(guards);
+        // reach lies outside the space.  The values cover every item the
+        // table holds when the commit routes its rows.
+        let mut items_unmapped = 0;
+        let outcome = self.commit_columns(&key, ItemIndex::default(), |index| {
+            let values: Vec<Value> = (index.items().iter())
+                .map(|&item| match predicted.get(item as usize) {
+                    Some(&value) => Value::Float(value),
+                    None => Value::Null,
+                })
+                .collect();
+            let marks = (values.iter())
+                .map(|value| match value {
+                    Value::Null => MissingReason::OutOfSpace.into(),
+                    _ => CellProvenance::Extracted,
+                })
+                .collect();
+            items_unmapped = values.iter().filter(|v| v.is_null()).count();
+            vec![ColumnWrite::Materialize {
+                column: column.clone(),
+                data_type: DataType::Float,
+                values,
+                marks,
+            }]
+        })?[0];
 
         Ok(ExpansionReport {
             table: key,
@@ -2849,7 +2694,7 @@ impl DbInner {
             items_crowd_sourced: gold.len(),
             judgments_collected: gold.len(),
             rows_filled: outcome.rows_filled,
-            rows_unfilled: outcome.rows_unfilled + skipped_rows,
+            rows_unfilled: outcome.rows_unfilled,
             crowd_cost: 0.0,
             crowd_minutes: 0.0,
             training_set_size: gold.len(),

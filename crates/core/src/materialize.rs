@@ -40,6 +40,23 @@ impl std::ops::AddAssign for MaterializeOutcome {
     }
 }
 
+/// One column write of a commit, its per-item state aligned with the
+/// commit's [`ItemIndex`](crate::planner::ItemIndex).
+pub(crate) enum ColumnWrite {
+    /// A new or re-expanded column, each item's cells tagged with its mark
+    /// ([`materialize_column`]); logged as a `MaterializeColumn` record.
+    Materialize {
+        column: String,
+        data_type: DataType,
+        values: Vec<Value>,
+        marks: Vec<CellProvenance>,
+    },
+    /// An overwrite of cells of an existing column, tagged [`REPAIRED`]
+    /// ([`repair_cells`]); logged as a `SetCells` record of the items
+    /// written.
+    Repair { column: String, values: Vec<Value> },
+}
+
 /// Adds `column` to `table` (if not already present — a forced re-expansion
 /// overwrites in place) and fills it with the per-item `values`, routed
 /// through `routes` and tagged with `marks` (see [`write_column`]; `None`

@@ -87,7 +87,7 @@
 //! (+ reset segment): per-partition generation stamps keep every partition
 //! individually consistent, whichever subset the crash interrupted.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -97,9 +97,10 @@ use relational::{executor, sql, Catalog, MissingReason, PartitionSpec, Table, Va
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
     partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot,
-    read_snapshot_file, scan_segments, segment_file_name, snapshot_file_name, write_manifest,
-    write_snapshot_file, CacheImage, ColumnImage, LedgerImage, Manifest, ManifestEntry,
-    SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE, WAL_FILE,
+    read_snapshot_file, scan_segments, segment_file_name, slice_records, snapshot_file_name,
+    write_manifest, write_snapshot_file, CacheImage, ColumnImage, LedgerImage, Manifest,
+    ManifestEntry, SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE,
+    WAL_FILE,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
@@ -318,52 +319,12 @@ impl Durability {
         self.fail_stop(result)
     }
 
-    /// Appends cache-shaped records, routing each [`CachePut`] entry to
-    /// its item's partition and fanning every other record (in practice
-    /// [`CacheInvalidate`], which replays idempotently) out to all
-    /// partitions.  Single-partition tables take the plain one-segment
-    /// path.
-    ///
-    /// [`CachePut`]: WalRecord::CachePut
-    /// [`CacheInvalidate`]: WalRecord::CacheInvalidate
-    pub(crate) fn log_routed(&self, table: &str, records: &[WalRecord]) -> Result<()> {
+    /// Appends each partition's slice of `records` (see
+    /// [`storage::slice_records`]) to that partition of `table`'s store as
+    /// one fsynced group; a partition whose slice is empty is not touched.
+    pub(crate) fn log_all(&self, table: &str, records: Vec<WalRecord>) -> Result<()> {
         let store = self.store(table)?;
-        if store.spec.is_single() {
-            return self.log(table, 0, records);
-        }
-        let n = store.spec.partition_count();
-        let mut per: Vec<Vec<WalRecord>> = vec![Vec::new(); n];
-        for record in records {
-            match record {
-                WalRecord::CachePut {
-                    table,
-                    attribute,
-                    entries,
-                    rounds,
-                } => {
-                    let mut split: Vec<Vec<(ItemId, CachedJudgment)>> = vec![Vec::new(); n];
-                    for (item, entry) in entries {
-                        split[store.spec.route_item(*item)].push((*item, *entry));
-                    }
-                    for (k, entries) in split.into_iter().enumerate() {
-                        if !entries.is_empty() {
-                            per[k].push(WalRecord::CachePut {
-                                table: table.clone(),
-                                attribute: attribute.clone(),
-                                entries,
-                                rounds: *rounds,
-                            });
-                        }
-                    }
-                }
-                other => {
-                    for slot in per.iter_mut() {
-                        slot.push(other.clone());
-                    }
-                }
-            }
-        }
-        for (k, records) in per.into_iter().enumerate() {
+        for (k, records) in slice_records(&store.spec, records).into_iter().enumerate() {
             if !records.is_empty() {
                 self.log(table, k, &records)?;
             }
@@ -525,10 +486,10 @@ pub(crate) struct RecoveredState {
     pub(crate) catalog: Catalog,
     pub(crate) cache: JudgmentCache,
     pub(crate) crowd_rounds: u64,
-    /// Partitioning specs of the recovered tables that are *not*
-    /// single-partition — `assemble` re-splits their merged rows into
-    /// per-partition catalog slices with the same routing arithmetic.
-    pub(crate) specs: HashMap<String, PartitionSpec>,
+    /// The recovered tables that are *not* single-partition (the catalog
+    /// holds the others): each one's spec and its replayed slices in `k`
+    /// order under one schema, moved by `assemble` into its partitions.
+    pub(crate) partitioned: BTreeMap<String, (PartitionSpec, Vec<Table>)>,
 }
 
 /// Opens (creating if needed) the database directory and returns the
@@ -662,22 +623,18 @@ fn recover_segmented(
         while results.peek().is_some_and(|r| r.table == table) {
             parts.push(results.next().expect("peeked"));
         }
-        let Some((table_state, store)) = merge_table_parts(dir, id_column, &table, parts)? else {
+        let Some((mut table_state, store)) = merge_table_parts(dir, id_column, &table, parts)?
+        else {
             continue; // abandoned half-created table: files removed
         };
         for name in table_state.catalog.table_names() {
-            let recovered = table_state
-                .catalog
-                .table(&name)
-                .expect("listed table exists");
-            state.catalog.create_table(recovered.clone())?;
+            let recovered = table_state.catalog.drop_table(&name)?;
+            state.catalog.create_table(recovered)?;
         }
+        state.partitioned.append(&mut table_state.partitioned);
         let (groups, _) = table_state.cache.export();
         state.cache.absorb(groups);
         crowd_rounds = crowd_rounds.max(table_state.crowd_rounds);
-        if !store.spec.is_single() {
-            state.specs.insert(table.clone(), store.spec.clone());
-        }
         stores.insert(table, Arc::new(store));
     }
     // Global counters are checkpoint-granular and live in the manifest.
@@ -761,9 +718,9 @@ fn merge_table_parts(
         .collect();
     let mut merged = RecoveredState::default();
     let mut segments: Vec<Arc<Segment>> = Vec::with_capacity(n);
-    let mut merged_table: Option<Table> = None;
+    let mut slices: Vec<Option<Table>> = Vec::with_capacity(n);
     for k in 0..n {
-        let part = match by_k.remove(&k) {
+        let mut part = match by_k.remove(&k) {
             Some(part) => part,
             None => {
                 // A partition whose file never landed on disk (possible
@@ -781,12 +738,7 @@ fn merge_table_parts(
                 }
             }
         };
-        if let Ok(slice) = part.state.catalog.table(table) {
-            merged_table = Some(match merged_table.take() {
-                None => slice.clone(),
-                Some(acc) => merge_partition_tables(acc, slice)?,
-            });
-        }
+        slices.push(part.state.catalog.drop_table(table).ok());
         let (groups, _) = part.state.cache.export();
         merged.cache.absorb(groups);
         merged.crowd_rounds = merged.crowd_rounds.max(part.state.crowd_rounds);
@@ -796,9 +748,9 @@ fn merge_table_parts(
         }
         segments.push(Segment::of_wal(wal, part.dirty));
     }
-    merged
-        .catalog
-        .create_table(merged_table.expect("partition 0 carries the table"))?;
+    let slices = align_slices(slices)?;
+    let name = slices[0].name().to_string();
+    merged.partitioned.insert(name, (spec.clone(), slices));
     Ok(Some((
         merged,
         TableStore {
@@ -806,6 +758,39 @@ fn merge_table_parts(
             parts: segments,
         },
     )))
+}
+
+/// Brings a partitioned table's replayed slices (in `k` order; `None`
+/// where a partition never saw the table) to one schema, moving every
+/// slice that already has it.  A crash that tore a schema change's fan-out
+/// leaves the later partitions without the new column: such a slice gains
+/// the columns it lacks, `NULL`-filled (tagged as an insert tags them), in
+/// the order [`merge_partition_tables`] merges them.
+fn align_slices(slices: Vec<Option<Table>>) -> Result<Vec<Table>> {
+    // No rows: the merged schema, tracking every column some slice tracks.
+    let mut union: Option<Table> = None;
+    for slice in slices.iter().flatten() {
+        let mut shape = Table::new(slice.name(), slice.schema().clone());
+        for (at, column) in slice.schema().columns().iter().enumerate() {
+            if slice.tags(at).is_some() {
+                shape.track_provenance(&column.name)?;
+            }
+        }
+        union = Some(match union {
+            None => shape,
+            Some(acc) => merge_partition_tables(acc, &shape)?,
+        });
+    }
+    let union = union.expect("partition 0 carries the table");
+    let align = |slice: Option<Table>| match slice {
+        Some(slice) if slice.schema() == union.schema() => Ok(slice),
+        slice => {
+            let mut aligned = union.clone();
+            slice.map_or(Ok(()), |slice| aligned.append(&slice))?;
+            Ok(aligned)
+        }
+    };
+    slices.into_iter().map(align).collect()
 }
 
 /// Appends `part`'s rows and columns onto `acc`: rows concatenate in
@@ -1225,7 +1210,7 @@ fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredS
         catalog,
         cache,
         crowd_rounds: image.crowd_rounds,
-        specs: HashMap::new(),
+        partitioned: BTreeMap::new(),
     })
 }
 

@@ -762,12 +762,16 @@ fn decode_rowset(d: &mut Decoder<'_>) -> Result<RowSet> {
     let n_rows = d.u64()?;
     // Every value takes at least its tag byte, so the bytes left bound the
     // cells before anything is reserved.  (Provenance cells need not: a
-    // run covers many.)
+    // run covers many.)  Rows of no column would take no byte, so nothing
+    // could bound their count; the engine's only row sets of no column
+    // are those of DDL and DML statements, which have no rows.
     let cells = usize::try_from(n_rows)
         .ok()
         .and_then(|n_rows| n_rows.checked_mul(n_columns));
     let (n_rows, n_cells) = match cells {
-        Some(cells) if cells <= d.remaining() => (n_rows as usize, cells),
+        Some(cells) if cells <= d.remaining() && (n_columns > 0 || n_rows == 0) => {
+            (n_rows as usize, cells)
+        }
         _ => {
             return Err(protocol_err(format!(
                 "a row set of {n_rows} rows of {n_columns} columns in {} bytes",
@@ -789,8 +793,6 @@ fn decode_rowset(d: &mut Decoder<'_>) -> Result<RowSet> {
             }
         }
     }
-    // Counted in cells, not rows, so a row set of no columns costs
-    // nothing however many rows it claims.
     let mut cells = Vec::with_capacity(n_cells);
     while cells.len() < n_cells {
         for cursor in &mut cursors {
@@ -1675,14 +1677,24 @@ mod tests {
             e.into_bytes()
         };
         assert!(Response::from_payload(&payload(2, [2, 2], [&[2], &[1, 1]])).is_ok());
-        // Rows of no column take no byte; any count of them decodes at once.
-        let mut e = Encoder::new();
-        e.u8(0);
-        e.seq_len(0);
-        e.u64(u64::MAX);
-        match decode_event(&mut Decoder::new(&e.into_bytes())) {
-            Ok(QueryEvent::Snapshot(rows)) => assert_eq!(rows.rows.len() as u64, u64::MAX),
+        // Rows of no column take no byte, so no payload bounds their count:
+        // a row set of no column decodes only without rows.
+        let no_columns = |rows: u64| {
+            let mut e = Encoder::new();
+            e.u8(0);
+            e.seq_len(0);
+            e.u64(rows);
+            decode_event(&mut Decoder::new(&e.into_bytes()))
+        };
+        match no_columns(0) {
+            Ok(QueryEvent::Snapshot(rows)) => assert!(rows.rows.is_empty()),
             other => panic!("an empty row set decoded to {other:?}"),
+        }
+        for rows in [1, u64::MAX] {
+            match no_columns(rows) {
+                Err(CrowdDbError::Protocol { .. }) => {}
+                other => panic!("{rows} rows of no column decoded to {other:?}"),
+            }
         }
         let malformed = [
             ("a short value column", payload(2, [2, 1], [&[2], &[2]])),
@@ -2013,6 +2025,8 @@ mod tests {
             values in prop::collection::vec((0u8..5, any::<u64>()), 1..64),
             runs in prop::collection::vec((0u8..11, 1usize..=400, any::<u64>()), 1..32),
         ) {
+            // A row set of no column has no rows (the decoder refuses any).
+            let rows = if width == 0 { 0 } else { rows };
             let rowset = shaped_rowset(width, rows, &values, &runs);
             let response = Response::Event {
                 id: 1,

@@ -54,8 +54,8 @@ pub use manifest::{
 pub use records::{
     decode_partition_spec, decode_provenance, decode_tag_column, decode_value,
     encode_partition_spec, encode_provenance, encode_tag_column, encode_value, skip_value,
-    CacheGroup, CacheImage, CachedJudgment, ColumnImage, LedgerImage, SnapshotImage, TableImage,
-    WalRecord,
+    slice_records, CacheGroup, CacheImage, CachedJudgment, ColumnImage, LedgerImage, SnapshotImage,
+    TableImage, WalRecord,
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, SNAPSHOT_FILE,

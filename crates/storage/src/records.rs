@@ -666,6 +666,51 @@ impl WalRecord {
     }
 }
 
+/// Splits `records` among the partitions of a table partitioned by
+/// `spec`, in `k` order: the one place that decides which records, and
+/// which of their items, each partition's segment receives.
+///
+/// An item-keyed record keeps in partition `k` only the entries whose
+/// item routes to `k`, in their order.  A [`WalRecord::MaterializeColumn`]
+/// reaches every partition even when its slice is empty, since it carries
+/// a schema change every partition must replay.  An empty
+/// [`WalRecord::SetCells`] or [`WalRecord::CachePut`] slice is dropped,
+/// since it changes nothing.  Any other record reaches every partition.
+/// A single-partition table receives `records` unchanged.
+pub fn slice_records(spec: &PartitionSpec, records: Vec<WalRecord>) -> Vec<Vec<WalRecord>> {
+    if spec.is_single() {
+        return vec![records];
+    }
+    let slice = |k: usize, record: &WalRecord| {
+        let mut slice = record.clone();
+        let keep = |item: ItemId| spec.route_item(item) == k;
+        match &mut slice {
+            WalRecord::MaterializeColumn { values, ledger, .. } => {
+                values.retain(|pair| keep(pair.0));
+                ledger
+                    .iter_mut()
+                    .for_each(|marks| marks.retain(|pair| keep(pair.0)));
+            }
+            WalRecord::SetCells { values, .. } => values.retain(|pair| keep(pair.0)),
+            WalRecord::CachePut { entries, .. } => entries.retain(|pair| keep(pair.0)),
+            _ => {}
+        }
+        match &slice {
+            WalRecord::SetCells { values, .. } if values.is_empty() => None,
+            WalRecord::CachePut { entries, .. } if entries.is_empty() => None,
+            _ => Some(slice),
+        }
+    };
+    (0..spec.partition_count())
+        .map(|k| {
+            records
+                .iter()
+                .filter_map(|record| slice(k, record))
+                .collect()
+        })
+        .collect()
+}
+
 /// One judgment-cache group — the `(table, attribute)` key and its
 /// entries, sorted by item id — as a snapshot stores it and the engine's
 /// cache exports it.
