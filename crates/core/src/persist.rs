@@ -70,9 +70,9 @@
 //! slice).  A crash midway through the fan-out can leave a suffix of
 //! partitions without the record — the recovered table then holds the
 //! prefix's effects, the same "query never returned" outcome a
-//! single-partition crash gives, and the per-partition merge reconciles
-//! any schema divergence by unioning columns (`NULL`-filling the rows of
-//! partitions the record never reached).
+//! single-partition crash gives, and recovery reconciles any schema
+//! divergence by unioning columns (`NULL`-filling the rows of partitions
+//! the record never reached).
 //!
 //! Partitioned-table **creation** commits on partition 0: the creating
 //! thread logs the per-partition `CreateTable` row slices to partitions
@@ -816,9 +816,8 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
 /// tables (same name, same schema, same provenance-tracked columns) by
 /// routing each row's id-column value; rows keep their tags.
 /// Rows without an id column land in partition 0, matching
-/// [`PartitionSpec::route_value`]'s `NULL` fallback.  The inverse of the
-/// recovery-time merge — the write path, the checkpoint slicer, and
-/// recovery all route through the same arithmetic, so the three can never
+/// [`PartitionSpec::route_value`]'s `NULL` fallback.  Creation and the
+/// write path route through the same arithmetic, so they can never
 /// disagree about a row's home partition.
 pub(crate) fn split_table_by_partition(
     table: Table,

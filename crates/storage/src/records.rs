@@ -1172,4 +1172,85 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert_eq!(TableImage::of(&table), image);
     }
+
+    #[test]
+    fn slicing_routes_items_and_keeps_schema_changes_everywhere() {
+        let spec = PartitionSpec::Hash { n: 4 };
+        // Items 0..8 and the partition each routes to.
+        let home: Vec<usize> = (0..8).map(|item| spec.route_item(item)).collect();
+        let only = home[0];
+        let on_only: Vec<ItemId> = (0..8).filter(|&i| home[i as usize] == only).collect();
+        let materialize = WalRecord::MaterializeColumn {
+            table: "t".into(),
+            column: "c".into(),
+            data_type: DataType::Boolean,
+            values: on_only.iter().map(|&i| (i, Value::Boolean(true))).collect(),
+            ledger: Some((0..8).map(|i| (i, CellProvenance::Extracted)).collect()),
+            incomplete: false,
+        };
+        let set = WalRecord::SetCells {
+            table: "t".into(),
+            column: "c".into(),
+            values: on_only
+                .iter()
+                .map(|&i| (i, Value::Boolean(false)))
+                .collect(),
+        };
+        let put = WalRecord::CachePut {
+            table: "t".into(),
+            attribute: "a".into(),
+            entries: on_only
+                .iter()
+                .map(|&i| {
+                    let judgment = CachedJudgment {
+                        verdict: Some(true),
+                        judgments: 3,
+                        cost: 0.03,
+                        confidence: 1.0,
+                    };
+                    (i, judgment)
+                })
+                .collect(),
+            rounds: 2,
+        };
+        let invalidate = WalRecord::CacheInvalidate {
+            table: "t".into(),
+            attribute: "a".into(),
+        };
+        let records = vec![materialize, set, put, invalidate.clone()];
+        let sliced = slice_records(&spec, records.clone());
+        assert_eq!(sliced.len(), 4);
+        for (k, slice) in sliced.iter().enumerate() {
+            let kinds: Vec<u8> = slice.iter().map(|r| r.encode()[0]).collect();
+            if k == only {
+                assert_eq!(kinds, [2, 3, 4, 5], "partition {k}");
+            } else {
+                // Only the schema change and the invalidation reach it.
+                assert_eq!(kinds, [2, 5], "partition {k}");
+            }
+            match &slice[0] {
+                WalRecord::MaterializeColumn { values, ledger, .. } => {
+                    let ledger = ledger.as_ref().unwrap();
+                    assert!(ledger.iter().all(|&(i, _)| home[i as usize] == k));
+                    assert_eq!(ledger.len(), home.iter().filter(|&&h| h == k).count());
+                    assert_eq!(values.is_empty(), k != only);
+                }
+                other => panic!("partition {k} starts with {other:?}"),
+            }
+            assert_eq!(slice.last(), Some(&invalidate));
+        }
+        // A single-partition table receives every record unchanged, even
+        // one without items.
+        let empty = WalRecord::SetCells {
+            table: "t".into(),
+            column: "c".into(),
+            values: Vec::new(),
+        };
+        let mut single = records;
+        single.push(empty);
+        assert_eq!(
+            slice_records(&PartitionSpec::Single, single.clone()),
+            [single]
+        );
+    }
 }
