@@ -2450,8 +2450,9 @@ impl DbInner {
     ///
     /// Rows are routed here, not before: a DELETE or INSERT that committed
     /// while the crowd worked would shift row indices, and a mapping taken
-    /// under an earlier lock would write values to the wrong rows.  Items
-    /// the routes append to `index` lie past the writes' vectors.
+    /// under an earlier lock would write values to the wrong rows.  The
+    /// items the routes append to `index` (rows inserted since the caller
+    /// built it) lie past the vectors of writes built before the call.
     fn commit_columns(
         &self,
         table: &str,
