@@ -818,9 +818,9 @@ impl CrowdDbBuilder {
     /// configured.  Recovery truncates a torn final WAL record (a crash
     /// mid-append) but fails with [`CrowdDbError::Storage`] on checksum
     /// mismatches — silent loss of paid-for judgments is never an option.
-    /// A directory in the legacy single-file layout (`wal.log` +
-    /// `snapshot.db`) is migrated into the segmented per-table layout
-    /// once, losslessly, on open.
+    /// A directory written in another on-disk format version fails with
+    /// [`CrowdDbError::Storage`] naming the version found and the one this
+    /// build reads, and is left as it was.
     pub fn open(self) -> Result<CrowdDb> {
         match self.path {
             None => Ok(CrowdDb::assemble(
@@ -1387,8 +1387,12 @@ impl CrowdDb {
     /// expansion to re-crowd-source it (e.g. after a repair round found the
     /// old judgments questionable).  On a persistent database the eviction
     /// is durable: a reopened database will not resurrect the distrusted
-    /// judgments (hence the `Result` — the WAL append can fail).
+    /// judgments (hence the `Result` — the WAL append can fail).  On a
+    /// table that does not exist it fails with
+    /// [`RelationalError::UnknownTable`] and touches neither the cache nor
+    /// the disk.
     pub fn invalidate_judgments(&self, table: &str, attribute: &str) -> Result<()> {
+        self.inner.shard(table)?;
         self.inner.cache.invalidate(table, attribute);
         self.inner.log(
             table,
@@ -2489,7 +2493,7 @@ impl DbInner {
                             &column,
                             data_type,
                             &values,
-                            Some(&marks),
+                            &marks,
                             routes,
                         )?;
                     }
@@ -2497,8 +2501,7 @@ impl DbInner {
                     // is *incomplete*: policy queries referencing it
                     // re-expand it instead of trusting the partial
                     // materialization forever.
-                    let incomplete = marks.iter().any(CellProvenance::is_recoverable);
-                    if incomplete {
+                    if marks.iter().any(CellProvenance::is_recoverable) {
                         shard.may_have_holes.store(true, Ordering::Release);
                     }
                     if self.durability.is_some() {
@@ -2507,8 +2510,7 @@ impl DbInner {
                             column,
                             data_type,
                             values: index.sorted_pairs(&values, |_, value| !value.is_null()),
-                            ledger: Some(index.sorted_pairs(&marks, |_, _| true)),
-                            incomplete,
+                            ledger: index.sorted_pairs(&marks, |_, _| true),
                         });
                     }
                 }

@@ -1,8 +1,9 @@
 //! The materialize stage: writing acquired attribute values, and their
 //! provenance with them, into relational columns through an explicit
-//! row → item routing.  Live expansion, repair, and WAL and snapshot
-//! recovery all write cells through [`write_column`], so a recovered cell
-//! carries exactly the tag the live write gave it.
+//! row → item routing.  Live expansion, repair, and WAL recovery all
+//! write cells through [`materialize_column`] and [`repair_cells`], so a
+//! replayed cell carries exactly the tag the live write gave it (a
+//! snapshot stores every cell's tag as it is).
 //!
 //! A write's per-item state lives in vectors aligned with the items of a
 //! [`planner::ItemIndex`](crate::planner::ItemIndex): the item at
@@ -58,25 +59,46 @@ pub(crate) enum ColumnWrite {
 }
 
 /// Adds `column` to `table` (if not already present — a forced re-expansion
-/// overwrites in place) and fills it with the per-item `values`, routed
-/// through `routes` and tagged with `marks` (see [`write_column`]; `None`
-/// writes stored values, as numeric expansions logged before per-cell tags
-/// replay).
+/// overwrites in place) and writes it in every row in one pass.  Each
+/// routed row gets its item's value from `values` (`NULL` past its end),
+/// tagged with its item's mark — `NotExpanded` past the end of `marks`.
 ///
 /// Rows sharing an item all receive its value; rows whose item has no
-/// value become `NULL` and are counted, never silently skipped.
+/// value become `NULL` and are counted, never silently skipped.  A row
+/// without a usable item id keeps its value and, when that is `NULL`,
+/// reads `NoItemId`: no crowd value can ever be routed to it.
 pub(crate) fn materialize_column(
     table: &mut Table,
     column: &str,
     data_type: DataType,
     values: &[Value],
-    marks: Option<&[CellProvenance]>,
+    marks: &[CellProvenance],
     routes: &Routes,
 ) -> Result<MaterializeOutcome> {
     if !table.schema().contains(column) {
         table.add_column(Column::new(column, data_type), None)?;
     }
-    let rows_filled = write_column(table, column, routes, Some(values), marks)?;
+    table.track_provenance(column)?;
+    let rows = table.len();
+    let mut writer = table.column_writer(column)?;
+    let mut rows_filled = 0;
+    for &(row, at) in &routes.rows {
+        let value = values.get(at).cloned().unwrap_or(Value::Null);
+        rows_filled += usize::from(!value.is_null());
+        let tag = (marks.get(at).copied()).unwrap_or(MissingReason::NotExpanded.into());
+        writer.set(row, value, tag)?;
+    }
+    if routes.skipped > 0 {
+        let mut unmapped = vec![true; rows];
+        for &(row, _) in &routes.rows {
+            unmapped[row] = false;
+        }
+        for (row, unmapped) in unmapped.into_iter().enumerate() {
+            if unmapped && writer.value(row)?.is_null() {
+                writer.set(row, Value::Null, MissingReason::NoItemId.into())?;
+            }
+        }
+    }
     Ok(MaterializeOutcome {
         rows_filled,
         rows_unfilled: routes.rows.len() - rows_filled,
@@ -106,53 +128,6 @@ pub(crate) fn repair_cells(
     Ok(())
 }
 
-/// Writes `column` of every row of `table` in one pass, and returns how
-/// many rows received a value.  Each routed row gets its item's value from
-/// `values` (`NULL` past its end; `None` keeps the cell's own value),
-/// tagged with its item's mark — `NotExpanded` past the end of `marks`.  A
-/// row without a usable item id keeps its value and, when that is `NULL`,
-/// reads `NoItemId`: no crowd value can ever be routed to it.  Without
-/// `marks` the values are written as stored.  Snapshot recovery re-tags a
-/// column by keeping every cell's own value and writing its mark.
-pub(crate) fn write_column(
-    table: &mut Table,
-    column: &str,
-    routes: &Routes,
-    values: Option<&[Value]>,
-    marks: Option<&[CellProvenance]>,
-) -> Result<usize> {
-    let rows = table.len();
-    if marks.is_some() {
-        table.track_provenance(column)?;
-    }
-    let mut writer = table.column_writer(column)?;
-    let mut filled = 0;
-    for &(row, at) in &routes.rows {
-        let value = match values {
-            Some(values) => values.get(at).cloned().unwrap_or(Value::Null),
-            None => writer.value(row)?.clone(),
-        };
-        filled += usize::from(!value.is_null());
-        let tag = match marks {
-            Some(marks) => (marks.get(at).copied()).unwrap_or(MissingReason::NotExpanded.into()),
-            None => CellProvenance::Stored,
-        };
-        writer.set(row, value, tag)?;
-    }
-    if marks.is_some() && routes.skipped > 0 {
-        let mut unmapped = vec![true; rows];
-        for &(row, _) in &routes.rows {
-            unmapped[row] = false;
-        }
-        for (row, unmapped) in unmapped.into_iter().enumerate() {
-            if unmapped && writer.value(row)?.is_null() {
-                writer.set(row, Value::Null, MissingReason::NoItemId.into())?;
-            }
-        }
-    }
-    Ok(filled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,15 +154,9 @@ mod tests {
         let mut table = table_with_ids(&[5, 17, 99]);
         let routes = routes(&table, &[5, 17, 99]);
         let values = [Value::Boolean(true), Value::Null, Value::Boolean(false)];
-        let outcome = materialize_column(
-            &mut table,
-            "flag",
-            DataType::Boolean,
-            &values,
-            None,
-            &routes,
-        )
-        .unwrap();
+        let outcome =
+            materialize_column(&mut table, "flag", DataType::Boolean, &values, &[], &routes)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -202,15 +171,9 @@ mod tests {
         // Item 8 lies past the end of the values: its row stays NULL.
         let routes = routes(&table, &[7]);
         let values = [Value::Boolean(true)];
-        let outcome = materialize_column(
-            &mut table,
-            "flag",
-            DataType::Boolean,
-            &values,
-            None,
-            &routes,
-        )
-        .unwrap();
+        let outcome =
+            materialize_column(&mut table, "flag", DataType::Boolean, &values, &[], &routes)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2, "both rows with item 7 are filled");
         assert_eq!(outcome.rows_unfilled, 1);
         let idx = table.schema().index_of("flag").unwrap();
@@ -224,17 +187,11 @@ mod tests {
         let mut table = table_with_ids(&[1, 2]);
         let routes = routes(&table, &[1, 2]);
         let first = [Value::Boolean(true), Value::Null];
-        materialize_column(&mut table, "flag", DataType::Boolean, &first, None, &routes).unwrap();
+        materialize_column(&mut table, "flag", DataType::Boolean, &first, &[], &routes).unwrap();
         let second = [Value::Boolean(false), Value::Boolean(true)];
-        let outcome = materialize_column(
-            &mut table,
-            "flag",
-            DataType::Boolean,
-            &second,
-            None,
-            &routes,
-        )
-        .unwrap();
+        let outcome =
+            materialize_column(&mut table, "flag", DataType::Boolean, &second, &[], &routes)
+                .unwrap();
         assert_eq!(outcome.rows_filled, 2);
         // Still exactly one `flag` column.
         assert_eq!(
@@ -253,7 +210,7 @@ mod tests {
         // of leaving the previous round's answer in place.
         let third = [Value::Null, Value::Boolean(false)];
         let outcome =
-            materialize_column(&mut table, "flag", DataType::Boolean, &third, None, &routes)
+            materialize_column(&mut table, "flag", DataType::Boolean, &third, &[], &routes)
                 .unwrap();
         assert_eq!(outcome.rows_filled, 1);
         assert_eq!(outcome.rows_unfilled, 1);
@@ -281,7 +238,7 @@ mod tests {
             "score",
             DataType::Float,
             &values,
-            Some(&marks),
+            &marks,
             &routes,
         )
         .unwrap();

@@ -5,8 +5,9 @@
 //!
 //! Everything real money or real work produced: catalog DDL and rows,
 //! SQL mutations, materialized crowd columns (values *and* their per-cell
-//! provenance, confidence and cost share included — logged and
-//! snapshotted as one mark per item), judgment-cache entries and
+//! provenance, confidence and cost share included — logged as one mark
+//! per item, snapshotted as one tag per row, so rows sharing an item keep
+//! diverging tags across a checkpoint), judgment-cache entries and
 //! invalidations, and the crowd-round counter.  Runtime bindings — perceptual spaces, crowd
 //! sources, column → concept registrations — are *not* persisted: they are
 //! live objects the application re-binds after
@@ -17,16 +18,18 @@
 //! # Segmented, partitioned layout
 //!
 //! The durable state is sharded by table and, within a table, by
-//! partition.  A single-partition table (the default, and every table from
-//! the pre-partitioning releases) owns one WAL segment (`wal/<table>.log`)
-//! and one snapshot (`snap/<table>.snap`) — byte-identical to the legacy
-//! per-table layout.  A table created with a
+//! partition.  A single-partition table (the default) owns one WAL
+//! segment (`wal/<table>.log`) and one snapshot (`snap/<table>.snap`).  A
+//! table created with a
 //! [`PartitionSpec`](relational::PartitionSpec) of `n > 1` partitions owns
 //! `n` independent segment/snapshot pairs (`wal/<table>.p<k>.log`,
 //! `snap/<table>.p<k>.snap`), each carrying the full per-segment
 //! discipline — generation header, CRC32 frames, group fsync, torn-tail
-//! truncation — on its own file.  The manifest ties the layout together
-//! and records each partitioned table's spec; rows are routed to
+//! truncation — on its own file.  The manifest ties the layout together:
+//! it stamps the on-disk format version and records each table's spec.
+//! [`recover`] reads a directory of that one version only; any other
+//! fails with the typed `UnsupportedFormat` storage error, and the
+//! directory is left as it was.  Rows are routed to
 //! partitions by the deterministic [`PartitionSpec`] arithmetic applied to
 //! the table's id column, identically at write, checkpoint, and recovery
 //! time.
@@ -37,9 +40,7 @@
 //! without touching its siblings' files, and [`recover`] replays all
 //! partitions of all tables in parallel on a worker pool, merging each
 //! table's partitions in fixed `k` order so the result is bit-identical
-//! however many workers replayed them.  A directory in the legacy
-//! single-file layout (`wal.log` + `snapshot.db`, the PR 5 format) is
-//! migrated into segments once, on open ([`migrate_legacy`]).
+//! however many workers replayed them.
 //!
 //! # Write path and crash consistency
 //!
@@ -93,20 +94,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 use perceptual::ItemId;
-use relational::{executor, sql, Catalog, MissingReason, PartitionSpec, Table, Value};
+use relational::{
+    executor, sql, Catalog, MissingReason, PartitionSpec, RelationalError, Table, Value,
+};
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
-    partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot,
-    read_snapshot_file, scan_segments, segment_file_name, slice_records, snapshot_file_name,
-    write_manifest, write_snapshot_file, CacheImage, ColumnImage, LedgerImage, Manifest,
-    ManifestEntry, SnapshotImage, StorageError, TableImage, Wal, WalRecord, SNAPSHOT_FILE,
-    WAL_FILE,
+    partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot_file,
+    scan_segments, segment_file_name, slice_records, snapshot_file_name, write_manifest,
+    write_snapshot_file, Manifest, SnapshotImage, StorageError, TableImage, Wal, WalRecord,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
 use crate::error::CrowdDbError;
-use crate::materialize::{materialize_column, repair_cells, write_column};
-use crate::planner::{self, ItemIndex};
+use crate::materialize::{materialize_column, repair_cells};
+use crate::planner::ItemIndex;
 use crate::scheduler::Scheduler;
 use crate::sync::{mlock, rlock, wlock};
 use crate::Result;
@@ -134,8 +135,8 @@ impl Segment {
 
 /// One table's durable storage: its partitioning spec and one [`Segment`]
 /// per partition (`parts.len() == spec.partition_count()`).  A
-/// single-partition store keeps the legacy `wal/<table>.log` file name;
-/// partitioned stores use `wal/<table>.p<k>.log`.
+/// single-partition store keeps the suffix-free `wal/<table>.log` file
+/// name; partitioned stores use `wal/<table>.p<k>.log`.
 pub(crate) struct TableStore {
     spec: PartitionSpec,
     parts: Vec<Arc<Segment>>,
@@ -172,7 +173,7 @@ fn snapshot_path(dir: &Path, table: &str, spec: &PartitionSpec, k: usize) -> Pat
 }
 
 /// The meta record every fresh segment starts with: the plain
-/// [`Meta`] stamp for single-partition tables (legacy-compatible), or the
+/// [`Meta`] stamp for single-partition tables, or the
 /// [`MetaPartition`] stamp — id column, partition index, and spec — that
 /// lets a partitioned segment be replayed correctly even before the
 /// manifest has recorded the table.
@@ -242,8 +243,8 @@ impl Durability {
         result.map_err(CrowdDbError::from)
     }
 
-    /// Looks up (or lazily creates, with the given spec, on a table's
-    /// first durable record) the store for `table`.  An existing store's
+    /// Looks up (or creates, with the given spec, as the table is
+    /// created) the store for `table`.  An existing store's
     /// spec is authoritative: a table cannot be re-partitioned in place,
     /// so a mismatched request is refused.
     pub(crate) fn ensure_store(
@@ -292,14 +293,12 @@ impl Durability {
         Ok(store)
     }
 
-    /// The store for `table`, lazily created single-partition when the
-    /// table has no durable state yet (the legacy default).
+    /// The store of `table`: created with the table by
+    /// [`Durability::ensure_store`], or recovered with it.  A table without
+    /// one does not exist, and nothing creates its files here.
     fn store(&self, table: &str) -> Result<Arc<TableStore>> {
-        let key = table.to_lowercase();
-        if let Some(store) = rlock(&self.stores).get(&key) {
-            return Ok(Arc::clone(store));
-        }
-        self.ensure_store(table, &PartitionSpec::Single)
+        (rlock(&self.stores).get(&table.to_lowercase()).cloned())
+            .ok_or_else(|| RelationalError::UnknownTable(table.to_string()).into())
     }
 
     /// Appends `records` to partition `k` of `table`'s store as one
@@ -389,34 +388,14 @@ impl Durability {
     /// Rewrites the manifest from the live store set and the given global
     /// counters.  Called after recovery and after each checkpoint — the
     /// manifest is checkpoint-granular by design (segment and snapshot
-    /// file names are stable per table and partition, so a stale manifest
-    /// never points at missing data; orphan segments are unioned in on
-    /// recovery).
+    /// file names follow from each table's name and spec, so a stale
+    /// manifest never points at missing data; orphan segments are unioned
+    /// in on recovery).
     pub(crate) fn write_manifest_state(&self, stats: CacheStats, crowd_rounds: u64) -> Result<()> {
         self.check_not_failed()?;
-        let mut entries = Vec::new();
-        let mut partitioned = Vec::new();
-        for (table, store) in rlock(&self.stores).iter() {
-            let (segment, snapshot_name) = if store.spec.is_single() {
-                (segment_file_name(table), snapshot_file_name(table))
-            } else {
-                (
-                    partition_segment_file_name(table, 0),
-                    partition_snapshot_file_name(table, 0),
-                )
-            };
-            entries.push(ManifestEntry {
-                table: table.clone(),
-                segment,
-                snapshot: snap_dir(&self.dir)
-                    .join(&snapshot_name)
-                    .exists()
-                    .then_some(snapshot_name),
-            });
-            if !store.spec.is_single() {
-                partitioned.push((table.clone(), store.spec.clone()));
-            }
-        }
+        let tables = (rlock(&self.stores).iter())
+            .map(|(table, store)| (table.clone(), store.spec.clone()))
+            .collect();
         let _guard = mlock(&self.manifest);
         write_manifest(
             &self.dir,
@@ -426,8 +405,7 @@ impl Durability {
                 cache_misses: stats.misses,
                 cache_cost_saved: stats.cost_saved,
                 crowd_rounds,
-                entries,
-                partitioned,
+                tables,
             },
         )
         .map_err(CrowdDbError::from)
@@ -495,12 +473,11 @@ pub(crate) struct RecoveredState {
 /// Opens (creating if needed) the database directory and returns the
 /// recovered state plus the engine positioned for appending.
 ///
-/// Routing: a directory with a manifest recovers segment-by-segment
-/// (replayed on up to `parallelism` workers, fanning out across tables
-/// *and* across one table's partitions); a manifest-less directory with a
-/// legacy `wal.log`/`snapshot.db` is recovered through the old
-/// single-file path and migrated into segments; an empty directory starts
-/// fresh with an empty manifest.
+/// A directory with a manifest recovers segment-by-segment (replayed on up
+/// to `parallelism` workers, fanning out across tables *and* across one
+/// table's partitions); an empty directory starts fresh with an empty
+/// manifest.  A directory of any other on-disk format version fails
+/// before a file is written (see [`storage::manifest`]).
 pub(crate) fn recover(
     dir: &Path,
     id_column: &str,
@@ -514,9 +491,6 @@ pub(crate) fn recover(
     })?;
     match read_manifest(dir)? {
         Some(manifest) => recover_segmented(dir, id_column, parallelism, manifest),
-        None if dir.join(WAL_FILE).exists() || dir.join(SNAPSHOT_FILE).exists() => {
-            migrate_legacy(dir, id_column)
-        }
         None => {
             let durability = Durability::new(dir, id_column, BTreeMap::new());
             durability.write_manifest_state(CacheStats::default(), 0)?;
@@ -526,7 +500,7 @@ pub(crate) fn recover(
 }
 
 /// One replay unit: a single-partition table's whole segment
-/// (`partition: None`, legacy file names) or one partition of a
+/// (`partition: None`, suffix-free file names) or one partition of a
 /// partitioned table (`partition: Some(k)`).
 struct ReplayJob {
     table: String,
@@ -577,24 +551,19 @@ fn recover_segmented(
     // union both sources so no committed record is orphaned.
     let mut jobs: Vec<ReplayJob> = Vec::new();
     let mut known: HashSet<(String, Option<usize>)> = HashSet::new();
-    for entry in &manifest.entries {
-        let spec = manifest.spec(&entry.table);
-        if spec.is_single() {
-            known.insert((entry.table.clone(), None));
-            jobs.push(ReplayJob {
-                table: entry.table.clone(),
-                partition: None,
-                spec: None,
-            });
+    for (table, spec) in &manifest.tables {
+        let partitions: Vec<Option<usize>> = if spec.is_single() {
+            vec![None]
         } else {
-            for k in 0..spec.partition_count() {
-                known.insert((entry.table.clone(), Some(k)));
-                jobs.push(ReplayJob {
-                    table: entry.table.clone(),
-                    partition: Some(k),
-                    spec: Some(spec.clone()),
-                });
-            }
+            (0..spec.partition_count()).map(Some).collect()
+        };
+        for partition in partitions {
+            known.insert((table.clone(), partition));
+            jobs.push(ReplayJob {
+                table: table.clone(),
+                partition,
+                spec: partition.map(|_| spec.clone()),
+            });
         }
     }
     for (table, partition, _file) in scan_segments(dir)? {
@@ -664,7 +633,7 @@ fn merge_table_parts(
     mut parts: Vec<PartRecovered>,
 ) -> Result<Option<(RecoveredState, TableStore)>> {
     if parts.len() == 1 && parts[0].partition.is_none() {
-        // Single-partition table on the legacy per-table layout.
+        // A single-partition table: one suffix-free segment.
         let part = parts.pop().expect("one part");
         let mut wal = part.wal;
         if wal.record_count() == 0 {
@@ -684,7 +653,7 @@ fn merge_table_parts(
     }
     if parts.iter().any(|p| p.partition.is_none()) {
         return Err(CrowdDbError::Storage(format!(
-            "table '{table}' has both a legacy single segment and partitioned segments — \
+            "table '{table}' has both a single-partition segment and partitioned segments — \
              the directory is corrupt (tables are never re-partitioned in place)"
         )));
     }
@@ -895,7 +864,7 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
                 )));
             }
             let stamp = (image.wal_generation, image.wal_records_applied);
-            (state_of_snapshot(image, id_column)?, Some(stamp))
+            (state_of_snapshot(image)?, Some(stamp))
         }
         None => (RecoveredState::default(), None),
     };
@@ -943,92 +912,6 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
         dirty,
         spec,
     })
-}
-
-/// Recovers a legacy single-file directory (the PR 5 format) through the
-/// old whole-database path, then rewrites it into the segmented layout:
-/// per-table snapshots and fresh segments first, the manifest last (its
-/// appearance is the commit point of the migration), and only then are
-/// the legacy files deleted.  A crash anywhere re-runs cleanly: before
-/// the manifest lands the directory still recovers as legacy; after, the
-/// stray legacy files are ignored and re-deleted.  Legacy tables are all
-/// single-partition — partitioning arrived after the segmented layout.
-fn migrate_legacy(dir: &Path, id_column: &str) -> Result<(RecoveredState, Durability)> {
-    let snapshot = read_snapshot(dir)?;
-    let (mut state, wal_stamp) = match snapshot {
-        Some(image) => {
-            if !image.id_column.is_empty() && image.id_column != id_column {
-                return Err(CrowdDbError::Storage(format!(
-                    "database directory {} was written with id_column '{}' but is being \
-                     opened with id_column '{id_column}' — item-keyed records would be \
-                     misrouted; open with the original configuration",
-                    dir.display(),
-                    image.id_column
-                )));
-            }
-            let stamp = (image.wal_generation, image.wal_records_applied);
-            (state_of_snapshot(image, id_column)?, Some(stamp))
-        }
-        None => (RecoveredState::default(), None),
-    };
-    {
-        let (wal, records) = Wal::open(dir.join(WAL_FILE))?;
-        let skip = match wal_stamp {
-            Some((generation, applied)) if generation == wal.generation() => {
-                (applied as usize).min(records.len())
-            }
-            _ => 0,
-        };
-        let mut ctx = ReplayCtx {
-            id_column,
-            dir,
-            partition: None,
-        };
-        for record in records.into_iter().skip(skip) {
-            apply(record, &mut state, &mut ctx)?;
-        }
-        // The legacy log is consumed; it is deleted below, after the
-        // segmented layout durably supersedes it.
-    }
-    std::fs::create_dir_all(wal_dir(dir)).map_err(StorageError::from)?;
-    std::fs::create_dir_all(snap_dir(dir)).map_err(StorageError::from)?;
-    let mut stores = BTreeMap::new();
-    for name in state.catalog.table_names() {
-        let (mut wal, _) = Wal::open(wal_dir(dir).join(segment_file_name(&name)))?;
-        if wal.record_count() > 0 {
-            // Leftover from a crashed earlier migration attempt; the
-            // legacy files are still authoritative, so start over.
-            wal.reset()?;
-        }
-        wal.append(&WalRecord::Meta {
-            id_column: id_column.to_string(),
-        })?;
-        let table = state.catalog.table(&name).expect("listed table exists");
-        let image = table_snapshot_image(
-            TableSnapshotParts {
-                table,
-                cache: &state.cache,
-                crowd_rounds: state.crowd_rounds,
-                id_column,
-                partition: None,
-            },
-            wal.generation(),
-            wal.record_count(),
-        );
-        write_snapshot_file(&snap_dir(dir).join(snapshot_file_name(&name)), &image)?;
-        stores.insert(
-            name,
-            Arc::new(TableStore {
-                spec: PartitionSpec::Single,
-                parts: vec![Segment::of_wal(wal, false)],
-            }),
-        );
-    }
-    let durability = Durability::new(dir, id_column, stores);
-    durability.write_manifest_state(state.cache.stats(), state.crowd_rounds)?;
-    let _ = std::fs::remove_file(dir.join(WAL_FILE));
-    let _ = std::fs::remove_file(dir.join(SNAPSHOT_FILE));
-    Ok((state, durability))
 }
 
 /// The context one segment replays under: which partition slice (if any)
@@ -1118,20 +1001,18 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
             data_type,
             values,
             ledger,
-            // Derived again from the tags the marks write.
-            incomplete: _,
         } => {
-            let marked = ledger.iter().flatten().map(|&(item, _)| item);
+            let marked = ledger.iter().map(|&(item, _)| item);
             let mut index = ItemIndex::new(marked.chain(values.iter().map(|&(item, _)| item)));
             let values = index.align(values, Value::Null);
-            let marks = ledger.map(|marks| index.align(marks, MissingReason::NotExpanded.into()));
+            let marks = index.align(ledger, MissingReason::NotExpanded.into());
             let routes = index.route(state.catalog.table(&table)?, ctx.id_column, &table)?;
             materialize_column(
                 state.catalog.table_mut(&table)?,
                 &column,
                 data_type,
                 &values,
-                marks.as_deref(),
+                &marks,
                 &routes,
             )?;
         }
@@ -1181,33 +1062,15 @@ fn check_id_column(recorded: &str, ctx: &ReplayCtx<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Rebuilds the state a snapshot image captured.  Each column's marks
-/// re-tag its cells through the materialize writer; the image's
-/// incomplete-column list is not read, since the tags imply it.
-fn state_of_snapshot(image: SnapshotImage, id_column: &str) -> Result<RecoveredState> {
+/// Rebuilds the state a snapshot image captured: the table, every cell
+/// with the tag it was written with, and the table's judgment-cache
+/// entries (the effectiveness counters are the manifest's).
+fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
     let mut catalog = Catalog::new();
-    for table in image.tables {
-        catalog.create_table(table.into_table()?)?;
-    }
-    for ledger in image.ledgers {
-        let mut index = ItemIndex::new(ledger.marks.iter().map(|&(item, _)| item));
-        let marks = index.align(ledger.marks, MissingReason::NotExpanded.into());
-        let routes = index.route(catalog.table(&ledger.table)?, id_column, &ledger.table)?;
-        let table = catalog.table_mut(&ledger.table)?;
-        write_column(table, &ledger.column, &routes, None, Some(&marks))?;
-    }
-    let cache = JudgmentCache::restore(
-        image.cache.groups,
-        CacheStats {
-            hits: image.cache.hits,
-            misses: image.cache.misses,
-            cost_saved: image.cache.cost_saved,
-            entries: 0, // derived from the entries themselves
-        },
-    );
+    catalog.create_table(image.table.into_table()?)?;
     Ok(RecoveredState {
         catalog,
-        cache,
+        cache: JudgmentCache::restore(image.cache, CacheStats::default()),
         crowd_rounds: image.crowd_rounds,
         partitioned: BTreeMap::new(),
     })
@@ -1233,14 +1096,8 @@ pub(crate) struct TableSnapshotParts<'a> {
 
 /// Captures one partition's state as a snapshot image, stamped with the
 /// segment position it supersedes (see
-/// [`Durability::checkpoint_partition`]).  Every provenance-tracked
-/// column is stored as one mark per item — the tag of the first row
-/// holding the item, in row order, so rows of one item whose tags diverge
-/// collapse to that row's tag, and rows without a usable item id have no
-/// mark (recovery re-derives theirs) — and, when it holds recoverable
-/// holes, listed as incomplete.  The image's cache counters
-/// are zero: the global effectiveness counters are manifest state, not
-/// per-table state.
+/// [`Durability::checkpoint_partition`]): the slice with the tag of every
+/// cell of its tracked columns, and its share of the judgment cache.
 pub(crate) fn table_snapshot_image(
     parts: TableSnapshotParts<'_>,
     wal_generation: u64,
@@ -1257,59 +1114,15 @@ pub(crate) fn table_snapshot_image(
         Some((spec, k)) => spec.route_item(item) == k,
         None => true,
     };
-    let name = table.name().to_string();
-    let rows = planner::row_mapping(&[table], id_column, &name)
-        .map(|(rows, _, _)| rows)
-        .unwrap_or_default();
-    let mut ledgers = Vec::new();
-    let mut incomplete = Vec::new();
-    for (index, column) in table.schema().columns().iter().enumerate() {
-        let Some(tags) = table.tags(index) else {
-            continue;
-        };
-        let column = column.name.to_lowercase();
-        if table.recoverable_holes(index) > 0 {
-            incomplete.push(ColumnImage {
-                table: name.clone(),
-                column: column.clone(),
-            });
-        }
-        // One mark per item: the tag of the first row holding it.
-        let mut marks = BTreeMap::new();
-        for &(row, item) in &rows {
-            marks.entry(item).or_insert(tags[row]);
-        }
-        ledgers.push(LedgerImage {
-            table: name.clone(),
-            column,
-            marks: marks.into_iter().collect(),
-        });
-    }
-    ledgers.sort_unstable_by(|a, b| a.column.cmp(&b.column));
-    incomplete.sort_unstable_by(|a, b| a.column.cmp(&b.column));
+    let cache = (cache.export_table(table.name()).into_iter())
+        .map(|(table, attribute, mut entries)| {
+            entries.retain(|(item, _)| in_slice(*item));
+            (table, attribute, entries)
+        })
+        .collect();
     SnapshotImage {
-        tables: vec![TableImage::of(table)],
-        ledgers,
-        incomplete,
-        cache: CacheImage {
-            groups: cache
-                .export_table(&name)
-                .into_iter()
-                .map(|(table, attribute, entries)| {
-                    (
-                        table,
-                        attribute,
-                        entries
-                            .into_iter()
-                            .filter(|(item, _)| in_slice(*item))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            hits: 0,
-            misses: 0,
-            cost_saved: 0.0,
-        },
+        table: TableImage::of(table),
+        cache,
         crowd_rounds,
         id_column: id_column.to_string(),
         wal_generation,

@@ -16,15 +16,14 @@ use crate::value::Value;
 
 /// How a table's rows map to partitions, keyed by the table's id column.
 ///
-/// `Single` is the pre-partitioning regime — one partition, bit-compatible
-/// with the legacy one-segment-per-table on-disk layout.  Construct specs
+/// `Single` is one partition, stored as one suffix-free segment per
+/// table.  Construct specs
 /// through [`PartitionSpec::normalize`] (or let the engine's table options
 /// do it) so degenerate forms (`Hash { n: 1 }`, empty bounds) collapse to
 /// `Single` and range bounds are sorted and deduplicated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum PartitionSpec {
-    /// One partition holding every row (the default, and the legacy
-    /// layout).
+    /// One partition holding every row (the default).
     #[default]
     Single,
     /// Hash partitioning: a row's id is mixed through SplitMix64 and taken
@@ -93,7 +92,7 @@ impl PartitionSpec {
         }
     }
 
-    /// True for the one-partition (legacy-layout) regime.
+    /// True for the one-partition regime.
     pub fn is_single(&self) -> bool {
         self.partition_count() == 1
     }

@@ -179,9 +179,10 @@ impl Table {
         parts
     }
 
-    /// Inserts a full row, tagging the cells of provenance-tracked columns
-    /// with `tag(column, value)`.
-    fn insert_tagged(
+    /// Inserts a full row, tagging the cell of each provenance-tracked
+    /// column with `tag(column position, value)`: how a stored table is
+    /// rebuilt with the tags it was written with.
+    pub fn insert_tagged(
         &mut self,
         mut row: Vec<Value>,
         tag: impl Fn(usize, &Value) -> CellProvenance,

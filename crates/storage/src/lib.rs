@@ -11,14 +11,15 @@
 //!   CRC32-checksummed records, fsynced on every commit.  Recovery
 //!   truncates a torn tail (a crash mid-append) and *rejects* a log whose
 //!   interior records fail their checksum.
-//! * [`snapshot`] — a point-in-time image of database state (one table's,
-//!   or — legacy — the whole database's), written atomically (temp file +
-//!   fsync + rename) so a crash during checkpointing can never destroy
-//!   the previous snapshot.
-//! * [`manifest`] — the root of the segmented (per-table) layout: the
-//!   authoritative list of live `wal/<table>.log` segments and
-//!   `snap/<table>.snap` snapshots, plus the few global counters, swapped
-//!   atomically on every checkpoint.
+//! * [`snapshot`] — a point-in-time image of one table (or one partition
+//!   of it), every cell's provenance tag included, written atomically
+//!   (temp file + fsync + rename) so a crash during checkpointing can
+//!   never destroy the previous snapshot.
+//! * [`manifest`] — the root of a database directory: the on-disk
+//!   [`FORMAT_VERSION`], the live tables with their partition specs, and
+//!   the few global counters, swapped atomically on every checkpoint.  A
+//!   directory of any other format version is refused with
+//!   [`StorageError::UnsupportedFormat`]; nothing is migrated.
 //! * [`records`] — the durable record schema: catalog DDL, row mutations,
 //!   materialized crowd cells (with confidence and cost share), judgment
 //!   cache entries, and the snapshot image tying them together.
@@ -48,19 +49,16 @@ pub mod wal;
 pub use codec::{crc32, Decoder, Encoder};
 pub use manifest::{
     partition_segment_file_name, partition_snapshot_file_name, read_manifest, scan_segments,
-    segment_file_name, snapshot_file_name, write_manifest, Manifest, ManifestEntry, MANIFEST_FILE,
+    segment_file_name, snapshot_file_name, write_manifest, Manifest, FORMAT_VERSION, MANIFEST_FILE,
     SNAP_DIR, WAL_DIR,
 };
 pub use records::{
     decode_partition_spec, decode_provenance, decode_tag_column, decode_value,
     encode_partition_spec, encode_provenance, encode_tag_column, encode_value, skip_value,
-    slice_records, CacheGroup, CacheImage, CachedJudgment, ColumnImage, LedgerImage, SnapshotImage,
-    TableImage, WalRecord,
+    slice_records, CacheGroup, CachedJudgment, SnapshotImage, TableImage, WalRecord,
 };
-pub use snapshot::{
-    read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, SNAPSHOT_FILE,
-};
-pub use wal::{Wal, WAL_FILE};
+pub use snapshot::{read_snapshot_file, write_snapshot_file};
+pub use wal::Wal;
 
 use std::fmt;
 
@@ -74,6 +72,15 @@ pub enum StorageError {
     /// mismatch, an impossible length, an unknown record tag, or a
     /// truncated payload in a position recovery is not allowed to repair.
     Corrupt(String),
+    /// The directory was written in another on-disk format version than
+    /// the one this build reads (see [`manifest`]).
+    UnsupportedFormat {
+        /// The version found: 0 for files without a manifest, 1 for a
+        /// manifest from before the version field.
+        found: u32,
+        /// The one version this build reads, [`FORMAT_VERSION`].
+        expected: u32,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -81,6 +88,11 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage i/o error: {e}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
+            StorageError::UnsupportedFormat { found, expected } => write!(
+                f,
+                "unsupported storage format version {found}: this build reads version \
+                 {expected} only"
+            ),
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The manifest: the root of a segmented (per-table) database directory.
+//! The manifest: the root of a database directory.
 //!
-//! A sharded database splits its durable state by table, and optionally
-//! by partition *within* a table:
+//! The durable state is split by table, and optionally by partition
+//! *within* a table:
 //!
 //! ```text
 //! <dir>/
-//!   manifest.db          <- this file: the authoritative list of live tables
+//!   manifest.db          <- this file: format version + the live tables
 //!   wal/<table>.log      <- one WAL segment per single-partition table
 //!   wal/<table>.p<k>.log <- one WAL segment per partition k of a
 //!                           partitioned table (format: crate::wal)
@@ -13,26 +13,36 @@
 //!   snap/<table>.p<k>.snap <- one snapshot per partition
 //! ```
 //!
-//! Single-partition tables use the suffix-free names, byte-identical to
-//! the pre-partitioning layout.  Sanitized stems never contain `.` (it is
-//! `%2e`-escaped), so `<stem>.p<k>` parses unambiguously.
+//! Single-partition tables use the suffix-free names.  Sanitized stems
+//! never contain `.` (it is `%2e`-escaped), so `<stem>.p<k>` parses
+//! unambiguously.
 //!
-//! The manifest is the *routing root*: its presence is what marks a
-//! directory as segmented (recovery of a legacy single-file layout is
-//! keyed off its absence), and its entries name the segment and snapshot
-//! file of every live table.  It also carries the few pieces of state
-//! that are global rather than per-table — the judgment-cache
-//! effectiveness counters, the crowd-round counter, and the configured id
-//! column — which are checkpoint-granular, exactly as they were in the
-//! monolithic snapshot.
+//! # Format version
+//!
+//! The manifest is the one versioned file: after its magic it carries
+//! the `u32` [`FORMAT_VERSION`] every file of the directory is written
+//! in, and [`read_manifest`] accepts that version only.  Anything else
+//! fails with [`StorageError::UnsupportedFormat`] before any other file is
+//! read: a manifest from before the version field reads as version 1, and
+//! a directory holding files but no manifest (the single-file layout) as
+//! version 0.  Nothing is migrated, deleted, or rewritten on the way.
+//!
+//! # Contents
+//!
+//! The manifest lists every live table with its [`PartitionSpec`], and
+//! carries the few pieces of state that are global rather than
+//! per-table — the judgment-cache effectiveness counters, the
+//! crowd-round counter, and the configured id column — which are
+//! checkpoint-granular.  File names follow from the table name and its
+//! spec, so the manifest names no files.
 //!
 //! # Atomicity
 //!
 //! The manifest is rewritten with the same tmp + fsync + rename + dir-fsync
 //! pattern as snapshots: a crash mid-checkpoint leaves either the old
-//! manifest or the new one.  Per-table snapshot/segment files referenced by
-//! a manifest are always durably on disk *before* the manifest that names
-//! them is swapped in, and recovery additionally unions in any `wal/`
+//! manifest or the new one.  Per-table snapshot/segment files of the
+//! tables a manifest lists are always durably on disk *before* the
+//! manifest is swapped in, and recovery additionally unions in any `wal/`
 //! segment the manifest does not know about (a table created after the
 //! last checkpoint), so no committed record is ever orphaned.
 //!
@@ -44,21 +54,18 @@
 //! to a unique, portable file name and recovery can map an orphan segment
 //! file back to its table.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use relational::PartitionSpec;
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{Decoder, Encoder};
 use crate::records::{decode_partition_spec, encode_partition_spec};
+use crate::snapshot::{checked_payload, read_file, tmp_path, write_framed};
 use crate::{Result, StorageError};
 
-/// File name of the manifest inside a database directory.  Its presence
-/// marks the directory as using the segmented layout.
+/// File name of the manifest inside a database directory.
 pub const MANIFEST_FILE: &str = "manifest.db";
-
-const TMP_FILE: &str = "manifest.tmp";
 
 /// Subdirectory holding per-table WAL segments.
 pub const WAL_DIR: &str = "wal";
@@ -66,19 +73,15 @@ pub const WAL_DIR: &str = "wal";
 /// Subdirectory holding per-table snapshots.
 pub const SNAP_DIR: &str = "snap";
 
-const MAGIC: &[u8; 8] = b"CDBMANI1";
+/// The on-disk format version this build writes, and the only one it
+/// reads.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// One live table in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// Table name (lower-cased, as the catalog stores it).
-    pub table: String,
-    /// Segment file name inside [`WAL_DIR`].
-    pub segment: String,
-    /// Snapshot file name inside [`SNAP_DIR`]; `None` until the table's
-    /// first checkpoint.
-    pub snapshot: Option<String>,
-}
+const MAGIC: &[u8; 8] = b"CDBMANIV";
+
+/// The magic of the manifests written before the format carried a
+/// version: format 1.
+const UNVERSIONED_MAGIC: &[u8; 8] = b"CDBMANI1";
 
 /// The manifest: live tables plus the global (non-per-table) counters.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -95,31 +98,11 @@ pub struct Manifest {
     /// The crowd-round counter at the last manifest write; recovery takes
     /// the maximum of this and every replayed `CachePut` round stamp.
     pub crowd_rounds: u64,
-    /// Live tables, sorted by name.
-    pub entries: Vec<ManifestEntry>,
-    /// Partition specs of the partitioned tables, sorted by name —
-    /// encoded as a trailing section so a manifest with no partitioned
-    /// tables stays byte-identical to the pre-partitioning format.
-    /// Single-partition tables never appear here.
-    pub partitioned: Vec<(String, PartitionSpec)>,
+    /// Live tables and their partition specs, sorted by name.
+    pub tables: Vec<(String, PartitionSpec)>,
 }
 
 impl Manifest {
-    /// Looks up the entry for `table`.
-    pub fn entry(&self, table: &str) -> Option<&ManifestEntry> {
-        self.entries.iter().find(|e| e.table == table)
-    }
-
-    /// The partition spec of `table`: the recorded one for partitioned
-    /// tables, [`PartitionSpec::Single`] otherwise.
-    pub fn spec(&self, table: &str) -> PartitionSpec {
-        self.partitioned
-            .iter()
-            .find(|(name, _)| name == table)
-            .map(|(_, spec)| spec.clone())
-            .unwrap_or(PartitionSpec::Single)
-    }
-
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.str(&self.id_column);
@@ -127,27 +110,10 @@ impl Manifest {
         e.u64(self.cache_misses);
         e.f64(self.cache_cost_saved);
         e.u64(self.crowd_rounds);
-        e.seq_len(self.entries.len());
-        for entry in &self.entries {
-            e.str(&entry.table);
-            e.str(&entry.segment);
-            match &entry.snapshot {
-                None => e.bool(false),
-                Some(snap) => {
-                    e.bool(true);
-                    e.str(snap);
-                }
-            }
-        }
-        // The partitioned-tables section is appended only when non-empty:
-        // a purely single-partition database keeps the legacy manifest
-        // byte layout exactly.
-        if !self.partitioned.is_empty() {
-            e.seq_len(self.partitioned.len());
-            for (table, spec) in &self.partitioned {
-                e.str(table);
-                encode_partition_spec(&mut e, spec);
-            }
+        e.seq_len(self.tables.len());
+        for (table, spec) in &self.tables {
+            e.str(table);
+            encode_partition_spec(&mut e, spec);
         }
         e.into_bytes()
     }
@@ -160,28 +126,9 @@ impl Manifest {
         let cache_cost_saved = d.f64()?;
         let crowd_rounds = d.u64()?;
         let n = d.seq_len()?;
-        let mut entries = Vec::with_capacity(n);
+        let mut tables = Vec::with_capacity(n);
         for _ in 0..n {
-            let table = d.str()?;
-            let segment = d.str()?;
-            let snapshot = if d.bool()? { Some(d.str()?) } else { None };
-            entries.push(ManifestEntry {
-                table,
-                segment,
-                snapshot,
-            });
-        }
-        // Legacy manifests end here; newer ones may carry the trailing
-        // partitioned-tables section.
-        let mut partitioned = Vec::new();
-        if !d.is_exhausted() {
-            let n = d.seq_len()?;
-            partitioned.reserve(n);
-            for _ in 0..n {
-                let table = d.str()?;
-                let spec = decode_partition_spec(&mut d)?;
-                partitioned.push((table, spec));
-            }
+            tables.push((d.str()?, decode_partition_spec(&mut d)?));
         }
         if !d.is_exhausted() {
             return Err(StorageError::Corrupt(
@@ -194,66 +141,52 @@ impl Manifest {
             cache_misses,
             cache_cost_saved,
             crowd_rounds,
-            entries,
-            partitioned,
+            tables,
         })
     }
 }
 
 /// Durably writes `manifest`, atomically replacing any previous one.
 pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
-    let payload = manifest.encode();
-    let tmp = dir.join(TMP_FILE);
-    {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&(payload.len() as u64).to_le_bytes())?;
-        file.write_all(&crc32(&payload).to_le_bytes())?;
-        file.write_all(&payload)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-    if let Ok(dir_handle) = File::open(dir) {
-        let _ = dir_handle.sync_all();
-    }
-    Ok(())
+    let mut header = MAGIC.to_vec();
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    write_framed(&dir.join(MANIFEST_FILE), &header, &manifest.encode())
 }
 
-/// Reads the directory's manifest, verifying magic, length, and checksum.
-/// Returns `Ok(None)` when no manifest exists (a legacy single-file
-/// directory, or a brand-new one).
+/// Reads the directory's manifest, verifying magic, format version,
+/// length, and checksum.  Returns `Ok(None)` for a new database: an empty
+/// directory (or one holding only the temporary file of a first manifest
+/// write that never landed).  A directory of any other format fails with
+/// [`StorageError::UnsupportedFormat`] (see the module docs).
 pub fn read_manifest(dir: &Path) -> Result<Option<Manifest>> {
     let path = dir.join(MANIFEST_FILE);
-    let mut file = match File::open(&path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
+    let unsupported = |found| StorageError::UnsupportedFormat {
+        found,
+        expected: FORMAT_VERSION,
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() + 12 || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(StorageError::Corrupt(format!(
-            "{} is not a crowddb manifest (bad magic or truncated header)",
+    let Some(bytes) = read_file(&path)? else {
+        let tmp = tmp_path(&path);
+        for entry in fs::read_dir(dir)? {
+            if entry?.path() != tmp {
+                return Err(unsupported(0));
+            }
+        }
+        return Ok(None);
+    };
+    if bytes.starts_with(UNVERSIONED_MAGIC) {
+        return Err(unsupported(1));
+    }
+    let versioned = bytes.strip_prefix(MAGIC).ok_or_else(|| {
+        StorageError::Corrupt(format!(
+            "{} is not a crowddb manifest (bad magic)",
             path.display()
-        )));
+        ))
+    })?;
+    let version = Decoder::new(versioned).u32()?;
+    if version != FORMAT_VERSION {
+        return Err(unsupported(version));
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let checksum = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    let payload = &bytes[20..];
-    if payload.len() != len {
-        return Err(StorageError::Corrupt(format!(
-            "manifest payload is {} bytes but the header declares {len}",
-            payload.len()
-        )));
-    }
-    if crc32(payload) != checksum {
-        return Err(StorageError::Corrupt("manifest fails its checksum".into()));
-    }
-    Manifest::decode(payload).map(Some)
+    Manifest::decode(checked_payload(&versioned[4..], "manifest")?).map(Some)
 }
 
 /// The `wal/` segment directory of a database directory.
@@ -403,19 +336,16 @@ mod tests {
             cache_misses: 9,
             cache_cost_saved: 0.36,
             crowd_rounds: 11,
-            entries: vec![
-                ManifestEntry {
-                    table: "books".into(),
-                    segment: "books.log".into(),
-                    snapshot: None,
-                },
-                ManifestEntry {
-                    table: "movies".into(),
-                    segment: "movies.log".into(),
-                    snapshot: Some("movies.snap".into()),
-                },
+            tables: vec![
+                ("books".into(), PartitionSpec::Single),
+                ("events".into(), PartitionSpec::Hash { n: 4 }),
+                (
+                    "readings".into(),
+                    PartitionSpec::Range {
+                        bounds: vec![100, 200],
+                    },
+                ),
             ],
-            partitioned: Vec::new(),
         }
     }
 
@@ -429,7 +359,7 @@ mod tests {
         newer.crowd_rounds = 12;
         write_manifest(&dir, &newer).unwrap();
         assert_eq!(read_manifest(&dir).unwrap().unwrap().crowd_rounds, 12);
-        assert!(!dir.join(TMP_FILE).exists());
+        assert!(!tmp_path(&dir.join(MANIFEST_FILE)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -500,28 +430,58 @@ mod tests {
         assert_eq!(split_partition_stem("a%2ep3"), ("a%2ep3", None));
     }
 
+    fn unsupported(dir: &Path) -> Option<(u32, u32)> {
+        match read_manifest(dir) {
+            Err(StorageError::UnsupportedFormat { found, expected }) => Some((found, expected)),
+            _ => None,
+        }
+    }
+
     #[test]
-    fn manifest_partitioned_section_round_trips_and_stays_legacy_compatible() {
-        let dir = tmp_dir("partitioned");
-        // No partitioned tables: byte layout has no trailing section.
+    fn only_the_current_format_version_is_read() {
+        let dir = tmp_dir("version");
         write_manifest(&dir, &sample()).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), Some(sample()));
-        // With partitioned tables the section round-trips.
-        let mut manifest = sample();
-        manifest.partitioned = vec![
-            ("events".to_string(), PartitionSpec::Hash { n: 4 }),
-            (
-                "readings".to_string(),
-                PartitionSpec::Range {
-                    bounds: vec![100, 200],
-                },
-            ),
-        ];
-        write_manifest(&dir, &manifest).unwrap();
-        let read = read_manifest(&dir).unwrap().unwrap();
-        assert_eq!(read, manifest);
-        assert_eq!(read.spec("events"), PartitionSpec::Hash { n: 4 });
-        assert_eq!(read.spec("movies"), PartitionSpec::Single);
+        let path = dir.join(MANIFEST_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..MAGIC.len()], MAGIC);
+        assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], 2u32.to_le_bytes());
+        // Another version number, with an intact payload.
+        for version in [0u32, 1, 3, u32::MAX] {
+            let mut other = bytes.clone();
+            other[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &other).unwrap();
+            assert_eq!(unsupported(&dir), Some((version, FORMAT_VERSION)));
+        }
+        // A manifest from before the version field: format 1.
+        let mut unversioned = UNVERSIONED_MAGIC.to_vec();
+        unversioned.extend_from_slice(&bytes[MAGIC.len() + 4..]);
+        std::fs::write(&path, &unversioned).unwrap();
+        assert_eq!(unsupported(&dir), Some((1, FORMAT_VERSION)));
+        // Files without a manifest: format 0.  A leftover temporary file of
+        // a first manifest write alone still reads as a new directory.
+        std::fs::remove_file(&path).unwrap();
+        std::fs::write(tmp_path(&path), b"torn").unwrap();
+        assert_eq!(read_manifest(&dir).unwrap(), None);
+        std::fs::write(dir.join("wal.log"), b"").unwrap();
+        assert_eq!(unsupported(&dir), Some((0, FORMAT_VERSION)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_headers_are_corrupt() {
+        let dir = tmp_dir("truncated");
+        write_manifest(&dir, &sample()).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        // Every cut inside the magic, the version, the length, and the
+        // checksum.
+        for cut in 0..MAGIC.len() + 16 {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                matches!(read_manifest(&dir), Err(StorageError::Corrupt(_))),
+                "a manifest cut at byte {cut} decoded"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

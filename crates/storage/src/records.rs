@@ -6,17 +6,18 @@
 //!   a materialized crowd column (per-item values plus one
 //!   [`CellProvenance`] mark per item, confidence and cost share
 //!   included), judgment cache writes, and cache invalidation.
-//! * [`SnapshotImage`] — the image a checkpoint writes: the table, one
-//!   provenance mark per item of every column that tracks provenance, the
-//!   columns holding recoverable holes, the judgment cache (entries *and*
-//!   effectiveness counters), and the crowd round counter (so reopened
+//! * [`SnapshotImage`] — the image a checkpoint writes of one table (or
+//!   one partition of it): the [`TableImage`] with the tag of every cell
+//!   of every provenance-tracked column, one per row, the table's
+//!   judgment-cache entries, and the crowd round counter (so reopened
 //!   databases keep drawing fresh round seeds instead of replaying old
 //!   ones).
 //!
 //! Every type encodes itself explicitly through [`Encoder`] / [`Decoder`]
 //! (see [`crate::codec`] for why), with one tag byte per enum variant.
-//! Tags are append-only: new variants take new numbers, existing numbers
-//! are never reused, so old files stay readable.
+//! These bytes are format version 2 ([`crate::manifest::FORMAT_VERSION`]):
+//! the manifest stamps the version of a whole directory, and a directory
+//! of any other version is refused before a record is read.
 //!
 //! Each domain value has one type and one codec, owned here: a judgment
 //! is a [`CachedJudgment`] (the engine's cache re-exports this type),
@@ -178,8 +179,8 @@ fn decode_schema(d: &mut Decoder<'_>) -> Result<Schema> {
         .map_err(|e| StorageError::Corrupt(format!("invalid schema in record: {e}")))
 }
 
-/// A full table — name, schema, and rows — as stored in snapshots and
-/// `CreateTable` WAL records.
+/// A full table — name, schema, rows, and the provenance of its tracked
+/// columns — as stored in snapshots and `CreateTable` WAL records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableImage {
     /// Table name (lower-cased, as the catalog stores it).
@@ -188,25 +189,57 @@ pub struct TableImage {
     pub schema: Schema,
     /// All rows, in table order.
     pub rows: Vec<Vec<Value>>,
+    /// Every provenance-tracked column: its position in the schema and the
+    /// tag of each of its cells, in row order; sorted by position.
+    pub tags: Vec<(usize, Vec<CellProvenance>)>,
 }
 
 impl TableImage {
-    /// Captures a live table.
+    /// Captures a live table, tags included.
     pub fn of(table: &Table) -> Self {
         TableImage {
             name: table.name().to_string(),
             schema: table.schema().clone(),
             rows: table.rows().to_vec(),
+            tags: (0..table.schema().len())
+                .filter_map(|column| Some((column, table.tags(column)?.to_vec())))
+                .collect(),
         }
     }
 
-    /// Rebuilds the live table.
+    /// Rebuilds the live table, every cell with the tag it was captured
+    /// with.
     pub fn into_table(self) -> Result<Table> {
+        let invalid = |what: String| StorageError::Corrupt(format!("table image: {what}"));
         let mut table = Table::new(self.name, self.schema);
-        for row in self.rows {
+        let mut by_column = vec![None; table.schema().len()];
+        for (column, tags) in &self.tags {
+            if tags.len() != self.rows.len() {
+                return Err(invalid(format!(
+                    "{} tags for {} rows",
+                    tags.len(),
+                    self.rows.len()
+                )));
+            }
+            let name = match table.schema().columns().get(*column) {
+                Some(found) => found.name.clone(),
+                None => {
+                    return Err(invalid(format!(
+                        "tags of a column {column} past the schema"
+                    )))
+                }
+            };
             table
-                .insert_row(row)
-                .map_err(|e| StorageError::Corrupt(format!("invalid row in table image: {e}")))?;
+                .track_provenance(&name)
+                .map_err(|e| invalid(e.to_string()))?;
+            by_column[*column] = Some(tags);
+        }
+        for (row, values) in self.rows.into_iter().enumerate() {
+            table
+                .insert_tagged(values, |column, _| {
+                    by_column[column].map_or(CellProvenance::Stored, |tags| tags[row])
+                })
+                .map_err(|e| invalid(format!("invalid row: {e}")))?;
         }
         Ok(table)
     }
@@ -220,6 +253,11 @@ impl TableImage {
             for value in row {
                 encode_value(e, value);
             }
+        }
+        e.seq_len(self.tags.len());
+        for (column, tags) in &self.tags {
+            e.u32(*column as u32);
+            encode_tag_column(e, tags);
         }
     }
 
@@ -236,7 +274,26 @@ impl TableImage {
             }
             rows.push(row);
         }
-        Ok(TableImage { name, schema, rows })
+        let n_tracked = d.seq_len()?;
+        let mut tags: Vec<(usize, Vec<CellProvenance>)> = Vec::with_capacity(n_tracked);
+        for _ in 0..n_tracked {
+            let column = d.u32()? as usize;
+            if column >= schema.len() || tags.last().is_some_and(|(last, _)| *last >= column) {
+                return Err(StorageError::Corrupt(format!(
+                    "tags of column {column} out of order or past the {} columns of table {name}",
+                    schema.len()
+                )));
+            }
+            let mut cells = vec![CellProvenance::Stored; n_rows];
+            decode_tag_column(d, cells.iter_mut())?;
+            tags.push((column, cells));
+        }
+        Ok(TableImage {
+            name,
+            schema,
+            rows,
+            tags,
+        })
     }
 }
 
@@ -450,9 +507,8 @@ pub enum WalRecord {
         /// The statement text, exactly as executed.
         sql: String,
     },
-    /// One materialized (expanded) column: every item's value, its
-    /// provenance mark, and whether the column still carries recoverable
-    /// holes a later query may pay to fill.
+    /// One materialized (expanded) column: every item's value and its
+    /// provenance mark.
     MaterializeColumn {
         /// The table (lower-cased).
         table: String,
@@ -463,11 +519,8 @@ pub enum WalRecord {
         /// Per-item values, sorted by item id.
         values: Vec<(ItemId, Value)>,
         /// One provenance mark per item — the tag its rows receive —
-        /// sorted by item id; `None` in numeric expansions logged before
-        /// their cells were tagged, which replay as stored values.
-        ledger: Option<Vec<(ItemId, CellProvenance)>>,
-        /// True when the column has budget- or cache-shaped holes.
-        incomplete: bool,
+        /// sorted by item id.
+        ledger: Vec<(ItemId, CellProvenance)>,
     },
     /// Direct cell overwrites of an existing column, keyed by item id
     /// (repair rounds).
@@ -544,21 +597,13 @@ impl WalRecord {
                 data_type,
                 values,
                 ledger,
-                incomplete,
             } => {
                 e.u8(2);
                 e.str(table);
                 e.str(column);
                 encode_data_type(&mut e, *data_type);
                 encode_items(&mut e, values, encode_value);
-                match ledger {
-                    None => e.bool(false),
-                    Some(marks) => {
-                        e.bool(true);
-                        encode_items(&mut e, marks, encode_provenance);
-                    }
-                }
-                e.bool(*incomplete);
+                encode_items(&mut e, ledger, encode_provenance);
             }
             WalRecord::SetCells {
                 table,
@@ -612,26 +657,13 @@ impl WalRecord {
         let record = match d.u8()? {
             0 => WalRecord::CreateTable(TableImage::decode(&mut d)?),
             1 => WalRecord::Mutation { sql: d.str()? },
-            2 => {
-                let table = d.str()?;
-                let column = d.str()?;
-                let data_type = decode_data_type(&mut d)?;
-                let values = decode_items(&mut d, decode_value)?;
-                let ledger = if d.bool()? {
-                    Some(decode_items(&mut d, decode_provenance)?)
-                } else {
-                    None
-                };
-                let incomplete = d.bool()?;
-                WalRecord::MaterializeColumn {
-                    table,
-                    column,
-                    data_type,
-                    values,
-                    ledger,
-                    incomplete,
-                }
-            }
+            2 => WalRecord::MaterializeColumn {
+                table: d.str()?,
+                column: d.str()?,
+                data_type: decode_data_type(&mut d)?,
+                values: decode_items(&mut d, decode_value)?,
+                ledger: decode_items(&mut d, decode_provenance)?,
+            },
             3 => WalRecord::SetCells {
                 table: d.str()?,
                 column: d.str()?,
@@ -687,9 +719,7 @@ pub fn slice_records(spec: &PartitionSpec, records: Vec<WalRecord>) -> Vec<Vec<W
         match &mut slice {
             WalRecord::MaterializeColumn { values, ledger, .. } => {
                 values.retain(|pair| keep(pair.0));
-                ledger
-                    .iter_mut()
-                    .for_each(|marks| marks.retain(|pair| keep(pair.0)));
+                ledger.retain(|pair| keep(pair.0));
             }
             WalRecord::SetCells { values, .. } => values.retain(|pair| keep(pair.0)),
             WalRecord::CachePut { entries, .. } => entries.retain(|pair| keep(pair.0)),
@@ -716,54 +746,16 @@ pub fn slice_records(spec: &PartitionSpec, records: Vec<WalRecord>) -> Vec<Vec<W
 /// cache exports it.
 pub type CacheGroup = (String, String, Vec<(ItemId, CachedJudgment)>);
 
-/// The judgment cache as a snapshot stores it: entries grouped by
-/// `(table, attribute)` plus the effectiveness counters (the WAL only
-/// carries entries, so the counters are checkpoint-granular).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CacheImage {
-    /// Entries per `(table, attribute)` group, each sorted by item id.
-    pub groups: Vec<CacheGroup>,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that went to the crowd.
-    pub misses: u64,
-    /// Dollars not re-spent thanks to hits.
-    pub cost_saved: f64,
-}
-
-/// One provenance-tracked column's marks inside a snapshot.
+/// The point-in-time image of one table, or of one partition of it, that
+/// a checkpoint writes.  The judgment cache's effectiveness counters are
+/// not here: they are global, and the manifest carries them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LedgerImage {
-    /// The table key (lower-cased).
-    pub table: String,
-    /// The column key (lower-cased).
-    pub column: String,
-    /// One mark per item — the tag of the first row holding it — sorted
-    /// by item id.
-    pub marks: Vec<(ItemId, CellProvenance)>,
-}
-
-/// A `(table, column)` pair flagged as carrying recoverable holes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnImage {
-    /// The table key (lower-cased).
-    pub table: String,
-    /// The column key (lower-cased).
-    pub column: String,
-}
-
-/// The point-in-time image of the whole database a checkpoint writes.
-#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotImage {
-    /// Every catalog table, sorted by name.
-    pub tables: Vec<TableImage>,
-    /// The marks of every provenance-tracked column, sorted by
-    /// `(table, column)`.
-    pub ledgers: Vec<LedgerImage>,
-    /// The columns holding recoverable holes, sorted.
-    pub incomplete: Vec<ColumnImage>,
-    /// The judgment cache.
-    pub cache: CacheImage,
+    /// The table (or partition slice), tags included.
+    pub table: TableImage,
+    /// The table's judgment-cache groups (for a partition, the entries of
+    /// the items routed to it), sorted by attribute.
+    pub cache: Vec<CacheGroup>,
     /// The crowd-round counter at checkpoint time.
     pub crowd_rounds: u64,
     /// The id-column name the writing database was configured with;
@@ -783,30 +775,13 @@ impl SnapshotImage {
     /// Encodes the image to its payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.seq_len(self.tables.len());
-        for table in &self.tables {
-            table.encode(&mut e);
-        }
-        e.seq_len(self.ledgers.len());
-        for ledger in &self.ledgers {
-            e.str(&ledger.table);
-            e.str(&ledger.column);
-            encode_items(&mut e, &ledger.marks, encode_provenance);
-        }
-        e.seq_len(self.incomplete.len());
-        for column in &self.incomplete {
-            e.str(&column.table);
-            e.str(&column.column);
-        }
-        e.seq_len(self.cache.groups.len());
-        for (table, attribute, entries) in &self.cache.groups {
+        self.table.encode(&mut e);
+        e.seq_len(self.cache.len());
+        for (table, attribute, entries) in &self.cache {
             e.str(table);
             e.str(attribute);
             encode_items(&mut e, entries, |e, j| j.encode(e));
         }
-        e.u64(self.cache.hits);
-        e.u64(self.cache.misses);
-        e.f64(self.cache.cost_saved);
         e.u64(self.crowd_rounds);
         e.str(&self.id_column);
         e.u64(self.wal_generation);
@@ -817,70 +792,39 @@ impl SnapshotImage {
     /// Decodes an image from its payload bytes, rejecting trailing garbage.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Decoder::new(bytes);
-        let n_tables = d.seq_len()?;
-        let mut tables = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            tables.push(TableImage::decode(&mut d)?);
-        }
-        let n_ledgers = d.seq_len()?;
-        let mut ledgers = Vec::with_capacity(n_ledgers);
-        for _ in 0..n_ledgers {
-            ledgers.push(LedgerImage {
-                table: d.str()?,
-                column: d.str()?,
-                marks: decode_items(&mut d, decode_provenance)?,
-            });
-        }
-        let n_incomplete = d.seq_len()?;
-        let mut incomplete = Vec::with_capacity(n_incomplete);
-        for _ in 0..n_incomplete {
-            incomplete.push(ColumnImage {
-                table: d.str()?,
-                column: d.str()?,
-            });
-        }
+        let table = TableImage::decode(&mut d)?;
         let n_groups = d.seq_len()?;
-        let mut groups = Vec::with_capacity(n_groups);
+        let mut cache = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
             let table = d.str()?;
             let attribute = d.str()?;
-            groups.push((
+            cache.push((
                 table,
                 attribute,
                 decode_items(&mut d, CachedJudgment::decode)?,
             ));
         }
-        let cache = CacheImage {
-            groups,
-            hits: d.u64()?,
-            misses: d.u64()?,
-            cost_saved: d.f64()?,
+        let image = SnapshotImage {
+            table,
+            cache,
+            crowd_rounds: d.u64()?,
+            id_column: d.str()?,
+            wal_generation: d.u64()?,
+            wal_records_applied: d.u64()?,
         };
-        let crowd_rounds = d.u64()?;
-        let id_column = d.str()?;
-        let wal_generation = d.u64()?;
-        let wal_records_applied = d.u64()?;
         if !d.is_exhausted() {
             return Err(StorageError::Corrupt(
                 "trailing bytes after snapshot image".into(),
             ));
         }
-        Ok(SnapshotImage {
-            tables,
-            ledgers,
-            incomplete,
-            cache,
-            crowd_rounds,
-            id_column,
-            wal_generation,
-            wal_records_applied,
-        })
+        Ok(image)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_table() -> TableImage {
         let schema = Schema::new(vec![
@@ -919,7 +863,7 @@ mod tests {
                 column: "is_comedy".into(),
                 data_type: DataType::Boolean,
                 values: vec![(1, Value::Boolean(false)), (2, Value::Boolean(true))],
-                ledger: Some(vec![
+                ledger: vec![
                     (
                         1,
                         CellProvenance::CrowdDerived {
@@ -934,16 +878,7 @@ mod tests {
                             reason: MissingReason::BudgetExhausted,
                         },
                     ),
-                ]),
-                incomplete: true,
-            },
-            WalRecord::MaterializeColumn {
-                table: "movies".into(),
-                column: "humor".into(),
-                data_type: DataType::Float,
-                values: vec![(1, Value::Float(7.5))],
-                ledger: None,
-                incomplete: false,
+                ],
             },
             WalRecord::SetCells {
                 table: "movies".into(),
@@ -992,42 +927,38 @@ mod tests {
 
     #[test]
     fn snapshot_image_round_trips() {
+        let mut table = sample_table().into_table().unwrap();
+        table
+            .set_cell(
+                0,
+                "is_comedy",
+                Value::Null,
+                MissingReason::NoMajority.into(),
+            )
+            .unwrap();
         let image = SnapshotImage {
-            tables: vec![sample_table()],
-            ledgers: vec![LedgerImage {
-                table: "movies".into(),
-                column: "is_comedy".into(),
-                marks: vec![(1, CellProvenance::Extracted), (2, CellProvenance::Stored)],
-            }],
-            incomplete: vec![ColumnImage {
-                table: "movies".into(),
-                column: "is_comedy".into(),
-            }],
-            cache: CacheImage {
-                groups: vec![(
-                    "movies".into(),
-                    "comedy".into(),
-                    vec![(
-                        1,
-                        CachedJudgment {
-                            verdict: None,
-                            judgments: 8,
-                            cost: 0.01,
-                            confidence: 0.0,
-                        },
-                    )],
+            table: TableImage::of(&table),
+            cache: vec![(
+                "movies".into(),
+                "comedy".into(),
+                vec![(
+                    1,
+                    CachedJudgment {
+                        verdict: None,
+                        judgments: 8,
+                        cost: 0.01,
+                        confidence: 0.0,
+                    },
                 )],
-                hits: 12,
-                misses: 3,
-                cost_saved: 0.24,
-            },
+            )],
             crowd_rounds: 9,
             id_column: "item_id".into(),
             wal_generation: 0xABCD,
             wal_records_applied: 17,
         };
-        let bytes = image.encode();
-        assert_eq!(SnapshotImage::decode(&bytes).unwrap(), image);
+        let decoded = SnapshotImage::decode(&image.encode()).unwrap();
+        assert_eq!(decoded, image);
+        assert_eq!(decoded.table.into_table().unwrap(), table);
     }
 
     /// One mark of every provenance variant, every missing reason included.
@@ -1064,7 +995,7 @@ mod tests {
     }
 
     /// The on-disk bytes of provenance marks are a contract with every
-    /// database directory already written: these images must encode to
+    /// database directory of format version 2: these images must encode to
     /// exactly these bytes, and decode back from them.
     #[test]
     fn provenance_marks_encode_to_golden_bytes() {
@@ -1073,27 +1004,29 @@ mod tests {
             column: "c".into(),
             data_type: DataType::Boolean,
             values: vec![(1, Value::Boolean(true))],
-            ledger: Some(every_mark()),
-            incomplete: true,
+            ledger: every_mark(),
         };
-        const RECORD: &str = "0201000000000000006d010000000000000063030100000000000000010000000401010b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a000000040601";
+        const RECORD: &str = "0201000000000000006d0100000000000000630301000000000000000100000004010b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a0000000406";
         assert_eq!(hex(&record.encode()), RECORD);
         assert_eq!(WalRecord::decode(&record.encode()).unwrap(), record);
 
+        // One row per mark, each row's cell tagged with its mark.
+        let schema = Schema::new(vec![Column::new("c", DataType::Boolean)]).unwrap();
+        let rows = every_mark().len();
         let image = SnapshotImage {
-            ledgers: vec![LedgerImage {
-                table: "m".into(),
-                column: "c".into(),
-                marks: every_mark(),
-            }],
-            incomplete: vec![ColumnImage {
-                table: "m".into(),
-                column: "c".into(),
-            }],
+            table: TableImage {
+                name: "m".into(),
+                schema,
+                rows: vec![vec![Value::Null]; rows],
+                tags: vec![(0, every_mark().into_iter().map(|(_, mark)| mark).collect())],
+            },
+            cache: Vec::new(),
+            crowd_rounds: 0,
             id_column: "id".into(),
-            ..SnapshotImage::default()
+            wal_generation: 0,
+            wal_records_applied: 0,
         };
-        const IMAGE: &str = "0000000000000000010000000000000001000000000000006d0100000000000000630b0000000000000000000000000100000001000000000000e83f000000000000e03f0200000002000000000000d03f03000000030400000004000500000004010600000004020700000004030800000004040900000004050a0000000406010000000000000001000000000000006d010000000000000063000000000000000000000000000000000000000000000000000000000000000000000000000000000200000000000000696400000000000000000000000000000000";
+        const IMAGE: &str = "01000000000000006d010000000000000001000000000000006303010b00000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000010000000000000000000000000101000000000000e83f000000000000e03f02000000000000d03f0301040001040101040201040301040401040501040601000000000000000000000000000000000200000000000000696400000000000000000000000000000000";
         assert_eq!(hex(&image.encode()), IMAGE);
         assert_eq!(SnapshotImage::decode(&image.encode()).unwrap(), image);
     }
@@ -1173,6 +1106,240 @@ mod tests {
         assert_eq!(TableImage::of(&table), image);
     }
 
+    /// The bytes of a `CreateTable` record of `image`.
+    fn create_table_bytes(image: &TableImage) -> Vec<u8> {
+        WalRecord::CreateTable(image.clone()).encode()
+    }
+
+    /// The two-row sample with its `is_comedy` column tagged
+    /// `Extracted, CacheHit`.
+    fn tagged_sample() -> TableImage {
+        let mut image = sample_table();
+        image.tags = vec![(
+            2,
+            vec![
+                CellProvenance::Extracted,
+                CellProvenance::CacheHit { confidence: 0.5 },
+            ],
+        )];
+        image
+    }
+
+    #[test]
+    fn tag_columns_must_match_the_row_count() {
+        let image = tagged_sample();
+        let bytes = create_table_bytes(&image);
+        assert_eq!(
+            WalRecord::decode(&bytes).unwrap(),
+            WalRecord::CreateTable(image.clone())
+        );
+        // A tag column one cell short and one cell long, encoded for a row
+        // count it does not match: the column ends early (the decoder runs
+        // out of bytes) or leaves bytes behind.
+        let mut short = image.clone();
+        short.tags[0].1.pop();
+        let mut long = image.clone();
+        long.tags[0]
+            .1
+            .push(CellProvenance::CacheHit { confidence: 0.25 });
+        for (what, image) in [("short", short), ("long", long)] {
+            assert!(
+                matches!(
+                    WalRecord::decode(&create_table_bytes(&image)),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "a {what} tag column decoded"
+            );
+            // An image built in memory with such a column is refused too.
+            assert!(matches!(image.into_table(), Err(StorageError::Corrupt(_))));
+        }
+        // A run of payload-free marks reaching past the last row, and one
+        // falling short of it.
+        for run in [1, 3] {
+            let mut runs = image.clone();
+            runs.tags[0].1 = vec![CellProvenance::Extracted; run];
+            assert!(
+                matches!(
+                    WalRecord::decode(&create_table_bytes(&runs)),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "a run of {run} over two rows decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn tag_columns_past_the_schema_or_out_of_order_are_corrupt() {
+        for tags in [
+            // Position 3 of a three-column table.
+            vec![(3, vec![CellProvenance::Extracted; 2])],
+            vec![(usize::MAX >> 32, vec![CellProvenance::Extracted; 2])],
+            // The same column twice, and two columns in reverse order.
+            vec![
+                (1, vec![CellProvenance::Extracted; 2]),
+                (1, vec![CellProvenance::Extracted; 2]),
+            ],
+            vec![
+                (2, vec![CellProvenance::Extracted; 2]),
+                (0, vec![CellProvenance::Extracted; 2]),
+            ],
+        ] {
+            let image = TableImage {
+                tags: tags.clone(),
+                ..sample_table()
+            };
+            assert!(
+                matches!(
+                    WalRecord::decode(&create_table_bytes(&image)),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "tags {tags:?} decoded"
+            );
+        }
+        let past = TableImage {
+            tags: vec![(3, vec![CellProvenance::Extracted; 2])],
+            ..sample_table()
+        };
+        assert!(matches!(past.into_table(), Err(StorageError::Corrupt(_))));
+    }
+
+    /// A value of `data_type`, or `NULL`, varied by `bits`.
+    fn typed_value(data_type: DataType, bits: u64) -> Value {
+        if bits.is_multiple_of(5) {
+            return Value::Null;
+        }
+        match data_type {
+            DataType::Integer => Value::Integer(bits as i64),
+            DataType::Float => Value::Float((bits as i64) as f64 / 1024.0),
+            DataType::Text => Value::Text(format!("t{:x}", bits >> 40)),
+            DataType::Boolean => Value::Boolean(bits & 2 == 2),
+        }
+    }
+
+    /// A mark of every variant and missing reason, chosen by `kind`.
+    fn any_mark(kind: u8, bits: u64) -> CellProvenance {
+        let marks = every_mark();
+        match marks[kind as usize % marks.len()].1 {
+            CellProvenance::CrowdDerived { .. } => CellProvenance::CrowdDerived {
+                confidence: (bits % 1000) as f64 / 1000.0,
+                cost_share: (bits % 7) as f64 / 8.0,
+            },
+            CellProvenance::CacheHit { .. } => CellProvenance::CacheHit {
+                confidence: (bits % 1000) as f64 / 1000.0,
+            },
+            mark => mark,
+        }
+    }
+
+    /// A table of `types.len()` nullable columns and `rows` rows, values
+    /// from `values`; the columns flagged in `tracked` track provenance,
+    /// their tags laid out as runs drawn from `runs`.
+    fn random_table(
+        types: &[(u8, bool)],
+        rows: usize,
+        values: &[u64],
+        runs: &[(u8, usize, u64)],
+    ) -> Table {
+        const TYPES: [DataType; 4] = [
+            DataType::Integer,
+            DataType::Float,
+            DataType::Text,
+            DataType::Boolean,
+        ];
+        let columns = (types.iter().enumerate())
+            .map(|(at, &(ty, _))| Column::new(format!("c{at}"), TYPES[ty as usize % 4]))
+            .collect();
+        let mut table = Table::new("t", Schema::new(columns).unwrap());
+        let mut values = values.iter().cycle();
+        for _ in 0..rows {
+            let row = (types.iter())
+                .map(|&(ty, _)| typed_value(TYPES[ty as usize % 4], *values.next().unwrap()))
+                .collect();
+            table.insert_row(row).unwrap();
+        }
+        let mut runs = runs.iter().cycle();
+        for (at, _) in types
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, tracked))| tracked)
+        {
+            let column = format!("c{at}");
+            table.track_provenance(&column).unwrap();
+            let mut row = 0;
+            while row < rows {
+                let &(kind, run, bits) = runs.next().unwrap();
+                let mark = any_mark(kind, bits);
+                for row in row..(row + run).min(rows) {
+                    let value = table.value(row, &column).unwrap().clone();
+                    table.set_cell(row, &column, value, mark).unwrap();
+                }
+                row += run;
+            }
+        }
+        table
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_tagged_tables_round_trip_exactly(
+            types in prop::collection::vec((0u8..4, any::<bool>()), 1..=5),
+            rows in 0usize..=200,
+            values in prop::collection::vec(any::<u64>(), 1..32),
+            runs in prop::collection::vec((0u8..11, 1usize..=300, any::<u64>()), 1..16),
+        ) {
+            let table = random_table(&types, rows, &values, &runs);
+            let image = TableImage::of(&table);
+            prop_assert_eq!(
+                image.tags.len(),
+                types.iter().filter(|&&(_, tracked)| tracked).count()
+            );
+            let WalRecord::CreateTable(decoded) =
+                WalRecord::decode(&create_table_bytes(&image)).unwrap()
+            else {
+                panic!("a CreateTable record decoded as another kind");
+            };
+            prop_assert_eq!(&decoded, &image);
+            prop_assert_eq!(&decoded.into_table().unwrap(), &table);
+            let snapshot = SnapshotImage {
+                table: image,
+                cache: Vec::new(),
+                crowd_rounds: rows as u64,
+                id_column: "c0".into(),
+                wal_generation: 7,
+                wal_records_applied: 3,
+            };
+            let decoded = SnapshotImage::decode(&snapshot.encode()).unwrap();
+            prop_assert_eq!(&decoded, &snapshot);
+            prop_assert_eq!(&decoded.table.into_table().unwrap(), &table);
+        }
+
+        #[test]
+        fn mutated_snapshot_images_never_panic_the_decoder(
+            at in any::<u64>(),
+            byte in 0u8..=255,
+            cut in any::<u64>(),
+            runs in prop::collection::vec((0u8..11, 1usize..=4, any::<u64>()), 1..8),
+        ) {
+            let table = random_table(&[(0, true), (2, false), (3, true)], 12, &[1, 6, 9], &runs);
+            let snapshot = SnapshotImage {
+                table: TableImage::of(&table),
+                cache: Vec::new(),
+                crowd_rounds: 0,
+                id_column: "c0".into(),
+                wal_generation: 0,
+                wal_records_applied: 0,
+            };
+            let mut bytes = snapshot.encode();
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] = byte;
+            let _ = SnapshotImage::decode(&bytes).map(|image| image.table.into_table());
+            bytes.truncate((cut % bytes.len() as u64) as usize);
+            prop_assert!(SnapshotImage::decode(&bytes).is_err());
+        }
+    }
+
     #[test]
     fn slicing_routes_items_and_keeps_schema_changes_everywhere() {
         let spec = PartitionSpec::Hash { n: 4 };
@@ -1185,8 +1352,7 @@ mod tests {
             column: "c".into(),
             data_type: DataType::Boolean,
             values: on_only.iter().map(|&i| (i, Value::Boolean(true))).collect(),
-            ledger: Some((0..8).map(|i| (i, CellProvenance::Extracted)).collect()),
-            incomplete: false,
+            ledger: (0..8).map(|i| (i, CellProvenance::Extracted)).collect(),
         };
         let set = WalRecord::SetCells {
             table: "t".into(),
@@ -1230,7 +1396,6 @@ mod tests {
             }
             match &slice[0] {
                 WalRecord::MaterializeColumn { values, ledger, .. } => {
-                    let ledger = ledger.as_ref().unwrap();
                     assert!(ledger.iter().all(|&(i, _)| home[i as usize] == k));
                     assert_eq!(ledger.len(), home.iter().filter(|&&h| h == k).count());
                     assert_eq!(values.is_empty(), k != only);

@@ -51,9 +51,6 @@ use crate::codec::crc32;
 use crate::records::WalRecord;
 use crate::{Result, StorageError};
 
-/// File name of the log inside a database directory.
-pub const WAL_FILE: &str = "wal.log";
-
 const MAGIC: &[u8; 8] = b"CDBWAL01";
 
 /// Frames larger than this are treated as corruption rather than honored
@@ -266,6 +263,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const WAL_FILE: &str = "wal.log";
     use relational::Value;
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -208,7 +208,7 @@ fn single_partition_records_are_pinned() {
         lines,
         [
             "movies.log [meta create put:12 materialize:is_comedy:64 materialize:humor:64 \
-             put:1 set:is_comedy:1 invalidate] digest=77f8659fe517f65b",
+             put:1 set:is_comedy:1 invalidate] digest=170849c70ec450c9",
         ]
     );
 }
@@ -220,13 +220,13 @@ fn hash_partition_records_are_pinned() {
         lines,
         [
             "movies.p0.log [meta create put:4 materialize:is_comedy:15 materialize:humor:15 \
-             put:1 set:is_comedy:1 invalidate] digest=402637565f37a721",
+             put:1 set:is_comedy:1 invalidate] digest=c19d0bde3e68dbfb",
             "movies.p1.log [meta create put:3 materialize:is_comedy:14 materialize:humor:14 \
-             invalidate] digest=5bf5e77af3103667",
+             invalidate] digest=06c6b5a58ae21143",
             "movies.p2.log [meta create put:2 materialize:is_comedy:19 materialize:humor:19 \
-             put:1 set:is_comedy:1 invalidate] digest=30b85b863d71096c",
+             put:1 set:is_comedy:1 invalidate] digest=d3a4db464ca6a5ba",
             "movies.p3.log [meta create put:3 materialize:is_comedy:16 materialize:humor:16 \
-             put:1 set:is_comedy:1 invalidate] digest=cfe722d6bc1935bf",
+             put:1 set:is_comedy:1 invalidate] digest=7b56b572cc647c67",
         ]
     );
 }

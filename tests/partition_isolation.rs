@@ -2,21 +2,20 @@
 //! replay of a partitioned table is bit-identical to serial replay, a
 //! crash mid-partial-checkpoint recovers every partition exactly once, a
 //! partial checkpoint leaves the clean partitions' files untouched down
-//! to bytes and mtimes, a legacy single-segment directory (the PR 6
-//! per-table format) reopens losslessly next to newly partitioned
-//! tables, and writers on disjoint partitions of *one* table overlap in
-//! time instead of queueing on a table-wide lock.
+//! to bytes and mtimes, a directory whose manifest predates the format
+//! version (format 1) is refused with its version and left exactly as it
+//! was, and writers on disjoint partitions of *one* table overlap in time
+//! instead of queueing on a table-wide lock.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, DataType, Schema, Table, Value};
-use crowddb::storage::{
-    segment_file_name, write_manifest, Manifest, ManifestEntry, Wal, WalRecord, WAL_DIR,
-};
+use crowddb::storage::{crc32, segment_file_name, Encoder, Wal, WalRecord, WAL_DIR};
 use crowdsim::{BatchCrowdRun, CrowdRun};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -338,18 +337,54 @@ fn crash_mid_partial_checkpoint_recovers_every_partition() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// One-shot compatibility: a directory written by the pre-partitioning
-/// engine — a manifest with no partitioned-tables section and one
-/// suffix-free `wal/<table>.log` segment — reopens losslessly, keeps its
-/// suffix-free file names forever (the single-partition layout is
-/// bit-compatible), and coexists with a newly created partitioned table
-/// whose files carry `.p<k>` suffixes.
+/// Every file under `dir`, by path, with its bytes.
+fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.append(&mut self::files(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// A manifest of format version 1 — magic `CDBMANI1`, no version field,
+/// one entry per table naming its segment and snapshot files — as the
+/// engine wrote it before the format carried a version.
+fn unversioned_manifest(id_column: &str, tables: &[&str]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.str(id_column);
+    e.u64(0); // cache hits
+    e.u64(0); // cache misses
+    e.f64(0.0); // cache cost saved
+    e.u64(0); // crowd rounds
+    e.seq_len(tables.len());
+    for table in tables {
+        e.str(table);
+        e.str(&segment_file_name(table));
+        e.bool(false); // no snapshot yet
+    }
+    let payload = e.into_bytes();
+    let mut bytes = b"CDBMANI1".to_vec();
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+/// A directory whose manifest predates the format version field is format
+/// version 1: opening it fails with a storage error naming that version
+/// and the one this build reads, and leaves every file as it was —
+/// nothing migrated, deleted or created, the manifest included.
 #[test]
-fn legacy_single_segment_table_migrates_losslessly() {
-    let dir = test_dir("legacy");
+fn unversioned_manifest_is_refused_as_format_version_1() {
+    let dir = test_dir("unversioned");
     std::fs::create_dir_all(dir.join(WAL_DIR)).unwrap();
-    // Hand-craft the PR 6 layout: a manifest that names one table and one
-    // segment holding its whole history (created, never checkpointed).
+    // One table, created and never checkpointed: its whole history is in
+    // its segment.
     let (mut wal, existing) =
         Wal::open(dir.join(WAL_DIR).join(segment_file_name("notes"))).unwrap();
     assert!(existing.is_empty());
@@ -361,64 +396,29 @@ fn legacy_single_segment_table_migrates_losslessly() {
             sql: "CREATE TABLE notes (item_id INTEGER, body TEXT)".into(),
         },
         WalRecord::Mutation {
-            sql: "INSERT INTO notes (item_id, body) VALUES (1, 'legacy one')".into(),
-        },
-        WalRecord::Mutation {
-            sql: "INSERT INTO notes (item_id, body) VALUES (2, 'legacy two')".into(),
+            sql: "INSERT INTO notes (item_id, body) VALUES (1, 'one')".into(),
         },
     ])
     .unwrap();
     drop(wal);
-    write_manifest(
-        &dir,
-        &Manifest {
-            id_column: "item_id".into(),
-            entries: vec![ManifestEntry {
-                table: "notes".into(),
-                segment: segment_file_name("notes"),
-                snapshot: None,
-            }],
-            ..Default::default()
-        },
+    std::fs::write(
+        dir.join("manifest.db"),
+        unversioned_manifest("item_id", &["notes"]),
     )
     .unwrap();
+    let before = files(&dir);
+    assert_eq!(before.len(), 2);
 
-    // First open under the partition-aware engine: lossless, single
-    // partition, same file names.
-    let db = CrowdDb::open(&dir).unwrap();
-    assert_eq!(db.execute("SELECT body FROM notes").unwrap().rows.len(), 2);
-    let stats = db.storage_stats();
-    let notes = stats.tables.iter().find(|t| t.table == "notes").unwrap();
-    assert_eq!(notes.spec, PartitionSpec::Single);
-    assert_eq!(notes.partitions.len(), 1);
-
-    // A partitioned sibling lands next to it; a checkpoint compacts both.
-    db.create_table_with(
-        TableOptions::new("metrics", "item_id").partitions(PartitionSpec::Hash { n: 2 }),
-        seed_table("metrics"),
-    )
-    .unwrap();
-    db.execute("INSERT INTO metrics (item_id, body) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
-        .unwrap();
-    db.execute("INSERT INTO notes (item_id, body) VALUES (3, 'post-migration')")
-        .unwrap();
-    db.checkpoint().unwrap();
-    assert!(dir.join("wal").join("notes.log").exists());
-    assert!(dir.join("snap").join("notes.snap").exists());
-    assert!(!dir.join("wal").join("notes.p0.log").exists());
-    for k in 0..2 {
-        assert!(dir.join("wal").join(format!("metrics.p{k}.log")).exists());
-        assert!(dir.join("snap").join(format!("metrics.p{k}.snap")).exists());
+    match CrowdDb::open(&dir) {
+        Err(CrowdDbError::Storage(message)) => {
+            assert!(
+                message.contains("version 1") && message.contains("version 2"),
+                "{message}"
+            );
+        }
+        other => panic!("a format-1 directory opened: {:?}", other.map(|_| ())),
     }
-
-    // Both tables survive another death.
-    drop(db);
-    let db = CrowdDb::open(&dir).unwrap();
-    assert_eq!(db.execute("SELECT body FROM notes").unwrap().rows.len(), 3);
-    assert_eq!(
-        db.execute("SELECT body FROM metrics").unwrap().rows.len(),
-        3
-    );
+    assert_eq!(files(&dir), before, "the failed open changed the directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

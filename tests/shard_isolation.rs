@@ -2,18 +2,18 @@
 //! tables overlap inside the crowd (the rendezvous proves both
 //! `collect_batch` calls are in flight at once), a crash mid-incremental-
 //! checkpoint recovers every table to a consistent generation, parallel
-//! segment replay is bit-identical to serial replay, and a legacy
-//! single-file directory (the PR 5 format) migrates losslessly into the
-//! segmented layout on first open.
+//! segment replay is bit-identical to serial replay, and a directory in
+//! the single-file layout of format version 0 is refused with its version
+//! and left exactly as it was.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crowddb::prelude::*;
-use crowddb::relational::{Column, DataType, Schema, Table};
-use crowddb::storage::{write_snapshot, SnapshotImage, TableImage, Wal, WalRecord};
+use crowddb::storage::{Wal, WalRecord};
 use crowdsim::{BatchCrowdRun, CrowdRun};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -371,88 +371,59 @@ fn parallel_replay_is_bit_identical_to_serial_replay() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// One-shot migration: a directory written in the PR 5 single-file format
-/// (one `wal.log`, one `snapshot.db`) reopens losslessly — every table,
-/// every row — and comes back segmented: per-table logs and snapshots
-/// under a manifest, with the legacy files gone.
+/// Every file under `dir`, by path, with its bytes.
+fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.append(&mut self::files(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// A directory in the single-file layout (one `wal.log`, one
+/// `snapshot.db`, no manifest) is format version 0: opening it fails with
+/// a storage error naming that version and the one this build reads, and
+/// leaves every file as it was — nothing migrated, deleted or created.
 #[test]
-fn legacy_single_file_directory_migrates_losslessly() {
-    let dir = test_dir("legacy-migration");
+fn single_file_directory_is_refused_as_format_version_0() {
+    let dir = test_dir("single-file");
     std::fs::create_dir_all(&dir).unwrap();
-    // Hand-craft the PR 5 layout: a whole-database snapshot holding one
-    // table, and a WAL whose un-snapshotted suffix creates a second one.
-    let schema = Schema::new(vec![
-        Column::new("item_id", DataType::Integer),
-        Column::new("body", DataType::Text),
-    ])
-    .unwrap();
-    let mut archived = Table::new("archived", schema);
-    archived
-        .insert_named(&[
-            ("item_id", crowddb::relational::Value::Integer(1)),
-            (
-                "body",
-                crowddb::relational::Value::Text("from snapshot".into()),
-            ),
-        ])
-        .unwrap();
     let (mut wal, existing) = Wal::open(dir.join("wal.log")).unwrap();
     assert!(existing.is_empty());
-    wal.append(&WalRecord::Meta {
-        id_column: "item_id".into(),
-    })
-    .unwrap();
-    let snapshotted_prefix = wal.record_count();
-    write_snapshot(
-        &dir,
-        &SnapshotImage {
-            tables: vec![TableImage::of(&archived)],
-            id_column: "item_id".into(),
-            wal_generation: wal.generation(),
-            wal_records_applied: snapshotted_prefix,
-            ..Default::default()
-        },
-    )
-    .unwrap();
     wal.append_all(&[
+        WalRecord::Meta {
+            id_column: "item_id".into(),
+        },
         WalRecord::Mutation {
             sql: "CREATE TABLE notes (item_id INTEGER, body TEXT)".into(),
         },
         WalRecord::Mutation {
             sql: "INSERT INTO notes (item_id, body) VALUES (2, 'from wal')".into(),
         },
-        WalRecord::Mutation {
-            sql: "INSERT INTO archived (item_id, body) VALUES (3, 'also from wal')".into(),
-        },
     ])
     .unwrap();
     drop(wal);
+    // The snapshot's magic and an empty frame: its contents are never read.
+    let mut snapshot = b"CDBSNAP1".to_vec();
+    snapshot.extend_from_slice(&[0; 12]);
+    std::fs::write(dir.join("snapshot.db"), &snapshot).unwrap();
+    let before = files(&dir);
+    assert_eq!(before.len(), 2);
 
-    // First open under the segmented engine: migrate, losslessly.
-    let db = CrowdDb::open(&dir).unwrap();
-    assert_eq!(
-        db.execute("SELECT body FROM archived").unwrap().rows.len(),
-        2,
-        "snapshot row + WAL row"
-    );
-    assert_eq!(db.execute("SELECT body FROM notes").unwrap().rows.len(), 1);
-    // The directory is now segmented; the legacy files are gone.
-    assert!(!dir.join("wal.log").exists());
-    assert!(!dir.join("snapshot.db").exists());
-    assert!(dir.join("manifest.db").exists());
-    for table in ["archived", "notes"] {
-        assert!(dir.join("wal").join(format!("{table}.log")).exists());
-        assert!(dir.join("snap").join(format!("{table}.snap")).exists());
+    match CrowdDb::open(&dir) {
+        Err(CrowdDbError::Storage(message)) => {
+            assert!(
+                message.contains("version 0") && message.contains("version 2"),
+                "{message}"
+            );
+        }
+        other => panic!("a single-file directory opened: {:?}", other.map(|_| ())),
     }
-    // The migrated database keeps committing, and survives another death.
-    db.execute("INSERT INTO notes (item_id, body) VALUES (4, 'post-migration')")
-        .unwrap();
-    drop(db);
-    let db = CrowdDb::open(&dir).unwrap();
-    assert_eq!(db.execute("SELECT body FROM notes").unwrap().rows.len(), 2);
-    assert_eq!(
-        db.execute("SELECT body FROM archived").unwrap().rows.len(),
-        2
-    );
+    assert_eq!(files(&dir), before, "the failed open changed the directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }

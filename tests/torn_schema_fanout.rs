@@ -83,8 +83,7 @@ fn append_torn_group(dir: &Path) {
             column: "is_comedy".into(),
             data_type: DataType::Boolean,
             values: items.iter().map(|&i| (i, logged_cell(i).0)).collect(),
-            ledger: Some(items.iter().map(|&i| (i, logged_cell(i).1)).collect()),
-            incomplete: false,
+            ledger: items.iter().map(|&i| (i, logged_cell(i).1)).collect(),
         };
         let path = dir.join("wal").join(format!("movies.p{k}.log"));
         let (mut wal, _) = Wal::open(path).unwrap();
