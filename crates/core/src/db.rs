@@ -532,11 +532,6 @@ struct Shard {
 }
 
 impl Shard {
-    /// Wraps a fully built table in a single-partition shard.
-    fn of_table(table: Table, id_column: &str) -> Arc<Shard> {
-        Shard::partitioned(PartitionSpec::Single, vec![table], id_column)
-    }
-
     /// Builds a shard from per-partition table slices (one per partition
     /// of `spec`, in `k` order — see
     /// [`persist::split_table_by_partition`]) keyed and routed by
@@ -945,7 +940,6 @@ impl CrowdDb {
                 }
                 let catalog = rlock(&shard.parts[k]);
                 let table = catalog.table(&name)?;
-                let partition = (!shard.spec.is_single()).then_some((&shard.spec, k));
                 report.bytes_reclaimed += durability.checkpoint_partition(
                     &name,
                     k,
@@ -956,7 +950,7 @@ impl CrowdDb {
                                 cache: &inner.cache,
                                 crowd_rounds: inner.crowd_rounds.load(Ordering::SeqCst),
                                 id_column: &inner.config.id_column,
-                                partition,
+                                partition: (&shard.spec, k),
                             },
                             wal_generation,
                             wal_records_applied,
@@ -1024,15 +1018,11 @@ impl CrowdDb {
         state: RecoveredState,
         durability: Option<Durability>,
     ) -> Self {
-        let mut shards = BTreeMap::new();
-        let mut catalog = state.catalog;
-        for name in catalog.table_names() {
-            let table = catalog.drop_table(&name).expect("listed table exists");
-            shards.insert(name, Shard::of_table(table, &config.id_column));
-        }
-        for (name, (spec, slices)) in state.partitioned {
-            shards.insert(name, Shard::partitioned(spec, slices, &config.id_column));
-        }
+        let shards = (state.tables.into_iter())
+            .map(|(name, (spec, slices))| {
+                (name, Shard::partitioned(spec, slices, &config.id_column))
+            })
+            .collect();
         let monitor = StateMonitor::make_root("crowddb");
         let queries_monitor = monitor.make_child("queries");
         let expansions_monitor = monitor.make_child("expansions");
@@ -1085,10 +1075,11 @@ impl CrowdDb {
     /// re-derives its row mappings around those).
     ///
     /// With [`TableOptions::partitions`] the table's rows are split across
-    /// per-partition shards (and, when persistent, per-partition WAL
-    /// segments `wal/<table>.p<k>.log` and snapshots
-    /// `snap/<table>.p<k>.snap`), routed on the id column: writes touching
-    /// disjoint partitions commit in parallel.  A partitioned table must
+    /// per-partition shards, routed on the id column: writes touching
+    /// disjoint partitions commit in parallel.  When persistent, every
+    /// partition `k` owns a WAL segment `wal/<table>.p<k>.log` and a
+    /// snapshot `snap/<table>.p<k>.snap` — a table of one partition the
+    /// pair `p0`.  A partitioned table must
     /// contain the id column, and `options.id_column()` must equal the
     /// database-wide [`CrowdDbConfig::id_column`].  The layout is fixed at
     /// creation — reopening a persistent table under a different spec is
@@ -1741,10 +1732,10 @@ impl DbInner {
     /// durably.  The shard becomes visible and durable under one table-map
     /// write lock.
     ///
-    /// On a partitioned table the `CreateTable` slices are logged to
-    /// partitions `1..n` *first* and to partition 0 *last*: partition 0's
-    /// record is the commit point, and recovery deletes the orphan files
-    /// of a creation that crashed before reaching it — so a table is
+    /// The `CreateTable` slices are logged to partitions `1..n` *first*
+    /// and to partition 0 *last*: partition 0's record is the commit
+    /// point, and recovery deletes the files of a creation that crashed
+    /// before reaching it — so a table of any number of partitions is
     /// either fully present or fully absent after any crash.
     fn create_table_logged_with(&self, table: Table, spec: PartitionSpec) -> Result<()> {
         let spec = spec.normalize();

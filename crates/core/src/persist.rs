@@ -18,14 +18,13 @@
 //! # Segmented, partitioned layout
 //!
 //! The durable state is sharded by table and, within a table, by
-//! partition.  A single-partition table (the default) owns one WAL
-//! segment (`wal/<table>.log`) and one snapshot (`snap/<table>.snap`).  A
-//! table created with a
-//! [`PartitionSpec`](relational::PartitionSpec) of `n > 1` partitions owns
-//! `n` independent segment/snapshot pairs (`wal/<table>.p<k>.log`,
-//! `snap/<table>.p<k>.snap`), each carrying the full per-segment
-//! discipline — generation header, CRC32 frames, group fsync, torn-tail
-//! truncation — on its own file.  The manifest ties the layout together:
+//! partition.  A table whose [`PartitionSpec`](relational::PartitionSpec)
+//! has `n` partitions owns `n` independent segment/snapshot pairs
+//! (`wal/<table>.p<k>.log`, `snap/<table>.p<k>.snap`), each carrying the
+//! full per-segment discipline — generation header, CRC32 frames, group
+//! fsync, torn-tail truncation — on its own file.  A table of one
+//! partition (`Single`, the default) is no special case: it owns the one
+//! pair `p0`.  The manifest ties the layout together:
 //! it stamps the on-disk format version and records each table's spec.
 //! [`recover`] reads a directory of that one version only; any other
 //! fails with the typed `UnsupportedFormat` storage error, and the
@@ -75,11 +74,13 @@
 //! divergence by unioning columns (`NULL`-filling the rows of partitions
 //! the record never reached).
 //!
-//! Partitioned-table **creation** commits on partition 0: the creating
-//! thread logs the per-partition `CreateTable` row slices to partitions
-//! `1..n` first and to partition 0 last, and recovery drops (and deletes
-//! the files of) any partitioned table whose partition-0 segment lacks the
-//! table — so a half-created table can never resurrect.
+//! Table **creation** commits on partition 0: the creating thread opens
+//! every segment with its meta record, logs the per-partition
+//! `CreateTable` row slices to partitions `1..n` first and to partition 0
+//! last, and recovery drops (and deletes the files of) any table whose
+//! spec no segment or manifest entry records, or whose partition-0
+//! segment lacks the table — so a half-created table can never
+//! resurrect, however many partitions it has.
 //!
 //! A crash between the in-memory apply and the append loses that one
 //! change.  A crash mid-append leaves a torn tail the next [`recover`]
@@ -99,9 +100,9 @@ use relational::{
 };
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
-    partition_segment_file_name, partition_snapshot_file_name, read_manifest, read_snapshot_file,
-    scan_segments, segment_file_name, slice_records, snapshot_file_name, write_manifest,
-    write_snapshot_file, Manifest, SnapshotImage, StorageError, TableImage, Wal, WalRecord,
+    read_manifest, read_snapshot_file, scan_segments, segment_file_name, slice_records,
+    snapshot_file_name, write_manifest, write_snapshot_file, Manifest, SnapshotImage, StorageError,
+    TableImage, Wal, WalRecord,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
@@ -134,9 +135,8 @@ impl Segment {
 }
 
 /// One table's durable storage: its partitioning spec and one [`Segment`]
-/// per partition (`parts.len() == spec.partition_count()`).  A
-/// single-partition store keeps the suffix-free `wal/<table>.log` file
-/// name; partitioned stores use `wal/<table>.p<k>.log`.
+/// per partition (`parts.len() == spec.partition_count()`), partition `k`
+/// in `wal/<table>.p<k>.log`.
 pub(crate) struct TableStore {
     spec: PartitionSpec,
     parts: Vec<Arc<Segment>>,
@@ -154,43 +154,24 @@ pub(crate) struct PartitionDisk {
     pub(crate) dirty: bool,
 }
 
-/// Path of partition `k`'s WAL segment under `spec`'s layout.
-fn segment_path(dir: &Path, table: &str, spec: &PartitionSpec, k: usize) -> PathBuf {
-    if spec.is_single() {
-        wal_dir(dir).join(segment_file_name(table))
-    } else {
-        wal_dir(dir).join(partition_segment_file_name(table, k))
-    }
+/// Path of partition `k`'s WAL segment.
+fn segment_path(dir: &Path, table: &str, k: usize) -> PathBuf {
+    wal_dir(dir).join(segment_file_name(table, k))
 }
 
-/// Path of partition `k`'s snapshot under `spec`'s layout.
-fn snapshot_path(dir: &Path, table: &str, spec: &PartitionSpec, k: usize) -> PathBuf {
-    if spec.is_single() {
-        snap_dir(dir).join(snapshot_file_name(table))
-    } else {
-        snap_dir(dir).join(partition_snapshot_file_name(table, k))
-    }
+/// Path of partition `k`'s snapshot.
+fn snapshot_path(dir: &Path, table: &str, k: usize) -> PathBuf {
+    snap_dir(dir).join(snapshot_file_name(table, k))
 }
 
-/// The meta record every fresh segment starts with: the plain
-/// [`Meta`] stamp for single-partition tables, or the
-/// [`MetaPartition`] stamp — id column, partition index, and spec — that
-/// lets a partitioned segment be replayed correctly even before the
-/// manifest has recorded the table.
-///
-/// [`Meta`]: WalRecord::Meta
-/// [`MetaPartition`]: WalRecord::MetaPartition
+/// The meta record every segment starts with: the id column, the
+/// partition index, and the spec, which let the segment be replayed
+/// correctly even before the manifest has recorded the table.
 fn meta_record(id_column: &str, spec: &PartitionSpec, k: usize) -> WalRecord {
-    if spec.is_single() {
-        WalRecord::Meta {
-            id_column: id_column.to_string(),
-        }
-    } else {
-        WalRecord::MetaPartition {
-            id_column: id_column.to_string(),
-            partition: k as u32,
-            spec: spec.clone(),
-        }
+    WalRecord::MetaPartition {
+        id_column: id_column.to_string(),
+        partition: k as u32,
+        spec: spec.clone(),
     }
 }
 
@@ -277,7 +258,7 @@ impl Durability {
         std::fs::create_dir_all(wal_dir(&self.dir)).map_err(StorageError::from)?;
         let mut parts = Vec::with_capacity(spec.partition_count());
         for k in 0..spec.partition_count() {
-            let opened = Wal::open(segment_path(&self.dir, &key, spec, k));
+            let opened = Wal::open(segment_path(&self.dir, &key, k));
             let (mut wal, _) = self.fail_stop(opened)?;
             if wal.record_count() == 0 {
                 let meta = wal.append(&meta_record(&self.id_column, spec, k));
@@ -367,7 +348,7 @@ impl Durability {
         segment.dirty.store(false, Ordering::SeqCst);
         let image = capture(wal.generation(), wal.record_count());
         std::fs::create_dir_all(snap_dir(&self.dir)).map_err(StorageError::from)?;
-        let snap_path = snapshot_path(&self.dir, &table.to_lowercase(), &store.spec, k);
+        let snap_path = snapshot_path(&self.dir, &table.to_lowercase(), k);
         // A failed snapshot write leaves the old snapshot + untouched
         // segment — fully consistent, no fail-stop needed, but the
         // partition is still dirty.  A failed reset or meta append leaves
@@ -440,10 +421,9 @@ impl Durability {
                     .map(|(k, segment)| {
                         let wal = mlock(&segment.wal);
                         let wal_bytes = std::fs::metadata(wal.path()).map(|m| m.len()).unwrap_or(0);
-                        let snapshot_bytes =
-                            std::fs::metadata(snapshot_path(&self.dir, &table, &store.spec, k))
-                                .map(|m| m.len())
-                                .unwrap_or(0);
+                        let snapshot_bytes = std::fs::metadata(snapshot_path(&self.dir, &table, k))
+                            .map(|m| m.len())
+                            .unwrap_or(0);
                         PartitionDisk {
                             wal_bytes,
                             snapshot_bytes,
@@ -461,13 +441,11 @@ impl Durability {
 /// moved into a `DbInner`.
 #[derive(Default)]
 pub(crate) struct RecoveredState {
-    pub(crate) catalog: Catalog,
+    /// Every recovered table: its spec and its replayed slices in `k`
+    /// order under one schema, moved by `assemble` into its partitions.
+    pub(crate) tables: BTreeMap<String, (PartitionSpec, Vec<Table>)>,
     pub(crate) cache: JudgmentCache,
     pub(crate) crowd_rounds: u64,
-    /// The recovered tables that are *not* single-partition (the catalog
-    /// holds the others): each one's spec and its replayed slices in `k`
-    /// order under one schema, moved by `assemble` into its partitions.
-    pub(crate) partitioned: BTreeMap<String, (PartitionSpec, Vec<Table>)>,
 }
 
 /// Opens (creating if needed) the database directory and returns the
@@ -499,24 +477,32 @@ pub(crate) fn recover(
     }
 }
 
-/// One replay unit: a single-partition table's whole segment
-/// (`partition: None`, suffix-free file names) or one partition of a
-/// partitioned table (`partition: Some(k)`).
+/// One replay unit: one partition of one table.
 struct ReplayJob {
     table: String,
-    partition: Option<usize>,
+    partition: usize,
     /// The spec the manifest records for the table, when it does; orphan
     /// partitions learn theirs from the segment's leading
     /// [`WalRecord::MetaPartition`] record.
     spec: Option<PartitionSpec>,
 }
 
-/// One replay unit's result: its recovered slice of the database plus its
-/// open segment.
+/// The state one segment replays into: its slice of the table in a
+/// one-table catalog (logged SQL re-executes against it), its share of
+/// the judgment cache, and its crowd-round counter.
+#[derive(Default)]
+struct PartState {
+    catalog: Catalog,
+    cache: JudgmentCache,
+    crowd_rounds: u64,
+}
+
+/// One replay unit's result: its recovered partition plus its open
+/// segment.
 struct PartRecovered {
     table: String,
-    partition: Option<usize>,
-    state: RecoveredState,
+    partition: usize,
+    state: PartState,
     wal: Wal,
     /// True when the segment held records beyond the snapshotted prefix —
     /// the partition must not be skipped by the next partial checkpoint.
@@ -528,9 +514,8 @@ struct PartRecovered {
 
 /// Recovers a segmented directory: replays every live segment (manifest
 /// entries ∪ orphan segments on disk) and merges the results in sorted
-/// table order — and, within a partitioned table, in fixed partition
-/// order — so the outcome is bit-identical however many workers replayed
-/// them.
+/// table order — and, within a table, in fixed partition order — so the
+/// outcome is bit-identical however many workers replayed them.
 fn recover_segmented(
     dir: &Path,
     id_column: &str,
@@ -550,23 +535,18 @@ fn recover_segmented(
     // created after the last checkpoint exists only as segment files:
     // union both sources so no committed record is orphaned.
     let mut jobs: Vec<ReplayJob> = Vec::new();
-    let mut known: HashSet<(String, Option<usize>)> = HashSet::new();
+    let mut known: HashSet<(String, usize)> = HashSet::new();
     for (table, spec) in &manifest.tables {
-        let partitions: Vec<Option<usize>> = if spec.is_single() {
-            vec![None]
-        } else {
-            (0..spec.partition_count()).map(Some).collect()
-        };
-        for partition in partitions {
+        for partition in 0..spec.partition_count() {
             known.insert((table.clone(), partition));
             jobs.push(ReplayJob {
                 table: table.clone(),
                 partition,
-                spec: partition.map(|_| spec.clone()),
+                spec: Some(spec.clone()),
             });
         }
     }
-    for (table, partition, _file) in scan_segments(dir)? {
+    for (table, partition) in scan_segments(dir)? {
         if known.insert((table.clone(), partition)) {
             jobs.push(ReplayJob {
                 table,
@@ -580,8 +560,10 @@ fn recover_segmented(
 
     let results = replay_jobs(dir, id_column, parallelism, jobs)?;
 
-    let mut state = RecoveredState::default();
-    let mut crowd_rounds = manifest.crowd_rounds;
+    let mut state = RecoveredState {
+        crowd_rounds: manifest.crowd_rounds,
+        ..RecoveredState::default()
+    };
     let mut stores = BTreeMap::new();
     // Group the (table, partition)-sorted results by table and merge each
     // table's group in partition order.
@@ -592,19 +574,9 @@ fn recover_segmented(
         while results.peek().is_some_and(|r| r.table == table) {
             parts.push(results.next().expect("peeked"));
         }
-        let Some((mut table_state, store)) = merge_table_parts(dir, id_column, &table, parts)?
-        else {
-            continue; // abandoned half-created table: files removed
-        };
-        for name in table_state.catalog.table_names() {
-            let recovered = table_state.catalog.drop_table(&name)?;
-            state.catalog.create_table(recovered)?;
+        if let Some(store) = merge_table_parts(dir, id_column, &table, parts, &mut state)? {
+            stores.insert(table, Arc::new(store));
         }
-        state.partitioned.append(&mut table_state.partitioned);
-        let (groups, _) = table_state.cache.export();
-        state.cache.absorb(groups);
-        crowd_rounds = crowd_rounds.max(table_state.crowd_rounds);
-        stores.insert(table, Arc::new(store));
     }
     // Global counters are checkpoint-granular and live in the manifest.
     state.cache.set_stats(CacheStats {
@@ -613,125 +585,81 @@ fn recover_segmented(
         cost_saved: manifest.cache_cost_saved,
         entries: 0,
     });
-    state.crowd_rounds = crowd_rounds;
     let durability = Durability::new(dir, id_column, stores);
     // Fold any orphan segments into the manifest now that they replayed.
     durability.write_manifest_state(state.cache.stats(), state.crowd_rounds)?;
     Ok((state, durability))
 }
 
-/// Merges one table's replayed parts (in partition order) into its final
-/// recovered state and open store.  Returns `None` — after deleting the
-/// partition files — for a partitioned table whose partition-0 segment
-/// lacks the table: creation commits on partition 0 (it is logged last),
-/// so such a table was half-created when a crash hit and must not
-/// resurrect.
+/// Merges one table's replayed parts (sorted by partition) into `state`
+/// and returns the table's open store.  Returns `None` — after deleting
+/// the table's files — when the table's spec is unknown (no segment
+/// carried a meta record and the manifest does not list it) or its
+/// partition-0 segment lacks the table: creation commits on partition 0
+/// (it is logged last), so such a table was half-created when a crash hit
+/// and must not resurrect.
 fn merge_table_parts(
     dir: &Path,
     id_column: &str,
     table: &str,
-    mut parts: Vec<PartRecovered>,
-) -> Result<Option<(RecoveredState, TableStore)>> {
-    if parts.len() == 1 && parts[0].partition.is_none() {
-        // A single-partition table: one suffix-free segment.
-        let part = parts.pop().expect("one part");
-        let mut wal = part.wal;
-        if wal.record_count() == 0 {
-            // A brand-new (or torn-header-recreated, necessarily empty)
-            // segment: stamp the configuration its replayer depends on.
-            wal.append(&WalRecord::Meta {
-                id_column: id_column.to_string(),
-            })?;
-        }
-        return Ok(Some((
-            part.state,
-            TableStore {
-                spec: PartitionSpec::Single,
-                parts: vec![Segment::of_wal(wal, part.dirty)],
-            },
-        )));
-    }
-    if parts.iter().any(|p| p.partition.is_none()) {
-        return Err(CrowdDbError::Storage(format!(
-            "table '{table}' has both a single-partition segment and partitioned segments — \
-             the directory is corrupt (tables are never re-partitioned in place)"
-        )));
-    }
-    let spec = parts
-        .iter()
-        .find_map(|p| p.spec.clone())
-        .unwrap_or(PartitionSpec::Single);
-    let exists = parts
-        .iter()
-        .find(|p| p.partition == Some(0))
+    parts: Vec<PartRecovered>,
+    state: &mut RecoveredState,
+) -> Result<Option<TableStore>> {
+    let exists = (parts.iter().find(|p| p.partition == 0))
         .is_some_and(|p| p.state.catalog.table(table).is_ok());
-    if spec.is_single() || !exists {
-        // Either no partition carried a usable spec (every segment torn
-        // down to nothing) or partition 0 never saw the CreateTable — the
-        // creation never committed.  Drop the stray files so a later
-        // CREATE of the same name starts clean.
+    let spec = parts.iter().find_map(|p| p.spec.clone());
+    let Some(spec) = spec.filter(|_| exists) else {
+        // Drop the stray files so a later CREATE of the same name starts
+        // clean.
         for part in parts {
-            let k = part.partition.expect("partitioned part");
             drop(part.wal);
-            let _ = std::fs::remove_file(wal_dir(dir).join(partition_segment_file_name(table, k)));
-            let _ =
-                std::fs::remove_file(snap_dir(dir).join(partition_snapshot_file_name(table, k)));
+            let _ = std::fs::remove_file(segment_path(dir, table, part.partition));
+            let _ = std::fs::remove_file(snapshot_path(dir, table, part.partition));
         }
         return Ok(None);
-    }
+    };
     let n = spec.partition_count();
     let mut by_k: BTreeMap<usize, PartRecovered> = parts
         .into_iter()
-        .filter(|p| p.partition.is_some_and(|k| k < n))
-        .map(|p| (p.partition.expect("partitioned part"), p))
+        .filter(|p| p.partition < n)
+        .map(|p| (p.partition, p))
         .collect();
-    let mut merged = RecoveredState::default();
     let mut segments: Vec<Arc<Segment>> = Vec::with_capacity(n);
     let mut slices: Vec<Option<Table>> = Vec::with_capacity(n);
     for k in 0..n {
-        let mut part = match by_k.remove(&k) {
-            Some(part) => part,
-            None => {
-                // A partition whose file never landed on disk (possible
-                // only for an orphan table torn mid-creation, with the
-                // table itself already committed on partition 0): open the
-                // segment empty.
-                let (wal, _) = Wal::open(wal_dir(dir).join(partition_segment_file_name(table, k)))?;
-                PartRecovered {
-                    table: table.to_string(),
-                    partition: Some(k),
-                    state: RecoveredState::default(),
-                    wal,
-                    dirty: false,
-                    spec: Some(spec.clone()),
-                }
+        let (slice, mut wal, dirty) = match by_k.remove(&k) {
+            Some(mut part) => {
+                let (groups, _) = part.state.cache.export();
+                state.cache.absorb(groups);
+                state.crowd_rounds = state.crowd_rounds.max(part.state.crowd_rounds);
+                let slice = part.state.catalog.drop_table(table).ok();
+                (slice, part.wal, part.dirty)
             }
+            // A partition whose file never landed on disk (possible only
+            // for an orphan table torn mid-creation, with the table itself
+            // already committed on partition 0): open the segment empty.
+            None => (None, Wal::open(segment_path(dir, table, k))?.0, false),
         };
-        slices.push(part.state.catalog.drop_table(table).ok());
-        let (groups, _) = part.state.cache.export();
-        merged.cache.absorb(groups);
-        merged.crowd_rounds = merged.crowd_rounds.max(part.state.crowd_rounds);
-        let mut wal = part.wal;
+        slices.push(slice);
         if wal.record_count() == 0 {
+            // A brand-new (or torn-header-recreated, necessarily empty)
+            // segment: stamp the configuration its replayer depends on.
             wal.append(&meta_record(id_column, &spec, k))?;
         }
-        segments.push(Segment::of_wal(wal, part.dirty));
+        segments.push(Segment::of_wal(wal, dirty));
     }
     let slices = align_slices(slices)?;
     let name = slices[0].name().to_string();
-    merged.partitioned.insert(name, (spec.clone(), slices));
-    Ok(Some((
-        merged,
-        TableStore {
-            spec,
-            parts: segments,
-        },
-    )))
+    state.tables.insert(name, (spec.clone(), slices));
+    Ok(Some(TableStore {
+        spec,
+        parts: segments,
+    }))
 }
 
-/// Brings a partitioned table's replayed slices (in `k` order; `None`
-/// where a partition never saw the table) to one schema, moving every
-/// slice that already has it.  A crash that tore a schema change's fan-out
+/// Brings a table's replayed slices (in `k` order; `None` where a
+/// partition never saw the table) to one schema, moving every slice that
+/// already has it.  A crash that tore a schema change's fan-out
 /// leaves the later partitions without the new column: such a slice gains
 /// the columns it lacks, `NULL`-filled (tagged as an insert tags them), in
 /// the order [`merge_partition_tables`] merges them.
@@ -844,14 +772,7 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
         partition,
         spec,
     } = job;
-    let (segment_file, snapshot_file) = match partition {
-        None => (segment_file_name(&table), snapshot_file_name(&table)),
-        Some(k) => (
-            partition_segment_file_name(&table, k),
-            partition_snapshot_file_name(&table, k),
-        ),
-    };
-    let snapshot = read_snapshot_file(&snap_dir(dir).join(snapshot_file))?;
+    let snapshot = read_snapshot_file(&snapshot_path(dir, &table, partition))?;
     let (mut state, wal_stamp) = match snapshot {
         Some(image) => {
             if !image.id_column.is_empty() && image.id_column != id_column {
@@ -866,9 +787,9 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
             let stamp = (image.wal_generation, image.wal_records_applied);
             (state_of_snapshot(image)?, Some(stamp))
         }
-        None => (RecoveredState::default(), None),
+        None => (PartState::default(), None),
     };
-    let (wal, records) = Wal::open(wal_dir(dir).join(segment_file))?;
+    let (wal, records) = Wal::open(segment_path(dir, &table, partition))?;
     // Records the snapshot already folded in are skipped — but only while
     // the segment still carries the generation the snapshot stamped.  A
     // segment that was reset since (or never matched) replays in full.
@@ -878,32 +799,25 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
         }
         _ => 0,
     };
-    // A partitioned segment's first record is always its MetaPartition
-    // stamp (written at creation and re-written after every reset), so the
-    // replay context survives even when the snapshot skip covers it — peek
-    // at it before applying the unskipped suffix.
+    // A segment's first record is always its meta record (written at
+    // creation and re-written after every reset), so the replay context
+    // survives even when the snapshot skip covers it — peek at it before
+    // applying the unskipped suffix.
     let mut ctx = ReplayCtx {
         id_column,
         dir,
-        partition: spec.map(|spec| (spec, partition.unwrap_or_default())),
-    };
-    if let Some(WalRecord::MetaPartition {
-        partition: recorded,
+        partition,
         spec,
-        ..
-    }) = records.first()
-    {
-        ctx.partition = Some((spec.clone(), *recorded as usize));
+    };
+    if let Some(WalRecord::MetaPartition { spec, .. }) = records.first() {
+        ctx.spec = Some(spec.clone());
     }
     let mut dirty = false;
     for record in records.into_iter().skip(skip) {
-        dirty |= !matches!(
-            record,
-            WalRecord::Meta { .. } | WalRecord::MetaPartition { .. }
-        );
+        dirty |= !matches!(record, WalRecord::MetaPartition { .. });
         apply(record, &mut state, &mut ctx)?;
     }
-    let spec = ctx.partition.map(|(spec, _)| spec);
+    let spec = ctx.spec;
     Ok(PartRecovered {
         table,
         partition,
@@ -914,40 +828,36 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
     })
 }
 
-/// The context one segment replays under: which partition slice (if any)
-/// the records must be filtered down to.
+/// The context one segment replays under: the partition slice the
+/// records must be filtered down to.
 struct ReplayCtx<'a> {
     id_column: &'a str,
     dir: &'a Path,
-    /// `Some((spec, k))` while replaying partition `k` of a partitioned
-    /// table: multi-partition records re-filter themselves down to the
-    /// slice.  `None` for single-partition segments.
-    partition: Option<(PartitionSpec, usize)>,
+    /// The partition the segment holds, from its file name.
+    partition: usize,
+    /// The table's spec, once the manifest or the segment's meta record
+    /// has named it: multi-partition records re-filter themselves down to
+    /// partition `partition` of it.
+    spec: Option<PartitionSpec>,
 }
 
-/// Replays one WAL record onto the recovered state.
-fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>) -> Result<()> {
+/// Replays one WAL record onto the recovered partition.
+fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> Result<()> {
     match record {
-        WalRecord::Meta {
-            id_column: recorded,
-        } => {
-            check_id_column(&recorded, ctx)?;
-        }
         WalRecord::MetaPartition {
             id_column: recorded,
             partition,
             spec,
         } => {
             check_id_column(&recorded, ctx)?;
-            if let Some((_, k)) = &ctx.partition {
-                if partition as usize != *k {
-                    return Err(CrowdDbError::Storage(format!(
-                        "partition segment {k} carries a meta record for partition \
-                         {partition} — the directory is corrupt"
-                    )));
-                }
+            if partition as usize != ctx.partition {
+                return Err(CrowdDbError::Storage(format!(
+                    "partition segment {} carries a meta record for partition \
+                     {partition} — the directory is corrupt",
+                    ctx.partition
+                )));
             }
-            ctx.partition = Some((spec, partition as usize));
+            ctx.spec = Some(spec);
         }
         WalRecord::CreateTable(image) => {
             // Idempotent: a record that raced a checkpoint may already be
@@ -958,15 +868,15 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
         }
         WalRecord::Mutation { sql: text } => {
             let statement = sql::parse(&text)?;
-            match (&statement, &ctx.partition) {
+            match (&statement, &ctx.spec) {
                 (
                     sql::Statement::Insert {
                         table,
                         columns,
                         rows,
                     },
-                    Some((spec, k)),
-                ) if !spec.is_single() => {
+                    Some(spec),
+                ) if spec.partition_count() > 1 => {
                     // The statement was logged to every partition it
                     // routed rows into; keep only this partition's rows.
                     let id = state.catalog.table(table)?.schema().column(ctx.id_column);
@@ -977,7 +887,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
                         .iter()
                         .filter(|row| {
                             let id = id_index.and_then(|i| row.get(i)).unwrap_or(&Value::Null);
-                            spec.route_value(id) == *k
+                            spec.route_value(id) == ctx.partition
                         })
                         .cloned()
                         .collect();
@@ -1065,14 +975,13 @@ fn check_id_column(recorded: &str, ctx: &ReplayCtx<'_>) -> Result<()> {
 /// Rebuilds the state a snapshot image captured: the table, every cell
 /// with the tag it was written with, and the table's judgment-cache
 /// entries (the effectiveness counters are the manifest's).
-fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
+fn state_of_snapshot(image: SnapshotImage) -> Result<PartState> {
     let mut catalog = Catalog::new();
     catalog.create_table(image.table.into_table()?)?;
-    Ok(RecoveredState {
+    Ok(PartState {
         catalog,
         cache: JudgmentCache::restore(image.cache, CacheStats::default()),
         crowd_rounds: image.crowd_rounds,
-        partitioned: BTreeMap::new(),
     })
 }
 
@@ -1081,17 +990,15 @@ fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
 /// read through its own synchronization and filtered down to the
 /// partition's slice).
 pub(crate) struct TableSnapshotParts<'a> {
-    /// The partition's catalog slice (the whole table when
-    /// single-partition).
+    /// The partition's catalog slice.
     pub(crate) table: &'a relational::Table,
     pub(crate) cache: &'a JudgmentCache,
     pub(crate) crowd_rounds: u64,
     pub(crate) id_column: &'a str,
-    /// `Some((spec, k))` when snapshotting partition `k` of a partitioned
-    /// table: cache entries are filtered to the items that route to `k`,
-    /// matching the rows the `table` slice holds.  `None` captures the
-    /// whole table.
-    pub(crate) partition: Option<(&'a PartitionSpec, usize)>,
+    /// `(spec, k)` of the partition snapshotted: cache entries are
+    /// filtered to the items that route to `k`, matching the rows the
+    /// `table` slice holds.
+    pub(crate) partition: (&'a PartitionSpec, usize),
 }
 
 /// Captures one partition's state as a snapshot image, stamped with the
@@ -1110,13 +1017,10 @@ pub(crate) fn table_snapshot_image(
         id_column,
         partition,
     } = parts;
-    let in_slice = |item: ItemId| match partition {
-        Some((spec, k)) => spec.route_item(item) == k,
-        None => true,
-    };
+    let (spec, k) = partition;
     let cache = (cache.export_table(table.name()).into_iter())
         .map(|(table, attribute, mut entries)| {
-            entries.retain(|(item, _)| in_slice(*item));
+            entries.retain(|(item, _)| spec.route_item(*item) == k);
             (table, attribute, entries)
         })
         .collect();

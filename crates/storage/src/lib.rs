@@ -8,11 +8,12 @@
 //! keeps it:
 //!
 //! * [`wal`] — an append-only **write-ahead log** of length-prefixed,
-//!   CRC32-checksummed records, fsynced on every commit.  Recovery
+//!   CRC32-checksummed records, fsynced on every commit: one segment per
+//!   partition of every table (a table of one partition has one).  Recovery
 //!   truncates a torn tail (a crash mid-append) and *rejects* a log whose
 //!   interior records fail their checksum.
-//! * [`snapshot`] — a point-in-time image of one table (or one partition
-//!   of it), every cell's provenance tag included, written atomically
+//! * [`snapshot`] — a point-in-time image of one partition of a table,
+//!   every cell's provenance tag included, written atomically
 //!   (temp file + fsync + rename) so a crash during checkpointing can
 //!   never destroy the previous snapshot.
 //! * [`manifest`] — the root of a database directory: the on-disk
@@ -48,9 +49,8 @@ pub mod wal;
 
 pub use codec::{crc32, Decoder, Encoder};
 pub use manifest::{
-    partition_segment_file_name, partition_snapshot_file_name, read_manifest, scan_segments,
-    segment_file_name, snapshot_file_name, write_manifest, Manifest, FORMAT_VERSION, MANIFEST_FILE,
-    SNAP_DIR, WAL_DIR,
+    read_manifest, scan_segments, segment_file_name, snapshot_file_name, write_manifest, Manifest,
+    FORMAT_VERSION, MANIFEST_FILE, SNAP_DIR, WAL_DIR,
 };
 pub use records::{
     decode_partition_spec, decode_provenance, decode_tag_column, decode_value,

@@ -1,20 +1,19 @@
 //! The manifest: the root of a database directory.
 //!
-//! The durable state is split by table, and optionally by partition
-//! *within* a table:
+//! The durable state is split by table, and by partition *within* a
+//! table:
 //!
 //! ```text
 //! <dir>/
-//!   manifest.db          <- this file: format version + the live tables
-//!   wal/<table>.log      <- one WAL segment per single-partition table
-//!   wal/<table>.p<k>.log <- one WAL segment per partition k of a
-//!                           partitioned table (format: crate::wal)
-//!   snap/<table>.snap    <- one snapshot per single-partition table
+//!   manifest.db            <- this file: format version + the live tables
+//!   wal/<table>.p<k>.log   <- one WAL segment per partition k of a table
+//!                             (format: crate::wal)
 //!   snap/<table>.p<k>.snap <- one snapshot per partition
 //! ```
 //!
-//! Single-partition tables use the suffix-free names.  Sanitized stems
-//! never contain `.` (it is `%2e`-escaped), so `<stem>.p<k>` parses
+//! A table of one partition (`PartitionSpec::Single`) owns exactly the
+//! files `<table>.p0.log` and `<table>.p0.snap`.  Sanitized stems never
+//! contain `.` (it is `%2e`-escaped), so `<stem>.p<k>` parses
 //! unambiguously.
 //!
 //! # Format version
@@ -75,7 +74,7 @@ pub const SNAP_DIR: &str = "snap";
 
 /// The on-disk format version this build writes, and the only one it
 /// reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"CDBMANIV";
 
@@ -237,60 +236,35 @@ pub fn desanitize_table_name(stem: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-/// The segment file name (inside [`WAL_DIR`]) for a single-partition
-/// `table`.
-pub fn segment_file_name(table: &str) -> String {
-    format!("{}.log", sanitize_table_name(table))
-}
-
-/// The snapshot file name (inside [`SNAP_DIR`]) for a single-partition
-/// `table`.
-pub fn snapshot_file_name(table: &str) -> String {
-    format!("{}.snap", sanitize_table_name(table))
-}
-
-/// The segment file name (inside [`WAL_DIR`]) for partition `k` of a
-/// partitioned `table`.  Sanitized stems never contain `.`, so the name
-/// parses back unambiguously.
-pub fn partition_segment_file_name(table: &str, k: usize) -> String {
+/// The segment file name (inside [`WAL_DIR`]) of partition `k` of
+/// `table`.  Sanitized stems never contain `.`, so the name parses back
+/// unambiguously.
+pub fn segment_file_name(table: &str, k: usize) -> String {
     format!("{}.p{k}.log", sanitize_table_name(table))
 }
 
-/// The snapshot file name (inside [`SNAP_DIR`]) for partition `k` of a
-/// partitioned `table`.
-pub fn partition_snapshot_file_name(table: &str, k: usize) -> String {
+/// The snapshot file name (inside [`SNAP_DIR`]) of partition `k` of
+/// `table`.
+pub fn snapshot_file_name(table: &str, k: usize) -> String {
     format!("{}.p{k}.snap", sanitize_table_name(table))
 }
 
-/// Splits a file stem into its table stem and partition index:
-/// `movies.p3` → `("movies", Some(3))`, `movies` → `("movies", None)`.
-fn split_partition_stem(stem: &str) -> (&str, Option<usize>) {
-    if let Some(dot) = stem.rfind('.') {
-        if let Some(digits) = stem[dot + 1..].strip_prefix('p') {
-            if !digits.is_empty() {
-                if let Ok(k) = digits.parse::<usize>() {
-                    return (&stem[..dot], Some(k));
-                }
-            }
-        }
+/// Splits a segment file name into its table and partition index:
+/// `movies.p3.log` → `("movies", 3)`.  `None` for any other name.
+fn parse_segment_file_name(file_name: &str) -> Option<(String, usize)> {
+    let (stem, digits) = file_name.strip_suffix(".log")?.rsplit_once(".p")?;
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
     }
-    (stem, None)
-}
-
-/// Maps a segment file name back to its table, if it parses as one
-/// (either layout — the partition index is dropped).
-pub fn table_of_segment_file(file_name: &str) -> Option<String> {
-    let (stem, _) = split_partition_stem(file_name.strip_suffix(".log")?);
-    desanitize_table_name(stem)
+    Some((desanitize_table_name(stem)?, digits.parse().ok()?))
 }
 
 /// Lists every segment file currently present in `wal/`, as
-/// `(table, partition, file name)` triples sorted by table then partition.
-/// `partition` is `None` for a single-partition (suffix-free) segment and
-/// `Some(k)` for partition `k` of a partitioned table.  Files that do not
-/// parse as sanitized segment names are ignored (editor droppings, tmp
-/// files).  Returns an empty list when the directory does not exist.
-pub fn scan_segments(dir: &Path) -> Result<Vec<(String, Option<usize>, String)>> {
+/// `(table, partition)` pairs sorted by table then partition.  Files that
+/// do not parse as `<sanitized table>.p<k>.log` are ignored (editor
+/// droppings, tmp files, suffix-free names of older formats).  Returns an
+/// empty list when the directory does not exist.
+pub fn scan_segments(dir: &Path) -> Result<Vec<(String, usize)>> {
     let wal = wal_dir(dir);
     let entries = match fs::read_dir(&wal) {
         Ok(entries) => entries,
@@ -299,17 +273,9 @@ pub fn scan_segments(dir: &Path) -> Result<Vec<(String, Option<usize>, String)>>
     };
     let mut segments = Vec::new();
     for entry in entries {
-        let entry = entry?;
-        let file_name = entry.file_name();
-        let Some(file_name) = file_name.to_str() else {
-            continue;
-        };
-        let Some(stem) = file_name.strip_suffix(".log") else {
-            continue;
-        };
-        let (table_stem, partition) = split_partition_stem(stem);
-        if let Some(table) = desanitize_table_name(table_stem) {
-            segments.push((table, partition, file_name.to_string()));
+        let file_name = entry?.file_name();
+        if let Some(segment) = file_name.to_str().and_then(parse_segment_file_name) {
+            segments.push(segment);
         }
     }
     segments.sort();
@@ -396,20 +362,24 @@ mod tests {
         let dir = tmp_dir("scan");
         let wal = wal_dir(&dir);
         std::fs::create_dir_all(&wal).unwrap();
-        std::fs::write(wal.join(segment_file_name("movies")), b"").unwrap();
-        std::fs::write(wal.join(segment_file_name("über")), b"").unwrap();
-        std::fs::write(wal.join(partition_segment_file_name("events", 2)), b"").unwrap();
-        std::fs::write(wal.join(partition_segment_file_name("events", 0)), b"").unwrap();
+        std::fs::write(wal.join(segment_file_name("movies", 0)), b"").unwrap();
+        std::fs::write(wal.join(segment_file_name("über", 0)), b"").unwrap();
+        std::fs::write(wal.join(segment_file_name("events", 2)), b"").unwrap();
+        std::fs::write(wal.join(segment_file_name("events", 0)), b"").unwrap();
         std::fs::write(wal.join("README.txt"), b"").unwrap();
-        std::fs::write(wal.join("Upper.log"), b"").unwrap();
+        std::fs::write(wal.join("Upper.p0.log"), b"").unwrap();
+        // The suffix-free name of an older format is not a segment.
+        std::fs::write(wal.join("movies.log"), b"").unwrap();
+        std::fs::write(wal.join("movies.p.log"), b"").unwrap();
+        std::fs::write(wal.join("movies.p+1.log"), b"").unwrap();
         let segments = scan_segments(&dir).unwrap();
         assert_eq!(
             segments,
             vec![
-                ("events".to_string(), Some(0), "events.p0.log".to_string()),
-                ("events".to_string(), Some(2), "events.p2.log".to_string()),
-                ("movies".to_string(), None, "movies.log".to_string()),
-                ("über".to_string(), None, segment_file_name("über")),
+                ("events".to_string(), 0),
+                ("events".to_string(), 2),
+                ("movies".to_string(), 0),
+                ("über".to_string(), 0),
             ]
         );
         assert!(scan_segments(&tmp_dir("scan-empty")).unwrap().is_empty());
@@ -418,16 +388,20 @@ mod tests {
 
     #[test]
     fn partition_file_names_parse_back() {
-        assert_eq!(partition_segment_file_name("events", 3), "events.p3.log");
-        assert_eq!(partition_snapshot_file_name("events", 3), "events.p3.snap");
+        assert_eq!(segment_file_name("events", 3), "events.p3.log");
+        assert_eq!(snapshot_file_name("events", 3), "events.p3.snap");
         assert_eq!(
-            table_of_segment_file("events.p3.log").as_deref(),
-            Some("events")
+            parse_segment_file_name("events.p3.log"),
+            Some(("events".to_string(), 3))
         );
         // A table whose *name* contains a dot sanitizes it away, so the
         // partition suffix can never collide with user data.
         assert_eq!(sanitize_table_name("a.p3"), "a%2ep3");
-        assert_eq!(split_partition_stem("a%2ep3"), ("a%2ep3", None));
+        assert_eq!(
+            parse_segment_file_name(&segment_file_name("a.p3", 1)),
+            Some(("a.p3".to_string(), 1))
+        );
+        assert_eq!(parse_segment_file_name("a%2ep3.log"), None);
     }
 
     fn unsupported(dir: &Path) -> Option<(u32, u32)> {
@@ -444,9 +418,14 @@ mod tests {
         let path = dir.join(MANIFEST_FILE);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..MAGIC.len()], MAGIC);
-        assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], 2u32.to_le_bytes());
-        // Another version number, with an intact payload.
-        for version in [0u32, 1, 3, u32::MAX] {
+        assert_eq!(
+            bytes[MAGIC.len()..MAGIC.len() + 4],
+            FORMAT_VERSION.to_le_bytes()
+        );
+        // Another version number, with an intact payload: every earlier
+        // one, the next one and the largest.
+        let others = (0..FORMAT_VERSION).chain([FORMAT_VERSION + 1, u32::MAX]);
+        for version in others {
             let mut other = bytes.clone();
             other[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &other).unwrap();

@@ -6,16 +6,16 @@
 //!   a materialized crowd column (per-item values plus one
 //!   [`CellProvenance`] mark per item, confidence and cost share
 //!   included), judgment cache writes, and cache invalidation.
-//! * [`SnapshotImage`] — the image a checkpoint writes of one table (or
-//!   one partition of it): the [`TableImage`] with the tag of every cell
-//!   of every provenance-tracked column, one per row, the table's
+//! * [`SnapshotImage`] — the image a checkpoint writes of one partition
+//!   of a table: the [`TableImage`] with the tag of every cell of every
+//!   provenance-tracked column, one per row, the partition's
 //!   judgment-cache entries, and the crowd round counter (so reopened
 //!   databases keep drawing fresh round seeds instead of replaying old
 //!   ones).
 //!
 //! Every type encodes itself explicitly through [`Encoder`] / [`Decoder`]
 //! (see [`crate::codec`] for why), with one tag byte per enum variant.
-//! These bytes are format version 2 ([`crate::manifest::FORMAT_VERSION`]):
+//! These bytes are format version 3 ([`crate::manifest::FORMAT_VERSION`]):
 //! the manifest stamps the version of a whole directory, and a directory
 //! of any other version is refused before a record is read.
 //!
@@ -95,8 +95,8 @@ pub fn skip_value(d: &mut Decoder<'_>) -> Result<()> {
 }
 
 /// Encodes a [`PartitionSpec`] with one tag byte per variant — shared by
-/// the manifest's partitioned-tables section and the `MetaPartition` WAL
-/// record, so the two can never drift apart.
+/// the manifest's table list and the `MetaPartition` WAL record, so the
+/// two can never drift apart.
 pub fn encode_partition_spec(e: &mut Encoder, spec: &PartitionSpec) {
     match spec {
         PartitionSpec::Single => e.u8(0),
@@ -553,21 +553,16 @@ pub enum WalRecord {
         /// The attribute concept key (lower-cased).
         attribute: String,
     },
-    /// The first record of every single-partition log: configuration the
-    /// replayer depends on.  Recovery rejects a directory whose recorded
-    /// `id_column` differs from the opening configuration — item-keyed
-    /// records would otherwise be routed through the wrong id → row
-    /// mapping.
-    Meta {
-        /// The id-column name the writing database was configured with.
-        id_column: String,
-    },
-    /// The first record of every *partitioned* segment: the
-    /// single-partition [`WalRecord::Meta`] stamp plus which partition of
-    /// which spec the segment belongs to, so replay can re-route a
+    /// The first record of every segment: the configuration the replayer
+    /// depends on, and which partition of which spec the segment belongs
+    /// to (partition 0 of `Single` for a table of one partition).
+    /// Recovery rejects a directory whose recorded `id_column` differs
+    /// from the opening configuration — item-keyed records would otherwise
+    /// be routed through the wrong id → row mapping — and re-routes a
     /// multi-partition statement's rows to this segment's slice even when
     /// the manifest has not recorded the table yet (a table created after
-    /// the last checkpoint).
+    /// the last checkpoint).  Tag 6, the partition-free meta record of
+    /// format version 2, is retired and decodes as corrupt.
     MetaPartition {
         /// The id-column name the writing database was configured with.
         id_column: String,
@@ -632,10 +627,6 @@ impl WalRecord {
                 e.str(table);
                 e.str(attribute);
             }
-            WalRecord::Meta { id_column } => {
-                e.u8(6);
-                e.str(id_column);
-            }
             WalRecord::MetaPartition {
                 id_column,
                 partition,
@@ -678,9 +669,6 @@ impl WalRecord {
             5 => WalRecord::CacheInvalidate {
                 table: d.str()?,
                 attribute: d.str()?,
-            },
-            6 => WalRecord::Meta {
-                id_column: d.str()?,
             },
             7 => WalRecord::MetaPartition {
                 id_column: d.str()?,
@@ -746,15 +734,15 @@ pub fn slice_records(spec: &PartitionSpec, records: Vec<WalRecord>) -> Vec<Vec<W
 /// cache exports it.
 pub type CacheGroup = (String, String, Vec<(ItemId, CachedJudgment)>);
 
-/// The point-in-time image of one table, or of one partition of it, that
-/// a checkpoint writes.  The judgment cache's effectiveness counters are
-/// not here: they are global, and the manifest carries them.
+/// The point-in-time image of one partition of a table that a checkpoint
+/// writes.  The judgment cache's effectiveness counters are not here:
+/// they are global, and the manifest carries them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotImage {
-    /// The table (or partition slice), tags included.
+    /// The partition's slice of the table, tags included.
     pub table: TableImage,
-    /// The table's judgment-cache groups (for a partition, the entries of
-    /// the items routed to it), sorted by attribute.
+    /// The table's judgment-cache groups, each holding the entries of the
+    /// items routed to the partition, sorted by attribute.
     pub cache: Vec<CacheGroup>,
     /// The crowd-round counter at checkpoint time.
     pub crowd_rounds: u64,
@@ -903,8 +891,10 @@ mod tests {
                 table: "movies".into(),
                 attribute: "comedy".into(),
             },
-            WalRecord::Meta {
+            WalRecord::MetaPartition {
                 id_column: "item_id".into(),
+                partition: 0,
+                spec: PartitionSpec::Single,
             },
             WalRecord::MetaPartition {
                 id_column: "item_id".into(),
@@ -923,6 +913,14 @@ mod tests {
             let bytes = record.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), record);
         }
+        // Tag 6, format version 2's partition-free meta record, is retired.
+        let mut retired = Encoder::new();
+        retired.u8(6);
+        retired.str("item_id");
+        assert!(matches!(
+            WalRecord::decode(&retired.into_bytes()),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

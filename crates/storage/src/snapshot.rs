@@ -1,5 +1,4 @@
-//! Snapshot files: point-in-time images of one table, or of one
-//! partition of it.
+//! Snapshot files: point-in-time images of one partition of a table.
 //!
 //! # File format
 //!

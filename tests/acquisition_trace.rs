@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crowddb::prelude::*;
-use crowddb::storage::{Wal, WalRecord};
+use crowddb::storage::{segment_file_name, Wal, WalRecord};
 use crowdsim::{BatchCrowdRun, WorkerId};
 
 /// A [`SimulatedCrowd`] that appends one line per dispatch to a shared log
@@ -217,7 +217,7 @@ fn outcome_lines(outcome: &QueryOutcome) -> Vec<String> {
 /// every record's encoded bytes in log order.  (The raw file is not
 /// digested: its header carries a clock-derived generation id.)
 fn wal_digest(dir: &Path) -> String {
-    let (_, records) = Wal::open(dir.join("wal").join("movies.log")).unwrap();
+    let (_, records) = Wal::open(dir.join("wal").join(segment_file_name("movies", 0))).unwrap();
     format!(
         "wal records={} digest={:016x}",
         records.len(),
@@ -291,7 +291,7 @@ fn unbudgeted_flat_batches_both_concepts_in_one_round() {
             "report is_horror attribute=Horror sourced=200 judgments=2000 filled=171 unfilled=29 cost=3.9999999999999734 minutes=32.896709830088135 hits=0 misses=200 coalesced=0 dropped=0",
             "digest=804beaf353ae9fbb",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=019c6f6c5df1b60e",
+            "wal records=6 digest=ba6c5d16187e2369",
         ],
     );
 }
@@ -319,7 +319,7 @@ fn budget_runs_out_inside_the_second_concept() {
             "report is_horror attribute=Horror sourced=50 judgments=500 filled=48 unfilled=152 cost=1.0000000000000004 minutes=12.890732051220025 hits=0 misses=200 coalesced=0 dropped=150",
             "digest=6a9c3b55984a064b",
             "cache entries=150 hits=0 misses=300 saved=0.0",
-            "wal records=6 digest=dd00ab05c6501940",
+            "wal records=6 digest=997b0a823a7dd9dd",
         ],
     );
 }
@@ -367,7 +367,7 @@ fn adaptive_on_the_lookup_crowd() {
             "report is_horror attribute=Horror sourced=200 judgments=1109 filled=197 unfilled=3 cost=3.720000000000003 minutes=159.34080049222484 hits=0 misses=200 coalesced=0 dropped=0",
             "digest=b074ab3ae3466a73",
             "cache entries=300 hits=0 misses=300 saved=0.0",
-            "wal records=10 digest=3eb8601cc97ae1b4",
+            "wal records=10 digest=d7287634b87e60fb",
         ],
     );
 }
@@ -404,7 +404,7 @@ fn adaptive_budget_cuts_off_paid_items_and_denies_untouched_ones() {
             "report is_horror attribute=Horror sourced=0 judgments=0 filled=0 unfilled=200 cost=0.0 minutes=0.0 hits=0 misses=200 coalesced=0 dropped=200",
             "digest=a43761ba248ce95d",
             "cache entries=100 hits=0 misses=300 saved=0.0",
-            "wal records=7 digest=ed0d0c55a8d2972b",
+            "wal records=7 digest=cadfda5cfa4757dc",
         ],
     );
 }
@@ -435,7 +435,7 @@ fn repair_re_sources_flagged_items_once() {
             "collect seed=220 [Comedy:47]",
             "repair flagged=47 changed=21 cost=1.0000000000000004 minutes=10.986684715279077 digest=b3768a8fb6511706",
             "cache entries=315 hits=0 misses=300 saved=0.0",
-            "wal records=8 digest=7813b97896d8cd5c",
+            "wal records=8 digest=025449e53d8b5adf",
         ],
     );
 }

@@ -130,19 +130,16 @@ fn kind(record: &WalRecord) -> String {
         WalRecord::SetCells { column, values, .. } => format!("set:{column}:{}", values.len()),
         WalRecord::CachePut { entries, .. } => format!("put:{}", entries.len()),
         WalRecord::CacheInvalidate { .. } => "invalidate".into(),
-        WalRecord::Meta { .. } | WalRecord::MetaPartition { .. } => "meta".into(),
+        WalRecord::MetaPartition { .. } => "meta".into(),
     }
 }
 
 /// One line per segment: its file, its records' kinds in log order, and a
 /// digest of their encoded bytes.
 fn segment_lines(dir: &Path, spec: &PartitionSpec) -> Vec<String> {
-    let files: Vec<String> = match spec {
-        PartitionSpec::Single => vec!["movies.log".into()],
-        _ => (0..spec.partition_count())
-            .map(|k| format!("movies.p{k}.log"))
-            .collect(),
-    };
+    let files: Vec<String> = (0..spec.partition_count())
+        .map(|k| format!("movies.p{k}.log"))
+        .collect();
     files
         .into_iter()
         .map(|file| {
@@ -207,8 +204,8 @@ fn single_partition_records_are_pinned() {
     assert_eq!(
         lines,
         [
-            "movies.log [meta create put:12 materialize:is_comedy:64 materialize:humor:64 \
-             put:1 set:is_comedy:1 invalidate] digest=170849c70ec450c9",
+            "movies.p0.log [meta create put:12 materialize:is_comedy:64 materialize:humor:64 \
+             put:1 set:is_comedy:1 invalidate] digest=81d2af5e97c70134",
         ]
     );
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, DataType, Schema, Table, Value};
-use crowddb::storage::{crc32, segment_file_name, Encoder, Wal, WalRecord, WAL_DIR};
+use crowddb::storage::{crc32, Encoder, Wal, WalRecord, FORMAT_VERSION, WAL_DIR};
 use crowdsim::{BatchCrowdRun, CrowdRun};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -364,7 +364,7 @@ fn unversioned_manifest(id_column: &str, tables: &[&str]) -> Vec<u8> {
     e.seq_len(tables.len());
     for table in tables {
         e.str(table);
-        e.str(&segment_file_name(table));
+        e.str(&format!("{table}.log"));
         e.bool(false); // no snapshot yet
     }
     let payload = e.into_bytes();
@@ -385,12 +385,13 @@ fn unversioned_manifest_is_refused_as_format_version_1() {
     std::fs::create_dir_all(dir.join(WAL_DIR)).unwrap();
     // One table, created and never checkpointed: its whole history is in
     // its segment.
-    let (mut wal, existing) =
-        Wal::open(dir.join(WAL_DIR).join(segment_file_name("notes"))).unwrap();
+    let (mut wal, existing) = Wal::open(dir.join(WAL_DIR).join("notes.log")).unwrap();
     assert!(existing.is_empty());
     wal.append_all(&[
-        WalRecord::Meta {
+        WalRecord::MetaPartition {
             id_column: "item_id".into(),
+            partition: 0,
+            spec: PartitionSpec::Single,
         },
         WalRecord::Mutation {
             sql: "CREATE TABLE notes (item_id INTEGER, body TEXT)".into(),
@@ -412,7 +413,8 @@ fn unversioned_manifest_is_refused_as_format_version_1() {
     match CrowdDb::open(&dir) {
         Err(CrowdDbError::Storage(message)) => {
             assert!(
-                message.contains("version 1") && message.contains("version 2"),
+                message.contains("version 1")
+                    && message.contains(&format!("version {FORMAT_VERSION}")),
                 "{message}"
             );
         }

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crowddb::prelude::*;
+use crowddb::storage::{segment_file_name, snapshot_file_name};
 use crowdsim::{BatchCrowdRun, CrowdRun, WorkerId};
 
 /// Wraps a [`SimulatedCrowd`], counting dispatched rounds and accumulating
@@ -240,7 +241,7 @@ fn torn_final_wal_record_is_truncated_on_reopen() {
     }
     // Simulate the crash mid-append: chop bytes off the last frame of the
     // table's segment.
-    let wal = dir.join("wal").join("notes.log");
+    let wal = dir.join("wal").join(segment_file_name("notes", 0));
     let len = std::fs::metadata(&wal).unwrap().len();
     let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
     file.set_len(len - 5).unwrap();
@@ -274,7 +275,7 @@ fn interior_checksum_corruption_is_rejected() {
     }
     // Flip one byte inside the *first* record's payload (well before the
     // tail), leaving frame lengths intact.
-    let wal = dir.join("wal").join("notes.log");
+    let wal = dir.join("wal").join(segment_file_name("notes", 0));
     let mut bytes = std::fs::read(&wal).unwrap();
     let target = 8 + 8 + 4; // header + frame prefix + a few payload bytes
     bytes[target] ^= 0x20;
@@ -313,7 +314,10 @@ fn checkpoint_compacts_the_wal_and_preserves_state() {
             after <= 64,
             "checkpoint truncates to header + config stamp, got {after} bytes"
         );
-        assert!(dir.join("snap").join("movies.snap").exists());
+        assert!(dir
+            .join("snap")
+            .join(snapshot_file_name("movies", 0))
+            .exists());
         // A second checkpoint with nothing new skips the clean table.
         let idle = db.checkpoint().unwrap();
         assert!(!idle.snapshotted_any());
@@ -356,8 +360,14 @@ fn full_checkpoint_rewrites_clean_tables() {
             vec!["movies".to_string(), "notes".to_string()]
         );
         assert!(full.tables_skipped.is_empty());
-        assert!(dir.join("snap").join("movies.snap").exists());
-        assert!(dir.join("snap").join("notes.snap").exists());
+        assert!(dir
+            .join("snap")
+            .join(snapshot_file_name("movies", 0))
+            .exists());
+        assert!(dir
+            .join("snap")
+            .join(snapshot_file_name("notes", 0))
+            .exists());
     }
     let (db, meter) = open_bound(&dir, &domain);
     let notes = db.execute("SELECT item_id, body FROM notes").unwrap();
@@ -471,7 +481,7 @@ fn crash_between_snapshot_and_wal_reset_does_not_double_apply() {
             .unwrap();
         }
         // Reconstruct the crash state: snapshot written, segment reset lost.
-        let wal_path = dir.join("wal").join("notes.log");
+        let wal_path = dir.join("wal").join(segment_file_name("notes", 0));
         let old_wal = std::fs::read(&wal_path).unwrap();
         assert!(db.checkpoint().unwrap().snapshotted_any());
         drop(db);

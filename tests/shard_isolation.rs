@@ -13,7 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crowddb::prelude::*;
-use crowddb::storage::{Wal, WalRecord};
+use crowddb::storage::{segment_file_name, Wal, WalRecord, FORMAT_VERSION};
 use crowdsim::{BatchCrowdRun, CrowdRun};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -193,7 +193,7 @@ fn crash_mid_incremental_checkpoint_recovers_every_table() {
 
         // Second (incremental) checkpoint, then reconstruct the crash:
         // beta's snapshot was written but its segment reset never hit disk.
-        let beta_segment = dir.join("wal").join("beta.log");
+        let beta_segment = dir.join("wal").join(segment_file_name("beta", 0));
         let old_beta = std::fs::read(&beta_segment).unwrap();
         db.checkpoint().unwrap();
         drop(db);
@@ -396,8 +396,10 @@ fn single_file_directory_is_refused_as_format_version_0() {
     let (mut wal, existing) = Wal::open(dir.join("wal.log")).unwrap();
     assert!(existing.is_empty());
     wal.append_all(&[
-        WalRecord::Meta {
+        WalRecord::MetaPartition {
             id_column: "item_id".into(),
+            partition: 0,
+            spec: PartitionSpec::Single,
         },
         WalRecord::Mutation {
             sql: "CREATE TABLE notes (item_id INTEGER, body TEXT)".into(),
@@ -418,7 +420,8 @@ fn single_file_directory_is_refused_as_format_version_0() {
     match CrowdDb::open(&dir) {
         Err(CrowdDbError::Storage(message)) => {
             assert!(
-                message.contains("version 0") && message.contains("version 2"),
+                message.contains("version 0")
+                    && message.contains(&format!("version {FORMAT_VERSION}")),
                 "{message}"
             );
         }

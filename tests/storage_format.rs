@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, RelationalError, Schema, Table};
+use crowddb::storage::segment_file_name;
 use crowdsim::JudgmentResponse;
 
 /// Judgments per item; one of them always dissents.
@@ -226,7 +227,10 @@ fn invalidating_a_missing_table_leaves_no_segment() {
     let db = open(&dir, &PartitionSpec::Single);
     db.checkpoint().unwrap();
     drop(db);
-    assert!(!dir.join("wal").join("no_such_table.log").exists());
-    assert!(dir.join("wal").join("items.log").exists());
+    assert!(!dir
+        .join("wal")
+        .join(segment_file_name("no_such_table", 0))
+        .exists());
+    assert!(dir.join("wal").join(segment_file_name("items", 0)).exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }

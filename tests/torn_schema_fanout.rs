@@ -10,12 +10,16 @@
 //! tags, and the rows of partitions 2 and 3 read `NULL`, tagged
 //! `NotExpanded`.  A full checkpoint and a second reopen must keep the
 //! same cells.
+//!
+//! Creation is torn the same way: a crash after a table's segment was
+//! opened with its meta record and before its `CreateTable` landed leaves
+//! a segment without the table, which reopen must drop with its file.
 
 use std::path::{Path, PathBuf};
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, Schema, Table};
-use crowddb::storage::{Wal, WalRecord};
+use crowddb::storage::{segment_file_name, write_manifest, Manifest, Wal, WalRecord, WAL_DIR};
 
 const ITEMS: i64 = 40;
 const SPEC: PartitionSpec = PartitionSpec::Hash { n: 4 };
@@ -155,6 +159,56 @@ fn a_torn_materialization_recovers_in_every_partition() {
 
     let db = open(&dir);
     check_cells(&db);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-partition table whose segment holds only its meta record — the
+/// creation was torn before its `CreateTable` — is dropped on reopen, file
+/// included, and its name can then be created under another spec.
+#[test]
+fn a_segment_without_its_table_is_dropped_on_reopen() {
+    let dir = test_dir("ghost");
+    std::fs::create_dir_all(dir.join(WAL_DIR)).unwrap();
+    let manifest = Manifest {
+        id_column: "item_id".into(),
+        ..Manifest::default()
+    };
+    write_manifest(&dir, &manifest).unwrap();
+    let segment = dir.join(WAL_DIR).join(segment_file_name("t", 0));
+    let (mut wal, _) = Wal::open(&segment).unwrap();
+    wal.append(&WalRecord::MetaPartition {
+        id_column: "item_id".into(),
+        partition: 0,
+        spec: PartitionSpec::Single,
+    })
+    .unwrap();
+    drop(wal);
+
+    let db = open(&dir);
+    assert!(db.catalog().table("t").is_err());
+    assert!(db.storage_stats().tables.is_empty());
+    assert!(
+        !segment.exists(),
+        "the half-created table's segment survived"
+    );
+
+    let schema = Schema::new(vec![Column::new("item_id", DataType::Integer)]).unwrap();
+    let mut table = Table::new("t", schema);
+    for id in 0..ITEMS {
+        table.insert_row(vec![Value::Integer(id)]).unwrap();
+    }
+    db.create_table_with(TableOptions::new("t", "item_id").partitions(SPEC), table)
+        .unwrap();
+    drop(db);
+
+    let db = open(&dir);
+    assert_eq!(db.catalog().table("t").unwrap().len(), ITEMS as usize);
+    let stats = db.storage_stats();
+    assert_eq!(stats.tables.len(), 1);
+    assert_eq!(stats.tables[0].table, "t");
+    assert_eq!(stats.tables[0].spec, SPEC);
+    assert_eq!(stats.tables[0].partitions.len(), SPEC.partition_count());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
