@@ -78,9 +78,12 @@
 //! every segment with its meta record, logs the per-partition
 //! `CreateTable` row slices to partitions `1..n` first and to partition 0
 //! last, and recovery drops (and deletes the files of) any table whose
-//! spec no segment or manifest entry records, or whose partition-0
-//! segment lacks the table — so a half-created table can never
-//! resurrect, however many partitions it has.
+//! partition 0 lacks it — so a half-created table can never resurrect,
+//! however many partitions it has.  A table partition 0 holds is never
+//! dropped: when a crash between a checkpoint's segment reset and its
+//! meta append left no meta record, and the manifest does not list the
+//! table yet, a table with partition 0 as its only file is one-partition
+//! (every partition's segment exists before the table commits).
 //!
 //! A crash between the in-memory apply and the append loses that one
 //! change.  A crash mid-append leaves a torn tail the next [`recover`]
@@ -593,11 +596,9 @@ fn recover_segmented(
 
 /// Merges one table's replayed parts (sorted by partition) into `state`
 /// and returns the table's open store.  Returns `None` — after deleting
-/// the table's files — when the table's spec is unknown (no segment
-/// carried a meta record and the manifest does not list it) or its
-/// partition-0 segment lacks the table: creation commits on partition 0
-/// (it is logged last), so such a table was half-created when a crash hit
-/// and must not resurrect.
+/// the table's files — when the partition-0 segment lacks the table:
+/// creation commits on partition 0 (it is logged last), so such a table
+/// was half-created when a crash hit and must not resurrect.
 fn merge_table_parts(
     dir: &Path,
     id_column: &str,
@@ -607,8 +608,7 @@ fn merge_table_parts(
 ) -> Result<Option<TableStore>> {
     let exists = (parts.iter().find(|p| p.partition == 0))
         .is_some_and(|p| p.state.catalog.table(table).is_ok());
-    let spec = parts.iter().find_map(|p| p.spec.clone());
-    let Some(spec) = spec.filter(|_| exists) else {
+    if !exists {
         // Drop the stray files so a later CREATE of the same name starts
         // clean.
         for part in parts {
@@ -617,6 +617,22 @@ fn merge_table_parts(
             let _ = std::fs::remove_file(snapshot_path(dir, table, part.partition));
         }
         return Ok(None);
+    }
+    let spec = match parts.iter().find_map(|p| p.spec.clone()) {
+        Some(spec) => spec,
+        // The table came from partition 0's snapshot and a checkpoint
+        // crashed before re-stamping the reset segment.  Every partition's
+        // segment is created before the table commits, so a table whose
+        // only file is partition 0 has one partition.
+        None if parts.len() == 1 => PartitionSpec::Single,
+        None => {
+            return Err(CrowdDbError::Storage(format!(
+                "table '{table}' in {} has {} segments and none records its \
+                 partitioning — the directory is corrupt",
+                dir.display(),
+                parts.len()
+            )))
+        }
     };
     let n = spec.partition_count();
     let mut by_k: BTreeMap<usize, PartRecovered> = parts
@@ -809,8 +825,13 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
         partition,
         spec,
     };
-    if let Some(WalRecord::MetaPartition { spec, .. }) = records.first() {
-        ctx.spec = Some(spec.clone());
+    if let Some(WalRecord::MetaPartition {
+        id_column,
+        partition,
+        spec,
+    }) = records.first()
+    {
+        ctx.adopt_meta(id_column, *partition, spec.clone())?;
     }
     let mut dirty = false;
     for record in records.into_iter().skip(skip) {
@@ -841,6 +862,31 @@ struct ReplayCtx<'a> {
     spec: Option<PartitionSpec>,
 }
 
+impl ReplayCtx<'_> {
+    /// Takes the spec of the segment's meta record after checking that the
+    /// record was written under this id column and for this partition.
+    fn adopt_meta(&mut self, recorded: &str, partition: u32, spec: PartitionSpec) -> Result<()> {
+        if recorded != self.id_column {
+            return Err(CrowdDbError::Storage(format!(
+                "database directory {} was written with id_column '{recorded}' but is \
+                 being opened with id_column '{}' — item-keyed records would \
+                 be misrouted; open with the original configuration",
+                self.dir.display(),
+                self.id_column
+            )));
+        }
+        if partition as usize != self.partition {
+            return Err(CrowdDbError::Storage(format!(
+                "partition segment {} carries a meta record for partition \
+                 {partition} — the directory is corrupt",
+                self.partition
+            )));
+        }
+        self.spec = Some(spec);
+        Ok(())
+    }
+}
+
 /// Replays one WAL record onto the recovered partition.
 fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> Result<()> {
     match record {
@@ -848,17 +894,7 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
             id_column: recorded,
             partition,
             spec,
-        } => {
-            check_id_column(&recorded, ctx)?;
-            if partition as usize != ctx.partition {
-                return Err(CrowdDbError::Storage(format!(
-                    "partition segment {} carries a meta record for partition \
-                     {partition} — the directory is corrupt",
-                    ctx.partition
-                )));
-            }
-            ctx.spec = Some(spec);
-        }
+        } => ctx.adopt_meta(&recorded, partition, spec)?,
         WalRecord::CreateTable(image) => {
             // Idempotent: a record that raced a checkpoint may already be
             // covered by the snapshot.
@@ -955,19 +991,6 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
         WalRecord::CacheInvalidate { table, attribute } => {
             state.cache.invalidate(&table, &attribute);
         }
-    }
-    Ok(())
-}
-
-fn check_id_column(recorded: &str, ctx: &ReplayCtx<'_>) -> Result<()> {
-    if recorded != ctx.id_column {
-        return Err(CrowdDbError::Storage(format!(
-            "database directory {} was written with id_column '{recorded}' but is \
-             being opened with id_column '{}' — item-keyed records would \
-             be misrouted; open with the original configuration",
-            ctx.dir.display(),
-            ctx.id_column
-        )));
     }
     Ok(())
 }

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, Schema, Table};
-use crowddb::storage::{Wal, WalRecord};
+use crowddb::storage::{segment_file_name, Wal, WalRecord};
 
 const SPACE_ITEMS: usize = 64;
 const GOLD: usize = 12;
@@ -138,7 +138,7 @@ fn kind(record: &WalRecord) -> String {
 /// digest of their encoded bytes.
 fn segment_lines(dir: &Path, spec: &PartitionSpec) -> Vec<String> {
     let files: Vec<String> = (0..spec.partition_count())
-        .map(|k| format!("movies.p{k}.log"))
+        .map(|k| segment_file_name("movies", k))
         .collect();
     files
         .into_iter()

@@ -14,12 +14,20 @@
 //! Creation is torn the same way: a crash after a table's segment was
 //! opened with its meta record and before its `CreateTable` landed leaves
 //! a segment without the table, which reopen must drop with its file.
+//! A checkpoint torn between a segment's reset and its meta record must
+//! not drop the table its snapshot holds, and a segment whose meta
+//! record names another partition is refused even under a snapshot.
+//! A partitioned table left with no record of its spec is refused, its
+//! files kept.
 
 use std::path::{Path, PathBuf};
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, Schema, Table};
-use crowddb::storage::{segment_file_name, write_manifest, Manifest, Wal, WalRecord, WAL_DIR};
+use crowddb::storage::{
+    crc32, read_manifest, read_snapshot_file, segment_file_name, snapshot_file_name,
+    write_manifest, Manifest, Wal, WalRecord, SNAP_DIR, WAL_DIR,
+};
 
 const ITEMS: i64 = 40;
 const SPEC: PartitionSpec = PartitionSpec::Hash { n: 4 };
@@ -210,5 +218,130 @@ fn a_segment_without_its_table_is_dropped_on_reopen() {
     assert_eq!(stats.tables[0].spec, SPEC);
     assert_eq!(stats.tables[0].partitions.len(), SPEC.partition_count());
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that crashed between resetting a one-partition table's
+/// segment and re-stamping it, on the table's first checkpoint, leaves the
+/// snapshot holding the table, a segment with a bare header, and a
+/// manifest that does not list the table yet.  Reopen must keep the table
+/// and its rows.
+#[test]
+fn a_checkpoint_torn_before_its_meta_record_keeps_the_table() {
+    let dir = test_dir("torn-reset");
+    let db = open(&dir);
+    let schema = Schema::new(vec![Column::new("item_id", DataType::Integer)]).unwrap();
+    let mut table = Table::new("t", schema);
+    for id in 0..ITEMS {
+        table.insert_row(vec![Value::Integer(id)]).unwrap();
+    }
+    db.create_table_with(TableOptions::new("t", "item_id"), table)
+        .unwrap();
+    db.checkpoint_full().unwrap();
+    drop(db);
+
+    let mut manifest = read_manifest(&dir).unwrap().unwrap();
+    manifest.tables.retain(|(table, _)| table != "t");
+    write_manifest(&dir, &manifest).unwrap();
+    let (mut wal, _) = Wal::open(dir.join(WAL_DIR).join(segment_file_name("t", 0))).unwrap();
+    wal.reset().unwrap();
+    drop(wal);
+    assert!(dir.join(SNAP_DIR).join(snapshot_file_name("t", 0)).exists());
+
+    for _ in 0..2 {
+        let db = open(&dir);
+        assert_eq!(db.catalog().table("t").unwrap().len(), ITEMS as usize);
+        let stats = db.storage_stats();
+        assert_eq!(stats.tables.len(), 1);
+        assert_eq!(stats.tables[0].spec, PartitionSpec::Single);
+        assert_eq!(stats.tables[0].partitions.len(), 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment whose meta record names another partition is refused, even
+/// when the snapshot's skip count covers that record: here the segment
+/// carries the generation the snapshot stamped, so replay skips its only
+/// record.
+#[test]
+fn a_misplaced_segment_is_refused_under_its_snapshot() {
+    let dir = test_dir("misplaced");
+    let db = open(&dir);
+    db.create_table_with(TableOptions::new("movies", "item_id"), movies_table())
+        .unwrap();
+    db.checkpoint_full().unwrap();
+    drop(db);
+
+    let snapshot = dir.join(SNAP_DIR).join(snapshot_file_name("movies", 0));
+    let image = read_snapshot_file(&snapshot).unwrap().unwrap();
+    let payload = WalRecord::MetaPartition {
+        id_column: "item_id".into(),
+        partition: 1,
+        spec: PartitionSpec::Single,
+    }
+    .encode();
+    let mut bytes = b"CDBWAL01".to_vec();
+    bytes.extend_from_slice(&image.wal_generation.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    let segment = dir.join(WAL_DIR).join(segment_file_name("movies", 0));
+    std::fs::write(&segment, &bytes).unwrap();
+
+    let err = CrowdDb::builder()
+        .persistent(&dir)
+        .open()
+        .err()
+        .expect("a misplaced segment must be refused");
+    assert!(
+        err.to_string().contains("meta record for partition 1"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&segment).unwrap(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same torn checkpoint on every partition of a partitioned table
+/// leaves no record of its spec: reopen is refused and the files stay.
+#[test]
+fn a_partitioned_table_without_any_spec_is_refused_not_dropped() {
+    let dir = test_dir("no-spec");
+    let db = open(&dir);
+    db.create_table_with(
+        TableOptions::new("movies", "item_id").partitions(SPEC),
+        movies_table(),
+    )
+    .unwrap();
+    db.checkpoint_full().unwrap();
+    drop(db);
+
+    let mut manifest = read_manifest(&dir).unwrap().unwrap();
+    manifest.tables.clear();
+    write_manifest(&dir, &manifest).unwrap();
+    for k in 0..SPEC.partition_count() {
+        let (mut wal, _) =
+            Wal::open(dir.join(WAL_DIR).join(segment_file_name("movies", k))).unwrap();
+        wal.reset().unwrap();
+    }
+
+    let err = CrowdDb::builder()
+        .persistent(&dir)
+        .open()
+        .err()
+        .expect("a table without a spec must be refused");
+    assert!(
+        err.to_string().contains("none records its partitioning"),
+        "{err}"
+    );
+    for k in 0..SPEC.partition_count() {
+        assert!(dir
+            .join(SNAP_DIR)
+            .join(snapshot_file_name("movies", k))
+            .exists());
+        assert!(dir
+            .join(WAL_DIR)
+            .join(segment_file_name("movies", k))
+            .exists());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
