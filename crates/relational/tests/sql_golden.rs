@@ -6,7 +6,9 @@
 //! folding, `''` escapes, every operator, numbers at the `i64` edges.
 //! The digest covers the `Debug` form of each `parse()` result, `Ok` tree
 //! and `Err` message alike, so any change to a parsed statement or to an
-//! error message fails the test.
+//! error message fails the test.  [`generated_where_clauses`] adds some
+//! 5,000 `WHERE` clauses from a seeded generator, well-formed and not,
+//! pinned the same way.
 
 use relational::parse;
 
@@ -241,4 +243,167 @@ fn the_test_corpus_parses_as_pinned() {
 fn lexical_edge_cases_parse_as_pinned() {
     assert_eq!(parsed(EDGES), 14);
     assert_eq!(digest(EDGES), "6ad8b4b47b98000a");
+}
+
+/// xorshift64: a fixed, self-contained stream, so the generated inputs
+/// never depend on an RNG crate's version.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len())]
+    }
+}
+
+const OPERANDS: &[&str] = &[
+    "a", "score", "Item_Id", "0", "1", "42", "2.5", "1.", "'x'", "'it''s'", "TRUE", "false", "NULL",
+];
+
+/// Literals at the `i64` edges; the last two are no `i64`.
+const EDGE_LITERALS: &[&str] = &[
+    "9223372036854775807",
+    "-9223372036854775808",
+    "- 9223372036854775808",
+    "-0009223372036854775808",
+    "-9223372036854775807",
+    "9223372036854775808",
+    "-9223372036854775809",
+];
+
+const COMPARISONS: &[&str] = &["=", "<>", "!=", "<", "<=", ">", ">="];
+
+/// Every token an expression may hold, and some it may not: the
+/// mutations draw from it.
+const TOKENS: &[&str] = &[
+    "OR", "AND", "NOT", "IS", "NULL", "=", "<>", "<", ">=", "+", "-", "*", "/", "(", ")", "a", "7",
+    "'s'", ",", "ORDER",
+];
+
+/// Tokens of a random expression whose grammar level is at least
+/// `level` (0 = OR, 1 = AND, 2 = NOT, 3 = comparison, 4 = `+ -`,
+/// 5 = `* /`, 6 = operand).  `depth` counts the enclosing parentheses,
+/// NOTs and unary minuses, at most 6; `fuel` bounds the binary operators.
+fn generate(
+    rng: &mut XorShift,
+    level: usize,
+    depth: usize,
+    fuel: &mut usize,
+    out: &mut Vec<&'static str>,
+) {
+    let deeper = depth < 6;
+    match level {
+        0 | 1 | 4 | 5 if *fuel > 0 && rng.below(3) == 0 => {
+            *fuel -= 1;
+            generate(rng, level, depth, fuel, out);
+            out.push(match level {
+                0 => "OR",
+                1 => "AND",
+                4 => rng.pick(&["+", "-"]),
+                _ => rng.pick(&["*", "/"]),
+            });
+            generate(rng, level + 1, depth, fuel, out);
+        }
+        2 if deeper && rng.below(4) == 0 => {
+            out.push("NOT");
+            generate(rng, 2, depth + 1, fuel, out);
+        }
+        3 if rng.below(2) == 0 => {
+            generate(rng, 4, depth, fuel, out);
+            match rng.below(4) {
+                0 => out.extend(["IS", "NULL"]),
+                1 => out.extend(["IS", "NOT", "NULL"]),
+                _ => {
+                    out.push(rng.pick(COMPARISONS));
+                    generate(rng, 4, depth, fuel, out);
+                }
+            }
+        }
+        6 if deeper && rng.below(5) < 2 => {
+            out.push("(");
+            generate(rng, 0, depth + 1, fuel, out);
+            out.push(")");
+        }
+        6 if deeper && rng.below(6) == 0 => {
+            out.push("-");
+            generate(rng, 6, depth + 1, fuel, out);
+        }
+        6 if rng.below(10) == 0 => out.push(rng.pick(EDGE_LITERALS)),
+        6 => out.push(rng.pick(OPERANDS)),
+        _ => generate(rng, level + 1, depth, fuel, out),
+    }
+}
+
+/// Malformed shapes the mutations might miss.
+const MALFORMED: &[&str] = &[
+    "a = 1 = 2",
+    "a < b >= c",
+    "(a = 1 = 2)",
+    "a = NOT b",
+    "a + NOT b",
+    "NOT a = NOT b",
+    "a +",
+    "a AND",
+    "a OR OR b",
+    "* a",
+    "a = 1 AND",
+    "(a = 1",
+    "a = 1)",
+    "((a)",
+    "()",
+    "a IS",
+    "a IS NOT",
+    "a IS 1",
+    "a IS NOT TRUE",
+    "a IS NULL IS NULL",
+    "a IS NULL = 1",
+    "a = b IS NULL",
+    "a IS NULL + 1",
+    "NOT",
+    "-",
+    "- NOT a",
+    "a = 1 #",
+];
+
+/// About 5,000 `WHERE` clauses: well-formed expressions, a third of them
+/// mutated by a token inserted, dropped or doubled, and [`MALFORMED`].
+fn generated_where_clauses() -> Vec<String> {
+    let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+    let mut clauses = Vec::new();
+    for _ in 0..5_000 {
+        let mut tokens = Vec::new();
+        let mut fuel = rng.below(8);
+        generate(&mut rng, 0, 0, &mut fuel, &mut tokens);
+        if rng.below(3) == 0 {
+            let at = rng.below(tokens.len() + 1);
+            match rng.below(3) {
+                0 => tokens.insert(at, rng.pick(TOKENS)),
+                1 if at < tokens.len() => drop(tokens.remove(at)),
+                _ if at < tokens.len() => tokens.insert(at, tokens[at]),
+                _ => tokens.push(rng.pick(TOKENS)),
+            }
+        }
+        clauses.push(format!("SELECT * FROM t WHERE {}", tokens.join(" ")));
+    }
+    clauses.extend(
+        MALFORMED
+            .iter()
+            .map(|expr| format!("SELECT * FROM t WHERE {expr}")),
+    );
+    clauses
+}
+
+#[test]
+fn generated_expressions_parse_as_pinned() {
+    let clauses = generated_where_clauses();
+    let clauses: Vec<&str> = clauses.iter().map(String::as_str).collect();
+    assert_eq!(clauses.len(), 5_000 + MALFORMED.len());
+    assert_eq!(parsed(&clauses), 3082);
+    assert_eq!(digest(&clauses), "f8159d106befc8e3");
 }
