@@ -3,6 +3,15 @@
 //! The parser pulls tokens from the [`Lexer`] one at a time, with one
 //! token of lookahead, and takes each by value: it allocates only the
 //! strings and nodes the [`Statement`] keeps.
+//!
+//! Expressions are parsed by precedence climbing (Pratt, "Top Down
+//! Operator Precedence", 1973): one loop reads an operand and then extends
+//! it with each infix operator whose binding power is high enough.  The
+//! binding-power table [`infix`] orders the operators, loosest first:
+//! `OR` < `AND` < prefix `NOT` < comparisons and `IS [NOT] NULL` <
+//! `+ -` < `* /`.  A binary operator parses its right operand one power
+//! higher, so equal powers associate to the left; a comparison closes its
+//! operand, so comparisons do not chain.
 
 use super::lexer::{Keyword, Lexer, Token};
 use super::{
@@ -186,7 +195,7 @@ impl<'a> Parser<'a> {
         loop {
             let column = self.identifier()?;
             self.expect(&Token::Eq)?;
-            let value = self.expression()?;
+            let value = self.expression_bp(0)?;
             assignments.push((column, value));
             if !self.consume_if(&Token::Comma) {
                 break;
@@ -211,7 +220,7 @@ impl<'a> Parser<'a> {
     /// An optional `WHERE <expression>`.
     fn where_clause(&mut self) -> Result<Option<Expr>> {
         if self.consume_keyword_if(Keyword::Where) {
-            Ok(Some(self.expression()?))
+            Ok(Some(self.expression_bp(0)?))
         } else {
             Ok(None)
         }
@@ -480,13 +489,28 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn literal_value(&mut self) -> Result<Value> {
-        match self.advance() {
+    /// The value of a literal token — a number, a string, `TRUE`,
+    /// `FALSE` or `NULL` — or `None`, with the token left unread, when
+    /// the next token is none of those.
+    fn literal(&mut self) -> Option<Result<Value>> {
+        Some(match self.advance() {
             Some(Token::Number(n)) => parse_number(n),
             Some(Token::StringLiteral(s)) => Ok(Value::Text(s.into_owned())),
             Some(Token::Keyword(Keyword::True)) => Ok(Value::Boolean(true)),
             Some(Token::Keyword(Keyword::False)) => Ok(Value::Boolean(false)),
             Some(Token::Keyword(Keyword::Null)) => Ok(Value::Null),
+            other => {
+                self.peeked = other;
+                return None;
+            }
+        })
+    }
+
+    fn literal_value(&mut self) -> Result<Value> {
+        if let Some(value) = self.literal() {
+            return value;
+        }
+        match self.advance() {
             Some(Token::Minus) => match self.advance() {
                 Some(Token::Number(n)) if is_i64_min_magnitude(n) => Ok(Value::Integer(i64::MIN)),
                 Some(Token::Number(n)) => match parse_number(n)? {
@@ -504,106 +528,50 @@ impl<'a> Parser<'a> {
         }
     }
 
-    // Expression grammar, lowest precedence first.
-    fn expression(&mut self) -> Result<Expr> {
-        self.or_expression()
-    }
-
-    fn or_expression(&mut self) -> Result<Expr> {
-        let mut left = self.and_expression()?;
-        while self.consume_keyword_if(Keyword::Or) {
-            let right = self.and_expression()?;
-            left = Expr::binary(left, BinaryOperator::Or, right);
-        }
-        Ok(left)
-    }
-
-    fn and_expression(&mut self) -> Result<Expr> {
-        let mut left = self.not_expression()?;
-        while self.consume_keyword_if(Keyword::And) {
-            let right = self.not_expression()?;
-            left = Expr::binary(left, BinaryOperator::And, right);
-        }
-        Ok(left)
-    }
-
-    fn not_expression(&mut self) -> Result<Expr> {
-        if self.consume_keyword_if(Keyword::Not) {
-            let inner = self.nested(Self::not_expression)?;
-            return Ok(Expr::UnaryOp {
+    /// An expression whose operators bind at least as tightly as `min_bp`,
+    /// with [`Self::factor`] as the operand.  `max_bp` is the tightest
+    /// operator that may still extend `left`: after a comparison, `IS` or
+    /// `NOT`, only looser ones may.
+    fn expression_bp(&mut self, min_bp: u8) -> Result<Expr> {
+        let (mut left, mut max_bp) = if min_bp <= NOT_BP && self.consume_keyword_if(Keyword::Not) {
+            let inner = self.nested(|parser| parser.expression_bp(NOT_BP))?;
+            let not = Expr::UnaryOp {
                 op: UnaryOperator::Not,
                 expr: Box::new(inner),
-            });
-        }
-        self.comparison()
-    }
-
-    fn comparison(&mut self) -> Result<Expr> {
-        let left = self.additive()?;
-        // IS [NOT] NULL
-        if self.consume_keyword_if(Keyword::Is) {
-            let negated = self.consume_keyword_if(Keyword::Not);
-            self.keyword(Keyword::Null)?;
-            return Ok(if negated {
-                Expr::IsNotNull(Box::new(left))
-            } else {
-                Expr::IsNull(Box::new(left))
-            });
-        }
-        let op = match self.peek() {
-            Some(Token::Eq) => Some(BinaryOperator::Eq),
-            Some(Token::NotEq) => Some(BinaryOperator::NotEq),
-            Some(Token::Lt) => Some(BinaryOperator::Lt),
-            Some(Token::LtEq) => Some(BinaryOperator::LtEq),
-            Some(Token::Gt) => Some(BinaryOperator::Gt),
-            Some(Token::GtEq) => Some(BinaryOperator::GtEq),
-            _ => None,
+            };
+            (not, NOT_BP - 1)
+        } else {
+            (self.factor()?, MULTIPLICATIVE_BP)
         };
-        if let Some(op) = op {
+        while let Some((op, bp)) = self.peek().and_then(infix) {
+            if bp < min_bp || bp > max_bp {
+                break;
+            }
             self.peeked = None;
-            let right = self.additive()?;
-            return Ok(Expr::binary(left, op, right));
-        }
-        Ok(left)
-    }
-
-    fn additive(&mut self) -> Result<Expr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinaryOperator::Plus,
-                Some(Token::Minus) => BinaryOperator::Minus,
-                _ => break,
+            left = match op {
+                Some(op) => Expr::binary(left, op, self.expression_bp(bp + 1)?),
+                None => {
+                    let negated = self.consume_keyword_if(Keyword::Not);
+                    self.keyword(Keyword::Null)?;
+                    if negated {
+                        Expr::IsNotNull(Box::new(left))
+                    } else {
+                        Expr::IsNull(Box::new(left))
+                    }
+                }
             };
-            self.peeked = None;
-            let right = self.multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.factor()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinaryOperator::Multiply,
-                Some(Token::Slash) => BinaryOperator::Divide,
-                _ => break,
-            };
-            self.peeked = None;
-            let right = self.factor()?;
-            left = Expr::binary(left, op, right);
+            // AND, OR and arithmetic associate to the left; comparisons
+            // do not associate at all.
+            max_bp = if bp == COMPARISON_BP { bp - 1 } else { bp };
         }
         Ok(left)
     }
 
     fn factor(&mut self) -> Result<Expr> {
+        if let Some(value) = self.literal() {
+            return Ok(Expr::Literal(value?));
+        }
         match self.advance() {
-            Some(Token::Number(n)) => Ok(Expr::Literal(parse_number(n)?)),
-            Some(Token::StringLiteral(s)) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
-            Some(Token::Keyword(Keyword::True)) => Ok(Expr::Literal(Value::Boolean(true))),
-            Some(Token::Keyword(Keyword::False)) => Ok(Expr::Literal(Value::Boolean(false))),
-            Some(Token::Keyword(Keyword::Null)) => Ok(Expr::Literal(Value::Null)),
             Some(Token::Identifier(name)) => Ok(Expr::Column(fold_name(name).into_owned())),
             // `-9223372036854775808` is the one integer whose magnitude
             // no `i64` holds: it reads as the literal, not as a negation.
@@ -620,7 +588,7 @@ impl<'a> Parser<'a> {
                 })
             }
             Some(Token::LeftParen) => {
-                let inner = self.nested(Self::expression)?;
+                let inner = self.nested(|parser| parser.expression_bp(0))?;
                 self.expect(&Token::RightParen)?;
                 Ok(inner)
             }
@@ -629,6 +597,37 @@ impl<'a> Parser<'a> {
             ))),
         }
     }
+}
+
+// Binding powers, loosest first.
+const OR_BP: u8 = 1;
+const AND_BP: u8 = 2;
+/// Prefix `NOT`: its operand may hold comparisons but no AND or OR.
+const NOT_BP: u8 = 3;
+const COMPARISON_BP: u8 = 4;
+const ADDITIVE_BP: u8 = 5;
+const MULTIPLICATIVE_BP: u8 = 6;
+
+/// The binding-power table: each infix token's operator and power.
+/// `IS` (operator `None`) is the postfix `IS [NOT] NULL`, a comparison.
+fn infix(token: &Token<'_>) -> Option<(Option<BinaryOperator>, u8)> {
+    let (op, bp) = match token {
+        Token::Keyword(Keyword::Or) => (BinaryOperator::Or, OR_BP),
+        Token::Keyword(Keyword::And) => (BinaryOperator::And, AND_BP),
+        Token::Keyword(Keyword::Is) => return Some((None, COMPARISON_BP)),
+        Token::Eq => (BinaryOperator::Eq, COMPARISON_BP),
+        Token::NotEq => (BinaryOperator::NotEq, COMPARISON_BP),
+        Token::Lt => (BinaryOperator::Lt, COMPARISON_BP),
+        Token::LtEq => (BinaryOperator::LtEq, COMPARISON_BP),
+        Token::Gt => (BinaryOperator::Gt, COMPARISON_BP),
+        Token::GtEq => (BinaryOperator::GtEq, COMPARISON_BP),
+        Token::Plus => (BinaryOperator::Plus, ADDITIVE_BP),
+        Token::Minus => (BinaryOperator::Minus, ADDITIVE_BP),
+        Token::Star => (BinaryOperator::Multiply, MULTIPLICATIVE_BP),
+        Token::Slash => (BinaryOperator::Divide, MULTIPLICATIVE_BP),
+        _ => return None,
+    };
+    Some((Some(op), bp))
 }
 
 /// True when `text` is an integer literal spelling `i64::MIN`'s magnitude,
