@@ -2464,6 +2464,27 @@ impl DbInner {
             routes.push(part);
         }
         let writes = writes(&index);
+        // A failed write must change nothing: a column that exists with
+        // another type is refused before the first cell is written.
+        for write in &writes {
+            let ColumnWrite::Materialize {
+                column, data_type, ..
+            } = write
+            else {
+                continue;
+            };
+            for guard in guards.iter() {
+                let schema = guard.table(table)?.schema();
+                if let Some(existing) = schema.column(column).filter(|c| c.data_type != *data_type)
+                {
+                    return Err(RelationalError::TypeMismatch(format!(
+                        "column {column} of type {} cannot be materialized as {data_type}",
+                        existing.data_type
+                    ))
+                    .into());
+                }
+            }
+        }
         let mut outcomes = Vec::with_capacity(writes.len());
         let mut records = Vec::new();
         for write in writes {

@@ -3,7 +3,8 @@
 //! One case per way a cell of an expanded column can change: SQL `UPDATE`,
 //! `DELETE` followed by a re-`INSERT` of the id, an `INSERT` of a new id,
 //! a repair round, a numeric (SVR) expansion, and an `UPDATE` that
-//! overwrites every budget hole of an incomplete column.  Each case runs
+//! overwrites every budget hole of an incomplete column — and a column
+//! write that fails, which must change no cell.  Each case runs
 //! on `Single` and `Hash{4}` tables, in memory and persistent; the
 //! persistent runs also check that reopening — before and after a full
 //! checkpoint — gives back bit-identical rows and provenance.
@@ -13,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crowddb::prelude::*;
-use crowddb::relational::{Column, Schema, Table};
+use crowddb::relational::{Column, RelationalError, Schema, Table};
 use crowdsim::JudgmentResponse;
 
 /// Items `0..IN_SPACE` have coordinates in the perceptual space.
@@ -392,5 +393,45 @@ fn overwriting_every_budget_hole_completes_the_column() {
         assert!(full.reports.is_empty());
         assert_eq!(full.crowd_cost, 0.0);
         assert_eq!(calls.load(Ordering::SeqCst), dispatched, "no crowd round");
+    });
+}
+
+#[test]
+fn a_failed_column_write_changes_no_cell_and_logs_nothing() {
+    on_every_layout("failed", |db, _| {
+        // Rows of items outside the space come first in every partition,
+        // so a write that fails at an in-space row has passed some.
+        db.execute(&format!("DELETE FROM items WHERE item_id < {IN_SPACE}"))
+            .unwrap();
+        let rows: Vec<String> = (OUTSIDE + 1..OUTSIDE + 9)
+            .chain(0..IN_SPACE)
+            .map(|id| format!("({id}, 'item {id}')"))
+            .collect();
+        db.execute(&format!(
+            "INSERT INTO items (item_id, label) VALUES {}",
+            rows.join(", ")
+        ))
+        .unwrap();
+        let cells = all_cells(db);
+        let storage = db.storage_stats();
+        // `label` is TEXT: a FLOAT column cannot be materialized into it,
+        // not even in the NULL cell of the item outside the space.
+        let gold: Vec<(u32, f64)> = vec![(0, 0.0), (8, 2.0), (16, 4.0), (23, 5.75)];
+        let error = db
+            .expand_numeric_attribute("items", "label", &gold, &Default::default())
+            .unwrap_err();
+        assert!(
+            matches!(
+                error,
+                CrowdDbError::Relational(RelationalError::TypeMismatch(_))
+            ),
+            "{error:?}"
+        );
+        for id in (OUTSIDE..OUTSIDE + 9).chain(0..IN_SPACE) {
+            let text = Value::Text(format!("item {id}"));
+            assert_eq!(cell(db, "label", id), (text, CellProvenance::Stored));
+        }
+        assert_eq!(all_cells(db), cells, "every cell is unchanged");
+        assert_eq!(db.storage_stats(), storage, "no record is logged");
     });
 }
