@@ -6,7 +6,7 @@ use crate::catalog::Catalog;
 use crate::error::RelationalError;
 use crate::expr::{BoundExpr, Expr};
 use crate::grid::Grid;
-use crate::schema::{fold_name, Column, Schema};
+use crate::schema::{fold_name, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
 use crate::table::Table;
 use crate::value::Value;
@@ -92,23 +92,11 @@ pub fn analyze(statement: &Statement, catalog: &Catalog) -> Result<StatementAnal
 /// Passing a write statement is a logic error and reported as
 /// [`RelationalError::InvalidStatement`].
 pub fn execute_read(statement: &Statement, catalog: &Catalog) -> Result<QueryResult> {
-    execute_read_indexed(statement, catalog).map(|(result, _)| result)
-}
-
-/// Like [`execute_read`], additionally returning the table row index behind
-/// each result row (parallel to `result.rows`).
-///
-/// Row-level lineage is what a caller needs to attach *provenance* to the
-/// returned cells: the projected values alone no longer say which physical
-/// row — and therefore which crowd-sourced item — they came from.  The crowd
-/// layer joins these indices against its id → item mapping to report, per
-/// cell, whether the value was stored, crowd-derived, cached, or missing.
-pub fn execute_read_indexed(
-    statement: &Statement,
-    catalog: &Catalog,
-) -> Result<(QueryResult, Vec<usize>)> {
     match statement {
-        Statement::Select(select) => execute_select_indexed(select, catalog),
+        Statement::Select(select) => {
+            let table = catalog.table(&select.table)?;
+            Ok(execute_select_partitions(select, &[table], false)?.result)
+        }
         Statement::ExplainExpansion(_) => Err(RelationalError::InvalidStatement(
             "EXPLAIN EXPANSION is answered by the crowd layer, not the relational engine \
              (the plan it describes does not exist here)"
@@ -139,17 +127,6 @@ pub struct SelectResult {
     /// pinned id when the `WHERE` pins the partition's key column (see
     /// [`Table::key_column`]), otherwise every row.
     pub rows_scanned: usize,
-}
-
-/// Executes a `SELECT` under snapshot semantics against a single-table
-/// catalog: the one-partition case of [`execute_select_partitions`] with
-/// `snapshot = true`.
-pub fn execute_select_snapshot(
-    select: &SelectStatement,
-    catalog: &Catalog,
-) -> Result<SelectResult> {
-    let table = catalog.table(&select.table)?;
-    execute_select_partitions(select, &[table], true)
 }
 
 /// The one `SELECT` implementation: bind, scan, filter, order, limit,
@@ -295,12 +272,7 @@ pub fn execute_select_partitions(
 /// Executes a parsed statement against the catalog.
 pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResult> {
     match statement {
-        Statement::Select(select) => execute_select(select, catalog),
-        Statement::ExplainExpansion(_) => Err(RelationalError::InvalidStatement(
-            "EXPLAIN EXPANSION is answered by the crowd layer, not the relational engine \
-             (the plan it describes does not exist here)"
-                .into(),
-        )),
+        Statement::Select(_) | Statement::ExplainExpansion(_) => execute_read(statement, catalog),
         Statement::Insert {
             table,
             columns,
@@ -440,23 +412,6 @@ fn execute_delete(
     })
 }
 
-/// Executes a `SELECT`.
-pub fn execute_select(select: &SelectStatement, catalog: &Catalog) -> Result<QueryResult> {
-    execute_select_indexed(select, catalog).map(|(result, _)| result)
-}
-
-/// Executes a `SELECT`, returning the result alongside the table row index
-/// behind each result row (see [`execute_read_indexed`]).
-pub fn execute_select_indexed(
-    select: &SelectStatement,
-    catalog: &Catalog,
-) -> Result<(QueryResult, Vec<usize>)> {
-    let table = catalog.table(&select.table)?;
-    let selected = execute_select_partitions(select, &[table], false)?;
-    let rows = selected.lineage.into_iter().map(|(_, row)| row).collect();
-    Ok((selected.result, rows))
-}
-
 fn execute_insert(
     table_name: &str,
     columns: &[String],
@@ -494,26 +449,10 @@ fn execute_insert(
     })
 }
 
-/// Convenience helper: creates a table directly from a schema description,
-/// bypassing SQL.  Used by the data generators to bulk-load synthetic
-/// domains.
-pub fn create_table_with_rows(
-    catalog: &mut Catalog,
-    name: &str,
-    columns: Vec<Column>,
-    rows: Vec<Vec<Value>>,
-) -> Result<()> {
-    let schema = Schema::new(columns)?;
-    let mut table = Table::new(name, schema);
-    for row in rows {
-        table.insert_row(row)?;
-    }
-    catalog.create_table(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Column;
     use crate::sql::parse;
     use crate::value::DataType;
 
@@ -538,6 +477,19 @@ mod tests {
         )
         .unwrap();
         catalog
+    }
+
+    fn select_of(sql: &str) -> SelectStatement {
+        match parse(sql).unwrap() {
+            Statement::Select(select) => select,
+            other => panic!("expected SELECT, got {other:?}"),
+        }
+    }
+
+    /// `select` on `catalog`'s table as the one partition it is.
+    fn select_on(select: &SelectStatement, catalog: &Catalog, snapshot: bool) -> SelectResult {
+        let table = catalog.table(&select.table).unwrap();
+        execute_select_partitions(select, &[table], snapshot).unwrap()
     }
 
     #[test]
@@ -566,18 +518,19 @@ mod tests {
     #[test]
     fn indexed_select_reports_the_physical_row_behind_each_result_row() {
         let catalog = setup();
-        let stmt = parse("SELECT name FROM movies WHERE year < 1977 ORDER BY rating DESC").unwrap();
-        let (result, rows) = execute_read_indexed(&stmt, &catalog).unwrap();
+        let sql = "SELECT name FROM movies WHERE year < 1977 ORDER BY rating DESC";
+        let selected = select_on(&select_of(sql), &catalog, false);
         // By rating: Psycho (row 1), Vertigo (row 2), Rocky (row 0);
         // Grease (1978) is filtered out.
-        assert_eq!(rows, vec![1, 2, 0]);
-        assert_eq!(result.rows.len(), rows.len());
-        // The indexed and plain paths agree.
-        assert_eq!(execute_read(&stmt, &catalog).unwrap(), result);
-        // Write statements are rejected, as on the plain read path.
+        assert_eq!(selected.lineage, vec![(0, 1), (0, 2), (0, 0)]);
+        assert_eq!(selected.result.rows.len(), selected.lineage.len());
+        // The lineage and plain read paths agree.
+        let stmt = parse(sql).unwrap();
+        assert_eq!(execute_read(&stmt, &catalog).unwrap(), selected.result);
+        // Write statements are rejected on the read path.
         let stmt = parse("DELETE FROM movies").unwrap();
         assert!(matches!(
-            execute_read_indexed(&stmt, &catalog),
+            execute_read(&stmt, &catalog),
             Err(RelationalError::InvalidStatement(_))
         ));
     }
@@ -873,11 +826,12 @@ mod tests {
         // `is_comedy` does not exist: the strict path errors, the snapshot
         // path answers with the column all-NULL and the predicate over it
         // rejecting every row (NULL-rejects semantics).
-        let select = match parse("SELECT name, is_comedy FROM movies WHERE year < 1977").unwrap() {
-            Statement::Select(select) => select,
-            other => panic!("expected SELECT, got {other:?}"),
-        };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let select = select_of("SELECT name, is_comedy FROM movies WHERE year < 1977");
+        assert!(matches!(
+            execute_select_partitions(&select, &[catalog.table("movies").unwrap()], false),
+            Err(RelationalError::UnknownColumn { .. })
+        ));
+        let snapshot = select_on(&select, &catalog, true);
         assert_eq!(snapshot.result.columns, vec!["name", "is_comedy"]);
         assert_eq!(snapshot.missing_columns, vec!["is_comedy"]);
         assert_eq!(snapshot.result.rows.len(), 3);
@@ -885,41 +839,29 @@ mod tests {
         assert_eq!(snapshot.result.rows.len(), snapshot.lineage.len());
 
         // A predicate over the missing column rejects all rows…
-        let select = match parse("SELECT name FROM movies WHERE is_comedy = true").unwrap() {
-            Statement::Select(select) => select,
-            other => panic!("expected SELECT, got {other:?}"),
-        };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let select = select_of("SELECT name FROM movies WHERE is_comedy = true");
+        let snapshot = select_on(&select, &catalog, true);
         assert!(snapshot.result.rows.is_empty());
         assert_eq!(snapshot.missing_columns, vec!["is_comedy"]);
 
         // …while OR over a stored column still answers from stored data,
         // and a missing ORDER BY key degrades to scan order instead of
         // failing.
-        let select = match parse(
+        let select = select_of(
             "SELECT name FROM movies WHERE is_comedy = true OR year < 1977 ORDER BY humor",
-        )
-        .unwrap()
-        {
-            Statement::Select(select) => select,
-            other => panic!("expected SELECT, got {other:?}"),
-        };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        );
+        let snapshot = select_on(&select, &catalog, true);
         assert_eq!(snapshot.result.rows.len(), 3);
         assert_eq!(snapshot.missing_columns, vec!["is_comedy", "humor"]);
 
         // Fully resolved statements report nothing missing and agree with
         // the strict executor.
-        let select = match parse("SELECT name FROM movies WHERE year < 1977").unwrap() {
-            Statement::Select(select) => select,
-            other => panic!("expected SELECT, got {other:?}"),
-        };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let select = select_of("SELECT name FROM movies WHERE year < 1977");
+        let snapshot = select_on(&select, &catalog, true);
         assert!(snapshot.missing_columns.is_empty());
-        let (strict, indices) = execute_select_indexed(&select, &catalog).unwrap();
-        assert_eq!(snapshot.result, strict);
-        let rows: Vec<usize> = snapshot.lineage.iter().map(|&(_, row)| row).collect();
-        assert_eq!(rows, indices);
+        let strict = select_on(&select, &catalog, false);
+        assert_eq!(snapshot.result, strict.result);
+        assert_eq!(snapshot.lineage, strict.lineage);
     }
 
     #[test]
@@ -931,7 +873,7 @@ mod tests {
             Err(RelationalError::InvalidStatement(_))
         ));
         assert!(matches!(
-            execute_read_indexed(&stmt, &catalog),
+            execute_read(&stmt, &catalog),
             Err(RelationalError::InvalidStatement(_))
         ));
         // But analysis sees straight through to the wrapped SELECT.
@@ -1015,26 +957,27 @@ mod tests {
 
     #[test]
     fn helper_bulk_loads_tables() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Integer),
+            Column::new("name", DataType::Text),
+        ])
+        .unwrap();
+        let mut table = Table::new("genres", schema);
+        table
+            .insert_row(vec![Value::Integer(2), Value::from("drama")])
+            .unwrap();
+        table
+            .insert_row(vec![Value::Integer(1), Value::from("comedy")])
+            .unwrap();
         let mut catalog = Catalog::new();
-        create_table_with_rows(
-            &mut catalog,
-            "genres",
-            vec![
-                Column::new("id", DataType::Integer),
-                Column::new("name", DataType::Text),
-            ],
-            vec![
-                vec![Value::Integer(1), Value::from("comedy")],
-                vec![Value::Integer(2), Value::from("drama")],
-            ],
-        )
-        .unwrap();
-        let result = execute(
-            &parse("SELECT name FROM genres ORDER BY id").unwrap(),
-            &mut catalog,
-        )
-        .unwrap();
-        assert_eq!(result.rows.len(), 2);
-        assert_eq!(result.rows[0][0], Value::from("comedy"));
+        catalog.create_table(table).unwrap();
+        let selected = select_on(
+            &select_of("SELECT name FROM genres ORDER BY id"),
+            &catalog,
+            false,
+        );
+        assert_eq!(selected.result.rows.len(), 2);
+        assert_eq!(selected.result.rows[0][0], Value::from("comedy"));
+        assert_eq!(selected.lineage, vec![(0, 1), (0, 0)]);
     }
 }

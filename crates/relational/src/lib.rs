@@ -52,8 +52,8 @@ pub mod value;
 pub use catalog::Catalog;
 pub use error::RelationalError;
 pub use executor::{
-    analyze, execute, execute_read, execute_read_indexed, execute_select_partitions,
-    execute_select_snapshot, QueryResult, SelectResult, StatementAnalysis,
+    analyze, execute, execute_read, execute_select_partitions, QueryResult, SelectResult,
+    StatementAnalysis,
 };
 pub use expr::{BinaryOperator, Expr, UnaryOperator};
 pub use grid::Grid;
