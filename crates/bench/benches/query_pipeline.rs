@@ -1,7 +1,8 @@
 //! Criterion bench: end-to-end query execution in the crowd-enabled
 //! database — factual queries (no expansion), the full query-driven
 //! schema expansion pipeline, the point read's fixed cost (parsing the
-//! point `SELECT` alone, and a point `run()` on a `Hash{4}` table), and
+//! point `SELECT` alone, and a point `run()` on a `Hash{4}` table), the
+//! parse of a `WHERE` chain and of 16 nested parentheses, and
 //! the range read of the repository benchmark's `remote_read` workload:
 //! 800 rows of crowd-filled columns with their provenance, read in
 //! process and pushed through the wire codec, and the CRC-32 of a frame
@@ -57,6 +58,19 @@ fn items_db() -> CrowdDb {
 fn bench_point_read(c: &mut Criterion) {
     let sql = point_select(1_234);
     c.bench_function("parse_point_select", |b| {
+        b.iter(|| relational::parse(black_box(&sql)).unwrap())
+    });
+    let sql = "SELECT item_id FROM items \
+               WHERE item_id = 1234 AND (score > 0.5 OR NOT label IS NULL)";
+    c.bench_function("parse_where_chain", |b| {
+        b.iter(|| relational::parse(black_box(sql)).unwrap())
+    });
+    let sql = format!(
+        "SELECT item_id FROM items WHERE {}item_id = 1234{}",
+        "(".repeat(16),
+        ")".repeat(16)
+    );
+    c.bench_function("parse_nested_parens", |b| {
         b.iter(|| relational::parse(black_box(&sql)).unwrap())
     });
 
