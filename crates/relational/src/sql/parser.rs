@@ -560,8 +560,8 @@ impl<'a> Parser<'a> {
                     }
                 }
             };
-            // AND, OR and arithmetic associate to the left; comparisons
-            // do not associate at all.
+            // AND, OR and arithmetic associate to the left; comparisons,
+            // `IS` among them, do not associate at all.
             max_bp = if bp == COMPARISON_BP { bp - 1 } else { bp };
         }
         Ok(left)
