@@ -399,8 +399,8 @@ fn overwriting_every_budget_hole_completes_the_column() {
 #[test]
 fn a_failed_column_write_changes_no_cell_and_logs_nothing() {
     on_every_layout("failed", |db, _| {
-        // Rows of items outside the space come first in every partition,
-        // so a write that fails at an in-space row has passed some.
+        // Rows of items outside the space come first, so a write that
+        // fails at the first in-space row has already passed some.
         db.execute(&format!("DELETE FROM items WHERE item_id < {IN_SPACE}"))
             .unwrap();
         let rows: Vec<String> = (OUTSIDE + 1..OUTSIDE + 9)
