@@ -8,9 +8,12 @@
 //! and `Err` message alike, so any change to a parsed statement or to an
 //! error message fails the test.  [`generated_where_clauses`] adds some
 //! 5,000 `WHERE` clauses from a seeded generator, well-formed and not,
-//! pinned the same way.
+//! pinned the same way.  [`generated_where_clauses_filter_as_pinned`]
+//! and [`hand_written_filters_evaluate_as_pinned`] run those clauses, and
+//! [`FILTERS`], through the executor over a fixed table and pin what each
+//! one answers: the matched rows in order, or the error message.
 
-use relational::parse;
+use relational::{execute, execute_read, parse, Catalog, Column, DataType, Schema, Table, Value};
 
 const CORPUS: &[&str] = &[
     "CREATE TABLE t (v INTEGER)",
@@ -406,4 +409,209 @@ fn generated_expressions_parse_as_pinned() {
     assert_eq!(clauses.len(), 5_000 + MALFORMED.len());
     assert_eq!(parsed(&clauses), 3082);
     assert_eq!(digest(&clauses), "f8159d106befc8e3");
+}
+
+/// A fixed 64-row table `t` over the generator's columns: `item_id`
+/// (small ids, two `NULL`s and the `i64` edges last), `score` (floats,
+/// widened integers, `NULL`s; with `odd_floats`, also NaN and the
+/// infinities) and `a`, of type `a_type` (BOOLEAN, INTEGER or TEXT,
+/// `NULL` every fifth row).  With `keyed`, `item_id` is the table's key column, so a
+/// pinned id reads through the key index.
+fn filter_table(a_type: DataType, keyed: bool, odd_floats: bool) -> Catalog {
+    let schema = Schema::new(vec![
+        Column::new("item_id", DataType::Integer),
+        Column::new("a", a_type),
+        Column::new("score", DataType::Float),
+    ])
+    .unwrap();
+    let mut table = Table::new("t", schema);
+    for i in 0..64i64 {
+        let item_id = match i {
+            7 | 23 => Value::Null,
+            60 => Value::Integer(i64::MIN),
+            61 => Value::Integer(i64::MAX),
+            62 => Value::Integer(i64::MIN + 1),
+            63 => Value::Integer(i64::MAX - 1),
+            _ => Value::Integer(i - 20),
+        };
+        let a = match (a_type, i % 5) {
+            (_, 0) => Value::Null,
+            (DataType::Boolean, r) => Value::Boolean(r % 2 == 1),
+            (DataType::Integer, r) => Value::Integer([0, 1, 42, -7][r as usize - 1]),
+            (_, 1) => Value::from("x"),
+            (_, 2) => Value::from("it's"),
+            (_, 3) => Value::from(""),
+            _ => Value::Text(format!("t{i}")),
+        };
+        let score = match (i % 8, odd_floats) {
+            (0, _) => Value::Null,
+            (1, _) => Value::Float(i as f64 * 0.5 - 10.0),
+            (2, _) => Value::Float(2.5),
+            (3, _) => Value::Integer(i - 30),
+            (4, true) if i == 12 || i == 36 => Value::Float(f64::NAN),
+            (4, true) if i == 44 => Value::Float(f64::NEG_INFINITY),
+            (4, _) => Value::Float(9.3e18),
+            (5, _) => Value::Float(-0.0),
+            (6, true) if i == 54 => Value::Float(f64::INFINITY),
+            (6, _) => Value::Float(1.0),
+            _ => Value::Float(i as f64 / 3.0),
+        };
+        table.insert_row(vec![item_id, a, score]).unwrap();
+    }
+    if keyed {
+        table.index_key("item_id").unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.create_table(table).unwrap();
+    catalog
+}
+
+/// The tables every filter runs over: `a` BOOLEAN and `a` INTEGER, each
+/// with a key index on `item_id`, and `a` TEXT, unindexed, with NaN and
+/// the infinities.
+fn filter_tables() -> [(&'static str, Catalog); 3] {
+    [
+        ("boolean", filter_table(DataType::Boolean, true, false)),
+        ("integer", filter_table(DataType::Integer, true, false)),
+        ("text", filter_table(DataType::Text, false, true)),
+    ]
+}
+
+/// FNV-1a over what `execute_read` answers for every statement that
+/// parses, on every table of [`filter_tables`] (the result rows, or the
+/// error message), with how many statements ran and how many of those
+/// runs failed.
+fn filter_digest(statements: &[&str]) -> (usize, usize, String) {
+    let tables = filter_tables();
+    let (mut ran, mut failed) = (0, 0);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for sql in statements {
+        let Ok(statement) = parse(sql) else { continue };
+        ran += 1;
+        for (name, catalog) in &tables {
+            let answer = match execute_read(&statement, catalog) {
+                Ok(result) => format!("{:?}", result.rows),
+                Err(err) => {
+                    failed += 1;
+                    format!("error {err}")
+                }
+            };
+            let line = format!("{sql:?} on {name} => {answer}\n");
+            for byte in line.bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    (ran, failed, format!("{hash:016x}"))
+}
+
+#[test]
+fn generated_where_clauses_filter_as_pinned() {
+    let clauses = generated_where_clauses();
+    let clauses: Vec<&str> = clauses.iter().map(String::as_str).collect();
+    assert_eq!(
+        filter_digest(&clauses),
+        (3082, 7739, "f81054c0f498a0e9".to_string())
+    );
+}
+
+/// Hand-written `WHERE` shapes: a literal on the left, `NULL` literals,
+/// `NOT` over `AND`, errors in one conjunct or in some rows only, which
+/// error wins, and the `i64` edges.
+const FILTERS: &[&str] = &[
+    "1 < item_id",
+    "42 >= score",
+    "-3 > item_id",
+    "2.5 = score",
+    "TRUE = a",
+    "'x' <> a",
+    "NULL = a",
+    "item_id = NULL",
+    "score <> NULL",
+    "a = NULL",
+    "NULL < item_id",
+    "NOT (a AND item_id > 0)",
+    "NOT (item_id > 0 AND score < 3)",
+    "NOT (score > 1 OR a IS NULL)",
+    // A type error only in the second conjunct.
+    "item_id > 0 AND a < 1",
+    "item_id = 5 AND a < 1",
+    "item_id > 0 AND score < 'x'",
+    // Errors in two rows only, one conjunct each: the first failing row
+    // is reported, then the left-most failing conjunct within it.
+    "1 / (item_id - 5) > 0 AND item_id - 9 + 9223372036854775807 > 0",
+    "item_id - 9 + 9223372036854775807 > 0 AND 1 / (item_id - 5) > 0",
+    "1 / (item_id - 25) > 0 AND item_id + 9223372036854775783 > 0",
+    "item_id + 9223372036854775783 > 0 AND 1 / (item_id - 25) > 0",
+    "score > 'x' AND a < 1",
+    "a < 1 AND score > 'x'",
+    // Errors in two rows of a table only: two NaN scores, two ids next
+    // to `i64::MAX`.
+    "score < 1 AND a IS NOT NULL",
+    "a IS NOT NULL AND score < 1",
+    "item_id + 2 > 0 AND score IS NOT NULL",
+    "score IS NOT NULL AND item_id + 2 > 0",
+    // Non-boolean predicates, alone and under a logical operator.
+    "score",
+    "item_id",
+    "a",
+    "score AND a",
+    "item_id > 0 AND score",
+    "NOT score",
+    // The `i64` edges.
+    "item_id = 9223372036854775807",
+    "item_id = -9223372036854775808",
+    "item_id >= -9223372036854775808",
+    "item_id < -9223372036854775807",
+    "item_id > 9223372036854775806",
+    "item_id <= -9223372036854775807 OR item_id >= 9223372036854775806",
+    "-item_id > 0",
+    "item_id - 1 < 0",
+    "item_id + 1 > 0",
+    "score > 9223372036854775807",
+    "item_id = 9223372036854775807.0",
+    // Mixed numeric types and the remote range.
+    "item_id = 1.0",
+    "item_id >= 1.5 AND item_id < 4",
+    "score >= 0 AND score < 3",
+    "item_id >= 5 AND item_id < 25",
+    "score = 2.5 AND a = true",
+    "a < 'it''s' AND item_id > 0",
+    "score > 0 ORDER BY item_id DESC LIMIT 5",
+    "score IS NOT NULL AND item_id IS NULL",
+];
+
+#[test]
+fn hand_written_filters_evaluate_as_pinned() {
+    let selects: Vec<String> = FILTERS
+        .iter()
+        .map(|filter| format!("SELECT * FROM t WHERE {filter}"))
+        .collect();
+    let selects: Vec<&str> = selects.iter().map(String::as_str).collect();
+    assert_eq!(
+        filter_digest(&selects),
+        (FILTERS.len(), 68, "b75ab99a9812ad28".to_string())
+    );
+
+    // The same filters through DELETE, which finds its rows the same way.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for filter in FILTERS.iter().filter(|filter| !filter.contains("ORDER BY")) {
+        let statement = parse(&format!("DELETE FROM t WHERE {filter}")).unwrap();
+        for (name, mut catalog) in filter_tables() {
+            let answer = match execute(&statement, &mut catalog) {
+                Ok(result) => {
+                    let left = catalog.table("t").unwrap().rows().len();
+                    format!("{} deleted, {left} left", result.rows_affected)
+                }
+                Err(err) => format!("error {err}"),
+            };
+            let line = format!("{filter:?} on {name} => {answer}\n");
+            for byte in line.bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(format!("{hash:016x}"), "3538b8adf470e8b3");
 }
