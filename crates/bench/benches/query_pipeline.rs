@@ -5,7 +5,8 @@
 //! parse of a `WHERE` chain and of 16 nested parentheses, and
 //! the range read of the repository benchmark's `remote_read` workload:
 //! 800 rows of crowd-filled columns with their provenance, read in
-//! process and pushed through the wire codec, and the CRC-32 of a frame
+//! process, its filter and projection alone on a copy of the 2,000-row
+//! table, and pushed through the wire codec, and the CRC-32 of a frame
 //! that size.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -16,7 +17,7 @@ use crowddb_core::{
 use crowddb_server::wire::Response;
 use crowdsim::ExperimentRegime;
 use datagen::{DomainConfig, SyntheticDomain};
-use relational::{Column, DataType, Schema, Table, Value};
+use relational::{Catalog, Column, DataType, Schema, Table, Value};
 
 /// Rows of the point-read table.
 const ITEMS: i64 = 4_096;
@@ -120,6 +121,17 @@ fn bench_range_read(c: &mut Criterion) {
     let db = filled_movies_db();
     c.bench_function("range_read_800", |b| {
         b.iter(|| db.query(RANGE_SELECT).run().unwrap())
+    });
+
+    // The relational engine's share of that read: filter 2,000 rows and
+    // project 800, no provenance, on a standalone copy of the table.
+    let mut catalog = Catalog::new();
+    let movies: Table = (*db.catalog().table("movies").unwrap()).clone();
+    assert_eq!(movies.len(), 2_000);
+    catalog.create_table(movies).unwrap();
+    let statement = relational::parse(RANGE_SELECT).unwrap();
+    c.bench_function("range_filter_2000", |b| {
+        b.iter(|| relational::execute_read(&statement, &catalog).unwrap())
     });
 
     let outcome = db.query(RANGE_SELECT).run().unwrap();
