@@ -2801,20 +2801,32 @@ impl CrowdDb {
 /// semantics — `NotExpanded` for the cells of columns not in the schema
 /// yet: a snapshot `NULL` for a missing attribute is a hole acquisition
 /// may still fill, not a stored fact.
+///
+/// The grid is filled column by column, and a column's tag slice is looked
+/// up once per run of result rows from one partition (once per partition
+/// when the rows are in scan order), not once per cell.
 fn row_provenance(parts: &[&Table], selected: &executor::SelectResult) -> Grid<CellProvenance> {
     let schema = parts[0].schema();
-    let columns: Vec<Option<usize>> = (selected.result.columns.iter())
-        .map(|column| schema.index_of(column))
-        .collect();
-    let cell = |k: usize, row: usize, column: Option<usize>| match column {
-        Some(index) => parts[k]
-            .tags(index)
-            .map_or(CellProvenance::Stored, |tags| tags[row]),
-        None => MissingReason::NotExpanded.into(),
-    };
-    let mut provenance = Grid::with_capacity(columns.len(), selected.lineage.len());
-    for &(k, row) in &selected.lineage {
-        provenance.push_row(columns.iter().map(|&column| cell(k, row, column)));
+    let columns = &selected.result.columns;
+    let lineage = &selected.lineage;
+    let mut provenance = Grid::filled(columns.len(), lineage.len(), CellProvenance::Stored);
+    for (at, column) in columns.iter().enumerate() {
+        let cells = provenance.column_mut(at);
+        let Some(index) = schema.index_of(column) else {
+            cells.for_each(|cell| *cell = MissingReason::NotExpanded.into());
+            continue;
+        };
+        let mut part = None;
+        let mut tags = None;
+        for (cell, &(k, row)) in cells.zip(lineage) {
+            if part != Some(k) {
+                part = Some(k);
+                tags = parts[k].tags(index);
+            }
+            if let Some(tags) = tags {
+                *cell = tags[row];
+            }
+        }
     }
     provenance
 }

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
-use crate::expr::{BoundExpr, Expr};
+use crate::expr::{strict_resolver, BoundFilter, Expr};
 use crate::grid::Grid;
 use crate::schema::{fold_name, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
@@ -161,7 +161,7 @@ pub fn execute_select_partitions(
         RelationalError::InvalidStatement(format!("table {} has no partitions", select.table))
     })?;
     let schema = first.schema();
-    if parts.iter().any(|part| part.schema() != schema) {
+    if parts[1..].iter().any(|part| part.schema() != schema) {
         return Err(RelationalError::InvalidStatement(format!(
             "the partitions of table {} disagree on its schema",
             first.name()
@@ -202,7 +202,7 @@ pub fn execute_select_partitions(
     let bound = select
         .filter
         .as_ref()
-        .map(|filter| filter.bind(&mut resolve))
+        .map(|filter| BoundFilter::bind(filter, &mut resolve))
         .transpose()?;
     let order_index = match &select.order_by {
         Some(OrderBy { column, .. }) => resolve(column)?,
@@ -302,6 +302,9 @@ pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResu
 /// evaluated.
 ///
 /// This is the one lookup primitive of `SELECT`, `UPDATE` and `DELETE`.
+/// The filter is bound once per statement into its `AND` terms
+/// ([`BoundFilter`]), and one loop runs them over the rows; a column
+/// compared with a literal is decided in line, without recursion.
 /// When the filter pins the table's key column to an id
 /// ([`Expr::pinned_integer`] on [`Table::key_column`]), only the rows the
 /// key index holds for that id are candidates; every other row fails the
@@ -310,7 +313,7 @@ pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResu
 /// there is not raised.  Otherwise every row is a candidate.
 fn filter_rows(
     table: &Table,
-    filter: Option<(&Expr, &BoundExpr)>,
+    filter: Option<(&Expr, &BoundFilter)>,
     mut keep: impl FnMut(usize),
 ) -> Result<usize> {
     let rows = table.rows();
@@ -342,7 +345,7 @@ fn filter_rows(
 fn matching_rows(table: &Table, filter: Option<&Expr>) -> Result<Vec<usize>> {
     // Bind up front for a deterministic error, even on an empty table.
     let bound = filter
-        .map(|filter| filter.bind_to(table.schema(), table.name(), false))
+        .map(|filter| BoundFilter::bind(filter, &mut strict_resolver(table.schema(), table.name())))
         .transpose()?;
     let mut matching = Vec::new();
     filter_rows(table, filter.zip(bound.as_ref()), |i| matching.push(i))?;
@@ -373,7 +376,10 @@ fn execute_update(
     } else {
         assignments
             .iter()
-            .map(|(column, expr)| Ok((column, expr.bind_to(table.schema(), table.name(), false)?)))
+            .map(|(column, expr)| {
+                let mut resolve = strict_resolver(table.schema(), table.name());
+                Ok((column, expr.bind(&mut resolve)?))
+            })
             .collect::<Result<Vec<_>>>()?
     };
     let mut updated = 0;
@@ -862,6 +868,38 @@ mod tests {
         let strict = select_on(&select, &catalog, false);
         assert_eq!(snapshot.result, strict.result);
         assert_eq!(snapshot.lineage, strict.lineage);
+    }
+
+    #[test]
+    fn snapshot_filters_read_missing_columns_as_null() {
+        let catalog = setup();
+        let rows = |sql: &str| {
+            let selected = select_on(&select_of(sql), &catalog, true);
+            assert_eq!(selected.missing_columns, vec!["nonexistent"], "{sql}");
+            selected.result.rows
+        };
+        // A comparison with a missing column is NULL and rejects the row,
+        // as does its negation; strictly, it is an unknown column.
+        assert!(rows("SELECT name FROM movies WHERE nonexistent = true").is_empty());
+        assert!(rows("SELECT name FROM movies WHERE NOT nonexistent = true").is_empty());
+        assert!(rows("SELECT name FROM movies WHERE 1 < nonexistent").is_empty());
+        let strict = select_of("SELECT name FROM movies WHERE nonexistent = true");
+        assert!(matches!(
+            execute_select_partitions(&strict, &[catalog.table("movies").unwrap()], false),
+            Err(RelationalError::UnknownColumn { .. })
+        ));
+        // NULL OR true is true, so stored data still answers.
+        assert_eq!(
+            rows("SELECT name FROM movies WHERE nonexistent = true OR id = 1"),
+            vec![vec![Value::from("Rocky")]]
+        );
+        // IS NULL over a missing column is true: the cell is a hole.
+        assert_eq!(
+            rows("SELECT name FROM movies WHERE nonexistent IS NULL").len(),
+            4
+        );
+        // NULL AND false is false, and no error either way.
+        assert!(rows("SELECT name FROM movies WHERE nonexistent = 1 AND id = 1").is_empty());
     }
 
     #[test]

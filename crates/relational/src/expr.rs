@@ -176,7 +176,9 @@ impl Expr {
     /// result evaluates without name lookups.  `resolve` maps a column
     /// name to `Some(index)`, to `None` for a column that reads as `NULL`
     /// (snapshot semantics), or to an error; references resolve in
-    /// first-appearance order, left operand first.
+    /// first-appearance order, left operand first.  A comparison of a
+    /// column with a literal binds to [`BoundExpr::Compare`], and a
+    /// negated numeric literal to its value.
     pub(crate) fn bind<F>(&self, resolve: &mut F) -> Result<BoundExpr>
     where
         F: FnMut(&str) -> Result<Option<usize>>,
@@ -187,60 +189,56 @@ impl Expr {
                 None => BoundExpr::Literal(Value::Null),
             },
             Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-            Expr::BinaryOp { left, op, right } => BoundExpr::BinaryOp {
-                left: Box::new(left.bind(resolve)?),
-                op: *op,
-                right: Box::new(right.bind(resolve)?),
-            },
-            Expr::UnaryOp { op, expr } => BoundExpr::UnaryOp {
-                op: *op,
-                expr: Box::new(expr.bind(resolve)?),
+            Expr::BinaryOp { left, op, right } => {
+                let left = left.bind(resolve)?;
+                let right = right.bind(resolve)?;
+                match (left, right) {
+                    (BoundExpr::Column(column), BoundExpr::Literal(literal))
+                        if op.is_comparison() =>
+                    {
+                        BoundExpr::Compare {
+                            column,
+                            op: *op,
+                            literal,
+                            flipped: false,
+                        }
+                    }
+                    (BoundExpr::Literal(literal), BoundExpr::Column(column))
+                        if op.is_comparison() =>
+                    {
+                        BoundExpr::Compare {
+                            column,
+                            op: op.flipped(),
+                            literal,
+                            flipped: true,
+                        }
+                    }
+                    (left, right) => BoundExpr::BinaryOp {
+                        left: Box::new(left),
+                        op: *op,
+                        right: Box::new(right),
+                    },
+                }
+            }
+            Expr::UnaryOp { op, expr } => match (op, expr.bind(resolve)?) {
+                // A negated literal that negates without error is a
+                // constant; `-'x'` and `-i64::MIN` fail on each row.
+                (UnaryOperator::Negate, BoundExpr::Literal(v)) if negate(&v).is_ok() => {
+                    BoundExpr::Literal(negate(&v)?)
+                }
+                (op, expr) => BoundExpr::UnaryOp {
+                    op: *op,
+                    expr: Box::new(expr),
+                },
             },
             Expr::IsNull(expr) => BoundExpr::IsNull(Box::new(expr.bind(resolve)?)),
             Expr::IsNotNull(expr) => BoundExpr::IsNotNull(Box::new(expr.bind(resolve)?)),
         })
     }
 
-    /// [`bind`](Expr::bind) against a schema: an unknown column is a
-    /// [`RelationalError::UnknownColumn`] of `table_name`, or — when
-    /// `lenient` — a constant `NULL`.
-    pub(crate) fn bind_to(
-        &self,
-        schema: &Schema,
-        table_name: &str,
-        lenient: bool,
-    ) -> Result<BoundExpr> {
-        self.bind(&mut |name: &str| match schema.index_of(name) {
-            Some(index) => Ok(Some(index)),
-            None if lenient => Ok(None),
-            None => Err(RelationalError::UnknownColumn {
-                table: table_name.to_string(),
-                column: name.to_lowercase(),
-            }),
-        })
-    }
-
     /// Evaluates the expression against one row.
     pub fn evaluate(&self, schema: &Schema, row: &[Value], table_name: &str) -> Result<Value> {
-        let bound = self.bind_to(schema, table_name, false)?;
-        Ok(bound.evaluate(row)?.into_owned())
-    }
-
-    /// Like [`evaluate`](Expr::evaluate), but references to columns absent
-    /// from the schema evaluate to [`Value::Null`] instead of erroring.
-    ///
-    /// This is the *snapshot* semantics of a crowd-enabled database: a
-    /// predicate over a not-yet-materialized perceptual attribute behaves as
-    /// if the column existed with every value unknown, so the rows
-    /// answerable from stored data alone can be returned immediately while
-    /// acquisition continues.
-    pub fn evaluate_lenient(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        table_name: &str,
-    ) -> Result<Value> {
-        let bound = self.bind_to(schema, table_name, true)?;
+        let bound = self.bind(&mut strict_resolver(schema, table_name))?;
         Ok(bound.evaluate(row)?.into_owned())
     }
 
@@ -248,22 +246,22 @@ impl Expr {
     /// is the boolean `true` (SQL `WHERE` semantics — `NULL` rejects the
     /// row).
     pub fn matches(&self, schema: &Schema, row: &[Value], table_name: &str) -> Result<bool> {
-        self.bind_to(schema, table_name, false)?.matches(row)
+        BoundFilter::bind(self, &mut strict_resolver(schema, table_name))?.matches(row)
     }
+}
 
-    /// [`matches`](Expr::matches) under [`evaluate_lenient`]'s
-    /// missing-column-is-`NULL` semantics: a predicate over an unknown
-    /// column evaluates to `NULL` and therefore rejects the row, exactly as
-    /// it would once the column existed with that cell unfilled.
-    ///
-    /// [`evaluate_lenient`]: Expr::evaluate_lenient
-    pub fn matches_lenient(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        table_name: &str,
-    ) -> Result<bool> {
-        self.bind_to(schema, table_name, true)?.matches(row)
+/// A resolver for [`Expr::bind`] against `schema`: a column absent from
+/// it is a [`RelationalError::UnknownColumn`] of `table_name`.
+pub(crate) fn strict_resolver<'s>(
+    schema: &'s Schema,
+    table_name: &'s str,
+) -> impl FnMut(&str) -> Result<Option<usize>> + 's {
+    move |name: &str| match schema.index_of(name) {
+        Some(index) => Ok(Some(index)),
+        None => Err(RelationalError::UnknownColumn {
+            table: table_name.to_string(),
+            column: name.to_lowercase(),
+        }),
     }
 }
 
@@ -275,6 +273,19 @@ pub(crate) enum BoundExpr {
     Column(usize),
     /// A constant (a column bound under snapshot semantics to `NULL`, too).
     Literal(Value),
+    /// `row[column] <op> literal`, decided without building a value: the
+    /// bound form of a column compared with a literal on either side.
+    Compare {
+        /// The row position of the compared cell.
+        column: usize,
+        /// The comparison, with the cell on its left.
+        op: BinaryOperator,
+        /// The constant the cell is compared with.
+        literal: Value,
+        /// True when the literal was written on the left (`3 < a`), so an
+        /// error names the operands in the order they were written.
+        flipped: bool,
+    },
     /// A binary operation.
     BinaryOp {
         /// Left operand.
@@ -333,22 +344,31 @@ impl BoundExpr {
         }
     }
 
-    /// Evaluates the expression as a `WHERE` predicate: `true` only when
-    /// the result is the boolean `true` (`NULL` rejects the row).
-    pub(crate) fn matches(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.truth(row, |other| {
-            RelationalError::Evaluation(format!(
-                "WHERE predicate evaluated to non-boolean value {other}"
-            ))
-        })? == Some(true))
-    }
-
     /// The three-valued truth of the expression on one row: `Some(b)` for
     /// a boolean, `None` for `NULL`.  Comparisons and the logical
     /// operators decide it without building intermediate values; any
     /// other expression is evaluated, and a non-boolean result is the
     /// error `non_boolean` builds.
+    #[inline]
     fn truth(
+        &self,
+        row: &[Value],
+        non_boolean: fn(&Value) -> RelationalError,
+    ) -> Result<Option<bool>> {
+        match self {
+            BoundExpr::Compare {
+                column,
+                op,
+                literal,
+                flipped,
+            } => compare_cell(&row[*column], *op, literal, *flipped),
+            other => other.truth_of_node(row, non_boolean),
+        }
+    }
+
+    /// [`truth`](BoundExpr::truth) of every node but a
+    /// [`Compare`](BoundExpr::Compare).
+    fn truth_of_node(
         &self,
         row: &[Value],
         non_boolean: fn(&Value) -> RelationalError,
@@ -391,6 +411,69 @@ impl BoundExpr {
     }
 }
 
+/// A `WHERE` predicate bound once per statement: its top-level `AND`
+/// terms, left to right, each a [`BoundExpr`].
+///
+/// A row matches when every term is true.  Every term is evaluated on
+/// every row, as the `AND` tree it came from evaluates both operands, so
+/// a row's error is the one its left-most failing term raises.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BoundFilter {
+    conjuncts: Vec<BoundExpr>,
+}
+
+impl BoundFilter {
+    /// Binds `filter`'s top-level `AND` terms through
+    /// [`Expr::bind`], in the order they are written.
+    pub(crate) fn bind<F>(filter: &Expr, resolve: &mut F) -> Result<BoundFilter>
+    where
+        F: FnMut(&str) -> Result<Option<usize>>,
+    {
+        let mut terms = 0;
+        for_each_conjunct(filter, &mut |_| {
+            terms += 1;
+            Ok(())
+        })?;
+        let mut conjuncts = Vec::with_capacity(terms);
+        for_each_conjunct(filter, &mut |term| {
+            conjuncts.push(term.bind(resolve)?);
+            Ok(())
+        })?;
+        Ok(BoundFilter { conjuncts })
+    }
+
+    /// True when the predicate is true on `row` (`NULL` rejects it).  A
+    /// non-boolean predicate is an error: "WHERE predicate …" when it is
+    /// the whole `WHERE`, "logical operator …" when it is an `AND` term.
+    #[inline]
+    pub(crate) fn matches(&self, row: &[Value]) -> Result<bool> {
+        let non_boolean = match self.conjuncts.len() {
+            1 => where_non_boolean,
+            _ => logical_non_boolean,
+        };
+        let mut all = true;
+        for term in &self.conjuncts {
+            all &= term.truth(row, non_boolean)? == Some(true);
+        }
+        Ok(all)
+    }
+}
+
+/// Calls `f` on each top-level `AND` term of `expr`, left to right.
+fn for_each_conjunct<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr) -> Result<()>) -> Result<()> {
+    match expr {
+        Expr::BinaryOp {
+            left,
+            op: BinaryOperator::And,
+            right,
+        } => {
+            for_each_conjunct(left, f)?;
+            for_each_conjunct(right, f)
+        }
+        term => f(term),
+    }
+}
+
 impl BinaryOperator {
     /// True for `+`, `-`, `*` and `/`; the other operators yield booleans.
     fn is_arithmetic(self) -> bool {
@@ -401,6 +484,38 @@ impl BinaryOperator {
                 | BinaryOperator::Multiply
                 | BinaryOperator::Divide
         )
+    }
+
+    /// True for `=`, `<>`, `<`, `<=`, `>` and `>=`.
+    fn is_comparison(self) -> bool {
+        !self.is_arithmetic() && !matches!(self, BinaryOperator::And | BinaryOperator::Or)
+    }
+
+    /// The comparison with its operands swapped: `a < b` is `b > a`.
+    fn flipped(self) -> BinaryOperator {
+        use BinaryOperator::*;
+        match self {
+            Lt => Gt,
+            LtEq => GtEq,
+            Gt => Lt,
+            GtEq => LtEq,
+            other => other,
+        }
+    }
+
+    /// Whether the comparison holds between operands ordered `ord`.
+    #[inline]
+    fn holds(self, ord: Ordering) -> bool {
+        use BinaryOperator::*;
+        match self {
+            Eq => ord == Ordering::Equal,
+            NotEq => ord != Ordering::Equal,
+            Lt => ord == Ordering::Less,
+            LtEq => ord != Ordering::Greater,
+            Gt => ord == Ordering::Greater,
+            GtEq => ord != Ordering::Less,
+            _ => unreachable!("{self:?} is not a comparison"),
+        }
     }
 }
 
@@ -434,6 +549,58 @@ fn logical_non_boolean(other: &Value) -> RelationalError {
     ))
 }
 
+fn where_non_boolean(other: &Value) -> RelationalError {
+    RelationalError::Evaluation(format!(
+        "WHERE predicate evaluated to non-boolean value {other}"
+    ))
+}
+
+/// The truth of `cell <op> literal` ([`BoundExpr::Compare`]).
+#[inline]
+fn compare_cell(
+    cell: &Value,
+    op: BinaryOperator,
+    literal: &Value,
+    flipped: bool,
+) -> Result<Option<bool>> {
+    match typed_order(cell, literal) {
+        Some(ord) => Ok(Some(op.holds(ord))),
+        None => compare_as_written(cell, op, literal, flipped),
+    }
+}
+
+/// The order of two INTEGER, FLOAT or BOOLEAN operands, as
+/// [`Value::compare`] orders them; `None` for any other pair — `NULL`,
+/// TEXT, mismatched types, NaN — which [`compare_as_written`] decides.
+#[inline(always)]
+fn typed_order(cell: &Value, literal: &Value) -> Option<Ordering> {
+    match (cell, literal) {
+        (Value::Integer(a), Value::Integer(b)) => Some(a.cmp(b)),
+        (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+        (Value::Integer(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
+        (Value::Float(a), Value::Integer(b)) => a.partial_cmp(&(*b as f64)),
+        (Value::Boolean(a), Value::Boolean(b)) => Some(a.cmp(b)),
+        _ => None,
+    }
+}
+
+/// [`compare`] of a cell and a literal in the order they were written,
+/// so an error names them that way.
+#[cold]
+#[inline(never)]
+fn compare_as_written(
+    cell: &Value,
+    op: BinaryOperator,
+    literal: &Value,
+    flipped: bool,
+) -> Result<Option<bool>> {
+    if flipped {
+        compare(literal, op.flipped(), cell)
+    } else {
+        compare(cell, op, literal)
+    }
+}
+
 /// A comparison's three-valued truth: `NULL` on either side yields `None`.
 fn compare(left: &Value, op: BinaryOperator, right: &Value) -> Result<Option<bool>> {
     use BinaryOperator::*;
@@ -446,13 +613,7 @@ fn compare(left: &Value, op: BinaryOperator, right: &Value) -> Result<Option<boo
     let ord = left.compare(right).ok_or_else(|| {
         RelationalError::Evaluation(format!("cannot compare {left} with {right}"))
     })?;
-    Ok(Some(match op {
-        Lt => ord == Ordering::Less,
-        LtEq => ord != Ordering::Greater,
-        Gt => ord == Ordering::Greater,
-        GtEq => ord != Ordering::Less,
-        _ => unreachable!("{op:?} is not a comparison"),
-    }))
+    Ok(Some(op.holds(ord)))
 }
 
 fn negate(v: &Value) -> Result<Value> {
@@ -809,40 +970,6 @@ mod tests {
         );
         assert_eq!(e.referenced_columns(), vec!["humor", "year"]);
         assert!(Expr::literal(1i64).referenced_columns().is_empty());
-    }
-
-    #[test]
-    fn lenient_evaluation_treats_unknown_columns_as_null() {
-        let s = schema();
-        let r = row();
-        // Strict: error.  Lenient: NULL, flowing through three-valued logic.
-        let missing = Expr::binary(
-            Expr::column("nonexistent"),
-            BinaryOperator::Eq,
-            Expr::literal(true),
-        );
-        assert!(missing.evaluate(&s, &r, "t").is_err());
-        assert_eq!(missing.evaluate_lenient(&s, &r, "t").unwrap(), Value::Null);
-        assert!(!missing.matches_lenient(&s, &r, "t").unwrap());
-        // NULL OR true = true: stored data still answers.
-        let or_known = Expr::binary(
-            missing,
-            BinaryOperator::Or,
-            Expr::binary(Expr::column("id"), BinaryOperator::Eq, Expr::literal(1i64)),
-        );
-        assert!(or_known.matches_lenient(&s, &r, "t").unwrap());
-        // IS NULL over a missing column is true — the cell is a hole.
-        let is_null = Expr::IsNull(Box::new(Expr::column("nonexistent")));
-        assert_eq!(
-            is_null.evaluate_lenient(&s, &r, "t").unwrap(),
-            Value::Boolean(true)
-        );
-        // Known columns behave identically on both paths.
-        let known = Expr::binary(Expr::column("id"), BinaryOperator::Eq, Expr::literal(1i64));
-        assert_eq!(
-            known.evaluate(&s, &r, "t").unwrap(),
-            known.evaluate_lenient(&s, &r, "t").unwrap()
-        );
     }
 
     #[test]

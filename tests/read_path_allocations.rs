@@ -11,13 +11,16 @@
 //! executes on the caller's thread, so every allocation it makes is
 //! counted here.  The bounds are the counts the read path reaches: 10
 //! for the parse (the statement's own strings, vectors and boxes) and
-//! 31 for the whole `run()`, down from 44 and 90 when the lexer
+//! 29 for the whole `run()`, down from 44 and 90 when the lexer
 //! allocated every word and names were folded by copying, from 38
-//! when every result row and provenance row was a vector of its own, and
+//! when every result row and provenance row was a vector of its own,
 //! from 36 when the query's monitor node copied its name and keys and
-//! took its values one lock at a time.  A 2,048-row range `run()` makes
-//! 46, not 4,147: its rows and their provenance are two grids, one
-//! buffer each, so the count does not grow with the rows returned.
+//! took its values one lock at a time, and from 31 when the bound
+//! `WHERE` boxed every operand and the provenance join built a table of
+//! column positions.  A 2,048-row range `run()` makes 40, not 4,147: its
+//! rows and their provenance are two grids, one buffer each, so the count
+//! does not grow with the rows returned (46 before its two comparisons
+//! bound to unboxed terms).
 //! Draining a `stream()` of the same range with its text column, then
 //! `wait()`, makes 7 on the caller's thread, not 2,065: the stream hands
 //! the finished outcome over instead of copying it, string by string.
@@ -68,9 +71,9 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Most allocations parsing the point `SELECT` may make.
 const PARSE_BOUND: u64 = 10;
 /// Most allocations a point `run()` may make.
-const RUN_BOUND: u64 = 31;
+const RUN_BOUND: u64 = 29;
 /// Most allocations a 2,048-row range `run()` may make.
-const RANGE_RUN_BOUND: u64 = 46;
+const RANGE_RUN_BOUND: u64 = 40;
 /// Most allocations draining a `stream()` of a 2,048-row range with a text
 /// column, then `wait()`, may make on the caller's thread.
 const RANGE_STREAM_BOUND: u64 = 7;
