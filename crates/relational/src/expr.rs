@@ -367,7 +367,8 @@ impl BoundExpr {
     }
 
     /// [`truth`](BoundExpr::truth) of every node but a
-    /// [`Compare`](BoundExpr::Compare).
+    /// [`Compare`](BoundExpr::Compare), kept out of line so that
+    /// `truth`'s `Compare` arm inlines into the filter loop.
     fn truth_of_node(
         &self,
         row: &[Value],
@@ -423,22 +424,14 @@ pub(crate) struct BoundFilter {
 }
 
 impl BoundFilter {
-    /// Binds `filter`'s top-level `AND` terms through
-    /// [`Expr::bind`], in the order they are written.
+    /// Binds `filter`'s top-level `AND` terms through [`Expr::bind`], in
+    /// the order they are written.
     pub(crate) fn bind<F>(filter: &Expr, resolve: &mut F) -> Result<BoundFilter>
     where
         F: FnMut(&str) -> Result<Option<usize>>,
     {
-        let mut terms = 0;
-        for_each_conjunct(filter, &mut |_| {
-            terms += 1;
-            Ok(())
-        })?;
-        let mut conjuncts = Vec::with_capacity(terms);
-        for_each_conjunct(filter, &mut |term| {
-            conjuncts.push(term.bind(resolve)?);
-            Ok(())
-        })?;
+        let mut conjuncts = Vec::new();
+        bind_conjuncts(filter, resolve, &mut conjuncts)?;
         Ok(BoundFilter { conjuncts })
     }
 
@@ -459,18 +452,24 @@ impl BoundFilter {
     }
 }
 
-/// Calls `f` on each top-level `AND` term of `expr`, left to right.
-fn for_each_conjunct<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr) -> Result<()>) -> Result<()> {
+/// Binds each top-level `AND` term of `expr`, left to right, onto `out`.
+fn bind_conjuncts<F>(expr: &Expr, resolve: &mut F, out: &mut Vec<BoundExpr>) -> Result<()>
+where
+    F: FnMut(&str) -> Result<Option<usize>>,
+{
     match expr {
         Expr::BinaryOp {
             left,
             op: BinaryOperator::And,
             right,
         } => {
-            for_each_conjunct(left, f)?;
-            for_each_conjunct(right, f)
+            bind_conjuncts(left, resolve, out)?;
+            bind_conjuncts(right, resolve, out)
         }
-        term => f(term),
+        term => {
+            out.push(term.bind(resolve)?);
+            Ok(())
+        }
     }
 }
 
