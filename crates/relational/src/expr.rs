@@ -361,7 +361,10 @@ impl BoundExpr {
                 op,
                 literal,
                 flipped,
-            } => compare_cell(&row[*column], *op, literal, *flipped),
+            } => match typed_order(&row[*column], literal) {
+                Some(ord) => Ok(Some(op.holds(ord))),
+                None => compare_as_written(&row[*column], *op, literal, *flipped),
+            },
             other => other.truth_of_node(row, non_boolean),
         }
     }
@@ -552,20 +555,6 @@ fn where_non_boolean(other: &Value) -> RelationalError {
     RelationalError::Evaluation(format!(
         "WHERE predicate evaluated to non-boolean value {other}"
     ))
-}
-
-/// The truth of `cell <op> literal` ([`BoundExpr::Compare`]).
-#[inline]
-fn compare_cell(
-    cell: &Value,
-    op: BinaryOperator,
-    literal: &Value,
-    flipped: bool,
-) -> Result<Option<bool>> {
-    match typed_order(cell, literal) {
-        Some(ord) => Ok(Some(op.holds(ord))),
-        None => compare_as_written(cell, op, literal, flipped),
-    }
 }
 
 /// The order of two INTEGER, FLOAT or BOOLEAN operands, as
