@@ -374,12 +374,10 @@ fn execute_update(
     let bound = if matching.is_empty() {
         Vec::new()
     } else {
+        let mut resolve = strict_resolver(table.schema(), table.name());
         assignments
             .iter()
-            .map(|(column, expr)| {
-                let mut resolve = strict_resolver(table.schema(), table.name());
-                Ok((column, expr.bind(&mut resolve)?))
-            })
+            .map(|(column, expr)| Ok((column, expr.bind(&mut resolve)?)))
             .collect::<Result<Vec<_>>>()?
     };
     let mut updated = 0;
