@@ -4,7 +4,8 @@
 //! `DELETE` followed by a re-`INSERT` of the id, an `INSERT` of a new id,
 //! a repair round, a numeric (SVR) expansion, and an `UPDATE` that
 //! overwrites every budget hole of an incomplete column — and a column
-//! write that fails, which must change no cell.  Each case runs
+//! write or SQL `INSERT`/`UPDATE`/`DELETE` that fails, which must change
+//! no cell and log nothing.  Each case runs
 //! on `Single` and `Hash{4}` tables, in memory and persistent; the
 //! persistent runs also check that reopening — before and after a full
 //! checkpoint — gives back bit-identical rows and provenance.
@@ -433,5 +434,46 @@ fn a_failed_column_write_changes_no_cell_and_logs_nothing() {
         }
         assert_eq!(all_cells(db), cells, "every cell is unchanged");
         assert_eq!(db.storage_stats(), storage, "no record is logged");
+    });
+}
+
+#[test]
+fn a_failed_sql_write_changes_no_cell_and_logs_nothing() {
+    on_every_layout("failed-sql", |db, _| {
+        // `n` holds each item's id, except that the item routed to the
+        // last partition of `Hash{4}` holds `i64::MAX`: a statement that
+        // fails on its row has already passed rows of other partitions,
+        // and on `Single` the rows before it.
+        let late = (0..IN_SPACE)
+            .max_by_key(|&id| PartitionSpec::Hash { n: 4 }.route_id(id))
+            .unwrap();
+        db.execute("ALTER TABLE items ADD COLUMN n INTEGER")
+            .unwrap();
+        db.execute("UPDATE items SET n = item_id").unwrap();
+        db.execute(&format!(
+            "UPDATE items SET n = {} WHERE item_id = {late}",
+            i64::MAX
+        ))
+        .unwrap();
+        let cells = all_cells(db);
+        let storage = db.storage_stats();
+        let overflow = || RelationalError::Evaluation("integer overflow".into());
+        let failures = [
+            // The second row's `n` is TEXT.
+            (
+                "INSERT INTO items (item_id, n) VALUES (100, 1), (101, 'x')",
+                RelationalError::TypeMismatch(
+                    "value 'x' is not valid for column n of type INTEGER".into(),
+                ),
+            ),
+            ("UPDATE items SET n = n + 1", overflow()),
+            ("DELETE FROM items WHERE n + 1 > 3", overflow()),
+        ];
+        for (sql, expected) in failures {
+            let error = db.execute(sql).unwrap_err();
+            assert_eq!(error, CrowdDbError::Relational(expected), "{sql}");
+            assert_eq!(all_cells(db), cells, "{sql}: every cell is unchanged");
+            assert_eq!(db.storage_stats(), storage, "{sql}: no record is logged");
+        }
     });
 }
