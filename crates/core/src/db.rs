@@ -75,7 +75,7 @@ use crate::materialize::{
     materialize_column, repair_cells, ColumnWrite, MaterializeOutcome, REPAIRED,
 };
 use crate::metrics::EngineMetrics;
-use crate::persist::{self, Durability, RecoveredState};
+use crate::persist::{self, Durability, RecoveredState, WriteRoute};
 use crate::planner::{self, ExpansionPlan, ItemIndex, PlanInputs};
 use crate::policy::{ExpansionMode, ExpansionPolicy};
 use crate::provenance::{CellProvenance, MissingReason};
@@ -590,14 +590,6 @@ impl Shard {
         }
         let id = select.filter.as_ref()?.pinned_integer(self.key_column()?)?;
         Some(self.spec.route_id(id))
-    }
-
-    /// True when `name` refers to the id column, matched the way the
-    /// schema matches names.
-    fn is_id_column(&self, name: &str) -> bool {
-        self.id_column
-            .as_ref()
-            .is_some_and(|column| column.is_named(name))
     }
 
     /// Shared locks on the partitions a read runs on, taken in ascending
@@ -1655,27 +1647,6 @@ fn select_of(statement: &sql::Statement) -> Option<&sql::SelectStatement> {
     }
 }
 
-/// For an `INSERT` into a partitioned table: one partition the statement's
-/// rows route to (the first row's), so the static analysis pass reads a
-/// partition the insert actually writes rather than partition 0 — the
-/// disjoint-partition-writer guarantee depends on it.  `None` for every
-/// other statement shape and for single-partition tables, which analyze
-/// against partition 0.
-fn insert_analysis_partition(shard: &Shard, statement: &sql::Statement) -> Option<usize> {
-    if shard.spec.is_single() {
-        return None;
-    }
-    let sql::Statement::Insert { columns, rows, .. } = statement else {
-        return None;
-    };
-    let id_index = columns.iter().position(|c| shard.is_id_column(c));
-    let row = rows.first()?;
-    let id = id_index
-        .and_then(|index| row.get(index))
-        .unwrap_or(&Value::Null);
-    Some(shard.spec.route_value(id))
-}
-
 impl DbInner {
     /// The shard of one table (any casing).  Fails with
     /// [`RelationalError::UnknownTable`] for tables that do not exist.
@@ -1705,25 +1676,6 @@ impl DbInner {
         match &self.durability {
             Some(durability) if !records.is_empty() => durability.log_all(table, records),
             _ => Ok(()),
-        }
-    }
-
-    /// Appends `records` to partition `k` of `table`'s WAL store as one
-    /// fsynced group — the durability commit point of every partition
-    /// mutator.  A no-op on in-memory databases.
-    ///
-    /// Callers logging catalog-shaped records (`CreateTable`, `Mutation`,
-    /// `MaterializeColumn`, `SetCells`) must hold partition `k`'s
-    /// **exclusive** lock across both the in-memory apply and this call;
-    /// a checkpoint can then never capture the apply without the record
-    /// (see [`crate::persist`]).
-    fn log_to(&self, table: &str, k: usize, records: &[WalRecord]) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        match &self.durability {
-            Some(durability) => durability.log(table, k, records),
-            None => Ok(()),
         }
     }
 
@@ -1852,23 +1804,14 @@ impl DbInner {
         }
 
         // CREATE TABLE is the one statement with no shard to route to — it
-        // *introduces* its shard.  Execute against a scratch catalog and
-        // install the result as a new shard, logged to the table's own
-        // fresh WAL segment.
-        if matches!(statement, sql::Statement::CreateTable { .. }) {
-            let mut scratch = Catalog::new();
-            let result = executor::execute(&statement, &mut scratch)?;
-            let name = scratch
-                .table_names()
-                .pop()
-                .expect("CREATE TABLE created a table");
-            let table = scratch.table(&name).expect("listed table exists").clone();
+        // *introduces* its shard, logged to the table's own fresh WAL
+        // segment.
+        if let sql::Statement::CreateTable { table, columns } = &statement {
+            let table = Table::new(table.clone(), Schema::new(columns.clone())?);
             self.create_table_logged_with(table, PartitionSpec::Single)?;
             return Ok(QueryOutcome {
                 policy,
-                result: StatementResult::Mutation {
-                    rows_affected: result.rows_affected,
-                },
+                result: StatementResult::Mutation { rows_affected: 0 },
                 reports: Vec::new(),
                 crowd_cost: 0.0,
             });
@@ -1878,13 +1821,17 @@ impl DbInner {
         // access below goes through that one table's shard, so statements
         // on different tables never share a lock.
         let shard = self.shard(statement.target_table().unwrap_or_default())?;
+        // A write is routed once, here, and changes exactly the
+        // partitions of its route.
+        let route = (!statement.is_read_only())
+            .then(|| WriteRoute::of(&statement, &shard.spec, shard.id_column.as_ref()));
         let analysis = {
             // Analysis is a static pass needing only the schema, and every
             // partition slice carries the table's full schema — so it reads
-            // one partition: for an INSERT, one it actually writes, never
+            // one partition: for a write, one it actually writes, never
             // waiting on a writer to an unrelated partition.
-            let k = insert_analysis_partition(&shard, &statement).unwrap_or(0);
-            executor::analyze(&statement, &shard.read_one(k))?
+            let k = route.as_ref().and_then(|route| route.targets.first());
+            executor::analyze(&statement, &shard.read_one(k.copied().unwrap_or(0)))?
         };
         let mut reports = Vec::new();
         // A streamed SELECT with nothing to expand: its anytime snapshot
@@ -1943,11 +1890,8 @@ impl DbInner {
                 policy.quality_floor,
             )?),
             _ => {
-                let table_key = statement
-                    .target_table()
-                    .expect("non-DDL statements name a table")
-                    .to_lowercase();
-                self.execute_mutation(&shard, &table_key, &statement, sql_text)?
+                let route = route.expect("every statement but SELECT is routed as a write");
+                self.execute_mutation(&shard, &statement, sql_text, &route)?
             }
         };
         Ok(QueryOutcome {
@@ -1996,108 +1940,54 @@ impl DbInner {
         Ok(rows)
     }
 
-    /// Executes a mutation against `shard`, routing it to the partitions
-    /// it touches, and logs it durably under the exclusive partition
-    /// locks (still held) so a concurrent checkpoint can never capture
-    /// the apply without the record.
+    /// Executes a write — `INSERT`, `UPDATE`, `DELETE` or `ALTER TABLE` —
+    /// all or nothing on the partitions of its [`WriteRoute`]: lock them
+    /// exclusively in ascending `k`, prepare the statement on each (the
+    /// first error in `k` order fails it before any partition changes),
+    /// apply every prepared change, then log the statement text to each
+    /// under the locks still held (see [`crate::persist`]).  Replay
+    /// re-executes the text under the same route; mutations dispatch no
+    /// crowd work, so that is deterministic.
     ///
-    /// Routing contract (mirrored exactly by replay in
-    /// [`crate::persist`]):
-    ///
-    /// * `INSERT` — each row routes by its id-column value; only the
-    ///   involved partitions are locked and executed against, and the
-    ///   *original* statement text is logged to each of them (replay
-    ///   re-filters the rows down to the segment's slice).  Single-row
-    ///   inserts therefore touch exactly one partition lock and fsync one
-    ///   segment — disjoint-partition writers run fully in parallel.
-    /// * `UPDATE` / `DELETE` / `ALTER TABLE` — the predicate may match
-    ///   rows anywhere, so every partition is locked (ascending `k`),
-    ///   executed, and logged; per-partition execution matches nothing
-    ///   outside its slice.  An `UPDATE` assigning the id column of a
-    ///   partitioned table is refused: it could silently move a row out
-    ///   of the partition its WAL segment claims it lives in.
-    ///
-    /// Replay re-executes the statement text: mutations never dispatch
-    /// crowd work, so against the recovered catalog the re-execution is
-    /// deterministic.
+    /// An `UPDATE` assigning the id column of a partitioned table is
+    /// refused: it could silently move a row out of the partition its WAL
+    /// segment claims it lives in.
     fn execute_mutation(
         &self,
         shard: &Shard,
-        table_key: &str,
         statement: &sql::Statement,
         sql_text: &str,
+        route: &WriteRoute,
     ) -> Result<StatementResult> {
-        let record = || WalRecord::Mutation {
-            sql: sql_text.to_string(),
-        };
-        if shard.parts.len() == 1 {
-            let mut catalog = shard.write_one(0);
-            let result = executor::execute(statement, &mut catalog)?;
-            self.log_to(table_key, 0, &[record()])?;
-            return Ok(StatementResult::Mutation {
-                rows_affected: result.rows_affected,
-            });
-        }
-        let spec = &shard.spec;
-        if let sql::Statement::Insert {
-            table,
-            columns,
-            rows,
-        } = statement
+        let table = fold_name(statement.target_table().unwrap_or_default());
+        if let (sql::Statement::Update { assignments, .. }, Some(id)) =
+            (statement, &shard.id_column)
         {
-            let id_index = columns.iter().position(|c| shard.is_id_column(c));
-            let n = spec.partition_count();
-            let mut per: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
-            for row in rows {
-                let id = id_index
-                    .and_then(|index| row.get(index))
-                    .unwrap_or(&Value::Null);
-                per[spec.route_value(id)].push(row.clone());
-            }
-            let involved: Vec<usize> = (0..n).filter(|&k| !per[k].is_empty()).collect();
-            let mut rows_affected = 0;
-            // Ascending k: the only order multi-partition writers lock in.
-            let guards: Vec<(usize, RwLockWriteGuard<'_, Catalog>)> =
-                involved.iter().map(|&k| (k, shard.write_one(k))).collect();
-            let mut guards = guards;
-            for (k, guard) in guards.iter_mut() {
-                let sliced = sql::Statement::Insert {
-                    table: table.clone(),
-                    columns: columns.clone(),
-                    rows: std::mem::take(&mut per[*k]),
-                };
-                rows_affected += executor::execute(&sliced, guard)?.rows_affected;
-            }
-            if self.durability.is_some() {
-                let record = [record()];
-                for (k, _) in &guards {
-                    self.log_to(table_key, *k, &record)?;
-                }
-            }
-            return Ok(StatementResult::Mutation { rows_affected });
-        }
-        if let sql::Statement::Update { assignments, .. } = statement {
-            if assignments
-                .iter()
-                .any(|(column, _)| shard.is_id_column(column))
-            {
+            if !shard.spec.is_single() && assignments.iter().any(|(c, _)| id.is_named(c)) {
                 return Err(CrowdDbError::Configuration(format!(
                     "cannot UPDATE the partitioning id column '{}' of partitioned table \
-                     {table_key}: rows cannot move between partitions in place — DELETE and \
+                     {table}: rows cannot move between partitions in place — DELETE and \
                      re-INSERT instead",
                     self.config.id_column
                 )));
             }
         }
-        let mut guards = shard.write_all();
+        let mut guards: Vec<_> = (route.targets.iter())
+            .map(|&k| shard.write_one(k))
+            .collect();
+        let prepared = (route.targets.iter().zip(&guards))
+            .map(|(&k, guard)| route.prepare(statement, k, guard.table(&table)?))
+            .collect::<Result<Vec<_>>>()?;
         let mut rows_affected = 0;
-        for guard in guards.iter_mut() {
-            rows_affected += executor::execute(statement, guard)?.rows_affected;
+        for (prepared, guard) in prepared.into_iter().zip(&mut guards) {
+            rows_affected += prepared.apply(guard.table_mut(&table)?);
         }
-        if self.durability.is_some() {
-            let record = [record()];
-            for k in 0..guards.len() {
-                self.log_to(table_key, k, &record)?;
+        if let Some(durability) = &self.durability {
+            let record = [WalRecord::Mutation {
+                sql: sql_text.to_string(),
+            }];
+            for &k in &route.targets {
+                durability.log(&table, k, &record)?;
             }
         }
         Ok(StatementResult::Mutation { rows_affected })
@@ -2465,23 +2355,31 @@ impl DbInner {
         }
         let writes = writes(&index);
         // A failed write must change nothing: a column that exists with
-        // another type is refused before the first cell is written.
+        // another type, or that is NOT NULL and would receive a NULL, is
+        // refused before the first cell is written.
         for write in &writes {
             let ColumnWrite::Materialize {
-                column, data_type, ..
+                column,
+                data_type,
+                values,
+                ..
             } = write
             else {
                 continue;
             };
-            for guard in guards.iter() {
-                let schema = guard.table(table)?.schema();
-                if let Some(existing) = schema.column(column).filter(|c| c.data_type != *data_type)
-                {
+            for (guard, routes) in guards.iter().zip(&routes) {
+                let Some(existing) = guard.table(table)?.schema().column(column) else {
+                    continue;
+                };
+                if existing.data_type != *data_type {
                     return Err(RelationalError::TypeMismatch(format!(
                         "column {column} of type {} cannot be materialized as {data_type}",
                         existing.data_type
                     ))
                     .into());
+                }
+                if (routes.rows.iter()).any(|&(_, at)| values.get(at).is_none_or(Value::is_null)) {
+                    existing.admit(Value::Null)?;
                 }
             }
         }

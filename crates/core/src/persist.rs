@@ -62,17 +62,17 @@
 //!    *and* land in the fresh segment; both replay idempotently (same-key
 //!    overwrite / remove), so the double-apply is harmless.
 //!
-//! A multi-partition statement (an `UPDATE` over a partitioned table, a
-//! multi-row `INSERT` spanning partitions) is logged to every involved
-//! partition while the caller holds all of their exclusive locks; replay
-//! re-filters each partition's copy down to its own slice (`INSERT` rows
-//! re-route by id; predicate statements simply match nothing outside the
-//! slice).  A crash midway through the fan-out can leave a suffix of
-//! partitions without the record — the recovered table then holds the
-//! prefix's effects, the same "query never returned" outcome a
-//! single-partition crash gives, and recovery reconciles any schema
-//! divergence by unioning columns (`NULL`-filling the rows of partitions
-//! the record never reached).
+//! A SQL write is routed by [`WriteRoute`], live and in replay alike.
+//! Live, it is prepared on every routed partition and applied only if
+//! all prepared, so a failed statement changes and logs nothing; its
+//! text is logged to each routed partition under their exclusive locks,
+//! and replay applies each partition's share under the same route.  A
+//! crash midway through the fan-out can leave a suffix of partitions
+//! without the record — the recovered table then holds the prefix's
+//! effects, the same "query never returned" outcome a single-partition
+//! crash gives, and recovery reconciles any schema divergence by unioning
+//! columns (`NULL`-filling the rows of partitions the record never
+//! reached).
 //!
 //! Table **creation** commits on partition 0: the creating thread opens
 //! every segment with its meta record, logs the per-partition
@@ -98,8 +98,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 use perceptual::ItemId;
+use relational::executor::{self, Prepared};
 use relational::{
-    executor, sql, Catalog, MissingReason, PartitionSpec, RelationalError, Table, Value,
+    sql, Catalog, Column, MissingReason, PartitionSpec, RelationalError, Table, Value,
 };
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
@@ -745,6 +746,63 @@ pub(crate) fn split_table_by_partition(
     })
 }
 
+/// Where a SQL write goes on a table partitioned by a [`PartitionSpec`]:
+/// the one routing decision of the live write path
+/// (`DbInner::execute_mutation`) and of `Mutation` replay alike.
+pub(crate) struct WriteRoute {
+    /// The partitions the write changes and is logged to, ascending.
+    pub(crate) targets: Vec<usize>,
+    /// For an `INSERT`, the partition of each of its rows.
+    rows: Option<Vec<usize>>,
+}
+
+impl WriteRoute {
+    /// Routes `statement` on a table partitioned by `spec` on
+    /// `id_column`.  An `INSERT` row goes to the partition its id-column
+    /// value routes to ([`PartitionSpec::route_value`]; a row that gives
+    /// the id column no value goes to partition 0), and the `INSERT` to
+    /// the partitions its rows go to.  Any other write may match rows
+    /// anywhere, so it goes to every partition.
+    pub(crate) fn of(
+        statement: &sql::Statement,
+        spec: &PartitionSpec,
+        id_column: Option<&Column>,
+    ) -> WriteRoute {
+        let sql::Statement::Insert { columns, rows, .. } = statement else {
+            return WriteRoute {
+                targets: (0..spec.partition_count()).collect(),
+                rows: None,
+            };
+        };
+        let id = (columns.iter()).position(|c| id_column.is_some_and(|id| id.is_named(c)));
+        let rows: Vec<usize> = (rows.iter())
+            .map(|row| spec.route_value(id.and_then(|i| row.get(i)).unwrap_or(&Value::Null)))
+            .collect();
+        let mut targets = rows.clone();
+        targets.sort_unstable();
+        targets.dedup();
+        WriteRoute {
+            targets,
+            rows: Some(rows),
+        }
+    }
+
+    /// Checks the write's share of partition `k` against that
+    /// partition's slice (see [`executor::prepare`]): every row of an
+    /// `INSERT` routed to `k`, or the whole of any other write.
+    pub(crate) fn prepare(
+        &self,
+        statement: &sql::Statement,
+        k: usize,
+        slice: &Table,
+    ) -> Result<Prepared> {
+        let rows = self.rows.as_deref();
+        Ok(executor::prepare(statement, slice, |row| {
+            rows.is_none_or(|rows| rows[row] == k)
+        })?)
+    }
+}
+
 /// Replays `jobs` — inline when `parallelism <= 1`, otherwise on a worker
 /// pool — and returns the results sorted by `(table, partition)`.  Replay
 /// order cannot matter: segments share no state, and the caller merges in
@@ -849,16 +907,15 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
     })
 }
 
-/// The context one segment replays under: the partition slice the
-/// records must be filtered down to.
+/// The context one segment replays under: the partition whose share of
+/// each record the segment holds.
 struct ReplayCtx<'a> {
     id_column: &'a str,
     dir: &'a Path,
     /// The partition the segment holds, from its file name.
     partition: usize,
     /// The table's spec, once the manifest or the segment's meta record
-    /// has named it: multi-partition records re-filter themselves down to
-    /// partition `partition` of it.
+    /// has named it: a `Mutation` is routed on it ([`WriteRoute`]).
     spec: Option<PartitionSpec>,
 }
 
@@ -903,42 +960,16 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
             }
         }
         WalRecord::Mutation { sql: text } => {
+            // The statement was logged to every partition it routed to;
+            // this partition takes its own share, as the live write did.
             let statement = sql::parse(&text)?;
-            match (&statement, &ctx.spec) {
-                (
-                    sql::Statement::Insert {
-                        table,
-                        columns,
-                        rows,
-                    },
-                    Some(spec),
-                ) if spec.partition_count() > 1 => {
-                    // The statement was logged to every partition it
-                    // routed rows into; keep only this partition's rows.
-                    let id = state.catalog.table(table)?.schema().column(ctx.id_column);
-                    let id_index = columns
-                        .iter()
-                        .position(|c| id.is_some_and(|id| id.is_named(c)));
-                    let kept: Vec<Vec<Value>> = rows
-                        .iter()
-                        .filter(|row| {
-                            let id = id_index.and_then(|i| row.get(i)).unwrap_or(&Value::Null);
-                            spec.route_value(id) == ctx.partition
-                        })
-                        .cloned()
-                        .collect();
-                    if !kept.is_empty() {
-                        let sliced = sql::Statement::Insert {
-                            table: table.clone(),
-                            columns: columns.clone(),
-                            rows: kept,
-                        };
-                        executor::execute(&sliced, &mut state.catalog)?;
-                    }
-                }
-                _ => {
-                    executor::execute(&statement, &mut state.catalog)?;
-                }
+            let table = (state.catalog).table_mut(statement.target_table().unwrap_or_default())?;
+            let spec = ctx.spec.as_ref().unwrap_or(&PartitionSpec::Single);
+            let route = WriteRoute::of(&statement, spec, table.schema().column(ctx.id_column));
+            if route.targets.contains(&ctx.partition) {
+                route
+                    .prepare(&statement, ctx.partition, table)?
+                    .apply(table);
             }
         }
         WalRecord::MaterializeColumn {

@@ -6,9 +6,10 @@ use crate::catalog::Catalog;
 use crate::error::RelationalError;
 use crate::expr::{strict_resolver, BoundFilter, Expr};
 use crate::grid::Grid;
-use crate::schema::{fold_name, Schema};
+use crate::provenance::CellProvenance;
+use crate::schema::{fold_name, Column, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
-use crate::table::Table;
+use crate::table::{inserted, Table};
 use crate::value::Value;
 use crate::Result;
 
@@ -224,16 +225,19 @@ pub fn execute_select_partitions(
     // (snapshot-only) sort key is all-NULL, so the order is a no-op: the
     // scan order is kept, which is also what NULLs-sort-equal would yield.
     if let (Some(OrderBy { ascending, .. }), Some(col_idx)) = (&select.order_by, order_index) {
+        // Ascending, every number sorts before NaN and NaN before NULL;
+        // descending reverses all of it, as it always reversed NULLs.
+        // Keys of one rank compare as values.  That is a total order,
+        // which `Value::compare` alone is not once NaN is present.
+        let rank = |value: &Value| match value {
+            Value::Null => 2,
+            Value::Float(f) if f.is_nan() => 1,
+            _ => 0,
+        };
         matching.sort_by(|&a, &b| {
-            let va = &row_of(a)[col_idx];
-            let vb = &row_of(b)[col_idx];
-            // NULLs sort last regardless of direction.
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => va.compare(vb).unwrap_or(std::cmp::Ordering::Equal),
-            };
+            let (va, vb) = (&row_of(a)[col_idx], &row_of(b)[col_idx]);
+            let ord = (rank(va).cmp(&rank(vb)))
+                .then_with(|| va.compare(vb).unwrap_or(std::cmp::Ordering::Equal));
             if *ascending {
                 ord
             } else {
@@ -269,31 +273,154 @@ pub fn execute_select_partitions(
     })
 }
 
-/// Executes a parsed statement against the catalog.
+/// Executes a parsed statement against the catalog: a write runs as
+/// [`prepare`] followed by [`Prepared::apply`], so a statement that fails
+/// changes nothing.
 pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResult> {
     match statement {
         Statement::Select(_) | Statement::ExplainExpansion(_) => execute_read(statement, catalog),
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => execute_insert(table, columns, rows, catalog),
         Statement::CreateTable { table, columns } => {
             let schema = Schema::new(columns.clone())?;
             catalog.create_table(Table::new(table.clone(), schema))?;
             Ok(QueryResult::empty())
         }
-        Statement::AlterTableAddColumn { table, column } => {
-            let table = catalog.table_mut(table)?;
-            table.add_column(column.clone(), None)?;
-            Ok(QueryResult::empty())
+        write => {
+            let table = catalog.table_mut(write.target_table().unwrap_or_default())?;
+            let rows_affected = prepare(write, table, |_| true)?.apply(table);
+            Ok(QueryResult {
+                rows_affected,
+                ..QueryResult::empty()
+            })
+        }
+    }
+}
+
+/// A write statement checked against one table: the change
+/// [`Prepared::apply`] makes.  Every value in it has passed its column's
+/// rule ([`Column::admit`]), so applying it cannot fail.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Prepared {
+    /// Full rows to append, in schema order.
+    Insert(Vec<Vec<Value>>),
+    /// New values for matched rows.
+    Update {
+        /// The assigned columns' positions, in assignment order.
+        columns: Vec<usize>,
+        /// Each matched row's index and its new values, in `columns`'
+        /// order.
+        rows: Vec<(usize, Vec<Value>)>,
+    },
+    /// The indices of the rows to remove, ascending.
+    Delete(Vec<usize>),
+    /// A column to add, `NULL` in every existing row.
+    AddColumn(Column),
+}
+
+/// Checks a write statement (`INSERT`, `UPDATE`, `DELETE` or `ALTER TABLE
+/// … ADD COLUMN`) against `table` without changing it: resolves its
+/// columns, matches its filter, evaluates its assignments and admits
+/// every new value to its column.  Of an `INSERT`'s rows, `table`
+/// receives those whose position `insert_row` accepts (a partition of a
+/// table receives the rows routed to it).
+///
+/// The first error wins, in statement order: for an `UPDATE`, an unknown
+/// assigned column, then the filter over the rows in ascending order,
+/// then each matched row's assignments — all evaluated before any of
+/// them is admitted.
+pub fn prepare(
+    statement: &Statement,
+    table: &Table,
+    insert_row: impl Fn(usize) -> bool,
+) -> Result<Prepared> {
+    match statement {
+        Statement::Insert { columns, rows, .. } => {
+            let indices = positions(table, columns.iter())?;
+            let rows = (rows.iter().enumerate())
+                .filter(|&(i, _)| insert_row(i))
+                .map(|(_, row)| {
+                    let mut full = vec![Value::Null; table.schema().len()];
+                    for (value, &index) in row.iter().zip(&indices) {
+                        full[index] = value.clone();
+                    }
+                    table.admit_row(full)
+                });
+            Ok(Prepared::Insert(rows.collect::<Result<_>>()?))
         }
         Statement::Update {
-            table,
             assignments,
             filter,
-        } => execute_update(table, assignments, filter.as_ref(), catalog),
-        Statement::Delete { table, filter } => execute_delete(table, filter.as_ref(), catalog),
+            ..
+        } => {
+            let columns = positions(table, assignments.iter().map(|(name, _)| name))?;
+            let matching = matching_rows(table, filter.as_ref())?;
+            // The assigned expressions are bound only once some row needs
+            // them, so an UPDATE matching nothing never fails on them.
+            let bound = if matching.is_empty() {
+                Vec::new()
+            } else {
+                let mut resolve = strict_resolver(table.schema(), table.name());
+                (assignments.iter())
+                    .map(|(_, expr)| expr.bind(&mut resolve))
+                    .collect::<Result<Vec<_>>>()?
+            };
+            let schema = table.schema().columns();
+            let mut rows = Vec::with_capacity(matching.len());
+            for row in matching {
+                // Every assignment reads the row as it was, so
+                // `SET a = b, b = a` swaps.
+                let cells = &table.rows()[row];
+                let values = (bound.iter())
+                    .map(|expr| Ok(expr.evaluate(cells)?.into_owned()))
+                    .collect::<Result<Vec<Value>>>()?;
+                let values = (values.into_iter().zip(&columns))
+                    .map(|(value, &column)| schema[column].admit(value))
+                    .collect::<Result<Vec<Value>>>()?;
+                rows.push((row, values));
+            }
+            Ok(Prepared::Update { columns, rows })
+        }
+        Statement::Delete { filter, .. } => {
+            Ok(Prepared::Delete(matching_rows(table, filter.as_ref())?))
+        }
+        Statement::AlterTableAddColumn { column, .. } => {
+            table.new_column_fill(column, None)?;
+            Ok(Prepared::AddColumn(column.clone()))
+        }
+        other => Err(RelationalError::InvalidStatement(format!(
+            "prepare got a statement that changes no table's rows: {other:?}"
+        ))),
+    }
+}
+
+impl Prepared {
+    /// Makes the change on `table` — the table it was prepared on,
+    /// unchanged since — and returns the number of rows affected.
+    pub fn apply(self, table: &mut Table) -> usize {
+        match self {
+            Prepared::Insert(rows) => {
+                let count = rows.len();
+                for row in rows {
+                    table.push_row(row, |_, value| inserted(value));
+                }
+                count
+            }
+            Prepared::Update { columns, rows } => {
+                let updated = rows.len();
+                for (row, values) in rows {
+                    for (&column, value) in columns.iter().zip(values) {
+                        table.write_cell(row, column, value, CellProvenance::Stored);
+                    }
+                }
+                updated
+            }
+            Prepared::Delete(rows) => table.delete_rows(&rows),
+            Prepared::AddColumn(column) => {
+                table
+                    .add_column(column, None)
+                    .expect("prepare admitted the column");
+                0
+            }
+        }
     }
 }
 
@@ -342,6 +469,18 @@ fn filter_rows(
     Ok(rows.len())
 }
 
+/// The positions of the named columns in `table`'s schema.
+fn positions<'a>(table: &Table, names: impl Iterator<Item = &'a String>) -> Result<Vec<usize>> {
+    names
+        .map(|name| {
+            (table.schema().index_of(name)).ok_or_else(|| RelationalError::UnknownColumn {
+                table: table.name().to_string(),
+                column: name.to_lowercase(),
+            })
+        })
+        .collect()
+}
+
 fn matching_rows(table: &Table, filter: Option<&Expr>) -> Result<Vec<usize>> {
     // Bind up front for a deterministic error, even on an empty table.
     let bound = filter
@@ -350,107 +489,6 @@ fn matching_rows(table: &Table, filter: Option<&Expr>) -> Result<Vec<usize>> {
     let mut matching = Vec::new();
     filter_rows(table, filter.zip(bound.as_ref()), |i| matching.push(i))?;
     Ok(matching)
-}
-
-fn execute_update(
-    table_name: &str,
-    assignments: &[(String, Expr)],
-    filter: Option<&Expr>,
-    catalog: &mut Catalog,
-) -> Result<QueryResult> {
-    let table = catalog.table_mut(table_name)?;
-    // Validate assignment targets.
-    for (column, _) in assignments {
-        if !table.schema().contains(column) {
-            return Err(RelationalError::UnknownColumn {
-                table: table.name().to_string(),
-                column: column.to_lowercase(),
-            });
-        }
-    }
-    let matching = matching_rows(table, filter)?;
-    // The assigned expressions are bound only once some row needs them,
-    // so an UPDATE matching nothing never fails on them.
-    let bound = if matching.is_empty() {
-        Vec::new()
-    } else {
-        let mut resolve = strict_resolver(table.schema(), table.name());
-        assignments
-            .iter()
-            .map(|(column, expr)| Ok((column, expr.bind(&mut resolve)?)))
-            .collect::<Result<Vec<_>>>()?
-    };
-    let mut updated = 0;
-    for &row_index in &matching {
-        // Evaluate all assignment expressions against the *current* row
-        // before applying any of them, so `SET a = b, b = a` behaves sanely.
-        let row = table.row(row_index).expect("row index from scan");
-        let mut new_values = Vec::with_capacity(bound.len());
-        for (column, expr) in &bound {
-            new_values.push((*column, expr.evaluate(row)?.into_owned()));
-        }
-        for (column, value) in new_values {
-            table.set_value(row_index, column, value)?;
-        }
-        updated += 1;
-    }
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Grid::default(),
-        rows_affected: updated,
-    })
-}
-
-fn execute_delete(
-    table_name: &str,
-    filter: Option<&Expr>,
-    catalog: &mut Catalog,
-) -> Result<QueryResult> {
-    let table = catalog.table_mut(table_name)?;
-    let matching = matching_rows(table, filter)?;
-    let removed = table.delete_rows(&matching);
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Grid::default(),
-        rows_affected: removed,
-    })
-}
-
-fn execute_insert(
-    table_name: &str,
-    columns: &[String],
-    rows: &[Vec<Value>],
-    catalog: &mut Catalog,
-) -> Result<QueryResult> {
-    let table = catalog.table_mut(table_name)?;
-    // Resolve the column list once.
-    let indices: Vec<usize> = columns
-        .iter()
-        .map(|c| {
-            table
-                .schema()
-                .index_of(c)
-                .ok_or_else(|| RelationalError::UnknownColumn {
-                    table: table.name().to_string(),
-                    column: c.to_lowercase(),
-                })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let width = table.schema().len();
-    let mut inserted = 0;
-    for row in rows {
-        let mut full = vec![Value::Null; width];
-        for (value, &idx) in row.iter().zip(indices.iter()) {
-            full[idx] = value.clone();
-        }
-        table.insert_row(full)?;
-        inserted += 1;
-    }
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Grid::default(),
-        rows_affected: inserted,
-    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
-use crate::value::DataType;
+use crate::value::{DataType, Value};
 use crate::Result;
 
 /// One column of a table schema.
@@ -44,6 +44,30 @@ impl Column {
     /// allocating.
     pub fn is_named(&self, name: &str) -> bool {
         lowercases_to(name, &self.name)
+    }
+
+    /// The one rule for a value stored in this column, whoever writes
+    /// it: a `NOT NULL` column refuses `NULL`, and a value must be
+    /// compatible with the column's type.  Returns the value as the
+    /// column stores it — an integer for a `FLOAT` column becomes a
+    /// float, so a column never mixes the two representations.
+    pub fn admit(&self, value: Value) -> Result<Value> {
+        if value.is_null() && !self.nullable {
+            return Err(RelationalError::TypeMismatch(format!(
+                "column {} is NOT NULL",
+                self.name
+            )));
+        }
+        if !value.is_compatible_with(self.data_type) {
+            return Err(RelationalError::TypeMismatch(format!(
+                "value {value} is not valid for column {} of type {}",
+                self.name, self.data_type
+            )));
+        }
+        Ok(match (value, self.data_type) {
+            (Value::Integer(i), DataType::Float) => Value::Float(i as f64),
+            (value, _) => value,
+        })
     }
 }
 

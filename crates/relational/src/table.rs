@@ -10,18 +10,10 @@ use crate::value::{DataType, Value};
 use crate::Result;
 
 /// The tag an `INSERT` gives a cell of a provenance-tracked column.
-fn inserted(value: &Value) -> CellProvenance {
+pub(crate) fn inserted(value: &Value) -> CellProvenance {
     match value {
         Value::Null => MissingReason::NotExpanded.into(),
         _ => CellProvenance::Stored,
-    }
-}
-
-/// Integers bound for a `FLOAT` column are stored as floats, so a column
-/// never mixes the two representations.
-fn widen(value: &mut Value, data_type: DataType) {
-    if let (Value::Integer(i), DataType::Float) = (&*value, data_type) {
-        *value = Value::Float(*i as f64);
     }
 }
 
@@ -184,9 +176,18 @@ impl Table {
     /// rebuilt with the tags it was written with.
     pub fn insert_tagged(
         &mut self,
-        mut row: Vec<Value>,
+        row: Vec<Value>,
         tag: impl Fn(usize, &Value) -> CellProvenance,
     ) -> Result<()> {
+        let row = self.admit_row(row)?;
+        self.push_row(row, tag);
+        Ok(())
+    }
+
+    /// Checks a full row (one value per column, in schema order) against
+    /// the schema, each value by [`Column::admit`], and returns it as the
+    /// table stores it.
+    pub(crate) fn admit_row(&self, mut row: Vec<Value>) -> Result<Vec<Value>> {
         if row.len() != self.schema.len() {
             return Err(RelationalError::InvalidStatement(format!(
                 "expected {} values but got {}",
@@ -195,20 +196,18 @@ impl Table {
             )));
         }
         for (value, column) in row.iter_mut().zip(self.schema.columns()) {
-            if value.is_null() && !column.nullable {
-                return Err(RelationalError::TypeMismatch(format!(
-                    "column {} is NOT NULL",
-                    column.name
-                )));
-            }
-            if !value.is_compatible_with(column.data_type) {
-                return Err(RelationalError::TypeMismatch(format!(
-                    "value {value} is not valid for column {} of type {}",
-                    column.name, column.data_type
-                )));
-            }
-            widen(value, column.data_type);
+            *value = column.admit(std::mem::replace(value, Value::Null))?;
         }
+        Ok(row)
+    }
+
+    /// Appends a row [`Table::admit_row`] returned, tagged as
+    /// [`Table::insert_tagged`] tags it.
+    pub(crate) fn push_row(
+        &mut self,
+        row: Vec<Value>,
+        tag: impl Fn(usize, &Value) -> CellProvenance,
+    ) {
         if let Some(key) = &mut self.key {
             key.insert(&self.rows, &row[key.column()], self.rows.len());
         }
@@ -220,7 +219,6 @@ impl Table {
             }
         }
         self.rows.push(row);
-        Ok(())
     }
 
     /// Starts tracking provenance for `column`: its cells read
@@ -307,28 +305,29 @@ impl Table {
     /// in the new position.  This is the storage-level half of query-driven
     /// schema expansion.  The column does not track provenance.
     pub fn add_column(&mut self, column: Column, default: Option<Value>) -> Result<()> {
-        if let Some(ref d) = default {
-            if !d.is_compatible_with(column.data_type) {
-                return Err(RelationalError::TypeMismatch(format!(
-                    "default value {d} is not valid for type {}",
-                    column.data_type
-                )));
-            }
-        }
-        let mut fill = default.unwrap_or(Value::Null);
-        widen(&mut fill, column.data_type);
-        if fill.is_null() && !column.nullable {
-            return Err(RelationalError::TypeMismatch(format!(
-                "cannot add NOT NULL column {} without a default",
-                column.name
-            )));
-        }
+        let fill = self.new_column_fill(&column, default)?;
         self.schema.add_column(column)?;
         for row in &mut self.rows {
             row.push(fill.clone());
         }
         self.tags.push(None);
         Ok(())
+    }
+
+    /// The value [`Table::add_column`] gives every existing row in
+    /// `column`, or the reason the column cannot be added.
+    pub(crate) fn new_column_fill(&self, column: &Column, default: Option<Value>) -> Result<Value> {
+        if default.is_none() && !column.nullable {
+            return Err(RelationalError::TypeMismatch(format!(
+                "cannot add NOT NULL column {} without a default",
+                column.name
+            )));
+        }
+        let fill = column.admit(default.unwrap_or(Value::Null))?;
+        if self.schema.contains(&column.name) {
+            return Err(RelationalError::ColumnExists(column.name.clone()));
+        }
+        Ok(fill)
     }
 
     /// Overwrites the value of `column` in row `row_index` with a stored
@@ -359,6 +358,32 @@ impl Table {
             table: self,
             column,
         })
+    }
+
+    /// Overwrites the cell of column position `column` in row `row` — an
+    /// existing row, with a value the column admits
+    /// ([`Column::admit`]) — and its tag, keeping the key index and the
+    /// column's hole count current.
+    pub(crate) fn write_cell(
+        &mut self,
+        row: usize,
+        column: usize,
+        value: Value,
+        provenance: CellProvenance,
+    ) {
+        if let Some(key) = self.key.as_mut().filter(|key| key.column() == column) {
+            key.remove(&self.rows, &self.rows[row][column], row);
+            key.insert(&self.rows, &value, row);
+        }
+        self.rows[row][column] = value;
+        if provenance != CellProvenance::Stored {
+            self.start_tracking(column);
+        }
+        if let Some(tags) = &mut self.tags[column] {
+            let old = std::mem::replace(&mut tags.cells[row], provenance);
+            tags.holes = tags.holes + usize::from(provenance.is_recoverable())
+                - usize::from(old.is_recoverable());
+        }
     }
 
     /// Reads the value of `column` in row `row_index`.
@@ -428,15 +453,16 @@ impl Table {
     }
 }
 
-/// The one writer of existing cells: it sets a cell's value and its
+/// The writer of existing cells: it sets a cell's value and its
 /// provenance together, for any run of rows of one column (see
 /// [`Table::column_writer`]).
 ///
-/// Each write checks the value against the column's type (an integer
-/// bound for a `FLOAT` column is stored as a float), keeps the key index
-/// and the column's count of recoverable holes current, and starts
-/// tracking provenance for the column when it receives a tag other than
-/// [`CellProvenance::Stored`].
+/// Each write checks the value by [`Column::admit`] (an integer bound
+/// for a `FLOAT` column is stored as a float), keeps the key index and
+/// the column's count of recoverable holes current, and starts tracking
+/// provenance for the column when it receives a tag other than
+/// [`CellProvenance::Stored`].  A SQL `UPDATE` checks its values when it
+/// is prepared and writes them through the same cell primitive.
 pub struct ColumnWriter<'a> {
     table: &'a mut Table,
     column: usize,
@@ -452,35 +478,14 @@ impl ColumnWriter<'_> {
 
     /// Overwrites the column's cell in row `row` with `value`, tagged
     /// `provenance`.
-    pub fn set(&mut self, row: usize, mut value: Value, provenance: CellProvenance) -> Result<()> {
-        let table = &mut *self.table;
-        let column = self.column;
-        let col = &table.schema.columns()[column];
-        if !value.is_compatible_with(col.data_type) {
-            return Err(RelationalError::TypeMismatch(format!(
-                "value {value} is not valid for column {} of type {}",
-                col.name, col.data_type
-            )));
-        }
-        widen(&mut value, col.data_type);
-        if row >= table.rows.len() {
+    pub fn set(&mut self, row: usize, value: Value, provenance: CellProvenance) -> Result<()> {
+        let value = self.table.schema.columns()[self.column].admit(value)?;
+        if row >= self.table.rows.len() {
             return Err(RelationalError::InvalidStatement(format!(
                 "row {row} does not exist"
             )));
         }
-        if let Some(key) = table.key.as_mut().filter(|key| key.column() == column) {
-            key.remove(&table.rows, &table.rows[row][column], row);
-            key.insert(&table.rows, &value, row);
-        }
-        table.rows[row][column] = value;
-        if provenance != CellProvenance::Stored {
-            table.start_tracking(column);
-        }
-        if let Some(tags) = &mut table.tags[column] {
-            let old = std::mem::replace(&mut tags.cells[row], provenance);
-            tags.holes = tags.holes + usize::from(provenance.is_recoverable())
-                - usize::from(old.is_recoverable());
-        }
+        self.table.write_cell(row, self.column, value, provenance);
         Ok(())
     }
 }

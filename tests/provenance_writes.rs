@@ -477,3 +477,38 @@ fn a_failed_sql_write_changes_no_cell_and_logs_nothing() {
         }
     });
 }
+
+#[test]
+fn a_column_write_of_null_into_a_not_null_column_changes_nothing() {
+    for spec in layouts() {
+        // `score` is NOT NULL, and the regression reaches every item but
+        // the one outside the space.
+        let schema = Schema::new(vec![
+            Column::not_null("item_id", DataType::Integer),
+            Column::not_null("score", DataType::Float),
+        ])
+        .unwrap();
+        let mut table = Table::new("scores", schema);
+        for id in (0..IN_SPACE).chain([OUTSIDE]) {
+            table
+                .insert_row(vec![Value::Integer(id), Value::Float(-1.0)])
+                .unwrap();
+        }
+        let db = CrowdDb::builder().open().unwrap();
+        let options = TableOptions::new("scores", "item_id").partitions(spec.clone());
+        db.create_table_with(options, table).unwrap();
+        let crowd = LabelCrowd {
+            calls: Arc::new(AtomicUsize::new(0)),
+        };
+        db.bind_table("scores", space(), Box::new(crowd)).unwrap();
+        let read = || db.execute("SELECT * FROM scores ORDER BY item_id").unwrap();
+        let before = read();
+        let gold: Vec<(u32, f64)> = vec![(0, 0.0), (8, 2.0), (16, 4.0), (23, 5.75)];
+        let error = db
+            .expand_numeric_attribute("scores", "score", &gold, &Default::default())
+            .unwrap_err();
+        let expected = RelationalError::TypeMismatch("column score is NOT NULL".into());
+        assert_eq!(error, CrowdDbError::Relational(expected), "{spec:?}");
+        assert_eq!(read(), before, "{spec:?}: every cell is unchanged");
+    }
+}
