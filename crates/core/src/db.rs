@@ -2379,7 +2379,7 @@ impl DbInner {
                     .into());
                 }
                 if (routes.rows.iter()).any(|&(_, at)| values.get(at).is_none_or(Value::is_null)) {
-                    existing.admit(Value::Null)?;
+                    existing.admit(&mut Value::Null)?;
                 }
             }
         }

@@ -778,11 +778,9 @@ impl WriteRoute {
         let rows: Vec<usize> = (rows.iter())
             .map(|row| spec.route_value(id.and_then(|i| row.get(i)).unwrap_or(&Value::Null)))
             .collect();
-        let mut targets = rows.clone();
-        targets.sort_unstable();
-        targets.dedup();
+        let targets = (0..spec.partition_count()).filter(|k| rows.contains(k));
         WriteRoute {
-            targets,
+            targets: targets.collect(),
             rows: Some(rows),
         }
     }

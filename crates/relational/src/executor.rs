@@ -226,9 +226,9 @@ pub fn execute_select_partitions(
     // scan order is kept, which is also what NULLs-sort-equal would yield.
     if let (Some(OrderBy { ascending, .. }), Some(col_idx)) = (&select.order_by, order_index) {
         // Ascending, every number sorts before NaN and NaN before NULL;
-        // descending reverses all of it, as it always reversed NULLs.
-        // Keys of one rank compare as values.  That is a total order,
-        // which `Value::compare` alone is not once NaN is present.
+        // descending reverses the whole order, NULLs included.  Keys of
+        // one rank compare as values.  That is a total order, which
+        // `Value::compare` alone is not once NaN is present.
         let rank = |value: &Value| match value {
             Value::Null => 2,
             Value::Float(f) if f.is_nan() => 1,
@@ -296,20 +296,19 @@ pub fn execute(statement: &Statement, catalog: &mut Catalog) -> Result<QueryResu
 }
 
 /// A write statement checked against one table: the change
-/// [`Prepared::apply`] makes.  Every value in it has passed its column's
-/// rule ([`Column::admit`]), so applying it cannot fail.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Prepared {
+/// [`Prepared::apply`] makes.  Only [`prepare`] makes one, and every value
+/// in it has passed its column's rule ([`Column::admit`]), so applying it
+/// cannot fail.
+#[derive(Debug)]
+pub struct Prepared(Change);
+
+#[derive(Debug)]
+enum Change {
     /// Full rows to append, in schema order.
     Insert(Vec<Vec<Value>>),
-    /// New values for matched rows.
-    Update {
-        /// The assigned columns' positions, in assignment order.
-        columns: Vec<usize>,
-        /// Each matched row's index and its new values, in `columns`'
-        /// order.
-        rows: Vec<(usize, Vec<Value>)>,
-    },
+    /// The assigned columns' positions, and each matched row's index with
+    /// its new values in the columns' order.
+    Update(Vec<usize>, Vec<(usize, Vec<Value>)>),
     /// The indices of the rows to remove, ascending.
     Delete(Vec<usize>),
     /// A column to add, `NULL` in every existing row.
@@ -344,7 +343,7 @@ pub fn prepare(
                     }
                     table.admit_row(full)
                 });
-            Ok(Prepared::Insert(rows.collect::<Result<_>>()?))
+            Ok(Prepared(Change::Insert(rows.collect::<Result<_>>()?)))
         }
         Statement::Update {
             assignments,
@@ -369,22 +368,23 @@ pub fn prepare(
                 // Every assignment reads the row as it was, so
                 // `SET a = b, b = a` swaps.
                 let cells = &table.rows()[row];
-                let values = (bound.iter())
+                let mut values = (bound.iter())
                     .map(|expr| Ok(expr.evaluate(cells)?.into_owned()))
                     .collect::<Result<Vec<Value>>>()?;
-                let values = (values.into_iter().zip(&columns))
-                    .map(|(value, &column)| schema[column].admit(value))
-                    .collect::<Result<Vec<Value>>>()?;
+                for (value, &column) in values.iter_mut().zip(&columns) {
+                    schema[column].admit(value)?;
+                }
                 rows.push((row, values));
             }
-            Ok(Prepared::Update { columns, rows })
+            Ok(Prepared(Change::Update(columns, rows)))
         }
-        Statement::Delete { filter, .. } => {
-            Ok(Prepared::Delete(matching_rows(table, filter.as_ref())?))
-        }
+        Statement::Delete { filter, .. } => Ok(Prepared(Change::Delete(matching_rows(
+            table,
+            filter.as_ref(),
+        )?))),
         Statement::AlterTableAddColumn { column, .. } => {
             table.new_column_fill(column, None)?;
-            Ok(Prepared::AddColumn(column.clone()))
+            Ok(Prepared(Change::AddColumn(column.clone())))
         }
         other => Err(RelationalError::InvalidStatement(format!(
             "prepare got a statement that changes no table's rows: {other:?}"
@@ -396,15 +396,14 @@ impl Prepared {
     /// Makes the change on `table` — the table it was prepared on,
     /// unchanged since — and returns the number of rows affected.
     pub fn apply(self, table: &mut Table) -> usize {
-        match self {
-            Prepared::Insert(rows) => {
+        match self.0 {
+            Change::Insert(rows) => {
                 let count = rows.len();
-                for row in rows {
-                    table.push_row(row, |_, value| inserted(value));
-                }
+                rows.into_iter()
+                    .for_each(|row| table.push_row(row, |_, v| inserted(v)));
                 count
             }
-            Prepared::Update { columns, rows } => {
+            Change::Update(columns, rows) => {
                 let updated = rows.len();
                 for (row, values) in rows {
                     for (&column, value) in columns.iter().zip(values) {
@@ -413,8 +412,8 @@ impl Prepared {
                 }
                 updated
             }
-            Prepared::Delete(rows) => table.delete_rows(&rows),
-            Prepared::AddColumn(column) => {
+            Change::Delete(rows) => table.delete_rows(&rows),
+            Change::AddColumn(column) => {
                 table
                     .add_column(column, None)
                     .expect("prepare admitted the column");

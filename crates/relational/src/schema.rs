@@ -48,10 +48,12 @@ impl Column {
 
     /// The one rule for a value stored in this column, whoever writes
     /// it: a `NOT NULL` column refuses `NULL`, and a value must be
-    /// compatible with the column's type.  Returns the value as the
-    /// column stores it — an integer for a `FLOAT` column becomes a
-    /// float, so a column never mixes the two representations.
-    pub fn admit(&self, value: Value) -> Result<Value> {
+    /// compatible with the column's type.  An admitted value is turned,
+    /// in place, into the form the column stores — an integer for a
+    /// `FLOAT` column becomes a float, so a column never mixes the two
+    /// representations.
+    #[inline]
+    pub fn admit(&self, value: &mut Value) -> Result<()> {
         if value.is_null() && !self.nullable {
             return Err(RelationalError::TypeMismatch(format!(
                 "column {} is NOT NULL",
@@ -64,10 +66,10 @@ impl Column {
                 self.name, self.data_type
             )));
         }
-        Ok(match (value, self.data_type) {
-            (Value::Integer(i), DataType::Float) => Value::Float(i as f64),
-            (value, _) => value,
-        })
+        if let (Value::Integer(i), DataType::Float) = (&*value, self.data_type) {
+            *value = Value::Float(*i as f64);
+        }
+        Ok(())
     }
 }
 

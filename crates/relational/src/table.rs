@@ -196,7 +196,7 @@ impl Table {
             )));
         }
         for (value, column) in row.iter_mut().zip(self.schema.columns()) {
-            *value = column.admit(std::mem::replace(value, Value::Null))?;
+            column.admit(value)?;
         }
         Ok(row)
     }
@@ -323,7 +323,8 @@ impl Table {
                 column.name
             )));
         }
-        let fill = column.admit(default.unwrap_or(Value::Null))?;
+        let mut fill = default.unwrap_or(Value::Null);
+        column.admit(&mut fill)?;
         if self.schema.contains(&column.name) {
             return Err(RelationalError::ColumnExists(column.name.clone()));
         }
@@ -478,8 +479,8 @@ impl ColumnWriter<'_> {
 
     /// Overwrites the column's cell in row `row` with `value`, tagged
     /// `provenance`.
-    pub fn set(&mut self, row: usize, value: Value, provenance: CellProvenance) -> Result<()> {
-        let value = self.table.schema.columns()[self.column].admit(value)?;
+    pub fn set(&mut self, row: usize, mut value: Value, provenance: CellProvenance) -> Result<()> {
+        self.table.schema.columns()[self.column].admit(&mut value)?;
         if row >= self.table.rows.len() {
             return Err(RelationalError::InvalidStatement(format!(
                 "row {row} does not exist"
