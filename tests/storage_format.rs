@@ -10,13 +10,20 @@
 //! judgments of a table that does not exist fails without creating a
 //! segment for it, however often the directory is reopened and
 //! checkpointed.
+//!
+//! The bytes themselves are pinned too: on `Single` and `Hash{4}`, a
+//! table of every stored type — an `INTEGER` id, a `TEXT` column holding a
+//! `NULL`, a `FLOAT` column and a crowd-expanded `BOOLEAN` column with its
+//! cached judgments — writes segments and, after a full checkpoint,
+//! snapshots whose digests are literals here.  A change to how a table is
+//! encoded on creation or in a snapshot shows up as a diff.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crowddb::prelude::*;
 use crowddb::relational::{Column, RelationalError, Schema, Table};
-use crowddb::storage::segment_file_name;
+use crowddb::storage::{segment_file_name, snapshot_file_name};
 use crowdsim::JudgmentResponse;
 
 /// Judgments per item; one of them always dissents.
@@ -233,4 +240,125 @@ fn invalidating_a_missing_table_leaves_no_segment() {
         .exists());
     assert!(dir.join("wal").join(segment_file_name("items", 0)).exists());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// FNV-1a, enough to pin a file's bytes to one literal.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One row per item `0..ITEMS`: its id, a label (`NULL` for item 3) and a
+/// score of a quarter of the id.
+fn typed_table() -> Table {
+    let schema = Schema::new(vec![
+        Column::new("item_id", DataType::Integer),
+        Column::new("label", DataType::Text),
+        Column::new("score", DataType::Float),
+    ])
+    .unwrap();
+    let mut table = Table::new("typed", schema);
+    for id in 0..ITEMS {
+        let label = match id {
+            3 => Value::Null,
+            _ => Value::Text(format!("item {id}")),
+        };
+        table
+            .insert_row(vec![
+                Value::Integer(id),
+                label,
+                Value::Float(id as f64 / 4.0),
+            ])
+            .unwrap();
+    }
+    table
+}
+
+/// The digest of each partition's file, in `k` order, without its first
+/// `head` and last `tail` bytes.
+fn digests(
+    dir: &Path,
+    spec: &PartitionSpec,
+    file: impl Fn(usize) -> PathBuf,
+    (head, tail): (usize, usize),
+) -> Vec<u64> {
+    (0..spec.partition_count())
+        .map(|k| {
+            let bytes = std::fs::read(dir.join(file(k))).unwrap();
+            fnv(&bytes[head..bytes.len() - tail])
+        })
+        .collect()
+}
+
+#[test]
+fn creation_and_snapshot_bytes_are_pinned() {
+    // A segment starts with 8 bytes of magic and an 8-byte generation read
+    // from the clock; a snapshot file with 8 bytes of magic, the payload's
+    // length and its checksum, and its payload ends with the segment's
+    // generation and record count.
+    const SEGMENT_HEADER: usize = 16;
+    const SNAPSHOT_HEADER: usize = 20;
+    const SNAPSHOT_STAMP: usize = 16;
+    for (spec, segments, snapshots) in [
+        (
+            PartitionSpec::Single,
+            vec![1402503482859841918],
+            vec![13916906609276560407],
+        ),
+        (
+            PartitionSpec::Hash { n: 4 },
+            vec![
+                11479324598840055028,
+                10206387017771429480,
+                5520347481831875576,
+                18293365840265002446,
+            ],
+            vec![
+                5709348423409275993,
+                1694132119999091648,
+                10117803313785245600,
+                1327688780708403151,
+            ],
+        ),
+    ] {
+        let dir = test_dir(&format!("bytes-{}", spec.partition_count()));
+        let db = CrowdDb::builder()
+            .config(CrowdDbConfig {
+                strategy: ExpansionStrategy::DirectCrowd,
+                ..Default::default()
+            })
+            .persistent(&dir)
+            .open()
+            .unwrap();
+        let options = TableOptions::new("typed", "item_id").partitions(spec.clone());
+        db.create_table_with(options, typed_table()).unwrap();
+        let space =
+            PerceptualSpace::new((0..ITEMS).map(|i| vec![i as f64 / 4.0, 0.0]).collect()).unwrap();
+        db.bind_table("typed", space, Box::new(EvenCrowd)).unwrap();
+        db.register_attribute("typed", "is_comedy", "Comedy")
+            .unwrap();
+        let expanded = db
+            .query("SELECT item_id, is_comedy FROM typed")
+            .run()
+            .unwrap();
+        assert!(expanded.crowd_cost > 0.0);
+        assert_eq!(db.judgment_cache().len(), ITEMS as usize);
+
+        let wal = |k| PathBuf::from("wal").join(segment_file_name("typed", k));
+        assert_eq!(
+            digests(&dir, &spec, wal, (SEGMENT_HEADER, 0)),
+            segments,
+            "{spec:?}: segment bytes"
+        );
+        db.checkpoint_with(CheckpointOptions::full()).unwrap();
+        let snap = |k| PathBuf::from("snap").join(snapshot_file_name("typed", k));
+        assert_eq!(
+            digests(&dir, &spec, snap, (SNAPSHOT_HEADER, SNAPSHOT_STAMP)),
+            snapshots,
+            "{spec:?}: snapshot bytes"
+        );
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
