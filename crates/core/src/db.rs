@@ -21,8 +21,8 @@
 //! # Concurrency
 //!
 //! [`CrowdDb::execute`] takes `&self`: the catalog is **sharded by
-//! table** — each table's `Shard` holds one single-table [`Catalog`] *per
-//! partition*, each behind its own [`RwLock`], reached through a
+//! table** — each table's `Shard` holds one [`Table`] *per partition*,
+//! each behind its own [`RwLock`], reached through a
 //! lightweight table-map lock touched only to create tables or clone
 //! shard handles — the binding table is behind an [`RwLock`], every crowd
 //! source behind a [`Mutex`], the [`JudgmentCache`] and
@@ -52,14 +52,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use storage::{TableImage, WalRecord};
+use storage::WalRecord;
 
 use crowdsim::WorkerAccuracyStore;
 use datagen::SyntheticDomain;
 use perceptual::{EuclideanEmbeddingConfig, EuclideanEmbeddingModel, ItemId, PerceptualSpace};
 use relational::{
-    executor, fold_name, sql, Catalog, Column, DataType, Grid, PartitionSpec, QueryResult,
-    RelationalError, Schema, Table, Value,
+    executor, fold_name, sql, Column, DataType, Grid, PartitionSpec, QueryResult, RelationalError,
+    Schema, Table, Value,
 };
 
 use telemetry::{MetricsSnapshot, StateMonitor};
@@ -181,7 +181,7 @@ impl<T: Clone> EventRing<T> {
 ///
 /// The default layout is a single partition.  A partitioned table keeps
 /// one WAL segment and one snapshot *per partition* on disk, and one
-/// catalog lock per partition in memory, so commits and checkpoints on
+/// lock per partition in memory, so commits and checkpoints on
 /// disjoint partitions proceed in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableOptions {
@@ -403,12 +403,13 @@ impl CatalogRead {
             .find(|(shard_name, _)| *shard_name == key)
             .map(|(_, shard)| shard)
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))?;
-        let view = if shard.parts.len() == 1 {
-            TableView::Locked(shard.read_one(0))
-        } else {
-            TableView::Merged(shard.merged(&key)?)
-        };
-        Ok(TableRef { view, name: key })
+        Ok(TableRef {
+            view: if shard.parts.len() == 1 {
+                TableView::Locked(shard.read_one(0))
+            } else {
+                TableView::Merged(shard.merged()?)
+            },
+        })
     }
 
     /// The table names of this view, sorted.
@@ -437,12 +438,11 @@ impl CatalogRead {
 /// that commit after it was taken.
 pub struct TableRef<'a> {
     view: TableView<'a>,
-    name: String,
 }
 
 enum TableView<'a> {
     /// The single partition's shared lock, held while the view lives.
-    Locked(RwLockReadGuard<'a, Catalog>),
+    Locked(RwLockReadGuard<'a, Table>),
     /// A merged copy of every partition; no lock held.
     Merged(Table),
 }
@@ -452,9 +452,7 @@ impl std::ops::Deref for TableRef<'_> {
 
     fn deref(&self) -> &Table {
         match &self.view {
-            TableView::Locked(catalog) => catalog
-                .table(&self.name)
-                .expect("a shard always holds its own table"),
+            TableView::Locked(table) => table,
             TableView::Merged(table) => table,
         }
     }
@@ -501,11 +499,11 @@ pub struct CrowdDb {
     pub(crate) scheduler: Scheduler,
 }
 
-/// One table's unit of catalog locking: one single-table [`Catalog`] *per
-/// partition*, each behind its own [`RwLock`].
+/// One table's unit of locking: one [`Table`] *per partition*, each behind
+/// its own [`RwLock`] — the unit the engine locks, logs and snapshots.
 ///
-/// Every partition's catalog holds one *slice* of the table under the
-/// table's full schema.  Statements run in place on the slices under only
+/// Every partition holds one *slice* of the table's rows under the table's
+/// full schema.  Statements run in place on the slices under only
 /// the partition locks they need, so tables never contend with each other
 /// and a read pinned to one id never waits on the other partitions.  The
 /// shard map itself (`DbInner::shards`) is guarded by a separate
@@ -516,9 +514,9 @@ struct Shard {
     /// How rows route to partitions ([`PartitionSpec::Single`] for every
     /// table not created through [`TableOptions::partitions`]).
     spec: PartitionSpec,
-    /// One single-table catalog per partition, in `k` order.  Always at
-    /// least one entry; `parts.len() == spec.partition_count()`.
-    parts: Vec<RwLock<Catalog>>,
+    /// One slice per partition, in `k` order.  Always at least one entry;
+    /// `parts.len() == spec.partition_count()`.
+    parts: Vec<RwLock<Table>>,
     /// The table's id column as its schema declared it at creation
     /// (`None` when the table has none).  Fixed for the table's lifetime —
     /// columns are never renamed or retyped.
@@ -555,16 +553,7 @@ impl Shard {
                     .expect("the key column is an INTEGER column of every slice");
             }
         }
-        shard.parts = slices
-            .into_iter()
-            .map(|slice| {
-                let mut catalog = Catalog::new();
-                catalog
-                    .create_table(slice)
-                    .expect("a fresh single-table catalog cannot collide");
-                RwLock::new(catalog)
-            })
-            .collect();
+        shard.parts = slices.into_iter().map(RwLock::new).collect();
         Arc::new(shard)
     }
 
@@ -595,25 +584,21 @@ impl Shard {
     /// Shared locks on the partitions a read runs on, taken in ascending
     /// `k`: partition `k` only when routed, otherwise every partition.
     /// The read holds them for its scan.
-    fn read(&self, route: Option<usize>) -> Vec<RwLockReadGuard<'_, Catalog>> {
+    fn read(&self, route: Option<usize>) -> Vec<RwLockReadGuard<'_, Table>> {
         match route {
             Some(k) => vec![rlock(&self.parts[k])],
             None => self.parts.iter().map(rlock).collect(),
         }
     }
 
-    /// True when column `column` of table `name` is *incomplete*: some
-    /// partition holds a recoverable hole in it.  Reads each partition's
-    /// hole count under its shared lock — no row is scanned.
-    fn is_incomplete(&self, name: &str, column: &str) -> bool {
+    /// True when column `column` is *incomplete*: some partition holds a
+    /// recoverable hole in it.  Reads each partition's hole count under its
+    /// shared lock — no row is scanned.
+    fn is_incomplete(&self, column: &str) -> bool {
         self.parts.iter().any(|part| {
-            let catalog = rlock(part);
-            catalog.table(name).is_ok_and(|table| {
-                table
-                    .schema()
-                    .index_of(column)
-                    .is_some_and(|index| table.recoverable_holes(index) > 0)
-            })
+            let table = rlock(part);
+            (table.schema().index_of(column))
+                .is_some_and(|index| table.recoverable_holes(index) > 0)
         })
     }
 
@@ -621,46 +606,39 @@ impl Shard {
     /// partition slice carries the table's full schema), row-incomplete.
     /// Enough for any pass that needs only the schema, without touching —
     /// or blocking on — the other partitions.
-    fn read_one(&self, k: usize) -> RwLockReadGuard<'_, Catalog> {
+    fn read_one(&self, k: usize) -> RwLockReadGuard<'_, Table> {
         rlock(&self.parts[k])
     }
 
-    /// An owned copy of the whole table `name`: every partition's slice,
+    /// An owned copy of the whole table: every partition's slice,
     /// concatenated in `k` order under briefly-held shared locks.  Only
     /// the [`CatalogRead`] inspection view uses it.
-    fn merged(&self, name: &str) -> Result<Table> {
+    fn merged(&self) -> Result<Table> {
         let guards = self.read(None);
-        let mut merged: Option<Table> = None;
-        for guard in &guards {
-            let slice = guard.table(name)?;
-            merged = Some(match merged.take() {
-                None => slice.clone(),
-                Some(acc) => persist::merge_partition_tables(acc, slice)?,
-            });
+        let (first, rest) = guards.split_first().expect("at least one partition");
+        let mut merged = Table::clone(first);
+        for slice in rest {
+            merged = persist::merge_partition_tables(merged, slice)?;
         }
-        Ok(merged.expect("at least one partition"))
+        Ok(merged)
     }
 
-    /// Exclusive access to one partition's catalog.
-    fn write_one(&self, k: usize) -> RwLockWriteGuard<'_, Catalog> {
+    /// Exclusive access to one partition.
+    fn write_one(&self, k: usize) -> RwLockWriteGuard<'_, Table> {
         wlock(&self.parts[k])
     }
 
     /// Exclusive access to every partition, locked in ascending `k` order
     /// (the deadlock-free order every multi-partition writer uses).
-    fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Catalog>> {
+    fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Table>> {
         self.parts.iter().map(wlock).collect()
     }
 }
 
-/// The slices of table `name` behind a read's partition locks, in the
-/// locks' (`k`) order — what [`executor::execute_select_partitions`] runs
-/// on.
-fn slices<'a>(guards: &'a [RwLockReadGuard<'_, Catalog>], name: &str) -> Result<Vec<&'a Table>> {
-    guards
-        .iter()
-        .map(|guard| guard.table(name).map_err(CrowdDbError::from))
-        .collect()
+/// The slices behind a read's partition locks, in the locks' (`k`) order —
+/// what [`executor::execute_select_partitions`] runs on.
+fn slices<'a>(guards: &'a [RwLockReadGuard<'_, Table>]) -> Vec<&'a Table> {
+    guards.iter().map(|guard| &**guard).collect()
 }
 
 /// The shared state behind a [`CrowdDb`]: everything scheduler jobs need,
@@ -930,15 +908,14 @@ impl CrowdDb {
                     skipped += 1;
                     continue;
                 }
-                let catalog = rlock(&shard.parts[k]);
-                let table = catalog.table(&name)?;
+                let table = rlock(&shard.parts[k]);
                 report.bytes_reclaimed += durability.checkpoint_partition(
                     &name,
                     k,
                     |wal_generation, wal_records_applied| {
                         persist::table_snapshot_image(
                             persist::TableSnapshotParts {
-                                table,
+                                table: &table,
                                 cache: &inner.cache,
                                 crowd_rounds: inner.crowd_rounds.load(Ordering::SeqCst),
                                 id_column: &inner.config.id_column,
@@ -1443,16 +1420,16 @@ impl CrowdDb {
         space: PerceptualSpace,
         crowd: Box<dyn CrowdSource>,
     ) -> Result<()> {
+        let shard = self.inner.shard(table_name)?;
+        if !shard
+            .read_one(0)
+            .schema()
+            .contains(&self.inner.config.id_column)
         {
-            let shard = self.inner.shard(table_name)?;
-            let catalog = shard.read_one(0);
-            let table = catalog.table(table_name)?;
-            if !table.schema().contains(&self.inner.config.id_column) {
-                return Err(CrowdDbError::Configuration(format!(
-                    "table {table_name} has no id column '{}'",
-                    self.inner.config.id_column
-                )));
-            }
+            return Err(CrowdDbError::Configuration(format!(
+                "table {table_name} has no id column '{}'",
+                self.inner.config.id_column
+            )));
         }
         wlock(&self.inner.bindings).insert(
             table_name.to_lowercase(),
@@ -1679,7 +1656,7 @@ impl DbInner {
         }
     }
 
-    /// Registers a table as a new shard — one catalog lock and (when
+    /// Registers a table as a new shard — one `RwLock<Table>` and (when
     /// persistent) one WAL segment per partition — and logs its creation
     /// durably.  The shard becomes visible and durable under one table-map
     /// write lock.
@@ -1696,17 +1673,23 @@ impl DbInner {
         if shards.contains_key(&name) {
             return Err(RelationalError::TableExists(name).into());
         }
-        let slices = persist::split_table_by_partition(table, &self.config.id_column, &spec);
+        let mut slices = persist::split_table_by_partition(table, &self.config.id_column, &spec);
         if let Some(durability) = &self.durability {
             durability.ensure_store(&name, &spec)?;
-            for (k, slice) in slices.iter().enumerate().skip(1) {
-                durability.log(&name, k, &[WalRecord::CreateTable(TableImage::of(slice))])?;
+            // Each slice moves into its record and back out once logged:
+            // logging copies no row.
+            let records: Vec<[WalRecord; 1]> = (slices.into_iter())
+                .map(|slice| [WalRecord::CreateTable(slice)])
+                .collect();
+            for k in (1..records.len()).chain([0]) {
+                durability.log(&name, k, &records[k])?;
             }
-            durability.log(
-                &name,
-                0,
-                &[WalRecord::CreateTable(TableImage::of(&slices[0]))],
-            )?;
+            slices = (records.into_iter())
+                .map(|[record]| match record {
+                    WalRecord::CreateTable(slice) => slice,
+                    _ => unreachable!("every record built above creates a slice"),
+                })
+                .collect();
         }
         shards.insert(
             name,
@@ -1820,7 +1803,8 @@ impl DbInner {
         // Every remaining statement names its target table: all catalog
         // access below goes through that one table's shard, so statements
         // on different tables never share a lock.
-        let shard = self.shard(statement.target_table().unwrap_or_default())?;
+        let table = fold_name(statement.target_table().unwrap_or_default());
+        let shard = self.shard(&table)?;
         // A write is routed once, here, and changes exactly the
         // partitions of its route.
         let route = (!statement.is_read_only())
@@ -1831,50 +1815,48 @@ impl DbInner {
             // one partition: for a write, one it actually writes, never
             // waiting on a writer to an unrelated partition.
             let k = route.as_ref().and_then(|route| route.targets.first());
-            executor::analyze(&statement, &shard.read_one(k.copied().unwrap_or(0)))?
+            executor::analyze(&statement, &shard.read_one(k.copied().unwrap_or(0)))
         };
         let mut reports = Vec::new();
         // A streamed SELECT with nothing to expand: its anytime snapshot
         // already is the answer, so the SELECT runs once.
         let mut answered: Option<RowSet> = None;
-        if let Some(table) = &analysis.table {
-            let candidates =
-                self.expansion_candidates(&shard, &statement, &analysis, &policy, table)?;
-            if policy.mode == ExpansionMode::Deny && !analysis.missing_columns.is_empty() {
-                return Err(CrowdDbError::ExpansionDenied {
-                    table: table.clone(),
-                    columns: analysis.missing_columns.clone(),
+        let candidates =
+            self.expansion_candidates(&shard, &statement, &analysis, &policy, &table)?;
+        if policy.mode == ExpansionMode::Deny && !analysis.missing_columns.is_empty() {
+            return Err(CrowdDbError::ExpansionDenied {
+                table: table.into_owned(),
+                columns: analysis.missing_columns,
+            });
+        }
+        // The anytime snapshot: everything answerable from stored and
+        // previously purchased cells, emitted before any crowd work so
+        // a streaming consumer has rows while acquisition runs.
+        if sink.is_live() {
+            if let sql::Statement::Select(select) = &statement {
+                let snapshot = self.select_rows(&shard, select, true, policy.quality_floor)?;
+                if candidates.is_empty() {
+                    answered = Some(snapshot.clone());
+                }
+                sink.emit(QueryEvent::Snapshot(snapshot));
+            }
+        }
+        if !candidates.is_empty() {
+            reports = self.expand_columns_with_policy(&table, &candidates, &policy, sink)?;
+            // Load shedding with provenance: every report of a degraded
+            // query leads with the typed record of what the admission
+            // controller took away and why.
+            if let Some(mark) = &degraded_mark {
+                for report in &mut reports {
+                    report.stages.insert(0, mark.clone());
+                }
+            }
+            let mut events = mlock(&self.events);
+            for report in &reports {
+                events.record(ExpansionEvent {
+                    triggering_query: sql_text.to_string(),
+                    report: report.clone(),
                 });
-            }
-            // The anytime snapshot: everything answerable from stored and
-            // previously purchased cells, emitted before any crowd work so
-            // a streaming consumer has rows while acquisition runs.
-            if sink.is_live() {
-                if let sql::Statement::Select(select) = &statement {
-                    let snapshot = self.select_rows(&shard, select, true, policy.quality_floor)?;
-                    if candidates.is_empty() {
-                        answered = Some(snapshot.clone());
-                    }
-                    sink.emit(QueryEvent::Snapshot(snapshot));
-                }
-            }
-            if !candidates.is_empty() {
-                reports = self.expand_columns_with_policy(table, &candidates, &policy, sink)?;
-                // Load shedding with provenance: every report of a degraded
-                // query leads with the typed record of what the admission
-                // controller took away and why.
-                if let Some(mark) = &degraded_mark {
-                    for report in &mut reports {
-                        report.stages.insert(0, mark.clone());
-                    }
-                }
-                let mut events = mlock(&self.events);
-                for report in &reports {
-                    events.record(ExpansionEvent {
-                        triggering_query: sql_text.to_string(),
-                        report: report.clone(),
-                    });
-                }
             }
         }
 
@@ -1922,7 +1904,7 @@ impl DbInner {
     ) -> Result<RowSet> {
         let (selected, provenance) = {
             let guards = shard.read(shard.route(select));
-            let parts = slices(&guards, &select.table)?;
+            let parts = slices(&guards);
             let selected = executor::execute_select_partitions(select, &parts, snapshot)?;
             let provenance = row_provenance(&parts, &selected);
             (selected, provenance)
@@ -1976,11 +1958,11 @@ impl DbInner {
             .map(|&k| shard.write_one(k))
             .collect();
         let prepared = (route.targets.iter().zip(&guards))
-            .map(|(&k, guard)| route.prepare(statement, k, guard.table(&table)?))
+            .map(|(&k, guard)| route.prepare(statement, k, guard))
             .collect::<Result<Vec<_>>>()?;
         let mut rows_affected = 0;
         for (prepared, guard) in prepared.into_iter().zip(&mut guards) {
-            rows_affected += prepared.apply(guard.table_mut(&table)?);
+            rows_affected += prepared.apply(guard);
         }
         if let Some(durability) = &self.durability {
             let record = [WalRecord::Mutation {
@@ -2012,7 +1994,6 @@ impl DbInner {
         policy: &ExpansionPolicy,
         table: &str,
     ) -> Result<Vec<String>> {
-        let key = fold_name(table);
         for column in &analysis.missing_columns {
             if !self.is_expandable(table, column) {
                 return Err(CrowdDbError::UnknownAttribute {
@@ -2028,14 +2009,14 @@ impl DbInner {
         {
             let referenced = match select_of(statement) {
                 Some(select) if matches!(select.projection, sql::Projection::All) => {
-                    shard.read_one(0).table(&key)?.schema().column_names()
+                    shard.read_one(0).schema().column_names()
                 }
                 _ => (statement.referenced_columns().into_iter())
                     .map(Cow::into_owned)
                     .collect(),
             };
             for column in referenced {
-                if !candidates.contains(&column) && shard.is_incomplete(&key, &column) {
+                if !candidates.contains(&column) && shard.is_incomplete(&column) {
                     candidates.push(column);
                 }
             }
@@ -2061,8 +2042,9 @@ impl DbInner {
         statement: &sql::Statement,
         policy: ExpansionPolicy,
     ) -> Result<QueryOutcome> {
-        let shard = self.shard(statement.target_table().unwrap_or_default())?;
-        let analysis = executor::analyze(statement, &shard.read_one(0))?;
+        let table = fold_name(statement.target_table().unwrap_or_default());
+        let shard = self.shard(&table)?;
+        let analysis = executor::analyze(statement, &shard.read_one(0));
         let columns: Vec<String> = [
             "concept",
             "column",
@@ -2076,14 +2058,12 @@ impl DbInner {
         .map(String::from)
         .collect();
         let mut rows = Grid::new(columns.len());
-        if let Some(table) = analysis.table.clone() {
-            let candidates =
-                self.expansion_candidates(&shard, statement, &analysis, &policy, &table)?;
-            if !candidates.is_empty() {
-                let binding = self.binding(&table.to_lowercase())?;
-                let plan = self.build_plan(&binding, &table, &candidates)?;
-                rows = self.explain_rows(&plan, &binding);
-            }
+        let candidates =
+            self.expansion_candidates(&shard, statement, &analysis, &policy, &table)?;
+        if !candidates.is_empty() {
+            let binding = self.binding(&table)?;
+            let plan = self.build_plan(&binding, &table, &candidates)?;
+            rows = self.explain_rows(&plan, &binding);
         }
         let mut provenance = Grid::with_capacity(columns.len(), rows.len());
         for _ in 0..rows.len() {
@@ -2144,7 +2124,7 @@ impl DbInner {
         let key = table_name.to_lowercase();
         let shard = self.shard(table_name)?;
         let guards = shard.read(None);
-        let parts = slices(&guards, table_name)?;
+        let parts = slices(&guards);
         let attributes = rlock(&binding.attributes);
         let overrides = rlock(&binding.strategy_overrides);
         planner::build_plan(PlanInputs {
@@ -2349,7 +2329,7 @@ impl DbInner {
         let mut routes = Vec::with_capacity(guards.len());
         let mut skipped = 0;
         for guard in guards.iter() {
-            let part = index.route(guard.table(table)?, &self.config.id_column, table)?;
+            let part = index.route(guard, &self.config.id_column, table)?;
             skipped += part.skipped;
             routes.push(part);
         }
@@ -2368,7 +2348,7 @@ impl DbInner {
                 continue;
             };
             for (guard, routes) in guards.iter().zip(&routes) {
-                let Some(existing) = guard.table(table)?.schema().column(column) else {
+                let Some(existing) = guard.schema().column(column) else {
                     continue;
                 };
                 if existing.data_type != *data_type {
@@ -2398,14 +2378,8 @@ impl DbInner {
                     marks,
                 } => {
                     for (guard, routes) in guards.iter_mut().zip(&routes) {
-                        outcome += materialize_column(
-                            guard.table_mut(table)?,
-                            &column,
-                            data_type,
-                            &values,
-                            &marks,
-                            routes,
-                        )?;
+                        outcome +=
+                            materialize_column(guard, &column, data_type, &values, &marks, routes)?;
                     }
                     // A column whose holes a later query could still fill
                     // is *incomplete*: policy queries referencing it
@@ -2427,13 +2401,7 @@ impl DbInner {
                 ColumnWrite::Repair { column, values } => {
                     let mut written = vec![false; values.len()];
                     for (guard, routes) in guards.iter_mut().zip(&routes) {
-                        repair_cells(
-                            guard.table_mut(table)?,
-                            &column,
-                            &values,
-                            routes,
-                            &mut written,
-                        )?;
+                        repair_cells(guard, &column, &values, routes, &mut written)?;
                     }
                     if self.durability.is_some() && written.contains(&true) {
                         records.push(WalRecord::SetCells {
@@ -2475,7 +2443,7 @@ impl DbInner {
         let shard = self.shard(table_name)?;
         let (labels, eligible) = {
             let guards = shard.read(None);
-            let parts = slices(&guards, table_name)?;
+            let parts = slices(&guards);
             let col_idx = parts[0].schema().index_of(&column).ok_or_else(|| {
                 CrowdDbError::Configuration(format!(
                     "column {column} of table {table_name} is not materialized — expand it first"

@@ -92,6 +92,7 @@
 //! (+ reset segment): per-partition generation stamps keep every partition
 //! individually consistent, whichever subset the crash interrupted.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,14 +100,12 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 use perceptual::ItemId;
 use relational::executor::{self, Prepared};
-use relational::{
-    sql, Catalog, Column, MissingReason, PartitionSpec, RelationalError, Table, Value,
-};
+use relational::{sql, Column, MissingReason, PartitionSpec, RelationalError, Table, Value};
 use storage::manifest::{snap_dir, wal_dir};
 use storage::{
     read_manifest, read_snapshot_file, scan_segments, segment_file_name, slice_records,
     snapshot_file_name, write_manifest, write_snapshot_file, Manifest, SnapshotImage, StorageError,
-    TableImage, Wal, WalRecord,
+    Wal, WalRecord,
 };
 
 use crate::cache::{CacheStats, CachedJudgment, JudgmentCache};
@@ -330,11 +329,11 @@ impl Durability {
     /// (new snapshot + complete old segment) replays nothing twice.  The
     /// caller must already hold the partition's shared lock (see the
     /// module docs for the two-invariant argument).
-    pub(crate) fn checkpoint_partition(
+    pub(crate) fn checkpoint_partition<'t>(
         &self,
         table: &str,
         k: usize,
-        capture: impl FnOnce(u64, u64) -> SnapshotImage,
+        capture: impl FnOnce(u64, u64) -> SnapshotImage<'t>,
     ) -> Result<u64> {
         self.check_not_failed()?;
         let store = self.store(table)?;
@@ -491,14 +490,22 @@ struct ReplayJob {
     spec: Option<PartitionSpec>,
 }
 
-/// The state one segment replays into: its slice of the table in a
-/// one-table catalog (logged SQL re-executes against it), its share of
-/// the judgment cache, and its crowd-round counter.
+/// The state one segment replays into: its slice of the table (logged SQL
+/// re-executes against it) once the segment or its snapshot has created
+/// it, its share of the judgment cache, and its crowd-round counter.
 #[derive(Default)]
 struct PartState {
-    catalog: Catalog,
+    table: Option<Table>,
     cache: JudgmentCache,
     crowd_rounds: u64,
+}
+
+impl PartState {
+    /// The slice a record of table `name` replays onto: a segment holds
+    /// records of its own table only, after the record creating it.
+    fn slice(&mut self, name: &str) -> Result<&mut Table> {
+        (self.table.as_mut()).ok_or_else(|| RelationalError::UnknownTable(name.to_string()).into())
+    }
 }
 
 /// One replay unit's result: its recovered partition plus its open
@@ -607,8 +614,7 @@ fn merge_table_parts(
     parts: Vec<PartRecovered>,
     state: &mut RecoveredState,
 ) -> Result<Option<TableStore>> {
-    let exists = (parts.iter().find(|p| p.partition == 0))
-        .is_some_and(|p| p.state.catalog.table(table).is_ok());
+    let exists = (parts.iter().find(|p| p.partition == 0)).is_some_and(|p| p.state.table.is_some());
     if !exists {
         // Drop the stray files so a later CREATE of the same name starts
         // clean.
@@ -645,12 +651,11 @@ fn merge_table_parts(
     let mut slices: Vec<Option<Table>> = Vec::with_capacity(n);
     for k in 0..n {
         let (slice, mut wal, dirty) = match by_k.remove(&k) {
-            Some(mut part) => {
+            Some(part) => {
                 let (groups, _) = part.state.cache.export();
                 state.cache.absorb(groups);
                 state.crowd_rounds = state.crowd_rounds.max(part.state.crowd_rounds);
-                let slice = part.state.catalog.drop_table(table).ok();
-                (slice, part.wal, part.dirty)
+                (part.state.table, part.wal, part.dirty)
             }
             // A partition whose file never landed on disk (possible only
             // for an orphan table torn mid-creation, with the table itself
@@ -857,7 +862,7 @@ fn replay_one(dir: &Path, id_column: &str, job: ReplayJob) -> Result<PartRecover
                 )));
             }
             let stamp = (image.wal_generation, image.wal_records_applied);
-            (state_of_snapshot(image)?, Some(stamp))
+            (state_of_snapshot(image), Some(stamp))
         }
         None => (PartState::default(), None),
     };
@@ -950,18 +955,16 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
             partition,
             spec,
         } => ctx.adopt_meta(&recorded, partition, spec)?,
-        WalRecord::CreateTable(image) => {
+        WalRecord::CreateTable(table) => {
             // Idempotent: a record that raced a checkpoint may already be
             // covered by the snapshot.
-            if state.catalog.table(&image.name).is_err() {
-                state.catalog.create_table(image.into_table()?)?;
-            }
+            state.table.get_or_insert(table);
         }
         WalRecord::Mutation { sql: text } => {
             // The statement was logged to every partition it routed to;
             // this partition takes its own share, as the live write did.
             let statement = sql::parse(&text)?;
-            let table = (state.catalog).table_mut(statement.target_table().unwrap_or_default())?;
+            let table = state.slice(statement.target_table().unwrap_or_default())?;
             let spec = ctx.spec.as_ref().unwrap_or(&PartitionSpec::Single);
             let route = WriteRoute::of(&statement, spec, table.schema().column(ctx.id_column));
             if route.targets.contains(&ctx.partition) {
@@ -981,15 +984,9 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
             let mut index = ItemIndex::new(marked.chain(values.iter().map(|&(item, _)| item)));
             let values = index.align(values, Value::Null);
             let marks = index.align(ledger, MissingReason::NotExpanded.into());
-            let routes = index.route(state.catalog.table(&table)?, ctx.id_column, &table)?;
-            materialize_column(
-                state.catalog.table_mut(&table)?,
-                &column,
-                data_type,
-                &values,
-                &marks,
-                &routes,
-            )?;
+            let slice = state.slice(&table)?;
+            let routes = index.route(slice, ctx.id_column, &table)?;
+            materialize_column(slice, &column, data_type, &values, &marks, &routes)?;
         }
         WalRecord::SetCells {
             table,
@@ -998,15 +995,10 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
         } => {
             let mut index = ItemIndex::new(values.iter().map(|&(item, _)| item));
             let values = index.align(values, Value::Null);
-            let routes = index.route(state.catalog.table(&table)?, ctx.id_column, &table)?;
+            let slice = state.slice(&table)?;
+            let routes = index.route(slice, ctx.id_column, &table)?;
             let mut written = vec![false; values.len()];
-            repair_cells(
-                state.catalog.table_mut(&table)?,
-                &column,
-                &values,
-                &routes,
-                &mut written,
-            )?;
+            repair_cells(slice, &column, &values, &routes, &mut written)?;
         }
         WalRecord::CachePut {
             table,
@@ -1027,14 +1019,12 @@ fn apply(record: WalRecord, state: &mut PartState, ctx: &mut ReplayCtx<'_>) -> R
 /// Rebuilds the state a snapshot image captured: the table, every cell
 /// with the tag it was written with, and the table's judgment-cache
 /// entries (the effectiveness counters are the manifest's).
-fn state_of_snapshot(image: SnapshotImage) -> Result<PartState> {
-    let mut catalog = Catalog::new();
-    catalog.create_table(image.table.into_table()?)?;
-    Ok(PartState {
-        catalog,
+fn state_of_snapshot(image: SnapshotImage<'_>) -> PartState {
+    PartState {
+        table: Some(image.table.into_owned()),
         cache: JudgmentCache::restore(image.cache, CacheStats::default()),
         crowd_rounds: image.crowd_rounds,
-    })
+    }
 }
 
 /// Borrowed views of the live state a per-partition checkpoint captures
@@ -1042,8 +1032,8 @@ fn state_of_snapshot(image: SnapshotImage) -> Result<PartState> {
 /// read through its own synchronization and filtered down to the
 /// partition's slice).
 pub(crate) struct TableSnapshotParts<'a> {
-    /// The partition's catalog slice.
-    pub(crate) table: &'a relational::Table,
+    /// The partition's slice, encoded in place.
+    pub(crate) table: &'a Table,
     pub(crate) cache: &'a JudgmentCache,
     pub(crate) crowd_rounds: u64,
     pub(crate) id_column: &'a str,
@@ -1057,11 +1047,11 @@ pub(crate) struct TableSnapshotParts<'a> {
 /// segment position it supersedes (see
 /// [`Durability::checkpoint_partition`]): the slice with the tag of every
 /// cell of its tracked columns, and its share of the judgment cache.
-pub(crate) fn table_snapshot_image(
-    parts: TableSnapshotParts<'_>,
+pub(crate) fn table_snapshot_image<'a>(
+    parts: TableSnapshotParts<'a>,
     wal_generation: u64,
     wal_records_applied: u64,
-) -> SnapshotImage {
+) -> SnapshotImage<'a> {
     let TableSnapshotParts {
         table,
         cache,
@@ -1077,7 +1067,7 @@ pub(crate) fn table_snapshot_image(
         })
         .collect();
     SnapshotImage {
-        table: TableImage::of(table),
+        table: Cow::Borrowed(table),
         cache,
         crowd_rounds,
         id_column: id_column.to_string(),

@@ -34,11 +34,9 @@ impl QueryResult {
     }
 }
 
-/// The outcome of statically analyzing a statement against a catalog.
+/// The outcome of statically analyzing a statement against its table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatementAnalysis {
-    /// The table the statement reads or writes (`None` for `CREATE TABLE`).
-    pub table: Option<String>,
     /// Every referenced column that is missing from the table's schema, in
     /// first-appearance order and without duplicates.
     pub missing_columns: Vec<String>,
@@ -51,26 +49,16 @@ impl StatementAnalysis {
     }
 }
 
-/// Statically analyzes a statement against the catalog, reporting **all**
-/// unknown columns at once.
+/// Statically analyzes a statement against `table`, the table it targets,
+/// reporting **all** unknown columns at once.
 ///
 /// Execution stops at the first unknown column, which forces a caller that
 /// wants to repair the schema (the crowd layer's query-driven expansion)
 /// into a parse→execute→fail cycle per missing attribute.  `analyze` lets it
 /// plan one expansion round covering every missing attribute of the
-/// statement instead.  Unknown tables are still an error: there is nothing
-/// to analyze against.
-pub fn analyze(statement: &Statement, catalog: &Catalog) -> Result<StatementAnalysis> {
-    let table_name = match statement.target_table() {
-        Some(name) => name,
-        None => {
-            return Ok(StatementAnalysis {
-                table: None,
-                missing_columns: Vec::new(),
-            })
-        }
-    };
-    let table = catalog.table(table_name)?;
+/// statement instead.  Finding the table is the caller's: it has already
+/// routed the statement there.
+pub fn analyze(statement: &Statement, table: &Table) -> StatementAnalysis {
     let schema = table.schema();
     let missing_columns = statement
         .referenced_columns()
@@ -78,10 +66,7 @@ pub fn analyze(statement: &Statement, catalog: &Catalog) -> Result<StatementAnal
         .filter(|column| !schema.contains(column))
         .map(Cow::into_owned)
         .collect();
-    Ok(StatementAnalysis {
-        table: Some(table.name().to_string()),
-        missing_columns,
-    })
+    StatementAnalysis { missing_columns }
 }
 
 /// Executes a read-only statement (`SELECT`) against a shared catalog
@@ -661,7 +646,7 @@ mod tests {
         catalog
             .table_mut("movies")
             .unwrap()
-            .set_value(3, "is_comedy", Value::Boolean(true))
+            .set_cell(3, "is_comedy", Value::Boolean(true), CellProvenance::Stored)
             .unwrap();
         let result = execute(
             &parse("SELECT name FROM movies WHERE is_comedy = true").unwrap(),
@@ -798,49 +783,34 @@ mod tests {
     #[test]
     fn analyze_reports_all_missing_columns_in_one_pass() {
         let mut catalog = setup();
+        let movies = catalog.table("movies").unwrap();
         // Two unknown columns across filter and ORDER BY, one known.
         let stmt =
             parse("SELECT name FROM movies WHERE is_comedy = true AND year > 1970 ORDER BY humor")
                 .unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert_eq!(analysis.table.as_deref(), Some("movies"));
+        let analysis = analyze(&stmt, movies);
         assert_eq!(analysis.missing_columns, vec!["is_comedy", "humor"]);
         assert!(!analysis.is_fully_resolved());
 
         // Fully resolved statements report no missing columns.
         let stmt = parse("SELECT name FROM movies WHERE year > 1970").unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert!(analysis.is_fully_resolved());
+        assert!(analyze(&stmt, movies).is_fully_resolved());
 
         // Duplicated references are reported once, in first-appearance order.
         let stmt =
             parse("SELECT a, b FROM movies WHERE a = 1 AND b = 2 AND a = 3 ORDER BY b").unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert_eq!(analysis.missing_columns, vec!["a", "b"]);
+        assert_eq!(analyze(&stmt, movies).missing_columns, vec!["a", "b"]);
 
         // UPDATE and DELETE are analyzed through the same pass.
         let stmt = parse("UPDATE movies SET humor = 1.0 WHERE is_comedy = true").unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert_eq!(analysis.missing_columns, vec!["humor", "is_comedy"]);
-        let stmt = parse("DELETE FROM movies WHERE humor = 2").unwrap();
         assert_eq!(
-            analyze(&stmt, &catalog).unwrap().missing_columns,
-            vec!["humor"]
+            analyze(&stmt, movies).missing_columns,
+            vec!["humor", "is_comedy"]
         );
+        let stmt = parse("DELETE FROM movies WHERE humor = 2").unwrap();
+        assert_eq!(analyze(&stmt, movies).missing_columns, vec!["humor"]);
 
-        // CREATE TABLE has no target table to analyze.
-        let stmt = parse("CREATE TABLE t2 (id INTEGER)").unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert_eq!(analysis.table, None);
-        assert!(analysis.is_fully_resolved());
-
-        // Unknown tables are still an error.
-        let stmt = parse("SELECT * FROM missing").unwrap();
-        assert!(matches!(
-            analyze(&stmt, &catalog),
-            Err(RelationalError::UnknownTable(_))
-        ));
-        // Sanity: analysis does not mutate the catalog.
+        // Sanity: analysis does not mutate the table.
         execute(&parse("SELECT * FROM movies").unwrap(), &mut catalog).unwrap();
     }
 
@@ -951,8 +921,7 @@ mod tests {
         ));
         // But analysis sees straight through to the wrapped SELECT.
         let stmt = parse("EXPLAIN EXPANSION SELECT * FROM movies WHERE is_comedy = true").unwrap();
-        let analysis = analyze(&stmt, &catalog).unwrap();
-        assert_eq!(analysis.table.as_deref(), Some("movies"));
+        let analysis = analyze(&stmt, catalog.table("movies").unwrap());
         assert_eq!(analysis.missing_columns, vec!["is_comedy"]);
     }
 

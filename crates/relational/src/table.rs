@@ -172,9 +172,8 @@ impl Table {
     }
 
     /// Inserts a full row, tagging the cell of each provenance-tracked
-    /// column with `tag(column position, value)`: how a stored table is
-    /// rebuilt with the tags it was written with.
-    pub fn insert_tagged(
+    /// column with `tag(column position, value)`.
+    fn insert_tagged(
         &mut self,
         row: Vec<Value>,
         tag: impl Fn(usize, &Value) -> CellProvenance,
@@ -228,6 +227,25 @@ impl Table {
         let index = self.column_index(column)?;
         self.start_tracking(index);
         Ok(index)
+    }
+
+    /// Makes the column at position `column` track provenance with
+    /// `cells`, one tag per row in row order: how a stored table gets back
+    /// the tags it was written with.  Fails when the table has no such
+    /// column or `cells` does not hold one tag per row.
+    pub fn restore_tags(&mut self, column: usize, cells: Vec<CellProvenance>) -> Result<()> {
+        if column >= self.schema.len() || cells.len() != self.rows.len() {
+            return Err(RelationalError::InvalidStatement(format!(
+                "{} tags for column {column} of table {}, which has {} columns and {} rows",
+                cells.len(),
+                self.name,
+                self.schema.len(),
+                self.rows.len()
+            )));
+        }
+        let holes = cells.iter().filter(|cell| cell.is_recoverable()).count();
+        self.tags[column] = Some(ColumnTags { cells, holes });
+        Ok(())
     }
 
     fn start_tracking(&mut self, column: usize) {
@@ -291,16 +309,6 @@ impl Table {
         self.key.as_ref().map(|key| key.rows(&self.rows, id))
     }
 
-    /// Inserts a row given as `(column, value)` pairs; unspecified columns
-    /// become `NULL`.
-    pub fn insert_named(&mut self, values: &[(&str, Value)]) -> Result<()> {
-        let mut row = vec![Value::Null; self.schema.len()];
-        for (name, value) in values {
-            row[self.column_index(name)?] = value.clone();
-        }
-        self.insert_row(row)
-    }
-
     /// Adds a new column; existing rows get `NULL` (or the provided default)
     /// in the new position.  This is the storage-level half of query-driven
     /// schema expansion.  The column does not track provenance.
@@ -329,12 +337,6 @@ impl Table {
             return Err(RelationalError::ColumnExists(column.name.clone()));
         }
         Ok(fill)
-    }
-
-    /// Overwrites the value of `column` in row `row_index` with a stored
-    /// value: [`Table::set_cell`] with [`CellProvenance::Stored`].
-    pub fn set_value(&mut self, row_index: usize, column: &str, value: Value) -> Result<()> {
-        self.set_cell(row_index, column, value, CellProvenance::Stored)
     }
 
     /// Overwrites the value of `column` in row `row_index` and its
@@ -445,13 +447,6 @@ impl Table {
         }
         doomed.len()
     }
-
-    /// Number of `NULL`s in a column — the amount of data a crowd-enabled
-    /// database would have to complete at query time.
-    pub fn null_count(&self, column: &str) -> Result<usize> {
-        let col_idx = self.column_index(column)?;
-        Ok(self.rows.iter().filter(|r| r[col_idx].is_null()).count())
-    }
 }
 
 /// The writer of existing cells: it sets a cell's value and its
@@ -516,7 +511,7 @@ mod tests {
             Value::Integer(1976),
         ])
         .unwrap();
-        t.insert_named(&[("id", Value::Integer(2)), ("name", Value::from("Psycho"))])
+        t.insert_row(vec![Value::Integer(2), Value::from("Psycho"), Value::Null])
             .unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.row(0).unwrap()[1], Value::from("Rocky"));
@@ -536,11 +531,6 @@ mod tests {
         assert!(t
             .insert_row(vec![Value::Null, Value::from("y"), Value::Integer(1)])
             .is_err());
-        // Unknown column in named insert.
-        assert!(matches!(
-            t.insert_named(&[("genre", Value::from("drama"))]),
-            Err(RelationalError::UnknownColumn { .. })
-        ));
     }
 
     #[test]
@@ -556,7 +546,6 @@ mod tests {
             .unwrap();
         assert_eq!(t.schema().len(), 4);
         assert_eq!(t.value(0, "is_comedy").unwrap(), &Value::Null);
-        assert_eq!(t.null_count("is_comedy").unwrap(), 1);
 
         t.add_column(
             Column::new("humor", DataType::Float),
@@ -621,7 +610,8 @@ mod tests {
         }
         assert_eq!(t.tags(2), None, "columns start untracked");
         // A stored write leaves an untracked column untracked.
-        t.set_value(0, "year", Value::Integer(1999)).unwrap();
+        t.set_cell(0, "year", Value::Integer(1999), CellProvenance::Stored)
+            .unwrap();
         assert_eq!(t.tags(2), None);
 
         t.set_cell(1, "year", Value::Null, budget).unwrap();
@@ -633,7 +623,8 @@ mod tests {
         assert_eq!(t.recoverable_holes(1), 0);
 
         // A stored overwrite (SQL UPDATE) retags its own cell only.
-        t.set_value(1, "year", Value::Integer(2001)).unwrap();
+        t.set_cell(1, "year", Value::Integer(2001), CellProvenance::Stored)
+            .unwrap();
         assert_eq!(t.tags(2).unwrap(), [stored, stored, budget, judged]);
         assert_eq!(t.recoverable_holes(2), 1);
 
@@ -760,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn set_value_updates_cells() {
+    fn set_cell_checks_the_type_the_row_and_the_column() {
         let mut t = movies();
         t.insert_row(vec![
             Value::Integer(1),
@@ -770,12 +761,39 @@ mod tests {
         .unwrap();
         t.add_column(Column::new("is_comedy", DataType::Boolean), None)
             .unwrap();
-        t.set_value(0, "is_comedy", Value::Boolean(false)).unwrap();
+        let stored = CellProvenance::Stored;
+        t.set_cell(0, "is_comedy", Value::Boolean(false), stored)
+            .unwrap();
         assert_eq!(t.value(0, "is_comedy").unwrap(), &Value::Boolean(false));
-        assert_eq!(t.null_count("is_comedy").unwrap(), 0);
-        assert!(t.set_value(0, "is_comedy", Value::from("nope")).is_err());
-        assert!(t.set_value(9, "is_comedy", Value::Boolean(true)).is_err());
-        assert!(t.set_value(0, "missing", Value::Boolean(true)).is_err());
-        assert!(t.null_count("missing").is_err());
+        assert!(matches!(
+            t.set_cell(0, "is_comedy", Value::from("nope"), stored),
+            Err(RelationalError::TypeMismatch(_))
+        ));
+        assert!(t
+            .set_cell(9, "is_comedy", Value::Boolean(true), stored)
+            .is_err());
+        assert!(matches!(
+            t.set_cell(0, "missing", Value::Boolean(true), stored),
+            Err(RelationalError::UnknownColumn { .. })
+        ));
+        assert_eq!(t.value(0, "is_comedy").unwrap(), &Value::Boolean(false));
+    }
+
+    #[test]
+    fn restored_tags_count_their_holes() {
+        let budget: CellProvenance = MissingReason::BudgetExhausted.into();
+        let mut t = movies();
+        for i in 0..3 {
+            t.insert_row(vec![Value::Integer(i), Value::from("m"), Value::Null])
+                .unwrap();
+        }
+        let tags = vec![budget, CellProvenance::Extracted, budget];
+        t.restore_tags(2, tags.clone()).unwrap();
+        assert_eq!(t.tags(2).unwrap(), tags);
+        assert_eq!(t.recoverable_holes(2), 2);
+        // One tag short, and a column past the schema.
+        assert!(t.restore_tags(1, vec![budget; 2]).is_err());
+        assert!(t.restore_tags(3, vec![budget; 3]).is_err());
+        assert_eq!(t.tags(1), None);
     }
 }

@@ -55,7 +55,7 @@ pub use manifest::{
 pub use records::{
     decode_partition_spec, decode_provenance, decode_tag_column, decode_value,
     encode_partition_spec, encode_provenance, encode_tag_column, encode_value, skip_value,
-    slice_records, CacheGroup, CachedJudgment, SnapshotImage, TableImage, WalRecord,
+    slice_records, CacheGroup, CachedJudgment, SnapshotImage, WalRecord,
 };
 pub use snapshot::{read_snapshot_file, write_snapshot_file};
 pub use wal::Wal;

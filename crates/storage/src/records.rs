@@ -7,8 +7,8 @@
 //!   [`CellProvenance`] mark per item, confidence and cost share
 //!   included), judgment cache writes, and cache invalidation.
 //! * [`SnapshotImage`] — the image a checkpoint writes of one partition
-//!   of a table: the [`TableImage`] with the tag of every cell of every
-//!   provenance-tracked column, one per row, the partition's
+//!   of a table: the partition's [`Table`] with the tag of every cell of
+//!   every provenance-tracked column, one per row, the partition's
 //!   judgment-cache entries, and the crowd round counter (so reopened
 //!   databases keep drawing fresh round seeds instead of replaying old
 //!   ones).
@@ -25,6 +25,8 @@
 //! the only encodings of a [`Value`] and a [`CellProvenance`] — the
 //! network wire protocol calls them too, so a cell's bytes are the same
 //! on disk and on the socket.
+
+use std::borrow::Cow;
 
 use relational::{
     CellProvenance, Column, DataType, MissingReason, PartitionSpec, Schema, Table, Value,
@@ -179,122 +181,64 @@ fn decode_schema(d: &mut Decoder<'_>) -> Result<Schema> {
         .map_err(|e| StorageError::Corrupt(format!("invalid schema in record: {e}")))
 }
 
-/// A full table — name, schema, rows, and the provenance of its tracked
-/// columns — as stored in snapshots and `CreateTable` WAL records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableImage {
-    /// Table name (lower-cased, as the catalog stores it).
-    pub name: String,
-    /// The schema.
-    pub schema: Schema,
-    /// All rows, in table order.
-    pub rows: Vec<Vec<Value>>,
-    /// Every provenance-tracked column: its position in the schema and the
-    /// tag of each of its cells, in row order; sorted by position.
-    pub tags: Vec<(usize, Vec<CellProvenance>)>,
+/// Encodes a full table — name, schema, rows, and the provenance of its
+/// tracked columns — as snapshots and `CreateTable` WAL records store it:
+/// the rows in table order, then each provenance-tracked column's schema
+/// position and the tag of each of its cells, in position order.
+fn encode_table(e: &mut Encoder, table: &Table) {
+    e.str(table.name());
+    encode_schema(e, table.schema());
+    e.seq_len(table.len());
+    for row in table.rows() {
+        e.seq_len(row.len());
+        for value in row {
+            encode_value(e, value);
+        }
+    }
+    let tracked =
+        (0..table.schema().len()).filter_map(|column| Some((column, table.tags(column)?)));
+    e.seq_len(tracked.clone().count());
+    for (column, tags) in tracked {
+        e.u32(column as u32);
+        encode_tag_column(e, tags);
+    }
 }
 
-impl TableImage {
-    /// Captures a live table, tags included.
-    pub fn of(table: &Table) -> Self {
-        TableImage {
-            name: table.name().to_string(),
-            schema: table.schema().clone(),
-            rows: table.rows().to_vec(),
-            tags: (0..table.schema().len())
-                .filter_map(|column| Some((column, table.tags(column)?.to_vec())))
-                .collect(),
+/// Decodes a table written by [`encode_table`], every cell with the tag
+/// it was written with.
+fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
+    let name = d.str()?;
+    let mut table = Table::new(name, decode_schema(d)?);
+    let n_rows = d.seq_len()?;
+    for _ in 0..n_rows {
+        let n_cells = d.seq_len()?;
+        let mut row = Vec::with_capacity(n_cells);
+        for _ in 0..n_cells {
+            row.push(decode_value(d)?);
         }
+        table.insert_row(row).map_err(|e| {
+            StorageError::Corrupt(format!("invalid row in table {}: {e}", table.name()))
+        })?;
     }
-
-    /// Rebuilds the live table, every cell with the tag it was captured
-    /// with.
-    pub fn into_table(self) -> Result<Table> {
-        let invalid = |what: String| StorageError::Corrupt(format!("table image: {what}"));
-        let mut table = Table::new(self.name, self.schema);
-        let mut by_column = vec![None; table.schema().len()];
-        for (column, tags) in &self.tags {
-            if tags.len() != self.rows.len() {
-                return Err(invalid(format!(
-                    "{} tags for {} rows",
-                    tags.len(),
-                    self.rows.len()
-                )));
-            }
-            let name = match table.schema().columns().get(*column) {
-                Some(found) => found.name.clone(),
-                None => {
-                    return Err(invalid(format!(
-                        "tags of a column {column} past the schema"
-                    )))
-                }
-            };
-            table
-                .track_provenance(&name)
-                .map_err(|e| invalid(e.to_string()))?;
-            by_column[*column] = Some(tags);
+    let n_tracked = d.seq_len()?;
+    let mut last = None;
+    for _ in 0..n_tracked {
+        let column = d.u32()? as usize;
+        if column >= table.schema().len() || last.is_some_and(|last| last >= column) {
+            return Err(StorageError::Corrupt(format!(
+                "tags of column {column} out of order or past the {} columns of table {}",
+                table.schema().len(),
+                table.name()
+            )));
         }
-        for (row, values) in self.rows.into_iter().enumerate() {
-            table
-                .insert_tagged(values, |column, _| {
-                    by_column[column].map_or(CellProvenance::Stored, |tags| tags[row])
-                })
-                .map_err(|e| invalid(format!("invalid row: {e}")))?;
-        }
-        Ok(table)
+        last = Some(column);
+        let mut cells = vec![CellProvenance::Stored; n_rows];
+        decode_tag_column(d, cells.iter_mut())?;
+        table
+            .restore_tags(column, cells)
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
     }
-
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        encode_schema(e, &self.schema);
-        e.seq_len(self.rows.len());
-        for row in &self.rows {
-            e.seq_len(row.len());
-            for value in row {
-                encode_value(e, value);
-            }
-        }
-        e.seq_len(self.tags.len());
-        for (column, tags) in &self.tags {
-            e.u32(*column as u32);
-            encode_tag_column(e, tags);
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self> {
-        let name = d.str()?;
-        let schema = decode_schema(d)?;
-        let n_rows = d.seq_len()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let n_cells = d.seq_len()?;
-            let mut row = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                row.push(decode_value(d)?);
-            }
-            rows.push(row);
-        }
-        let n_tracked = d.seq_len()?;
-        let mut tags: Vec<(usize, Vec<CellProvenance>)> = Vec::with_capacity(n_tracked);
-        for _ in 0..n_tracked {
-            let column = d.u32()? as usize;
-            if column >= schema.len() || tags.last().is_some_and(|(last, _)| *last >= column) {
-                return Err(StorageError::Corrupt(format!(
-                    "tags of column {column} out of order or past the {} columns of table {name}",
-                    schema.len()
-                )));
-            }
-            let mut cells = vec![CellProvenance::Stored; n_rows];
-            decode_tag_column(d, cells.iter_mut())?;
-            tags.push((column, cells));
-        }
-        Ok(TableImage {
-            name,
-            schema,
-            rows,
-            tags,
-        })
-    }
+    Ok(table)
 }
 
 /// The aggregated crowd knowledge about one `(table, attribute, item)`:
@@ -496,9 +440,10 @@ fn decode_items<T>(
 /// One committed change, as framed into the write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A table registered with the catalog (DDL), rows included — covers
-    /// both `CrowdDb::create_table_with` and domain loading.
-    CreateTable(TableImage),
+    /// A table registered with the catalog (DDL), rows and their
+    /// provenance included — covers both `CrowdDb::create_table_with` and
+    /// domain loading.
+    CreateTable(Table),
     /// A relational mutation (`INSERT` / `UPDATE` / `DELETE` / DDL issued
     /// as SQL), replayed by re-executing the statement text: mutations
     /// never dispatch crowd work, so re-execution against the recovered
@@ -578,9 +523,9 @@ impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         match self {
-            WalRecord::CreateTable(image) => {
+            WalRecord::CreateTable(table) => {
                 e.u8(0);
-                image.encode(&mut e);
+                encode_table(&mut e, table);
             }
             WalRecord::Mutation { sql } => {
                 e.u8(1);
@@ -646,7 +591,7 @@ impl WalRecord {
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Decoder::new(bytes);
         let record = match d.u8()? {
-            0 => WalRecord::CreateTable(TableImage::decode(&mut d)?),
+            0 => WalRecord::CreateTable(decode_table(&mut d)?),
             1 => WalRecord::Mutation { sql: d.str()? },
             2 => WalRecord::MaterializeColumn {
                 table: d.str()?,
@@ -737,10 +682,13 @@ pub type CacheGroup = (String, String, Vec<(ItemId, CachedJudgment)>);
 /// The point-in-time image of one partition of a table that a checkpoint
 /// writes.  The judgment cache's effectiveness counters are not here:
 /// they are global, and the manifest carries them.
+///
+/// A checkpoint encodes the live partition in place, through a borrowed
+/// table; a decoded image owns the table it read.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotImage {
+pub struct SnapshotImage<'a> {
     /// The partition's slice of the table, tags included.
-    pub table: TableImage,
+    pub table: Cow<'a, Table>,
     /// The table's judgment-cache groups, each holding the entries of the
     /// items routed to the partition, sorted by attribute.
     pub cache: Vec<CacheGroup>,
@@ -759,11 +707,11 @@ pub struct SnapshotImage {
     pub wal_records_applied: u64,
 }
 
-impl SnapshotImage {
+impl SnapshotImage<'_> {
     /// Encodes the image to its payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        self.table.encode(&mut e);
+        encode_table(&mut e, &self.table);
         e.seq_len(self.cache.len());
         for (table, attribute, entries) in &self.cache {
             e.str(table);
@@ -778,9 +726,9 @@ impl SnapshotImage {
     }
 
     /// Decodes an image from its payload bytes, rejecting trailing garbage.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
+    pub fn decode(bytes: &[u8]) -> Result<SnapshotImage<'static>> {
         let mut d = Decoder::new(bytes);
-        let table = TableImage::decode(&mut d)?;
+        let table = decode_table(&mut d)?;
         let n_groups = d.seq_len()?;
         let mut cache = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
@@ -793,7 +741,7 @@ impl SnapshotImage {
             ));
         }
         let image = SnapshotImage {
-            table,
+            table: Cow::Owned(table),
             cache,
             crowd_rounds: d.u64()?,
             id_column: d.str()?,
@@ -814,7 +762,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_table() -> TableImage {
+    fn sample_table() -> Table {
         let schema = Schema::new(vec![
             Column::not_null("item_id", DataType::Integer),
             Column::new("name", DataType::Text),
@@ -836,7 +784,7 @@ mod tests {
                 Value::Boolean(true),
             ])
             .unwrap();
-        TableImage::of(&table)
+        table
     }
 
     #[test]
@@ -925,7 +873,7 @@ mod tests {
 
     #[test]
     fn snapshot_image_round_trips() {
-        let mut table = sample_table().into_table().unwrap();
+        let mut table = sample_table();
         table
             .set_cell(
                 0,
@@ -935,7 +883,7 @@ mod tests {
             )
             .unwrap();
         let image = SnapshotImage {
-            table: TableImage::of(&table),
+            table: Cow::Borrowed(&table),
             cache: vec![(
                 "movies".into(),
                 "comedy".into(),
@@ -956,7 +904,8 @@ mod tests {
         };
         let decoded = SnapshotImage::decode(&image.encode()).unwrap();
         assert_eq!(decoded, image);
-        assert_eq!(decoded.table.into_table().unwrap(), table);
+        assert!(matches!(decoded.table, Cow::Owned(_)));
+        assert_eq!(*decoded.table, table);
     }
 
     /// One mark of every provenance variant, every missing reason included.
@@ -1010,14 +959,14 @@ mod tests {
 
         // One row per mark, each row's cell tagged with its mark.
         let schema = Schema::new(vec![Column::new("c", DataType::Boolean)]).unwrap();
-        let rows = every_mark().len();
+        let mut table = Table::new("m", schema);
+        table.track_provenance("c").unwrap();
+        for (row, (_, mark)) in every_mark().into_iter().enumerate() {
+            table.insert_row(vec![Value::Null]).unwrap();
+            table.set_cell(row, "c", Value::Null, mark).unwrap();
+        }
         let image = SnapshotImage {
-            table: TableImage {
-                name: "m".into(),
-                schema,
-                rows: vec![vec![Value::Null]; rows],
-                tags: vec![(0, every_mark().into_iter().map(|(_, mark)| mark).collect())],
-            },
+            table: Cow::Borrowed(&table),
             cache: Vec::new(),
             crowd_rounds: 0,
             id_column: "id".into(),
@@ -1096,69 +1045,90 @@ mod tests {
     }
 
     #[test]
-    fn table_image_rebuilds_the_table() {
-        let image = sample_table();
-        let table = image.clone().into_table().unwrap();
-        assert_eq!(table.name(), "movies");
-        assert_eq!(table.len(), 2);
-        assert_eq!(TableImage::of(&table), image);
+    fn create_table_records_rebuild_the_table() {
+        let table = sample_table();
+        let record = WalRecord::CreateTable(table.clone());
+        let WalRecord::CreateTable(decoded) = WalRecord::decode(&record.encode()).unwrap() else {
+            panic!("a CreateTable record decoded as another kind");
+        };
+        assert_eq!(decoded.name(), "movies");
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded, table);
     }
 
-    /// The bytes of a `CreateTable` record of `image`.
-    fn create_table_bytes(image: &TableImage) -> Vec<u8> {
-        WalRecord::CreateTable(image.clone()).encode()
+    /// The bytes of a `CreateTable` record of `table`'s name, schema and
+    /// rows with the tag columns `tags` — written here through the
+    /// [`Encoder`], since a [`Table`] cannot hold a column of the wrong
+    /// length, out of order or past its schema.
+    fn create_table_bytes(table: &Table, tags: &[(usize, Vec<CellProvenance>)]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u8(0);
+        e.str(table.name());
+        encode_schema(&mut e, table.schema());
+        e.seq_len(table.len());
+        for row in table.rows() {
+            e.seq_len(row.len());
+            for value in row {
+                encode_value(&mut e, value);
+            }
+        }
+        e.seq_len(tags.len());
+        for (column, tags) in tags {
+            e.u32(*column as u32);
+            encode_tag_column(&mut e, tags);
+        }
+        e.into_bytes()
     }
 
-    /// The two-row sample with its `is_comedy` column tagged
-    /// `Extracted, CacheHit`.
-    fn tagged_sample() -> TableImage {
-        let mut image = sample_table();
-        image.tags = vec![(
+    /// The two-row sample's `is_comedy` tags: `Extracted, CacheHit`.
+    fn sample_tags() -> Vec<(usize, Vec<CellProvenance>)> {
+        vec![(
             2,
             vec![
                 CellProvenance::Extracted,
                 CellProvenance::CacheHit { confidence: 0.5 },
             ],
-        )];
-        image
+        )]
     }
 
     #[test]
     fn tag_columns_must_match_the_row_count() {
-        let image = tagged_sample();
-        let bytes = create_table_bytes(&image);
+        let mut tagged = sample_table();
+        for (row, &mark) in sample_tags()[0].1.iter().enumerate() {
+            let value = tagged.value(row, "is_comedy").unwrap().clone();
+            tagged.set_cell(row, "is_comedy", value, mark).unwrap();
+        }
+        let bytes = create_table_bytes(&sample_table(), &sample_tags());
+        assert_eq!(bytes, WalRecord::CreateTable(tagged.clone()).encode());
         assert_eq!(
             WalRecord::decode(&bytes).unwrap(),
-            WalRecord::CreateTable(image.clone())
+            WalRecord::CreateTable(tagged)
         );
         // A tag column one cell short and one cell long, encoded for a row
         // count it does not match: the column ends early (the decoder runs
         // out of bytes) or leaves bytes behind.
-        let mut short = image.clone();
-        short.tags[0].1.pop();
-        let mut long = image.clone();
-        long.tags[0]
+        let mut short = sample_tags();
+        short[0].1.pop();
+        let mut long = sample_tags();
+        long[0]
             .1
             .push(CellProvenance::CacheHit { confidence: 0.25 });
-        for (what, image) in [("short", short), ("long", long)] {
+        for (what, tags) in [("short", short), ("long", long)] {
             assert!(
                 matches!(
-                    WalRecord::decode(&create_table_bytes(&image)),
+                    WalRecord::decode(&create_table_bytes(&sample_table(), &tags)),
                     Err(StorageError::Corrupt(_))
                 ),
                 "a {what} tag column decoded"
             );
-            // An image built in memory with such a column is refused too.
-            assert!(matches!(image.into_table(), Err(StorageError::Corrupt(_))));
         }
         // A run of payload-free marks reaching past the last row, and one
         // falling short of it.
         for run in [1, 3] {
-            let mut runs = image.clone();
-            runs.tags[0].1 = vec![CellProvenance::Extracted; run];
+            let runs = vec![(2, vec![CellProvenance::Extracted; run])];
             assert!(
                 matches!(
-                    WalRecord::decode(&create_table_bytes(&runs)),
+                    WalRecord::decode(&create_table_bytes(&sample_table(), &runs)),
                     Err(StorageError::Corrupt(_))
                 ),
                 "a run of {run} over two rows decoded"
@@ -1182,23 +1152,14 @@ mod tests {
                 (0, vec![CellProvenance::Extracted; 2]),
             ],
         ] {
-            let image = TableImage {
-                tags: tags.clone(),
-                ..sample_table()
-            };
             assert!(
                 matches!(
-                    WalRecord::decode(&create_table_bytes(&image)),
+                    WalRecord::decode(&create_table_bytes(&sample_table(), &tags)),
                     Err(StorageError::Corrupt(_))
                 ),
                 "tags {tags:?} decoded"
             );
         }
-        let past = TableImage {
-            tags: vec![(3, vec![CellProvenance::Extracted; 2])],
-            ..sample_table()
-        };
-        assert!(matches!(past.into_table(), Err(StorageError::Corrupt(_))));
     }
 
     /// A value of `data_type`, or `NULL`, varied by `bits`.
@@ -1288,20 +1249,14 @@ mod tests {
             runs in prop::collection::vec((0u8..11, 1usize..=300, any::<u64>()), 1..16),
         ) {
             let table = random_table(&types, rows, &values, &runs);
-            let image = TableImage::of(&table);
             prop_assert_eq!(
-                image.tags.len(),
+                (0..types.len()).filter(|&column| table.tags(column).is_some()).count(),
                 types.iter().filter(|&&(_, tracked)| tracked).count()
             );
-            let WalRecord::CreateTable(decoded) =
-                WalRecord::decode(&create_table_bytes(&image)).unwrap()
-            else {
-                panic!("a CreateTable record decoded as another kind");
-            };
-            prop_assert_eq!(&decoded, &image);
-            prop_assert_eq!(&decoded.into_table().unwrap(), &table);
+            let record = WalRecord::CreateTable(table.clone());
+            prop_assert_eq!(&WalRecord::decode(&record.encode()).unwrap(), &record);
             let snapshot = SnapshotImage {
-                table: image,
+                table: Cow::Borrowed(&table),
                 cache: Vec::new(),
                 crowd_rounds: rows as u64,
                 id_column: "c0".into(),
@@ -1310,7 +1265,7 @@ mod tests {
             };
             let decoded = SnapshotImage::decode(&snapshot.encode()).unwrap();
             prop_assert_eq!(&decoded, &snapshot);
-            prop_assert_eq!(&decoded.table.into_table().unwrap(), &table);
+            prop_assert_eq!(&*decoded.table, &table);
         }
 
         #[test]
@@ -1322,7 +1277,7 @@ mod tests {
         ) {
             let table = random_table(&[(0, true), (2, false), (3, true)], 12, &[1, 6, 9], &runs);
             let snapshot = SnapshotImage {
-                table: TableImage::of(&table),
+                table: Cow::Borrowed(&table),
                 cache: Vec::new(),
                 crowd_rounds: 0,
                 id_column: "c0".into(),
@@ -1332,7 +1287,7 @@ mod tests {
             let mut bytes = snapshot.encode();
             let at = (at % bytes.len() as u64) as usize;
             bytes[at] = byte;
-            let _ = SnapshotImage::decode(&bytes).map(|image| image.table.into_table());
+            let _ = SnapshotImage::decode(&bytes);
             bytes.truncate((cut % bytes.len() as u64) as usize);
             prop_assert!(SnapshotImage::decode(&bytes).is_err());
         }

@@ -103,13 +103,13 @@ pub(crate) fn checked_payload<'a>(frame: &'a [u8], what: &str) -> Result<&'a [u8
 
 /// Durably writes `image` to `path`, atomically replacing any previous
 /// file there.
-pub fn write_snapshot_file(path: &Path, image: &SnapshotImage) -> Result<()> {
+pub fn write_snapshot_file(path: &Path, image: &SnapshotImage<'_>) -> Result<()> {
     write_framed(path, MAGIC, &image.encode())
 }
 
 /// Reads the snapshot at `path`, verifying magic, length, and checksum.
 /// Returns `Ok(None)` when the file does not exist.
-pub fn read_snapshot_file(path: &Path) -> Result<Option<SnapshotImage>> {
+pub fn read_snapshot_file(path: &Path) -> Result<Option<SnapshotImage<'static>>> {
     let Some(bytes) = read_file(path)? else {
         return Ok(None);
     };
@@ -125,8 +125,9 @@ pub fn read_snapshot_file(path: &Path) -> Result<Option<SnapshotImage>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{CachedJudgment, SnapshotImage, TableImage};
+    use crate::records::{CachedJudgment, SnapshotImage};
     use relational::{Column, DataType, Schema, Table};
+    use std::borrow::Cow;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -136,10 +137,10 @@ mod tests {
         dir
     }
 
-    fn sample() -> SnapshotImage {
+    fn sample() -> SnapshotImage<'static> {
         let schema = Schema::new(vec![Column::new("item_id", DataType::Integer)]).unwrap();
         SnapshotImage {
-            table: TableImage::of(&Table::new("movies", schema)),
+            table: Cow::Owned(Table::new("movies", schema)),
             cache: vec![(
                 "movies".into(),
                 "comedy".into(),

@@ -173,10 +173,7 @@ fn parallel_partition_replay_is_bit_identical_to_serial() {
         let mut events = seed_table("events");
         for id in 0..12i64 {
             events
-                .insert_named(&[
-                    ("item_id", Value::Integer(id)),
-                    ("body", Value::Text(format!("seed {id}"))),
-                ])
+                .insert_row(vec![Value::Integer(id), Value::Text(format!("seed {id}"))])
                 .unwrap();
         }
         db.create_table_with(

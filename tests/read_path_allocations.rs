@@ -11,19 +11,25 @@
 //! executes on the caller's thread, so every allocation it makes is
 //! counted here.  The bounds are the counts the read path reaches: 10
 //! for the parse (the statement's own strings, vectors and boxes) and
-//! 29 for the whole `run()`, down from 44 and 90 when the lexer
+//! 28 for the whole `run()`, down from 44 and 90 when the lexer
 //! allocated every word and names were folded by copying, from 38
 //! when every result row and provenance row was a vector of its own,
 //! from 36 when the query's monitor node copied its name and keys and
-//! took its values one lock at a time, and from 31 when the bound
-//! `WHERE` boxed every operand and the provenance join built a table of
-//! column positions.  A 2,048-row range `run()` makes 40, not 4,147: its
-//! rows and their provenance are two grids, one buffer each, so the count
-//! does not grow with the rows returned (46 before its two comparisons
-//! bound to unboxed terms).
+//! took its values one lock at a time, from 31 when the bound `WHERE`
+//! boxed every operand and the provenance join built a table of column
+//! positions, and from 29 when analysis copied the table's name.  A
+//! 2,048-row range `run()` makes 39, not 4,147: its rows and their
+//! provenance are two grids, one buffer each, so the count does not grow
+//! with the rows returned (46 before its two comparisons bound to unboxed
+//! terms, 40 before analysis stopped copying the name).
 //! Draining a `stream()` of the same range with its text column, then
 //! `wait()`, makes 7 on the caller's thread, not 2,065: the stream hands
 //! the finished outcome over instead of copying it, string by string.
+//! A checkpoint of a `Single` table with a text column encodes the
+//! partition from the table itself under its shared lock: its count at
+//! 16,384 rows exceeds its count at 1,024 rows only by the doublings of
+//! the one buffer the snapshot is encoded into, where copying the rows
+//! first cost two allocations per row.
 //! Lower a bound when the path gets cheaper; never raise it without
 //! saying why.
 
@@ -71,9 +77,9 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Most allocations parsing the point `SELECT` may make.
 const PARSE_BOUND: u64 = 10;
 /// Most allocations a point `run()` may make.
-const RUN_BOUND: u64 = 29;
+const RUN_BOUND: u64 = 28;
 /// Most allocations a 2,048-row range `run()` may make.
-const RANGE_RUN_BOUND: u64 = 40;
+const RANGE_RUN_BOUND: u64 = 39;
 /// Most allocations draining a `stream()` of a 2,048-row range with a text
 /// column, then `wait()`, may make on the caller's thread.
 const RANGE_STREAM_BOUND: u64 = 7;
@@ -197,5 +203,59 @@ fn a_drained_stream_hands_its_outcome_over_without_copying() {
         count <= RANGE_STREAM_BOUND,
         "draining a 2,048-row range stream() made {count} allocations \
          (bound {RANGE_STREAM_BOUND})"
+    );
+}
+
+/// A persistent database in a fresh directory under the system's temp
+/// directory, holding a `Single` table of `rows` rows with a text column.
+fn persistent_db(rows: i64) -> (CrowdDb, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "crowddb-checkpoint-allocations-{rows}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = Schema::new(vec![
+        Column::not_null("item_id", DataType::Integer),
+        Column::new("label", DataType::Text),
+    ])
+    .unwrap();
+    let mut table = Table::new("items", schema);
+    for id in 0..rows {
+        table
+            .insert_row(vec![
+                Value::Integer(id),
+                Value::Text(format!("item-{id:08x}")),
+            ])
+            .unwrap();
+    }
+    let db = CrowdDb::open(&dir).unwrap();
+    db.create_table_with(TableOptions::new("items", "item_id"), table)
+        .unwrap();
+    (db, dir)
+}
+
+/// How many more allocations a checkpoint of 16,384 rows may make than one
+/// of 1,024 rows: the snapshot's buffer doubles four more times to hold
+/// sixteen times the bytes.
+const CHECKPOINT_GROWTH_BOUND: u64 = 4;
+
+#[test]
+fn a_checkpoint_does_not_copy_the_partition() {
+    let count = |rows| {
+        let (db, dir) = persistent_db(rows);
+        // Warm up: the first checkpoint creates the snapshot directory.
+        db.checkpoint_with(CheckpointOptions::full()).unwrap();
+        let (count, report) =
+            allocations(|| db.checkpoint_with(CheckpointOptions::full()).unwrap());
+        assert_eq!(report.partitions_snapshotted, 1);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+        count
+    };
+    let (small, large) = (count(1_024), count(16_384));
+    assert!(
+        large <= small + CHECKPOINT_GROWTH_BOUND,
+        "a checkpoint made {small} allocations at 1,024 rows and {large} at 16,384 rows \
+         (at most {CHECKPOINT_GROWTH_BOUND} more allowed)"
     );
 }
